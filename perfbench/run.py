@@ -2,8 +2,8 @@
 
 Usage, from the root of a source checkout:
 
-    python3 perfbench/run.py --workload figure-sweep --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25
+    python3 perfbench/run.py --workload figure-sweep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 30
 
 The seed makes a corpus of operations (``workloads.py``).  One caller runs
 the whole corpus again and again, one operation at a time, for
@@ -13,13 +13,18 @@ the whole corpus again and again, one operation at a time, for
 
 * ``setup_s``: import plus first-call warm-up, in fresh interpreters
   started between passes (median of ``SETUP_PROBES``);
-* ``wall_s``: one pass over the corpus, each operation at its fastest
-  repeat, scaled by the benchmark's reference loop (``reference_loop``) to
-  a machine on which that loop takes 1 ms.  On the shared 2-vCPU virtual
-  machine of the baseline, speed moved by up to 2x in phases of several
-  seconds and drifted between runs, while a slowdown can only add time;
-  medians over whole passes did not repeat within 10 %.
-  The unscaled figure is printed as ``wall_raw_s``;
+* ``wall_s``: one pass over the corpus, made up of chunks of a few
+  operations.  Each chunk's time is divided by the mean of the two timings
+  of the benchmark's reference loop (``reference_loop``) around it, and
+  ``wall_s`` sums the chunks' medians over the passes, in seconds of a
+  machine on which that loop takes ``REF_NOMINAL_S``.  ``setup_s`` is
+  scaled the same way.  On the shared 2-vCPU virtual machine of the
+  baseline, speed moved by up to 2x in phases of a second or more, which
+  the adjacent loop timings share with what they bracket.  Operations,
+  loop and set-up probes are timed on the process's CPU clock, so time in
+  which the CPU ran other processes, or the host took it away, drops out.
+  The unscaled sum of each operation's fastest repeat is printed as
+  ``wall_raw_s``, the unscaled set-up time as ``setup_raw_s``;
 * ``peak_rss_mb``: the process's peak resident memory, read before the
   checks.
 
@@ -60,8 +65,9 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
-from time import perf_counter  # noqa: E402
+from time import perf_counter, process_time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -79,46 +85,73 @@ MAX_SECONDS = 60
 
 SETUP_PROBE = """
 import sys, time
-t0 = time.perf_counter()
+t0 = time.process_time()
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import pathlib, workloads
 workloads.WORKLOADS[sys.argv[3]](0, pathlib.Path(sys.argv[4])).warm_up()
-print(repr(time.perf_counter() - t0))
+print(repr(time.process_time() - t0))
 """
 
-# wall_s is scaled to a machine on which the benchmark's reference loop
-# takes REF_NOMINAL_S at its fastest.  The loop is timed REF_PER_PASS times
-# per pass, between operations.  On a shared virtual machine, speed drifts
-# by 10-20 % between runs a few minutes apart; the scaling takes most of
-# that drift out.
-REF_NOMINAL_S = 1e-3
-REF_PER_PASS = 6
+# wall_s and setup_s are scaled to a machine on which the benchmark's
+# reference loop takes REF_NOMINAL_S.  The loop is timed before and after
+# every chunk of ``wl.chunk`` operations and every set-up probe, so a timing
+# and its yardstick run within milliseconds of each other and share the
+# machine's speed of the moment.
+REF_NOMINAL_S = 3e-3
 _REF_X = np.linspace(0.01, 3.0, 2001)
-_REF_GAMES = [(0.5 + 0.01 * i, 1.5 - 0.005 * i, 12.0, 10.0) for i in range(200)]
 
 
-def _ref_payoffs(x1: float, x2: float, phi1: float, phi2: float) -> tuple[float, float]:
-    s = math.sqrt(x1 * x2 * phi1 / phi2)
-    if s >= 1.0:
-        return phi1 * (1.0 - 1.0 / (2.0 * x1)), phi2 * x2 / 2.0
-    return phi1 * x1 / (2.0 * s), phi2 * (1.0 - (1.0 - s) / (2.0 * x2))
+@dataclass(frozen=True)
+class _RefGame:
+    phi1: float
+    phi2: float
+    x1: float
+    x2: float
+
+
+@dataclass(frozen=True)
+class _RefPair:
+    u_player: float
+    u_adversary: float
+
+
+_REF_GAMES = [_RefGame(12.0, 10.0, 0.5 + 0.01 * i, 1.5 - 0.005 * i) for i in range(200)]
+
+
+def _ref_contest(phi: float, x: float, xa: float) -> _RefPair:
+    if x >= xa:
+        return _RefPair(phi * (1.0 - xa / (2.0 * x)), phi * xa / (2.0 * x))
+    return _RefPair(phi * x / (2.0 * xa), phi * (1.0 - x / (2.0 * xa)))
+
+
+def _ref_payoffs(g: _RefGame, tau: float) -> tuple[float, float]:
+    gb = _RefGame(g.phi1, g.phi2, g.x1 - tau, g.x2 + tau)
+    if gb.x1 / gb.phi1 < gb.x2 / gb.phi2:
+        s = math.sqrt(gb.x1 * gb.x2 * gb.phi1 / gb.phi2)
+    else:
+        s = math.sqrt(gb.x1 * gb.x2 * gb.phi2 / gb.phi1)
+    xa1 = min(s, 1.0)
+    return _ref_contest(gb.phi1, gb.x1, xa1).u_player, _ref_contest(gb.phi2, gb.x2, 1.0 - xa1).u_player
 
 
 def reference_loop() -> float:
-    """Seconds for a fixed mix of scalar float code and small numpy calls,
-    like the package's own; the benchmark's yardstick for machine speed."""
-    t0 = perf_counter()
+    """Seconds for a fixed mix like the package's own: frozen dataclasses,
+    small functions and scalar float code, then small numpy calls.  The
+    benchmark's yardstick for machine speed; it slows down about as much as
+    the package does when the machine is busy.  CPU seconds, like the
+    operations it is set against."""
+    t0 = process_time()
     acc = 0.0
-    for _ in range(5):
+    for _ in range(3):
         for game in _REF_GAMES:
-            u1, u2 = _ref_payoffs(*game)
+            u1, u2 = _ref_payoffs(game, 0.01)
             acc += u1 - u2
     x = _REF_X
     for _ in range(20):
         s = np.sqrt(x * (3.0 - x) * 1.2)
         y = np.where(s >= 1.0, 1.0, np.where(1.0 - s <= x, s, x / (x + 1.0)))
         acc += float(np.minimum(y - 0.5, s).max())
-    return perf_counter() - t0
+    return process_time() - t0
 
 
 # Traced metrics that are neither times nor plain counts.
@@ -195,7 +228,7 @@ def environment() -> dict:
 
 
 def setup_probe(workload: str, tmp: Path) -> float:
-    """Import plus first-call warm-up, in a fresh interpreter."""
+    """Import plus first-call warm-up, in a fresh interpreter; unscaled."""
     done = subprocess.run(
         [sys.executable, "-c", SETUP_PROBE, str(SRC), str(HERE), workload, str(tmp)],
         capture_output=True,
@@ -206,11 +239,26 @@ def setup_probe(workload: str, tmp: Path) -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
+def scaled(seconds: float, before: float, after: float) -> float:
+    """``seconds`` over the mean of the reference-loop timings around it,
+    in seconds of the nominal machine."""
+    return REF_NOMINAL_S * 2.0 * seconds / (before + after)
+
+
+def scaled_setup_probe(workload: str, tmp: Path) -> tuple[float, float]:
+    """A set-up probe between two reference-loop timings: (scaled, raw)."""
+    before = reference_loop()
+    raw = setup_probe(workload, tmp)
+    return scaled(raw, before, reference_loop()), raw
+
+
 def judge(wl, corpus: list, first: list, passes: int, mismatched: int) -> dict:
-    """Counts over all passes, from the checks of the first pass.
+    """Counts of one pass over the corpus, from the checks of the first pass.
 
     Every later pass must reproduce the first pass's outputs byte for byte;
-    a mismatch makes the run incorrect.
+    a mismatch makes the run incorrect.  The counts do not scale with the
+    number of passes, which depends on the machine's speed, so a seed gives
+    the same ``attempted`` and ``failed`` on every run.
     """
     from workloads import OK, WRONG
 
@@ -220,9 +268,10 @@ def judge(wl, corpus: list, first: list, passes: int, mismatched: int) -> dict:
     wrong = sum(games for status, games in statuses if status == WRONG)
     return {
         "correct": wrong == 0 and mismatched == 0,
-        "attempted": passes * per_pass,
-        "failed": passes * failed,
-        "wrong": passes * wrong,
+        "attempted": per_pass,
+        "failed": failed,
+        "wrong": wrong,
+        "passes": passes,
         "nondeterministic": mismatched,
         "digests": wl.digests(corpus, first),
     }
@@ -230,7 +279,7 @@ def judge(wl, corpus: list, first: list, passes: int, mismatched: int) -> dict:
 
 def run_untraced(wl, seconds: float, tmp: Path) -> dict:
     corpus = wl.corpus()
-    every = max(1, len(corpus) // REF_PER_PASS)
+    chunks = [range(i, min(i + wl.chunk, len(corpus))) for i in range(0, len(corpus), wl.chunk)]
     wl.warm_up()
     t0 = perf_counter()
     t_end = t0 + seconds
@@ -239,21 +288,30 @@ def run_untraced(wl, seconds: float, tmp: Path) -> dict:
     probe_at = [t0 + k * seconds / SETUP_PROBES for k in range(SETUP_PROBES)]
     setup, ref_s, first = [], [], []
     times = [[] for _ in corpus]
+    # Per chunk, per pass: the chunk's time scaled by the loop timings
+    # around it.
+    chunk_scaled = [[] for _ in chunks]
     mismatched = 0
     while not first or perf_counter() < t_end:
         while probe_at and perf_counter() >= probe_at[0]:
             probe_at.pop(0)
-            setup.append(setup_probe(wl.name, tmp))
-        for i, x in enumerate(corpus):
-            op = wl.run(x)
-            times[i].append(op.seconds)
-            if len(first) < len(corpus):
-                first.append(op)
-            else:
-                mismatched += op.digest != first[i].digest
-            if i % every == 0:
-                ref_s.append(reference_loop())
-    setup += [setup_probe(wl.name, tmp) for _ in probe_at]
+            setup.append(scaled_setup_probe(wl.name, tmp))
+        before = reference_loop()
+        for c, chunk in enumerate(chunks):
+            chunk_s = 0.0
+            for i in chunk:
+                op = wl.run(corpus[i])
+                times[i].append(op.seconds)
+                chunk_s += op.seconds
+                if len(first) < len(corpus):
+                    first.append(op)
+                else:
+                    mismatched += op.digest != first[i].digest
+            after = reference_loop()
+            chunk_scaled[c].append(scaled(chunk_s, before, after))
+            ref_s.append(after)
+            before = after
+    setup += [scaled_setup_probe(wl.name, tmp) for _ in probe_at]
     # Before the checks, whose grid oracle allocates more than the workload.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     passes = len(times[0])
@@ -262,11 +320,12 @@ def run_untraced(wl, seconds: float, tmp: Path) -> dict:
     best = [min(t) for t in times]
     pass_s = [sum(t[k] for t in times) for k in range(passes)]
     metrics = {
-        "setup_s": (statistics.median(setup), len(setup)),
-        "wall_s": (sum(best) * REF_NOMINAL_S / min(ref_s), passes),
+        "setup_s": (statistics.median(s for s, _ in setup), len(setup)),
+        "wall_s": (sum(statistics.median(c) for c in chunk_scaled), passes),
         "peak_rss_mb": (peak_rss_mb, 1),
         "wall_raw_s": (sum(best), passes),
-        "reference_s": (min(ref_s), len(ref_s)),
+        "setup_raw_s": (statistics.median(raw for _, raw in setup), len(setup)),
+        "reference_s": (statistics.median(ref_s), len(ref_s)),
         "pass_median_s": (statistics.median(pass_s), passes),
     }
     # Figures of one workload only.  BENCHMARK.json cannot name them,
@@ -368,7 +427,8 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool, spec: dict) -
         print(f"  sha256 {digest} {name}")
     print(
         f"  attempted={result['attempted']} failed={result['failed']} wrong={result['wrong']} "
-        f"nondeterministic={result['nondeterministic']} correct={result['correct']}"
+        f"passes={result['passes']} nondeterministic={result['nondeterministic']} "
+        f"correct={result['correct']}"
     )
 
     report = {

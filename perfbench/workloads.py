@@ -26,7 +26,7 @@ import random
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
+from time import process_time
 
 import numpy as np
 
@@ -52,13 +52,14 @@ def sha256(text: str) -> str:
 
 
 def _timed(fn, *args) -> tuple[float, object, bool]:
-    """``fn(*args)`` timed; an exception fails the operation, not the run."""
-    t0 = perf_counter()
+    """``fn(*args)`` timed on the process's CPU clock; an exception fails
+    the operation, not the run."""
+    t0 = process_time()
     try:
         result = fn(*args)
     except Exception:  # a raised operation is counted as failed; the loop goes on
-        return perf_counter() - t0, traceback.format_exc(limit=3), False
-    return perf_counter() - t0, result, True
+        return process_time() - t0, traceback.format_exc(limit=3), False
+    return process_time() - t0, result, True
 
 
 def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
@@ -114,6 +115,8 @@ class FigureSweep:
 
     name = "figure-sweep"
     steps = 30
+    # Operations between two timings of the reference loop (``run.py``).
+    chunk = 1
     # Nodes per mutual plane that ``check`` re-decides with the grid oracle.
     oracle_nodes = 20
 
@@ -212,6 +215,7 @@ class Verify:
     name = "verify"
     commands = 6
     count = 25
+    chunk = 1
 
     def __init__(self, seed: int, tmp: Path) -> None:
         self.seed = seed
@@ -312,6 +316,8 @@ class AnalyzeStratified:
     name = "analyze-stratified"
     # 1000 games leave ten beyond the 99th percentile.
     size = 1000
+    # About 40 ms of games between two timings of the reference loop.
+    chunk = 25
 
     def __init__(self, seed: int, tmp: Path) -> None:
         self.seed = seed
