@@ -8,96 +8,9 @@ of mutually beneficial transfers, and the transfers maximizing the players'
 collective payoff, each backed by an independent grid-search oracle.
 """
 
-from .core import (
-    GameInstance,
-    GameValidationError,
-    InfeasibleTransferError,
-    PayoffPair,
-    Transfer,
-    one_v_one_payoff,
-    post_transfer,
-    swap_indices,
-)
-from .adversary import (
-    AdversaryAllocation,
-    CaseLabel,
-    Orientation,
-    best_response,
-    classify_case,
-    player_payoffs,
-)
-from .mutual import (
-    Mechanism,
-    MutualBenefitVerdict,
-    QuadraticWindow,
-    Region,
-    SearchConfig,
-    Thresholds,
-    budget_mutual_exists,
-    classify_region,
-    contest_mutual_exists,
-    is_mutually_beneficial,
-    joint_mutual_exists,
-    quadratic_window,
-    sc_contest_exists,
-    si_contest_exists,
-    thresholds,
-)
-from .collective import (
-    CollectiveReport,
-    collective_payoff,
-    collective_report,
-    collectively_beneficial_exists,
-    max_collective_payoff,
-    optimal_budget_transfer,
-    optimal_contest_transfer,
-)
-from .oracle import GridSpec, grid_best_response, grid_max_collective, grid_mutual_search
-from .analysis import AnalysisReport, analyze_game
+from .core import GameInstance, Transfer
+from .analysis import analyze_game
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GameInstance",
-    "Transfer",
-    "PayoffPair",
-    "GameValidationError",
-    "InfeasibleTransferError",
-    "one_v_one_payoff",
-    "post_transfer",
-    "swap_indices",
-    "CaseLabel",
-    "Orientation",
-    "AdversaryAllocation",
-    "classify_case",
-    "best_response",
-    "player_payoffs",
-    "Region",
-    "Mechanism",
-    "MutualBenefitVerdict",
-    "QuadraticWindow",
-    "Thresholds",
-    "SearchConfig",
-    "classify_region",
-    "quadratic_window",
-    "thresholds",
-    "sc_contest_exists",
-    "si_contest_exists",
-    "contest_mutual_exists",
-    "budget_mutual_exists",
-    "joint_mutual_exists",
-    "is_mutually_beneficial",
-    "CollectiveReport",
-    "collective_payoff",
-    "collective_report",
-    "collectively_beneficial_exists",
-    "max_collective_payoff",
-    "optimal_budget_transfer",
-    "optimal_contest_transfer",
-    "GridSpec",
-    "grid_best_response",
-    "grid_mutual_search",
-    "grid_max_collective",
-    "AnalysisReport",
-    "analyze_game",
-]
+__all__ = ["GameInstance", "Transfer", "analyze_game"]

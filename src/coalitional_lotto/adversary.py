@@ -32,7 +32,6 @@ __all__ = [
     "classify_case",
     "best_response",
     "player_payoffs",
-    "ratios_equal",
 ]
 
 # Relative tolerance for ratio equality and case-boundary membership.  The
@@ -73,13 +72,6 @@ class AdversaryAllocation:
 
     xa1: float
     xa2: float
-
-
-def ratios_equal(g: GameInstance, eps: float = DEFAULT_EPS) -> bool:
-    """Whether ``x1/phi1`` and ``x2/phi2`` agree within relative ``eps``."""
-    r1 = g.x1 / g.phi1
-    r2 = g.x2 / g.phi2
-    return abs(r1 - r2) <= eps * max(r1, r2)
 
 
 def _classify_oriented(phi_w, phi_s, x_w, x_s, eps):

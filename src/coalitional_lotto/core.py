@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 __all__ = [
     "GameValidationError",
     "InfeasibleTransferError",
     "GameInstance",
     "Transfer",
+    "Mechanism",
     "PayoffPair",
     "EPS_FEAS",
     "one_v_one_payoff",
@@ -111,7 +113,12 @@ class Transfer:
         return {"tau": self.tau, "nu": self.nu}
 
 
-NO_TRANSFER = Transfer(0.0, 0.0)
+class Mechanism(Enum):
+    """What a transfer moves: budget, contest valuation, or both."""
+
+    BUDGET = "budget"
+    CONTEST = "contest"
+    JOINT = "joint"
 
 
 @dataclass(frozen=True)

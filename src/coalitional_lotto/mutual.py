@@ -36,7 +36,16 @@ from enum import Enum
 import numpy as np
 
 from .adversary import DEFAULT_EPS, classify_case, player_payoffs
-from .core import EPS_FEAS, GameInstance, Transfer, swap_indices
+from .core import GameInstance, Mechanism, Transfer, swap_indices
+from .search import (
+    NEAR_RTOL,
+    golden_max,
+    min_delta_fn,
+    min_gain,
+    off_ridge_best,
+    thin_margin,
+    transfer_interval,
+)
 from . import batch
 
 __all__ = [
@@ -67,12 +76,6 @@ class Region(Enum):
     R3 = "R3"  # x1 < 1, x2 >= 1
     R4 = "R4"  # x1 < 1, x2 < 1, x1 + x2 >= 1
     R5 = "R5"  # x1 + x2 < 1
-
-
-class Mechanism(Enum):
-    BUDGET = "budget"
-    CONTEST = "contest"
-    JOINT = "joint"
 
 
 def classify_region(g: GameInstance) -> Region:
@@ -153,26 +156,26 @@ def thresholds(g: GameInstance) -> Thresholds:
 #   c14     quadratic constant in route 5.11 (missing square)
 TYPO_SITES = ("c2", "sqrt33", "sqrt77", "sqrt45", "c14")
 
+# Resolution of the numeric budget and joint verdicts.
+SCAN_POINTS = 2001  # budget scan over the feasible interval
+REFINE_ITERS = 60  # golden-section iterations per refinement
+JOINT_GRID = 201  # points per axis of the joint fallback grid
+GRAD_STEP = 1e-6  # central-difference step of the joint gradient test
+ANTIPARALLEL_RTOL = 1e-8  # |cross| below this share of |g1||g2| is antiparallel
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Numeric search and tolerance settings.
+    """Settings a caller may vary: classification tolerance and typo readings.
 
-    ``typo_mode`` selects the reading of a few suspect printed coefficients:
-    "corrected" (default, matches the grid-oracle calibration) or "literal".
-    ``literal_sites`` overrides the mode per site for calibration runs.
+    ``eps`` is the case-classification tolerance.  ``typo_mode`` selects the
+    reading of a few suspect printed coefficients: "corrected" (default,
+    matches the grid-oracle calibration) or "literal".  ``literal_sites``
+    overrides the mode per site for calibration runs.
     """
 
     eps: float = DEFAULT_EPS
     typo_mode: str = "corrected"
-    scan_points: int = 2001
-    refine_iters: int = 60
-    joint_grid: int = 201
-    grad_step: float = 1e-6
-    antiparallel_rtol: float = 1e-8
-    near_boundary_tol: float = 1e-3
-    gain_rtol: float = 1e-12
-    interval_margin: float = 1e-6
     literal_sites: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -232,8 +235,8 @@ class _Margins:
         self.note(lhs, rhs, scale)
         return lhs < rhs
 
-    def near(self, tol: float) -> bool:
-        return self.min_margin < tol
+    def near(self) -> bool:
+        return self.min_margin < NEAR_RTOL
 
 
 def payoff_deltas(
@@ -252,7 +255,7 @@ def is_mutually_beneficial(
     """Strict component-wise improvement over the no-transfer payoffs."""
     if baseline is None:
         baseline = player_payoffs(g, eps=cfg.eps)
-    gain = cfg.gain_rtol * g.total_valuation
+    gain = min_gain(g)
     d1, d2 = payoff_deltas(g, t, baseline, cfg.eps)
     return d1 > gain and d2 > gain
 
@@ -610,17 +613,15 @@ def _validate_window(
     the ladder only matters within rounding distance of a boundary.
     """
     width = hi - lo
-    gain = cfg.gain_rtol * g.total_valuation
     for frac in (0.5, 0.25, 0.75, 0.1, 0.9, 0.02, 0.98):
         nu = lo + frac * width
-        d1, d2 = payoff_deltas(g, Transfer(0.0, nu), baseline, cfg.eps)
-        if d1 > gain and d2 > gain:
+        if is_mutually_beneficial(g, Transfer(0.0, nu), cfg, baseline):
             return nu
     nus = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 513)
     u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus, cfg.eps)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
-    if score[k] > gain:
+    if score[k] > min_gain(g):
         return float(nus[k])
     return None
 
@@ -629,11 +630,9 @@ def _validate_small_step(
     g: GameInstance, cfg: SearchConfig, baseline: tuple[float, float]
 ) -> float | None:
     """A validated small positive transfer (strategically consistent routes)."""
-    gain = cfg.gain_rtol * g.total_valuation
     nu = 0.25 * g.phi1
     for _ in range(60):
-        d1, d2 = payoff_deltas(g, Transfer(0.0, nu), baseline, cfg.eps)
-        if d1 > gain and d2 > gain:
+        if is_mutually_beneficial(g, Transfer(0.0, nu), cfg, baseline):
             return nu
         nu *= 0.5
     return None
@@ -676,9 +675,7 @@ def sc_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> Mu
     m = _Margins()
     exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=True, si=False)
     witness = Transfer(0.0, nu) if nu is not None else None
-    return MutualBenefitVerdict(
-        Mechanism.CONTEST, exists, witness, route, m.near(cfg.near_boundary_tol)
-    )
+    return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
 
 
 def si_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
@@ -687,9 +684,7 @@ def si_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> Mu
     m = _Margins()
     exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=False, si=True)
     witness = Transfer(0.0, nu) if nu is not None else None
-    return MutualBenefitVerdict(
-        Mechanism.CONTEST, exists, witness, route, m.near(cfg.near_boundary_tol)
-    )
+    return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
 
 
 def _ridge_knife_edge(h: GameInstance, cfg: SearchConfig) -> bool:
@@ -701,13 +696,10 @@ def _ridge_knife_edge(h: GameInstance, cfg: SearchConfig) -> bool:
     an artifact of the tie-break, not a robust alliance opportunity, so it
     flags the verdict instead of flipping it.
     """
-    nu = (h.x2 * h.phi1 - h.x1 * h.phi2) / (h.x1 + h.x2)
+    nu = thresholds(h).alpha1
     if not (0.0 < nu < h.phi1 * (1.0 - 1e-12)):
         return False
-    baseline = player_payoffs(h, eps=cfg.eps)
-    gain = cfg.gain_rtol * h.total_valuation
-    d1, d2 = payoff_deltas(h, Transfer(0.0, nu), baseline, cfg.eps)
-    return d1 > gain and d2 > gain
+    return is_mutually_beneficial(h, Transfer(0.0, nu), cfg)
 
 
 def contest_mutual_exists(
@@ -733,55 +725,11 @@ def contest_mutual_exists(
         if exists:
             witness = Transfer(0.0, -nu) if swapped else Transfer(0.0, nu)
             tag = f"swap:{route}" if swapped else route
-            return MutualBenefitVerdict(
-                Mechanism.CONTEST, True, witness, tag, m.near(cfg.near_boundary_tol)
-            )
-    near = m.near(cfg.near_boundary_tol)
+            return MutualBenefitVerdict(Mechanism.CONTEST, True, witness, tag, m.near())
+    near = m.near()
     if not near:
         near = any(_ridge_knife_edge(h, cfg) for h, _ in attempts)
     return MutualBenefitVerdict(Mechanism.CONTEST, False, None, None, near)
-
-
-def _refine_off_ridge(f, prox_fn, v_ridge, step, lo, hi, iters):
-    """Best of f on the two side intervals just off the ridge point.
-
-    ``prox_fn`` measures relative ridge proximity; the probe starts where the
-    proximity safely exceeds the tie-break sliver and extends one grid step
-    out, catching thin windows that open right at the ridge crossing.
-    """
-    best = (None, -math.inf)
-    for sign in (1.0, -1.0):
-        delta = step * 1e-9
-        while delta < step and prox_fn(v_ridge + sign * delta) <= 2e-6:
-            delta *= 4.0
-        a = v_ridge + sign * delta
-        b = v_ridge + sign * step
-        a, b = min(a, b), max(a, b)
-        a, b = max(a, lo), min(b, hi)
-        if a >= b:
-            continue
-        v, val = _golden_max(f, a, b, iters)
-        if val > best[1] and prox_fn(v) > 1e-6:
-            best = (v, val)
-    return best
-
-
-def _golden_max(f, a: float, b: float, iters: int) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
 
 
 def budget_mutual_exists(
@@ -794,65 +742,32 @@ def budget_mutual_exists(
     smaller delta.
     """
     baseline = player_payoffs(g, eps=cfg.eps)
-    gain = cfg.gain_rtol * g.total_valuation
-    width = g.x1 + g.x2
-    inset = max(width * cfg.interval_margin, 10.0 * EPS_FEAS)
-    taus = np.linspace(-g.x2 + inset, g.x1 - inset, cfg.scan_points)
+    gain = min_gain(g)
+    taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), SCAN_POINTS)
     u1, u2 = batch.payoffs_at_transfers(g, taus, 0.0, cfg.eps)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
     best = float(score[k])
     tau_best = float(taus[k])
+    min_delta = min_delta_fn(g, Mechanism.BUDGET, baseline, cfg.eps)
     if best <= gain:
         # No grid hit: refine the best candidate before concluding absence,
         # in case the beneficial window is narrower than the scan step.
-        def min_delta(tau: float) -> float:
-            d1, d2 = payoff_deltas(g, Transfer(tau, 0.0), baseline, cfg.eps)
-            return min(d1, d2)
-
         lo = taus[max(k - 1, 0)]
         hi = taus[min(k + 1, len(taus) - 1)]
-        tau_ref, best_ref = _golden_max(min_delta, lo, hi, cfg.refine_iters)
+        tau_ref, best_ref = golden_max(min_delta, lo, hi, REFINE_ITERS)
         if best_ref > best:
             tau_best, best = tau_ref, best_ref
-    # Negative verdicts always have best scores near zero (the no-transfer
-    # point); flag only thin-positive margins and knife-edge cases.
-    near = gain < best < cfg.near_boundary_tol * g.total_valuation
-    if best > gain:
-        r1 = (g.x1 - tau_best) / g.phi1
-        r2 = (g.x2 + tau_best) / g.phi2
-        if abs(r1 - r2) <= 1e-6 * max(r1, r2):
-            # The only improving transfer equalizes the ratios exactly, where
-            # the benefit rides on the adversary's indifference tie-break.
-            # Look for off-ridge evidence; absent that, report no robust
-            # transfer and flag the knife-edge.
-            prox = np.abs((g.x1 - taus) / g.phi1 - (g.x2 + taus) / g.phi2)
-            scale = np.maximum((g.x1 - taus) / g.phi1, (g.x2 + taus) / g.phi2)
-            off = (prox > 1e-6 * scale) & (score > gain)
-            if np.any(off):
-                j = int(np.argmax(np.where(off, score, -np.inf)))
-                tau_best, best = float(taus[j]), float(score[j])
-            else:
-                def min_delta(tau: float) -> float:
-                    d1, d2 = payoff_deltas(g, Transfer(tau, 0.0), baseline, cfg.eps)
-                    return min(d1, d2)
-
-                def tau_prox(tau: float) -> float:
-                    a = (g.x1 - tau) / g.phi1
-                    b = (g.x2 + tau) / g.phi2
-                    return abs(a - b) / max(a, b)
-
-                step = float(taus[1] - taus[0])
-                v, val = _refine_off_ridge(
-                    min_delta, tau_prox, tau_best, step, float(taus[0]), float(taus[-1]),
-                    cfg.refine_iters,
-                )
-                if v is not None and val > gain:
-                    tau_best, best = v, val
-                else:
-                    return MutualBenefitVerdict(
-                        Mechanism.BUDGET, False, None, "ridge-knife-edge", True
-                    )
+    near = thin_margin(g, best)
+    # A benefit only where the ratios are exactly equal rides on the
+    # adversary's indifference tie-break: report no robust transfer and flag
+    # the knife-edge unless there is off-ridge evidence.
+    found = off_ridge_best(
+        g, Mechanism.BUDGET, taus, score, tau_best, best, min_delta, REFINE_ITERS
+    )
+    if found is None:
+        return MutualBenefitVerdict(Mechanism.BUDGET, False, None, "ridge-knife-edge", True)
+    tau_best, best = found
     if best > gain:
         return MutualBenefitVerdict(
             Mechanism.BUDGET, True, Transfer(tau_best, 0.0), "numeric-scan", near
@@ -880,9 +795,9 @@ def joint_mutual_exists(
     a 2-D grid search over the feasible rectangle.
     """
     baseline = player_payoffs(g, eps=cfg.eps)
-    gain = cfg.gain_rtol * g.total_valuation
-    h_tau = min(cfg.grad_step, 0.25 * min(g.x1, g.x2))
-    h_nu = min(cfg.grad_step, 0.25 * min(g.phi1, g.phi2))
+    gain = min_gain(g)
+    h_tau = min(GRAD_STEP, 0.25 * min(g.x1, g.x2))
+    h_nu = min(GRAD_STEP, 0.25 * min(g.phi1, g.phi2))
     g1 = _gradient(g, 0, h_tau, h_nu, cfg.eps)
     g2 = _gradient(g, 1, h_tau, h_nu, cfg.eps)
     n1 = math.hypot(*g1)
@@ -891,7 +806,7 @@ def joint_mutual_exists(
     if n1 > 1e-12 * scale and n2 > 1e-12 * scale:
         cross = g1[0] * g2[1] - g1[1] * g2[0]
         dot = g1[0] * g2[0] + g1[1] * g2[1]
-        if abs(cross) > cfg.antiparallel_rtol * n1 * n2 or dot > 0.0:
+        if abs(cross) > ANTIPARALLEL_RTOL * n1 * n2 or dot > 0.0:
             d_tau = g1[0] / n1 + g2[0] / n2
             d_nu = g1[1] / n1 + g2[1] / n2
             norm = math.hypot(d_tau, d_nu)
@@ -909,20 +824,19 @@ def joint_mutual_exists(
                     t = Transfer(step * d_tau, step * d_nu)
                     d1, d2 = payoff_deltas(g, t, baseline, cfg.eps)
                     if d1 > gain and d2 > gain:
-                        return MutualBenefitVerdict(Mechanism.JOINT, True, t, "gradient", False)
+                        near = thin_margin(g, min(d1, d2))
+                        return MutualBenefitVerdict(Mechanism.JOINT, True, t, "gradient", near)
                     step *= 0.5
     # Fallback: exhaustive coarse grid over the joint rectangle.
-    n = cfg.joint_grid
-    tau_inset = max((g.x1 + g.x2) * cfg.interval_margin, 10.0 * EPS_FEAS)
-    nu_inset = max(g.total_valuation * cfg.interval_margin, 10.0 * EPS_FEAS)
-    taus = np.linspace(-g.x2 + tau_inset, g.x1 - tau_inset, n)[:, None]
-    nus = np.linspace(-g.phi2 + nu_inset, g.phi1 - nu_inset, n)[None, :]
+    n = JOINT_GRID
+    taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), n)[:, None]
+    nus = np.linspace(*transfer_interval(g, Mechanism.CONTEST), n)[None, :]
     u1, u2 = batch.payoffs_at_transfers(g, taus, nus, cfg.eps)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
     i, j = divmod(k, n)
     best = float(score[i, j])
-    near = gain < best < cfg.near_boundary_tol * g.total_valuation
+    near = thin_margin(g, best)
     if best > gain:
         witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
         return MutualBenefitVerdict(Mechanism.JOINT, True, witness, "grid", near)

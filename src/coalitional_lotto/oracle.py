@@ -21,8 +21,18 @@ import numpy as np
 
 from . import batch
 from .adversary import DEFAULT_EPS, AdversaryAllocation, adversary_value, player_payoffs
-from .core import EPS_FEAS, GameInstance, Transfer
-from .mutual import Mechanism, MutualBenefitVerdict, _golden_max, _refine_off_ridge
+from .core import GameInstance, Mechanism, Transfer
+from .mutual import MutualBenefitVerdict
+from .search import (
+    INTERVAL_MARGIN,
+    along,
+    golden_max,
+    min_delta_fn,
+    min_gain,
+    off_ridge_best,
+    thin_margin,
+    transfer_interval,
+)
 
 __all__ = [
     "GridSpec",
@@ -39,7 +49,7 @@ class GridSpec:
     """Grid density and relative inset from open-interval endpoints."""
 
     resolution: int = 4001
-    margin: float = 1e-6
+    margin: float = INTERVAL_MARGIN
 
     def __post_init__(self) -> None:
         if self.resolution < 3:
@@ -48,10 +58,8 @@ class GridSpec:
             raise ValueError("margin must be in (0, 0.5)")
 
 
-DEFAULT_GRID_1D = GridSpec(4001, 1e-6)
-DEFAULT_GRID_2D = GridSpec(401, 1e-6)
-
-_NEAR_RTOL = 1e-3
+DEFAULT_GRID_1D = GridSpec(4001)
+DEFAULT_GRID_2D = GridSpec(401)
 
 
 def _adv_value_vec(g: GameInstance, xa1):
@@ -79,43 +87,10 @@ def grid_best_response(g_bar: GameInstance, spec: GridSpec = DEFAULT_GRID_1D) ->
 
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
-    x_best, v_best = _golden_max(objective, lo, hi, 80)
+    x_best, v_best = golden_max(objective, lo, hi, 80)
     if values[k] > v_best:
         x_best = float(xs[k])
     return AdversaryAllocation(x_best, 1.0 - x_best)
-
-
-def _ridge_proximity(g: GameInstance, mechanism: Mechanism, v):
-    """Relative gap between post-transfer budget-to-valuation ratios."""
-    if mechanism is Mechanism.BUDGET:
-        r1 = (g.x1 - v) / g.phi1
-        r2 = (g.x2 + v) / g.phi2
-    else:
-        r1 = g.x1 / (g.phi1 - v)
-        r2 = g.x2 / (g.phi2 + v)
-    return np.abs(r1 - r2) / np.maximum(r1, r2)
-
-
-def _transfer_interval(g: GameInstance, mechanism: Mechanism, margin: float):
-    if mechanism is Mechanism.BUDGET:
-        width = g.x1 + g.x2
-        inset = max(width * margin, 10.0 * EPS_FEAS)
-        return -g.x2 + inset, g.x1 - inset
-    width = g.phi1 + g.phi2
-    inset = max(width * margin, 10.0 * EPS_FEAS)
-    return -g.phi2 + inset, g.phi1 - inset
-
-
-def _min_delta_fn(g, mechanism, baseline, eps):
-    if mechanism is Mechanism.BUDGET:
-        def f(v: float) -> float:
-            u1, u2 = player_payoffs(g, Transfer(v, 0.0), eps)
-            return min(u1 - baseline[0], u2 - baseline[1])
-    else:
-        def f(v: float) -> float:
-            u1, u2 = player_payoffs(g, Transfer(0.0, v), eps)
-            return min(u1 - baseline[0], u2 - baseline[1])
-    return f
 
 
 def _local_maxima(score: np.ndarray, top: int) -> list[int]:
@@ -144,11 +119,11 @@ def grid_mutual_search(
     if spec is None:
         spec = DEFAULT_GRID_2D if mechanism is Mechanism.JOINT else DEFAULT_GRID_1D
     baseline = player_payoffs(g, eps=DEFAULT_EPS)
-    gain = 1e-12 * g.total_valuation
+    gain = min_gain(g)
 
     if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = _transfer_interval(g, Mechanism.BUDGET, spec.margin)
-        n_lo, n_hi = _transfer_interval(g, Mechanism.CONTEST, spec.margin)
+        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET, spec.margin)
+        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST, spec.margin)
         taus = np.linspace(t_lo, t_hi, spec.resolution)[:, None]
         nus = np.linspace(n_lo, n_hi, spec.resolution)[None, :]
         u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
@@ -156,60 +131,37 @@ def grid_mutual_search(
         k = int(np.argmax(score))
         i, j = divmod(k, spec.resolution)
         best = float(score[i, j])
-        near = gain < best < _NEAR_RTOL * g.total_valuation
+        near = thin_margin(g, best)
         if best > gain:
             witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
             return MutualBenefitVerdict(mechanism, True, witness, "oracle-grid", near)
         return MutualBenefitVerdict(mechanism, False, None, None, near)
 
-    lo, hi = _transfer_interval(g, mechanism, spec.margin)
+    lo, hi = transfer_interval(g, mechanism, spec.margin)
     vs = np.linspace(lo, hi, spec.resolution)
     if mechanism is Mechanism.BUDGET:
         u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
     else:
         u1, u2 = batch.payoffs_at_transfers(g, 0.0, vs)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-    f = _min_delta_fn(g, mechanism, baseline, DEFAULT_EPS)
+    f = min_delta_fn(g, mechanism, baseline, DEFAULT_EPS)
     best_v, best = float(vs[int(np.argmax(score))]), float(np.max(score))
     for k in _local_maxima(score, top=5):
         a = vs[max(k - 1, 0)]
         b = vs[min(k + 1, len(vs) - 1)]
-        v, val = _golden_max(f, a, b, 60)
+        v, val = golden_max(f, a, b, 60)
         if val > best:
             best_v, best = v, val
-    # The no-transfer point always has zero deltas, so a negative verdict's
-    # best score is trivially near zero; only positive verdicts with a thin
-    # margin (and knife-edge cases below) are flagged.
-    near = gain < best < _NEAR_RTOL * g.total_valuation
-    if best > gain and _ridge_proximity(g, mechanism, best_v) <= 1e-6:
-        # Refinement can converge onto the single transfer that lands the
-        # game on the equal-ratio ridge, where a benefit exists only under
-        # the adversary's indifference tie-break.  Such knife-edge points do
-        # not witness a robust opportunity: fall back to off-ridge evidence,
-        # probing the two side intervals for windows opening at the ridge.
-        prox = _ridge_proximity(g, mechanism, vs)
-        off = (prox > 1e-6) & (score > gain)
-        if np.any(off):
-            k = int(np.argmax(np.where(off, score, -np.inf)))
-            best_v, best = float(vs[k]), float(score[k])
-        else:
-            step = float(vs[1] - vs[0])
-            v, val = _refine_off_ridge(
-                f,
-                lambda v: float(_ridge_proximity(g, mechanism, v)),
-                best_v,
-                step,
-                float(vs[0]),
-                float(vs[-1]),
-                60,
-            )
-            if v is not None and val > gain:
-                best_v, best = v, val
-            else:
-                return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
+    near = thin_margin(g, best)
+    # Refinement can converge onto the single transfer that lands the game on
+    # the equal-ratio ridge, where a benefit exists only under the adversary's
+    # indifference tie-break; such a point witnesses no robust opportunity.
+    found = off_ridge_best(g, mechanism, vs, score, best_v, best, f, 60)
+    if found is None:
+        return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
+    best_v, best = found
     if best > gain:
-        witness = Transfer(best_v, 0.0) if mechanism is Mechanism.BUDGET else Transfer(0.0, best_v)
-        return MutualBenefitVerdict(mechanism, True, witness, "oracle-grid", near)
+        return MutualBenefitVerdict(mechanism, True, along(mechanism, best_v), "oracle-grid", near)
     return MutualBenefitVerdict(mechanism, False, None, None, near)
 
 
@@ -221,8 +173,8 @@ def grid_max_collective(
         spec = DEFAULT_GRID_2D if mechanism is Mechanism.JOINT else DEFAULT_GRID_1D
 
     if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = _transfer_interval(g, Mechanism.BUDGET, spec.margin)
-        n_lo, n_hi = _transfer_interval(g, Mechanism.CONTEST, spec.margin)
+        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET, spec.margin)
+        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST, spec.margin)
         taus = np.linspace(t_lo, t_hi, spec.resolution)
         nus = np.linspace(n_lo, n_hi, spec.resolution)
         total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
@@ -239,30 +191,26 @@ def grid_max_collective(
         for _ in range(2):
             a = taus[max(i - 1, 0)]
             b = taus[min(i + 1, len(taus) - 1)]
-            tau, val = _golden_max(lambda v: joint_total(v, nu), a, b, 60)
+            tau, val = golden_max(lambda v: joint_total(v, nu), a, b, 60)
             a = nus[max(j - 1, 0)]
             b = nus[min(j + 1, len(nus) - 1)]
-            nu, val = _golden_max(lambda v: joint_total(tau, v), a, b, 60)
+            nu, val = golden_max(lambda v: joint_total(tau, v), a, b, 60)
             best = max(best, val)
         return best
 
-    lo, hi = _transfer_interval(g, mechanism, spec.margin)
+    lo, hi = transfer_interval(g, mechanism, spec.margin)
     vs = np.linspace(lo, hi, spec.resolution)
     if mechanism is Mechanism.BUDGET:
         total = batch.collective_at_transfers(g, vs, 0.0)
-
-        def f(v: float) -> float:
-            u1, u2 = player_payoffs(g, Transfer(v, 0.0), DEFAULT_EPS)
-            return u1 + u2
     else:
         total = batch.collective_at_transfers(g, 0.0, vs)
 
-        def f(v: float) -> float:
-            u1, u2 = player_payoffs(g, Transfer(0.0, v), DEFAULT_EPS)
-            return u1 + u2
+    def f(v: float) -> float:
+        u1, u2 = player_payoffs(g, along(mechanism, v), DEFAULT_EPS)
+        return u1 + u2
 
     k = int(np.argmax(total))
     a = vs[max(k - 1, 0)]
     b = vs[min(k + 1, len(vs) - 1)]
-    _, refined = _golden_max(f, a, b, 80)
+    _, refined = golden_max(f, a, b, 80)
     return max(float(total[k]), refined)

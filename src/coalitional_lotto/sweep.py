@@ -15,7 +15,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import batch
-from .adversary import best_response, classify_case, player_payoffs
+from .adversary import adversary_value, best_response, classify_case, player_payoffs
 from .analysis import format_float
 from .collective import max_collective_payoff
 from .core import GameInstance
@@ -30,6 +30,7 @@ from .mutual import (
 )
 from .oracle import DEFAULT_GRID_1D, GridSpec, grid_best_response, grid_max_collective, grid_mutual_search
 from .rng import SplitMix64
+from .search import transfer_interval
 
 __all__ = [
     "Predicate",
@@ -122,13 +123,7 @@ def run_curve(
         raise ValueError("curve supports budget or contest transfers only")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if mechanism is Mechanism.BUDGET:
-        width = g.x1 + g.x2
-        lo, hi = -g.x2 + width * cfg.interval_margin, g.x1 - width * cfg.interval_margin
-    else:
-        width = g.total_valuation
-        lo, hi = -g.phi2 + width * cfg.interval_margin, g.phi1 - width * cfg.interval_margin
-    vs = np.linspace(lo, hi, steps)
+    vs = np.linspace(*transfer_interval(g, mechanism), steps)
     taus = vs if mechanism is Mechanism.BUDGET else np.zeros(1)
     nus = vs if mechanism is Mechanism.CONTEST else np.zeros(1)
     u1, u2 = batch.payoffs_at_transfers(g, taus, nus, cfg.eps)
@@ -170,8 +165,6 @@ def run_verify(
         raise ValueError("count must be >= 1")
     rows = []
     ok = True
-    from .adversary import adversary_value
-
     for i, g in enumerate(sample_games(count, seed)):
         label = classify_case(g, cfg.eps)
         analytic = contest_mutual_exists(g, cfg)

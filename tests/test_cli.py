@@ -3,6 +3,8 @@ import json
 import pytest
 
 from coalitional_lotto.cli import main
+from coalitional_lotto.core import EPS_FEAS, GameInstance, Mechanism
+from coalitional_lotto.sweep import run_curve
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
 
@@ -89,6 +91,14 @@ class TestCurve:
         ]
         best = max(rows, key=lambda r: float(r[3]))
         assert abs(float(best[0])) < 0.05
+
+    def test_tiny_budgets_keep_the_feasibility_floor(self):
+        # Budgets this small make the relative inset smaller than the floor
+        # the budget verdict's scan keeps from each open endpoint.
+        g = GameInstance(1, 1, 1e-7, 1e-7)
+        rows = run_curve(g, Mechanism.BUDGET, 5)
+        assert rows[0][0] == -g.x2 + 10 * EPS_FEAS
+        assert rows[-1][0] == g.x1 - 10 * EPS_FEAS
 
 
 class TestSweep:

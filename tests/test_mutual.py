@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto.core import GameInstance, swap_indices
+from coalitional_lotto.core import GameInstance, Mechanism, swap_indices
 from coalitional_lotto.mutual import (
     Mechanism,
     Region,
@@ -20,6 +20,7 @@ from coalitional_lotto.mutual import (
     thresholds,
 )
 from coalitional_lotto.oracle import grid_mutual_search
+from coalitional_lotto.search import RIDGE_RTOL, ridge_gap
 
 from conftest import random_games
 
@@ -218,6 +219,23 @@ class TestBudgetMutual:
         assert contest_mutual_exists(g).exists
         assert not budget_mutual_exists(g).exists
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # Both the verdict and the oracle refine onto the ridge point.
+            (48.88733723364115, 0.044168801810295144, 72.18745201076266, 0.05870941428526402),
+            # The verdict's refinement lands on the ridge; the oracle's does not.
+            (0.06556647764031946, 8.917807076820045, 0.09600343357462351, 13.416855614120065),
+            (0.028627368975401614, 74.14857519575018, 0.006706543572010456, 47.77922864571314),
+        ],
+    )
+    def test_off_ridge_fallback_finds_robust_witness(self, params):
+        g = GameInstance(*params)
+        for v in (budget_mutual_exists(g), grid_mutual_search(g, Mechanism.BUDGET)):
+            assert v.exists
+            assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > RIDGE_RTOL
+            assert is_mutually_beneficial(g, v.witness)
+
 
 class TestJointMutual:
     def test_diamond_exists(self, diamond):
@@ -228,6 +246,15 @@ class TestJointMutual:
     def test_ridge_game_fails_both_stages(self):
         assert not joint_mutual_exists(GameInstance(10, 10, 2, 2)).exists
         assert not joint_mutual_exists(GameInstance(6, 3, 1.0, 0.5)).exists
+
+    def test_gradient_witness_with_thin_margin_is_flagged(self):
+        # The 401x401 joint oracle misses this near-ridge witness.
+        g = GameInstance(12, 10, 2.509918594953648, 2.0563158382088176)
+        v = joint_mutual_exists(g)
+        assert v.exists
+        assert v.route == "gradient"
+        assert v.near_boundary
+        assert is_mutually_beneficial(g, v.witness)
 
     def test_generic_games_almost_always_exist(self):
         hits = sum(joint_mutual_exists(g).exists for g in random_games(200, seed=13))
