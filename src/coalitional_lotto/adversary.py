@@ -22,7 +22,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import GameInstance, PayoffPair, Transfer, one_v_one_payoff, post_transfer
+from .core import (
+    GameInstance,
+    PayoffPair,
+    Transfer,
+    one_v_one_payoff,
+    post_transfer_params,
+    u_player,
+)
 
 __all__ = [
     "Orientation",
@@ -74,39 +81,40 @@ class AdversaryAllocation:
     xa2: float
 
 
-def _classify_oriented(phi_w, phi_s, x_w, x_s, eps):
-    """Case index for an oriented game (weak-ratio side first).
+def _case(phi1, phi2, x1, x2, eps):
+    """Case index and orientation ``(index, swapped)`` of a game, on floats.
 
-    Boundary membership uses the same relative slack ``eps``; the lower case-2
-    boundary (expression exactly 0) classifies as case 1, where the adversary
-    sends its whole budget to the weak side either way.
+    ``swapped`` is true when player 2 has the weaker budget-to-valuation
+    ratio.  Equal ratios (within relative ``eps``) give case 4 when the
+    players' combined budget covers the adversary's (>= 1) and case 3 in the
+    native orientation otherwise (the case-3 split formula is continuous
+    through the equal-ratio ridge there).  Boundary membership uses the same
+    relative slack ``eps``; the lower case-2 boundary (expression exactly 0)
+    classifies as case 1, where the adversary sends its whole budget to the
+    weak side either way.
     """
+    r1 = x1 / phi1
+    r2 = x2 / phi2
+    if abs(r1 - r2) <= eps * max(r1, r2):
+        return (4 if x1 + x2 >= 1.0 else 3), False
+    if r1 < r2:
+        phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
+    else:
+        phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)
     if s >= 1.0 - eps * max(1.0, s):
-        return 1
+        return 1, swapped
     if 1.0 - s <= x_s * (1.0 + eps):
-        return 2
-    return 3
+        return 2, swapped
+    return 3, swapped
 
 
 def classify_case(g: GameInstance, eps: float = DEFAULT_EPS) -> CaseLabel:
-    """Classify a game into the seven-way case partition.
-
-    Equal budget-to-valuation ratios give case 4 when the players' combined
-    budget covers the adversary's (>= 1) and case 3 otherwise (the case-3
-    split formula is continuous through the equal-ratio ridge there).
-    """
-    r1 = g.x1 / g.phi1
-    r2 = g.x2 / g.phi2
-    if abs(r1 - r2) <= eps * max(r1, r2):
-        if g.x1 + g.x2 >= 1.0:
-            return CaseLabel(4, None)
-        return CaseLabel(3, Orientation.ONE_LE_TWO)
-    if r1 < r2:
-        index = _classify_oriented(g.phi1, g.phi2, g.x1, g.x2, eps)
-        return CaseLabel(index, Orientation.ONE_LE_TWO)
-    index = _classify_oriented(g.phi2, g.phi1, g.x2, g.x1, eps)
-    return CaseLabel(index, Orientation.ONE_GT_TWO)
+    """Classify a game into the seven-way case partition (see ``_case``)."""
+    index, swapped = _case(g.phi1, g.phi2, g.x1, g.x2, eps)
+    if index == 4:
+        return CaseLabel(4, None)
+    return CaseLabel(index, Orientation.ONE_GT_TWO if swapped else Orientation.ONE_LE_TWO)
 
 
 def _split_oriented(index, phi_w, phi_s, x_w, x_s):
@@ -125,17 +133,23 @@ def _split_oriented(index, phi_w, phi_s, x_w, x_s):
     return x_w / (x_w + x_s)
 
 
-def best_response(g: GameInstance, eps: float = DEFAULT_EPS) -> AdversaryAllocation:
-    """Closed-form optimal adversary split for a game.
+def _split(phi1, phi2, x1, x2, eps):
+    """Optimal adversary split ``(xa1, xa2)`` of a game, on floats.
 
-    Uses the full unit budget; in every case the two components sum to 1.
+    The weak-ratio side's share comes from the closed form and the other
+    side gets the rest, so the two always sum to 1.
     """
-    label = classify_case(g, eps)
-    if label.swapped:
-        xa2 = _split_oriented(label.index, g.phi2, g.phi1, g.x2, g.x1)
-        return AdversaryAllocation(1.0 - xa2, xa2)
-    xa1 = _split_oriented(label.index, g.phi1, g.phi2, g.x1, g.x2)
-    return AdversaryAllocation(xa1, 1.0 - xa1)
+    index, swapped = _case(phi1, phi2, x1, x2, eps)
+    if swapped:
+        xa2 = _split_oriented(index, phi2, phi1, x2, x1)
+        return 1.0 - xa2, xa2
+    xa1 = _split_oriented(index, phi1, phi2, x1, x2)
+    return xa1, 1.0 - xa1
+
+
+def best_response(g: GameInstance, eps: float = DEFAULT_EPS) -> AdversaryAllocation:
+    """Closed-form optimal adversary split for a game (see ``_split``)."""
+    return AdversaryAllocation(*_split(g.phi1, g.phi2, g.x1, g.x2, eps))
 
 
 def player_payoffs(
@@ -144,13 +158,12 @@ def player_payoffs(
     """Both players' equilibrium payoffs after a transfer.
 
     Applies the transfer, lets the adversary best-respond to the new
-    parameters, and evaluates each front's equilibrium payoff.
+    parameters, and evaluates each front's equilibrium payoff, all on plain
+    floats.  Raises ``InfeasibleTransferError`` like ``post_transfer``.
     """
-    gb = post_transfer(g, t)
-    xa = best_response(gb, eps)
-    u1 = one_v_one_payoff(gb.phi1, gb.x1, xa.xa1).u_player
-    u2 = one_v_one_payoff(gb.phi2, gb.x2, xa.xa2).u_player
-    return u1, u2
+    phi1, phi2, x1, x2 = post_transfer_params(g, t)
+    xa1, xa2 = _split(phi1, phi2, x1, x2, eps)
+    return u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
 
 
 def adversary_value(g: GameInstance, xa1: float, xa2: float) -> float:

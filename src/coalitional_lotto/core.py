@@ -5,7 +5,8 @@ A game instance bundles the two players' cumulative contest valuations
 budget is normalized to 1, so player budgets are expressed in units of the
 adversary budget.  All downstream analysis (best response, transfer
 benefits, collective optima) reduces to the closed-form equilibrium payoff
-of a single General Lotto game, implemented here as ``one_v_one_payoff``.
+of a single General Lotto game, implemented here as ``u_player`` on plain
+floats and wrapped with validation by ``one_v_one_payoff``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ __all__ = [
     "Mechanism",
     "PayoffPair",
     "EPS_FEAS",
+    "u_player",
     "one_v_one_payoff",
+    "post_transfer_params",
     "post_transfer",
     "swap_indices",
 ]
@@ -132,33 +135,47 @@ class PayoffPair:
     u_adversary: float
 
 
-def one_v_one_payoff(phi: float, x_player: float, x_adv: float) -> PayoffPair:
-    """Equilibrium payoff of a single General Lotto game.
+def u_player(phi: float, x_player: float, x_adv: float) -> float:
+    """Player's equilibrium payoff in one General Lotto game, on plain floats.
 
-    The player keeps ``phi * x_player / (2 * x_adv)`` of the valuation when
-    outgunned (``x_player <= x_adv``) and ``phi * (1 - x_adv / (2 * x_player))``
-    otherwise; the adversary gets the rest.  Zero-budget limits: a player with
-    no budget facing a positive adversary budget gets 0; an unopposed player
-    wins everything; if both budgets are zero the player wins all contests
-    (ties go to the player).
+    ``phi * x_player / (2 * x_adv)`` when outgunned (``x_player <= x_adv``),
+    ``phi * (1 - x_adv / (2 * x_player))`` otherwise.  Zero-budget limits: a
+    player with no budget facing a positive adversary budget gets 0; an
+    unopposed player wins everything; if both budgets are zero the player
+    wins all contests (ties go to the player).  No validation: callers pass
+    a positive ``phi`` and nonnegative budgets.
+    """
+    if x_player <= x_adv:
+        return phi * (x_player / (2.0 * x_adv)) if x_adv > 0.0 else phi
+    return phi * (1.0 - x_adv / (2.0 * x_player))
+
+
+def one_v_one_payoff(phi: float, x_player: float, x_adv: float) -> PayoffPair:
+    """Equilibrium payoffs of a single General Lotto game (see ``u_player``).
+
+    Validates its inputs; the adversary gets what the player does not.
     """
     phi = _require_positive("phi", phi)
     x_player = _require_nonnegative("x_player", x_player)
     x_adv = _require_nonnegative("x_adv", x_adv)
-    if x_player <= x_adv:
-        u = phi * (x_player / (2.0 * x_adv)) if x_adv > 0.0 else phi
-    else:
-        u = phi * (1.0 - x_adv / (2.0 * x_player))
+    u = u_player(phi, x_player, x_adv)
     return PayoffPair(u, phi - u)
 
 
-def transfer_feasible(g: GameInstance, t: Transfer) -> bool:
-    """True when every post-transfer parameter stays strictly positive."""
-    return (
-        g.phi1 - t.nu > EPS_FEAS
-        and g.phi2 + t.nu > EPS_FEAS
-        and g.x1 - t.tau > EPS_FEAS
-        and g.x2 + t.tau > EPS_FEAS
+def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, float, float]:
+    """Post-transfer parameters ``(phi1 - nu, phi2 + nu, x1 - tau, x2 + tau)``.
+
+    The feasibility rule: every component must stay above ``EPS_FEAS``,
+    otherwise ``InfeasibleTransferError`` is raised.
+    """
+    phi1 = g.phi1 - t.nu
+    phi2 = g.phi2 + t.nu
+    x1 = g.x1 - t.tau
+    x2 = g.x2 + t.tau
+    if phi1 > EPS_FEAS and phi2 > EPS_FEAS and x1 > EPS_FEAS and x2 > EPS_FEAS:
+        return phi1, phi2, x1, x2
+    raise InfeasibleTransferError(
+        f"transfer (tau={t.tau}, nu={t.nu}) infeasible for game {g.as_dict()}"
     )
 
 
@@ -168,11 +185,7 @@ def post_transfer(g: GameInstance, t: Transfer) -> GameInstance:
     Raises ``InfeasibleTransferError`` when a component would be driven to
     zero or below.  Total valuation and total player budget are preserved.
     """
-    if not transfer_feasible(g, t):
-        raise InfeasibleTransferError(
-            f"transfer (tau={t.tau}, nu={t.nu}) infeasible for game {g.as_dict()}"
-        )
-    return GameInstance(g.phi1 - t.nu, g.phi2 + t.nu, g.x1 - t.tau, g.x2 + t.tau)
+    return GameInstance(*post_transfer_params(g, t))
 
 
 def swap_indices(g: GameInstance) -> GameInstance:

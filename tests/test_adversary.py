@@ -10,8 +10,14 @@ from coalitional_lotto.adversary import (
     classify_case,
     player_payoffs,
 )
-from coalitional_lotto.core import GameInstance, Transfer, one_v_one_payoff, swap_indices
-from coalitional_lotto.collective import max_collective_payoff
+from coalitional_lotto.core import (
+    GameInstance,
+    Transfer,
+    one_v_one_payoff,
+    post_transfer,
+    swap_indices,
+)
+from coalitional_lotto.collective import max_collective_payoff, optimal_budget_transfer
 
 from conftest import random_games
 
@@ -148,3 +154,25 @@ class TestPlayerPayoffs:
                 hi = player_payoffs(g, Transfer(0, nu0 + 1e-8))
                 jump = abs(sum(lo) - sum(hi))
                 assert jump < 1e-6 * g.total_valuation
+
+    @given(
+        phi1=positive, phi2=positive, x1=positive, x2=positive,
+        ft=st.floats(0.001, 0.999), fn=st.floats(0.001, 0.999),
+        on_ridge=st.booleans(), swap=st.booleans(),
+    )
+    @settings(max_examples=400)
+    def test_kernel_matches_object_pipeline(self, phi1, phi2, x1, x2, ft, fn, on_ridge, swap):
+        # The float kernel gives exactly what the public object functions
+        # give step by step; optimal_budget_transfer lands on the ridge.
+        g = GameInstance(phi1, phi2, x1, x2)
+        if swap:
+            g = swap_indices(g)
+        if on_ridge:
+            t = optimal_budget_transfer(g)
+        else:
+            t = Transfer(-g.x2 + ft * g.total_budget, -g.phi2 + fn * g.total_valuation)
+        gb = post_transfer(g, t)
+        xa = best_response(gb)
+        u1 = one_v_one_payoff(gb.phi1, gb.x1, xa.xa1).u_player
+        u2 = one_v_one_payoff(gb.phi2, gb.x2, xa.xa2).u_player
+        assert player_payoffs(g, t) == (u1, u2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalitional_lotto.adversary import player_payoffs
 from coalitional_lotto.core import (
     GameInstance,
     GameValidationError,
@@ -131,6 +132,8 @@ class TestPostTransfer:
     def test_rejects_infeasible(self, diamond, t):
         with pytest.raises(InfeasibleTransferError):
             post_transfer(diamond, t)
+        with pytest.raises(InfeasibleTransferError):
+            player_payoffs(diamond, t)
 
 
 class TestSwap:

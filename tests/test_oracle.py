@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from coalitional_lotto.oracle import (
     grid_mutual_search,
 )
 
-from conftest import random_games
+from conftest import DATA_DIR, random_games
 
 
 class TestGridSpec:
@@ -117,3 +120,14 @@ class TestFixtures:
                 base = rec["max_collective"][mech]
                 double = rec["max_collective_double_res"][mech]
                 assert abs(double - base) <= 1e-7 * abs(base), (name, mech)
+
+    def test_fixture_script_reproduces_committed_file(self):
+        # Rebuilding every record with the fixture script gives the committed
+        # file byte for byte, which pins the oracle bit for bit.
+        path = Path(__file__).parent.parent / "scripts" / "make_golden_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_golden_fixtures", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        fixtures = {name: script.oracle_record(p) for name, p in script.GOLDEN_GAMES.items()}
+        text = json.dumps(fixtures, indent=2, sort_keys=True) + "\n"
+        assert text == (DATA_DIR / "golden_oracle.json").read_text()
