@@ -49,7 +49,7 @@ def main() -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = GridSpec(args.oracle_resolution, 1e-6)
+    spec = GridSpec(args.oracle_resolution)
     corrected_cfg = SearchConfig()
 
     t0 = time.time()

@@ -36,7 +36,7 @@ GOLDEN_GAMES = {
 
 def oracle_record(params) -> dict:
     g = GameInstance(*params)
-    double_1d = GridSpec(2 * DEFAULT_GRID_1D.resolution - 1, DEFAULT_GRID_1D.margin)
+    double_1d = GridSpec(2 * DEFAULT_GRID_1D.resolution - 1)
     rec = {
         "game": g.as_dict(),
         "best_response_xa1": grid_best_response(g).xa1,
@@ -52,7 +52,7 @@ def oracle_record(params) -> dict:
             )
         else:
             rec["max_collective_double_res"][mech.value] = grid_max_collective(
-                g, mech, GridSpec(2 * DEFAULT_GRID_2D.resolution - 1, DEFAULT_GRID_2D.margin)
+                g, mech, GridSpec(2 * DEFAULT_GRID_2D.resolution - 1)
             )
         verdict = grid_mutual_search(g, mech)
         rec["mutual_exists"][mech.value] = {

@@ -15,14 +15,17 @@ import numpy as np
 from .adversary import DEFAULT_EPS
 from .core import GameInstance
 
-__all__ = ["payoffs_at_transfers", "collective_at_transfers"]
+__all__ = ["one_v_one_vec", "payoffs_at_transfers", "collective_at_transfers"]
 
 
-def _one_v_one_vec(phi, x_player, x_adv):
-    # Branch values are computed unconditionally with guarded denominators,
-    # then selected; identical conventions to core.one_v_one_payoff.
+def one_v_one_vec(phi, x_player, x_adv):
+    """``core.u_player`` over arrays, bit for bit.
+
+    Branch values are computed unconditionally with guarded denominators,
+    then selected.
+    """
     safe_adv = np.where(x_adv > 0.0, x_adv, 1.0)
-    outgunned = np.where(x_adv > 0.0, phi * x_player / (2.0 * safe_adv), phi)
+    outgunned = np.where(x_adv > 0.0, phi * (x_player / (2.0 * safe_adv)), phi)
     safe_pl = np.where(x_player > 0.0, x_player, 1.0)
     dominant = phi * (1.0 - x_adv / (2.0 * safe_pl))
     return np.where(x_player <= x_adv, outgunned, dominant)
@@ -67,8 +70,8 @@ def payoffs_at_transfers(g: GameInstance, taus, nus, eps: float = DEFAULT_EPS):
     xa_w = np.where(case2, s, xa_w)
     xa_w = np.where(case1, 1.0, xa_w)
 
-    uw = _one_v_one_vec(pw, bw, xa_w)
-    us = _one_v_one_vec(ps, bs, 1.0 - xa_w)
+    uw = one_v_one_vec(pw, bw, xa_w)
+    us = one_v_one_vec(ps, bs, 1.0 - xa_w)
     u1 = np.where(swap, us, uw)
     u2 = np.where(swap, uw, us)
     return u1, u2

@@ -17,8 +17,10 @@ import sys
 
 from .analysis import analyze_game, to_json
 from .core import GameInstance, GameValidationError
-from .mutual import Mechanism, SearchConfig
+from .mutual import TYPO_SITES, Mechanism, SearchConfig
 from .sweep import (
+    SAMPLE_HI,
+    SAMPLE_LO,
     Predicate,
     SweepSpec,
     run_curve,
@@ -96,8 +98,8 @@ def _config(args: argparse.Namespace) -> SearchConfig:
     kwargs = {}
     if getattr(args, "eps", None) is not None:
         kwargs["eps"] = args.eps
-    if getattr(args, "typo_mode", None) is not None:
-        kwargs["typo_mode"] = args.typo_mode
+    if getattr(args, "typo_mode", None) == "literal":
+        kwargs["literal_sites"] = TYPO_SITES
     return SearchConfig(**kwargs)
 
 
@@ -105,10 +107,13 @@ def _game(args: argparse.Namespace) -> GameInstance:
     return GameInstance(args.phi1, args.phi2, args.x1, args.x2)
 
 
-def _open_out(path: str):
+def _write_out(path: str, comments: list[str], header: list[str], rows) -> None:
+    """Write a commented CSV to ``path``, or to stdout when it is '-'."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        write_csv(sys.stdout, comments, header, rows)
+        return
+    with open(path, "w", encoding="utf-8") as stream:
+        write_csv(stream, comments, header, rows)
 
 
 def _parse_axis(text: str) -> tuple[str, float, float]:
@@ -137,21 +142,16 @@ def _cmd_sweep(args) -> int:
             fixed[name] = value
     spec = SweepSpec(fixed=fixed, axes=axes, steps=args.steps, predicate=Predicate(args.predicate))
     rows = run_sweep(spec, _config(args))
-    stream, close = _open_out(args.out)
-    try:
-        fixed_desc = " ".join(f"{k}={format(v, '.12g')}" for k, v in sorted(fixed.items()))
-        write_csv(
-            stream,
-            [
-                f"predicate={args.predicate} fixed: {fixed_desc}",
-                "units: budgets in adversary-budget units, valuations in contest-value units",
-            ],
-            [axes[0][0], axes[1][0], args.predicate],
-            rows,
-        )
-    finally:
-        if close:
-            stream.close()
+    fixed_desc = " ".join(f"{k}={format(v, '.12g')}" for k, v in sorted(fixed.items()))
+    _write_out(
+        args.out,
+        [
+            f"predicate={args.predicate} fixed: {fixed_desc}",
+            "units: budgets in adversary-budget units, valuations in contest-value units",
+        ],
+        [axes[0][0], axes[1][0], args.predicate],
+        rows,
+    )
     return EXIT_OK
 
 
@@ -159,43 +159,31 @@ def _cmd_curve(args) -> int:
     g = _game(args)
     mech = Mechanism(args.mechanism)
     rows = run_curve(g, mech, args.steps, _config(args))
-    stream, close = _open_out(args.out)
-    try:
-        unit = "budget (tau)" if mech is Mechanism.BUDGET else "valuation (nu)"
-        write_csv(
-            stream,
-            [
-                f"game: phi1={g.phi1:.12g} phi2={g.phi2:.12g} x1={g.x1:.12g} x2={g.x2:.12g}",
-                f"mechanism={mech.value}; transfer units: {unit}; payoffs in valuation units",
-            ],
-            ["transfer", "u1", "u2", "collective"],
-            rows,
-        )
-    finally:
-        if close:
-            stream.close()
+    unit = "budget (tau)" if mech is Mechanism.BUDGET else "valuation (nu)"
+    _write_out(
+        args.out,
+        [
+            f"game: phi1={g.phi1:.12g} phi2={g.phi2:.12g} x1={g.x1:.12g} x2={g.x2:.12g}",
+            f"mechanism={mech.value}; transfer units: {unit}; payoffs in valuation units",
+        ],
+        ["transfer", "u1", "u2", "collective"],
+        rows,
+    )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.count < 1:
-        raise GameValidationError("count must be >= 1")
     rows, ok = run_verify(args.count, args.seed, _config(args))
-    stream, close = _open_out(args.out)
-    try:
-        header = list(rows[0].keys())
-        write_csv(
-            stream,
-            [
-                f"count={args.count} seed={args.seed} box=[{0.05},{3.0}]^4",
-                "analytic vs grid-oracle: contest existence, best response, collective maxima",
-            ],
-            header,
-            [[row[k] for k in header] for row in rows],
-        )
-    finally:
-        if close:
-            stream.close()
+    header = list(rows[0].keys())
+    _write_out(
+        args.out,
+        [
+            f"count={args.count} seed={args.seed} box=[{SAMPLE_LO},{SAMPLE_HI}]^4",
+            "analytic vs grid-oracle: contest existence, best response, collective maxima",
+        ],
+        header,
+        [[row[k] for k in header] for row in rows],
+    )
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 

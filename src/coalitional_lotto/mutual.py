@@ -22,9 +22,9 @@ treatments:
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
 alone.  A handful of the printed quadratic coefficients are suspected
-misprints; both readings are implemented behind ``SearchConfig.typo_mode``
-and the default follows the grid-oracle calibration (see
-``calibration/typo_resolution.md``).
+misprints; both readings are implemented, ``SearchConfig.literal_sites``
+names the sites read as printed, and the default (none) follows the
+grid-oracle calibration (see ``calibration/typo_resolution.md``).
 """
 
 from __future__ import annotations
@@ -168,28 +168,22 @@ ANTIPARALLEL_RTOL = 1e-8  # |cross| below this share of |g1||g2| is antiparallel
 class SearchConfig:
     """Settings a caller may vary: classification tolerance and typo readings.
 
-    ``eps`` is the case-classification tolerance.  ``typo_mode`` selects the
-    reading of a few suspect printed coefficients: "corrected" (default,
-    matches the grid-oracle calibration) or "literal".  ``literal_sites``
-    overrides the mode per site for calibration runs.
+    ``eps`` is the case-classification tolerance.  ``literal_sites`` names
+    the suspect printed coefficients (see ``TYPO_SITES``) read as printed;
+    every other site takes the corrected reading, which the grid-oracle
+    calibration supports.
     """
 
     eps: float = DEFAULT_EPS
-    typo_mode: str = "corrected"
-    literal_sites: tuple[str, ...] | None = None
+    literal_sites: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.typo_mode not in ("literal", "corrected"):
-            raise ValueError(f"typo_mode must be 'literal' or 'corrected', got {self.typo_mode!r}")
-        if self.literal_sites is not None:
-            unknown = set(self.literal_sites) - set(TYPO_SITES)
-            if unknown:
-                raise ValueError(f"unknown typo sites {sorted(unknown)}")
+        unknown = set(self.literal_sites) - set(TYPO_SITES)
+        if unknown:
+            raise ValueError(f"unknown typo sites {sorted(unknown)}")
 
     def literal_at(self, site: str) -> bool:
-        if self.literal_sites is not None:
-            return site in self.literal_sites
-        return self.typo_mode == "literal"
+        return site in self.literal_sites
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -281,11 +275,11 @@ def _require_oriented(g: GameInstance, eps: float) -> None:
         )
 
 
-def _sc_routes(g: GameInstance, case_index: int, cfg: SearchConfig, m: _Margins):
+def _sc_routes(g: GameInstance, case_index: int, m: _Margins):
     """Strategically consistent routes: derivative conditions at nu = 0.
 
     Returns a list of (route, window) pairs; consistent transfers have no
-    printed window, so the window is a small-step hint interval.
+    printed window, so the window is None and validation takes small steps.
     """
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     phi_scale = f + s0
@@ -314,188 +308,132 @@ def _window(m: _Margins, phi_scale: float, lows, highs) -> tuple[float, float] |
     return None
 
 
-def _quad(m: _Margins, a: float, b: float, c: float, phi_scale: float):
+def _quad(m: _Margins, a: float, b: float, c: float) -> QuadraticWindow:
     w = quadratic_window(a, b, c)
     # Discriminant margin, normalized to the quadratic's own scale.
     m.note(w.discriminant, 0.0, max(b * b, abs(4.0 * a * c)))
     return w
 
 
+def _ratio_gate(m: _Margins, g: GameInstance, lo: float, hi: float, window):
+    """``window`` when the printed double inequality ``lo < phi2/phi1 < hi`` holds."""
+    ratio = g.phi2 / g.phi1
+    lo_ok = m.lt(lo, ratio, 1.0)
+    hi_ok = m.lt(ratio, hi, 1.0)
+    return window if lo_ok and hi_ok else None
+
+
+def _p2a(g: GameInstance, cfg: SearchConfig, site: str) -> float:
+    """The root ``sqrt(x1*phi1*phi2/x2)`` of player 1's pre-transfer case-2 payoff.
+
+    The printed form repeats phi2 under the root where phi1*phi2 belongs; each
+    suspect ``site`` switches to that reading on its own.
+    """
+    if cfg.literal_at(site):
+        return math.sqrt(g.x1 * g.phi2 * g.phi2 / g.x2)  # as printed
+    return math.sqrt(g.x1 * g.phi1 * g.phi2 / g.x2)
+
+
 def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchConfig, m: _Margins):
     """All strategically inconsistent routes applicable to an oriented game.
 
-    Yields (route, (lo, hi)) candidate windows.  Conditions follow the printed
-    characterization; coefficients marked "typo" switch with ``cfg.typo_mode``.
+    Returns (route, (lo, hi)) candidate windows in printed order, clipped to
+    positive feasible transfers.  Conditions follow the printed
+    characterization; each suspect coefficient reads as printed only when
+    its site is in ``cfg.literal_sites``.
     """
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     phi = f + s0
     th = thresholds(g)
-    a1, a2, a3, a4, a5 = th.alpha1, th.alpha2, th.alpha3, th.alpha4, th.alpha5
+    a1, a2, a4, a5 = th.alpha1, th.alpha2, th.alpha4, th.alpha5
     b1t, b2t = th.beta1, th.beta2
-    out = []
-
-    def add(route: str, window: tuple[float, float] | None) -> None:
-        if window is not None:
-            lo = max(window[0], 0.0)
-            hi = min(window[1], f * (1.0 - 1e-12))
-            if lo < hi:
-                out.append((route, (lo, hi)))
-
-    # Pre-transfer payoff of player 1 inside case 2 (appears in two routes);
-    # the printed form repeats phi2 under the root where phi1*phi2 belongs.
-    def p2a_like(site: str) -> float:
-        if cfg.literal_at(site):
-            return math.sqrt(x1 * s0 * s0 / x2)  # as printed
-        return math.sqrt(x1 * f * s0 / x2)
-
+    routes = []
     if region is Region.R1 and case_index == 1:
-        ratio = s0 / f
-        lo_ok = m.lt((2.0 * x1 * x2 - x1 - x2) / (2.0 * x1 * x1), ratio, 1.0)
-        hi_ok = m.lt(ratio, (2.0 * x2 - 1.0) / (2.0 * x1), 1.0)
-        if lo_ok and hi_ok:
-            add("1.1:C1_1le2->C1_1gt2", (max(a1, s0 / (2.0 * x2 - 1.0)), f / (2.0 * x1)))
+        w11 = _ratio_gate(
+            m, g, (2.0 * x1 * x2 - x1 - x2) / (2.0 * x1 * x1), (2.0 * x2 - 1.0) / (2.0 * x1),
+            (max(a1, s0 / (2.0 * x2 - 1.0)), f / (2.0 * x1)),
+        )
+        routes = [("1.1:C1_1le2->C1_1gt2", w11)]
 
     elif region is Region.R2 and case_index == 1:
-        q1 = _quad(m, 1.0 + (2.0 * x1 - 1.0) ** 2 / (x1 * x2), s0 - f, -f * s0, phi)
+        q1 = _quad(m, 1.0 + (2.0 * x1 - 1.0) ** 2 / (x1 * x2), s0 - f, -f * s0)
         c2 = 4.0 * (x1 / x2) * s0 * s0 - (4.0 * f * s0 if cfg.literal_at("c2") else f * s0)
-        q2 = _quad(m, 1.0, s0 - f, c2, phi)
+        q2 = _quad(m, 1.0, s0 - f, c2)
+        w21 = None
         if not q1.empty and not q2.empty:
-            add(
-                "2.1:C1_1le2->C2_1gt2",
-                _window(m, phi, [q1.z_minus, q2.z_minus, a1], [q1.z_plus, q2.z_plus, a2]),
-            )
-        ratio = s0 / f
-        lo_ok = m.lt((-x1 * x2 + 2.0 * x1 - 1.0) / (2.0 * x1 * x1 * x2), ratio, 1.0)
-        hi_ok = m.lt(ratio, x2 / (2.0 * x1 * (2.0 - x2)), 1.0)
-        if lo_ok and hi_ok:
-            add("2.2:C1_1le2->C1_1gt2", (max(a2, s0 * (2.0 - x2) / x2), f / (2.0 * x1)))
+            w21 = _window(m, phi, [q1.z_minus, q2.z_minus, a1], [q1.z_plus, q2.z_plus, a2])
+        w22 = _ratio_gate(
+            m, g,
+            (-x1 * x2 + 2.0 * x1 - 1.0) / (2.0 * x1 * x1 * x2), x2 / (2.0 * x1 * (2.0 - x2)),
+            (max(a2, s0 * (2.0 - x2) / x2), f / (2.0 * x1)),
+        )
+        routes = [("2.1:C1_1le2->C2_1gt2", w21), ("2.2:C1_1le2->C1_1gt2", w22)]
 
     elif region is Region.R3 and case_index == 1:
-        q3 = _quad(m, 1.0, s0 - f, x1 * x2 * f * f - f * s0, phi)
-        if not q3.empty:
-            add("3.1:C1_1le2->C2_1le2", _window(m, phi, [q3.z_minus, a3], [q3.z_plus, a1]))
-        ratio = s0 / f
-        lo_ok = m.lt((x1 + x2 - 2.0) / 2.0, ratio, 1.0)
-        hi_ok = m.lt(ratio, (2.0 - x1) * (2.0 * x2 - 1.0) / 2.0, 1.0)
-        if lo_ok and hi_ok:
-            add("3.2:C1_1le2->C1_1gt2", (max(a1, s0 / (2.0 * x2 - 1.0)), f * (2.0 - x1) / 2.0))
+        w32 = _ratio_gate(
+            m, g, (x1 + x2 - 2.0) / 2.0, (2.0 - x1) * (2.0 * x2 - 1.0) / 2.0,
+            (max(a1, s0 / (2.0 * x2 - 1.0)), f * (2.0 - x1) / 2.0),
+        )
+        routes = [
+            ("3.1:C1_1le2->C2_1le2", _form_c1_to_c2_native(g, th, m, a1)),
+            ("3.2:C1_1le2->C1_1gt2", w32),
+        ]
 
     elif region is Region.R3 and case_index == 2:
-        add(
-            "3.3:C2_1le2->C1_1gt2",
-            (
-                max(a1, math.sqrt(x1 * x2 * f * s0) / (2.0 * x2 - 1.0)),
-                f - 0.5 * p2a_like("sqrt33"),
-            ),
-        )
+        lo = max(a1, math.sqrt(x1 * x2 * f * s0) / (2.0 * x2 - 1.0))
+        routes = [("3.3:C2_1le2->C1_1gt2", (lo, f - 0.5 * _p2a(g, cfg, "sqrt33")))]
 
     elif region is Region.R4 and case_index == 1:
-        q3 = _quad(m, 1.0, s0 - f, x1 * x2 * f * f - f * s0, phi)
         m.note(x2, 0.5, 1.0)
-        if not q3.empty:
-            if x2 >= 0.5:
-                add("4.1:C1_1le2->C2_1le2", _window(m, phi, [q3.z_minus, a3], [q3.z_plus, a1]))
-            else:
-                q4 = _quad(
-                    m,
-                    (1.0 - 2.0 * x2) ** 2 + x1 * x2,
-                    2.0 * (1.0 - 2.0 * x2) * s0 + x1 * x2 * (s0 - f),
-                    s0 * s0 - x1 * x2 * f * s0,
-                    phi,
-                )
-                if not q4.empty:
-                    add(
-                        "4.1:C1_1le2->C2_1le2",
-                        _window(
-                            m, phi, [q3.z_minus, q4.z_minus, a3], [q3.z_plus, q4.z_plus, a1]
-                        ),
-                    )
-        for route, win in _form_c1_to_c2_swapped(g, cfg, m, lower_gate=a1):
-            add(route.replace("LOWER", "4.2"), win)
-        for route, win in _form_c1_to_c1_swapped(g, m):
-            add(route.replace("LOWER", "4.3"), win)
+        routes = [
+            ("4.1:C1_1le2->C2_1le2", _form_c1_to_c2_native(g, th, m, a1)),
+            ("4.2:C1_1le2->C2_1gt2", _form_c1_to_c2_swapped(g, th, m, a1)),
+            ("4.3:C1_1le2->C1_1gt2", _form_c1_to_c1_swapped(g, th, m)),
+        ]
 
     elif region is Region.R4 and case_index == 2:
-        for route, win in _form_c2_to_c2_swapped(g, cfg, m, lower_gate=a1):
-            add(route.replace("LOWER", "4.4"), win)
-        add("4.5:C2_1le2->C1_1gt2", (max(a2, b2t), f - 0.5 * p2a_like("sqrt45")))
+        routes = [
+            ("4.4:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, cfg, m, a1)),
+            ("4.5:C2_1le2->C1_1gt2", _form_c2_to_c1_swapped(g, th, cfg)),
+        ]
 
     elif region is Region.R5 and case_index == 1:
-        q3 = _quad(m, 1.0, s0 - f, x1 * x2 * f * f - f * s0, phi)
         m.note(x2, 0.5, 1.0)
-        if not q3.empty:
-            if x2 >= 0.5:
-                add("5.1:C1_1le2->C2_1le2", _window(m, phi, [q3.z_minus, a3], [q3.z_plus, a4]))
-            else:
-                q4 = _quad(
-                    m,
-                    (1.0 - 2.0 * x2) ** 2 + x1 * x2,
-                    2.0 * (1.0 - 2.0 * x2) * s0 + x1 * x2 * (s0 - f),
-                    s0 * s0 - x1 * x2 * f * s0,
-                    phi,
-                )
-                if not q4.empty:
-                    add(
-                        "5.1:C1_1le2->C2_1le2",
-                        _window(
-                            m, phi, [q3.z_minus, q4.z_minus, a3], [q3.z_plus, q4.z_plus, a4]
-                        ),
-                    )
-        q9 = _quad(m, 1.0 + x1 / x2, s0 - f, -f * s0, phi)
+        w51 = _form_c1_to_c2_native(g, th, m, a4)
+        q9 = _quad(m, 1.0 + x1 / x2, s0 - f, -f * s0)
         q10 = _quad(
             m,
             1.0 + x2 / x1,
             (x1 + 2.0 * x2 - 4.0) / x1 * s0 - f,
             (2.0 - x2) ** 2 * s0 * s0 / (x1 * x2) - f * s0,
-            phi,
         )
-        if not q9.empty:
-            add("5.2:C1_1le2->C3_1le2", _window(m, phi, [q9.z_minus, b1t, a4], [q9.z_plus, a1]))
-            add("5.3:C1_1le2->C3_1gt2", _window(m, phi, [q9.z_minus, b1t, a1], [q9.z_plus, a5]))
-            if not q10.empty:
-                add(
-                    "5.2:C1_1le2->C3_1le2",
-                    _window(m, phi, [q9.z_minus, q10.z_minus, a4], [q9.z_plus, q10.z_plus, b1t, a1]),
-                )
-                add(
-                    "5.3:C1_1le2->C3_1gt2",
-                    _window(m, phi, [q9.z_minus, q10.z_minus, a1], [q9.z_plus, q10.z_plus, b1t, a5]),
-                )
-        for route, win in _form_c1_to_c2_swapped(g, cfg, m, lower_gate=a5):
-            add(route.replace("LOWER", "5.4"), win)
-        for route, win in _form_c1_to_c1_swapped(g, m):
-            add(route.replace("LOWER", "5.5"), win)
+        routes = [
+            ("5.1:C1_1le2->C2_1le2", w51),
+            *_form_into_c3(
+                m, phi, th, q9, q10, b1t, "5.2:C1_1le2->C3_1le2", "5.3:C1_1le2->C3_1gt2"
+            ),
+            ("5.4:C1_1le2->C2_1gt2", _form_c1_to_c2_swapped(g, th, m, a5)),
+            ("5.5:C1_1le2->C1_1gt2", _form_c1_to_c1_swapped(g, th, m)),
+        ]
 
     elif region is Region.R5 and case_index == 2:
+        root = math.sqrt(f * s0 / (x1 * x2))
         q11 = _quad(
             m,
             1.0 + x2 / x1,
-            2.0 * math.sqrt(f * s0 / (x1 * x2)) + (x2 / x1) * (s0 - f) - 2.0 * f,
-            (math.sqrt(f * s0 / (x1 * x2)) - f) ** 2 - (x2 / x1) * f * s0,
-            phi,
+            2.0 * root + (x2 / x1) * (s0 - f) - 2.0 * f,
+            (root - f) ** 2 - (x2 / x1) * f * s0,
         )
         q12 = _quad(
-            m,
-            1.0 + x1 / x2,
-            -2.0 * b2t + (x1 / x2) * (s0 - f),
-            b2t * b2t - (x1 / x2) * f * s0,
-            phi,
+            m, 1.0 + x1 / x2, -2.0 * b2t + (x1 / x2) * (s0 - f), b2t * b2t - (x1 / x2) * f * s0
         )
-        if not q11.empty:
-            add("5.6:C2_1le2->C3_1le2", _window(m, phi, [q11.z_minus, b2t, a4], [q11.z_plus, a1]))
-            add("5.7:C2_1le2->C3_1gt2", _window(m, phi, [q11.z_minus, b2t, a1], [q11.z_plus, a5]))
-            if not q12.empty:
-                add(
-                    "5.6:C2_1le2->C3_1le2",
-                    _window(m, phi, [q11.z_minus, q12.z_minus, a4], [q11.z_plus, q12.z_plus, b2t, a1]),
-                )
-                add(
-                    "5.7:C2_1le2->C3_1gt2",
-                    _window(m, phi, [q11.z_minus, q12.z_minus, a1], [q11.z_plus, q12.z_plus, b2t, a5]),
-                )
-        for route, win in _form_c2_to_c2_swapped(g, cfg, m, lower_gate=a5):
-            add(route.replace("LOWER", "5.8"), win)
-        add("5.9:C2_1le2->C1_1gt2", (max(a2, b2t), f - 0.5 * p2a_like("sqrt45")))
+        routes = [
+            *_form_into_c3(
+                m, phi, th, q11, q12, b2t, "5.6:C2_1le2->C3_1le2", "5.7:C2_1le2->C3_1gt2"
+            ),
+            ("5.8:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, cfg, m, a5)),
+            ("5.9:C2_1le2->C1_1gt2", _form_c2_to_c1_swapped(g, th, cfg)),
+        ]
 
     elif region is Region.R5 and case_index == 3:
         # C3 -> C3 across the ridge (route 5.10) admits no beneficial transfer.
@@ -505,97 +443,130 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
             1.0 + (x1 / x2) * (2.0 - 1.0 / x1) ** 2,
             (4.0 * x1 - 2.0) / x2 * inner + s0 - f,
             (x1 / x2) * inner * inner - f * s0,
-            phi,
         )
         if cfg.literal_at("c14"):
             c14 = (x1 / x2) * (x2 * s0 + math.sqrt(x1 * x2 * f * s0) - f * s0)  # as printed
         else:
             c14 = (x1 / x2) * (x2 * s0 + math.sqrt(x1 * x2 * f * s0)) ** 2 - f * s0
-        q14 = _quad(m, 1.0, s0 - f, c14, phi)
+        q14 = _quad(m, 1.0, s0 - f, c14)
+        w511 = None
         if not q13.empty and not q14.empty:
-            add(
-                "5.11:C3_1le2->C2_1gt2",
-                _window(m, phi, [q13.z_minus, q14.z_minus, a5], [q13.z_plus, q14.z_plus, a2]),
-            )
-        add(
-            "5.12:C3_1le2->C1_1gt2",
-            (
-                max(a2, math.sqrt(x1 * f * s0 / x2)),
-                f * (1.0 - x1 / 2.0) - 0.5 * math.sqrt(x1 * x2 * f * s0),
-            ),
+            w511 = _window(m, phi, [q13.z_minus, q14.z_minus, a5], [q13.z_plus, q14.z_plus, a2])
+        w512 = (
+            max(a2, math.sqrt(x1 * f * s0 / x2)),
+            f * (1.0 - x1 / 2.0) - 0.5 * math.sqrt(x1 * x2 * f * s0),
         )
+        routes = [("5.11:C3_1le2->C2_1gt2", w511), ("5.12:C3_1le2->C1_1gt2", w512)]
 
+    out = []
+    for route, window in routes:
+        if window is not None:
+            lo = max(window[0], 0.0)
+            hi = min(window[1], f * (1.0 - 1e-12))
+            if lo < hi:
+                out.append((route, (lo, hi)))
     return out
 
 
-def _form_c1_to_c2_swapped(g: GameInstance, cfg: SearchConfig, m: _Margins, lower_gate: float):
+def _form_c1_to_c2_native(g: GameInstance, th: Thresholds, m: _Margins, upper_gate: float):
+    """C1 -> native C2 (quadratic 3, plus quadratic 4 when x2 < 1/2)."""
+    f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
+    q3 = _quad(m, 1.0, s0 - f, x1 * x2 * f * f - f * s0)
+    if q3.empty:
+        return None
+    if x2 >= 0.5:
+        return _window(m, f + s0, [q3.z_minus, th.alpha3], [q3.z_plus, upper_gate])
+    q4 = _quad(
+        m,
+        (1.0 - 2.0 * x2) ** 2 + x1 * x2,
+        2.0 * (1.0 - 2.0 * x2) * s0 + x1 * x2 * (s0 - f),
+        s0 * s0 - x1 * x2 * f * s0,
+    )
+    if q4.empty:
+        return None
+    return _window(
+        m, f + s0, [q3.z_minus, q4.z_minus, th.alpha3], [q3.z_plus, q4.z_plus, upper_gate]
+    )
+
+
+def _form_into_c3(
+    m: _Margins, phi: float, th: Thresholds, q_out, q_in, beta: float, below: str, above: str
+):
+    """Into case 3 on either side of the ridge: routes ``below`` and ``above``.
+
+    The outer quadratic with the beta gate as a lower bound, then both
+    quadratics with the beta gate as an upper bound.
+    """
+    if q_out.empty:
+        return []
+    a1, a4, a5 = th.alpha1, th.alpha4, th.alpha5
+    routes = [
+        (below, _window(m, phi, [q_out.z_minus, beta, a4], [q_out.z_plus, a1])),
+        (above, _window(m, phi, [q_out.z_minus, beta, a1], [q_out.z_plus, a5])),
+    ]
+    if not q_in.empty:
+        lows, highs = [q_out.z_minus, q_in.z_minus], [q_out.z_plus, q_in.z_plus, beta]
+        routes += [
+            (below, _window(m, phi, lows + [a4], highs + [a1])),
+            (above, _window(m, phi, lows + [a1], highs + [a5])),
+        ]
+    return routes
+
+
+def _form_c1_to_c2_swapped(g: GameInstance, th: Thresholds, m: _Margins, lower_gate: float):
     """C1 -> swapped C2 (quadratics 5 and 6); lower gate differs by region."""
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    phi = f + s0
-    th = thresholds(g)
     q5 = _quad(
         m,
         (1.0 - 2.0 * x1) ** 2 + x1 * x2,
         x1 * x2 * (s0 - f) - 2.0 * (x1 - 1.0) ** 2 * (1.0 - 2.0 * x1) * f,
         (x1 - 1.0) ** 4 * f * f - x1 * x2 * f * s0,
-        phi,
     )
-    q6 = _quad(m, 1.0, s0 - f, 4.0 * (x1 / x2) * s0 * s0 - f * s0, phi)
+    q6 = _quad(m, 1.0, s0 - f, 4.0 * (x1 / x2) * s0 * s0 - f * s0)
     if q5.empty or q6.empty:
-        return []
-    win = _window(
-        m, phi, [q5.z_minus, q6.z_minus, lower_gate], [q5.z_plus, q6.z_plus, th.alpha2]
+        return None
+    return _window(
+        m, f + s0, [q5.z_minus, q6.z_minus, lower_gate], [q5.z_plus, q6.z_plus, th.alpha2]
     )
-    return [("LOWER:C1_1le2->C2_1gt2", win)] if win else []
 
 
-def _form_c1_to_c1_swapped(g: GameInstance, m: _Margins):
-    """C1 -> swapped C1 in regions with x2 < 1 (printed double inequality)."""
+def _form_c1_to_c1_swapped(g: GameInstance, th: Thresholds, m: _Margins):
+    """C1 -> swapped C1 in regions with x2 < 1."""
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    th = thresholds(g)
-    ratio = s0 / f
-    lo_ok = m.lt((x1 * x2 - 2.0 * x2 + 1.0) / (2.0 * x2), ratio, 1.0)
-    hi_ok = m.lt(ratio, (2.0 - x1) * x2 / (2.0 * (2.0 - x2)), 1.0)
-    if lo_ok and hi_ok:
-        return [
-            (
-                "LOWER:C1_1le2->C1_1gt2",
-                (max(th.alpha2, s0 * (2.0 - x2) / x2), f * (2.0 - x1) / 2.0),
-            )
-        ]
-    return []
+    return _ratio_gate(
+        m, g, (x1 * x2 - 2.0 * x2 + 1.0) / (2.0 * x2), (2.0 - x1) * x2 / (2.0 * (2.0 - x2)),
+        (max(th.alpha2, s0 * (2.0 - x2) / x2), f * (2.0 - x1) / 2.0),
+    )
 
 
-def _form_c2_to_c2_swapped(g: GameInstance, cfg: SearchConfig, m: _Margins, lower_gate: float):
-    """C2 -> swapped C2 (quadratics 7 and 8)."""
+def _form_c2_to_c2_swapped(
+    g: GameInstance, th: Thresholds, cfg: SearchConfig, m: _Margins, lower_gate: float
+):
+    """C2 -> swapped C2 (quadratics 7 and 8); lower gate differs by region."""
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    phi = f + s0
-    th = thresholds(g)
-    if cfg.literal_at("sqrt77"):
-        w = math.sqrt(x1 * s0 * s0 / x2)  # as printed
-    else:
-        w = math.sqrt(x1 * f * s0 / x2)
-    inner = x1 * w - (2.0 * x1 - 1.0) * f
+    inner = x1 * _p2a(g, cfg, "sqrt77") - (2.0 * x1 - 1.0) * f
     q7 = _quad(
         m,
         (2.0 * x1 - 1.0) ** 2 + x1 * x2,
         2.0 * (2.0 * x1 - 1.0) * inner + x1 * x2 * (s0 - f),
         inner * inner - x1 * x2 * f * s0,
-        phi,
     )
     q8 = _quad(
         m,
         1.0,
         s0 - f,
         (x1 / x2) * ((2.0 - 1.0 / x2) * s0 + math.sqrt(x1 * f * s0 / x2)) ** 2 - f * s0,
-        phi,
     )
     if q7.empty or q8.empty:
-        return []
-    win = _window(
-        m, phi, [q7.z_minus, q8.z_minus, lower_gate], [q7.z_plus, q8.z_plus, th.alpha2]
+        return None
+    return _window(
+        m, f + s0, [q7.z_minus, q8.z_minus, lower_gate], [q7.z_plus, q8.z_plus, th.alpha2]
     )
-    return [("LOWER:C2_1le2->C2_1gt2", win)] if win else []
+
+
+def _form_c2_to_c1_swapped(g: GameInstance, th: Thresholds, cfg: SearchConfig):
+    """C2 -> swapped C1."""
+    return max(th.alpha2, th.beta2), g.phi1 - 0.5 * _p2a(g, cfg, "sqrt45")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +624,7 @@ def _oriented_contest_verdict(
     baseline = player_payoffs(g, eps=cfg.eps)
     candidates = []
     if sc:
-        candidates.extend(_sc_routes(g, label.index, cfg, m))
+        candidates.extend(_sc_routes(g, label.index, m))
     if si:
         candidates.extend(_si_windows(g, region, label.index, cfg, m))
     for route, window in candidates:
@@ -669,22 +640,22 @@ def _oriented_contest_verdict(
     return False, None, None
 
 
-def sc_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
-    """Strategically consistent positive contest transfer for an oriented game."""
+def _one_sided_verdict(g: GameInstance, cfg: SearchConfig, sc: bool, si: bool):
     _require_oriented(g, cfg.eps)
     m = _Margins()
-    exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=True, si=False)
+    exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=sc, si=si)
     witness = Transfer(0.0, nu) if nu is not None else None
     return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
+
+
+def sc_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
+    """Strategically consistent positive contest transfer for an oriented game."""
+    return _one_sided_verdict(g, cfg, sc=True, si=False)
 
 
 def si_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
     """Strategically inconsistent positive contest transfer for an oriented game."""
-    _require_oriented(g, cfg.eps)
-    m = _Margins()
-    exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=False, si=True)
-    witness = Transfer(0.0, nu) if nu is not None else None
-    return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
+    return _one_sided_verdict(g, cfg, sc=False, si=True)
 
 
 def _ridge_knife_edge(h: GameInstance, cfg: SearchConfig) -> bool:

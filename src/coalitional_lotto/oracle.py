@@ -24,7 +24,6 @@ from .adversary import DEFAULT_EPS, AdversaryAllocation, adversary_value, player
 from .core import GameInstance, Mechanism, Transfer
 from .mutual import MutualBenefitVerdict
 from .search import (
-    INTERVAL_MARGIN,
     along,
     golden_max,
     min_delta_fn,
@@ -46,16 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid density and relative inset from open-interval endpoints."""
+    """Grid density; scans keep the shared inset from open-interval endpoints."""
 
     resolution: int = 4001
-    margin: float = INTERVAL_MARGIN
 
     def __post_init__(self) -> None:
         if self.resolution < 3:
             raise ValueError("resolution must be >= 3")
-        if not (0.0 < self.margin < 0.5):
-            raise ValueError("margin must be in (0, 0.5)")
 
 
 DEFAULT_GRID_1D = GridSpec(4001)
@@ -66,12 +62,14 @@ def _adv_value_vec(g: GameInstance, xa1):
     """Adversary payoff over an array of splits (xa2 = 1 - xa1)."""
     xa1 = np.asarray(xa1, dtype=float)
     xa2 = 1.0 - xa1
-    u1 = batch._one_v_one_vec(g.phi1, g.x1, xa1)
-    u2 = batch._one_v_one_vec(g.phi2, g.x2, xa2)
+    u1 = batch.one_v_one_vec(g.phi1, g.x1, xa1)
+    u2 = batch.one_v_one_vec(g.phi2, g.x2, xa2)
     return (g.phi1 - u1) + (g.phi2 - u2)
 
 
-def grid_best_response(g_bar: GameInstance, spec: GridSpec = DEFAULT_GRID_1D) -> AdversaryAllocation:
+def grid_best_response(
+    g_bar: GameInstance, spec: GridSpec = DEFAULT_GRID_1D
+) -> AdversaryAllocation:
     """Argmax of the adversary objective over its budget split, by grid search.
 
     Golden-section refinement around the best grid point resolves interior
@@ -122,8 +120,8 @@ def grid_mutual_search(
     gain = min_gain(g)
 
     if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET, spec.margin)
-        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST, spec.margin)
+        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
+        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
         taus = np.linspace(t_lo, t_hi, spec.resolution)[:, None]
         nus = np.linspace(n_lo, n_hi, spec.resolution)[None, :]
         u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
@@ -137,7 +135,7 @@ def grid_mutual_search(
             return MutualBenefitVerdict(mechanism, True, witness, "oracle-grid", near)
         return MutualBenefitVerdict(mechanism, False, None, None, near)
 
-    lo, hi = transfer_interval(g, mechanism, spec.margin)
+    lo, hi = transfer_interval(g, mechanism)
     vs = np.linspace(lo, hi, spec.resolution)
     if mechanism is Mechanism.BUDGET:
         u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
@@ -173,8 +171,8 @@ def grid_max_collective(
         spec = DEFAULT_GRID_2D if mechanism is Mechanism.JOINT else DEFAULT_GRID_1D
 
     if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET, spec.margin)
-        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST, spec.margin)
+        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
+        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
         taus = np.linspace(t_lo, t_hi, spec.resolution)
         nus = np.linspace(n_lo, n_hi, spec.resolution)
         total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
@@ -198,7 +196,7 @@ def grid_max_collective(
             best = max(best, val)
         return best
 
-    lo, hi = transfer_interval(g, mechanism, spec.margin)
+    lo, hi = transfer_interval(g, mechanism)
     vs = np.linspace(lo, hi, spec.resolution)
     if mechanism is Mechanism.BUDGET:
         total = batch.collective_at_transfers(g, vs, 0.0)

@@ -4,8 +4,8 @@ The budget and joint verdicts in ``mutual`` and the brute-force searches in
 ``oracle`` scan the same feasible intervals and judge candidates by the same
 definitions:
 
-* feasible intervals are open, so scans stay ``max(width * margin,
-  10 * EPS_FEAS)`` inside each endpoint;
+* feasible intervals are open, so scans stay ``max(width *
+  INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint;
 * a transfer is mutually beneficial when both payoff deltas exceed
   ``GAIN_RTOL`` of the total valuation;
 * a positive verdict is near a boundary when its best smaller delta stays
@@ -62,15 +62,13 @@ def thin_margin(g: GameInstance, best: float) -> bool:
     return min_gain(g) < best < NEAR_RTOL * g.total_valuation
 
 
-def transfer_interval(
-    g: GameInstance, mechanism: Mechanism, margin: float = INTERVAL_MARGIN
-) -> tuple[float, float]:
+def transfer_interval(g: GameInstance, mechanism: Mechanism) -> tuple[float, float]:
     """Inset endpoints of the open interval of budget or contest transfers."""
     if mechanism is Mechanism.BUDGET:
         lo, hi = -g.x2, g.x1
     else:
         lo, hi = -g.phi2, g.phi1
-    inset = max((hi - lo) * margin, 10.0 * EPS_FEAS)
+    inset = max((hi - lo) * INTERVAL_MARGIN, 10.0 * EPS_FEAS)
     return lo + inset, hi - inset
 
 

@@ -28,7 +28,13 @@ from .mutual import (
     contest_mutual_exists,
     joint_mutual_exists,
 )
-from .oracle import DEFAULT_GRID_1D, GridSpec, grid_best_response, grid_max_collective, grid_mutual_search
+from .oracle import (
+    DEFAULT_GRID_1D,
+    GridSpec,
+    grid_best_response,
+    grid_max_collective,
+    grid_mutual_search,
+)
 from .rng import SplitMix64
 from .search import transfer_interval
 

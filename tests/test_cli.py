@@ -41,6 +41,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["case"] == "C2_1le2"
 
+    def test_typo_mode_literal_flips_contest_verdict(self, capsys):
+        # Route 3.3's upper bound reads sqrt33 literally and its window closes.
+        game = ["--phi1", "1.85", "--phi2", "2.67", "--x1", "0.195", "--x2", "2.41"]
+        verdicts = {}
+        for mode in ("corrected", "literal"):
+            code, out, _ = run_cli(capsys, "analyze", *game, "--typo-mode", mode)
+            assert code == 0
+            verdicts[mode] = json.loads(out)["mutual"]["contest"]
+        assert verdicts["corrected"]["exists"] is True
+        assert verdicts["corrected"]["route"] == "3.3:C2_1le2->C1_1gt2"
+        assert verdicts["literal"]["exists"] is False
+
 
 class TestCurve:
     def test_contest_curve_peak(self, capsys, tmp_path):
