@@ -36,6 +36,7 @@ __all__ = [
     "CaseLabel",
     "AdversaryAllocation",
     "DEFAULT_EPS",
+    "case_of",
     "classify_case",
     "best_response",
     "player_payoffs",
@@ -72,6 +73,13 @@ class CaseLabel:
     def swapped(self) -> bool:
         return self.orientation is Orientation.ONE_GT_TWO
 
+    @classmethod
+    def of(cls, index: int, swapped: bool) -> "CaseLabel":
+        """The label of a ``case_of`` result."""
+        if index == 4:
+            return cls(4, None)
+        return cls(index, Orientation.ONE_GT_TWO if swapped else Orientation.ONE_LE_TWO)
+
 
 @dataclass(frozen=True)
 class AdversaryAllocation:
@@ -81,7 +89,7 @@ class AdversaryAllocation:
     xa2: float
 
 
-def _case(phi1, phi2, x1, x2, eps):
+def case_of(phi1, phi2, x1, x2, eps):
     """Case index and orientation ``(index, swapped)`` of a game, on floats.
 
     ``swapped`` is true when player 2 has the weaker budget-to-valuation
@@ -110,11 +118,8 @@ def _case(phi1, phi2, x1, x2, eps):
 
 
 def classify_case(g: GameInstance, eps: float = DEFAULT_EPS) -> CaseLabel:
-    """Classify a game into the seven-way case partition (see ``_case``)."""
-    index, swapped = _case(g.phi1, g.phi2, g.x1, g.x2, eps)
-    if index == 4:
-        return CaseLabel(4, None)
-    return CaseLabel(index, Orientation.ONE_GT_TWO if swapped else Orientation.ONE_LE_TWO)
+    """Classify a game into the seven-way case partition (see ``case_of``)."""
+    return CaseLabel.of(*case_of(g.phi1, g.phi2, g.x1, g.x2, eps))
 
 
 def _split_oriented(index, phi_w, phi_s, x_w, x_s):
@@ -139,7 +144,7 @@ def _split(phi1, phi2, x1, x2, eps):
     The weak-ratio side's share comes from the closed form and the other
     side gets the rest, so the two always sum to 1.
     """
-    index, swapped = _case(phi1, phi2, x1, x2, eps)
+    index, swapped = case_of(phi1, phi2, x1, x2, eps)
     if swapped:
         xa2 = _split_oriented(index, phi2, phi1, x2, x1)
         return 1.0 - xa2, xa2

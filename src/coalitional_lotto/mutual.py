@@ -12,8 +12,19 @@ treatments:
   routes are enumerated per budget region R1..R5; each route reduces to
   threshold gates (alpha/beta breakpoints) and open intervals where one or
   two quadratics in the transfer amount are negative.
-* budget transfers -- no closed form is implemented; existence is decided by
-  a dense scan of the feasible interval plus local refinement.
+* budget transfers -- exact piecewise decision.  A budget transfer keeps
+  ``X = x1 + x2`` and moves the budgets ``b1 = x1 - tau``, ``b2 = x2 + tau``
+  along ``q = sqrt(b1 / b2)``.  The equal-ratio ridge and the case edges,
+  each a root of a quadratic in ``q``, cut the feasible interval into
+  pieces with closed-form payoffs.  With ``k = sqrt(phi1 * phi2)``, case 3
+  gives ``u1 = (X/2)(phi1 q**2 + k q) / (1 + q**2)`` and ``u2 = (X/2)(phi2 +
+  k q) / (1 + q**2)``; case 2 with player 1 weak gives ``u1 = k q / 2`` and
+  ``u2 = phi2 - phi2 (1 + q**2) / (2 X) + k q / 2``; case 1 with player 1
+  weak gives ``u2 = phi2`` and ``u1 = phi1 b1 / 2`` or ``phi1 (1 - 1 / (2
+  b1))``, rising with ``q``; player 2 weak swaps the players and uses
+  ``1/q``.  The best transfer on each piece lies at an end, a stationary
+  point or a crossing of the two payoff deltas, all roots of quadratics,
+  and is validated through the payoff map.
 * joint transfers -- a first-order test: unless the two payoff gradients at
   zero are antiparallel (or degenerate), a short step along the bisector of
   the ascent directions improves both payoffs.  A 2-D grid search backs up
@@ -35,17 +46,9 @@ from enum import Enum
 
 import numpy as np
 
-from .adversary import DEFAULT_EPS, classify_case, player_payoffs
+from .adversary import DEFAULT_EPS, CaseLabel, case_of, classify_case, player_payoffs
 from .core import GameInstance, Mechanism, Transfer, swap_indices
-from .search import (
-    NEAR_RTOL,
-    golden_max,
-    min_delta_fn,
-    min_gain,
-    off_ridge_best,
-    thin_margin,
-    transfer_interval,
-)
+from .search import NEAR_RTOL, RIDGE_RTOL, min_gain, thin_margin, transfer_interval
 from . import batch
 
 __all__ = [
@@ -156,9 +159,7 @@ def thresholds(g: GameInstance) -> Thresholds:
 #   c14     quadratic constant in route 5.11 (missing square)
 TYPO_SITES = ("c2", "sqrt33", "sqrt77", "sqrt45", "c14")
 
-# Resolution of the numeric budget and joint verdicts.
-SCAN_POINTS = 2001  # budget scan over the feasible interval
-REFINE_ITERS = 60  # golden-section iterations per refinement
+# Resolution of the numeric joint verdict.
 JOINT_GRID = 201  # points per axis of the joint fallback grid
 GRAD_STEP = 1e-6  # central-difference step of the joint gradient test
 ANTIPARALLEL_RTOL = 1e-8  # |cross| below this share of |g1||g2| is antiparallel
@@ -703,47 +704,135 @@ def contest_mutual_exists(
     return MutualBenefitVerdict(Mechanism.CONTEST, False, None, None, near)
 
 
+def _positive_roots(a: float, b: float, c: float) -> list[float]:
+    """Positive real roots of ``a*z**2 + b*z + c = 0`` (none when ``a == 0``)."""
+    d = b * b - 4.0 * a * c
+    if a == 0.0 or d < 0.0:
+        return []
+    r = -0.5 * (b + math.copysign(math.sqrt(d), b))
+    roots = [r / a, c / r] if r != 0.0 else []
+    return [z for z in roots if z > 0.0]
+
+
+def _case_edges(big_x: float, rho: float) -> list[float]:
+    """Case-1 and case-2/3 edges on the side where player w is weak.
+
+    In ``z = sqrt(b_w / b_s)`` the side is ``z < rho``, the adversary's
+    weak-front share is ``s = big_x * rho * z / (1 + z**2)``, and the edges
+    ``s = 1`` and ``1 - s = b_s`` are the quadratics below.
+    """
+    return [
+        z
+        for const in (1.0, 1.0 - big_x)
+        for z in _positive_roots(1.0, -big_x * rho, const)
+        if z < rho
+    ]
+
+
+def _around(q_ridge: float, gap: float) -> tuple[float, float]:
+    """The two values of ``q`` whose ratio gap to the ridge ``q_ridge`` is ``gap``."""
+    s = math.sqrt(1.0 - min(gap, 0.5))
+    return q_ridge * s, q_ridge / s
+
+
+def _piece_candidates(
+    index: int, phi_w: float, phi_s: float, base_gap: float, big_x: float
+) -> list[float]:
+    """Interior maximizer candidates of ``min(d_w, d_s)`` on one piece, in ``z``.
+
+    With ``k = sqrt(phi_w * phi_s)``, ``X = big_x`` and ``base_gap = base_w -
+    base_s``, the payoffs on a piece of case ``index`` are
+
+    * case 2: ``u_w = k z / 2``, ``u_s = phi_s - phi_s (1 + z**2) / (2 X) + k z / 2``;
+    * case 3: ``u_w = (X/2)(phi_w z**2 + k z) / (1 + z**2)``,
+      ``u_s = (X/2)(phi_s + k z) / (1 + z**2)``.
+
+    The candidates are the stationary points of ``u_w`` and ``u_s`` and the
+    crossings ``d_w = d_s``.  In case 1 ``u_s = phi_s`` and ``u_w`` rises
+    with ``z``, and in case 4 both are constant, so only a piece's ends count.
+    """
+    k = math.sqrt(phi_w * phi_s)
+    if index == 2:
+        crossing = 1.0 - 2.0 * big_x * (phi_s + base_gap) / phi_s
+        return [0.5 * k * big_x / phi_s] + _positive_roots(1.0, 0.0, crossing)
+    if index == 3:
+        half_x = 0.5 * big_x
+        return (
+            _positive_roots(k, -2.0 * phi_w, -k)
+            + _positive_roots(k, 2.0 * phi_s, -k)
+            + _positive_roots(half_x * phi_w - base_gap, 0.0, -(half_x * phi_s + base_gap))
+        )
+    return []
+
+
 def budget_mutual_exists(
     g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> MutualBenefitVerdict:
-    """Mutually beneficial budget transfer, decided numerically.
+    """Mutually beneficial budget transfer, decided piece by piece.
 
-    Scans the feasible interval for a point where both payoff deltas are
-    positive, then refines the best candidate by golden-section on the
-    smaller delta.
+    In ``q = sqrt(b1 / b2)``, which falls as ``tau`` grows, the ridge ``q =
+    sqrt(phi1 / phi2)``, the edges of the adversary's case-4 band, and the
+    case edges of ``_case_edges`` (in ``z = q`` below the ridge, ``z = 1/q``
+    above it) cut the feasible interval into pieces.  Each piece is
+    classified at its midpoint by ``case_of``, and the smaller payoff delta
+    is evaluated through ``player_payoffs`` at its ends and its interior
+    candidates (``_piece_candidates``), among which its maximum lies.  The
+    route names the case of the deciding piece, ``exact:<case label>``.  The
+    sliver within ``2 * RIDGE_RTOL`` of the ridge is searched apart: a
+    benefit found only there rides on the adversary's indifference
+    tie-break and is reported as the ``ridge-knife-edge``.
     """
     baseline = player_payoffs(g, eps=cfg.eps)
     gain = min_gain(g)
-    taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), SCAN_POINTS)
-    u1, u2 = batch.payoffs_at_transfers(g, taus, 0.0, cfg.eps)
-    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-    k = int(np.argmax(score))
-    best = float(score[k])
-    tau_best = float(taus[k])
-    min_delta = min_delta_fn(g, Mechanism.BUDGET, baseline, cfg.eps)
-    if best <= gain:
-        # No grid hit: refine the best candidate before concluding absence,
-        # in case the beneficial window is narrower than the scan step.
-        lo = taus[max(k - 1, 0)]
-        hi = taus[min(k + 1, len(taus) - 1)]
-        tau_ref, best_ref = golden_max(min_delta, lo, hi, REFINE_ITERS)
-        if best_ref > best:
-            tau_best, best = tau_ref, best_ref
-    near = thin_margin(g, best)
-    # A benefit only where the ratios are exactly equal rides on the
-    # adversary's indifference tie-break: report no robust transfer and flag
-    # the knife-edge unless there is off-ridge evidence.
-    found = off_ridge_best(
-        g, Mechanism.BUDGET, taus, score, tau_best, best, min_delta, REFINE_ITERS
-    )
-    if found is None:
-        return MutualBenefitVerdict(Mechanism.BUDGET, False, None, "ridge-knife-edge", True)
-    tau_best, best = found
-    if best > gain:
+    lo, hi = transfer_interval(g, Mechanism.BUDGET)
+    big_x = g.total_budget
+    q_ridge = math.sqrt(g.phi1 / g.phi2)
+    q_lo = math.sqrt((g.x1 - hi) / (g.x2 + hi))
+    q_hi = math.sqrt((g.x1 - lo) / (g.x2 + lo))
+    sliver = _around(q_ridge, 2.0 * RIDGE_RTOL)
+    # The case-4 band |gap| <= eps is a piece of its own: the payoffs jump there.
+    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * cfg.eps)}
+    breaks.update(_case_edges(big_x, q_ridge))
+    breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge))
+    qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
+
+    def tau_at(q: float) -> float:
+        return min(max(big_x / (1.0 + q * q) - g.x2, lo), hi)
+
+    # Score of a transfer: the smaller payoff delta, ties broken by the sum.
+    scores: dict[float, tuple[float, float]] = {}
+    # Best (score, case index), q and case label, off the ridge sliver and
+    # inside it.  An end shared by two pieces goes to the higher case index,
+    # so mirrored games get mirrored labels.
+    best = dict.fromkeys((False, True), ((-math.inf, 0.0, 0), q_lo, None))
+    for qa, qb in zip(qs, qs[1:]):
+        q_mid = 0.5 * (qa + qb)
+        on_ridge = sliver[0] < q_mid < sliver[1]
+        b2 = big_x / (1.0 + q_mid * q_mid)
+        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2, cfg.eps)
+        if swapped:
+            zs = _piece_candidates(index, g.phi2, g.phi1, baseline[1] - baseline[0], big_x)
+            inner = [1.0 / z for z in zs]
+        else:
+            inner = _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
+        for q in [qa, qb] + [q for q in inner if qa < q < qb]:
+            if q not in scores:
+                u1, u2 = player_payoffs(g, Transfer(tau_at(q), 0.0), cfg.eps)
+                d1, d2 = u1 - baseline[0], u2 - baseline[1]
+                scores[q] = (min(d1, d2), d1 + d2)
+            key = (*scores[q], index)
+            if key > best[on_ridge][0]:
+                best[on_ridge] = (key, q, CaseLabel.of(index, swapped))
+    (value, _, _), q_best, label = best[False]
+    if value > gain:
+        witness = Transfer(tau_at(q_best), 0.0)
         return MutualBenefitVerdict(
-            Mechanism.BUDGET, True, Transfer(tau_best, 0.0), "numeric-scan", near
+            Mechanism.BUDGET, True, witness, f"exact:{label}", thin_margin(g, value)
         )
-    return MutualBenefitVerdict(Mechanism.BUDGET, False, None, None, near)
+    (ridge_value, _, _), _, _ = best[True]
+    if ridge_value > gain:
+        return MutualBenefitVerdict(Mechanism.BUDGET, False, None, "ridge-knife-edge", True)
+    return MutualBenefitVerdict(Mechanism.BUDGET, False, None, None, False)
 
 
 def _gradient(g, which, h_tau, h_nu, eps):

@@ -1,10 +1,10 @@
 """Rules shared by the numeric transfer searches and the grid oracle.
 
 The budget and joint verdicts in ``mutual`` and the brute-force searches in
-``oracle`` scan the same feasible intervals and judge candidates by the same
-definitions:
+``oracle`` search the same feasible intervals and judge candidates by the
+same definitions:
 
-* feasible intervals are open, so scans stay ``max(width *
+* feasible intervals are open, so searches stay ``max(width *
   INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint;
 * a transfer is mutually beneficial when both payoff deltas exceed
   ``GAIN_RTOL`` of the total valuation;

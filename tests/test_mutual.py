@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto.core import GameInstance, Mechanism, swap_indices
+from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
     Mechanism,
     Region,
@@ -21,9 +21,43 @@ from coalitional_lotto.mutual import (
     thresholds,
 )
 from coalitional_lotto.oracle import grid_mutual_search
+from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import RIDGE_RTOL, ridge_gap
 
 from conftest import random_games
+
+# Values over four decades, uniform in the exponent.
+decades = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+def _mirror(route: str) -> str:
+    return route.replace("1le2", "?").replace("1gt2", "1le2").replace("?", "1gt2")
+
+
+def stratified_games(per_region: int, seed: int) -> list[GameInstance]:
+    """Games with budgets in each region R1..R5; every fourth on the ridge."""
+    rng = SplitMix64(seed)
+    ranges = {
+        "R1": ((1.0, 4.0), (1.0, 4.0)),
+        "R2": ((1.0, 4.0), (0.02, 1.0)),
+        "R3": ((0.02, 1.0), (1.0, 4.0)),
+        "R4": ((0.02, 1.0), (0.02, 1.0)),
+        "R5": ((0.02, 1.0), (0.02, 1.0)),
+    }
+    games = []
+    for region, (r1, r2) in ranges.items():
+        count = 0
+        while count < per_region:
+            x1, x2 = rng.uniform(*r1), rng.uniform(*r2)
+            phi1 = 10.0 ** rng.uniform(-1.0, 1.0)
+            phi2 = 10.0 ** rng.uniform(-1.0, 1.0)
+            if count % 4 == 3:
+                phi2 = phi1 * x2 / x1
+            g = GameInstance(phi1, phi2, x1, x2)
+            if classify_region(g).value == region:
+                games.append(g)
+                count += 1
+    return games
 
 
 class TestRegion:
@@ -267,9 +301,11 @@ class TestBudgetMutual:
     @pytest.mark.parametrize(
         "params",
         [
-            # Both the verdict and the oracle refine onto the ridge point.
+            # The best benefit lies beside the ridge: the verdict's witness is
+            # at the edge of the ridge sliver; the oracle refines onto the
+            # ridge point and its fallback moves off it.
             (48.88733723364115, 0.044168801810295144, 72.18745201076266, 0.05870941428526402),
-            # The verdict's refinement lands on the ridge; the oracle's does not.
+            # The same, but the oracle's refinement does not land on the ridge.
             (0.06556647764031946, 8.917807076820045, 0.09600343357462351, 13.416855614120065),
             (0.028627368975401614, 74.14857519575018, 0.006706543572010456, 47.77922864571314),
         ],
@@ -280,6 +316,73 @@ class TestBudgetMutual:
             assert v.exists
             assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > RIDGE_RTOL
             assert is_mutually_beneficial(g, v.witness)
+
+    @pytest.mark.parametrize(
+        "params,route",
+        [
+            # Case 1 on the player-2-weak side up to the ridge sliver.
+            ((1.0, 1.0, 2.0, 0.4), "exact:C1_1gt2"),
+            # The running example: case 1 with player 1 weak.
+            ((12.0, 10.0, 0.4, 1.6), "exact:C1_1le2"),
+            # Interior maxima of case-2 and case-3 pieces.
+            ((1.0, 1.0, 0.8, 0.1), "exact:C2_1gt2"),
+            ((1.0, 2.0, 0.4, 0.05), "exact:C3_1gt2"),
+        ],
+    )
+    def test_route_exemplars(self, params, route):
+        g = GameInstance(*params)
+        v = budget_mutual_exists(g)
+        assert (v.exists, v.route, v.near_boundary) == (True, route, False)
+        assert is_mutually_beneficial(g, v.witness)
+        w = budget_mutual_exists(swap_indices(g))
+        assert (w.exists, w.route) == (True, _mirror(route))
+        assert is_mutually_beneficial(swap_indices(g), w.witness)
+
+    def test_ridge_knife_edge_exemplar(self):
+        # The ratios differ by about 1.9e-6: transfers toward the ridge benefit
+        # both players, but only inside the ridge sliver.
+        g = GameInstance(
+            2.112853218100396, 0.020730816272816647, 3.0638782857109907, 0.030061992959509894
+        )
+        for h in (g, swap_indices(g)):
+            v = budget_mutual_exists(h)
+            assert (v.exists, v.route, v.near_boundary) == (False, "ridge-knife-edge", True)
+
+    def test_agrees_with_oracle_on_stratified_corpus(self):
+        games = stratified_games(per_region=24, seed=2024)
+        decided = []
+        for g in games:
+            v = budget_mutual_exists(g)
+            o = grid_mutual_search(g, Mechanism.BUDGET)
+            if v.exists:
+                assert is_mutually_beneficial(g, v.witness)
+            if not (v.near_boundary or o.near_boundary):
+                assert v.exists == o.exists, g
+                decided.append(v.exists)
+        # Both answers occur, and flags excuse only a few games.
+        assert any(decided) and not all(decided)
+        assert len(decided) >= 0.9 * len(games)
+
+    @given(phi1=decades, phi2=decades, x1=decades, x2=decades, on_ridge=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_swap_mirrors_verdict(self, phi1, phi2, x1, x2, on_ridge):
+        g = GameInstance(phi1, phi1 * x2 / x1 if on_ridge else phi2, x1, x2)
+        v = budget_mutual_exists(g)
+        w = budget_mutual_exists(swap_indices(g))
+        assert (w.exists, w.near_boundary) == (v.exists, v.near_boundary)
+        if v.exists:
+            assert is_mutually_beneficial(swap_indices(g), Transfer(-v.witness.tau, 0.0))
+
+    @given(
+        phi1=decades, phi2=decades, x1=decades, x2=decades, on_ridge=st.booleans(),
+        c=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_valuation_scale_invariance(self, phi1, phi2, x1, x2, on_ridge, c):
+        g = GameInstance(phi1, phi1 * x2 / x1 if on_ridge else phi2, x1, x2)
+        v = budget_mutual_exists(g)
+        s = budget_mutual_exists(GameInstance(c * g.phi1, c * g.phi2, x1, x2))
+        assert (s.exists, s.near_boundary) == (v.exists, v.near_boundary)
 
 
 class TestJointMutual:
