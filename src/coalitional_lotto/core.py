@@ -99,7 +99,7 @@ class Transfer:
 
     Negative components move resources in the opposite direction.  Feasibility
     is relative to a game instance: ``-x2 < tau < x1`` and ``-phi2 < nu < phi1``
-    (open intervals, checked with slack ``EPS_FEAS``).
+    (open intervals, checked with slack ``EPS_FEAS``; see ``post_transfer_params``).
     """
 
     tau: float = 0.0
@@ -165,14 +165,21 @@ def one_v_one_payoff(phi: float, x_player: float, x_adv: float) -> PayoffPair:
 def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, float, float]:
     """Post-transfer parameters ``(phi1 - nu, phi2 + nu, x1 - tau, x2 + tau)``.
 
-    The feasibility rule: every component must stay above ``EPS_FEAS``,
-    otherwise ``InfeasibleTransferError`` is raised.
+    The feasibility rule: every component must stay above ``EPS_FEAS``, or
+    above ``EPS_FEAS`` times its own pre-transfer value when that is below 1,
+    so the zero transfer is feasible on every valid game.  Otherwise
+    ``InfeasibleTransferError`` is raised.
     """
     phi1 = g.phi1 - t.nu
     phi2 = g.phi2 + t.nu
     x1 = g.x1 - t.tau
     x2 = g.x2 + t.tau
     if phi1 > EPS_FEAS and phi2 > EPS_FEAS and x1 > EPS_FEAS and x2 > EPS_FEAS:
+        return phi1, phi2, x1, x2
+    if all(
+        after > EPS_FEAS * min(1.0, before)
+        for after, before in ((phi1, g.phi1), (phi2, g.phi2), (x1, g.x1), (x2, g.x2))
+    ):
         return phi1, phi2, x1, x2
     raise InfeasibleTransferError(
         f"transfer (tau={t.tau}, nu={t.nu}) infeasible for game {g.as_dict()}"

@@ -25,10 +25,16 @@ treatments:
   ``1/q``.  The best transfer on each piece lies at an end, a stationary
   point or a crossing of the two payoff deltas, all roots of quadratics,
   and is validated through the payoff map.
-* joint transfers -- a first-order test: unless the two payoff gradients at
-  zero are antiparallel (or degenerate), a short step along the bisector of
-  the ascent directions improves both payoffs.  A 2-D grid search backs up
-  the gradient test near kinks.
+* joint transfers -- decided from the collective surplus.  Every transfer
+  keeps ``X`` and ``Phi = phi1 + phi2``, so none lifts the payoff sum above
+  ``max_collective_payoff``, and both players can gain only when the
+  surplus ``S`` of that maximum over the baseline sum exceeds twice the
+  gain floor.  A joint transfer reaches the ridge and splits the maximum in
+  any proportion, so ``S`` above that floor leaves a witness, placed just
+  outside the ridge sliver, at ratio gap ``2 * RIDGE_RTOL`` on the game's
+  own side.  There both payoffs are closed forms in the weak player's
+  post-transfer valuation, and the equal-gain split solves a linear
+  equation (cases 1, 2 and 4) or a quadratic (case 3).
 
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
@@ -47,6 +53,7 @@ from enum import Enum
 import numpy as np
 
 from .adversary import DEFAULT_EPS, CaseLabel, case_of, classify_case, player_payoffs
+from .collective import max_collective_payoff
 from .core import GameInstance, Mechanism, Transfer, swap_indices
 from .search import NEAR_RTOL, RIDGE_RTOL, min_gain, thin_margin, transfer_interval
 from . import batch
@@ -158,12 +165,6 @@ def thresholds(g: GameInstance) -> Thresholds:
 #   sqrt45  same square root in route 4.5/5.9's upper bound
 #   c14     quadratic constant in route 5.11 (missing square)
 TYPO_SITES = ("c2", "sqrt33", "sqrt77", "sqrt45", "c14")
-
-# Resolution of the numeric joint verdict.
-JOINT_GRID = 201  # points per axis of the joint fallback grid
-GRAD_STEP = 1e-6  # central-difference step of the joint gradient test
-ANTIPARALLEL_RTOL = 1e-8  # |cross| below this share of |g1||g2| is antiparallel
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -835,69 +836,89 @@ def budget_mutual_exists(
     return MutualBenefitVerdict(Mechanism.BUDGET, False, None, None, False)
 
 
-def _gradient(g, which, h_tau, h_nu, eps):
-    def u(tau, nu):
-        return player_payoffs(g, Transfer(tau, nu), eps)[which]
+def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: float):
+    """``p = phi_w'`` with ``u_w - u_s = lead`` on the case-``index`` piece of a gap curve.
 
-    du_dtau = (u(h_tau, 0.0) - u(-h_tau, 0.0)) / (2.0 * h_tau)
-    du_dnu = (u(0.0, h_nu) - u(0.0, -h_nu)) / (2.0 * h_nu)
-    return du_dtau, du_dnu
+    The curve holds the post-transfer games whose weak ratio sits ``gap``
+    below the strong one: ``x_w' = (1 - gap) X p / D`` with ``D = Phi - gap
+    p``.  With ``c = sqrt(1 - gap)``, the adversary's weak-front share is ``c
+    X p / D`` in case 2 and ``c p / (c p + Phi - p)`` in case 3, and
+
+    * case 1: ``u_s = Phi - p`` and ``u_w = p - D / (2 c**2 X)``, linear.  That
+      form is exact once ``x_w' >= 1``; in the band ``c <= x_w' < 1`` it is
+      off by at most ``p * gap**2 / 8``;
+    * case 2: ``u_w = c p / 2``, ``u_s = Phi - p - (D - c X p) / (2 X)``, linear;
+    * case 3: ``u_w = c X p (Phi - (1 - c) p) / (2 D)``, ``u_s = X (Phi - p)
+      (Phi - (1 - c) p) / (2 D)``, a quadratic whose smaller root counts;
+    * case 4 (a tolerance ``eps`` above ``gap``): ``u_i = phi_i' (1 - 1 / (2
+      X))``, linear.
+
+    None when the quadratic has no positive root.
+    """
+    if index == 1:
+        half = 0.5 / ((1.0 - gap) * big_x)
+        return (big_phi + lead + half * big_phi) / (2.0 + half * gap)
+    if index == 2:
+        return (lead + big_phi - big_phi / (2.0 * big_x)) / (1.0 - gap / (2.0 * big_x))
+    if index == 3:
+        b = -2.0 * (big_x * big_phi + lead * gap)
+        c = big_phi * (big_x * big_phi + 2.0 * lead)
+        return min(_positive_roots(big_x * gap, b, c), default=None)
+    return 0.5 * (big_phi + lead / (1.0 - 0.5 / big_x))
+
+
+def _gap_witness(
+    g: GameInstance, baseline: tuple[float, float], eps: float
+) -> tuple[Transfer, CaseLabel] | None:
+    """The equal-gain split at ratio gap ``2 * RIDGE_RTOL``, with its case label.
+
+    The witness keeps the weaker ratio with the same player (the game's own
+    side of the ridge) and moves budgets and valuations onto the gap curve
+    of ``_gap_crossing``.  Along the curve ``u_w`` rises and ``u_s`` falls
+    with ``p``, so the crossing ``d_w = d_s`` is the best split there.  It
+    is taken from the piece that ``case_of`` confirms at its solution.
+    """
+    swapped = g.x2 / g.phi2 < g.x1 / g.phi1
+    if swapped:
+        phi_w, x_w, lead = g.phi2, g.x2, baseline[1] - baseline[0]
+    else:
+        phi_w, x_w, lead = g.phi1, g.x1, baseline[0] - baseline[1]
+    big_phi, big_x = g.total_valuation, g.total_budget
+    gap = 2.0 * RIDGE_RTOL
+    # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes last, for rich w.
+    for index in (3, 2, 1) if big_x < 1.0 else (2, 1, 4):
+        p = _gap_crossing(index, big_phi, big_x, gap, lead)
+        if p is None or not 0.0 < p < big_phi:
+            continue
+        xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)
+        if case_of(p, big_phi - p, xw, big_x - xw, eps)[0] == index:
+            tau, nu = x_w - xw, phi_w - p
+            witness = Transfer(-tau, -nu) if swapped else Transfer(tau, nu)
+            return witness, CaseLabel.of(index, swapped)
+    return None
 
 
 def joint_mutual_exists(
     g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> MutualBenefitVerdict:
-    """Mutually beneficial joint transfer.
+    """Mutually beneficial joint transfer, from the collective surplus.
 
-    Stage 1: central-difference payoff gradients at zero; when they are not
-    antiparallel (and both nonzero) a short step along the bisector of the
-    ascent directions improves both payoffs.  Stage 2 (robustness near kinks):
-    a 2-D grid search over the feasible rectangle.
+    A surplus at or below twice the gain floor certifies absence (no route,
+    unflagged).  Otherwise the equal-gain split at the sliver's edge
+    (``_gap_witness``) is validated through the payoff map and named
+    ``exact:<case label>``; when it fails, both players gain only inside the
+    ridge sliver, the flagged ``ridge-knife-edge``.
     """
     baseline = player_payoffs(g, eps=cfg.eps)
     gain = min_gain(g)
-    h_tau = min(GRAD_STEP, 0.25 * min(g.x1, g.x2))
-    h_nu = min(GRAD_STEP, 0.25 * min(g.phi1, g.phi2))
-    g1 = _gradient(g, 0, h_tau, h_nu, cfg.eps)
-    g2 = _gradient(g, 1, h_tau, h_nu, cfg.eps)
-    n1 = math.hypot(*g1)
-    n2 = math.hypot(*g2)
-    scale = g.total_valuation / min(1.0, g.x1 + g.x2)
-    if n1 > 1e-12 * scale and n2 > 1e-12 * scale:
-        cross = g1[0] * g2[1] - g1[1] * g2[0]
-        dot = g1[0] * g2[0] + g1[1] * g2[1]
-        if abs(cross) > ANTIPARALLEL_RTOL * n1 * n2 or dot > 0.0:
-            d_tau = g1[0] / n1 + g2[0] / n2
-            d_nu = g1[1] / n1 + g2[1] / n2
-            norm = math.hypot(d_tau, d_nu)
-            if norm > 0.0:
-                d_tau /= norm
-                d_nu /= norm
-                caps = [
-                    0.9 * g.x1 / d_tau if d_tau > 0 else math.inf,
-                    0.9 * g.x2 / -d_tau if d_tau < 0 else math.inf,
-                    0.9 * g.phi1 / d_nu if d_nu > 0 else math.inf,
-                    0.9 * g.phi2 / -d_nu if d_nu < 0 else math.inf,
-                ]
-                step = 0.5 * min(min(caps), g.total_budget + g.total_valuation)
-                for _ in range(60):
-                    t = Transfer(step * d_tau, step * d_nu)
-                    d1, d2 = payoff_deltas(g, t, baseline, cfg.eps)
-                    if d1 > gain and d2 > gain:
-                        near = thin_margin(g, min(d1, d2))
-                        return MutualBenefitVerdict(Mechanism.JOINT, True, t, "gradient", near)
-                    step *= 0.5
-    # Fallback: exhaustive coarse grid over the joint rectangle.
-    n = JOINT_GRID
-    taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), n)[:, None]
-    nus = np.linspace(*transfer_interval(g, Mechanism.CONTEST), n)[None, :]
-    u1, u2 = batch.payoffs_at_transfers(g, taus, nus, cfg.eps)
-    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-    k = int(np.argmax(score))
-    i, j = divmod(k, n)
-    best = float(score[i, j])
-    near = thin_margin(g, best)
-    if best > gain:
-        witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
-        return MutualBenefitVerdict(Mechanism.JOINT, True, witness, "grid", near)
-    return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, near)
+    if max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * gain:
+        return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, False)
+    found = _gap_witness(g, baseline, cfg.eps)
+    if found is not None:
+        witness, label = found
+        d1, d2 = payoff_deltas(g, witness, baseline, cfg.eps)
+        if d1 > gain and d2 > gain:
+            return MutualBenefitVerdict(
+                Mechanism.JOINT, True, witness, f"exact:{label}", thin_margin(g, min(d1, d2))
+            )
+    return MutualBenefitVerdict(Mechanism.JOINT, False, None, "ridge-knife-edge", True)

@@ -1,8 +1,8 @@
 """Rules shared by the numeric transfer searches and the grid oracle.
 
 The budget and joint verdicts in ``mutual`` and the brute-force searches in
-``oracle`` search the same feasible intervals and judge candidates by the
-same definitions:
+``oracle`` judge candidates by the same definitions, and the budget verdict
+and the oracle search the same feasible intervals:
 
 * feasible intervals are open, so searches stay ``max(width *
   INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint;
@@ -139,11 +139,22 @@ def off_ridge_best(
         return float(vs[k]), float(score[k])
     step = float(vs[1] - vs[0])
     found = (None, -math.inf)
+
+    def in_sliver(v: float) -> bool:
+        return ridge_gap(g, mechanism, v) <= 2.0 * RIDGE_RTOL
+
     for sign in (1.0, -1.0):
-        # Start where the ridge gap safely exceeds the tie-break sliver.
-        delta = step * 1e-9
-        while delta < step and ridge_gap(g, mechanism, v_best + sign * delta) <= 2.0 * RIDGE_RTOL:
-            delta *= 4.0
+        # Start at the smallest offset whose ridge gap exceeds the tie-break
+        # sliver: bracket it by factors of 4, then bisect the bracket.
+        short, delta = 0.0, step * 1e-9
+        while delta < step and in_sliver(v_best + sign * delta):
+            short, delta = delta, 4.0 * delta
+        for _ in range(40):
+            mid = 0.5 * (short + delta)
+            if in_sliver(v_best + sign * mid):
+                short = mid
+            else:
+                delta = mid
         a = v_best + sign * delta
         b = v_best + sign * step
         a, b = min(a, b), max(a, b)

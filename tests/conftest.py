@@ -2,11 +2,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from coalitional_lotto.core import GameInstance
 from coalitional_lotto.rng import SplitMix64
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Every run draws the same hypothesis examples: each test's seed comes from
+# a hash of the test itself, and no example database replays past failures.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 # The running example: player 1 rich in contests but budget-poor, player 2
 # the reverse.  Sits in every transfer-benefit set at once.

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from coalitional_lotto.cli import main
-from coalitional_lotto.core import EPS_FEAS, GameInstance, Mechanism
+from coalitional_lotto.core import EPS_FEAS, GameInstance, Mechanism, Transfer
+from coalitional_lotto.mutual import is_mutually_beneficial
 from coalitional_lotto.sweep import run_curve
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
@@ -35,6 +36,17 @@ class TestAnalyze:
         )
         assert code == 1
         assert "error" in err
+
+    def test_parameter_below_feasibility_floor(self, capsys):
+        # phi2 sits below EPS_FEAS; the zero transfer must stay feasible.
+        game = ["--phi1", "1", "--phi2", "1e-13", "--x1", "1", "--x2", "1"]
+        code, out, _ = run_cli(capsys, "analyze", *game)
+        assert code == 0
+        g = GameInstance(1, 1e-13, 1, 1)
+        for verdict in json.loads(out)["mutual"].values():
+            if verdict["exists"]:
+                witness = verdict["witness"]
+                assert is_mutually_beneficial(g, Transfer(witness["tau"], witness["nu"]))
 
     def test_typo_mode_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *DIAMOND_ARGS, "--typo-mode", "literal")

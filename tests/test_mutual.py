@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalitional_lotto.adversary import DEFAULT_EPS, player_payoffs
+from coalitional_lotto.collective import max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
     Mechanism,
@@ -15,6 +17,7 @@ from coalitional_lotto.mutual import (
     contest_mutual_exists,
     is_mutually_beneficial,
     joint_mutual_exists,
+    payoff_deltas,
     quadratic_window,
     sc_contest_exists,
     si_contest_exists,
@@ -22,12 +25,15 @@ from coalitional_lotto.mutual import (
 )
 from coalitional_lotto.oracle import grid_mutual_search
 from coalitional_lotto.rng import SplitMix64
-from coalitional_lotto.search import RIDGE_RTOL, ridge_gap
+from coalitional_lotto.search import RIDGE_RTOL, min_gain, ridge_gap
 
 from conftest import random_games
 
 # Values over four decades, uniform in the exponent.
 decades = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+# Valuations over eight decades and budgets over six.
+wide_valuations = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+wide_budgets = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
 def _mirror(route: str) -> str:
@@ -57,6 +63,35 @@ def stratified_games(per_region: int, seed: int) -> list[GameInstance]:
             if classify_region(g).value == region:
                 games.append(g)
                 count += 1
+    return games
+
+
+def _log_uniform(rng: SplitMix64, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def log_uniform_games(count: int, seed: int) -> list[GameInstance]:
+    """Valuations over 1e-4..1e4, budgets over 1e-3..1e3; every tenth on the ridge."""
+    rng = SplitMix64(seed)
+    games = []
+    for i in range(count):
+        phi1, phi2 = _log_uniform(rng, 1e-4, 1e4), _log_uniform(rng, 1e-4, 1e4)
+        x1, x2 = _log_uniform(rng, 1e-3, 1e3), _log_uniform(rng, 1e-3, 1e3)
+        if i % 10 == 9:
+            phi2 = phi1 * x2 / x1
+        games.append(GameInstance(phi1, phi2, x1, x2))
+    return games
+
+
+def near_ridge_games(count: int, seed: int) -> list[GameInstance]:
+    """Games whose ratio gap is log-uniform over 1e-11..1e-3, on either side."""
+    rng = SplitMix64(seed)
+    games = []
+    for _ in range(count):
+        phi1, x1, x2 = (_log_uniform(rng, 1e-2, 1e2) for _ in range(3))
+        gap = _log_uniform(rng, 1e-11, 1e-3)
+        r2 = x1 / phi1 * (1.0 / (1.0 - gap) if rng.uniform(0.0, 1.0) < 0.5 else 1.0 - gap)
+        games.append(GameInstance(phi1, x2 / r2, x1, x2))
     return games
 
 
@@ -385,6 +420,37 @@ class TestBudgetMutual:
         assert (s.exists, s.near_boundary) == (v.exists, v.near_boundary)
 
 
+# One game per joint route; the mirrored game gives the mirrored route.  A
+# classification tolerance above the witness gap puts the witness in case 4.
+JOINT_EXEMPLARS = [
+    ((1.0, 1.0, 0.05, 3.0), DEFAULT_EPS, "exact:C1_1le2"),
+    ((12.0, 10.0, 0.4, 1.6), DEFAULT_EPS, "exact:C2_1le2"),
+    ((1.0, 1.0, 0.05, 0.1), DEFAULT_EPS, "exact:C3_1le2"),
+    ((1.0, 1.0, 0.05, 1.0), 1e-5, "exact:C4"),
+]
+
+
+def _post_gap(g: GameInstance, t: Transfer) -> float:
+    """Signed relative ratio gap after a joint transfer, positive when player 1 is weak."""
+    r1 = (g.x1 - t.tau) / (g.phi1 - t.nu)
+    r2 = (g.x2 + t.tau) / (g.phi2 + t.nu)
+    return (r2 - r1) / max(r1, r2)
+
+
+def _assert_joint_invariant(g: GameInstance, c: float) -> None:
+    """Scaling valuations by ``c`` keeps the verdict; swapping players mirrors it."""
+    v = joint_mutual_exists(g)
+    s = joint_mutual_exists(GameInstance(c * g.phi1, c * g.phi2, g.x1, g.x2))
+    w = joint_mutual_exists(swap_indices(g))
+    assert s.exists == v.exists, (g, c)
+    mirrored = _mirror(v.route) if v.route else None
+    assert (w.exists, w.route, w.near_boundary) == (v.exists, mirrored, v.near_boundary), g
+    if v.exists:
+        assert (w.witness.tau, w.witness.nu) == (-v.witness.tau, -v.witness.nu)
+        assert abs(s.witness.tau - v.witness.tau) <= 1e-9 * g.total_budget
+        assert abs(s.witness.nu - c * v.witness.nu) <= 1e-9 * c * g.total_valuation
+
+
 class TestJointMutual:
     def test_diamond_exists(self, diamond):
         v = joint_mutual_exists(diamond)
@@ -400,9 +466,83 @@ class TestJointMutual:
         g = GameInstance(12, 10, 2.509918594953648, 2.0563158382088176)
         v = joint_mutual_exists(g)
         assert v.exists
-        assert v.route == "gradient"
+        assert v.route == "exact:C1_1gt2"
         assert v.near_boundary
         assert is_mutually_beneficial(g, v.witness)
+
+    @pytest.mark.parametrize(
+        "params,eps,route", JOINT_EXEMPLARS, ids=[r for _, _, r in JOINT_EXEMPLARS]
+    )
+    def test_route_exemplars(self, params, eps, route):
+        cfg = SearchConfig(eps=eps)
+        g = GameInstance(*params)
+        v = joint_mutual_exists(g, cfg)
+        assert (v.exists, v.route, v.near_boundary) == (True, route, False)
+        assert is_mutually_beneficial(g, v.witness, cfg)
+        # The witness is the best split at the sliver's edge, on the game's
+        # own side of the ridge: both players gain the same.
+        d1, d2 = payoff_deltas(g, v.witness, player_payoffs(g, eps=eps), eps)
+        assert abs(d1 - d2) <= 1e-12 * g.total_valuation
+        assert _post_gap(g, v.witness) == pytest.approx(2 * RIDGE_RTOL, rel=1e-6)
+        w = joint_mutual_exists(swap_indices(g), cfg)
+        assert (w.exists, w.route) == (True, _mirror(route))
+        assert (w.witness.tau, w.witness.nu) == (-v.witness.tau, -v.witness.nu)
+
+    def test_ridge_knife_edge_exemplar(self):
+        # The ratios differ by about 1.6e-6 and the collective surplus is
+        # 5.7e-8 of the total valuation: both players gain only inside the
+        # ridge sliver.
+        g = GameInstance(
+            1.7111011822624111, 2.4026275201501863, 3.372755902428714, 4.735832661627739
+        )
+        for h in (g, swap_indices(g)):
+            v = joint_mutual_exists(h)
+            assert (v.exists, v.witness, v.route, v.near_boundary) == (
+                False, None, "ridge-knife-edge", True
+            )
+
+    def test_ridge_games_are_certified_absent(self):
+        games = stratified_games(per_region=8, seed=31)[3::4]
+        games += log_uniform_games(300, seed=5)[9::10]
+        for g in games:
+            v = joint_mutual_exists(g)
+            assert (v.exists, v.route, v.near_boundary) == (False, None, False), g
+
+    def test_agrees_with_oracle_on_stratified_corpus(self):
+        games = stratified_games(per_region=24, seed=2024)
+        decided = []
+        for g in games:
+            v = joint_mutual_exists(g)
+            o = grid_mutual_search(g, Mechanism.JOINT)
+            if v.exists:
+                assert is_mutually_beneficial(g, v.witness)
+            if v.exists != o.exists:
+                assert v.near_boundary or o.near_boundary, g
+            else:
+                decided.append(v.exists)
+        assert any(decided) and not all(decided)
+        assert len(decided) >= 0.9 * len(games)
+
+    def test_scale_and_swap_invariance_on_seeded_corpus(self):
+        rng = SplitMix64(2026)
+        games = (
+            random_games(7000, seed=61)
+            + log_uniform_games(7000, seed=62)
+            + near_ridge_games(7000, seed=63)
+        )
+        for g in games:
+            _assert_joint_invariant(g, 10.0 ** rng.uniform(-9.0, 9.0))
+
+    @given(
+        phi1=wide_valuations, phi2=wide_valuations, x1=wide_budgets, x2=wide_budgets,
+        log_gap=st.one_of(st.none(), st.floats(-11.0, -3.0)),
+        c=st.floats(-9.0, 9.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_scale_and_swap_invariance(self, phi1, phi2, x1, x2, log_gap, c):
+        if log_gap is not None:
+            phi2 = phi1 * x2 / x1 * (1.0 + 10.0**log_gap)
+        _assert_joint_invariant(GameInstance(phi1, phi2, x1, x2), c)
 
     def test_generic_games_almost_always_exist(self):
         hits = sum(joint_mutual_exists(g).exists for g in random_games(200, seed=13))
@@ -415,6 +555,37 @@ class TestJointMutual:
             j = joint_mutual_exists(g)
             if (c.exists or b.exists) and not (c.near_boundary or b.near_boundary):
                 assert j.exists
+
+
+def _assert_collective_bound(g: GameInstance) -> bool:
+    """Witnesses share at most the collective surplus; returns whether it certifies absence."""
+    baseline = player_payoffs(g)
+    surplus = max_collective_payoff(g) - (baseline[0] + baseline[1])
+    verdicts = [budget_mutual_exists(g), contest_mutual_exists(g), joint_mutual_exists(g)]
+    for v in verdicts:
+        if v.exists:
+            d1, d2 = payoff_deltas(g, v.witness, baseline)
+            assert d1 + d2 <= surplus + 1e-14 * g.total_valuation, (g, v)
+    certified = surplus <= 2 * min_gain(g)
+    if certified:
+        assert not any(v.exists for v in verdicts), g
+    return certified
+
+
+class TestCollectiveBound:
+    def test_seeded_log_uniform_games(self):
+        games = log_uniform_games(1500, seed=73)
+        certified = sum(_assert_collective_bound(g) for g in games)
+        # Every ridge game is certified; off the ridge almost none is.
+        assert len(games[9::10]) <= certified < len(games) // 5
+
+    @given(
+        phi1=wide_valuations, phi2=wide_valuations, x1=wide_budgets, x2=wide_budgets,
+        on_ridge=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_games(self, phi1, phi2, x1, x2, on_ridge):
+        _assert_collective_bound(GameInstance(phi1, phi1 * x2 / x1 if on_ridge else phi2, x1, x2))
 
 
 class TestWitnessValidity:

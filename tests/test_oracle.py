@@ -7,7 +7,7 @@ import pytest
 
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.core import GameInstance
-from coalitional_lotto.mutual import Mechanism
+from coalitional_lotto.mutual import Mechanism, is_mutually_beneficial
 from coalitional_lotto.oracle import (
     DEFAULT_GRID_1D,
     GridSpec,
@@ -15,6 +15,7 @@ from coalitional_lotto.oracle import (
     grid_max_collective,
     grid_mutual_search,
 )
+from coalitional_lotto.search import RIDGE_RTOL, ridge_gap
 
 from conftest import DATA_DIR, random_games
 
@@ -68,6 +69,17 @@ class TestGridMutualSearch:
 
     def test_ridge_joint_absent(self):
         assert not grid_mutual_search(GameInstance(10, 10, 2, 2), Mechanism.JOINT).exists
+
+    def test_off_ridge_fallback_searches_next_to_the_sliver(self):
+        # The game's own ratio gap is about 2.5e-6, just outside the 2e-6
+        # ridge sliver; the only benefit lies between the sliver and the game.
+        g = GameInstance(
+            39.17790139866747, 0.7725122295917143, 6.406092369515996, 0.12631544973346337
+        )
+        v = grid_mutual_search(g, Mechanism.BUDGET)
+        assert v.exists
+        assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > 2 * RIDGE_RTOL
+        assert is_mutually_beneficial(g, v.witness)
 
 
 class TestGridMaxCollective:
