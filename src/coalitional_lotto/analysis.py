@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import best_response, classify_case, player_payoffs
+from .adversary import DEFAULT_EPS, best_response, classify_case, player_payoffs
 from .collective import CollectiveReport, collective_report
 from .core import GameInstance
 from .mutual import (
-    DEFAULT_CONFIG,
     MutualBenefitVerdict,
-    SearchConfig,
     budget_mutual_exists,
     classify_region,
     contest_mutual_exists,
@@ -55,11 +53,11 @@ class AnalysisReport:
         }
 
 
-def analyze_game(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> AnalysisReport:
+def analyze_game(g: GameInstance, eps: float = DEFAULT_EPS) -> AnalysisReport:
     """Classify a game and evaluate every transfer-benefit question."""
-    label = classify_case(g, cfg.eps)
-    xa = best_response(g, cfg.eps)
-    u1, u2 = player_payoffs(g, eps=cfg.eps)
+    label = classify_case(g, eps)
+    xa = best_response(g, eps)
+    u1, u2 = player_payoffs(g, eps=eps)
     # Case-4 games: the adversary is indifferent among splits, so individual
     # payoffs (and with them the mutual verdicts) depend on the canonical
     # proportional tie-break; reports carry a flag.
@@ -70,10 +68,10 @@ def analyze_game(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> Analysi
         xa=(xa.xa1, xa.xa2),
         u1=u1,
         u2=u2,
-        mutual_budget=budget_mutual_exists(g, cfg),
-        mutual_contest=contest_mutual_exists(g, cfg),
-        mutual_joint=joint_mutual_exists(g, cfg),
-        collective=collective_report(g, cfg.eps),
+        mutual_budget=budget_mutual_exists(g, eps),
+        mutual_contest=contest_mutual_exists(g, eps),
+        mutual_joint=joint_mutual_exists(g, eps),
+        collective=collective_report(g, eps),
         case4_tiebreak_dependent=label.index == 4,
     )
 

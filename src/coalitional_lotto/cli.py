@@ -7,7 +7,8 @@ Subcommands:
 * ``curve``   -- payoffs along one transfer mechanism, CSV;
 * ``verify``  -- seeded random games, analytic vs oracle comparison, CSV.
 
-Exit codes: 0 success, 1 validation error, 2 verification disagreement.
+Exit codes: 0 success, 1 usage or validation error, 2 verification
+disagreement.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .adversary import DEFAULT_EPS
 from .analysis import analyze_game, to_json
 from .core import GameInstance, GameValidationError
-from .mutual import TYPO_SITES, Mechanism, SearchConfig
+from .mutual import Mechanism
 from .sweep import (
     SAMPLE_HI,
     SAMPLE_LO,
@@ -34,23 +36,35 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_USAGE``, not argparse's 2 (``EXIT_DISAGREEMENT``)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _eps(text: str) -> float:
+    """A tolerance in ``[0, 0.5)``: the budget verdict clamps its case-4 band at 0.5."""
+    eps = float(text)
+    if not 0.0 <= eps < 0.5:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 0.5), got {text!r}")
+    return eps
+
+
 def _add_game_args(p: argparse.ArgumentParser, required: bool) -> None:
     for name in ("phi1", "phi2", "x1", "x2"):
         p.add_argument(f"--{name}", type=float, required=required)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=None, help="classification tolerance")
     p.add_argument(
-        "--typo-mode",
-        choices=["literal", "corrected"],
-        default=None,
-        help="reading of suspect printed coefficients",
+        "--eps", type=_eps, default=DEFAULT_EPS, help="classification tolerance, in [0, 0.5)"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coalitional-lotto",
         description="Alliance transfer analysis for two-front General Lotto games.",
     )
@@ -94,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> SearchConfig:
-    kwargs = {}
-    if getattr(args, "eps", None) is not None:
-        kwargs["eps"] = args.eps
-    if getattr(args, "typo_mode", None) == "literal":
-        kwargs["literal_sites"] = TYPO_SITES
-    return SearchConfig(**kwargs)
-
-
 def _game(args: argparse.Namespace) -> GameInstance:
     return GameInstance(args.phi1, args.phi2, args.x1, args.x2)
 
@@ -126,7 +131,7 @@ def _parse_axis(text: str) -> tuple[str, float, float]:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze_game(_game(args), _config(args))
+    report = analyze_game(_game(args), args.eps)
     print(to_json(report.as_dict()))
     return EXIT_OK
 
@@ -141,7 +146,7 @@ def _cmd_sweep(args) -> int:
         if value is not None:
             fixed[name] = value
     spec = SweepSpec(fixed=fixed, axes=axes, steps=args.steps, predicate=Predicate(args.predicate))
-    rows = run_sweep(spec, _config(args))
+    rows = run_sweep(spec, args.eps)
     fixed_desc = " ".join(f"{k}={format(v, '.12g')}" for k, v in sorted(fixed.items()))
     _write_out(
         args.out,
@@ -158,7 +163,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_curve(args) -> int:
     g = _game(args)
     mech = Mechanism(args.mechanism)
-    rows = run_curve(g, mech, args.steps, _config(args))
+    rows = run_curve(g, mech, args.steps, args.eps)
     unit = "budget (tau)" if mech is Mechanism.BUDGET else "valuation (nu)"
     _write_out(
         args.out,
@@ -173,7 +178,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows, ok = run_verify(args.count, args.seed, _config(args))
+    rows, ok = run_verify(args.count, args.seed, args.eps)
     header = list(rows[0].keys())
     _write_out(
         args.out,

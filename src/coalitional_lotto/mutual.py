@@ -38,10 +38,9 @@ treatments:
 
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
-alone.  A handful of the printed quadratic coefficients are suspected
-misprints; both readings are implemented, ``SearchConfig.literal_sites``
-names the sites read as printed, and the default (none) follows the
-grid-oracle calibration (see ``calibration/typo_resolution.md``).
+alone.  Five printed coefficients in the contest routes are misprints; only
+the corrected reading is implemented, and ``calibration/typo_resolution.md``
+records the grid-oracle calibration that chose it.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ __all__ = [
     "MutualBenefitVerdict",
     "QuadraticWindow",
     "Thresholds",
-    "SearchConfig",
-    "DEFAULT_CONFIG",
     "classify_region",
     "quadratic_window",
     "thresholds",
@@ -158,39 +155,6 @@ def thresholds(g: GameInstance) -> Thresholds:
     )
 
 
-# Suspect printed coefficients, individually switchable for calibration:
-#   c2      quadratic constant in route 2.1 (spurious factor 4)
-#   sqrt33  square root in route 3.3's upper bound (phi2*phi2 vs phi1*phi2)
-#   sqrt77  same square root inside route 4.4/5.8's first quadratic
-#   sqrt45  same square root in route 4.5/5.9's upper bound
-#   c14     quadratic constant in route 5.11 (missing square)
-TYPO_SITES = ("c2", "sqrt33", "sqrt77", "sqrt45", "c14")
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings a caller may vary: classification tolerance and typo readings.
-
-    ``eps`` is the case-classification tolerance.  ``literal_sites`` names
-    the suspect printed coefficients (see ``TYPO_SITES``) read as printed;
-    every other site takes the corrected reading, which the grid-oracle
-    calibration supports.
-    """
-
-    eps: float = DEFAULT_EPS
-    literal_sites: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        unknown = set(self.literal_sites) - set(TYPO_SITES)
-        if unknown:
-            raise ValueError(f"unknown typo sites {sorted(unknown)}")
-
-    def literal_at(self, site: str) -> bool:
-        return site in self.literal_sites
-
-
-DEFAULT_CONFIG = SearchConfig()
-
-
 @dataclass(frozen=True)
 class MutualBenefitVerdict:
     mechanism: Mechanism
@@ -245,14 +209,14 @@ def payoff_deltas(
 def is_mutually_beneficial(
     g: GameInstance,
     t: Transfer,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    eps: float = DEFAULT_EPS,
     baseline: tuple[float, float] | None = None,
 ) -> bool:
     """Strict component-wise improvement over the no-transfer payoffs."""
     if baseline is None:
-        baseline = player_payoffs(g, eps=cfg.eps)
+        baseline = player_payoffs(g, eps=eps)
     gain = min_gain(g)
-    d1, d2 = payoff_deltas(g, t, baseline, cfg.eps)
+    d1, d2 = payoff_deltas(g, t, baseline, eps)
     return d1 > gain and d2 > gain
 
 
@@ -325,24 +289,24 @@ def _ratio_gate(m: _Margins, g: GameInstance, lo: float, hi: float, window):
     return window if lo_ok and hi_ok else None
 
 
-def _p2a(g: GameInstance, cfg: SearchConfig, site: str) -> float:
+def _p2a(g: GameInstance) -> float:
     """The root ``sqrt(x1*phi1*phi2/x2)`` of player 1's pre-transfer case-2 payoff.
 
-    The printed form repeats phi2 under the root where phi1*phi2 belongs; each
-    suspect ``site`` switches to that reading on its own.
+    The printed form repeats phi2 under the root where phi1*phi2 belongs
+    (routes 3.3, 4.4, 4.5 and 5.8).
     """
-    if cfg.literal_at(site):
-        return math.sqrt(g.x1 * g.phi2 * g.phi2 / g.x2)  # as printed
     return math.sqrt(g.x1 * g.phi1 * g.phi2 / g.x2)
 
 
-def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchConfig, m: _Margins):
+def _si_windows(g: GameInstance, region: Region, case_index: int, m: _Margins):
     """All strategically inconsistent routes applicable to an oriented game.
 
     Returns (route, (lo, hi)) candidate windows in printed order, clipped to
     positive feasible transfers.  Conditions follow the printed
-    characterization; each suspect coefficient reads as printed only when
-    its site is in ``cfg.literal_sites``.
+    characterization with its misprints corrected: route 2.1's constant ends
+    in ``- phi1*phi2``, not ``- 4*phi1*phi2``; route 5.11's constant squares
+    ``x2*phi2 + sqrt(x1*x2*phi1*phi2)``; and ``_p2a`` has phi1*phi2 under its
+    root.
     """
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     phi = f + s0
@@ -359,8 +323,7 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
 
     elif region is Region.R2 and case_index == 1:
         q1 = _quad(m, 1.0 + (2.0 * x1 - 1.0) ** 2 / (x1 * x2), s0 - f, -f * s0)
-        c2 = 4.0 * (x1 / x2) * s0 * s0 - (4.0 * f * s0 if cfg.literal_at("c2") else f * s0)
-        q2 = _quad(m, 1.0, s0 - f, c2)
+        q2 = _quad(m, 1.0, s0 - f, 4.0 * (x1 / x2) * s0 * s0 - f * s0)
         w21 = None
         if not q1.empty and not q2.empty:
             w21 = _window(m, phi, [q1.z_minus, q2.z_minus, a1], [q1.z_plus, q2.z_plus, a2])
@@ -383,7 +346,7 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
 
     elif region is Region.R3 and case_index == 2:
         lo = max(a1, math.sqrt(x1 * x2 * f * s0) / (2.0 * x2 - 1.0))
-        routes = [("3.3:C2_1le2->C1_1gt2", (lo, f - 0.5 * _p2a(g, cfg, "sqrt33")))]
+        routes = [("3.3:C2_1le2->C1_1gt2", (lo, f - 0.5 * _p2a(g)))]
 
     elif region is Region.R4 and case_index == 1:
         m.note(x2, 0.5, 1.0)
@@ -395,8 +358,8 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
 
     elif region is Region.R4 and case_index == 2:
         routes = [
-            ("4.4:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, cfg, m, a1)),
-            ("4.5:C2_1le2->C1_1gt2", _form_c2_to_c1_swapped(g, th, cfg)),
+            ("4.4:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, m, a1)),
+            ("4.5:C2_1le2->C1_1gt2", _form_c2_to_c1_swapped(g, th)),
         ]
 
     elif region is Region.R5 and case_index == 1:
@@ -429,16 +392,20 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
         q12 = _quad(
             m, 1.0 + x1 / x2, -2.0 * b2t + (x1 / x2) * (s0 - f), b2t * b2t - (x1 / x2) * f * s0
         )
+        # Route 5.9 (C2 -> swapped C1) is left out: under the corrected
+        # reading, wherever its window opens one of routes 5.6-5.8 validates
+        # first, so it never decides a verdict.
         routes = [
             *_form_into_c3(
                 m, phi, th, q11, q12, b2t, "5.6:C2_1le2->C3_1le2", "5.7:C2_1le2->C3_1gt2"
             ),
-            ("5.8:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, cfg, m, a5)),
-            ("5.9:C2_1le2->C1_1gt2", _form_c2_to_c1_swapped(g, th, cfg)),
+            ("5.8:C2_1le2->C2_1gt2", _form_c2_to_c2_swapped(g, th, m, a5)),
         ]
 
     elif region is Region.R5 and case_index == 3:
         # C3 -> C3 across the ridge (route 5.10) admits no beneficial transfer.
+        # Route 5.12 (C3 -> swapped C1) is left out: under the corrected
+        # reading, route 5.11 validates wherever its window opens.
         inner = (x1 - 1.0) ** 2 * f / x1 + math.sqrt(f * s0 * x1 * x2)
         q13 = _quad(
             m,
@@ -446,19 +413,13 @@ def _si_windows(g: GameInstance, region: Region, case_index: int, cfg: SearchCon
             (4.0 * x1 - 2.0) / x2 * inner + s0 - f,
             (x1 / x2) * inner * inner - f * s0,
         )
-        if cfg.literal_at("c14"):
-            c14 = (x1 / x2) * (x2 * s0 + math.sqrt(x1 * x2 * f * s0) - f * s0)  # as printed
-        else:
-            c14 = (x1 / x2) * (x2 * s0 + math.sqrt(x1 * x2 * f * s0)) ** 2 - f * s0
-        q14 = _quad(m, 1.0, s0 - f, c14)
+        q14 = _quad(
+            m, 1.0, s0 - f, (x1 / x2) * (x2 * s0 + math.sqrt(x1 * x2 * f * s0)) ** 2 - f * s0
+        )
         w511 = None
         if not q13.empty and not q14.empty:
             w511 = _window(m, phi, [q13.z_minus, q14.z_minus, a5], [q13.z_plus, q14.z_plus, a2])
-        w512 = (
-            max(a2, math.sqrt(x1 * f * s0 / x2)),
-            f * (1.0 - x1 / 2.0) - 0.5 * math.sqrt(x1 * x2 * f * s0),
-        )
-        routes = [("5.11:C3_1le2->C2_1gt2", w511), ("5.12:C3_1le2->C1_1gt2", w512)]
+        routes = [("5.11:C3_1le2->C2_1gt2", w511)]
 
     out = []
     for route, window in routes:
@@ -541,12 +502,10 @@ def _form_c1_to_c1_swapped(g: GameInstance, th: Thresholds, m: _Margins):
     )
 
 
-def _form_c2_to_c2_swapped(
-    g: GameInstance, th: Thresholds, cfg: SearchConfig, m: _Margins, lower_gate: float
-):
+def _form_c2_to_c2_swapped(g: GameInstance, th: Thresholds, m: _Margins, lower_gate: float):
     """C2 -> swapped C2 (quadratics 7 and 8); lower gate differs by region."""
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    inner = x1 * _p2a(g, cfg, "sqrt77") - (2.0 * x1 - 1.0) * f
+    inner = x1 * _p2a(g) - (2.0 * x1 - 1.0) * f
     q7 = _quad(
         m,
         (2.0 * x1 - 1.0) ** 2 + x1 * x2,
@@ -566,9 +525,9 @@ def _form_c2_to_c2_swapped(
     )
 
 
-def _form_c2_to_c1_swapped(g: GameInstance, th: Thresholds, cfg: SearchConfig):
+def _form_c2_to_c1_swapped(g: GameInstance, th: Thresholds):
     """C2 -> swapped C1."""
-    return max(th.alpha2, th.beta2), g.phi1 - 0.5 * _p2a(g, cfg, "sqrt45")
+    return max(th.alpha2, th.beta2), g.phi1 - 0.5 * _p2a(g)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +536,7 @@ def _form_c2_to_c1_swapped(g: GameInstance, th: Thresholds, cfg: SearchConfig):
 
 
 def _validate_window(
-    g: GameInstance, lo: float, hi: float, cfg: SearchConfig, baseline: tuple[float, float]
+    g: GameInstance, lo: float, hi: float, eps: float, baseline: tuple[float, float]
 ) -> float | None:
     """A validated transfer amount inside (lo, hi), or None.
 
@@ -588,10 +547,10 @@ def _validate_window(
     width = hi - lo
     for frac in (0.5, 0.25, 0.75, 0.1, 0.9, 0.02, 0.98):
         nu = lo + frac * width
-        if is_mutually_beneficial(g, Transfer(0.0, nu), cfg, baseline):
+        if is_mutually_beneficial(g, Transfer(0.0, nu), eps, baseline):
             return nu
     nus = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 513)
-    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus, cfg.eps)
+    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus, eps)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
     if score[k] > min_gain(g):
@@ -600,22 +559,22 @@ def _validate_window(
 
 
 def _validate_small_step(
-    g: GameInstance, cfg: SearchConfig, baseline: tuple[float, float]
+    g: GameInstance, eps: float, baseline: tuple[float, float]
 ) -> float | None:
     """A validated small positive transfer (strategically consistent routes)."""
     nu = 0.25 * g.phi1
     for _ in range(60):
-        if is_mutually_beneficial(g, Transfer(0.0, nu), cfg, baseline):
+        if is_mutually_beneficial(g, Transfer(0.0, nu), eps, baseline):
             return nu
         nu *= 0.5
     return None
 
 
 def _oriented_contest_verdict(
-    g: GameInstance, cfg: SearchConfig, m: _Margins, sc: bool = True, si: bool = True
+    g: GameInstance, eps: float, m: _Margins, sc: bool = True, si: bool = True
 ) -> tuple[bool, float | None, str | None]:
     """(exists, nu, route) for positive transfers in an oriented game."""
-    label = classify_case(g, cfg.eps)
+    label = classify_case(g, eps)
     m.note(g.x1 / g.phi1, g.x2 / g.phi2)
     if label.index == 4:
         return False, None, None
@@ -623,17 +582,17 @@ def _oriented_contest_verdict(
     m.note(g.x1, 1.0, 1.0)
     m.note(g.x2, 1.0, 1.0)
     m.note(g.x1 + g.x2, 1.0, 1.0)
-    baseline = player_payoffs(g, eps=cfg.eps)
+    baseline = player_payoffs(g, eps=eps)
     candidates = []
     if sc:
         candidates.extend(_sc_routes(g, label.index, m))
     if si:
-        candidates.extend(_si_windows(g, region, label.index, cfg, m))
+        candidates.extend(_si_windows(g, region, label.index, m))
     for route, window in candidates:
         if window is None:
-            nu = _validate_small_step(g, cfg, baseline)
+            nu = _validate_small_step(g, eps, baseline)
         else:
-            nu = _validate_window(g, window[0], window[1], cfg, baseline)
+            nu = _validate_window(g, window[0], window[1], eps, baseline)
         if nu is not None:
             return True, nu, route
         # A fired condition whose witnesses all fail validation is a
@@ -642,25 +601,25 @@ def _oriented_contest_verdict(
     return False, None, None
 
 
-def _one_sided_verdict(g: GameInstance, cfg: SearchConfig, sc: bool, si: bool):
-    _require_oriented(g, cfg.eps)
+def _one_sided_verdict(g: GameInstance, eps: float, sc: bool, si: bool):
+    _require_oriented(g, eps)
     m = _Margins()
-    exists, nu, route = _oriented_contest_verdict(g, cfg, m, sc=sc, si=si)
+    exists, nu, route = _oriented_contest_verdict(g, eps, m, sc=sc, si=si)
     witness = Transfer(0.0, nu) if nu is not None else None
     return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
 
 
-def sc_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
+def sc_contest_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
     """Strategically consistent positive contest transfer for an oriented game."""
-    return _one_sided_verdict(g, cfg, sc=True, si=False)
+    return _one_sided_verdict(g, eps, sc=True, si=False)
 
 
-def si_contest_exists(g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG) -> MutualBenefitVerdict:
+def si_contest_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
     """Strategically inconsistent positive contest transfer for an oriented game."""
-    return _one_sided_verdict(g, cfg, sc=False, si=True)
+    return _one_sided_verdict(g, eps, sc=False, si=True)
 
 
-def _ridge_knife_edge(h: GameInstance, cfg: SearchConfig) -> bool:
+def _ridge_knife_edge(h: GameInstance, eps: float) -> bool:
     """Whether the single ratio-equalizing transfer benefits both players.
 
     The transfer landing exactly on the equal-ratio ridge puts the adversary
@@ -672,12 +631,10 @@ def _ridge_knife_edge(h: GameInstance, cfg: SearchConfig) -> bool:
     nu = thresholds(h).alpha1
     if not (0.0 < nu < h.phi1 * (1.0 - 1e-12)):
         return False
-    return is_mutually_beneficial(h, Transfer(0.0, nu), cfg)
+    return is_mutually_beneficial(h, Transfer(0.0, nu), eps)
 
 
-def contest_mutual_exists(
-    g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG
-) -> MutualBenefitVerdict:
+def contest_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
     """Mutually beneficial contest transfer, either direction.
 
     Positive transfers are characterized on the oriented game; the mirrored
@@ -689,19 +646,19 @@ def contest_mutual_exists(
     m = _Margins()
     m.note(r1, r2)
     attempts = []
-    if r1 <= r2 * (1.0 + cfg.eps):
+    if r1 <= r2 * (1.0 + eps):
         attempts.append((g, False))
-    if r2 <= r1 * (1.0 + cfg.eps):
+    if r2 <= r1 * (1.0 + eps):
         attempts.append((swap_indices(g), True))
     for h, swapped in attempts:
-        exists, nu, route = _oriented_contest_verdict(h, cfg, m)
+        exists, nu, route = _oriented_contest_verdict(h, eps, m)
         if exists:
             witness = Transfer(0.0, -nu) if swapped else Transfer(0.0, nu)
             tag = f"swap:{route}" if swapped else route
             return MutualBenefitVerdict(Mechanism.CONTEST, True, witness, tag, m.near())
     near = m.near()
     if not near:
-        near = any(_ridge_knife_edge(h, cfg) for h, _ in attempts)
+        near = any(_ridge_knife_edge(h, eps) for h, _ in attempts)
     return MutualBenefitVerdict(Mechanism.CONTEST, False, None, None, near)
 
 
@@ -766,9 +723,7 @@ def _piece_candidates(
     return []
 
 
-def budget_mutual_exists(
-    g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG
-) -> MutualBenefitVerdict:
+def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
     """Mutually beneficial budget transfer, decided piece by piece.
 
     In ``q = sqrt(b1 / b2)``, which falls as ``tau`` grows, the ridge ``q =
@@ -783,7 +738,7 @@ def budget_mutual_exists(
     benefit found only there rides on the adversary's indifference
     tie-break and is reported as the ``ridge-knife-edge``.
     """
-    baseline = player_payoffs(g, eps=cfg.eps)
+    baseline = player_payoffs(g, eps=eps)
     gain = min_gain(g)
     lo, hi = transfer_interval(g, Mechanism.BUDGET)
     big_x = g.total_budget
@@ -792,7 +747,7 @@ def budget_mutual_exists(
     q_hi = math.sqrt((g.x1 - lo) / (g.x2 + lo))
     sliver = _around(q_ridge, 2.0 * RIDGE_RTOL)
     # The case-4 band |gap| <= eps is a piece of its own: the payoffs jump there.
-    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * cfg.eps)}
+    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * eps)}
     breaks.update(_case_edges(big_x, q_ridge))
     breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge))
     qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
@@ -810,7 +765,7 @@ def budget_mutual_exists(
         q_mid = 0.5 * (qa + qb)
         on_ridge = sliver[0] < q_mid < sliver[1]
         b2 = big_x / (1.0 + q_mid * q_mid)
-        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2, cfg.eps)
+        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2, eps)
         if swapped:
             zs = _piece_candidates(index, g.phi2, g.phi1, baseline[1] - baseline[0], big_x)
             inner = [1.0 / z for z in zs]
@@ -818,7 +773,7 @@ def budget_mutual_exists(
             inner = _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
         for q in [qa, qb] + [q for q in inner if qa < q < qb]:
             if q not in scores:
-                u1, u2 = player_payoffs(g, Transfer(tau_at(q), 0.0), cfg.eps)
+                u1, u2 = player_payoffs(g, Transfer(tau_at(q), 0.0), eps)
                 d1, d2 = u1 - baseline[0], u2 - baseline[1]
                 scores[q] = (min(d1, d2), d1 + d2)
             key = (*scores[q], index)
@@ -898,9 +853,7 @@ def _gap_witness(
     return None
 
 
-def joint_mutual_exists(
-    g: GameInstance, cfg: SearchConfig = DEFAULT_CONFIG
-) -> MutualBenefitVerdict:
+def joint_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
     """Mutually beneficial joint transfer, from the collective surplus.
 
     A surplus at or below twice the gain floor certifies absence (no route,
@@ -909,14 +862,14 @@ def joint_mutual_exists(
     ``exact:<case label>``; when it fails, both players gain only inside the
     ridge sliver, the flagged ``ridge-knife-edge``.
     """
-    baseline = player_payoffs(g, eps=cfg.eps)
+    baseline = player_payoffs(g, eps=eps)
     gain = min_gain(g)
     if max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * gain:
         return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, False)
-    found = _gap_witness(g, baseline, cfg.eps)
+    found = _gap_witness(g, baseline, eps)
     if found is not None:
         witness, label = found
-        d1, d2 = payoff_deltas(g, witness, baseline, cfg.eps)
+        d1, d2 = payoff_deltas(g, witness, baseline, eps)
         if d1 > gain and d2 > gain:
             return MutualBenefitVerdict(
                 Mechanism.JOINT, True, witness, f"exact:{label}", thin_margin(g, min(d1, d2))

@@ -15,14 +15,12 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import batch
-from .adversary import adversary_value, best_response, classify_case, player_payoffs
+from .adversary import DEFAULT_EPS, adversary_value, best_response, classify_case, player_payoffs
 from .analysis import format_float
 from .collective import max_collective_payoff
 from .core import GameInstance
 from .mutual import (
-    DEFAULT_CONFIG,
     Mechanism,
-    SearchConfig,
     budget_mutual_exists,
     classify_region,
     contest_mutual_exists,
@@ -90,22 +88,22 @@ class SweepSpec:
             raise ValueError(f"parameters not fixed or swept: {sorted(missing)}")
 
 
-def _predicate_value(g: GameInstance, predicate: Predicate, cfg: SearchConfig):
+def _predicate_value(g: GameInstance, predicate: Predicate, eps: float):
     if predicate is Predicate.CASE:
-        return str(classify_case(g, cfg.eps))
+        return str(classify_case(g, eps))
     if predicate is Predicate.REGION:
         return classify_region(g).value
     if predicate is Predicate.MUTUAL_BUDGET:
-        return int(budget_mutual_exists(g, cfg).exists)
+        return int(budget_mutual_exists(g, eps).exists)
     if predicate is Predicate.MUTUAL_CONTEST:
-        return int(contest_mutual_exists(g, cfg).exists)
+        return int(contest_mutual_exists(g, eps).exists)
     if predicate is Predicate.MUTUAL_JOINT:
-        return int(joint_mutual_exists(g, cfg).exists)
-    u1, u2 = player_payoffs(g, eps=cfg.eps)
+        return int(joint_mutual_exists(g, eps).exists)
+    u1, u2 = player_payoffs(g, eps=eps)
     return max_collective_payoff(g) - (u1 + u2)
 
 
-def run_sweep(spec: SweepSpec, cfg: SearchConfig = DEFAULT_CONFIG):
+def run_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS):
     """Rows of (axis1 value, axis2 value, predicate value), row-major."""
     (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
     vals1 = np.linspace(lo1, hi1, spec.steps)
@@ -117,13 +115,11 @@ def run_sweep(spec: SweepSpec, cfg: SearchConfig = DEFAULT_CONFIG):
             params[name1] = float(v1)
             params[name2] = float(v2)
             g = GameInstance(**params)
-            rows.append((float(v1), float(v2), _predicate_value(g, spec.predicate, cfg)))
+            rows.append((float(v1), float(v2), _predicate_value(g, spec.predicate, eps)))
     return rows
 
 
-def run_curve(
-    g: GameInstance, mechanism: Mechanism, steps: int, cfg: SearchConfig = DEFAULT_CONFIG
-):
+def run_curve(g: GameInstance, mechanism: Mechanism, steps: int, eps: float = DEFAULT_EPS):
     """Payoffs along one mechanism's feasible interval: (t, u1, u2, u1+u2)."""
     if mechanism is Mechanism.JOINT:
         raise ValueError("curve supports budget or contest transfers only")
@@ -132,7 +128,7 @@ def run_curve(
     vs = np.linspace(*transfer_interval(g, mechanism), steps)
     taus = vs if mechanism is Mechanism.BUDGET else np.zeros(1)
     nus = vs if mechanism is Mechanism.CONTEST else np.zeros(1)
-    u1, u2 = batch.payoffs_at_transfers(g, taus, nus, cfg.eps)
+    u1, u2 = batch.payoffs_at_transfers(g, taus, nus, eps)
     return [
         (float(v), float(a), float(b), float(a + b))
         for v, a, b in zip(vs, np.atleast_1d(u1), np.atleast_1d(u2))
@@ -158,7 +154,7 @@ def sample_games(count: int, seed: int) -> list[GameInstance]:
 def run_verify(
     count: int,
     seed: int,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    eps: float = DEFAULT_EPS,
     spec: GridSpec = DEFAULT_GRID_1D,
 ):
     """Compare analytic verdicts/optima against the grid oracle.
@@ -172,13 +168,13 @@ def run_verify(
     rows = []
     ok = True
     for i, g in enumerate(sample_games(count, seed)):
-        label = classify_case(g, cfg.eps)
-        analytic = contest_mutual_exists(g, cfg)
+        label = classify_case(g, eps)
+        analytic = contest_mutual_exists(g, eps)
         oracle_v = grid_mutual_search(g, Mechanism.CONTEST, spec)
         agree = analytic.exists == oracle_v.exists
         near = analytic.near_boundary or oracle_v.near_boundary
 
-        xa_closed = best_response(g, cfg.eps)
+        xa_closed = best_response(g, eps)
         xa_grid = grid_best_response(g, spec)
         alloc_err = abs(xa_closed.xa1 - xa_grid.xa1)
         value_err = abs(

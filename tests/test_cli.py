@@ -8,10 +8,14 @@ from coalitional_lotto.mutual import is_mutually_beneficial
 from coalitional_lotto.sweep import run_curve
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
+RIDGE_ARGS = ["--phi1", "10", "--phi2", "10", "--x1", "2", "--x2", "2"]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -48,22 +52,29 @@ class TestAnalyze:
                 witness = verdict["witness"]
                 assert is_mutually_beneficial(g, Transfer(witness["tau"], witness["nu"]))
 
-    def test_typo_mode_flag_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", *DIAMOND_ARGS, "--typo-mode", "literal")
-        assert code == 0
-        assert json.loads(out)["case"] == "C2_1le2"
+    def test_retired_typo_flag_is_usage_error(self, capsys):
+        # The literal reading is gone; an old script passing the flag must
+        # read as a usage error, not as a verification disagreement (2).
+        code, _, err = run_cli(capsys, "analyze", *DIAMOND_ARGS, "--typo-mode", "literal")
+        assert code == 1 and "error:" in err
 
-    def test_typo_mode_literal_flips_contest_verdict(self, capsys):
-        # Route 3.3's upper bound reads sqrt33 literally and its window closes.
-        game = ["--phi1", "1.85", "--phi2", "2.67", "--x1", "0.195", "--x2", "2.41"]
-        verdicts = {}
-        for mode in ("corrected", "literal"):
-            code, out, _ = run_cli(capsys, "analyze", *game, "--typo-mode", mode)
-            assert code == 0
-            verdicts[mode] = json.loads(out)["mutual"]["contest"]
-        assert verdicts["corrected"]["exists"] is True
-        assert verdicts["corrected"]["route"] == "3.3:C2_1le2->C1_1gt2"
-        assert verdicts["literal"]["exists"] is False
+    def test_missing_flag_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", *DIAMOND_ARGS[:-2])
+        assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_is_usage_error(self, capsys, eps):
+        code, out, err = run_cli(capsys, "analyze", *RIDGE_ARGS, "--eps", eps)
+        assert code == 1 and "error:" in err and out == ""
+
+    def test_zero_eps_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", *RIDGE_ARGS, "--eps", "0")
+        assert code == 0
+        assert json.loads(out)["case"] == "C4"
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--help")
+        assert code == 0 and "--eps" in out
 
 
 class TestCurve:
@@ -156,6 +167,13 @@ class TestSweep:
             "--predicate", "case",
         )
         assert code == 1 and "error" in err
+
+    def test_bad_predicate_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--phi1", "12", "--phi2", "10",
+            "--axis", "x1=0.1:2", "--axis", "x2=0.1:2", "--predicate", "bogus",
+        )
+        assert code == 1 and "error:" in err
 
     def test_axis_count_enforced(self, capsys):
         code, _, err = run_cli(

@@ -10,8 +10,6 @@ from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indic
 from coalitional_lotto.mutual import (
     Mechanism,
     Region,
-    TYPO_SITES,
-    SearchConfig,
     budget_mutual_exists,
     classify_region,
     contest_mutual_exists,
@@ -223,9 +221,9 @@ class TestStrategicallyInconsistent:
         assert is_mutually_beneficial(diamond, v.witness)
 
     def test_c3_in_r5_limited_routes(self):
-        # transfers from case 3 can only exit through routes 5.11/5.12; the
-        # case-3-to-case-3 crossing (5.10) admits no mutually beneficial
-        # transfer
+        # transfers from case 3 can only exit through route 5.11 (5.12, which
+        # 5.11 shadows, is not implemented); the case-3-to-case-3 crossing
+        # (5.10) admits no mutually beneficial transfer
         for g in random_games(400, seed=41):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
@@ -235,7 +233,7 @@ class TestStrategicallyInconsistent:
                 continue
             v = si_contest_exists(g)
             if v.exists:
-                assert v.route.split(":")[0] in ("5.11", "5.12")
+                assert v.route.split(":")[0] == "5.11"
 
 
 class TestContestMutual:
@@ -264,54 +262,41 @@ class TestContestMutual:
                 mismatches += 1
         assert mismatches == 0
 
-    def test_typo_mode_literal_changes_some_verdicts(self):
-        lit = SearchConfig(literal_sites=TYPO_SITES)
-        flips = sum(
-            contest_mutual_exists(g).exists != contest_mutual_exists(g, lit).exists
-            for g in random_games(800, seed=99)
-        )
-        assert flips > 0  # the literal reading is materially different
 
-
-# One oriented game per decisive route family.  Routes 5.9 and 5.12 only
-# decide when the literal reading of the preceding route's suspect site
-# (5.8's sqrt77, 5.11's c14) keeps that route from firing.
+# One oriented game per decisive route family.
 ROUTE_EXEMPLARS = [
-    ((2.7, 1.16, 1.41, 1.58), (), "1.1:C1_1le2->C1_1gt2"),
-    ((17.5, 1.07, 1.15, 0.646), (), "2.1:C1_1le2->C2_1gt2"),
-    ((0.969, 0.318, 1.14, 0.882), (), "2.2:C1_1le2->C1_1gt2"),
-    ((15.8, 1.7, 0.0346, 5.44), (), "3.1:C1_1le2->C2_1le2"),
-    ((10.6, 3.9, 0.97, 1.01), (), "3.2:C1_1le2->C1_1gt2"),
-    ((2.26, 2.81, 0.23, 1.01), (), "3.3:C2_1le2->C1_1gt2"),
-    ((2.64, 0.337, 0.451, 0.69), (), "4.1:C1_1le2->C2_1le2"),
-    ((13.5, 1.37, 0.912, 0.713), (), "4.2:C1_1le2->C2_1gt2"),
-    ((7.1, 4.03, 0.646, 0.982), (), "4.3:C1_1le2->C1_1gt2"),
-    ((3.87, 5.25, 0.233, 0.849), (), "4.4:C2_1le2->C2_1gt2"),
-    ((16.5, 16.7, 0.353, 0.994), (), "4.5:C2_1le2->C1_1gt2"),
-    ((19.9, 0.252, 0.178, 0.198), (), "5.1:C1_1le2->C2_1le2"),
-    ((16.4, 1.51, 0.308, 0.252), (), "5.6:C2_1le2->C3_1le2"),
-    ((0.454, 0.038, 0.841, 0.086), (), "5.7:C2_1le2->C3_1gt2"),
-    ((16.4, 16.8, 0.2, 0.771), (), "5.8:C2_1le2->C2_1gt2"),
-    ((1.17, 4.9, 0.0714, 0.889), ("sqrt77",), "5.9:C2_1le2->C1_1gt2"),
-    ((3.85, 19.7, 0.0727, 0.855), (), "5.11:C3_1le2->C2_1gt2"),
-    ((1.6, 4.4, 0.121, 0.759), ("c14",), "5.12:C3_1le2->C1_1gt2"),
-    ((10.2, 7.78, 0.428, 0.706), (), "SC:C2"),
-    ((0.442, 0.0353, 0.17, 0.122), (), "SC:C3"),
+    ((2.7, 1.16, 1.41, 1.58), "1.1:C1_1le2->C1_1gt2"),
+    ((17.5, 1.07, 1.15, 0.646), "2.1:C1_1le2->C2_1gt2"),
+    ((0.969, 0.318, 1.14, 0.882), "2.2:C1_1le2->C1_1gt2"),
+    ((15.8, 1.7, 0.0346, 5.44), "3.1:C1_1le2->C2_1le2"),
+    ((10.6, 3.9, 0.97, 1.01), "3.2:C1_1le2->C1_1gt2"),
+    ((2.26, 2.81, 0.23, 1.01), "3.3:C2_1le2->C1_1gt2"),
+    ((2.64, 0.337, 0.451, 0.69), "4.1:C1_1le2->C2_1le2"),
+    ((13.5, 1.37, 0.912, 0.713), "4.2:C1_1le2->C2_1gt2"),
+    ((7.1, 4.03, 0.646, 0.982), "4.3:C1_1le2->C1_1gt2"),
+    ((3.87, 5.25, 0.233, 0.849), "4.4:C2_1le2->C2_1gt2"),
+    ((16.5, 16.7, 0.353, 0.994), "4.5:C2_1le2->C1_1gt2"),
+    ((19.9, 0.252, 0.178, 0.198), "5.1:C1_1le2->C2_1le2"),
+    ((16.4, 1.51, 0.308, 0.252), "5.6:C2_1le2->C3_1le2"),
+    ((0.454, 0.038, 0.841, 0.086), "5.7:C2_1le2->C3_1gt2"),
+    ((16.4, 16.8, 0.2, 0.771), "5.8:C2_1le2->C2_1gt2"),
+    ((3.85, 19.7, 0.0727, 0.855), "5.11:C3_1le2->C2_1gt2"),
+    ((10.2, 7.78, 0.428, 0.706), "SC:C2"),
+    ((0.442, 0.0353, 0.17, 0.122), "SC:C3"),
 ]
 
 
 class TestRouteExemplars:
     @pytest.mark.parametrize(
-        "params,sites,route", ROUTE_EXEMPLARS, ids=[r.split(":")[0] for _, _, r in ROUTE_EXEMPLARS]
+        "params,route", ROUTE_EXEMPLARS, ids=[r.split(":")[0] for _, r in ROUTE_EXEMPLARS]
     )
-    def test_route_decides_and_mirrors(self, params, sites, route):
-        cfg = SearchConfig(literal_sites=sites)
+    def test_route_decides_and_mirrors(self, params, route):
         g = GameInstance(*params)
-        v = contest_mutual_exists(g, cfg)
+        v = contest_mutual_exists(g)
         assert v.exists
         assert v.route == route
-        assert is_mutually_beneficial(g, v.witness, cfg)
-        w = contest_mutual_exists(swap_indices(g), cfg)
+        assert is_mutually_beneficial(g, v.witness)
+        w = contest_mutual_exists(swap_indices(g))
         assert w.exists
         assert w.route == f"swap:{route}"
         assert w.witness.nu == -v.witness.nu
@@ -474,17 +459,16 @@ class TestJointMutual:
         "params,eps,route", JOINT_EXEMPLARS, ids=[r for _, _, r in JOINT_EXEMPLARS]
     )
     def test_route_exemplars(self, params, eps, route):
-        cfg = SearchConfig(eps=eps)
         g = GameInstance(*params)
-        v = joint_mutual_exists(g, cfg)
+        v = joint_mutual_exists(g, eps=eps)
         assert (v.exists, v.route, v.near_boundary) == (True, route, False)
-        assert is_mutually_beneficial(g, v.witness, cfg)
+        assert is_mutually_beneficial(g, v.witness, eps=eps)
         # The witness is the best split at the sliver's edge, on the game's
         # own side of the ridge: both players gain the same.
         d1, d2 = payoff_deltas(g, v.witness, player_payoffs(g, eps=eps), eps)
         assert abs(d1 - d2) <= 1e-12 * g.total_valuation
         assert _post_gap(g, v.witness) == pytest.approx(2 * RIDGE_RTOL, rel=1e-6)
-        w = joint_mutual_exists(swap_indices(g), cfg)
+        w = joint_mutual_exists(swap_indices(g), eps=eps)
         assert (w.exists, w.route) == (True, _mirror(route))
         assert (w.witness.tau, w.witness.nu) == (-v.witness.tau, -v.witness.nu)
 
