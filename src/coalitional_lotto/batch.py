@@ -1,21 +1,59 @@
-"""Vectorized payoff evaluation over arrays of transfers.
+"""Vectorized payoff evaluation over arrays of transfers and of games.
 
 Grid oracles and parameter sweeps evaluate the two players' payoffs at many
-transfers against a fixed game.  This module mirrors the scalar pipeline in
-``adversary`` (classification, closed-form split, equilibrium payoff) with
-numpy array operations so that a few-thousand-point scan costs a fraction of
-a millisecond.  The branching logic must stay in lockstep with the scalar
-code; ``tests/test_batch.py`` enforces agreement on random inputs.
+transfers, against one game or against many.  This module mirrors the scalar
+pipeline in ``adversary`` (classification, closed-form split, equilibrium
+payoff) with numpy array operations, so that a few-thousand-point scan costs
+a fraction of a millisecond and one call can serve a whole sample of games.
+``GameArrays`` holds the parameters of many games under the attribute names
+of ``GameInstance``; ``payoffs_at_transfers`` broadcasts them against the
+transfers.  The branching logic must stay in lockstep with the scalar code;
+``tests/test_batch.py`` enforces agreement bit for bit on random inputs.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 import numpy as np
 
 from .adversary import DEFAULT_EPS
-from .core import GameInstance
+from .core import EPS_FEAS, GameInstance, Transfer, post_transfer_params
 
-__all__ = ["one_v_one_vec", "payoffs_at_transfers", "collective_at_transfers"]
+__all__ = [
+    "GameArrays",
+    "one_v_one_vec",
+    "payoffs_at_transfers",
+    "collective_at_transfers",
+    "require_feasible",
+]
+
+
+class GameArrays(NamedTuple):
+    """Parameters of many games, one array per ``GameInstance`` field.
+
+    Anything that reads a game's ``phi1``, ``phi2``, ``x1``, ``x2`` with
+    numpy arithmetic, such as ``payoffs_at_transfers``, then works on every
+    game at once.  Build it from validated games with ``of``.
+    """
+
+    phi1: np.ndarray
+    phi2: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+
+    @classmethod
+    def of(cls, games: Sequence[GameInstance]) -> "GameArrays":
+        params = np.array([(g.phi1, g.phi2, g.x1, g.x2) for g in games], dtype=float)
+        return cls(*params.reshape(-1, 4).T.copy())
+
+    def take(self, rows) -> "GameArrays":
+        """The games at ``rows`` (an index array may repeat games)."""
+        return GameArrays(*(field[rows] for field in self))
+
+    @property
+    def total_valuation(self) -> np.ndarray:
+        return self.phi1 + self.phi2
 
 
 def one_v_one_vec(phi, x_player, x_adv):
@@ -31,11 +69,14 @@ def one_v_one_vec(phi, x_player, x_adv):
     return np.where(x_player <= x_adv, outgunned, dominant)
 
 
-def payoffs_at_transfers(g: GameInstance, taus, nus, eps: float = DEFAULT_EPS):
+def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = DEFAULT_EPS):
     """Player payoffs ``(u1, u2)`` for broadcastable arrays of transfers.
 
-    The caller must keep transfers strictly feasible (insets from the open
-    interval endpoints); no validation is performed here.
+    ``g`` is one game, or a ``GameArrays`` whose fields broadcast against
+    the transfers, one game per element.  Each payoff equals
+    ``adversary.player_payoffs`` bit for bit.  The caller must keep
+    transfers strictly feasible (see ``require_feasible``); no validation is
+    performed here.
     """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
@@ -77,7 +118,28 @@ def payoffs_at_transfers(g: GameInstance, taus, nus, eps: float = DEFAULT_EPS):
     return u1, u2
 
 
-def collective_at_transfers(g: GameInstance, taus, nus, eps: float = DEFAULT_EPS):
+def collective_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = DEFAULT_EPS):
     """Sum of both players' payoffs over arrays of transfers."""
     u1, u2 = payoffs_at_transfers(g, taus, nus, eps)
     return u1 + u2
+
+
+def require_feasible(g: GameInstance | GameArrays, taus, nus) -> None:
+    """Raise ``InfeasibleTransferError`` where ``core.post_transfer_params`` would.
+
+    Transfers that leave every component above ``EPS_FEAS`` pass at once;
+    any other is handed to ``post_transfer_params`` itself, which applies
+    the full rule and raises.
+    """
+    phi1, phi2, x1, x2, taus, nus = np.broadcast_arrays(
+        g.phi1, g.phi2, g.x1, g.x2, np.atleast_1d(taus), nus
+    )
+    clear = (
+        (phi1 - nus > EPS_FEAS)
+        & (phi2 + nus > EPS_FEAS)
+        & (x1 - taus > EPS_FEAS)
+        & (x2 + taus > EPS_FEAS)
+    )
+    for k in zip(*np.nonzero(~clear)):
+        game = GameInstance(phi1[k], phi2[k], x1[k], x2[k])
+        post_transfer_params(game, Transfer(taus[k], nus[k]))

@@ -9,6 +9,16 @@ Every analytic claim in this package has a slow counterpart here:
 * ``grid_max_collective`` maximizes the collective payoff along a mechanism's
   feasible set by grid plus local refinement.
 
+Each takes one game and is the one-game case of a form that takes a
+sequence of games: ``grid_best_responses``, ``grid_mutual_searches`` and
+``grid_max_collectives``.  ``grid_line_oracle`` serves the budget and
+contest lines of both searches at once.  Every game's grid is scanned on
+its own and cut down to its refinement brackets at once, so no
+(games x grid) array is kept; the brackets of the whole sample are then
+refined in one lockstep golden-section pass (``search.golden_max``).  Each
+game's results equal those of a one-game call bit for bit, whatever games
+share the sequence.
+
 The test suite pins oracle outputs for a golden set of games as fixtures and
 requires the closed forms to reproduce them.
 """
@@ -16,19 +26,21 @@ requires the closed forms to reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import batch
-from .adversary import DEFAULT_EPS, AdversaryAllocation, adversary_value, player_payoffs
+from .adversary import AdversaryAllocation
+from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer
 from .mutual import MutualBenefitVerdict
 from .search import (
     along,
     golden_max,
-    min_delta_fn,
     min_gain,
     off_ridge_best,
+    refine_transfers,
     thin_margin,
     transfer_interval,
 )
@@ -37,9 +49,14 @@ __all__ = [
     "GridSpec",
     "DEFAULT_GRID_1D",
     "DEFAULT_GRID_2D",
+    "LineOracle",
     "grid_best_response",
+    "grid_best_responses",
     "grid_mutual_search",
+    "grid_mutual_searches",
     "grid_max_collective",
+    "grid_max_collectives",
+    "grid_line_oracle",
 ]
 
 
@@ -57,8 +74,14 @@ class GridSpec:
 DEFAULT_GRID_1D = GridSpec(4001)
 DEFAULT_GRID_2D = GridSpec(401)
 
+# Golden-section steps per refinement bracket.
+MUTUAL_ITERS = 60
+COLLECTIVE_ITERS = 80
+BEST_RESPONSE_ITERS = 80
+JOINT_ITERS = 60
 
-def _adv_value_vec(g: GameInstance, xa1):
+
+def _adv_value_vec(g: GameInstance | GameArrays, xa1):
     """Adversary payoff over an array of splits (xa2 = 1 - xa1)."""
     xa1 = np.asarray(xa1, dtype=float)
     xa2 = 1.0 - xa1
@@ -67,9 +90,14 @@ def _adv_value_vec(g: GameInstance, xa1):
     return (g.phi1 - u1) + (g.phi2 - u2)
 
 
-def grid_best_response(
-    g_bar: GameInstance, spec: GridSpec = DEFAULT_GRID_1D
-) -> AdversaryAllocation:
+def _bracket(grid: np.ndarray, k) -> tuple:
+    """The grid points on either side of index ``k``, clipped to the grid."""
+    return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, len(grid) - 1)]
+
+
+def grid_best_responses(
+    games: Sequence[GameInstance], spec: GridSpec = DEFAULT_GRID_1D
+) -> list[AdversaryAllocation]:
     """Argmax of the adversary objective over its budget split, by grid search.
 
     Golden-section refinement around the best grid point resolves interior
@@ -77,18 +105,25 @@ def grid_best_response(
     plateaus any argmax is acceptable (the objective value is what matters).
     """
     xs = np.linspace(0.0, 1.0, spec.resolution)
-    values = _adv_value_vec(g_bar, xs)
-    k = int(np.argmax(values))
+    top = np.empty(len(games), dtype=int)
+    top_value = np.empty(len(games))
+    for i, g in enumerate(games):
+        values = _adv_value_vec(g, xs)
+        top[i] = np.argmax(values)
+        top_value[i] = values[top[i]]
+    arrays = GameArrays.of(games)
+    x_best, v_best = golden_max(
+        lambda x: _adv_value_vec(arrays, x), *_bracket(xs, top), BEST_RESPONSE_ITERS
+    )
+    x_best = np.where(top_value > v_best, xs[top], x_best)
+    return [AdversaryAllocation(x, 1.0 - x) for x in x_best.tolist()]
 
-    def objective(x: float) -> float:
-        return adversary_value(g_bar, x, 1.0 - x)
 
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    x_best, v_best = golden_max(objective, lo, hi, 80)
-    if values[k] > v_best:
-        x_best = float(xs[k])
-    return AdversaryAllocation(x_best, 1.0 - x_best)
+def grid_best_response(
+    g_bar: GameInstance, spec: GridSpec = DEFAULT_GRID_1D
+) -> AdversaryAllocation:
+    """``grid_best_responses`` for one game."""
+    return grid_best_responses([g_bar], spec)[0]
 
 
 def _local_maxima(score: np.ndarray, top: int) -> list[int]:
@@ -105,110 +140,214 @@ def _local_maxima(score: np.ndarray, top: int) -> list[int]:
     return [int(i) for i in order[:top]]
 
 
+def _scan_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec):
+    """A mechanism's feasible interval on the grid, with both payoffs there."""
+    vs = np.linspace(*transfer_interval(g, mechanism), spec.resolution)
+    if mechanism is Mechanism.BUDGET:
+        return (vs, *batch.payoffs_at_transfers(g, vs, 0.0))
+    return (vs, *batch.payoffs_at_transfers(g, 0.0, vs))
+
+
+def _cut_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec, baseline, mutual, collective):
+    """Scan one game's line and keep only what refinement needs.
+
+    For the mutual search (when ``mutual``): the best scan point ``(v,
+    smaller delta)`` and the brackets around the best few local maxima of
+    the smaller delta.  For the collective maximum (when ``collective``):
+    the best scan value and the bracket around it.  The scan itself is
+    dropped on return.
+    """
+    vs, u1, u2 = _scan_line(g, mechanism, spec)
+    mutual_cut = collective_cut = None
+    if mutual:
+        score = np.minimum(u1 - baseline[0], u2 - baseline[1])
+        k = int(np.argmax(score))
+        peaks = [_bracket(vs, p) for p in _local_maxima(score, top=5)]
+        mutual_cut = (float(vs[k]), float(score[k])), peaks
+    if collective:
+        total = u1 + u2
+        k = int(np.argmax(total))
+        collective_cut = float(total[k]), _bracket(vs, k)
+    return mutual_cut, collective_cut
+
+
+class LineOracle(NamedTuple):
+    """Results of ``grid_line_oracle``, one entry per game."""
+
+    verdicts: list[MutualBenefitVerdict]
+    maxima: dict[Mechanism, list[float]]
+
+
+def grid_line_oracle(
+    games: Sequence[GameInstance],
+    mutual: Mechanism | None = None,
+    collective: Sequence[Mechanism] = (),
+    spec: GridSpec = DEFAULT_GRID_1D,
+) -> LineOracle:
+    """Mutual search along ``mutual`` and collective maxima along each of
+    ``collective`` (budget or contest lines), for every game.
+
+    Each game's line is scanned once for both uses.  The mutual search
+    refines the smaller payoff delta around the best few local maxima of
+    the scan and moves a maximum that landed on the equal-ratio ridge off it
+    (``search.off_ridge_best``); the collective maximum refines around the
+    best scan point.  All brackets share one lockstep pass.  ``verdicts`` is
+    empty without ``mutual``.
+    """
+    arrays = GameArrays.of(games)
+    base1, base2 = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
+    # One row per refinement bracket: game, budget line, mutual objective,
+    # bracket ends, steps.
+    rows: list[tuple] = []
+    mutual_grid: list[tuple[float, float]] = []
+    mutual_rows: list[range] = []
+    collective_grid = {mech: [] for mech in collective}
+    collective_rows = {mech: [] for mech in collective}
+    lines = dict.fromkeys(([mutual] if mutual is not None else []) + list(collective))
+    for i, g in enumerate(games):
+        for mech in lines:
+            budget = mech is Mechanism.BUDGET
+            mutual_cut, collective_cut = _cut_line(
+                g, mech, spec, (base1[i], base2[i]), mech is mutual, mech in collective_rows
+            )
+            if mutual_cut is not None:
+                grid, peaks = mutual_cut
+                mutual_grid.append(grid)
+                mutual_rows.append(range(len(rows), len(rows) + len(peaks)))
+                rows += [(i, budget, True, lo, hi, MUTUAL_ITERS) for lo, hi in peaks]
+            if collective_cut is not None:
+                grid, (lo, hi) = collective_cut
+                collective_grid[mech].append(grid)
+                collective_rows[mech].append(len(rows))
+                rows.append((i, budget, False, lo, hi, COLLECTIVE_ITERS))
+
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    game = table[:, 0].astype(int)
+    v, val = refine_transfers(
+        arrays.take(game),
+        table[:, 1] > 0,
+        table[:, 3],
+        table[:, 4],
+        table[:, 5].astype(int),
+        mutual=table[:, 2] > 0,
+        baseline=(base1[game], base2[game]),
+    )
+    v, val = v.tolist(), val.tolist()
+
+    maxima = {
+        mech: [
+            val[r] if val[r] > grid else grid
+            for grid, r in zip(collective_grid[mech], collective_rows[mech])
+        ]
+        for mech in collective
+    }
+    if mutual is None:
+        return LineOracle([], maxima)
+
+    best = []
+    for grid, refined in zip(mutual_grid, mutual_rows):
+        for r in refined:
+            if val[r] > grid[1]:
+                grid = (v[r], val[r])
+        best.append(grid)
+    best_v, best_val = np.array(best, dtype=float).reshape(-1, 2).T
+
+    def rescan(i: int):
+        vs, u1, u2 = _scan_line(games[i], mutual, spec)
+        return vs, np.minimum(u1 - base1[i], u2 - base2[i])
+
+    found = off_ridge_best(arrays, mutual, (base1, base2), best_v, best_val, rescan, MUTUAL_ITERS)
+    verdicts = []
+    for g, (_, score), found_i in zip(games, best, found):
+        if found_i is None:
+            # Refinement can converge onto the single transfer that lands the
+            # game on the equal-ratio ridge, where a benefit exists only under
+            # the adversary's indifference tie-break; such a point witnesses
+            # no robust opportunity.
+            verdicts.append(MutualBenefitVerdict(mutual, False, None, "ridge-knife-edge", True))
+            continue
+        near = thin_margin(g, score)
+        if found_i[1] > min_gain(g):
+            witness = along(mutual, found_i[0])
+            verdicts.append(MutualBenefitVerdict(mutual, True, witness, "oracle-grid", near))
+        else:
+            verdicts.append(MutualBenefitVerdict(mutual, False, None, None, near))
+    return LineOracle(verdicts, maxima)
+
+
+def _grid_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:
+    """The best point of the 2-D transfer grid, unrefined."""
+    t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
+    n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
+    taus = np.linspace(t_lo, t_hi, spec.resolution)[:, None]
+    nus = np.linspace(n_lo, n_hi, spec.resolution)[None, :]
+    u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
+    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
+    k = int(np.argmax(score))
+    i, j = divmod(k, spec.resolution)
+    best = float(score[i, j])
+    near = thin_margin(g, best)
+    if best > min_gain(g):
+        witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
+        return MutualBenefitVerdict(Mechanism.JOINT, True, witness, "oracle-grid", near)
+    return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, near)
+
+
+def grid_mutual_searches(
+    games: Sequence[GameInstance], mechanism: Mechanism, spec: GridSpec | None = None
+) -> list[MutualBenefitVerdict]:
+    """Exhaustive search for a strictly mutually beneficial transfer, per game.
+
+    1-D scan for budget/contest (see ``grid_line_oracle``), 2-D for joint.
+    """
+    if mechanism is not Mechanism.JOINT:
+        return grid_line_oracle(games, mechanism, (), spec or DEFAULT_GRID_1D).verdicts
+    spec = spec or DEFAULT_GRID_2D
+    baseline = batch.payoffs_at_transfers(GameArrays.of(games), 0.0, 0.0)
+    return [
+        _grid_joint_search(g, (u1, u2), spec)
+        for g, u1, u2 in zip(games, baseline[0].tolist(), baseline[1].tolist())
+    ]
+
+
 def grid_mutual_search(
     g: GameInstance, mechanism: Mechanism, spec: GridSpec | None = None
 ) -> MutualBenefitVerdict:
-    """Exhaustive search for a strictly mutually beneficial transfer.
+    """``grid_mutual_searches`` for one game."""
+    return grid_mutual_searches([g], mechanism, spec)[0]
 
-    1-D scan for budget/contest, 2-D for joint; grid hits are polished and
-    near-misses refined by golden-section on the smaller payoff delta around
-    the best few local maxima.
-    """
-    if spec is None:
-        spec = DEFAULT_GRID_2D if mechanism is Mechanism.JOINT else DEFAULT_GRID_1D
-    baseline = player_payoffs(g, eps=DEFAULT_EPS)
-    gain = min_gain(g)
 
+def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[float]:
+    """Best point of each game's 2-D grid, then two rounds of coordinate-wise
+    golden refinement, one coordinate of every game per pass."""
+    brackets = []
+    for g in games:
+        taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), spec.resolution)
+        nus = np.linspace(*transfer_interval(g, Mechanism.CONTEST), spec.resolution)
+        total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
+        i, j = divmod(int(np.argmax(total)), spec.resolution)
+        brackets.append((*_bracket(taus, i), *_bracket(nus, j), nus[j], total[i, j]))
+    tau_lo, tau_hi, nu_lo, nu_hi, nu, best = np.array(brackets, dtype=float).reshape(-1, 6).T
+    arrays = GameArrays.of(games)
+    for _ in range(2):
+        tau = refine_transfers(arrays, True, tau_lo, tau_hi, JOINT_ITERS, fixed=nu)[0]
+        nu, val = refine_transfers(arrays, False, nu_lo, nu_hi, JOINT_ITERS, fixed=tau)
+        best = np.where(val > best, val, best)
+    return best.tolist()
+
+
+def grid_max_collectives(
+    games: Sequence[GameInstance], mechanism: Mechanism, spec: GridSpec | None = None
+) -> list[float]:
+    """Grid-plus-refinement maximum of the collective payoff along a
+    mechanism, per game."""
     if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
-        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
-        taus = np.linspace(t_lo, t_hi, spec.resolution)[:, None]
-        nus = np.linspace(n_lo, n_hi, spec.resolution)[None, :]
-        u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
-        score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-        k = int(np.argmax(score))
-        i, j = divmod(k, spec.resolution)
-        best = float(score[i, j])
-        near = thin_margin(g, best)
-        if best > gain:
-            witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
-            return MutualBenefitVerdict(mechanism, True, witness, "oracle-grid", near)
-        return MutualBenefitVerdict(mechanism, False, None, None, near)
-
-    lo, hi = transfer_interval(g, mechanism)
-    vs = np.linspace(lo, hi, spec.resolution)
-    if mechanism is Mechanism.BUDGET:
-        u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
-    else:
-        u1, u2 = batch.payoffs_at_transfers(g, 0.0, vs)
-    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-    f = min_delta_fn(g, mechanism, baseline, DEFAULT_EPS)
-    best_v, best = float(vs[int(np.argmax(score))]), float(np.max(score))
-    for k in _local_maxima(score, top=5):
-        a = vs[max(k - 1, 0)]
-        b = vs[min(k + 1, len(vs) - 1)]
-        v, val = golden_max(f, a, b, 60)
-        if val > best:
-            best_v, best = v, val
-    near = thin_margin(g, best)
-    # Refinement can converge onto the single transfer that lands the game on
-    # the equal-ratio ridge, where a benefit exists only under the adversary's
-    # indifference tie-break; such a point witnesses no robust opportunity.
-    found = off_ridge_best(g, mechanism, vs, score, best_v, best, f, 60)
-    if found is None:
-        return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
-    best_v, best = found
-    if best > gain:
-        return MutualBenefitVerdict(mechanism, True, along(mechanism, best_v), "oracle-grid", near)
-    return MutualBenefitVerdict(mechanism, False, None, None, near)
+        return _joint_collectives(games, spec or DEFAULT_GRID_2D)
+    return grid_line_oracle(games, None, (mechanism,), spec or DEFAULT_GRID_1D).maxima[mechanism]
 
 
 def grid_max_collective(
     g: GameInstance, mechanism: Mechanism, spec: GridSpec | None = None
 ) -> float:
-    """Grid-plus-refinement maximum of the collective payoff along a mechanism."""
-    if spec is None:
-        spec = DEFAULT_GRID_2D if mechanism is Mechanism.JOINT else DEFAULT_GRID_1D
-
-    if mechanism is Mechanism.JOINT:
-        t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
-        n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
-        taus = np.linspace(t_lo, t_hi, spec.resolution)
-        nus = np.linspace(n_lo, n_hi, spec.resolution)
-        total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
-        k = int(np.argmax(total))
-        i, j = divmod(k, spec.resolution)
-        tau, nu = float(taus[i]), float(nus[j])
-        best = float(total[i, j])
-
-        def joint_total(a: float, b: float) -> float:
-            u1, u2 = player_payoffs(g, Transfer(a, b), DEFAULT_EPS)
-            return u1 + u2
-
-        # Two rounds of coordinate-wise golden refinement.
-        for _ in range(2):
-            a = taus[max(i - 1, 0)]
-            b = taus[min(i + 1, len(taus) - 1)]
-            tau, val = golden_max(lambda v: joint_total(v, nu), a, b, 60)
-            a = nus[max(j - 1, 0)]
-            b = nus[min(j + 1, len(nus) - 1)]
-            nu, val = golden_max(lambda v: joint_total(tau, v), a, b, 60)
-            best = max(best, val)
-        return best
-
-    lo, hi = transfer_interval(g, mechanism)
-    vs = np.linspace(lo, hi, spec.resolution)
-    if mechanism is Mechanism.BUDGET:
-        total = batch.collective_at_transfers(g, vs, 0.0)
-    else:
-        total = batch.collective_at_transfers(g, 0.0, vs)
-
-    def f(v: float) -> float:
-        u1, u2 = player_payoffs(g, along(mechanism, v), DEFAULT_EPS)
-        return u1 + u2
-
-    k = int(np.argmax(total))
-    a = vs[max(k - 1, 0)]
-    b = vs[min(k + 1, len(vs) - 1)]
-    _, refined = golden_max(f, a, b, 80)
-    return max(float(total[k]), refined)
+    """``grid_max_collectives`` for one game."""
+    return grid_max_collectives([g], mechanism, spec)[0]

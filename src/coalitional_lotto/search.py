@@ -15,7 +15,13 @@ and the oracle search the same feasible intervals:
   is a knife-edge, not evidence of a robust transfer.
 
 Each search keeps its own resolution and refinement budget; only the rules
-live here.
+live here, with the one golden-section search.  ``golden_max`` refines an
+array of brackets in lockstep, one objective call per step, so a whole
+sample of games costs about as many numpy calls as one game.
+``refine_transfers`` runs it along transfer lines through
+``batch.payoffs_at_transfers``, after checking each bracket's ends like
+``core.post_transfer_params``; ``off_ridge_best`` is the oracle's knife-edge
+fallback.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import math
 
 import numpy as np
 
-from .adversary import player_payoffs
+from . import batch
+from .batch import GameArrays
 from .core import EPS_FEAS, GameInstance, Mechanism, Transfer
 
 __all__ = [
@@ -37,8 +44,8 @@ __all__ = [
     "transfer_interval",
     "along",
     "ridge_gap",
-    "min_delta_fn",
     "golden_max",
+    "refine_transfers",
     "off_ridge_best",
 ]
 
@@ -48,8 +55,8 @@ RIDGE_RTOL = 1e-6
 INTERVAL_MARGIN = 1e-6
 
 
-def min_gain(g: GameInstance) -> float:
-    """Smallest payoff delta that counts as a strict gain."""
+def min_gain(g: GameInstance | GameArrays):
+    """Smallest payoff delta that counts as a strict gain (per game for arrays)."""
     return GAIN_RTOL * g.total_valuation
 
 
@@ -77,7 +84,7 @@ def along(mechanism: Mechanism, v: float) -> Transfer:
     return Transfer(v, 0.0) if mechanism is Mechanism.BUDGET else Transfer(0.0, v)
 
 
-def ridge_gap(g: GameInstance, mechanism: Mechanism, v):
+def ridge_gap(g: GameInstance | GameArrays, mechanism: Mechanism, v):
     """Relative gap between post-transfer budget-to-valuation ratios."""
     if mechanism is Mechanism.BUDGET:
         r1 = (g.x1 - v) / g.phi1
@@ -88,82 +95,174 @@ def ridge_gap(g: GameInstance, mechanism: Mechanism, v):
     return np.abs(r1 - r2) / np.maximum(r1, r2)
 
 
-def min_delta_fn(g: GameInstance, mechanism: Mechanism, baseline: tuple[float, float], eps: float):
-    """The smaller payoff delta as a function of the transfer amount."""
-
-    def f(v: float) -> float:
-        u1, u2 = player_payoffs(g, along(mechanism, v), eps)
-        return min(u1 - baseline[0], u2 - baseline[1])
-
-    return f
+# Golden ratio conjugate: each step keeps this share of the bracket.
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, a: float, b: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximum of ``f`` on ``[a, b]``: (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def golden_max(f, a, b, iters):
+    """Golden-section maxima of ``f`` on brackets ``[a[i], b[i]]``: (argmax, max).
 
-
-def off_ridge_best(
-    g: GameInstance, mechanism: Mechanism, vs, score, v_best: float, best: float, f, iters: int
-) -> tuple[float, float] | None:
-    """The best beneficial transfer away from the equal-ratio ridge.
-
-    ``vs``/``score`` are a scan of the smaller delta ``f`` and ``(v_best,
-    best)`` its refined maximum.  A maximum off the ridge, or one that is
-    not beneficial, is returned unchanged.  A beneficial maximum on the
-    ridge is replaced by the best off-ridge scan point; failing that, the two
-    side intervals one scan step out from the ridge point are refined, where
-    thin windows can open right at the ridge crossing.  None means the only
-    benefit is the knife-edge.
+    ``f`` maps an array of points to their values elementwise, row ``i`` of
+    its argument belonging to bracket ``i``; it is called on shape ``(2,
+    n)`` once and on shape ``(n,)`` once per step.  Row ``i`` takes
+    ``iters[i]`` steps (``iters`` broadcasts), so each row is the scalar
+    golden-section search bit for bit.  A row that has taken its steps
+    keeps shrinking inside its bracket with the others; its result was
+    read off when it finished.
     """
-    gain = min_gain(g)
-    if not (best > gain and ridge_gap(g, mechanism, v_best) <= RIDGE_RTOL):
-        return v_best, best
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    iters = np.broadcast_to(iters, a.shape)
+    arg = np.empty_like(a)
+    best = np.empty_like(a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(np.stack((c, d)))
+    # Not np.unique: its first call imports numpy.ma, which costs more than a
+    # one-game search.
+    finish = sorted(set(iters.ravel().tolist()))
+    for step in range(finish[-1] + 1 if finish else 0):
+        left = fc >= fd
+        if step in finish:
+            done = iters == step
+            arg[done] = np.where(left, c, d)[done]
+            best[done] = np.where(left, fc, fd)[done]
+            if step == finish[-1]:
+                break
+        # Keep [a, d] (left) or [c, b]; the kept interior point is reused
+        # and one new point is placed.
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        span = INVPHI * (b - a)
+        x = np.where(left, b - span, a + span)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return arg, best
+
+
+def refine_transfers(
+    games: GameInstance | GameArrays,
+    budget,
+    a,
+    b,
+    iters,
+    fixed=0.0,
+    mutual=False,
+    baseline=(0.0, 0.0),
+):
+    """``golden_max`` along transfer lines, one bracket per row of ``games``.
+
+    Row ``i`` moves budget (where ``budget`` holds) or valuation by ``v`` in
+    ``[a[i], b[i]]``, holding the other component at ``fixed``.  It
+    maximizes the smaller payoff delta against ``baseline`` where
+    ``mutual`` holds and the collective payoff elsewhere.  Both ends of
+    every bracket must pass ``core.post_transfer_params``'s rule, or
+    ``InfeasibleTransferError`` is raised: the feasible set is an interval,
+    so every point the search evaluates is then feasible.
+    """
+
+    def transfers(v):
+        return np.where(budget, v, fixed), np.where(budget, fixed, v)
+
+    for end in (a, b):
+        batch.require_feasible(games, *transfers(end))
+
+    def f(v):
+        u1, u2 = batch.payoffs_at_transfers(games, *transfers(v))
+        return np.where(mutual, np.minimum(u1 - baseline[0], u2 - baseline[1]), u1 + u2)
+
+    return golden_max(f, a, b, iters)
+
+
+def _off_ridge_scan(g, mechanism: Mechanism, vs, score, gain: float, v_ridge: float):
+    """A beneficial maximum at ``v_ridge`` on the ridge, seen from the scan.
+
+    Returns the best beneficial scan point off the ridge, ``((v, value),
+    [])``, or failing that ``(None, sides)``: the brackets between the edge
+    of the tie-break sliver and one scan step out, on either side.
+    """
     off = (ridge_gap(g, mechanism, vs) > RIDGE_RTOL) & (score > gain)
     if np.any(off):
         k = int(np.argmax(np.where(off, score, -np.inf)))
-        return float(vs[k]), float(score[k])
+        return (float(vs[k]), float(score[k])), []
     step = float(vs[1] - vs[0])
-    found = (None, -math.inf)
 
     def in_sliver(v: float) -> bool:
         return ridge_gap(g, mechanism, v) <= 2.0 * RIDGE_RTOL
 
+    sides = []
     for sign in (1.0, -1.0):
         # Start at the smallest offset whose ridge gap exceeds the tie-break
         # sliver: bracket it by factors of 4, then bisect the bracket.
         short, delta = 0.0, step * 1e-9
-        while delta < step and in_sliver(v_best + sign * delta):
+        while delta < step and in_sliver(v_ridge + sign * delta):
             short, delta = delta, 4.0 * delta
         for _ in range(40):
             mid = 0.5 * (short + delta)
-            if in_sliver(v_best + sign * mid):
+            if in_sliver(v_ridge + sign * mid):
                 short = mid
             else:
                 delta = mid
-        a = v_best + sign * delta
-        b = v_best + sign * step
+        a = v_ridge + sign * delta
+        b = v_ridge + sign * step
         a, b = min(a, b), max(a, b)
         a, b = max(a, float(vs[0])), min(b, float(vs[-1]))
-        if a >= b:
-            continue
-        v, val = golden_max(f, a, b, iters)
-        if val > found[1] and ridge_gap(g, mechanism, v) > RIDGE_RTOL:
-            found = (v, val)
-    if found[0] is not None and found[1] > gain:
-        return found
-    return None
+        if a < b:
+            sides.append((a, b))
+    return None, sides
+
+
+def off_ridge_best(
+    games: GameArrays,
+    mechanism: Mechanism,
+    baseline,
+    v_best,
+    best,
+    rescan,
+    iters: int,
+) -> list[tuple[float, float] | None]:
+    """The best beneficial transfer away from the equal-ratio ridge, per game.
+
+    ``(v_best, best)`` are arrays of each game's refined maximum of the
+    smaller payoff delta against ``baseline``, and ``rescan(i)`` returns game
+    ``i``'s scan ``(vs, score)`` of that delta.  A maximum off the ridge, or
+    one that is not beneficial, is returned unchanged.  A beneficial maximum
+    on the ridge is replaced by the best off-ridge scan point; failing that,
+    the two side intervals one scan step out from the ridge point are
+    refined, all games' sides in one lockstep pass, where thin windows can
+    open right at the ridge crossing.  None means the only benefit is the
+    knife-edge.  Only games whose maximum is on the ridge are scanned again.
+    """
+    gain = min_gain(games)
+    found: list = list(zip(v_best.tolist(), best.tolist()))
+    on_ridge = (best > gain) & (ridge_gap(games, mechanism, v_best) <= RIDGE_RTOL)
+    sides, lo, hi = [], [], []
+    for i in np.flatnonzero(on_ridge):
+        found[i], brackets = _off_ridge_scan(
+            games.take(i), mechanism, *rescan(i), gain[i], float(v_best[i])
+        )
+        for a, b in brackets:
+            sides.append(i)
+            lo.append(a)
+            hi.append(b)
+    sides = np.array(sides, dtype=int)
+    side_games = games.take(sides)
+    v, val = refine_transfers(
+        side_games,
+        mechanism is Mechanism.BUDGET,
+        lo,
+        hi,
+        iters,
+        mutual=True,
+        baseline=(baseline[0][sides], baseline[1][sides]),
+    )
+    off = ridge_gap(side_games, mechanism, v) > RIDGE_RTOL
+    side_best: dict[int, tuple[float, float]] = {}
+    for i, v_i, val_i, off_i in zip(sides.tolist(), v.tolist(), val.tolist(), off.tolist()):
+        if off_i and val_i > side_best.get(i, (None, -math.inf))[1]:
+            side_best[i] = (v_i, val_i)
+    for i, (v_i, val_i) in side_best.items():
+        if val_i > gain[i]:
+            found[i] = (v_i, val_i)
+    return found

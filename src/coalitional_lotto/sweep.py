@@ -26,13 +26,7 @@ from .mutual import (
     contest_mutual_exists,
     joint_mutual_exists,
 )
-from .oracle import (
-    DEFAULT_GRID_1D,
-    GridSpec,
-    grid_best_response,
-    grid_max_collective,
-    grid_mutual_search,
-)
+from .oracle import DEFAULT_GRID_1D, GridSpec, grid_best_responses, grid_line_oracle
 from .rng import SplitMix64
 from .search import transfer_interval
 
@@ -165,17 +159,22 @@ def run_verify(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    games = sample_games(count, seed)
+    # The contest line serves both the mutual search and the contest
+    # collective maximum.
+    lines = grid_line_oracle(games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST), spec)
+    responses = grid_best_responses(games, spec)
     rows = []
     ok = True
-    for i, g in enumerate(sample_games(count, seed)):
+    for i, g in enumerate(games):
         label = classify_case(g, eps)
         analytic = contest_mutual_exists(g, eps)
-        oracle_v = grid_mutual_search(g, Mechanism.CONTEST, spec)
+        oracle_v = lines.verdicts[i]
         agree = analytic.exists == oracle_v.exists
         near = analytic.near_boundary or oracle_v.near_boundary
 
         xa_closed = best_response(g, eps)
-        xa_grid = grid_best_response(g, spec)
+        xa_grid = responses[i]
         alloc_err = abs(xa_closed.xa1 - xa_grid.xa1)
         value_err = abs(
             adversary_value(g, xa_closed.xa1, xa_closed.xa2)
@@ -185,8 +184,8 @@ def run_verify(
 
         closed = max_collective_payoff(g)
         col_err = max(
-            abs(grid_max_collective(g, Mechanism.BUDGET, spec) - closed),
-            abs(grid_max_collective(g, Mechanism.CONTEST, spec) - closed),
+            abs(lines.maxima[Mechanism.BUDGET][i] - closed),
+            abs(lines.maxima[Mechanism.CONTEST][i] - closed),
         ) / abs(closed)
         col_ok = col_err <= VERIFY_COLLECTIVE_RTOL
 

@@ -21,7 +21,13 @@ from coalitional_lotto.mutual import (
     contest_mutual_exists,
     joint_mutual_exists,
 )
-from coalitional_lotto.oracle import GridSpec, grid_best_response, grid_max_collective, grid_mutual_search
+from coalitional_lotto.oracle import (
+    GridSpec,
+    grid_best_responses,
+    grid_max_collectives,
+    grid_mutual_search,
+    grid_mutual_searches,
+)
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.sweep import Predicate, SweepSpec, run_sweep, sample_games
 
@@ -54,12 +60,11 @@ def test_criterion_2_collective_maxima_equality():
     joint_spec = GridSpec(201)  # 201 per axis keeps the run single-threaded fast
     worst = 0.0
     t0 = time.perf_counter()
-    for g in games:
-        closed = max_collective_payoff(g)
-        for mech in Mechanism:
-            spec = joint_spec if mech is Mechanism.JOINT else None
-            rel = abs(grid_max_collective(g, mech, spec) - closed) / abs(closed)
-            worst = max(worst, rel)
+    closed = [max_collective_payoff(g) for g in games]
+    for mech in Mechanism:
+        spec = joint_spec if mech is Mechanism.JOINT else None
+        for grid, best in zip(grid_max_collectives(games, mech, spec), closed):
+            worst = max(worst, abs(grid - best) / abs(best))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
     report("criterion 2", ok, f"worst_rel_err={worst:.2e} runtime={elapsed:.1f}s")
@@ -91,9 +96,8 @@ def test_criterion_4_best_response_matches_grid():
     games = sample_games(1000, seed=20240404)
     worst_pair = (0.0, 0.0)
     ok = True
-    for g in games:
+    for g, grid in zip(games, grid_best_responses(games)):
         closed = best_response(g)
-        grid = grid_best_response(g)
         alloc_err = abs(closed.xa1 - grid.xa1)
         if alloc_err <= 1e-6:
             continue
@@ -111,9 +115,8 @@ def test_criterion_5_contest_oracle_agreement_and_calibration_report():
     games = sample_games(1000, seed=20240505)
     disagreements = 0
     unflagged = 0
-    for g in games:
+    for g, oracle in zip(games, grid_mutual_searches(games, Mechanism.CONTEST)):
         analytic = contest_mutual_exists(g)
-        oracle = grid_mutual_search(g, Mechanism.CONTEST)
         if analytic.exists != oracle.exists:
             disagreements += 1
             if not (analytic.near_boundary or oracle.near_boundary):

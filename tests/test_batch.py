@@ -1,24 +1,79 @@
 """The vectorized payoff path must agree with the scalar path exactly."""
 
 import numpy as np
+import pytest
 
 from coalitional_lotto import batch
 from coalitional_lotto.adversary import player_payoffs
-from coalitional_lotto.core import Transfer
+from coalitional_lotto.core import (
+    GameInstance,
+    InfeasibleTransferError,
+    Transfer,
+    post_transfer_params,
+)
 
 from conftest import random_games
 
 
 def test_matches_scalar_on_random_transfers():
     rng = np.random.default_rng(5)
-    for g in random_games(50, seed=23):
-        taus = rng.uniform(-0.9 * g.x2, 0.9 * g.x1, size=40)
-        nus = rng.uniform(-0.9 * g.phi2, 0.9 * g.phi1, size=40)
-        u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
-        for i in range(len(taus)):
-            s1, s2 = player_payoffs(g, Transfer(taus[i], nus[i]))
-            assert u1[i] == s1
-            assert u2[i] == s2
+    games = random_games(50, seed=23)
+    taus = np.array([rng.uniform(-0.9 * g.x2, 0.9 * g.x1, size=40) for g in games])
+    nus = np.array([rng.uniform(-0.9 * g.phi2, 0.9 * g.phi1, size=40) for g in games])
+    # One game at a time, then every game in one call: a column of games
+    # against a row of transfers per game.
+    arrays = batch.GameArrays.of(games)
+    column = batch.GameArrays(*(field[:, None] for field in arrays))
+    all1, all2 = batch.payoffs_at_transfers(column, taus, nus)
+    assert all1.shape == (50, 40)
+    for k, g in enumerate(games):
+        u1, u2 = batch.payoffs_at_transfers(g, taus[k], nus[k])
+        for i in range(taus.shape[1]):
+            s1, s2 = player_payoffs(g, Transfer(taus[k, i], nus[k, i]))
+            assert u1[i] == s1 and all1[k, i] == s1
+            assert u2[i] == s2 and all2[k, i] == s2
+    # A game array row by row against one transfer per game.
+    r1, r2 = batch.payoffs_at_transfers(arrays, taus[:, 7], nus[:, 7])
+    for k, g in enumerate(games):
+        assert (r1[k], r2[k]) == player_payoffs(g, Transfer(taus[k, 7], nus[k, 7]))
+
+
+def test_game_arrays_take_and_total_valuation():
+    games = random_games(4, seed=2)
+    arrays = batch.GameArrays.of(games).take(np.array([3, 0, 3]))
+    assert arrays.phi1.tolist() == [games[3].phi1, games[0].phi1, games[3].phi1]
+    assert arrays.total_valuation.tolist() == [games[k].total_valuation for k in (3, 0, 3)]
+    assert batch.GameArrays.of([]).phi1.shape == (0,)
+
+
+def _scalar_feasible(g, tau, nu) -> bool:
+    try:
+        post_transfer_params(g, Transfer(tau, nu))
+    except InfeasibleTransferError:
+        return False
+    return True
+
+
+def test_require_feasible_follows_the_scalar_rule():
+    rng = np.random.default_rng(8)
+    cases = []
+    for g in random_games(20, seed=4):
+        taus = rng.uniform(-1.2 * g.x2, 1.2 * g.x1, 30)
+        nus = rng.uniform(-1.2 * g.phi2, 1.2 * g.phi1, 30)
+        cases += [(g, tau, nu) for tau, nu in zip(taus, nus)]
+    # A valuation below EPS_FEAS, where the rule's relative floor decides.
+    tiny = GameInstance(1.0, 1e-13, 1.0, 1.0)
+    cases += [(tiny, 0.0, nu) for nu in (0.0, -0.5e-13, -0.99e-13, -1e-13, -2e-13)]
+    assert 0 < sum(_scalar_feasible(*case) for case in cases) < len(cases)
+    for g, tau, nu in cases:
+        # The infeasible transfer sits behind a feasible one.
+        arrays = batch.GameArrays.of([g, g])
+        taus, nus = np.array([0.0, tau]), np.array([0.0, nu])
+        if _scalar_feasible(g, tau, nu):
+            batch.require_feasible(arrays, taus, nus)
+        else:
+            with pytest.raises(InfeasibleTransferError):
+                batch.require_feasible(arrays, taus, nus)
 
 
 def test_broadcasting_grid():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,17 @@ class TestVerify:
         assert code == 0
         lines = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 + 3
+
+    def test_reproduces_committed_csv(self, capsys, tmp_path):
+        # The committed file pins verify's output, oracle included, byte for
+        # byte; it must never be regenerated to make this pass.
+        out_file = tmp_path / "verify.csv"
+        code, _, _ = run_cli(
+            capsys, "verify", "--count", "100", "--seed", "7", "--out", str(out_file)
+        )
+        assert code == 0
+        expected = Path(__file__).parent / "data" / "verify_seed7_count100.csv"
+        assert out_file.read_bytes() == expected.read_bytes()
 
     def test_zero_count_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--count", "0")

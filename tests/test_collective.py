@@ -11,7 +11,7 @@ from coalitional_lotto.collective import (
 )
 from coalitional_lotto.core import GameInstance, Transfer, post_transfer, swap_indices
 from coalitional_lotto.mutual import Mechanism
-from coalitional_lotto.oracle import grid_max_collective
+from coalitional_lotto.oracle import grid_max_collectives
 
 from conftest import random_games
 
@@ -109,10 +109,10 @@ class TestBeneficialExists:
 class TestEquivalenceProperty:
     def test_triple_equality_sampled(self):
         # budget-only, contest-only, and joint maxima all match the closed form
-        for g in random_games(25, seed=61):
-            closed = max_collective_payoff(g)
-            for mech in Mechanism:
-                grid = grid_max_collective(g, mech)
+        games = random_games(25, seed=61)
+        for mech in Mechanism:
+            for g, grid in zip(games, grid_max_collectives(games, mech)):
+                closed = max_collective_payoff(g)
                 assert grid == pytest.approx(closed, rel=1e-6), (g.as_dict(), mech)
 
     def test_concave_along_contest_axis_in_case2(self):

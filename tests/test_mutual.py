@@ -21,7 +21,7 @@ from coalitional_lotto.mutual import (
     si_contest_exists,
     thresholds,
 )
-from coalitional_lotto.oracle import grid_mutual_search
+from coalitional_lotto.oracle import grid_mutual_search, grid_mutual_searches
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import RIDGE_RTOL, min_gain, ridge_gap
 
@@ -255,9 +255,9 @@ class TestContestMutual:
 
     def test_agrees_with_oracle(self):
         mismatches = 0
-        for g in random_games(150, seed=71):
+        games = random_games(150, seed=71)
+        for g, o in zip(games, grid_mutual_searches(games, Mechanism.CONTEST)):
             a = contest_mutual_exists(g)
-            o = grid_mutual_search(g, Mechanism.CONTEST)
             if a.exists != o.exists and not (a.near_boundary or o.near_boundary):
                 mismatches += 1
         assert mismatches == 0
@@ -371,9 +371,8 @@ class TestBudgetMutual:
     def test_agrees_with_oracle_on_stratified_corpus(self):
         games = stratified_games(per_region=24, seed=2024)
         decided = []
-        for g in games:
+        for g, o in zip(games, grid_mutual_searches(games, Mechanism.BUDGET)):
             v = budget_mutual_exists(g)
-            o = grid_mutual_search(g, Mechanism.BUDGET)
             if v.exists:
                 assert is_mutually_beneficial(g, v.witness)
             if not (v.near_boundary or o.near_boundary):
