@@ -14,6 +14,8 @@ budget-to-valuation ratio,
   indifferent among all splits with ``xa_i <= x_i``.
 
 The mirrored orientation swaps indices.  Case 4 carries no orientation.
+Ratio ties and case edges are decided with one fixed relative tolerance,
+``CASE_RTOL``, which ``batch`` reads too.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
     "Orientation",
     "CaseLabel",
     "AdversaryAllocation",
-    "DEFAULT_EPS",
+    "CASE_RTOL",
     "case_of",
     "classify_case",
     "best_response",
@@ -44,8 +46,9 @@ __all__ = [
 
 # Relative tolerance for ratio equality and case-boundary membership.  The
 # case sets partition the parameter space only up to measure-zero boundaries;
-# a deterministic tolerance makes classification total and reproducible.
-DEFAULT_EPS = 1e-9
+# one fixed tolerance makes classification total and reproducible.  It is a
+# numeric tie rule, not a parameter of the model.
+CASE_RTOL = 1e-9
 
 
 class Orientation(Enum):
@@ -89,37 +92,37 @@ class AdversaryAllocation:
     xa2: float
 
 
-def case_of(phi1, phi2, x1, x2, eps):
+def case_of(phi1, phi2, x1, x2):
     """Case index and orientation ``(index, swapped)`` of a game, on floats.
 
     ``swapped`` is true when player 2 has the weaker budget-to-valuation
-    ratio.  Equal ratios (within relative ``eps``) give case 4 when the
+    ratio.  Equal ratios (within relative ``CASE_RTOL``) give case 4 when the
     players' combined budget covers the adversary's (>= 1) and case 3 in the
     native orientation otherwise (the case-3 split formula is continuous
     through the equal-ratio ridge there).  Boundary membership uses the same
-    relative slack ``eps``; the lower case-2 boundary (expression exactly 0)
+    relative slack; the lower case-2 boundary (expression exactly 0)
     classifies as case 1, where the adversary sends its whole budget to the
     weak side either way.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
-    if abs(r1 - r2) <= eps * max(r1, r2):
+    if abs(r1 - r2) <= CASE_RTOL * max(r1, r2):
         return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)
-    if s >= 1.0 - eps * max(1.0, s):
+    if s >= 1.0 - CASE_RTOL * max(1.0, s):
         return 1, swapped
-    if 1.0 - s <= x_s * (1.0 + eps):
+    if 1.0 - s <= x_s * (1.0 + CASE_RTOL):
         return 2, swapped
     return 3, swapped
 
 
-def classify_case(g: GameInstance, eps: float = DEFAULT_EPS) -> CaseLabel:
+def classify_case(g: GameInstance) -> CaseLabel:
     """Classify a game into the seven-way case partition (see ``case_of``)."""
-    return CaseLabel.of(*case_of(g.phi1, g.phi2, g.x1, g.x2, eps))
+    return CaseLabel.of(*case_of(g.phi1, g.phi2, g.x1, g.x2))
 
 
 def _split_oriented(index, phi_w, phi_s, x_w, x_s):
@@ -138,13 +141,13 @@ def _split_oriented(index, phi_w, phi_s, x_w, x_s):
     return x_w / (x_w + x_s)
 
 
-def _split(phi1, phi2, x1, x2, eps):
+def _split(phi1, phi2, x1, x2):
     """Optimal adversary split ``(xa1, xa2)`` of a game, on floats.
 
     The weak-ratio side's share comes from the closed form and the other
     side gets the rest, so the two always sum to 1.
     """
-    index, swapped = case_of(phi1, phi2, x1, x2, eps)
+    index, swapped = case_of(phi1, phi2, x1, x2)
     if swapped:
         xa2 = _split_oriented(index, phi2, phi1, x2, x1)
         return 1.0 - xa2, xa2
@@ -152,14 +155,12 @@ def _split(phi1, phi2, x1, x2, eps):
     return xa1, 1.0 - xa1
 
 
-def best_response(g: GameInstance, eps: float = DEFAULT_EPS) -> AdversaryAllocation:
+def best_response(g: GameInstance) -> AdversaryAllocation:
     """Closed-form optimal adversary split for a game (see ``_split``)."""
-    return AdversaryAllocation(*_split(g.phi1, g.phi2, g.x1, g.x2, eps))
+    return AdversaryAllocation(*_split(g.phi1, g.phi2, g.x1, g.x2))
 
 
-def player_payoffs(
-    g: GameInstance, t: Transfer = Transfer(), eps: float = DEFAULT_EPS
-) -> tuple[float, float]:
+def player_payoffs(g: GameInstance, t: Transfer = Transfer()) -> tuple[float, float]:
     """Both players' equilibrium payoffs after a transfer.
 
     Applies the transfer, lets the adversary best-respond to the new
@@ -167,7 +168,7 @@ def player_payoffs(
     floats.  Raises ``InfeasibleTransferError`` like ``post_transfer``.
     """
     phi1, phi2, x1, x2 = post_transfer_params(g, t)
-    xa1, xa2 = _split(phi1, phi2, x1, x2, eps)
+    xa1, xa2 = _split(phi1, phi2, x1, x2)
     return u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
 
 

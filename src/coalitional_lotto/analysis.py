@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import DEFAULT_EPS, best_response, classify_case, player_payoffs
+from .adversary import best_response, classify_case, player_payoffs
 from .collective import CollectiveReport, collective_report
 from .core import GameInstance
 from .mutual import (
@@ -53,11 +53,11 @@ class AnalysisReport:
         }
 
 
-def analyze_game(g: GameInstance, eps: float = DEFAULT_EPS) -> AnalysisReport:
+def analyze_game(g: GameInstance) -> AnalysisReport:
     """Classify a game and evaluate every transfer-benefit question."""
-    label = classify_case(g, eps)
-    xa = best_response(g, eps)
-    u1, u2 = player_payoffs(g, eps=eps)
+    label = classify_case(g)
+    xa = best_response(g)
+    u1, u2 = player_payoffs(g)
     # Case-4 games: the adversary is indifferent among splits, so individual
     # payoffs (and with them the mutual verdicts) depend on the canonical
     # proportional tie-break; reports carry a flag.
@@ -68,10 +68,10 @@ def analyze_game(g: GameInstance, eps: float = DEFAULT_EPS) -> AnalysisReport:
         xa=(xa.xa1, xa.xa2),
         u1=u1,
         u2=u2,
-        mutual_budget=budget_mutual_exists(g, eps),
-        mutual_contest=contest_mutual_exists(g, eps),
-        mutual_joint=joint_mutual_exists(g, eps),
-        collective=collective_report(g, eps),
+        mutual_budget=budget_mutual_exists(g),
+        mutual_contest=contest_mutual_exists(g),
+        mutual_joint=joint_mutual_exists(g),
+        collective=collective_report(g),
         case4_tiebreak_dependent=label.index == 4,
     )
 

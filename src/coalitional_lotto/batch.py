@@ -7,8 +7,9 @@ payoff) with numpy array operations, so that a few-thousand-point scan costs
 a fraction of a millisecond and one call can serve a whole sample of games.
 ``GameArrays`` holds the parameters of many games under the attribute names
 of ``GameInstance``; ``payoffs_at_transfers`` broadcasts them against the
-transfers.  The branching logic must stay in lockstep with the scalar code;
-``tests/test_batch.py`` enforces agreement bit for bit on random inputs.
+transfers.  The branching logic reads the same tolerance, ``CASE_RTOL``, and
+must stay in lockstep with the scalar code; ``tests/test_batch.py`` enforces
+agreement bit for bit on random inputs and at the case edges.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import DEFAULT_EPS
+from .adversary import CASE_RTOL
 from .core import EPS_FEAS, GameInstance, Transfer, post_transfer_params
 
 __all__ = [
@@ -69,7 +70,7 @@ def one_v_one_vec(phi, x_player, x_adv):
     return np.where(x_player <= x_adv, outgunned, dominant)
 
 
-def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = DEFAULT_EPS):
+def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     """Player payoffs ``(u1, u2)`` for broadcastable arrays of transfers.
 
     ``g`` is one game, or a ``GameArrays`` whose fields broadcast against
@@ -88,7 +89,7 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = D
 
     r1 = b1 / p1
     r2 = b2 / p2
-    equal = np.abs(r1 - r2) <= eps * np.maximum(r1, r2)
+    equal = np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2)
     swap = ~equal & (r1 > r2)
 
     # Oriented views: index w = weaker ratio, s = stronger.
@@ -99,8 +100,8 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = D
 
     s = np.sqrt(bw * bs * pw / ps)
     total_b = bw + bs
-    case1 = ~equal & (s >= 1.0 - eps * np.maximum(1.0, s))
-    case2 = ~equal & ~case1 & (1.0 - s <= bs * (1.0 + eps))
+    case1 = ~equal & (s >= 1.0 - CASE_RTOL * np.maximum(1.0, s))
+    case2 = ~equal & ~case1 & (1.0 - s <= bs * (1.0 + CASE_RTOL))
     ridge4 = equal & (total_b >= 1.0)
     # Remaining cells: case 3 proper, or the equal-ratio ridge with
     # total budget < 1 (where the case-3 formula is exact).
@@ -118,9 +119,9 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = D
     return u1, u2
 
 
-def collective_at_transfers(g: GameInstance | GameArrays, taus, nus, eps: float = DEFAULT_EPS):
+def collective_at_transfers(g: GameInstance | GameArrays, taus, nus):
     """Sum of both players' payoffs over arrays of transfers."""
-    u1, u2 = payoffs_at_transfers(g, taus, nus, eps)
+    u1, u2 = payoffs_at_transfers(g, taus, nus)
     return u1 + u2
 
 

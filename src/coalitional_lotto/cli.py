@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adversary import DEFAULT_EPS
 from .analysis import analyze_game, to_json
 from .core import GameInstance, GameValidationError
 from .mutual import Mechanism
@@ -44,23 +43,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _eps(text: str) -> float:
-    """A tolerance in ``[0, 0.5)``: the budget verdict clamps its case-4 band at 0.5."""
-    eps = float(text)
-    if not 0.0 <= eps < 0.5:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 0.5), got {text!r}")
-    return eps
-
-
 def _add_game_args(p: argparse.ArgumentParser, required: bool) -> None:
     for name in ("phi1", "phi2", "x1", "x2"):
         p.add_argument(f"--{name}", type=float, required=required)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--eps", type=_eps, default=DEFAULT_EPS, help="classification tolerance, in [0, 0.5)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,11 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one game (JSON to stdout)")
     _add_game_args(p, required=True)
-    _add_common(p)
 
     p = sub.add_parser("sweep", help="predicate over a 2-D parameter grid (CSV)")
     _add_game_args(p, required=False)
-    _add_common(p)
     p.add_argument(
         "--axis",
         action="append",
@@ -94,13 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="payoffs along one mechanism (CSV)")
     _add_game_args(p, required=True)
-    _add_common(p)
     p.add_argument("--mechanism", choices=["budget", "contest"], required=True)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="analytic vs grid-oracle calibration (CSV)")
-    _add_common(p)
     p.add_argument("--count", type=int, required=True, help="number of sampled games")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
@@ -131,7 +112,7 @@ def _parse_axis(text: str) -> tuple[str, float, float]:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze_game(_game(args), args.eps)
+    report = analyze_game(_game(args))
     print(to_json(report.as_dict()))
     return EXIT_OK
 
@@ -146,7 +127,7 @@ def _cmd_sweep(args) -> int:
         if value is not None:
             fixed[name] = value
     spec = SweepSpec(fixed=fixed, axes=axes, steps=args.steps, predicate=Predicate(args.predicate))
-    rows = run_sweep(spec, args.eps)
+    rows = run_sweep(spec)
     fixed_desc = " ".join(f"{k}={format(v, '.12g')}" for k, v in sorted(fixed.items()))
     _write_out(
         args.out,
@@ -163,7 +144,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_curve(args) -> int:
     g = _game(args)
     mech = Mechanism(args.mechanism)
-    rows = run_curve(g, mech, args.steps, args.eps)
+    rows = run_curve(g, mech, args.steps)
     unit = "budget (tau)" if mech is Mechanism.BUDGET else "valuation (nu)"
     _write_out(
         args.out,
@@ -178,7 +159,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows, ok = run_verify(args.count, args.seed, args.eps)
+    rows, ok = run_verify(args.count, args.seed)
     header = list(rows[0].keys())
     _write_out(
         args.out,

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import DEFAULT_EPS, player_payoffs
+from .adversary import player_payoffs
 from .core import GameInstance, Transfer
+from .search import min_gain
 
 __all__ = [
     "CollectiveReport",
@@ -29,11 +30,6 @@ __all__ = [
     "collectively_beneficial_exists",
     "collective_report",
 ]
-
-# Strict-improvement tolerance, scaled by total valuation so verdicts are
-# scale-invariant.
-IMPROVEMENT_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CollectiveReport:
@@ -53,11 +49,9 @@ class CollectiveReport:
         }
 
 
-def collective_payoff(
-    g: GameInstance, t: Transfer = Transfer(), eps: float = DEFAULT_EPS
-) -> float:
+def collective_payoff(g: GameInstance, t: Transfer = Transfer()) -> float:
     """Sum of both players' payoffs after a transfer."""
-    u1, u2 = player_payoffs(g, t, eps)
+    u1, u2 = player_payoffs(g, t)
     return u1 + u2
 
 
@@ -88,23 +82,28 @@ def max_collective_payoff(g: GameInstance) -> float:
     return 0.5 * total_v * total_b
 
 
-def collectively_beneficial_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> bool:
+def collectively_beneficial_exists(g: GameInstance) -> bool:
     """Whether any transfer strictly improves the players' combined payoff.
 
     False exactly when the game already sits on the equal-ratio ridge (up to
     tolerance): there the collective payoff is at its maximum.
     """
-    baseline = collective_payoff(g, eps=eps)
-    return max_collective_payoff(g) > baseline + IMPROVEMENT_RTOL * g.total_valuation
+    return collective_report(g).improvable
 
 
-def collective_report(g: GameInstance, eps: float = DEFAULT_EPS) -> CollectiveReport:
-    baseline = collective_payoff(g, eps=eps)
+def collective_report(g: GameInstance) -> CollectiveReport:
+    """Baseline, optimum, optimal transfers and whether the optimum improves.
+
+    The optimum improves on the baseline when the surplus exceeds the mutual
+    verdicts' gain floor, ``search.min_gain``, so a transfer that benefits
+    both players always counts as a collective improvement too.
+    """
+    baseline = collective_payoff(g)
     optimum = max_collective_payoff(g)
     return CollectiveReport(
         baseline=baseline,
         optimum=optimum,
         optimal_budget=optimal_budget_transfer(g),
         optimal_contest=optimal_contest_transfer(g),
-        improvable=optimum > baseline + IMPROVEMENT_RTOL * g.total_valuation,
+        improvable=optimum - baseline > min_gain(g),
     )

@@ -38,9 +38,11 @@ treatments:
 
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
-alone.  Five printed coefficients in the contest routes are misprints; only
-the corrected reading is implemented, and ``calibration/typo_resolution.md``
-records the grid-oracle calibration that chose it.
+alone.  Case edges, the contest orientation and the budget verdict's case-4
+band all use the one fixed tie tolerance ``adversary.CASE_RTOL``.  Five
+printed coefficients in the contest routes are misprints; only the corrected
+reading is implemented, and ``calibration/typo_resolution.md`` records the
+grid-oracle calibration that chose it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adversary import DEFAULT_EPS, CaseLabel, case_of, classify_case, player_payoffs
+from .adversary import CASE_RTOL, CaseLabel, case_of, classify_case, player_payoffs
 from .collective import max_collective_payoff
 from .core import GameInstance, Mechanism, Transfer, swap_indices
 from .search import NEAR_RTOL, RIDGE_RTOL, min_gain, thin_margin, transfer_interval
@@ -200,23 +202,20 @@ class _Margins:
 
 
 def payoff_deltas(
-    g: GameInstance, t: Transfer, baseline: tuple[float, float], eps: float = DEFAULT_EPS
+    g: GameInstance, t: Transfer, baseline: tuple[float, float]
 ) -> tuple[float, float]:
-    u1, u2 = player_payoffs(g, t, eps)
+    u1, u2 = player_payoffs(g, t)
     return u1 - baseline[0], u2 - baseline[1]
 
 
 def is_mutually_beneficial(
-    g: GameInstance,
-    t: Transfer,
-    eps: float = DEFAULT_EPS,
-    baseline: tuple[float, float] | None = None,
+    g: GameInstance, t: Transfer, baseline: tuple[float, float] | None = None
 ) -> bool:
     """Strict component-wise improvement over the no-transfer payoffs."""
     if baseline is None:
-        baseline = player_payoffs(g, eps=eps)
+        baseline = player_payoffs(g)
     gain = min_gain(g)
-    d1, d2 = payoff_deltas(g, t, baseline, eps)
+    d1, d2 = payoff_deltas(g, t, baseline)
     return d1 > gain and d2 > gain
 
 
@@ -232,10 +231,10 @@ def is_mutually_beneficial(
 _ORIENT_SLACK = 10.0
 
 
-def _require_oriented(g: GameInstance, eps: float) -> None:
+def _require_oriented(g: GameInstance) -> None:
     r1 = g.x1 / g.phi1
     r2 = g.x2 / g.phi2
-    if r1 > r2 * (1.0 + _ORIENT_SLACK * eps):
+    if r1 > r2 * (1.0 + _ORIENT_SLACK * CASE_RTOL):
         raise ValueError(
             "game must be oriented so player 1 has the weaker budget-to-valuation ratio"
         )
@@ -536,21 +535,24 @@ def _form_c2_to_c1_swapped(g: GameInstance, th: Thresholds):
 
 
 def _validate_window(
-    g: GameInstance, lo: float, hi: float, eps: float, baseline: tuple[float, float]
+    g: GameInstance, lo: float, hi: float, baseline: tuple[float, float]
 ) -> float | None:
     """A validated transfer amount inside (lo, hi), or None.
 
     Tries the midpoint, then points shrinking toward either end, then a fine
     scan.  Windows from correctly-firing conditions validate at the midpoint;
-    the ladder only matters within rounding distance of a boundary.
+    the ladder only matters within rounding distance of a boundary.  In a
+    census of 1M games (``scripts/route_census.py`` families) it changed 277
+    verdicts, every one drawn with valuations over 1e-12..1e12 and none
+    with valuations within 1e-6..1e6.
     """
     width = hi - lo
     for frac in (0.5, 0.25, 0.75, 0.1, 0.9, 0.02, 0.98):
         nu = lo + frac * width
-        if is_mutually_beneficial(g, Transfer(0.0, nu), eps, baseline):
+        if is_mutually_beneficial(g, Transfer(0.0, nu), baseline):
             return nu
     nus = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 513)
-    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus, eps)
+    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
     if score[k] > min_gain(g):
@@ -558,23 +560,21 @@ def _validate_window(
     return None
 
 
-def _validate_small_step(
-    g: GameInstance, eps: float, baseline: tuple[float, float]
-) -> float | None:
+def _validate_small_step(g: GameInstance, baseline: tuple[float, float]) -> float | None:
     """A validated small positive transfer (strategically consistent routes)."""
     nu = 0.25 * g.phi1
     for _ in range(60):
-        if is_mutually_beneficial(g, Transfer(0.0, nu), eps, baseline):
+        if is_mutually_beneficial(g, Transfer(0.0, nu), baseline):
             return nu
         nu *= 0.5
     return None
 
 
 def _oriented_contest_verdict(
-    g: GameInstance, eps: float, m: _Margins, sc: bool = True, si: bool = True
+    g: GameInstance, m: _Margins, sc: bool = True, si: bool = True
 ) -> tuple[bool, float | None, str | None]:
     """(exists, nu, route) for positive transfers in an oriented game."""
-    label = classify_case(g, eps)
+    label = classify_case(g)
     m.note(g.x1 / g.phi1, g.x2 / g.phi2)
     if label.index == 4:
         return False, None, None
@@ -582,7 +582,7 @@ def _oriented_contest_verdict(
     m.note(g.x1, 1.0, 1.0)
     m.note(g.x2, 1.0, 1.0)
     m.note(g.x1 + g.x2, 1.0, 1.0)
-    baseline = player_payoffs(g, eps=eps)
+    baseline = player_payoffs(g)
     candidates = []
     if sc:
         candidates.extend(_sc_routes(g, label.index, m))
@@ -590,9 +590,9 @@ def _oriented_contest_verdict(
         candidates.extend(_si_windows(g, region, label.index, m))
     for route, window in candidates:
         if window is None:
-            nu = _validate_small_step(g, eps, baseline)
+            nu = _validate_small_step(g, baseline)
         else:
-            nu = _validate_window(g, window[0], window[1], eps, baseline)
+            nu = _validate_window(g, window[0], window[1], baseline)
         if nu is not None:
             return True, nu, route
         # A fired condition whose witnesses all fail validation is a
@@ -601,25 +601,25 @@ def _oriented_contest_verdict(
     return False, None, None
 
 
-def _one_sided_verdict(g: GameInstance, eps: float, sc: bool, si: bool):
-    _require_oriented(g, eps)
+def _one_sided_verdict(g: GameInstance, sc: bool, si: bool):
+    _require_oriented(g)
     m = _Margins()
-    exists, nu, route = _oriented_contest_verdict(g, eps, m, sc=sc, si=si)
+    exists, nu, route = _oriented_contest_verdict(g, m, sc=sc, si=si)
     witness = Transfer(0.0, nu) if nu is not None else None
     return MutualBenefitVerdict(Mechanism.CONTEST, exists, witness, route, m.near())
 
 
-def sc_contest_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
+def sc_contest_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Strategically consistent positive contest transfer for an oriented game."""
-    return _one_sided_verdict(g, eps, sc=True, si=False)
+    return _one_sided_verdict(g, sc=True, si=False)
 
 
-def si_contest_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
+def si_contest_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Strategically inconsistent positive contest transfer for an oriented game."""
-    return _one_sided_verdict(g, eps, sc=False, si=True)
+    return _one_sided_verdict(g, sc=False, si=True)
 
 
-def _ridge_knife_edge(h: GameInstance, eps: float) -> bool:
+def _ridge_knife_edge(h: GameInstance) -> bool:
     """Whether the single ratio-equalizing transfer benefits both players.
 
     The transfer landing exactly on the equal-ratio ridge puts the adversary
@@ -631,10 +631,10 @@ def _ridge_knife_edge(h: GameInstance, eps: float) -> bool:
     nu = thresholds(h).alpha1
     if not (0.0 < nu < h.phi1 * (1.0 - 1e-12)):
         return False
-    return is_mutually_beneficial(h, Transfer(0.0, nu), eps)
+    return is_mutually_beneficial(h, Transfer(0.0, nu))
 
 
-def contest_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
+def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial contest transfer, either direction.
 
     Positive transfers are characterized on the oriented game; the mirrored
@@ -646,19 +646,19 @@ def contest_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBe
     m = _Margins()
     m.note(r1, r2)
     attempts = []
-    if r1 <= r2 * (1.0 + eps):
+    if r1 <= r2 * (1.0 + CASE_RTOL):
         attempts.append((g, False))
-    if r2 <= r1 * (1.0 + eps):
+    if r2 <= r1 * (1.0 + CASE_RTOL):
         attempts.append((swap_indices(g), True))
     for h, swapped in attempts:
-        exists, nu, route = _oriented_contest_verdict(h, eps, m)
+        exists, nu, route = _oriented_contest_verdict(h, m)
         if exists:
             witness = Transfer(0.0, -nu) if swapped else Transfer(0.0, nu)
             tag = f"swap:{route}" if swapped else route
             return MutualBenefitVerdict(Mechanism.CONTEST, True, witness, tag, m.near())
     near = m.near()
     if not near:
-        near = any(_ridge_knife_edge(h, eps) for h, _ in attempts)
+        near = any(_ridge_knife_edge(h) for h, _ in attempts)
     return MutualBenefitVerdict(Mechanism.CONTEST, False, None, None, near)
 
 
@@ -689,7 +689,7 @@ def _case_edges(big_x: float, rho: float) -> list[float]:
 
 def _around(q_ridge: float, gap: float) -> tuple[float, float]:
     """The two values of ``q`` whose ratio gap to the ridge ``q_ridge`` is ``gap``."""
-    s = math.sqrt(1.0 - min(gap, 0.5))
+    s = math.sqrt(1.0 - gap)
     return q_ridge * s, q_ridge / s
 
 
@@ -723,7 +723,7 @@ def _piece_candidates(
     return []
 
 
-def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
+def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial budget transfer, decided piece by piece.
 
     In ``q = sqrt(b1 / b2)``, which falls as ``tau`` grows, the ridge ``q =
@@ -738,7 +738,7 @@ def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBen
     benefit found only there rides on the adversary's indifference
     tie-break and is reported as the ``ridge-knife-edge``.
     """
-    baseline = player_payoffs(g, eps=eps)
+    baseline = player_payoffs(g)
     gain = min_gain(g)
     lo, hi = transfer_interval(g, Mechanism.BUDGET)
     big_x = g.total_budget
@@ -746,8 +746,9 @@ def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBen
     q_lo = math.sqrt((g.x1 - hi) / (g.x2 + hi))
     q_hi = math.sqrt((g.x1 - lo) / (g.x2 + lo))
     sliver = _around(q_ridge, 2.0 * RIDGE_RTOL)
-    # The case-4 band |gap| <= eps is a piece of its own: the payoffs jump there.
-    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * eps)}
+    # The case-4 band |gap| <= CASE_RTOL is a piece of its own: the payoffs
+    # jump there.
+    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * CASE_RTOL)}
     breaks.update(_case_edges(big_x, q_ridge))
     breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge))
     qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
@@ -765,7 +766,7 @@ def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBen
         q_mid = 0.5 * (qa + qb)
         on_ridge = sliver[0] < q_mid < sliver[1]
         b2 = big_x / (1.0 + q_mid * q_mid)
-        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2, eps)
+        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2)
         if swapped:
             zs = _piece_candidates(index, g.phi2, g.phi1, baseline[1] - baseline[0], big_x)
             inner = [1.0 / z for z in zs]
@@ -773,7 +774,7 @@ def budget_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBen
             inner = _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
         for q in [qa, qb] + [q for q in inner if qa < q < qb]:
             if q not in scores:
-                u1, u2 = player_payoffs(g, Transfer(tau_at(q), 0.0), eps)
+                u1, u2 = player_payoffs(g, Transfer(tau_at(q), 0.0))
                 d1, d2 = u1 - baseline[0], u2 - baseline[1]
                 scores[q] = (min(d1, d2), d1 + d2)
             key = (*scores[q], index)
@@ -805,8 +806,9 @@ def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: fl
     * case 2: ``u_w = c p / 2``, ``u_s = Phi - p - (D - c X p) / (2 X)``, linear;
     * case 3: ``u_w = c X p (Phi - (1 - c) p) / (2 D)``, ``u_s = X (Phi - p)
       (Phi - (1 - c) p) / (2 D)``, a quadratic whose smaller root counts;
-    * case 4 (a tolerance ``eps`` above ``gap``): ``u_i = phi_i' (1 - 1 / (2
-      X))``, linear.
+    * case 4 (when ``gap`` is within ``CASE_RTOL``, which float cancellation
+      can make it at extreme valuations): ``u_i = phi_i' (1 - 1 / (2 X))``,
+      linear.
 
     None when the quadratic has no positive root.
     """
@@ -823,7 +825,7 @@ def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: fl
 
 
 def _gap_witness(
-    g: GameInstance, baseline: tuple[float, float], eps: float
+    g: GameInstance, baseline: tuple[float, float]
 ) -> tuple[Transfer, CaseLabel] | None:
     """The equal-gain split at ratio gap ``2 * RIDGE_RTOL``, with its case label.
 
@@ -846,14 +848,14 @@ def _gap_witness(
         if p is None or not 0.0 < p < big_phi:
             continue
         xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)
-        if case_of(p, big_phi - p, xw, big_x - xw, eps)[0] == index:
+        if case_of(p, big_phi - p, xw, big_x - xw)[0] == index:
             tau, nu = x_w - xw, phi_w - p
             witness = Transfer(-tau, -nu) if swapped else Transfer(tau, nu)
             return witness, CaseLabel.of(index, swapped)
     return None
 
 
-def joint_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBenefitVerdict:
+def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial joint transfer, from the collective surplus.
 
     A surplus at or below twice the gain floor certifies absence (no route,
@@ -862,14 +864,14 @@ def joint_mutual_exists(g: GameInstance, eps: float = DEFAULT_EPS) -> MutualBene
     ``exact:<case label>``; when it fails, both players gain only inside the
     ridge sliver, the flagged ``ridge-knife-edge``.
     """
-    baseline = player_payoffs(g, eps=eps)
+    baseline = player_payoffs(g)
     gain = min_gain(g)
     if max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * gain:
         return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, False)
-    found = _gap_witness(g, baseline, eps)
+    found = _gap_witness(g, baseline)
     if found is not None:
         witness, label = found
-        d1, d2 = payoff_deltas(g, witness, baseline, eps)
+        d1, d2 = payoff_deltas(g, witness, baseline)
         if d1 > gain and d2 > gain:
             return MutualBenefitVerdict(
                 Mechanism.JOINT, True, witness, f"exact:{label}", thin_margin(g, min(d1, d2))

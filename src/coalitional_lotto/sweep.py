@@ -15,7 +15,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import batch
-from .adversary import DEFAULT_EPS, adversary_value, best_response, classify_case, player_payoffs
+from .adversary import adversary_value, best_response, classify_case, player_payoffs
 from .analysis import format_float
 from .collective import max_collective_payoff
 from .core import GameInstance
@@ -26,7 +26,7 @@ from .mutual import (
     contest_mutual_exists,
     joint_mutual_exists,
 )
-from .oracle import DEFAULT_GRID_1D, GridSpec, grid_best_responses, grid_line_oracle
+from .oracle import grid_best_responses, grid_line_oracle
 from .rng import SplitMix64
 from .search import transfer_interval
 
@@ -82,22 +82,22 @@ class SweepSpec:
             raise ValueError(f"parameters not fixed or swept: {sorted(missing)}")
 
 
-def _predicate_value(g: GameInstance, predicate: Predicate, eps: float):
+def _predicate_value(g: GameInstance, predicate: Predicate):
     if predicate is Predicate.CASE:
-        return str(classify_case(g, eps))
+        return str(classify_case(g))
     if predicate is Predicate.REGION:
         return classify_region(g).value
     if predicate is Predicate.MUTUAL_BUDGET:
-        return int(budget_mutual_exists(g, eps).exists)
+        return int(budget_mutual_exists(g).exists)
     if predicate is Predicate.MUTUAL_CONTEST:
-        return int(contest_mutual_exists(g, eps).exists)
+        return int(contest_mutual_exists(g).exists)
     if predicate is Predicate.MUTUAL_JOINT:
-        return int(joint_mutual_exists(g, eps).exists)
-    u1, u2 = player_payoffs(g, eps=eps)
+        return int(joint_mutual_exists(g).exists)
+    u1, u2 = player_payoffs(g)
     return max_collective_payoff(g) - (u1 + u2)
 
 
-def run_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS):
+def run_sweep(spec: SweepSpec):
     """Rows of (axis1 value, axis2 value, predicate value), row-major."""
     (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
     vals1 = np.linspace(lo1, hi1, spec.steps)
@@ -109,11 +109,11 @@ def run_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS):
             params[name1] = float(v1)
             params[name2] = float(v2)
             g = GameInstance(**params)
-            rows.append((float(v1), float(v2), _predicate_value(g, spec.predicate, eps)))
+            rows.append((float(v1), float(v2), _predicate_value(g, spec.predicate)))
     return rows
 
 
-def run_curve(g: GameInstance, mechanism: Mechanism, steps: int, eps: float = DEFAULT_EPS):
+def run_curve(g: GameInstance, mechanism: Mechanism, steps: int):
     """Payoffs along one mechanism's feasible interval: (t, u1, u2, u1+u2)."""
     if mechanism is Mechanism.JOINT:
         raise ValueError("curve supports budget or contest transfers only")
@@ -122,7 +122,7 @@ def run_curve(g: GameInstance, mechanism: Mechanism, steps: int, eps: float = DE
     vs = np.linspace(*transfer_interval(g, mechanism), steps)
     taus = vs if mechanism is Mechanism.BUDGET else np.zeros(1)
     nus = vs if mechanism is Mechanism.CONTEST else np.zeros(1)
-    u1, u2 = batch.payoffs_at_transfers(g, taus, nus, eps)
+    u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
     return [
         (float(v), float(a), float(b), float(a + b))
         for v, a, b in zip(vs, np.atleast_1d(u1), np.atleast_1d(u2))
@@ -145,12 +145,7 @@ def sample_games(count: int, seed: int) -> list[GameInstance]:
     return games
 
 
-def run_verify(
-    count: int,
-    seed: int,
-    eps: float = DEFAULT_EPS,
-    spec: GridSpec = DEFAULT_GRID_1D,
-):
+def run_verify(count: int, seed: int):
     """Compare analytic verdicts/optima against the grid oracle.
 
     Returns (rows, ok): one row per sampled game; ok is False when any game
@@ -162,18 +157,18 @@ def run_verify(
     games = sample_games(count, seed)
     # The contest line serves both the mutual search and the contest
     # collective maximum.
-    lines = grid_line_oracle(games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST), spec)
-    responses = grid_best_responses(games, spec)
+    lines = grid_line_oracle(games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST))
+    responses = grid_best_responses(games)
     rows = []
     ok = True
     for i, g in enumerate(games):
-        label = classify_case(g, eps)
-        analytic = contest_mutual_exists(g, eps)
+        label = classify_case(g)
+        analytic = contest_mutual_exists(g)
         oracle_v = lines.verdicts[i]
         agree = analytic.exists == oracle_v.exists
         near = analytic.near_boundary or oracle_v.near_boundary
 
-        xa_closed = best_response(g, eps)
+        xa_closed = best_response(g)
         xa_grid = responses[i]
         alloc_err = abs(xa_closed.xa1 - xa_grid.xa1)
         value_err = abs(

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from coalitional_lotto import batch
-from coalitional_lotto.adversary import player_payoffs
+from coalitional_lotto.adversary import CASE_RTOL, case_of, player_payoffs
 from coalitional_lotto.core import (
     GameInstance,
     InfeasibleTransferError,
     Transfer,
     post_transfer_params,
+    swap_indices,
 )
 
 from conftest import random_games
@@ -36,6 +37,34 @@ def test_matches_scalar_on_random_transfers():
     r1, r2 = batch.payoffs_at_transfers(arrays, taus[:, 7], nus[:, 7])
     for k, g in enumerate(games):
         assert (r1[k], r2[k]) == player_payoffs(g, Transfer(taus[k, 7], nus[k, 7]))
+    # Games on either side of each comparison in ``case_of``, untransferred.
+    edges = _case_edge_games()
+    e1, e2 = batch.payoffs_at_transfers(batch.GameArrays.of(edges), 0.0, 0.0)
+    for k, g in enumerate(edges):
+        assert (e1[k], e2[k]) == player_payoffs(g)
+        assert batch.payoffs_at_transfers(g, 0.0, 0.0) == player_payoffs(g)
+    assert {case_of(g.phi1, g.phi2, g.x1, g.x2)[0] for g in edges} == {1, 2, 3, 4}
+
+
+def _case_edge_games() -> list[GameInstance]:
+    """Games at and around each edge of ``case_of``, in both orientations.
+
+    ``k`` scales the tolerance by ``1 -+ 1e-3``, so the three values of each
+    kind fall inside, on and outside the edge.  With unit valuations the
+    adversary's weak-front share is ``s = sqrt(x_w * x_s)``.
+    """
+    games = [GameInstance(1.0, 1.0, 0.5, 2.0)]  # s == 1 exactly
+    for k in (1.0 - 1e-3, 1.0, 1.0 + 1e-3):
+        tol = k * CASE_RTOL
+        for x1, x2 in ((0.7, 0.9), (0.2, 0.3)):
+            # Ratio gap ``tol``, with combined budget above and below 1.
+            games.append(GameInstance(1.0, x2 / (x1 * (1.0 + tol)), x1, x2))
+        s = 1.0 - tol  # s within the tolerance of 1: case 1 or case 2
+        games.append(GameInstance(1.0, 1.0, s * s / 2.0, 2.0))
+        x_s = 0.6  # 1 - s == x_s * (1 + tol): case 2 or case 3
+        s = 1.0 - x_s * (1.0 + tol)
+        games.append(GameInstance(1.0, 1.0, s * s / x_s, x_s))
+    return games + [swap_indices(g) for g in games]
 
 
 def test_game_arrays_take_and_total_valuation():

@@ -63,19 +63,16 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", *DIAMOND_ARGS[:-2])
         assert code == 1 and "error:" in err
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "1e-9"])
     def test_bad_eps_is_usage_error(self, capsys, eps):
+        # The case tolerance is fixed and the flag is gone: any value, the
+        # old default included, is a usage error.
         code, out, err = run_cli(capsys, "analyze", *RIDGE_ARGS, "--eps", eps)
         assert code == 1 and "error:" in err and out == ""
 
-    def test_zero_eps_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", *RIDGE_ARGS, "--eps", "0")
-        assert code == 0
-        assert json.loads(out)["case"] == "C4"
-
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--help")
-        assert code == 0 and "--eps" in out
+        assert code == 0 and "--phi1" in out and "--eps" not in out
 
 
 class TestCurve:

@@ -10,7 +10,7 @@ from coalitional_lotto.collective import (
     optimal_contest_transfer,
 )
 from coalitional_lotto.core import GameInstance, Transfer, post_transfer, swap_indices
-from coalitional_lotto.mutual import Mechanism
+from coalitional_lotto.mutual import Mechanism, joint_mutual_exists
 from coalitional_lotto.oracle import grid_max_collectives
 
 from conftest import random_games
@@ -97,6 +97,15 @@ class TestBeneficialExists:
 
     def test_case3_game(self):
         assert collectively_beneficial_exists(GameInstance(12, 10, 0.2, 0.3))
+
+    def test_thin_surplus_with_joint_witness(self):
+        # The surplus is 3.3e-12 of the total valuation, above the gain
+        # floor, and a joint transfer benefits both players.
+        g = GameInstance(
+            2.990980420572866, 34.027611914566464, 0.05491626793568999, 0.6247825337799817
+        )
+        assert joint_mutual_exists(g).route == "exact:C3_1le2"
+        assert collectively_beneficial_exists(g) and collective_report(g).improvable
 
     def test_report_fields(self, diamond):
         rep = collective_report(diamond)

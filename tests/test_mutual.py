@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto.adversary import DEFAULT_EPS, player_payoffs
-from coalitional_lotto.collective import max_collective_payoff
+from coalitional_lotto.adversary import player_payoffs
+from coalitional_lotto.collective import collective_report, max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
     Mechanism,
@@ -21,7 +25,7 @@ from coalitional_lotto.mutual import (
     si_contest_exists,
     thresholds,
 )
-from coalitional_lotto.oracle import grid_mutual_search, grid_mutual_searches
+from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import RIDGE_RTOL, min_gain, ridge_gap
 
@@ -262,6 +266,21 @@ class TestContestMutual:
                 mismatches += 1
         assert mismatches == 0
 
+    def test_thin_window_missed_by_default_oracle(self):
+        # Valuations and budgets three decades apart: the route-3.3 window is
+        # thinner than a 4001-point grid step, so the default oracle misses
+        # it and neither side flags the game.  Both gains are about 6.5e-5 of
+        # the total valuation; a 200,001-point grid sees the transfer.
+        g = GameInstance(
+            0.01675391639625724, 21.49790933367522, 0.018025230568032555, 34.03843382378529
+        )
+        v = contest_mutual_exists(g)
+        assert (v.exists, v.route, v.near_boundary) == (True, "3.3:C2_1le2->C1_1gt2", False)
+        assert is_mutually_beneficial(g, v.witness)
+        o = grid_mutual_search(g, Mechanism.CONTEST)
+        assert (o.exists, o.near_boundary) == (False, False)
+        assert grid_mutual_search(g, Mechanism.CONTEST, GridSpec(200001)).exists
+
 
 # One oriented game per decisive route family.
 ROUTE_EXEMPLARS = [
@@ -300,6 +319,28 @@ class TestRouteExemplars:
         assert w.exists
         assert w.route == f"swap:{route}"
         assert w.witness.nu == -v.witness.nu
+
+
+class TestRouteCensus:
+    SCRIPT = Path(__file__).parent.parent / "scripts" / "route_census.py"
+
+    def test_runs_from_a_checkout(self, tmp_path):
+        # The script puts its checkout's src/ on the import path itself.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--count", "24", "--block", "12"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        blocks = [line.split() for line in lines[2:4]]
+        assert [b[:2] for b in blocks] == [["0", "0"], ["1", "12"]]
+        assert all(len(digest) == 64 for b in blocks for digest in b[2:])
+        assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
 
 
 class TestBudgetMutual:
@@ -404,13 +445,12 @@ class TestBudgetMutual:
         assert (s.exists, s.near_boundary) == (v.exists, v.near_boundary)
 
 
-# One game per joint route; the mirrored game gives the mirrored route.  A
-# classification tolerance above the witness gap puts the witness in case 4.
+# One game per joint route in cases 1-3; the mirrored game gives the
+# mirrored route.  Case 4 has its own exemplar.
 JOINT_EXEMPLARS = [
-    ((1.0, 1.0, 0.05, 3.0), DEFAULT_EPS, "exact:C1_1le2"),
-    ((12.0, 10.0, 0.4, 1.6), DEFAULT_EPS, "exact:C2_1le2"),
-    ((1.0, 1.0, 0.05, 0.1), DEFAULT_EPS, "exact:C3_1le2"),
-    ((1.0, 1.0, 0.05, 1.0), 1e-5, "exact:C4"),
+    ((1.0, 1.0, 0.05, 3.0), "exact:C1_1le2"),
+    ((12.0, 10.0, 0.4, 1.6), "exact:C2_1le2"),
+    ((1.0, 1.0, 0.05, 0.1), "exact:C3_1le2"),
 ]
 
 
@@ -454,21 +494,32 @@ class TestJointMutual:
         assert v.near_boundary
         assert is_mutually_beneficial(g, v.witness)
 
-    @pytest.mark.parametrize(
-        "params,eps,route", JOINT_EXEMPLARS, ids=[r for _, _, r in JOINT_EXEMPLARS]
-    )
-    def test_route_exemplars(self, params, eps, route):
+    @pytest.mark.parametrize("params,route", JOINT_EXEMPLARS, ids=[r for _, r in JOINT_EXEMPLARS])
+    def test_route_exemplars(self, params, route):
         g = GameInstance(*params)
-        v = joint_mutual_exists(g, eps=eps)
+        v = joint_mutual_exists(g)
         assert (v.exists, v.route, v.near_boundary) == (True, route, False)
-        assert is_mutually_beneficial(g, v.witness, eps=eps)
+        assert is_mutually_beneficial(g, v.witness)
         # The witness is the best split at the sliver's edge, on the game's
         # own side of the ridge: both players gain the same.
-        d1, d2 = payoff_deltas(g, v.witness, player_payoffs(g, eps=eps), eps)
+        d1, d2 = payoff_deltas(g, v.witness, player_payoffs(g))
         assert abs(d1 - d2) <= 1e-12 * g.total_valuation
         assert _post_gap(g, v.witness) == pytest.approx(2 * RIDGE_RTOL, rel=1e-6)
-        w = joint_mutual_exists(swap_indices(g), eps=eps)
+        w = joint_mutual_exists(swap_indices(g))
         assert (w.exists, w.route) == (True, _mirror(route))
+        assert (w.witness.tau, w.witness.nu) == (-v.witness.tau, -v.witness.nu)
+
+    def test_case4_exemplar_at_extreme_valuations(self):
+        # Valuations 18 decades apart: float cancellation puts the witness's
+        # ratio gap within CASE_RTOL, so the case-4 piece decides, flagged.
+        g = GameInstance(
+            19264334928.843155, 1.0772671702230896e-08, 3198.571402082377, 0.002672133356451558
+        )
+        v = joint_mutual_exists(g)
+        assert (v.exists, v.route, v.near_boundary) == (True, "exact:C4", True)
+        assert is_mutually_beneficial(g, v.witness)
+        w = joint_mutual_exists(swap_indices(g))
+        assert (w.exists, w.route, w.near_boundary) == (True, "exact:C4", True)
         assert (w.witness.tau, w.witness.nu) == (-v.witness.tau, -v.witness.nu)
 
     def test_ridge_knife_edge_exemplar(self):
@@ -549,6 +600,9 @@ def _assert_collective_bound(g: GameInstance) -> bool:
         if v.exists:
             d1, d2 = payoff_deltas(g, v.witness, baseline)
             assert d1 + d2 <= surplus + 1e-14 * g.total_valuation, (g, v)
+    # A witness benefits both players, so the collective sum improves too.
+    if any(v.exists for v in verdicts):
+        assert collective_report(g).improvable, g
     certified = surplus <= 2 * min_gain(g)
     if certified:
         assert not any(v.exists for v in verdicts), g
@@ -564,11 +618,13 @@ class TestCollectiveBound:
 
     @given(
         phi1=wide_valuations, phi2=wide_valuations, x1=wide_budgets, x2=wide_budgets,
-        on_ridge=st.booleans(),
+        log_gap=st.one_of(st.none(), st.floats(-11.0, -3.0)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_hypothesis_games(self, phi1, phi2, x1, x2, on_ridge):
-        _assert_collective_bound(GameInstance(phi1, phi1 * x2 / x1 if on_ridge else phi2, x1, x2))
+    def test_hypothesis_games(self, phi1, phi2, x1, x2, log_gap):
+        if log_gap is not None:
+            phi2 = phi1 * x2 / x1 * (1.0 + 10.0**log_gap)
+        _assert_collective_bound(GameInstance(phi1, phi2, x1, x2))
 
 
 class TestWitnessValidity:
