@@ -16,7 +16,10 @@ handed to validation), how often the window's midpoint validates, and how
 often the route decides the verdict.  For each block it prints the sha256
 of the full-precision JSON of the three verdicts, and of the whole
 ``analyze_game`` report, so two checkouts can be compared block by block
-with ``diff``.
+with ``diff``.  Each block's games also go through the array forms that
+sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``
+and ``batch.case_of``); the last line counts the games where they disagree
+with ``analyze_game``.
 
 Usage: python3 scripts/route_census.py [--count 60000] [--block 10000] [--seed 1]
 
@@ -35,7 +38,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from coalitional_lotto import mutual  # noqa: E402
+from coalitional_lotto import batch, mutual, mutual_arrays  # noqa: E402
+from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.core import GameInstance, Transfer  # noqa: E402
 
@@ -118,6 +122,22 @@ class RouteCounts:
         return lines
 
 
+def array_mismatches(games, scalar) -> Counter:
+    """Games where the array verdicts differ from ``(budget, joint, case)`` in ``scalar``."""
+    arrays = batch.GameArrays.of(games)
+    index, swapped = batch.case_of(*arrays)
+    found = zip(
+        mutual_arrays.budget_exists(arrays).tolist(),
+        mutual_arrays.joint_exists(arrays).tolist(),
+        (str(CaseLabel.of(i, s)) for i, s in zip(index.tolist(), swapped.tolist())),
+    )
+    out = Counter()
+    for row, expected in zip(found, scalar):
+        for name, a, b in zip(("budget", "joint", "case"), row, expected):
+            out[name] += a != b
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=60000, help="games in the census")
@@ -134,18 +154,28 @@ def main(argv=None) -> int:
     families = ",".join(FAMILIES)
     print(f"# seed={args.seed} count={args.count} block={args.block} families={families}")
     print("block first verdicts_sha256 analyze_sha256")
+    mismatches = Counter()
     for first in range(0, args.count, args.block):
         verdicts, reports = hashlib.sha256(), hashlib.sha256()
+        games, scalar = [], []
         for i in range(first, min(first + args.block, args.count)):
-            report = analyze_game(GameInstance(*draws[i % len(draws)](rng))).as_dict()
+            games.append(GameInstance(*draws[i % len(draws)](rng)))
+            report = analyze_game(games[-1]).as_dict()
             route = report["mutual"]["contest"]["route"]
             if route is not None:
                 counts.decided[route.removeprefix("swap:")] += 1
             verdicts.update(json.dumps(report["mutual"]).encode() + b"\n")
             reports.update(json.dumps(report).encode() + b"\n")
+            verdict = report["mutual"]
+            scalar.append((verdict["budget"]["exists"], verdict["joint"]["exists"], report["case"]))
         print(f"{first // args.block} {first} {verdicts.hexdigest()} {reports.hexdigest()}")
+        mismatches.update(array_mismatches(games, scalar))
     for line in counts.report():
         print(line)
+    print(
+        f"array mismatches over {args.count} games: budget {mismatches['budget']} "
+        f"joint {mismatches['joint']} case {mismatches['case']}"
+    )
     return 0
 
 

@@ -7,9 +7,11 @@ payoff) with numpy array operations, so that a few-thousand-point scan costs
 a fraction of a millisecond and one call can serve a whole sample of games.
 ``GameArrays`` holds the parameters of many games under the attribute names
 of ``GameInstance``; ``payoffs_at_transfers`` broadcasts them against the
-transfers.  The branching logic reads the same tolerance, ``CASE_RTOL``, and
-must stay in lockstep with the scalar code; ``tests/test_batch.py`` enforces
-agreement bit for bit on random inputs and at the case edges.
+transfers.  ``case_of`` is the one vector case rule: the payoffs and the
+sweeps' array verdicts classify through it.  It reads the same tolerance,
+``CASE_RTOL``, and must stay in lockstep with ``adversary.case_of``;
+``tests/test_batch.py`` enforces agreement bit for bit on random inputs, on
+games over twelve decades and on each side of every case edge.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import EPS_FEAS, GameInstance, Transfer, post_transfer_params
 __all__ = [
     "GameArrays",
     "one_v_one_vec",
+    "case_of",
     "payoffs_at_transfers",
     "collective_at_transfers",
     "require_feasible",
@@ -56,6 +59,10 @@ class GameArrays(NamedTuple):
     def total_valuation(self) -> np.ndarray:
         return self.phi1 + self.phi2
 
+    @property
+    def total_budget(self) -> np.ndarray:
+        return self.x1 + self.x2
+
 
 def one_v_one_vec(phi, x_player, x_adv):
     """``core.u_player`` over arrays, bit for bit.
@@ -68,6 +75,43 @@ def one_v_one_vec(phi, x_player, x_adv):
     safe_pl = np.where(x_player > 0.0, x_player, 1.0)
     dominant = phi * (1.0 - x_adv / (2.0 * safe_pl))
     return np.where(x_player <= x_adv, outgunned, dominant)
+
+
+def _case_rule(phi1, phi2, x1, x2):
+    """The case rule of ``adversary.case_of`` over arrays, as masks and views.
+
+    Returns ``(equal, swapped, case1, case2, pw, ps, bw, bs, s)``: the
+    equal-ratio mask, the orientation, the case-1 and case-2 tests (which
+    count only off the equal-ratio ridge), the valuations and budgets of the
+    weak-ratio (``w``) and strong-ratio (``s``) sides, and the adversary's
+    case-2 share ``s`` of the weak front.
+    """
+    r1 = x1 / phi1
+    r2 = x2 / phi2
+    equal = np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2)
+    swapped = ~(equal | (r1 < r2))
+    pw = np.where(swapped, phi2, phi1)
+    ps = np.where(swapped, phi1, phi2)
+    bw = np.where(swapped, x2, x1)
+    bs = np.where(swapped, x1, x2)
+    s = np.sqrt(bw * bs * pw / ps)
+    case1 = s >= 1.0 - CASE_RTOL * np.maximum(1.0, s)
+    case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
+    return equal, swapped, case1, case2, pw, ps, bw, bs, s
+
+
+def case_of(phi1, phi2, x1, x2):
+    """``adversary.case_of`` over broadcastable arrays: ``(index, swapped)``.
+
+    Each element equals the scalar rule's result on the same floats.
+    """
+    equal, swapped, case1, case2, _, _, bw, bs, _ = _case_rule(phi1, phi2, x1, x2)
+    index = np.where(
+        equal,
+        np.where(bw + bs >= 1.0, 4, 3),
+        np.where(case1, 1, np.where(case2, 2, 3)),
+    )
+    return index, swapped
 
 
 def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
@@ -85,32 +129,20 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     p2 = g.phi2 + nus
     b1 = g.x1 - taus
     b2 = g.x2 + taus
-    p1, p2, b1, b2 = np.broadcast_arrays(p1, p2, b1, b2)
-
-    r1 = b1 / p1
-    r2 = b2 / p2
-    equal = np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2)
-    swap = ~equal & (r1 > r2)
-
-    # Oriented views: index w = weaker ratio, s = stronger.
-    pw = np.where(swap, p2, p1)
-    ps = np.where(swap, p1, p2)
-    bw = np.where(swap, b2, b1)
-    bs = np.where(swap, b1, b2)
-
-    s = np.sqrt(bw * bs * pw / ps)
-    total_b = bw + bs
-    case1 = ~equal & (s >= 1.0 - CASE_RTOL * np.maximum(1.0, s))
-    case2 = ~equal & ~case1 & (1.0 - s <= bs * (1.0 + CASE_RTOL))
-    ridge4 = equal & (total_b >= 1.0)
-    # Remaining cells: case 3 proper, or the equal-ratio ridge with
-    # total budget < 1 (where the case-3 formula is exact).
+    equal, swap, case1, case2, pw, ps, bw, bs, s = _case_rule(
+        *np.broadcast_arrays(p1, p2, b1, b2)
+    )
+    # Case 3, and the equal-ratio ridge with total budget < 1, where the
+    # case-3 formula is exact.
     sq_w = np.sqrt(bw * pw)
     sq_s = np.sqrt(bs * ps)
-    xa_w = sq_w / (sq_w + sq_s)
-    xa_w = np.where(ridge4, bw / total_b, xa_w)
-    xa_w = np.where(case2, s, xa_w)
-    xa_w = np.where(case1, 1.0, xa_w)
+    case3 = sq_w / (sq_w + sq_s)
+    total_b = bw + bs
+    xa_w = np.where(
+        equal,
+        np.where(total_b >= 1.0, bw / total_b, case3),
+        np.where(case1, 1.0, np.where(case2, s, case3)),
+    )
 
     uw = one_v_one_vec(pw, bw, xa_w)
     us = one_v_one_vec(ps, bs, 1.0 - xa_w)

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adversary import player_payoffs
+from .batch import GameArrays
 from .core import GameInstance, Transfer
 from .search import min_gain
 
@@ -73,13 +76,18 @@ def optimal_budget_transfer(g: GameInstance) -> Transfer:
     return Transfer(tau, 0.0)
 
 
-def max_collective_payoff(g: GameInstance) -> float:
-    """Closed-form maximum of the collective payoff over all transfers."""
+def max_collective_payoff(g: GameInstance | GameArrays):
+    """Closed-form maximum of the collective payoff over all transfers.
+
+    A float for one game, an array of them for a ``GameArrays``.
+    """
     total_b = g.x1 + g.x2
     total_v = g.phi1 + g.phi2
-    if total_b >= 1.0:
-        return (2.0 * total_b - 1.0) / (2.0 * total_b) * total_v
-    return 0.5 * total_v * total_b
+    rich = (2.0 * total_b - 1.0) / (2.0 * total_b) * total_v
+    poor = 0.5 * total_v * total_b
+    if isinstance(g, GameArrays):
+        return np.where(total_b >= 1.0, rich, poor)
+    return rich if total_b >= 1.0 else poor
 
 
 def collectively_beneficial_exists(g: GameInstance) -> bool:

@@ -38,11 +38,14 @@ treatments:
 
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
-alone.  Case edges, the contest orientation and the budget verdict's case-4
-band all use the one fixed tie tolerance ``adversary.CASE_RTOL``.  Five
-printed coefficients in the contest routes are misprints; only the corrected
-reading is implemented, and ``calibration/typo_resolution.md`` records the
-grid-oracle calibration that chose it.
+alone.  ``mutual_arrays`` decides the budget and joint verdicts over arrays
+of games from the same forms (``edge_quadratics``, ``candidate_forms``,
+``around_ridge``, ``gap_crossing``, ``gap_quadratic``).  Case edges, the
+contest orientation and the budget verdict's case-4 band all use the one
+fixed tie tolerance ``adversary.CASE_RTOL``.  Five printed coefficients in
+the contest routes are misprints; only the corrected reading is
+implemented, and ``calibration/typo_resolution.md`` records the grid-oracle
+calibration that chose it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ __all__ = [
     "MutualBenefitVerdict",
     "QuadraticWindow",
     "Thresholds",
+    "REGIONS",
     "classify_region",
+    "region_index",
     "quadratic_window",
     "thresholds",
     "sc_contest_exists",
@@ -87,12 +92,21 @@ class Region(Enum):
     R5 = "R5"  # x1 + x2 < 1
 
 
+REGIONS = tuple(Region)
+
+
+def region_index(x1, x2):
+    """Index into ``REGIONS`` of budgets ``x1``, ``x2``; elementwise on arrays.
+
+    Each budget below 1 moves the index past the regions where it is at
+    least 1 (R1..R4 by corner), and a combined budget below 1, which only
+    R4's corner allows, moves it on to R5.
+    """
+    return 2 * (x1 < 1.0) + (x2 < 1.0) + (x1 + x2 < 1.0)
+
+
 def classify_region(g: GameInstance) -> Region:
-    if g.x1 + g.x2 < 1.0:
-        return Region.R5
-    if g.x1 >= 1.0:
-        return Region.R1 if g.x2 >= 1.0 else Region.R2
-    return Region.R3 if g.x2 >= 1.0 else Region.R4
+    return REGIONS[region_index(g.x1, g.x2)]
 
 
 @dataclass(frozen=True)
@@ -672,30 +686,29 @@ def _positive_roots(a: float, b: float, c: float) -> list[float]:
     return [z for z in roots if z > 0.0]
 
 
-def _case_edges(big_x: float, rho: float) -> list[float]:
-    """Case-1 and case-2/3 edges on the side where player w is weak.
+def edge_quadratics(big_x, rho):
+    """Coefficients ``(a, b, c)`` of the case-1 and case-2/3 edges, weak side ``w``.
 
     In ``z = sqrt(b_w / b_s)`` the side is ``z < rho``, the adversary's
     weak-front share is ``s = big_x * rho * z / (1 + z**2)``, and the edges
-    ``s = 1`` and ``1 - s = b_s`` are the quadratics below.
+    are ``s = 1`` and ``1 - s = b_s``.
     """
-    return [
-        z
-        for const in (1.0, 1.0 - big_x)
-        for z in _positive_roots(1.0, -big_x * rho, const)
-        if z < rho
-    ]
+    b = -big_x * rho
+    return (1.0, b, 1.0), (1.0, b, 1.0 - big_x)
 
 
-def _around(q_ridge: float, gap: float) -> tuple[float, float]:
+def _case_edges(big_x: float, rho: float) -> list[float]:
+    """Case edges on the side where player w is weak (``edge_quadratics``)."""
+    return [z for quad in edge_quadratics(big_x, rho) for z in _positive_roots(*quad) if z < rho]
+
+
+def around_ridge(q_ridge: float, gap: float) -> tuple[float, float]:
     """The two values of ``q`` whose ratio gap to the ridge ``q_ridge`` is ``gap``."""
     s = math.sqrt(1.0 - gap)
     return q_ridge * s, q_ridge / s
 
 
-def _piece_candidates(
-    index: int, phi_w: float, phi_s: float, base_gap: float, big_x: float
-) -> list[float]:
+def candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
     """Interior maximizer candidates of ``min(d_w, d_s)`` on one piece, in ``z``.
 
     With ``k = sqrt(phi_w * phi_s)``, ``X = big_x`` and ``base_gap = base_w -
@@ -706,21 +719,32 @@ def _piece_candidates(
       ``u_s = (X/2)(phi_s + k z) / (1 + z**2)``.
 
     The candidates are the stationary points of ``u_w`` and ``u_s`` and the
-    crossings ``d_w = d_s``.  In case 1 ``u_s = phi_s`` and ``u_w`` rises
-    with ``z``, and in case 4 both are constant, so only a piece's ends count.
+    crossings ``d_w = d_s``: a list of points, and a list of quadratics
+    ``(a, b, c)`` whose positive roots are candidates.  In case 1 ``u_s =
+    phi_s`` and ``u_w`` rises with ``z``, and in case 4 both are constant,
+    so only a piece's ends count.  The forms are plain arithmetic, so they
+    take floats or arrays.
     """
-    k = math.sqrt(phi_w * phi_s)
     if index == 2:
         crossing = 1.0 - 2.0 * big_x * (phi_s + base_gap) / phi_s
-        return [0.5 * k * big_x / phi_s] + _positive_roots(1.0, 0.0, crossing)
+        return [0.5 * k * big_x / phi_s], [(1.0, 0.0, crossing)]
     if index == 3:
         half_x = 0.5 * big_x
-        return (
-            _positive_roots(k, -2.0 * phi_w, -k)
-            + _positive_roots(k, 2.0 * phi_s, -k)
-            + _positive_roots(half_x * phi_w - base_gap, 0.0, -(half_x * phi_s + base_gap))
-        )
-    return []
+        return [], [
+            (k, -2.0 * phi_w, -k),
+            (k, 2.0 * phi_s, -k),
+            (half_x * phi_w - base_gap, 0.0, -(half_x * phi_s + base_gap)),
+        ]
+    return [], []
+
+
+def _piece_candidates(
+    index: int, phi_w: float, phi_s: float, base_gap: float, big_x: float
+) -> list[float]:
+    """The candidates of ``candidate_forms`` for one piece, as a list of ``z``."""
+    k = math.sqrt(phi_w * phi_s)
+    points, quads = candidate_forms(index, phi_w, phi_s, base_gap, big_x, k)
+    return points + [z for quad in quads for z in _positive_roots(*quad)]
 
 
 def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
@@ -745,10 +769,10 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     q_ridge = math.sqrt(g.phi1 / g.phi2)
     q_lo = math.sqrt((g.x1 - hi) / (g.x2 + hi))
     q_hi = math.sqrt((g.x1 - lo) / (g.x2 + lo))
-    sliver = _around(q_ridge, 2.0 * RIDGE_RTOL)
+    sliver = around_ridge(q_ridge, 2.0 * RIDGE_RTOL)
     # The case-4 band |gap| <= CASE_RTOL is a piece of its own: the payoffs
     # jump there.
-    breaks = {q_lo, q_hi, q_ridge, *sliver, *_around(q_ridge, 1.001 * CASE_RTOL)}
+    breaks = {q_lo, q_hi, q_ridge, *sliver, *around_ridge(q_ridge, 1.001 * CASE_RTOL)}
     breaks.update(_case_edges(big_x, q_ridge))
     breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge))
     qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
@@ -792,7 +816,7 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     return MutualBenefitVerdict(Mechanism.BUDGET, False, None, None, False)
 
 
-def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: float):
+def gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: float):
     """``p = phi_w'`` with ``u_w - u_s = lead`` on the case-``index`` piece of a gap curve.
 
     The curve holds the post-transfer games whose weak ratio sits ``gap``
@@ -810,7 +834,8 @@ def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: fl
       can make it at extreme valuations): ``u_i = phi_i' (1 - 1 / (2 X))``,
       linear.
 
-    None when the quadratic has no positive root.
+    None when the quadratic has no positive root.  Cases 1, 2 and 4 are
+    plain arithmetic, so they take arrays too.
     """
     if index == 1:
         half = 0.5 / ((1.0 - gap) * big_x)
@@ -818,10 +843,15 @@ def _gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: fl
     if index == 2:
         return (lead + big_phi - big_phi / (2.0 * big_x)) / (1.0 - gap / (2.0 * big_x))
     if index == 3:
-        b = -2.0 * (big_x * big_phi + lead * gap)
-        c = big_phi * (big_x * big_phi + 2.0 * lead)
-        return min(_positive_roots(big_x * gap, b, c), default=None)
+        return min(_positive_roots(*gap_quadratic(big_phi, big_x, gap, lead)), default=None)
     return 0.5 * (big_phi + lead / (1.0 - 0.5 / big_x))
+
+
+def gap_quadratic(big_phi, big_x, gap, lead):
+    """Coefficients ``(a, b, c)`` of ``gap_crossing``'s case-3 quadratic in ``p``."""
+    b = -2.0 * (big_x * big_phi + lead * gap)
+    c = big_phi * (big_x * big_phi + 2.0 * lead)
+    return big_x * gap, b, c
 
 
 def _gap_witness(
@@ -831,7 +861,7 @@ def _gap_witness(
 
     The witness keeps the weaker ratio with the same player (the game's own
     side of the ridge) and moves budgets and valuations onto the gap curve
-    of ``_gap_crossing``.  Along the curve ``u_w`` rises and ``u_s`` falls
+    of ``gap_crossing``.  Along the curve ``u_w`` rises and ``u_s`` falls
     with ``p``, so the crossing ``d_w = d_s`` is the best split there.  It
     is taken from the piece that ``case_of`` confirms at its solution.
     """
@@ -844,7 +874,7 @@ def _gap_witness(
     gap = 2.0 * RIDGE_RTOL
     # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes last, for rich w.
     for index in (3, 2, 1) if big_x < 1.0 else (2, 1, 4):
-        p = _gap_crossing(index, big_phi, big_x, gap, lead)
+        p = gap_crossing(index, big_phi, big_x, gap, lead)
         if p is None or not 0.0 < p < big_phi:
             continue
         xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)

@@ -69,13 +69,17 @@ def thin_margin(g: GameInstance, best: float) -> bool:
     return min_gain(g) < best < NEAR_RTOL * g.total_valuation
 
 
-def transfer_interval(g: GameInstance, mechanism: Mechanism) -> tuple[float, float]:
-    """Inset endpoints of the open interval of budget or contest transfers."""
+def transfer_interval(g: GameInstance | GameArrays, mechanism: Mechanism):
+    """Inset endpoints of the open interval of budget or contest transfers.
+
+    Floats for one game, arrays of them for a ``GameArrays``.
+    """
     if mechanism is Mechanism.BUDGET:
         lo, hi = -g.x2, g.x1
     else:
         lo, hi = -g.phi2, g.phi1
-    inset = max((hi - lo) * INTERVAL_MARGIN, 10.0 * EPS_FEAS)
+    widest = np.maximum if isinstance(g, GameArrays) else max
+    inset = widest((hi - lo) * INTERVAL_MARGIN, 10.0 * EPS_FEAS)
     return lo + inset, hi - inset
 
 

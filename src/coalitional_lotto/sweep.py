@@ -4,27 +4,38 @@ These functions back the CLI subcommands; they return plain rows so they can
 be tested without touching the filesystem.  Output ordering is row-major over
 the swept axes and floats are formatted to 12 significant digits, so a given
 spec always produces byte-identical CSV.
+
+A sweep builds its whole plane as one ``batch.GameArrays`` and evaluates it
+in blocks of ``SWEEP_BLOCK`` games.  The budget, joint, case, region and
+collective-gain predicates run over each block as arrays
+(``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
+``batch.case_of``, ``mutual.region_index``,
+``collective.max_collective_payoff``); each value equals the one-game
+verdict's.  The contest predicate still
+decides one game at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TextIO
 
 import numpy as np
 
-from . import batch
-from .adversary import adversary_value, best_response, classify_case, player_payoffs
+from . import batch, mutual_arrays
+from .adversary import CaseLabel, adversary_value, best_response, classify_case
 from .analysis import format_float
+from .batch import GameArrays
 from .collective import max_collective_payoff
 from .core import GameInstance
 from .mutual import (
+    REGIONS,
     Mechanism,
-    budget_mutual_exists,
     classify_region,
     contest_mutual_exists,
-    joint_mutual_exists,
+    region_index,
 )
 from .oracle import grid_best_responses, grid_line_oracle
 from .rng import SplitMix64
@@ -75,6 +86,8 @@ class SweepSpec:
         for name, lo, hi in self.axes:
             if name not in PARAM_NAMES:
                 raise ValueError(f"unknown axis {name!r}; choose from {PARAM_NAMES}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis {name}: ends must be finite, got {lo}..{hi}")
             if not (0.0 < lo < hi):
                 raise ValueError(f"axis {name}: need 0 < lo < hi, got {lo}..{hi}")
         missing = set(PARAM_NAMES) - set(names) - set(self.fixed)
@@ -82,19 +95,50 @@ class SweepSpec:
             raise ValueError(f"parameters not fixed or swept: {sorted(missing)}")
 
 
-def _predicate_value(g: GameInstance, predicate: Predicate):
-    if predicate is Predicate.CASE:
-        return str(classify_case(g))
-    if predicate is Predicate.REGION:
-        return classify_region(g).value
-    if predicate is Predicate.MUTUAL_BUDGET:
-        return int(budget_mutual_exists(g).exists)
+# Games per array evaluation of a sweep plane.  Blocks bound the working
+# memory of the array verdicts, which hold a few dozen candidates per game.
+SWEEP_BLOCK = 256
+
+# Case labels by ``2 * (index - 1) + swapped``, and region names by
+# ``region_index``.
+_CASE_NAMES = np.array([str(CaseLabel.of(i, s)) for i in (1, 2, 3, 4) for s in (False, True)])
+_REGION_NAMES = np.array([region.value for region in REGIONS])
+
+
+def _plane_games(fields: dict, count: int) -> GameArrays:
+    """The games of a plane, each checked by ``GameInstance``'s rule.
+
+    ``fields`` maps each parameter to a value or an array of ``count``
+    values.  The first game in order that breaks the rule is built as a
+    ``GameInstance``, which raises its error.
+    """
+    columns = [
+        np.broadcast_to(np.asarray(fields[name], dtype=float), (count,)) for name in PARAM_NAMES
+    ]
+    valid = np.logical_and.reduce([np.isfinite(c) & (c > 0.0) for c in columns])
+    if not valid.all():
+        GameInstance(*(c[np.argmin(valid)] for c in columns))
+    return GameArrays(*columns)
+
+
+def _plane_values(games: GameArrays, predicate: Predicate) -> list:
+    """The predicate's value at every game of ``games``, in order."""
     if predicate is Predicate.MUTUAL_CONTEST:
-        return int(contest_mutual_exists(g).exists)
+        return [
+            int(contest_mutual_exists(GameInstance(*params)).exists)
+            for params in zip(*(field.tolist() for field in games))
+        ]
+    if predicate is Predicate.MUTUAL_BUDGET:
+        return mutual_arrays.budget_exists(games).astype(int).tolist()
     if predicate is Predicate.MUTUAL_JOINT:
-        return int(joint_mutual_exists(g).exists)
-    u1, u2 = player_payoffs(g)
-    return max_collective_payoff(g) - (u1 + u2)
+        return mutual_arrays.joint_exists(games).astype(int).tolist()
+    if predicate is Predicate.CASE:
+        index, swapped = batch.case_of(*games)
+        return _CASE_NAMES[2 * (index - 1) + swapped].tolist()
+    if predicate is Predicate.REGION:
+        return _REGION_NAMES[region_index(games.x1, games.x2)].tolist()
+    u1, u2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
+    return (max_collective_payoff(games) - (u1 + u2)).tolist()
 
 
 def run_sweep(spec: SweepSpec):
@@ -102,15 +146,19 @@ def run_sweep(spec: SweepSpec):
     (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
     vals1 = np.linspace(lo1, hi1, spec.steps)
     vals2 = np.linspace(lo2, hi2, spec.steps)
-    rows = []
-    for v1 in vals1:
-        for v2 in vals2:
-            params = dict(spec.fixed)
-            params[name1] = float(v1)
-            params[name2] = float(v2)
-            g = GameInstance(**params)
-            rows.append((float(v1), float(v2), _predicate_value(g, spec.predicate)))
-    return rows
+    count = spec.steps * spec.steps
+    fields = dict(spec.fixed)
+    fields[name1] = np.repeat(vals1, spec.steps)
+    fields[name2] = np.tile(vals2, spec.steps)
+    games = _plane_games(fields, count)
+    values = []
+    # Masked lanes and the branches not taken hold NaN or inf, as the
+    # one-game verdicts' float arithmetic would without a warning.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for start in range(0, count, SWEEP_BLOCK):
+            block = GameArrays(*(field[start : start + SWEEP_BLOCK] for field in games))
+            values += _plane_values(block, spec.predicate)
+    return list(zip(fields[name1].tolist(), fields[name2].tolist(), values))
 
 
 def run_curve(g: GameInstance, mechanism: Mechanism, steps: int):

@@ -38,7 +38,7 @@ def test_matches_scalar_on_random_transfers():
     for k, g in enumerate(games):
         assert (r1[k], r2[k]) == player_payoffs(g, Transfer(taus[k, 7], nus[k, 7]))
     # Games on either side of each comparison in ``case_of``, untransferred.
-    edges = _case_edge_games()
+    edges = [g for side_games in _case_edge_games().values() for g in side_games]
     e1, e2 = batch.payoffs_at_transfers(batch.GameArrays.of(edges), 0.0, 0.0)
     for k, g in enumerate(edges):
         assert (e1[k], e2[k]) == player_payoffs(g)
@@ -46,25 +46,64 @@ def test_matches_scalar_on_random_transfers():
     assert {case_of(g.phi1, g.phi2, g.x1, g.x2)[0] for g in edges} == {1, 2, 3, 4}
 
 
-def _case_edge_games() -> list[GameInstance]:
-    """Games at and around each edge of ``case_of``, in both orientations.
+def _case_edge_games() -> dict[str, list[GameInstance]]:
+    """Games inside, on and outside each edge of ``case_of``, by edge.
 
-    ``k`` scales the tolerance by ``1 -+ 1e-3``, so the three values of each
-    kind fall inside, on and outside the edge.  With unit valuations the
-    adversary's weak-front share is ``s = sqrt(x_w * x_s)``.
+    ``k`` scales the tolerance by ``1 -+ 1e-3``, so the three games of each
+    edge fall inside, on and outside it; the mirrored games follow.  With
+    unit valuations the adversary's weak-front share is ``s = sqrt(x_w *
+    x_s)``.
     """
-    games = [GameInstance(1.0, 1.0, 0.5, 2.0)]  # s == 1 exactly
+    edges = {"s == 1": [GameInstance(1.0, 1.0, 0.5, 2.0)]}
     for k in (1.0 - 1e-3, 1.0, 1.0 + 1e-3):
         tol = k * CASE_RTOL
-        for x1, x2 in ((0.7, 0.9), (0.2, 0.3)):
+        for edge, x1, x2 in (("ridge, X >= 1", 0.7, 0.9), ("ridge, X < 1", 0.2, 0.3)):
             # Ratio gap ``tol``, with combined budget above and below 1.
-            games.append(GameInstance(1.0, x2 / (x1 * (1.0 + tol)), x1, x2))
+            edges.setdefault(edge, []).append(GameInstance(1.0, x2 / (x1 * (1.0 + tol)), x1, x2))
         s = 1.0 - tol  # s within the tolerance of 1: case 1 or case 2
-        games.append(GameInstance(1.0, 1.0, s * s / 2.0, 2.0))
+        edges["s == 1"].append(GameInstance(1.0, 1.0, s * s / 2.0, 2.0))
         x_s = 0.6  # 1 - s == x_s * (1 + tol): case 2 or case 3
         s = 1.0 - x_s * (1.0 + tol)
-        games.append(GameInstance(1.0, 1.0, s * s / x_s, x_s))
-    return games + [swap_indices(g) for g in games]
+        edges.setdefault("case 2/3", []).append(GameInstance(1.0, 1.0, s * s / x_s, x_s))
+    return {edge: games + [swap_indices(g) for g in games] for edge, games in edges.items()}
+
+
+def _scalar_cases(games):
+    return [case_of(g.phi1, g.phi2, g.x1, g.x2) for g in games]
+
+
+def _vector_cases(games):
+    index, swapped = batch.case_of(*batch.GameArrays.of(games))
+    return list(zip(index.tolist(), swapped.tolist()))
+
+
+def test_case_of_matches_scalar_at_every_edge():
+    sides = {}
+    for edge, games in _case_edge_games().items():
+        assert _vector_cases(games) == _scalar_cases(games), edge
+        # Each game one at a time, on floats.
+        for g in games:
+            index, swapped = batch.case_of(g.phi1, g.phi2, g.x1, g.x2)
+            assert (int(index), bool(swapped)) == case_of(g.phi1, g.phi2, g.x1, g.x2)
+        sides[edge] = set(_scalar_cases(games))
+    # Inside and outside differ on every edge, so both sides are compared.
+    assert sides["ridge, X >= 1"] == {(4, False), (2, False), (2, True)}
+    assert sides["ridge, X < 1"] == {(3, False), (3, True)}
+    assert sides["s == 1"] == {(1, False), (2, False), (1, True), (2, True)}
+    assert sides["case 2/3"] == {(2, False), (3, False), (2, True), (3, True)}
+
+
+def test_case_of_matches_scalar_on_log_uniform_games():
+    rng = np.random.default_rng(31)
+    params = 10.0 ** rng.uniform(-6.0, 6.0, size=(4000, 4))
+    # Every fifth game on the ridge, every seventh with x1 + x2 < 1.
+    params[::5, 1] = params[::5, 0] * params[::5, 3] / params[::5, 2]
+    params[::7, 2:] = rng.uniform(0.01, 0.49, size=(len(params[::7]), 2))
+    games = [GameInstance(*row) for row in params]
+    games += [swap_indices(g) for g in games]
+    labels = _scalar_cases(games)
+    assert _vector_cases(games) == labels
+    assert {index for index, _ in labels} == {1, 2, 3, 4}
 
 
 def test_game_arrays_take_and_total_valuation():

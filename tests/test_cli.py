@@ -1,12 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coalitional_lotto import sweep
+from coalitional_lotto.adversary import classify_case, player_payoffs
 from coalitional_lotto.cli import main
-from coalitional_lotto.core import EPS_FEAS, GameInstance, Mechanism, Transfer
-from coalitional_lotto.mutual import is_mutually_beneficial
-from coalitional_lotto.sweep import run_curve
+from coalitional_lotto.collective import max_collective_payoff
+from coalitional_lotto.core import EPS_FEAS, GameInstance, GameValidationError, Mechanism, Transfer
+from coalitional_lotto.mutual import (
+    budget_mutual_exists,
+    classify_region,
+    contest_mutual_exists,
+    is_mutually_beneficial,
+    joint_mutual_exists,
+)
+from coalitional_lotto.sweep import Predicate, SweepSpec, run_curve, run_sweep
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
 RIDGE_ARGS = ["--phi1", "10", "--phi2", "10", "--x1", "2", "--x2", "2"]
@@ -134,6 +147,46 @@ class TestCurve:
         assert rows[-1][0] == g.x1 - 10 * EPS_FEAS
 
 
+# The committed planes of ``tests/data/sweep_<plane>_<predicate>.csv``: a
+# figure plane shifted off the round grid, and a plane with a valuation axis.
+SWEEP_PLANES = {
+    "x1_x2": [
+        "--phi1", "12", "--phi2", "10", "--axis", "x1=0.155:3.135", "--axis", "x2=0.074:3.054"
+    ],
+    "phi2_x1": ["--phi1", "12", "--x2", "0.6", "--axis", "phi2=0.5:20", "--axis", "x1=0.02:3"],
+}
+
+
+def _scalar_value(g: GameInstance, predicate: Predicate):
+    """A sweep node's value from the one-game functions."""
+    if predicate is Predicate.CASE:
+        return str(classify_case(g))
+    if predicate is Predicate.REGION:
+        return classify_region(g).value
+    if predicate is Predicate.MUTUAL_BUDGET:
+        return int(budget_mutual_exists(g).exists)
+    if predicate is Predicate.MUTUAL_CONTEST:
+        return int(contest_mutual_exists(g).exists)
+    if predicate is Predicate.MUTUAL_JOINT:
+        return int(joint_mutual_exists(g).exists)
+    u1, u2 = player_payoffs(g)
+    return max_collective_payoff(g) - (u1 + u2)
+
+
+def _scalar_rows(spec: SweepSpec):
+    """``run_sweep``'s rows, one ``GameInstance`` and one scalar value per node."""
+    rows = []
+    (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
+    for v1 in np.linspace(lo1, hi1, spec.steps).tolist():
+        for v2 in np.linspace(lo2, hi2, spec.steps).tolist():
+            g = GameInstance(**{**spec.fixed, name1: v1, name2: v2})
+            rows.append((v1, v2, _scalar_value(g, spec.predicate)))
+    return rows
+
+
+ARRAY_PREDICATES = [p for p in Predicate if p is not Predicate.MUTUAL_CONTEST]
+
+
 class TestSweep:
     def test_case_predicate(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -179,6 +232,81 @@ class TestSweep:
             "--axis", "x1=0.1:2", "--steps", "4", "--predicate", "case",
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("axis", ["x1=0.1:inf", "x1=0.1:nan", "x1=inf:inf"])
+    def test_non_finite_axis_end_is_usage_error(self, axis):
+        # A subprocess, so that a numpy warning would reach stderr rather
+        # than pytest's warning capture.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "coalitional_lotto.cli", "sweep", "--phi1", "12",
+                "--phi2", "10", "--axis", axis, "--axis", "x2=0.1:2", "--steps", "4",
+                "--predicate", "case",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "error: axis x1: ends must be finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("plane", sorted(SWEEP_PLANES))
+    @pytest.mark.parametrize("predicate", [p.value for p in Predicate])
+    def test_reproduces_committed_csv(self, capsys, tmp_path, plane, predicate):
+        # The committed files pin each predicate's plane byte for byte; they
+        # must never be regenerated to make this pass.
+        out_file = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", *SWEEP_PLANES[plane], "--steps", "12",
+            "--predicate", predicate, "--out", str(out_file),
+        )
+        assert code == 0
+        expected = Path(__file__).parent / "data" / f"sweep_{plane}_{predicate}.csv"
+        assert out_file.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fixed,axes",
+        [
+            ({"phi1": 1.0, "phi2": 1e-300}, (("x1", 1e-300, 1e308), ("x2", 1.0, 1e308))),
+            ({"phi2": 1e-300, "x2": 0.5}, (("x1", 1e-300, 1e308), ("phi1", 1e-300, 1e308))),
+        ],
+    )
+    @pytest.mark.parametrize("predicate", ARRAY_PREDICATES)
+    def test_extreme_values_match_scalar(self, fixed, axes, predicate):
+        spec = SweepSpec(fixed=fixed, axes=axes, steps=12, predicate=predicate)
+        rows = run_sweep(spec)
+        expected = _scalar_rows(spec)
+        if predicate is Predicate.COLLECTIVE_GAIN:
+            # NaN (0/0 of tiny budgets) equals itself only as a string.
+            rows, expected = ([(a, b, repr(v)) for a, b, v in r] for r in (rows, expected))
+        assert rows == expected
+
+    @pytest.mark.parametrize("predicate", list(Predicate))
+    def test_blocks_match_one_block(self, monkeypatch, predicate):
+        spec = SweepSpec(
+            fixed={"phi1": 12.0, "phi2": 10.0},
+            axes=(("x1", 0.02, 3.0), ("x2", 0.02, 3.0)),
+            steps=11,
+            predicate=predicate,
+        )
+        monkeypatch.setattr(sweep, "SWEEP_BLOCK", 10**6)
+        whole = run_sweep(spec)
+        monkeypatch.setattr(sweep, "SWEEP_BLOCK", 7)
+        assert run_sweep(spec) == whole
+        assert whole == _scalar_rows(spec)
+
+    def test_invalid_node_raises_game_error(self):
+        spec = SweepSpec(
+            fixed={"phi1": 12.0, "phi2": -1.0},
+            axes=(("x1", 0.1, 2.0), ("x2", 0.1, 2.0)),
+            steps=3,
+            predicate=Predicate.CASE,
+        )
+        with pytest.raises(GameValidationError, match="phi2 must be a positive finite real"):
+            run_sweep(spec)
 
 
 class TestVerify:

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalitional_lotto import mutual_arrays
 from coalitional_lotto.adversary import player_payoffs
+from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.collective import collective_report, max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
+    REGIONS,
     Mechanism,
     Region,
     budget_mutual_exists,
@@ -21,6 +24,7 @@ from coalitional_lotto.mutual import (
     joint_mutual_exists,
     payoff_deltas,
     quadratic_window,
+    region_index,
     sc_contest_exists,
     si_contest_exists,
     thresholds,
@@ -113,7 +117,12 @@ class TestRegion:
         assert classify_region(GameInstance(*params)) is region
 
     def test_partition(self):
-        for g in random_games(300, seed=17):
+        edges = [GameInstance(1.0, 1.0, x1, x2) for x1 in (0.5, 1.0, 2.0) for x2 in (0.5, 1.0)]
+        games = random_games(300, seed=17) + edges + [GameInstance(1.0, 1.0, 0.25, 0.75)]
+        arrays = GameArrays.of(games)
+        by_index = [REGIONS[i] for i in region_index(arrays.x1, arrays.x2).tolist()]
+        assert by_index == [classify_region(g) for g in games]
+        for g in games:
             r = classify_region(g)
             if g.x1 + g.x2 < 1:
                 assert r is Region.R5
@@ -125,6 +134,49 @@ class TestRegion:
                 assert r is Region.R3
             else:
                 assert r is Region.R4
+
+
+class TestArrayVerdicts:
+    """The array verdicts of the sweep path equal the one-game verdicts."""
+
+    @staticmethod
+    def corpus() -> list[GameInstance]:
+        rng = SplitMix64(41)
+        extreme = [
+            GameInstance(
+                _log_uniform(rng, 1e-12, 1e12),
+                _log_uniform(rng, 1e-12, 1e12),
+                _log_uniform(rng, 1e-9, 1e9),
+                _log_uniform(rng, 1e-9, 1e9),
+            )
+            for _ in range(300)
+        ]
+        games = (
+            log_uniform_games(600, seed=43)
+            + stratified_games(60, seed=44)
+            + near_ridge_games(300, seed=45)
+            + extreme
+        )
+        return games + [swap_indices(g) for g in games]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scalar,arrays",
+        [
+            (budget_mutual_exists, mutual_arrays.budget_exists),
+            (joint_mutual_exists, mutual_arrays.joint_exists),
+        ],
+    )
+    def test_matches_scalar_game_by_game(self, scalar, arrays):
+        games = self.corpus()
+        expected = [scalar(g).exists for g in games]
+        assert 0 < sum(expected) < len(games)
+        assert arrays(GameArrays.of(games)).tolist() == expected
+        # Any subset, in any order, gives the same verdicts.
+        rows = [7, 3, 3, 0]
+        picked = arrays(GameArrays.of([games[k] for k in rows]))
+        assert picked.tolist() == [expected[k] for k in rows]
+        assert arrays(GameArrays.of([])).shape == (0,)
 
 
 class TestQuadraticWindow:
@@ -341,6 +393,7 @@ class TestRouteCensus:
         assert [b[:2] for b in blocks] == [["0", "0"], ["1", "12"]]
         assert all(len(digest) == 64 for b in blocks for digest in b[2:])
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
+        assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 case 0"
 
 
 class TestBudgetMutual:
