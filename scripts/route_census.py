@@ -11,15 +11,21 @@ Draws games in turn from six families and runs ``analyze_game`` on each:
 * ``wide``    -- valuations over 1e-6..1e6, budgets over 1e-4..1e4;
 * ``extreme`` -- valuations over 1e-12..1e12, budgets over 1e-9..1e9.
 
-For each contest route it prints how often its window opens (the route is
-handed to validation), how often the window's midpoint validates, and how
-often the route decides the verdict.  For each block it prints the sha256
+Each game also goes through the paper's printed contest routes
+(``paper_routes.route_verdict``).  For each route it prints how often its
+window opens (the route is handed to validation), how often the window's
+midpoint validates, and how often the route decides the route verdict.
+Per family it counts the games where the route verdict and the exact
+contest verdict of ``analyze_game`` disagree on ``exists``, and lists each
+such game with both verdicts and a dense scan of its contest line
+(``dense_scan``): ``settled`` when the scan's best transfer off the ridge
+sliver agrees with the exact verdict.  For each block it prints the sha256
 of the full-precision JSON of the three verdicts, and of the whole
 ``analyze_game`` report, so two checkouts can be compared block by block
 with ``diff``.  Each block's games also go through the array forms that
-sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``
-and ``batch.case_of``); the last line counts the games where they disagree
-with ``analyze_game``.
+sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
+``mutual_arrays.contest_exists`` and ``batch.case_of``); the last line
+counts the games where they disagree with ``analyze_game``.
 
 Usage: python3 scripts/route_census.py [--count 60000] [--block 10000] [--seed 1]
 
@@ -38,10 +44,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from coalitional_lotto import batch, mutual, mutual_arrays  # noqa: E402
+import numpy as np  # noqa: E402
+
+from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes  # noqa: E402
 from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
-from coalitional_lotto.core import GameInstance, Transfer  # noqa: E402
+from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
+from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap  # noqa: E402
 
 
 def _log(rng: random.Random, lo: float, hi: float) -> float:
@@ -83,7 +92,7 @@ FAMILIES = {
 
 
 class RouteCounts:
-    """Counts the contest windows that ``mutual`` hands to validation."""
+    """Counts the contest windows that ``paper_routes`` hands to validation."""
 
     def __init__(self) -> None:
         self.opened = Counter()
@@ -91,7 +100,7 @@ class RouteCounts:
         self.decided = Counter()
 
     def install(self) -> None:
-        sc_routes, si_windows = mutual._sc_routes, mutual._si_windows
+        sc_routes, si_windows = paper_routes._sc_routes, paper_routes._si_windows
 
         def counted_sc(g, case_index, m):
             routes = sc_routes(g, case_index, m)
@@ -106,7 +115,7 @@ class RouteCounts:
                 self.midpoint[route] += mutual.is_mutually_beneficial(g, Transfer(0.0, nu))
             return windows
 
-        mutual._sc_routes, mutual._si_windows = counted_sc, counted_si
+        paper_routes._sc_routes, paper_routes._si_windows = counted_sc, counted_si
 
     def report(self) -> list[str]:
         def key(route):
@@ -122,18 +131,54 @@ class RouteCounts:
         return lines
 
 
+def dense_scan(g: GameInstance, around) -> float:
+    """Best smaller payoff delta off the ridge sliver, over ``Phi``, on a dense scan.
+
+    The contest line's 200,001 evenly spaced points, plus points at
+    geometric offsets from 1e-15 to 0.1 of ``Phi`` on either side of each
+    transfer in ``around``.
+    """
+    lo, hi = contest_ends(g)
+    offsets = np.geomspace(1e-15, 0.1, 2000) * g.total_valuation
+    nus = np.concatenate(
+        [np.linspace(lo, hi, 200001)] + [a + s * offsets for a in around for s in (-1.0, 1.0)]
+    )
+    nus = nus[(lo <= nus) & (nus <= hi)]
+    base1, base2 = batch.payoffs_at_transfers(g, 0.0, 0.0)
+    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus)
+    score = np.minimum(u1 - base1, u2 - base2)
+    off = ridge_gap(g, Mechanism.CONTEST, nus) > 2.0 * RIDGE_RTOL
+    return float(np.max(score[off], initial=-np.inf)) / g.total_valuation
+
+
+def disagreement(family: str, g: GameInstance, exact, routes) -> tuple[str, bool]:
+    """One listed game where the route and exact verdicts disagree, and whether
+    the dense scan settles it in the exact verdict's favour."""
+    around = [0.0, mutual.ridge_transfer(g)]
+    around += [v.witness.nu for v in (exact, routes) if v.exists]
+    best = dense_scan(g, around)
+    settled = (best > min_gain(g) / g.total_valuation) == exact.exists
+    params = " ".join(repr(p) for p in (g.phi1, g.phi2, g.x1, g.x2))
+    line = (
+        f"disagree {family} {params} route={routes.route} exact={exact.route} "
+        f"scan_best_off_sliver={best:.3e} {'settled' if settled else 'UNSETTLED'}"
+    )
+    return line, settled
+
+
 def array_mismatches(games, scalar) -> Counter:
-    """Games where the array verdicts differ from ``(budget, joint, case)`` in ``scalar``."""
+    """Games where the array verdicts differ from ``(budget, joint, contest, case)`` in ``scalar``."""
     arrays = batch.GameArrays.of(games)
     index, swapped = batch.case_of(*arrays)
     found = zip(
         mutual_arrays.budget_exists(arrays).tolist(),
         mutual_arrays.joint_exists(arrays).tolist(),
+        mutual_arrays.contest_exists(arrays).tolist(),
         (str(CaseLabel.of(i, s)) for i, s in zip(index.tolist(), swapped.tolist())),
     )
     out = Counter()
     for row, expected in zip(found, scalar):
-        for name, a, b in zip(("budget", "joint", "case"), row, expected):
+        for name, a, b in zip(("budget", "joint", "contest", "case"), row, expected):
             out[name] += a != b
     return out
 
@@ -148,33 +193,57 @@ def main(argv=None) -> int:
         parser.error("--count and --block must be >= 1")
 
     rng = random.Random(args.seed)
-    draws = list(FAMILIES.values())
+    names = list(FAMILIES)
     counts = RouteCounts()
     counts.install()
-    families = ",".join(FAMILIES)
-    print(f"# seed={args.seed} count={args.count} block={args.block} families={families}")
+    print(f"# seed={args.seed} count={args.count} block={args.block} families={','.join(names)}")
     print("block first verdicts_sha256 analyze_sha256")
     mismatches = Counter()
+    disagreements = Counter()
+    listed = []
+    unsettled = 0
     for first in range(0, args.count, args.block):
         verdicts, reports = hashlib.sha256(), hashlib.sha256()
         games, scalar = [], []
         for i in range(first, min(first + args.block, args.count)):
-            games.append(GameInstance(*draws[i % len(draws)](rng)))
-            report = analyze_game(games[-1]).as_dict()
-            route = report["mutual"]["contest"]["route"]
-            if route is not None:
-                counts.decided[route.removeprefix("swap:")] += 1
+            family = names[i % len(names)]
+            g = GameInstance(*FAMILIES[family](rng))
+            games.append(g)
+            report = analyze_game(g)
+            routes = paper_routes.route_verdict(g)
+            if routes.route is not None and routes.exists:
+                counts.decided[routes.route.removeprefix("swap:")] += 1
+            if routes.exists != report.mutual_contest.exists:
+                disagreements[family] += 1
+                line, settled = disagreement(family, g, report.mutual_contest, routes)
+                listed.append(line)
+                unsettled += not settled
+            report = report.as_dict()
             verdicts.update(json.dumps(report["mutual"]).encode() + b"\n")
             reports.update(json.dumps(report).encode() + b"\n")
             verdict = report["mutual"]
-            scalar.append((verdict["budget"]["exists"], verdict["joint"]["exists"], report["case"]))
+            scalar.append(
+                (
+                    verdict["budget"]["exists"],
+                    verdict["joint"]["exists"],
+                    verdict["contest"]["exists"],
+                    report["case"],
+                )
+            )
         print(f"{first // args.block} {first} {verdicts.hexdigest()} {reports.hexdigest()}")
         mismatches.update(array_mismatches(games, scalar))
     for line in counts.report():
         print(line)
+    for line in listed:
+        print(line)
+    per_family = " ".join(f"{name} {disagreements[name]}" for name in names)
+    print(
+        f"route/exact contest disagreements over {args.count} games: {per_family}; "
+        f"unsettled {unsettled}"
+    )
     print(
         f"array mismatches over {args.count} games: budget {mismatches['budget']} "
-        f"joint {mismatches['joint']} case {mismatches['case']}"
+        f"joint {mismatches['joint']} contest {mismatches['contest']} case {mismatches['case']}"
     )
     return 0
 

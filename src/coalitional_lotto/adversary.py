@@ -29,7 +29,7 @@ from .core import (
     PayoffPair,
     Transfer,
     one_v_one_payoff,
-    post_transfer_params,
+    transfer_params,
     u_player,
 )
 
@@ -41,6 +41,7 @@ __all__ = [
     "case_of",
     "classify_case",
     "best_response",
+    "payoffs_at",
     "player_payoffs",
 ]
 
@@ -106,14 +107,16 @@ def case_of(phi1, phi2, x1, x2):
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
-    if abs(r1 - r2) <= CASE_RTOL * max(r1, r2):
+    # Conditional expressions where max() would do: every scalar payoff runs
+    # this rule, and a builtin call costs as much as the rest of a test.
+    if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
         return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)
-    if s >= 1.0 - CASE_RTOL * max(1.0, s):
+    if s >= 1.0 - CASE_RTOL * (s if s > 1.0 else 1.0):
         return 1, swapped
     if 1.0 - s <= x_s * (1.0 + CASE_RTOL):
         return 2, swapped
@@ -160,16 +163,21 @@ def best_response(g: GameInstance) -> AdversaryAllocation:
     return AdversaryAllocation(*_split(g.phi1, g.phi2, g.x1, g.x2))
 
 
-def player_payoffs(g: GameInstance, t: Transfer = Transfer()) -> tuple[float, float]:
-    """Both players' equilibrium payoffs after a transfer.
+def payoffs_at(g: GameInstance, tau: float, nu: float) -> tuple[float, float]:
+    """Both players' equilibrium payoffs after moving budget ``tau`` and valuation ``nu``.
 
     Applies the transfer, lets the adversary best-respond to the new
     parameters, and evaluates each front's equilibrium payoff, all on plain
-    floats.  Raises ``InfeasibleTransferError`` like ``post_transfer``.
+    floats.  Raises ``InfeasibleTransferError`` like ``core.transfer_params``.
     """
-    phi1, phi2, x1, x2 = post_transfer_params(g, t)
+    phi1, phi2, x1, x2 = transfer_params(g, tau, nu)
     xa1, xa2 = _split(phi1, phi2, x1, x2)
     return u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
+
+
+def player_payoffs(g: GameInstance, t: Transfer = Transfer()) -> tuple[float, float]:
+    """``payoffs_at`` after a ``Transfer``."""
+    return payoffs_at(g, t.tau, t.nu)
 
 
 def adversary_value(g: GameInstance, xa1: float, xa2: float) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "EPS_FEAS",
     "u_player",
     "one_v_one_payoff",
+    "transfer_params",
     "post_transfer_params",
     "post_transfer",
     "swap_indices",
@@ -99,7 +100,7 @@ class Transfer:
 
     Negative components move resources in the opposite direction.  Feasibility
     is relative to a game instance: ``-x2 < tau < x1`` and ``-phi2 < nu < phi1``
-    (open intervals, checked with slack ``EPS_FEAS``; see ``post_transfer_params``).
+    (open intervals, checked with slack ``EPS_FEAS``; see ``transfer_params``).
     """
 
     tau: float = 0.0
@@ -162,18 +163,18 @@ def one_v_one_payoff(phi: float, x_player: float, x_adv: float) -> PayoffPair:
     return PayoffPair(u, phi - u)
 
 
-def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, float, float]:
-    """Post-transfer parameters ``(phi1 - nu, phi2 + nu, x1 - tau, x2 + tau)``.
+def transfer_params(g: GameInstance, tau: float, nu: float) -> tuple[float, float, float, float]:
+    """Post-transfer parameters ``(phi1 - nu, phi2 + nu, x1 - tau, x2 + tau)``, on floats.
 
     The feasibility rule: every component must stay above ``EPS_FEAS``, or
     above ``EPS_FEAS`` times its own pre-transfer value when that is below 1,
     so the zero transfer is feasible on every valid game.  Otherwise
     ``InfeasibleTransferError`` is raised.
     """
-    phi1 = g.phi1 - t.nu
-    phi2 = g.phi2 + t.nu
-    x1 = g.x1 - t.tau
-    x2 = g.x2 + t.tau
+    phi1 = g.phi1 - nu
+    phi2 = g.phi2 + nu
+    x1 = g.x1 - tau
+    x2 = g.x2 + tau
     if phi1 > EPS_FEAS and phi2 > EPS_FEAS and x1 > EPS_FEAS and x2 > EPS_FEAS:
         return phi1, phi2, x1, x2
     if all(
@@ -182,8 +183,13 @@ def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, fl
     ):
         return phi1, phi2, x1, x2
     raise InfeasibleTransferError(
-        f"transfer (tau={t.tau}, nu={t.nu}) infeasible for game {g.as_dict()}"
+        f"transfer (tau={tau}, nu={nu}) infeasible for game {g.as_dict()}"
     )
+
+
+def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, float, float]:
+    """``transfer_params`` of a ``Transfer``."""
+    return transfer_params(g, t.tau, t.nu)
 
 
 def post_transfer(g: GameInstance, t: Transfer) -> GameInstance:

@@ -1,13 +1,16 @@
-"""The budget and joint mutual-benefit verdicts over arrays of games.
+"""The three mutual-benefit verdicts over arrays of games.
 
-A sweep decides one predicate at every node of a plane.  The exact budget
-verdict and the joint verdict of ``mutual`` are elementwise arithmetic:
-piece edges, candidates and witness crossings are roots of fixed
-quadratics, and each game has a bounded number of them.  ``budget_exists``
-and ``joint_exists`` therefore decide a whole ``batch.GameArrays`` at once,
-in a padded ``(games, columns)`` layout with NaN in the absent lanes, and
-validate every candidate or witness in one payoff call.  They take their
-forms from ``mutual`` (``edge_quadratics``, ``candidate_forms``,
+A sweep decides one predicate at every node of a plane.  The verdicts of
+``mutual`` are elementwise arithmetic: piece edges, candidates and witness
+crossings are roots of fixed quadratics, and each game has a bounded number
+of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
+therefore decide a whole ``batch.GameArrays`` at once, in a padded
+``(games, columns)`` layout with NaN in the absent lanes, and validate every
+candidate or witness in one payoff call.  The budget and contest verdicts
+share one line engine, ``_line_exists``, the array form of
+``mutual._line_verdict``.  They take their forms from ``mutual``
+(``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
+``moved_valuation``, ``contest_sides``, ``ridge_transfer``,
 ``around_ridge``, ``gap_crossing``, ``gap_quadratic``), classify through
 ``batch.case_of``, and return ``exists`` only: game by game it equals the
 one-game verdict's (``tests/test_mutual.py`` and
@@ -24,10 +27,20 @@ from .adversary import CASE_RTOL
 from .batch import GameArrays
 from .collective import max_collective_payoff
 from .core import Mechanism
-from .mutual import around_ridge, candidate_forms, edge_quadratics, gap_crossing, gap_quadratic
-from .search import RIDGE_RTOL, min_gain, transfer_interval
+from .mutual import (
+    around_ridge,
+    candidate_forms,
+    contest_candidate_forms,
+    contest_sides,
+    edge_quadratics,
+    gap_crossing,
+    gap_quadratic,
+    moved_valuation,
+    ridge_transfer,
+)
+from .search import RIDGE_RTOL, contest_ends, min_gain, transfer_interval
 
-__all__ = ["budget_exists", "joint_exists"]
+__all__ = ["budget_exists", "contest_exists", "joint_exists"]
 
 
 def _positive_root_pairs(a, b, c) -> np.ndarray:
@@ -45,37 +58,81 @@ def _case_edge_columns(big_x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.where(z < rho[:, None], z, np.nan)
 
 
-def _candidate_columns(index, phi_w, phi_s, base_gap, big_x) -> np.ndarray:
-    """``mutual._piece_candidates`` per piece: nine columns, NaN where absent.
+def _form_columns(forms, index, cases) -> np.ndarray:
+    """Candidates of ``forms(case)`` on the pieces of each of ``cases``, NaN elsewhere.
 
-    The case-2 columns hold values only on case-2 pieces, the case-3 columns
-    only on case-3 pieces.
+    ``forms(case)`` returns ``candidate_forms``-style points and quadratics
+    over the pieces; a point that is not positive is dropped, as the scalar
+    verdicts drop it.
     """
-    k = np.sqrt(phi_w * phi_s)
     columns = []
-    for case in (2, 3):
-        points, quads = candidate_forms(case, phi_w, phi_s, base_gap, big_x, k)
+    for case in cases:
+        points, quads = forms(case)
         zs = [np.broadcast_to(p, index.shape)[..., None] for p in points]
         zs += [_positive_root_pairs(*quad) for quad in quads]
-        columns.append(np.where((index == case)[..., None], np.concatenate(zs, axis=-1), np.nan))
+        zs = np.concatenate(zs, axis=-1)
+        columns.append(np.where((index == case)[..., None] & (zs > 0.0), zs, np.nan))
     return np.concatenate(columns, axis=-1)
+
+
+def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, transfer):
+    """``mutual._line_verdict(...).exists`` for every game of ``games``, over arrays.
+
+    Row ``i`` holds game ``i``'s ``breaks`` in the line's coordinate; those
+    outside ``ends`` are dropped, and sorting each row and dropping
+    zero-width pieces leaves the scalar verdict's pieces.  ``classify(mid)``
+    gives each piece's ``(index, swapped)`` from its midpoint, ``(games,
+    pieces)`` shaped; ``candidates(rows, index, swapped)`` the interior
+    candidates of the pieces of games ``rows``, one row per piece; and
+    ``transfer(rows, c)`` the ``(tau, nu)`` at coordinates ``c`` of games
+    ``rows``.  Every end and candidate of a piece off the ridge ``sliver``
+    is checked by ``batch.require_feasible`` and scored in one payoff call.
+    """
+    base1, base2 = baseline
+    lo, hi = ends
+    inside = (lo[:, None] <= breaks) & (breaks <= hi[:, None])
+    cs = np.sort(np.where(inside, breaks, np.nan), axis=1)
+    ca, cb = cs[:, :-1], cs[:, 1:]
+    mid = 0.5 * (ca + cb)
+    index, swapped = classify(mid)
+    on_ridge = (sliver[0][:, None] < mid) & (mid < sliver[1][:, None])
+    off = (ca < cb) & ~on_ridge
+    # A break is an end of the pieces on both sides of it.
+    end_ok = np.zeros(cs.shape, dtype=bool)
+    end_ok[:, :-1] |= off
+    end_ok[:, 1:] |= off
+
+    # The off-sliver pieces, one per row, and their interior candidates.
+    piece_rows = np.nonzero(off)[0]
+    ca, cb = ca[off], cb[off]
+    inner = candidates(piece_rows, index[off], swapped[off])
+    inner_ok = (ca[:, None] < inner) & (inner < cb[:, None])
+    rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[np.nonzero(inner_ok)[0]]))
+    c = np.concatenate((cs[end_ok], inner[inner_ok]))
+
+    taus, nus = transfer(rows, c)
+    scored = games.take(rows)
+    batch.require_feasible(scored, taus, nus)
+    u1, u2 = batch.payoffs_at_transfers(scored, taus, nus)
+    d1 = u1 - base1[rows]
+    d2 = u2 - base2[rows]
+    # ``min(d1, d2)`` as the scalar verdict takes it.
+    score = np.where(d2 < d1, d2, d1)
+    exists = np.zeros(len(games.phi1), dtype=bool)
+    exists[rows[score > min_gain(games)[rows]]] = True
+    return exists
 
 
 def budget_exists(games: GameArrays) -> np.ndarray:
     """``budget_mutual_exists(g).exists`` for every game of ``games``, over arrays.
 
-    Row ``i`` holds game ``i``'s 15 breaks of the scalar verdict: the
-    interval ends, the ridge, the sliver ends, the case-4 band ends and four
-    case edges on each side.  Breaks outside the feasible interval are NaN;
-    sorting each row and dropping zero-width pieces leaves the scalar
-    verdict's pieces.  Each piece is classified at its midpoint by
-    ``batch.case_of``; its ends and the roots of ``candidate_forms`` are its
-    candidates.  Every candidate of a piece off the ridge sliver is checked
-    by ``batch.require_feasible`` and scored in one payoff call.
+    Row ``i`` holds game ``i``'s 15 breaks in ``q``: the interval ends, the
+    ridge, the sliver ends, the case-4 band ends and four case edges on
+    each side.  An empty interval gives NaN ends and no piece.
     """
     # Masked lanes (absent roots, pieces past the breaks) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
+        baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
         lo, hi = transfer_interval(games, Mechanism.BUDGET)
         phi1, phi2, x1, x2 = games
         big_x = games.total_budget
@@ -94,47 +151,92 @@ def budget_exists(games: GameArrays) -> np.ndarray:
                 1.0 / _case_edge_columns(big_x, 1.0 / q_ridge),
             )
         )
-        inside = (q_lo[:, None] <= breaks) & (breaks <= q_hi[:, None])
-        qs = np.sort(np.where(inside, breaks, np.nan), axis=1)
-        qa, qb = qs[:, :-1], qs[:, 1:]
-        q_mid = 0.5 * (qa + qb)
-        b2 = big_x[:, None] / (1.0 + q_mid * q_mid)
-        index, swapped = batch.case_of(phi1[:, None], phi2[:, None], big_x[:, None] - b2, b2)
-        on_ridge = (sliver[0][:, None] < q_mid) & (q_mid < sliver[1][:, None])
-        off = (qa < qb) & ~on_ridge
-        # A break is an end of the pieces on both sides of it.
-        end_ok = np.zeros(qs.shape, dtype=bool)
-        end_ok[:, :-1] |= off
-        end_ok[:, 1:] |= off
 
-        # The off-sliver pieces, one per row, and their interior candidates.
-        piece_rows = np.nonzero(off)[0]
-        qa, qb, index, swapped = qa[off], qb[off], index[off], swapped[off]
-        phi1p, phi2p = phi1[piece_rows], phi2[piece_rows]
-        base1p, base2p = base1[piece_rows], base2[piece_rows]
-        zs = _candidate_columns(
-            index,
-            np.where(swapped, phi2p, phi1p),
-            np.where(swapped, phi1p, phi2p),
-            np.where(swapped, base2p - base1p, base1p - base2p),
-            big_x[piece_rows],
+        def classify(q_mid):
+            b2 = big_x[:, None] / (1.0 + q_mid * q_mid)
+            return batch.case_of(phi1[:, None], phi2[:, None], big_x[:, None] - b2, b2)
+
+        def candidates(rows, index, swapped):
+            phi_w = np.where(swapped, phi2[rows], phi1[rows])
+            phi_s = np.where(swapped, phi1[rows], phi2[rows])
+            base1, base2 = baseline[0][rows], baseline[1][rows]
+            base_gap = np.where(swapped, base2 - base1, base1 - base2)
+            k = np.sqrt(phi_w * phi_s)
+            zs = _form_columns(
+                lambda case: candidate_forms(case, phi_w, phi_s, base_gap, big_x[rows], k),
+                index,
+                (2, 3),
+            )
+            return np.where(swapped[:, None], 1.0 / zs, zs)
+
+        def transfer(rows, q):
+            taus = big_x[rows] / (1.0 + q * q) - x2[rows]
+            return np.minimum(np.maximum(taus, lo[rows]), hi[rows]), 0.0
+
+        return _line_exists(
+            games, baseline, (q_lo, q_hi), breaks, sliver, classify, candidates, transfer
         )
-        inner = np.where(swapped[:, None], 1.0 / zs, zs)
-        inner_ok = (qa[:, None] < inner) & (inner < qb[:, None])
-        rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[np.nonzero(inner_ok)[0]]))
-        q = np.concatenate((qs[end_ok], inner[inner_ok]))
 
-        taus = np.minimum(np.maximum(big_x[rows] / (1.0 + q * q) - x2[rows], lo[rows]), hi[rows])
-        candidates = games.take(rows)
-        batch.require_feasible(candidates, taus, 0.0)
-        u1, u2 = batch.payoffs_at_transfers(candidates, taus, 0.0)
-    d1 = u1 - base1[rows]
-    d2 = u2 - base2[rows]
-    # ``min(d1, d2)`` as the scalar verdict takes it.
-    score = np.where(d2 < d1, d2, d1)
-    exists = np.zeros(len(phi1), dtype=bool)
-    exists[rows[score > min_gain(games)[rows]]] = True
-    return exists
+
+def _contest_side_columns(phi_w, phi_s, x_w, x_s, sign) -> np.ndarray:
+    """``mutual._side_breaks`` per game: four columns, NaN where absent."""
+    rho = np.sqrt(x_w / x_s)
+    k = np.sqrt(x_w * x_s)
+    zs = np.column_stack(
+        (
+            around_ridge(rho, 2.0 * RIDGE_RTOL)[1],
+            around_ridge(rho, 1.001 * CASE_RTOL)[1],
+            *(np.where(z > rho, z, np.nan) for z in (1.0 / k, (1.0 - x_s) / k)),
+        )
+    )
+    return sign * moved_valuation(zs, phi_w[:, None], phi_s[:, None])
+
+
+def contest_exists(games: GameArrays) -> np.ndarray:
+    """``contest_mutual_exists(g).exists`` for every game of ``games``, over arrays.
+
+    Row ``i`` holds game ``i``'s 11 breaks in ``nu``: the line's ends, the
+    ridge transfer, and on each weak side the sliver end, the case-4 band
+    end and two case edges.  Each piece's candidates come from
+    ``contest_candidate_forms`` on its weak side, moved back to ``nu``.
+    """
+    # Masked lanes (absent roots, pieces past the breaks) hold NaN or inf.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
+        lo, hi = contest_ends(games)
+        phi1, phi2, x1, x2 = games
+        below, above = (_contest_side_columns(*side) for side in contest_sides(games))
+        breaks = np.column_stack((lo, hi, ridge_transfer(games), below, above))
+        sliver = below[:, 0], above[:, 0]
+
+        def classify(nu_mid):
+            p1, p2 = phi1[:, None] - nu_mid, phi2[:, None] + nu_mid
+            return batch.case_of(p1, p2, x1[:, None], x2[:, None])
+
+        def candidates(rows, index, swapped):
+            def side(one, two):
+                return np.where(swapped, two[rows], one[rows])
+
+            phi_w, phi_s, x_w, x_s = side(phi1, phi2), side(phi2, phi1), side(x1, x2), side(x2, x1)
+            base1, base2 = baseline[0][rows], baseline[1][rows]
+            base_gap = np.where(swapped, base2 - base1, base1 - base2)
+            big_phi = games.total_valuation[rows]
+            k = np.sqrt(x_w * x_s)
+            c1 = batch.one_v_one_vec(1.0, x_w, 1.0)
+            zs = _form_columns(
+                lambda case: contest_candidate_forms(case, x_w, x_s, base_gap, big_phi, k, c1),
+                index,
+                (1, 2, 3, 4),
+            )
+            sign = np.where(swapped, -1.0, 1.0)[:, None]
+            return sign * moved_valuation(zs, phi_w[:, None], phi_s[:, None])
+
+        def transfer(rows, nu):
+            return 0.0, nu
+
+        return _line_exists(
+            games, baseline, (lo, hi), breaks, sliver, classify, candidates, transfer
+        )
 
 
 def joint_exists(games: GameArrays) -> np.ndarray:

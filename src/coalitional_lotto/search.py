@@ -1,11 +1,14 @@
 """Rules shared by the numeric transfer searches and the grid oracle.
 
-The budget and joint verdicts in ``mutual`` and the brute-force searches in
-``oracle`` judge candidates by the same definitions, and the budget verdict
-and the oracle search the same feasible intervals:
+The mutual verdicts in ``mutual`` and the brute-force searches in ``oracle``
+judge candidates by the same definitions, and the budget verdict and the
+oracle search the same feasible intervals:
 
 * feasible intervals are open, so searches stay ``max(width *
-  INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint;
+  INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint
+  (``transfer_interval``); the contest verdict insets each end of its line
+  by ``END_RTOL`` of that end's own size instead (``contest_ends``), so a
+  side far shorter than the line keeps all but that share of itself;
 * a transfer is mutually beneficial when both payoff deltas exceed
   ``GAIN_RTOL`` of the total valuation;
 * a positive verdict is near a boundary when its best smaller delta stays
@@ -39,9 +42,11 @@ __all__ = [
     "NEAR_RTOL",
     "RIDGE_RTOL",
     "INTERVAL_MARGIN",
+    "END_RTOL",
     "min_gain",
     "thin_margin",
     "transfer_interval",
+    "contest_ends",
     "along",
     "ridge_gap",
     "golden_max",
@@ -53,6 +58,7 @@ GAIN_RTOL = 1e-12
 NEAR_RTOL = 1e-3
 RIDGE_RTOL = 1e-6
 INTERVAL_MARGIN = 1e-6
+END_RTOL = 10.0 * EPS_FEAS
 
 
 def min_gain(g: GameInstance | GameArrays):
@@ -81,6 +87,21 @@ def transfer_interval(g: GameInstance | GameArrays, mechanism: Mechanism):
     widest = np.maximum if isinstance(g, GameArrays) else max
     inset = widest((hi - lo) * INTERVAL_MARGIN, 10.0 * EPS_FEAS)
     return lo + inset, hi - inset
+
+
+def contest_ends(g: GameInstance | GameArrays):
+    """Ends of the contest line, ``-phi2`` and ``phi1`` each inset by ``END_RTOL`` of itself.
+
+    Each end leaves its donor at least ten times what
+    ``core.transfer_params`` requires, so both ends are feasible on every
+    valid game, however far apart the valuations are.  A subnormal
+    valuation too small to lose that share keeps the smallest float
+    instead.  Floats for one game, arrays of them for a ``GameArrays``.
+    """
+    least = np.minimum if isinstance(g, GameArrays) else min
+    keep = 1.0 - END_RTOL
+    tiny = math.ulp(0.0)
+    return -least(g.phi2 * keep, g.phi2 - tiny), least(g.phi1 * keep, g.phi1 - tiny)
 
 
 def along(mechanism: Mechanism, v: float) -> Transfer:

@@ -6,13 +6,11 @@ the swept axes and floats are formatted to 12 significant digits, so a given
 spec always produces byte-identical CSV.
 
 A sweep builds its whole plane as one ``batch.GameArrays`` and evaluates it
-in blocks of ``SWEEP_BLOCK`` games.  The budget, joint, case, region and
-collective-gain predicates run over each block as arrays
-(``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
-``batch.case_of``, ``mutual.region_index``,
-``collective.max_collective_payoff``); each value equals the one-game
-verdict's.  The contest predicate still
-decides one game at a time.
+in blocks of ``SWEEP_BLOCK`` games.  Every predicate runs over each block as
+arrays (``mutual_arrays.budget_exists``, ``mutual_arrays.contest_exists``,
+``mutual_arrays.joint_exists``, ``batch.case_of``, ``mutual.region_index``,
+``collective.max_collective_payoff``), with no loop over the nodes; each
+value equals the one-game verdict's.
 """
 
 from __future__ import annotations
@@ -124,10 +122,7 @@ def _plane_games(fields: dict, count: int) -> GameArrays:
 def _plane_values(games: GameArrays, predicate: Predicate) -> list:
     """The predicate's value at every game of ``games``, in order."""
     if predicate is Predicate.MUTUAL_CONTEST:
-        return [
-            int(contest_mutual_exists(GameInstance(*params)).exists)
-            for params in zip(*(field.tolist() for field in games))
-        ]
+        return mutual_arrays.contest_exists(games).astype(int).tolist()
     if predicate is Predicate.MUTUAL_BUDGET:
         return mutual_arrays.budget_exists(games).astype(int).tolist()
     if predicate is Predicate.MUTUAL_JOINT:

@@ -143,7 +143,7 @@ class TestPlayerPayoffs:
 
     def test_collective_continuity_across_case_boundaries(self):
         # u1+u2 is continuous in nu even where the case label flips
-        from coalitional_lotto.mutual import thresholds
+        from coalitional_lotto.paper_routes import thresholds
 
         for g in random_games(40, seed=31):
             th = thresholds(g)

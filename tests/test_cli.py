@@ -184,9 +184,6 @@ def _scalar_rows(spec: SweepSpec):
     return rows
 
 
-ARRAY_PREDICATES = [p for p in Predicate if p is not Predicate.MUTUAL_CONTEST]
-
-
 class TestSweep:
     def test_case_predicate(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -274,7 +271,7 @@ class TestSweep:
             ({"phi2": 1e-300, "x2": 0.5}, (("x1", 1e-300, 1e308), ("phi1", 1e-300, 1e308))),
         ],
     )
-    @pytest.mark.parametrize("predicate", ARRAY_PREDICATES)
+    @pytest.mark.parametrize("predicate", list(Predicate))
     def test_extreme_values_match_scalar(self, fixed, axes, predicate):
         spec = SweepSpec(fixed=fixed, axes=axes, steps=12, predicate=predicate)
         rows = run_sweep(spec)

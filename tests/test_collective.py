@@ -136,7 +136,7 @@ class TestEquivalenceProperty:
             if classify_case(g).index != 2:
                 continue
             count += 1
-            from coalitional_lotto.mutual import thresholds
+            from coalitional_lotto.paper_routes import thresholds
 
             hi = min(thresholds(g).alpha1, g.phi1 * 0.98)
             if hi <= 0:

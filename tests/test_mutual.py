@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coalitional_lotto import mutual_arrays
 from coalitional_lotto.adversary import player_payoffs
+from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.collective import collective_report, max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
@@ -23,15 +24,12 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
     payoff_deltas,
-    quadratic_window,
     region_index,
-    sc_contest_exists,
-    si_contest_exists,
-    thresholds,
 )
 from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
+from coalitional_lotto.paper_routes import quadratic_window, route_verdict, thresholds
 from coalitional_lotto.rng import SplitMix64
-from coalitional_lotto.search import RIDGE_RTOL, min_gain, ridge_gap
+from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap
 
 from conftest import random_games
 
@@ -40,10 +38,25 @@ decades = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
 # Valuations over eight decades and budgets over six.
 wide_valuations = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
 wide_budgets = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+# The whole domain the census covers: valuations over 24 decades, budgets
+# over 18.
+domain_valuations = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+domain_budgets = st.floats(-9.0, 9.0).map(lambda e: 10.0**e)
 
 
 def _mirror(route: str) -> str:
     return route.replace("1le2", "?").replace("1gt2", "1le2").replace("?", "1gt2")
+
+
+def _assert_exact_contest_mirrors(g: GameInstance):
+    """The exact contest verdict finds a witness, and the swapped game mirrors it."""
+    v = contest_mutual_exists(g)
+    assert v.exists and v.route.startswith("exact:"), (g, v)
+    assert is_mutually_beneficial(g, v.witness)
+    w = contest_mutual_exists(swap_indices(g))
+    assert (w.exists, w.route, w.near_boundary) == (True, _mirror(v.route), v.near_boundary)
+    assert w.witness.nu == -v.witness.nu
+    return v
 
 
 def stratified_games(per_region: int, seed: int) -> list[GameInstance]:
@@ -164,6 +177,7 @@ class TestArrayVerdicts:
         "scalar,arrays",
         [
             (budget_mutual_exists, mutual_arrays.budget_exists),
+            (contest_mutual_exists, mutual_arrays.contest_exists),
             (joint_mutual_exists, mutual_arrays.joint_exists),
         ],
     )
@@ -246,13 +260,14 @@ class TestStrategicallyConsistent:
     def test_diamond_fires_via_case2(self, diamond):
         # phi1 > phi2 and (2 - 4*x2)/(phi1 - phi2) = -2.2 < sqrt(x1*x2/(phi1*phi2))
         assert (2 - 4 * 1.6) / 2 == pytest.approx(-2.2)
-        v = sc_contest_exists(diamond)
+        v = route_verdict(diamond, si=False)
         assert v.exists and v.route == "SC:C2"
         assert v.witness.nu > 0
         assert is_mutually_beneficial(diamond, v.witness)
+        _assert_exact_contest_mirrors(diamond)
 
     def test_case4_never_fires(self):
-        v = sc_contest_exists(GameInstance(10, 10, 2, 2))
+        v = route_verdict(GameInstance(10, 10, 2, 2), si=False)
         assert not v.exists
 
     def test_smaller_phi1_blocks_case2_route(self):
@@ -262,19 +277,20 @@ class TestStrategicallyConsistent:
         from coalitional_lotto.adversary import classify_case
 
         assert str(classify_case(g)) == "C2_1le2"
-        assert not sc_contest_exists(g).exists
+        assert not route_verdict(g, si=False).exists
 
     def test_requires_orientation(self, diamond):
         with pytest.raises(ValueError):
-            sc_contest_exists(swap_indices(diamond))
+            route_verdict(swap_indices(diamond), si=False)
 
 
 class TestStrategicallyInconsistent:
     def test_diamond_route_3_3(self, diamond):
-        v = si_contest_exists(diamond)
+        v = route_verdict(diamond, sc=False)
         assert v.exists
         assert v.route.startswith("3.3:")
         assert is_mutually_beneficial(diamond, v.witness)
+        _assert_exact_contest_mirrors(diamond)
 
     def test_c3_in_r5_limited_routes(self):
         # transfers from case 3 can only exit through route 5.11 (5.12, which
@@ -287,9 +303,10 @@ class TestStrategicallyInconsistent:
 
             if classify_case(g).index != 3:
                 continue
-            v = si_contest_exists(g)
+            v = route_verdict(g, sc=False)
             if v.exists:
                 assert v.route.split(":")[0] == "5.11"
+                _assert_exact_contest_mirrors(g)
 
 
 class TestContestMutual:
@@ -303,11 +320,12 @@ class TestContestMutual:
         assert not contest_mutual_exists(GameInstance(10, 10, 2, 2)).exists
 
     def test_mirrored_direction_negative_witness(self, diamond):
-        v = contest_mutual_exists(swap_indices(diamond))
+        v = route_verdict(swap_indices(diamond))
         assert v.exists
         assert v.witness.nu < 0
         assert v.route.startswith("swap:")
         assert is_mutually_beneficial(swap_indices(diamond), v.witness)
+        assert _assert_exact_contest_mirrors(swap_indices(diamond)).witness.nu < 0
 
     def test_agrees_with_oracle(self):
         mismatches = 0
@@ -326,12 +344,159 @@ class TestContestMutual:
         g = GameInstance(
             0.01675391639625724, 21.49790933367522, 0.018025230568032555, 34.03843382378529
         )
-        v = contest_mutual_exists(g)
+        v = route_verdict(g)
         assert (v.exists, v.route, v.near_boundary) == (True, "3.3:C2_1le2->C1_1gt2", False)
         assert is_mutually_beneficial(g, v.witness)
+        # The exact verdict sees the same thin gains and flags them.
+        assert _assert_exact_contest_mirrors(g).near_boundary
         o = grid_mutual_search(g, Mechanism.CONTEST)
         assert (o.exists, o.near_boundary) == (False, False)
         assert grid_mutual_search(g, Mechanism.CONTEST, GridSpec(200001)).exists
+
+
+def _assert_contest_invariant(g: GameInstance, c: float) -> None:
+    """Scaling valuations by ``c`` keeps the verdict; swapping players mirrors it."""
+    v = contest_mutual_exists(g)
+    s = contest_mutual_exists(GameInstance(c * g.phi1, c * g.phi2, g.x1, g.x2))
+    w = contest_mutual_exists(swap_indices(g))
+    assert s.exists == v.exists, (g, c)
+    mirrored = _mirror(v.route) if v.route else None
+    assert (w.exists, w.route, w.near_boundary) == (v.exists, mirrored, v.near_boundary), g
+    if v.exists:
+        assert w.witness.nu == -v.witness.nu
+        assert abs(s.witness.nu - c * v.witness.nu) <= 1e-9 * c * g.total_valuation
+
+
+class TestExactContest:
+    def test_line_ends_are_inset_by_their_own_size(self):
+        # One valuation twelve decades below the other: an inset by the
+        # line's width would cut off the small side; each end keeps all but
+        # a 1e-11 share of its own valuation.
+        g = GameInstance(1e6, 1e-6, 1.0, 1.0)
+        lo, hi = contest_ends(g)
+        assert lo == pytest.approx(-1e-6 * (1 - 1e-11), rel=1e-15)
+        assert hi == pytest.approx(1e6 * (1 - 1e-11), rel=1e-15)
+        for nu in (lo, hi):
+            player_payoffs(g, Transfer(0.0, nu))
+
+    def test_ridge_knife_edge_exemplar(self):
+        # The printed route 1.1 validates a transfer whose ratio gap is about
+        # 4.8e-8: the exact verdict finds benefits only inside the sliver.
+        g = GameInstance(12.0, 10.0, 1.3953846153846154, 2.591371237458194)
+        r = route_verdict(g)
+        assert (r.exists, r.route) == (True, "1.1:C1_1le2->C1_1gt2")
+        assert ridge_gap(g, Mechanism.CONTEST, r.witness.nu) <= 2 * RIDGE_RTOL
+        for h in (g, swap_indices(g)):
+            v = contest_mutual_exists(h)
+            assert (v.exists, v.witness, v.route, v.near_boundary) == (
+                False, None, "ridge-knife-edge", True
+            )
+
+    def test_fitted_forms_witness(self):
+        # Valuations and budgets nine decades apart: coefficients fitted from
+        # payoff calls lose this route-3.3 witness; the closed forms keep it.
+        g = GameInstance(
+            2903.2719709720322, 2.627709842889962e-06, 165198677.59828785, 0.1456246129073492
+        )
+        assert route_verdict(g).route == "swap:3.3:C2_1le2->C1_1gt2"
+        v = _assert_exact_contest_mirrors(g)
+        assert v.witness.nu < 0 and v.near_boundary
+
+    def test_scale_and_swap_invariance_on_seeded_corpus(self):
+        rng = SplitMix64(2027)
+        games = (
+            random_games(1500, seed=64)
+            + log_uniform_games(1500, seed=65)
+            + near_ridge_games(1500, seed=66)
+        )
+        for g in games:
+            _assert_contest_invariant(g, 10.0 ** rng.uniform(-9.0, 9.0))
+
+    @given(
+        phi1=domain_valuations, phi2=domain_valuations, x1=domain_budgets, x2=domain_budgets,
+        log_gap=st.one_of(st.none(), st.floats(-11.0, -3.0)),
+        c=st.floats(-9.0, 9.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scale_and_swap_invariance(self, phi1, phi2, x1, x2, log_gap, c):
+        if log_gap is not None:
+            phi2 = phi1 * x2 / x1 * (1.0 + 10.0**log_gap)
+        _assert_contest_invariant(GameInstance(phi1, phi2, x1, x2), c)
+
+
+class TestWholeDomain:
+    """No verdict raises anywhere in the valid domain, and the arrays agree."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # x1 + x2 below 1e-11: the inset budget interval is empty.
+            (1.0, 2.0, 1e-12, 2e-12),
+            # phi1 * phi2 underflows, and with it the case-2 point candidate.
+            (1e-300, 1e-300, 1e-300, 1.0),
+        ],
+    )
+    def test_former_crashes(self, params):
+        g = GameInstance(*params)
+        report = analyze_game(g)
+        assert report.mutual_budget == budget_mutual_exists(g)
+        assert (report.mutual_budget.exists, report.mutual_budget.route) == (False, None)
+        assert not report.mutual_budget.near_boundary
+        arrays = GameArrays.of([g, swap_indices(g)])
+        for scalar, vector in (
+            (budget_mutual_exists, mutual_arrays.budget_exists),
+            (contest_mutual_exists, mutual_arrays.contest_exists),
+        ):
+            assert vector(arrays).tolist() == [scalar(g).exists, scalar(swap_indices(g)).exists]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # The printed routes divide by zero here.
+            (1e-310, 1e-310, 1.0, 1.0),
+            # Too small to give up 1e-11 of itself: the end keeps one ulp.
+            (5e-324, 1.0, 1.0, 1.0),
+            (1e-320, 1.0, 0.5, 0.3),
+            (3e-312, 2.0, 0.3, 0.2),
+        ],
+    )
+    def test_subnormal_valuations(self, params):
+        games = [GameInstance(*params), swap_indices(GameInstance(*params))]
+        for g in games:
+            analyze_game(g)
+        for scalar, vector in (
+            (budget_mutual_exists, mutual_arrays.budget_exists),
+            (contest_mutual_exists, mutual_arrays.contest_exists),
+            (joint_mutual_exists, mutual_arrays.joint_exists),
+        ):
+            verdicts = [scalar(g) for g in games]
+            assert vector(GameArrays.of(games)).tolist() == [v.exists for v in verdicts]
+            for g, v in zip(games, verdicts):
+                if v.exists:
+                    assert is_mutually_beneficial(g, v.witness)
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        phi1=domain_valuations, phi2=domain_valuations, x1=domain_budgets, x2=domain_budgets,
+        log_gap=st.one_of(st.none(), st.floats(-11.0, -3.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_raise_nothing_and_arrays_agree(self, phi1, phi2, x1, x2, log_gap):
+        if log_gap is not None:
+            phi2 = phi1 * x2 / x1 * (1.0 + 10.0**log_gap)
+        g = GameInstance(phi1, phi2, x1, x2)
+        report = analyze_game(g)
+        arrays = GameArrays.of([g])
+        for scalar, vector in (
+            (budget_mutual_exists, mutual_arrays.budget_exists),
+            (contest_mutual_exists, mutual_arrays.contest_exists),
+            (joint_mutual_exists, mutual_arrays.joint_exists),
+        ):
+            v = scalar(g)
+            assert vector(arrays).tolist() == [v.exists]
+            if v.exists:
+                assert is_mutually_beneficial(g, v.witness)
+        assert report.mutual_contest == contest_mutual_exists(g)
 
 
 # One oriented game per decisive route family.
@@ -363,14 +528,15 @@ class TestRouteExemplars:
     )
     def test_route_decides_and_mirrors(self, params, route):
         g = GameInstance(*params)
-        v = contest_mutual_exists(g)
+        v = route_verdict(g)
         assert v.exists
         assert v.route == route
         assert is_mutually_beneficial(g, v.witness)
-        w = contest_mutual_exists(swap_indices(g))
+        w = route_verdict(swap_indices(g))
         assert w.exists
         assert w.route == f"swap:{route}"
         assert w.witness.nu == -v.witness.nu
+        _assert_exact_contest_mirrors(g)
 
 
 class TestRouteCensus:
@@ -393,7 +559,7 @@ class TestRouteCensus:
         assert [b[:2] for b in blocks] == [["0", "0"], ["1", "12"]]
         assert all(len(digest) == 64 for b in blocks for digest in b[2:])
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
-        assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 case 0"
+        assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
 
 
 class TestBudgetMutual:
