@@ -76,15 +76,50 @@ def analyze_game(g: GameInstance) -> AnalysisReport:
     )
 
 
+# The ``.12g`` spellings that JSON and the CSV files spell otherwise.  "-0"
+# is normalized so identical analyses serialize identically.
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": '"Infinity"', "-inf": '"-Infinity"', "-0": "0"}
+
+
 def format_float(x: float) -> str:
     """Floats rounded to 12 significant digits at serialization time."""
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
     s = f"{x:.12g}"
-    # Normalize "-0" so identical analyses serialize identically.
-    return "0" if s == "-0" else s
+    return _SPECIAL_FLOATS.get(s, s)
+
+
+def _json_str(s: str) -> str:
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _json_dict(d: dict, indent: int) -> str:
+    if not d:
+        return "{}"
+    inner = " " * (indent + 2)
+    items = [f'{inner}"{k}": {to_json(v, indent + 2)}' for k, v in d.items()]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+
+
+def _json_list(seq, indent: int) -> str:
+    if not seq:
+        return "[]"
+    inner = " " * (indent + 2)
+    items = [f"{inner}{to_json(v, indent + 2)}" for v in seq]
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+# Writers by exact type: a scalar's takes the value, a container's the value
+# and its indent.  Any other type takes the writer of the first type here,
+# scalars first, that it is an instance of, so ``numpy.float64`` is written
+# as a float and a ``str`` enum as a string.
+_JSON_SCALARS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    str: _json_str,
+    int: str,
+    float: format_float,
+}
+_JSON_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -95,29 +130,17 @@ def to_json(obj, indent: int = 0) -> str:
     output byte-stable under refactoring of internal arithmetic order only
     when values agree to 12 digits, which is the published precision.
     """
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{to_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    kind = type(obj)
+    write = _JSON_SCALARS.get(kind)
+    if write is not None:
+        return write(obj)
+    nest = _JSON_CONTAINERS.get(kind)
+    if nest is not None:
+        return nest(obj, indent)
+    for base, write in _JSON_SCALARS.items():
+        if isinstance(obj, base):
+            return write(obj)
+    for base, nest in _JSON_CONTAINERS.items():
+        if isinstance(obj, base):
+            return nest(obj, indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")

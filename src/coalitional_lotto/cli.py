@@ -14,9 +14,10 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .analysis import analyze_game, to_json
+from .analysis import analyze_game, format_float, to_json
 from .core import GameInstance, GameValidationError
 from .mutual import Mechanism
 from .sweep import (
@@ -48,7 +49,13 @@ def _add_game_args(p: argparse.ArgumentParser, required: bool) -> None:
         p.add_argument(f"--{name}", type=float, required=required)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state in the parser: each ``parse_args`` call fills a
+    fresh namespace, so one parser serves every ``main`` call.
+    """
     parser = _Parser(
         prog="coalitional-lotto",
         description="Alliance transfer analysis for two-front General Lotto games.",
@@ -111,6 +118,11 @@ def _parse_axis(text: str) -> tuple[str, float, float]:
         raise GameValidationError(f"bad --axis {text!r}; expected NAME=LO:HI") from exc
 
 
+def _params_text(params) -> str:
+    """``name=value`` pairs, space-separated, values to 12 significant digits."""
+    return " ".join(f"{k}={format_float(v)}" for k, v in params)
+
+
 def _cmd_analyze(args) -> int:
     report = analyze_game(_game(args))
     print(to_json(report.as_dict()))
@@ -128,7 +140,7 @@ def _cmd_sweep(args) -> int:
             fixed[name] = value
     spec = SweepSpec(fixed=fixed, axes=axes, steps=args.steps, predicate=Predicate(args.predicate))
     rows = run_sweep(spec)
-    fixed_desc = " ".join(f"{k}={format(v, '.12g')}" for k, v in sorted(fixed.items()))
+    fixed_desc = _params_text(sorted(fixed.items()))
     _write_out(
         args.out,
         [
@@ -149,7 +161,7 @@ def _cmd_curve(args) -> int:
     _write_out(
         args.out,
         [
-            f"game: phi1={g.phi1:.12g} phi2={g.phi2:.12g} x1={g.x1:.12g} x2={g.x2:.12g}",
+            f"game: {_params_text(g.as_dict().items())}",
             f"mechanism={mech.value}; transfer units: {unit}; payoffs in valuation units",
         ],
         ["transfer", "u1", "u2", "collective"],

@@ -172,7 +172,9 @@ def _sc_routes(g: GameInstance, case_index: int, m: _Margins):
     if case_index == 2:
         ok1 = m.lt(s0, f, phi_scale)
         lhs = 2.0 - 4.0 * x2
-        rhs = (f - s0) * math.sqrt(x1 * x2 / (f * s0))
+        # (f - s0) * sqrt(x1*x2 / (f*s0)), with no product of the valuations:
+        # f * s0 underflows to 0 on subnormal valuations.
+        rhs = (f - s0) / math.sqrt(f) / math.sqrt(s0) * math.sqrt(x1 * x2)
         ok2 = m.lt(lhs, rhs, 1.0)
         if ok1 and ok2:
             routes.append(("SC:C2", None))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -251,18 +252,50 @@ def run_verify(count: int, seed: int):
     return rows, ok
 
 
+def _formatter(kind: type):
+    """The text of a cell of type ``kind``: 12 significant digits for floats."""
+    return format_float if issubclass(kind, float) else str
+
+
+def _column_texts(cells: list) -> list[str]:
+    """Each cell's text, with each distinct cell formatted once.
+
+    A column of one type is keyed by value; a mixed column by ``(type,
+    value)``, so that ``1``, ``1.0`` and ``True`` stay apart.  Equal cells of
+    one type print alike (``0.0`` and ``-0.0`` both print as ``0``).
+    """
+    kinds = set(map(type, cells))
+    keys = cells if len(kinds) == 1 else list(zip(map(type, cells), cells))
+    distinct = list(dict.fromkeys(keys))
+    if len(kinds) == 1:
+        texts = map(_formatter(*kinds), distinct)
+    else:
+        texts = (_formatter(kind)(cell) for kind, cell in distinct)
+    memo = dict(zip(distinct, texts))
+    return list(map(memo.__getitem__, keys))
+
+
 def write_csv(
     stream: TextIO, comments: Iterable[str], header: Iterable[str], rows: Iterable[Iterable]
 ) -> None:
-    """CSV with '#' comment lines naming units and fixed parameters."""
-    for line in comments:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        stream.write(",".join(cells) + "\n")
+    """CSV with '#' comment lines naming units and fixed parameters.
+
+    Rows must all have the same length.  The cells are formatted column by
+    column and the file is written at once.
+    """
+    rows = list(map(tuple, rows))
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError(f"CSV rows differ in length: {sorted(widths)}")
+    width = max(widths, default=0)
+    if width:
+        # Each cell and the comma or newline after it, row after row.
+        step = 2 * width
+        body = [","] * (step * len(rows))
+        for k in range(width):
+            body[2 * k :: step] = _column_texts(list(map(itemgetter(k), rows)))
+        body[step - 1 :: step] = ["\n"] * len(rows)
+    else:
+        body = ["\n"] * len(rows)
+    stream.write("".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"]))
+    stream.write("".join(body))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from coalitional_lotto.analysis import analyze_game, format_float, to_json
@@ -55,3 +56,83 @@ class TestJsonWriter:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             to_json({"bad": object()})
+
+
+class TestOutputGolden:
+    """Exact bytes of the float and JSON writers, special values included."""
+
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            (float("nan"), "NaN"),
+            (-float("nan"), "NaN"),
+            (float("inf"), '"Infinity"'),
+            (float("-inf"), '"-Infinity"'),
+            (0.0, "0"),
+            (-0.0, "0"),
+            (5e-324, "4.94065645841e-324"),
+            (1e-13, "1e-13"),
+            (-1e-13, "-1e-13"),
+            (0.1 + 0.2, "0.3"),
+            (1e16, "1e+16"),
+            (123456789012.5, "123456789012"),
+        ],
+    )
+    def test_format_float(self, x, text):
+        assert format_float(x) == text
+        assert format_float(np.float64(x)) == text
+
+    @pytest.mark.parametrize(
+        "obj,text",
+        [
+            ({}, "{}"),
+            ([], "[]"),
+            ((), "[]"),
+            (None, "null"),
+            (True, "true"),
+            (False, "false"),
+            (0, "0"),
+            (-7, "-7"),
+            (np.float64(0.1 + 0.2), "0.3"),
+            (np.float64(-0.0), "0"),
+            (np.float64("nan"), "NaN"),
+            ('say "hi"', '"say \\"hi\\""'),
+            ("back\\slash", '"back\\\\slash"'),
+            ((1, 2.5), "[\n  1,\n  2.5\n]"),
+        ],
+    )
+    def test_to_json_scalars_and_flat(self, obj, text):
+        assert to_json(obj) == text
+
+    def test_to_json_nested(self):
+        obj = {"a": [1, {"b": None, "c": (True, -0.0)}], "d": {}, "e": [], "f": "x"}
+        assert to_json(obj) == (
+            "{\n"
+            '  "a": [\n'
+            "    1,\n"
+            "    {\n"
+            '      "b": null,\n'
+            '      "c": [\n'
+            "        true,\n"
+            "        0\n"
+            "      ]\n"
+            "    }\n"
+            "  ],\n"
+            '  "d": {},\n'
+            '  "e": [],\n'
+            '  "f": "x"\n'
+            "}"
+        )
+        assert to_json([1], indent=2) == "[\n    1\n  ]"
+
+    def test_to_json_subclasses(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            pass
+
+        text = to_json([Text('q"'), Count(3), np.float64(16.5)])
+        assert text == '[\n  "q\\"",\n  3,\n  16.5\n]'
+        with pytest.raises(TypeError):
+            to_json(np.bool_(True))

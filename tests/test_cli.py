@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from coalitional_lotto import sweep
 from coalitional_lotto.adversary import classify_case, player_payoffs
-from coalitional_lotto.cli import main
+from coalitional_lotto.cli import build_parser, main
 from coalitional_lotto.collective import max_collective_payoff
 from coalitional_lotto.core import EPS_FEAS, GameInstance, GameValidationError, Mechanism, Transfer
 from coalitional_lotto.mutual import (
@@ -19,7 +20,7 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
 )
-from coalitional_lotto.sweep import Predicate, SweepSpec, run_curve, run_sweep
+from coalitional_lotto.sweep import Predicate, SweepSpec, run_curve, run_sweep, write_csv
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
 RIDGE_ARGS = ["--phi1", "10", "--phi2", "10", "--x1", "2", "--x2", "2"]
@@ -336,3 +337,76 @@ class TestVerify:
         run_cli(capsys, "verify", "--count", "2", "--seed", "9", "--out", str(f1))
         run_cli(capsys, "verify", "--count", "2", "--seed", "9", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestWriteCsv:
+    """Exact bytes of the CSV writer: one text per cell's type and value."""
+
+    @staticmethod
+    def written(comments, header, rows) -> str:
+        stream = io.StringIO()
+        write_csv(stream, comments, header, rows)
+        return stream.getvalue()
+
+    def test_mixed_column(self):
+        # 1, 1.0 and True are equal keys in a dict but print differently.
+        cells = [1, 1.0, True, -0.0, 0.0, 0, False, 1, True, 1.0, 0.1 + 0.2, np.float64(-0.0)]
+        names = ["x", "y,z", "x", "", "x", "y,z", "x", "x", "", "y,z", "x", "x"]
+        text = self.written(["units: none", "fixed: a=1"], ["v", "name"], zip(cells, names))
+        assert text == (
+            "# units: none\n# fixed: a=1\nv,name\n"
+            "1,x\n1,y,z\nTrue,x\n0,\n0,x\n0,y,z\nFalse,x\n1,x\nTrue,\n1,y,z\n0.3,x\n0,x\n"
+        )
+
+    def test_special_floats_and_ints(self):
+        rows = [
+            (float("nan"), float("inf"), np.int64(3)),
+            (float("nan"), float("-inf"), 3),
+            (5e-324, 1e-13, -1e-13),
+        ]
+        assert self.written([], ["a", "b", "c"], rows) == (
+            'a,b,c\nNaN,"Infinity",3\nNaN,"-Infinity",3\n4.94065645841e-324,1e-13,-1e-13\n'
+        )
+
+    def test_empty_rows(self):
+        assert self.written(["c"], ["h1", "h2"], []) == "# c\nh1,h2\n"
+        assert self.written([], ["h"], [(), []]) == "h\n\n\n"
+
+    def test_rows_of_different_lengths(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(io.StringIO(), [], ["a", "b"], [(1, 2), (3,)])
+
+    def test_generators(self):
+        rows = ((i * 0.5, f"s{i % 2}") for i in range(4))
+        comments = (f"line {k}" for k in range(2))
+        assert self.written(comments, iter(["t", "s"]), rows) == (
+            "# line 0\n# line 1\nt,s\n0,s0\n0.5,s1\n1,s0\n1.5,s1\n"
+        )
+
+
+class TestRepeatedMain:
+    """Several commands in one process share one parser and must not leak state."""
+
+    SWEEP = [
+        "sweep", "--phi1", "12", "--phi2", "10", "--axis", "x1=0.1:2", "--axis", "x2=0.1:2",
+        "--steps", "4", "--predicate", "mutual-budget",
+    ]
+
+    def test_commands_in_sequence(self, capsys, tmp_path):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        code, _, _ = run_cli(capsys, *self.SWEEP, "--out", str(first))
+        assert code == 0
+        code, _, err = run_cli(capsys, *self.SWEEP[:-2], "--predicate", "bogus")
+        assert code == 1 and "error:" in err
+        code, _, _ = run_cli(capsys, "verify", "--count", "2", "--seed", "3", "--out", "-")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "analyze", *DIAMOND_ARGS)
+        assert code == 0 and json.loads(out)["case"] == "C2_1le2"
+        code, _, _ = run_cli(capsys, *self.SWEEP, "--out", str(again))
+        assert code == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_append_option_starts_empty(self):
+        for _ in range(2):
+            args = build_parser().parse_args(self.SWEEP)
+            assert args.axis == ["x1=0.1:2", "x2=0.1:2"]

@@ -452,18 +452,26 @@ class TestWholeDomain:
     @pytest.mark.parametrize(
         "params",
         [
-            # The printed routes divide by zero here.
             (1e-310, 1e-310, 1.0, 1.0),
             # Too small to give up 1e-11 of itself: the end keeps one ulp.
             (5e-324, 1.0, 1.0, 1.0),
             (1e-320, 1.0, 0.5, 0.3),
             (3e-312, 2.0, 0.3, 0.2),
+            # The product of the valuations underflows to 0 in the printed
+            # consistent route's condition.
+            (2.05272652456964e-310, 7.46e-321, 44.24091717614708, 0.0018444936571679431),
         ],
     )
     def test_subnormal_valuations(self, params):
         games = [GameInstance(*params), swap_indices(GameInstance(*params))]
         for g in games:
             analyze_game(g)
+            # The printed routes answer too.  Their swapped witness is
+            # validated on the mirror game, whose payoffs differ from this
+            # game's in the last bits of a subnormal; such a witness is flagged.
+            routes = route_verdict(g)
+            if routes.exists and not routes.near_boundary:
+                assert is_mutually_beneficial(g, routes.witness)
         for scalar, vector in (
             (budget_mutual_exists, mutual_arrays.budget_exists),
             (contest_mutual_exists, mutual_arrays.contest_exists),
