@@ -116,7 +116,9 @@ def case_of(phi1, phi2, x1, x2):
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)
-    if s >= 1.0 - CASE_RTOL * (s if s > 1.0 else 1.0):
+    # The slack of the case-1 edge is relative to max(1, s); any s above 1 is
+    # in case 1 whatever the slack, so only its value at 1 counts.
+    if s >= 1.0 - CASE_RTOL:
         return 1, swapped
     if 1.0 - s <= x_s * (1.0 + CASE_RTOL):
         return 2, swapped
@@ -137,6 +139,11 @@ def _split_oriented(index, phi_w, phi_s, x_w, x_s):
     if index == 3:
         a = math.sqrt(x_w * phi_w)
         b = math.sqrt(x_s * phi_s)
+        if a + b == 0.0:
+            # Both products underflow on subnormal valuations; the roots of
+            # the factors keep their ratio.
+            a = math.sqrt(x_w) * math.sqrt(phi_w)
+            b = math.sqrt(x_s) * math.sqrt(phi_s)
         return a / (a + b)
     # Case 4: any split with xa_i <= x_i is optimal.  Canonical choice is the
     # proportional split, which is always feasible (x_w + x_s >= 1) and agrees

@@ -3,15 +3,23 @@
 Grid oracles and parameter sweeps evaluate the two players' payoffs at many
 transfers, against one game or against many.  This module mirrors the scalar
 pipeline in ``adversary`` (classification, closed-form split, equilibrium
-payoff) with numpy array operations, so that a few-thousand-point scan costs
-a fraction of a millisecond and one call can serve a whole sample of games.
-``GameArrays`` holds the parameters of many games under the attribute names
-of ``GameInstance``; ``payoffs_at_transfers`` broadcasts them against the
-transfers.  ``case_of`` is the one vector case rule: the payoffs and the
-sweeps' array verdicts classify through it.  It reads the same tolerance,
-``CASE_RTOL``, and must stay in lockstep with ``adversary.case_of``;
-``tests/test_batch.py`` enforces agreement bit for bit on random inputs, on
-games over twelve decades and on each side of every case edge.
+payoff) with numpy array operations, so that one call can serve a whole
+scan or a whole sample of games.  ``GameArrays`` holds the parameters of
+many games under the attribute names of ``GameInstance``;
+``payoffs_at_transfers`` broadcasts them against the transfers.
+
+A call's cost is about fifty array passes plus numpy's fixed cost per
+call, so the kernel keeps both down: it broadcasts by arithmetic alone,
+fills the adversary's share in one array case by case, and does the
+equal-ratio ridge's work only when some element lies on it.  Each front's
+payoff takes one division (``one_v_one_vec``).
+
+``case_of`` is the one vector case rule: the payoffs and the sweeps' array
+verdicts classify through it.  It reads the same tolerance, ``CASE_RTOL``,
+and must stay in lockstep with ``adversary.case_of``.  ``tests/test_batch.py``
+holds the case rule and the payoffs to the scalar pipeline bit for bit: on
+random inputs, on games over twelve and twenty-four decades, and on each
+side of every case edge.
 """
 
 from __future__ import annotations
@@ -67,35 +75,45 @@ class GameArrays(NamedTuple):
 def one_v_one_vec(phi, x_player, x_adv):
     """``core.u_player`` over arrays, bit for bit.
 
-    Branch values are computed unconditionally with guarded denominators,
-    then selected.
+    Each branch divides the smaller budget by twice the larger, so one
+    division serves both; where both budgets are 0 the quotient is left at
+    1, and the player keeps ``phi``.
     """
-    safe_adv = np.where(x_adv > 0.0, x_adv, 1.0)
-    outgunned = np.where(x_adv > 0.0, phi * (x_player / (2.0 * safe_adv)), phi)
-    safe_pl = np.where(x_player > 0.0, x_player, 1.0)
-    dominant = phi * (1.0 - x_adv / (2.0 * safe_pl))
-    return np.where(x_player <= x_adv, outgunned, dominant)
+    lo = np.minimum(x_player, x_adv)
+    twice = 2.0 * np.maximum(x_player, x_adv)
+    if twice.all():
+        share = lo / twice
+    else:
+        share = np.divide(lo, twice, out=np.ones(np.shape(twice)), where=twice > 0.0)
+    return phi * np.where(x_player <= x_adv, share, 1.0 - share)
 
 
 def _case_rule(phi1, phi2, x1, x2):
     """The case rule of ``adversary.case_of`` over arrays, as masks and views.
 
     Returns ``(equal, swapped, case1, case2, pw, ps, bw, bs, s)``: the
-    equal-ratio mask, the orientation, the case-1 and case-2 tests (which
-    count only off the equal-ratio ridge), the valuations and budgets of the
-    weak-ratio (``w``) and strong-ratio (``s``) sides, and the adversary's
-    case-2 share ``s`` of the weak front.
+    equal-ratio mask, or None when no element lies on the ridge; the
+    orientation; the case-1 and case-2 tests (which count only off the
+    ridge); the valuations and budgets of the weak-ratio (``w``) and
+    strong-ratio (``s``) sides; and the adversary's case-2 share ``s`` of
+    the weak front.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
     equal = np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2)
-    swapped = ~(equal | (r1 < r2))
+    swapped = ~np.less(r1, r2)
+    if equal.any():
+        swapped &= ~equal
+    else:
+        equal = None
     pw = np.where(swapped, phi2, phi1)
     ps = np.where(swapped, phi1, phi2)
     bw = np.where(swapped, x2, x1)
     bs = np.where(swapped, x1, x2)
-    s = np.sqrt(bw * bs * pw / ps)
-    case1 = s >= 1.0 - CASE_RTOL * np.maximum(1.0, s)
+    # x1 * x2 is bw * bs in either orientation: a product does not depend on
+    # the order of its factors.
+    s = np.sqrt(x1 * x2 * pw / ps)
+    case1 = s >= 1.0 - CASE_RTOL  # as in ``adversary.case_of``
     case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
     return equal, swapped, case1, case2, pw, ps, bw, bs, s
 
@@ -105,12 +123,10 @@ def case_of(phi1, phi2, x1, x2):
 
     Each element equals the scalar rule's result on the same floats.
     """
-    equal, swapped, case1, case2, _, _, bw, bs, _ = _case_rule(phi1, phi2, x1, x2)
-    index = np.where(
-        equal,
-        np.where(bw + bs >= 1.0, 4, 3),
-        np.where(case1, 1, np.where(case2, 2, 3)),
-    )
+    equal, swapped, case1, case2, *_ = _case_rule(phi1, phi2, x1, x2)
+    index = np.where(case1, 1, np.where(case2, 2, 3))
+    if equal is not None:
+        index = np.where(equal, np.where(x1 + x2 >= 1.0, 4, 3), index)
     return index, swapped
 
 
@@ -125,30 +141,30 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
-    p1 = g.phi1 - nus
-    p2 = g.phi2 + nus
-    b1 = g.x1 - taus
-    b2 = g.x2 + taus
     equal, swap, case1, case2, pw, ps, bw, bs, s = _case_rule(
-        *np.broadcast_arrays(p1, p2, b1, b2)
+        g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus
     )
-    # Case 3, and the equal-ratio ridge with total budget < 1, where the
-    # case-3 formula is exact.
-    sq_w = np.sqrt(bw * pw)
-    sq_s = np.sqrt(bs * ps)
-    case3 = sq_w / (sq_w + sq_s)
-    total_b = bw + bs
-    xa_w = np.where(
-        equal,
-        np.where(total_b >= 1.0, bw / total_b, case3),
-        np.where(case1, 1.0, np.where(case2, s, case3)),
-    )
+    # The case-3 share, exact on the equal-ratio ridge with total budget < 1
+    # too.  Both products underflow only on subnormal valuations; the roots
+    # are then taken factor by factor, as in ``adversary``.
+    root_w = np.sqrt(bw * pw)
+    roots = root_w + np.sqrt(bs * ps)
+    if not roots.all():
+        under = roots == 0.0
+        root_w = np.where(under, np.sqrt(bw) * np.sqrt(pw), root_w)
+        roots = np.where(under, root_w + np.sqrt(bs) * np.sqrt(ps), roots)
+    case3 = root_w / roots
+    # The adversary's share of the weak front, filled case by case.
+    xa_w = np.where(case2, s, case3)
+    np.copyto(xa_w, 1.0, where=case1)
+    if equal is not None:
+        total_b = bw + bs
+        np.copyto(xa_w, case3, where=equal)
+        np.divide(bw, total_b, out=xa_w, where=equal & (total_b >= 1.0))
 
     uw = one_v_one_vec(pw, bw, xa_w)
     us = one_v_one_vec(ps, bs, 1.0 - xa_w)
-    u1 = np.where(swap, us, uw)
-    u2 = np.where(swap, uw, us)
-    return u1, u2
+    return np.where(swap, us, uw), np.where(swap, uw, us)
 
 
 def collective_at_transfers(g: GameInstance | GameArrays, taus, nus):

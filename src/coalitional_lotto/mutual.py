@@ -379,7 +379,9 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     # jump there.
     breaks = {q_lo, q_hi, q_ridge, *sliver, *around_ridge(q_ridge, 1.001 * CASE_RTOL)}
     breaks.update(_case_edges(big_x, q_ridge))
-    breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge))
+    # A subnormal phi1 puts the ridge at q = 0, and its case edges at 0 and
+    # infinity, off the line, as for an infinite 1 / q_ridge.
+    breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge if q_ridge else math.inf))
     qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
 
     def piece(q_mid: float):

@@ -12,12 +12,13 @@ Every analytic claim in this package has a slow counterpart here:
 Each takes one game and is the one-game case of a form that takes a
 sequence of games: ``grid_best_responses``, ``grid_mutual_searches`` and
 ``grid_max_collectives``.  ``grid_line_oracle`` serves the budget and
-contest lines of both searches at once.  Every game's grid is scanned on
-its own and cut down to its refinement brackets at once, so no
-(games x grid) array is kept; the brackets of the whole sample are then
-refined in one lockstep golden-section pass (``search.golden_max``).  Each
-game's results equal those of a one-game call bit for bit, whatever games
-share the sequence.
+contest lines of both searches at once.  Every game's line is scanned
+once, on its own, and cut down at once to its refinement brackets and to
+the few numbers the knife-edge fallback reads (``search.RidgeScan``), so no
+(games x grid) array is kept and no line is scanned twice; the brackets of
+the whole sample are then refined in one lockstep golden-section pass
+(``search.golden_max``).  Each game's results equal those of a one-game
+call bit for bit, whatever games share the sequence.
 
 The test suite pins oracle outputs for a golden set of games as fixtures and
 requires the closed forms to reproduce them.
@@ -36,6 +37,7 @@ from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer
 from .mutual import MutualBenefitVerdict
 from .search import (
+    RidgeScan,
     along,
     golden_max,
     min_gain,
@@ -140,30 +142,26 @@ def _local_maxima(score: np.ndarray, top: int) -> list[int]:
     return [int(i) for i in order[:top]]
 
 
-def _scan_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec):
-    """A mechanism's feasible interval on the grid, with both payoffs there."""
-    vs = np.linspace(*transfer_interval(g, mechanism), spec.resolution)
-    if mechanism is Mechanism.BUDGET:
-        return (vs, *batch.payoffs_at_transfers(g, vs, 0.0))
-    return (vs, *batch.payoffs_at_transfers(g, 0.0, vs))
-
-
 def _cut_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec, baseline, mutual, collective):
     """Scan one game's line and keep only what refinement needs.
 
     For the mutual search (when ``mutual``): the best scan point ``(v,
-    smaller delta)`` and the brackets around the best few local maxima of
-    the smaller delta.  For the collective maximum (when ``collective``):
-    the best scan value and the bracket around it.  The scan itself is
-    dropped on return.
+    smaller delta)``, the brackets around the best few local maxima of the
+    smaller delta, and the scan's ``RidgeScan`` for ``off_ridge_best``.  For
+    the collective maximum (when ``collective``): the best scan value and
+    the bracket around it.  The scan itself is dropped on return.
     """
-    vs, u1, u2 = _scan_line(g, mechanism, spec)
+    vs = np.linspace(*transfer_interval(g, mechanism), spec.resolution)
+    if mechanism is Mechanism.BUDGET:
+        u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
+    else:
+        u1, u2 = batch.payoffs_at_transfers(g, 0.0, vs)
     mutual_cut = collective_cut = None
     if mutual:
         score = np.minimum(u1 - baseline[0], u2 - baseline[1])
         k = int(np.argmax(score))
         peaks = [_bracket(vs, p) for p in _local_maxima(score, top=5)]
-        mutual_cut = (float(vs[k]), float(score[k])), peaks
+        mutual_cut = (float(vs[k]), float(score[k])), peaks, RidgeScan.of(g, mechanism, vs, score)
     if collective:
         total = u1 + u2
         k = int(np.argmax(total))
@@ -201,6 +199,7 @@ def grid_line_oracle(
     rows: list[tuple] = []
     mutual_grid: list[tuple[float, float]] = []
     mutual_rows: list[range] = []
+    ridge_scans: list[RidgeScan] = []
     collective_grid = {mech: [] for mech in collective}
     collective_rows = {mech: [] for mech in collective}
     lines = dict.fromkeys(([mutual] if mutual is not None else []) + list(collective))
@@ -211,8 +210,9 @@ def grid_line_oracle(
                 g, mech, spec, (base1[i], base2[i]), mech is mutual, mech in collective_rows
             )
             if mutual_cut is not None:
-                grid, peaks = mutual_cut
+                grid, peaks, ridge_scan = mutual_cut
                 mutual_grid.append(grid)
+                ridge_scans.append(ridge_scan)
                 mutual_rows.append(range(len(rows), len(rows) + len(peaks)))
                 rows += [(i, budget, True, lo, hi, MUTUAL_ITERS) for lo, hi in peaks]
             if collective_cut is not None:
@@ -251,12 +251,9 @@ def grid_line_oracle(
                 grid = (v[r], val[r])
         best.append(grid)
     best_v, best_val = np.array(best, dtype=float).reshape(-1, 2).T
-
-    def rescan(i: int):
-        vs, u1, u2 = _scan_line(games[i], mutual, spec)
-        return vs, np.minimum(u1 - base1[i], u2 - base2[i])
-
-    found = off_ridge_best(arrays, mutual, (base1, base2), best_v, best_val, rescan, MUTUAL_ITERS)
+    found = off_ridge_best(
+        arrays, mutual, (base1, base2), best_v, best_val, ridge_scans, MUTUAL_ITERS
+    )
     verdicts = []
     for g, (_, score), found_i in zip(games, best, found):
         if found_i is None:

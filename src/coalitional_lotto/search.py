@@ -24,12 +24,13 @@ sample of games costs about as many numpy calls as one game.
 ``refine_transfers`` runs it along transfer lines through
 ``batch.payoffs_at_transfers``, after checking each bracket's ends like
 ``core.post_transfer_params``; ``off_ridge_best`` is the oracle's knife-edge
-fallback.
+fallback, fed by the ``RidgeScan`` each line scan leaves behind.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "ridge_gap",
     "golden_max",
     "refine_transfers",
+    "RidgeScan",
     "off_ridge_best",
 ]
 
@@ -200,18 +202,41 @@ def refine_transfers(
     return golden_max(f, a, b, iters)
 
 
-def _off_ridge_scan(g, mechanism: Mechanism, vs, score, gain: float, v_ridge: float):
+class RidgeScan(NamedTuple):
+    """What ``off_ridge_best`` needs of one game's scan of the smaller delta.
+
+    ``best`` is the best beneficial scan point off the equal-ratio ridge,
+    ``(v, value)``, or None; ``lo`` and ``hi`` are the scan's ends and
+    ``step`` its spacing.  Build it with ``of`` while the scan is at hand,
+    so the scan can be dropped.
+    """
+
+    best: tuple[float, float] | None
+    lo: float
+    hi: float
+    step: float
+
+    @classmethod
+    def of(cls, g: GameInstance, mechanism: Mechanism, vs, score) -> "RidgeScan":
+        beneficial = np.flatnonzero(score > min_gain(g))
+        off = beneficial[ridge_gap(g, mechanism, vs[beneficial]) > RIDGE_RTOL]
+        best = None
+        if off.size:
+            k = off[np.argmax(score[off])]
+            best = (float(vs[k]), float(score[k]))
+        return cls(best, float(vs[0]), float(vs[-1]), float(vs[1] - vs[0]))
+
+
+def _off_ridge_scan(g, mechanism: Mechanism, scan: RidgeScan, v_ridge: float):
     """A beneficial maximum at ``v_ridge`` on the ridge, seen from the scan.
 
     Returns the best beneficial scan point off the ridge, ``((v, value),
     [])``, or failing that ``(None, sides)``: the brackets between the edge
     of the tie-break sliver and one scan step out, on either side.
     """
-    off = (ridge_gap(g, mechanism, vs) > RIDGE_RTOL) & (score > gain)
-    if np.any(off):
-        k = int(np.argmax(np.where(off, score, -np.inf)))
-        return (float(vs[k]), float(score[k])), []
-    step = float(vs[1] - vs[0])
+    if scan.best is not None:
+        return scan.best, []
+    step = scan.step
 
     def in_sliver(v: float) -> bool:
         return ridge_gap(g, mechanism, v) <= 2.0 * RIDGE_RTOL
@@ -232,7 +257,7 @@ def _off_ridge_scan(g, mechanism: Mechanism, vs, score, gain: float, v_ridge: fl
         a = v_ridge + sign * delta
         b = v_ridge + sign * step
         a, b = min(a, b), max(a, b)
-        a, b = max(a, float(vs[0])), min(b, float(vs[-1]))
+        a, b = max(a, scan.lo), min(b, scan.hi)
         if a < b:
             sides.append((a, b))
     return None, sides
@@ -244,20 +269,20 @@ def off_ridge_best(
     baseline,
     v_best,
     best,
-    rescan,
+    scans: Sequence[RidgeScan],
     iters: int,
 ) -> list[tuple[float, float] | None]:
     """The best beneficial transfer away from the equal-ratio ridge, per game.
 
     ``(v_best, best)`` are arrays of each game's refined maximum of the
-    smaller payoff delta against ``baseline``, and ``rescan(i)`` returns game
-    ``i``'s scan ``(vs, score)`` of that delta.  A maximum off the ridge, or
-    one that is not beneficial, is returned unchanged.  A beneficial maximum
-    on the ridge is replaced by the best off-ridge scan point; failing that,
+    smaller payoff delta against ``baseline``, and ``scans[i]`` is game
+    ``i``'s ``RidgeScan`` of that delta.  A maximum off the ridge, or one
+    that is not beneficial, is returned unchanged.  A beneficial maximum on
+    the ridge is replaced by the best off-ridge scan point; failing that,
     the two side intervals one scan step out from the ridge point are
     refined, all games' sides in one lockstep pass, where thin windows can
     open right at the ridge crossing.  None means the only benefit is the
-    knife-edge.  Only games whose maximum is on the ridge are scanned again.
+    knife-edge.  No line is scanned again.
     """
     gain = min_gain(games)
     found: list = list(zip(v_best.tolist(), best.tolist()))
@@ -265,7 +290,7 @@ def off_ridge_best(
     sides, lo, hi = [], [], []
     for i in np.flatnonzero(on_ridge):
         found[i], brackets = _off_ridge_scan(
-            games.take(i), mechanism, *rescan(i), gain[i], float(v_best[i])
+            games.take(i), mechanism, scans[i], float(v_best[i])
         )
         for a, b in brackets:
             sides.append(i)

@@ -69,7 +69,7 @@ class Predicate(Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Two swept parameters over ranges, the rest fixed."""
+    """Two swept parameters over ranges, the other two fixed."""
 
     fixed: dict
     axes: tuple[tuple[str, float, float], tuple[str, float, float]]
@@ -89,6 +89,9 @@ class SweepSpec:
                 raise ValueError(f"axis {name}: ends must be finite, got {lo}..{hi}")
             if not (0.0 < lo < hi):
                 raise ValueError(f"axis {name}: need 0 < lo < hi, got {lo}..{hi}")
+        both = set(names) & set(self.fixed)
+        if both:
+            raise ValueError(f"parameters both fixed and swept: {sorted(both)}")
         missing = set(PARAM_NAMES) - set(names) - set(self.fixed)
         if missing:
             raise ValueError(f"parameters not fixed or swept: {sorted(missing)}")

@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from coalitional_lotto import batch
-from coalitional_lotto.adversary import CASE_RTOL, case_of, player_payoffs
+from coalitional_lotto.adversary import (
+    CASE_RTOL,
+    best_response,
+    case_of,
+    classify_case,
+    player_payoffs,
+)
 from coalitional_lotto.core import (
     GameInstance,
     InfeasibleTransferError,
     Transfer,
+    post_transfer,
     post_transfer_params,
     swap_indices,
+    u_player,
 )
 
 from conftest import random_games
@@ -144,28 +152,148 @@ def test_require_feasible_follows_the_scalar_rule():
                 batch.require_feasible(arrays, taus, nus)
 
 
-def test_broadcasting_grid():
-    g = random_games(1, seed=3)[0]
-    taus = np.linspace(-0.5 * g.x2, 0.5 * g.x1, 7)[:, None]
-    nus = np.linspace(-0.5 * g.phi2, 0.5 * g.phi1, 9)[None, :]
-    u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
-    assert u1.shape == (7, 9)
-    s1, s2 = player_payoffs(g, Transfer(float(taus[3, 0]), float(nus[0, 4])))
-    assert u1[3, 4] == s1
-    assert u2[3, 4] == s2
-
-
-def test_one_v_one_vec_zero_budget_conventions():
-    phi = np.array([5.0, 5.0, 5.0])
-    xp = np.array([0.0, 0.3, 0.0])
-    xa = np.array([2.0, 0.0, 0.0])
-    u = batch.one_v_one_vec(phi, xp, xa)
-    assert u.tolist() == [0.0, 5.0, 5.0]
-
-
 def test_collective_matches_sum():
     g = random_games(1, seed=11)[0]
     nus = np.linspace(-0.9 * g.phi2, 0.9 * g.phi1, 33)
     u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus)
     total = batch.collective_at_transfers(g, 0.0, nus)
     assert np.allclose(total, u1 + u2, rtol=0, atol=0)
+
+
+def _wide_games(count: int, seed: int) -> list[GameInstance]:
+    """Games with every parameter log-uniform over 1e-12..1e12.
+
+    Every fifth game lies on the equal-ratio ridge and every seventh has a
+    total budget below 1, so both ridge cases come up.
+    """
+    rng = np.random.default_rng(seed)
+    params = 10.0 ** rng.uniform(-12.0, 12.0, size=(count, 4))
+    params[::7, 2:] = rng.uniform(0.01, 0.49, size=(len(params[::7]), 2))
+    params[::5, 1] = params[::5, 0] * params[::5, 3] / params[::5, 2]
+    return [GameInstance(*row) for row in params]
+
+
+def _transfers(games, seed: int):
+    """One transfer per game, up to 0.999 of each donor's share; every third
+    game keeps the zero transfer, so ridge games stay on the ridge."""
+    rng = np.random.default_rng(seed)
+    frac = rng.uniform(-0.999, 0.999, size=(len(games), 2))
+    frac[::3] = 0.0
+    arrays = batch.GameArrays.of(games)
+    taus = np.where(frac[:, 0] > 0, frac[:, 0] * arrays.x1, frac[:, 0] * arrays.x2)
+    nus = np.where(frac[:, 1] > 0, frac[:, 1] * arrays.phi1, frac[:, 1] * arrays.phi2)
+    return taus, nus
+
+
+# Both products of the case-3 split underflow to 0: the roots are taken
+# factor by factor.
+UNDERFLOW_GAME = GameInstance(1e-170, 1e-170, 1e-160, 2e-160)
+
+# A game of each case and ridge, each path of the kernel's split.
+PATH_GAMES = [
+    GameInstance(1.0, 1.0, 0.8, 2.0),  # case 1
+    GameInstance(1.0, 1.0, 0.8, 0.1),  # case 2, player 2 weak
+    GameInstance(1.0, 2.0, 0.4, 0.05),  # case 3, player 2 weak
+    GameInstance(1.0, 1.0, 0.7, 0.7),  # ridge, total budget >= 1: case 4
+    GameInstance(1.0, 1.0, 0.2, 0.2),  # ridge, total budget < 1: case 3
+    UNDERFLOW_GAME,
+]
+
+
+def test_kernel_matches_scalar_over_twenty_four_decades():
+    games = _wide_games(3000, seed=41)
+    taus, nus = _transfers(games, seed=42)
+    u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), taus, nus)
+    labels = set()
+    for k, g in enumerate(games):
+        t = Transfer(float(taus[k]), float(nus[k]))
+        assert (u1[k], u2[k]) == player_payoffs(g, t), k
+        labels.add(str(classify_case(post_transfer(g, t))))
+    assert len(labels) == 7
+
+
+def test_subnormal_products_take_the_roots_factor_by_factor():
+    g = UNDERFLOW_GAME
+    assert str(classify_case(g)) == "C3_1le2"
+    root_w = np.sqrt(1e-160) * np.sqrt(1e-170)
+    assert best_response(g).xa1 == root_w / (root_w + np.sqrt(2e-160) * np.sqrt(1e-170))
+    games = [g, swap_indices(g)] + random_games(3, seed=6)
+    u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
+    assert [(a, b) for a, b in zip(u1, u2)] == [player_payoffs(h) for h in games]
+
+
+def test_case1_leaves_the_strong_front_unopposed():
+    # Case 1 in both orientations, before and after transfers that keep it.
+    games = [GameInstance(1.0, 1.0, 0.8, 2.0), GameInstance(2.0, 1.0, 1.0, 3.0)]
+    games += [swap_indices(g) for g in games]
+    taus = np.array([0.05, 0.0, -0.05, 0.0])
+    nus = np.array([0.0, 0.1, 0.0, -0.1])
+    u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), taus, nus)
+    for k, g in enumerate(games):
+        after = post_transfer(g, Transfer(taus[k], nus[k]))
+        label = classify_case(after)
+        assert label.index == 1
+        xa = best_response(after)
+        assert (xa.xa1, xa.xa2) == ((0.0, 1.0) if label.swapped else (1.0, 0.0))
+        # The adversary leaves the strong front alone: its player keeps phi.
+        strong = u1[k] if label.swapped else u2[k]
+        assert strong == (after.phi1 if label.swapped else after.phi2)
+        assert (u1[k], u2[k]) == player_payoffs(g, Transfer(taus[k], nus[k]))
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_zero_dimensional_inputs(wrap):
+    for g in PATH_GAMES:
+        one = batch.GameArrays.of([g]).take(0)
+        for tau, nu in ((0.0, 0.0), (0.1 * g.x1, 0.0), (0.0, -0.1 * g.phi2)):
+            want = player_payoffs(g, Transfer(tau, nu))
+            for game in (g, one):
+                u1, u2 = batch.payoffs_at_transfers(game, wrap(tau), wrap(nu))
+                assert np.shape(u1) == np.shape(u2) == ()
+                assert (u1, u2) == want
+    for x_player, x_adv in ((0.3, 0.0), (0.0, 0.0), (0.0, 0.4), (0.3, 0.4), (0.5, 0.4)):
+        u = batch.one_v_one_vec(wrap(5.0), wrap(x_player), wrap(x_adv))
+        assert np.shape(u) == () and u == u_player(5.0, x_player, x_adv)
+
+
+def test_broadcasting_grid():
+    games = random_games(12, seed=19) + PATH_GAMES[:5]
+    arrays = batch.GameArrays.of(games)
+    column = batch.GameArrays(*(field[:, None] for field in arrays))
+    # Inside every game's budgets and valuations (all at least 0.05).
+    taus = np.linspace(-0.04, 0.04, 9)
+    nus = np.linspace(-0.04, 0.04, 7)
+
+    def check(u1, u2, g, tau, nu):
+        assert (u1, u2) == player_payoffs(g, Transfer(float(tau), float(nu)))
+
+    # A column of games against a row of transfers.
+    u1, u2 = batch.payoffs_at_transfers(column, taus[None, :], nus[3])
+    assert u1.shape == (len(games), len(taus))
+    for (k, i), _ in np.ndenumerate(u1):
+        check(u1[k, i], u2[k, i], games[k], taus[i], nus[3])
+    # A row of games against one transfer.
+    u1, u2 = batch.payoffs_at_transfers(arrays, taus[2], nus[5])
+    for k, g in enumerate(games):
+        check(u1[k], u2[k], g, taus[2], nus[5])
+    # One game over the grid of budget and contest transfers.
+    for g in games:
+        u1, u2 = batch.payoffs_at_transfers(g, taus[:, None], nus[None, :])
+        assert u1.shape == (len(taus), len(nus))
+        for (i, j), _ in np.ndenumerate(u1):
+            check(u1[i, j], u2[i, j], g, taus[i], nus[j])
+
+
+def test_one_v_one_vec_zero_budget_conventions():
+    xp = np.array([0.0, 0.3, 0.0])
+    xa = np.array([2.0, 0.0, 0.0])
+    assert batch.one_v_one_vec(np.full(3, 5.0), xp, xa).tolist() == [0.0, 5.0, 5.0]
+    # Zero and equal budgets on either side, and budgets over many decades.
+    phi = np.array([1e-12, 0.7, 5.0, 1e12])[:, None, None]
+    x_player = np.array([0.0, 1e-300, 0.25, 0.5, 1.0, 2.0, 1e12])[None, :, None]
+    x_adv = np.array([0.0, 1e-300, 0.25, 0.5, 1.0])[None, None, :]
+    u = batch.one_v_one_vec(phi, x_player, x_adv)
+    assert u.shape == (4, 7, 5)
+    for (i, j, k), value in np.ndenumerate(u):
+        want = u_player(float(phi[i, 0, 0]), float(x_player[0, j, 0]), float(x_adv[0, 0, k]))
+        assert value == want, (i, j, k)

@@ -231,6 +231,17 @@ class TestSweep:
         )
         assert code == 1 and "error" in err
 
+    def test_fixed_and_swept_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--phi1", "12", "--phi2", "10", "--x1", "0.5",
+            "--axis", "x1=0.1:2", "--axis", "x2=0.1:2", "--steps", "4",
+            "--predicate", "case", "--out", str(out_file),
+        )
+        assert code == 1 and out == ""
+        assert "error: parameters both fixed and swept: ['x1']" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("axis", ["x1=0.1:inf", "x1=0.1:nan", "x1=inf:inf"])
     def test_non_finite_axis_end_is_usage_error(self, axis):
         # A subprocess, so that a numpy warning would reach stderr rather

@@ -460,6 +460,11 @@ class TestWholeDomain:
             # The product of the valuations underflows to 0 in the printed
             # consistent route's condition.
             (2.05272652456964e-310, 7.46e-321, 44.24091717614708, 0.0018444936571679431),
+            # Both roots of the adversary's case-3 split underflow to 0 along
+            # the budget line.
+            (4.2943697e-317, 3e-323, 0.013283383747396509, 0.004621616558832586),
+            # sqrt(phi1 / phi2) underflows: the ridge sits at the line's end.
+            (5e-324, 46.805403100099284, 0.3684590261085013, 2.843483531785971),
         ],
     )
     def test_subnormal_valuations(self, params):
