@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate the committed grid-oracle fixtures for the golden game set.
+"""Regenerate the committed fixtures: grid-oracle outputs and one-game verdicts.
 
-The fixtures pin oracle outputs (best responses, collective maxima, mutual
-existence verdicts) so the analytic modules are tested against frozen,
-independently computed values rather than against themselves.
+``golden_oracle.json`` pins oracle outputs (best responses, collective
+maxima, mutual existence verdicts) for the golden game set, so the analytic
+modules are tested against frozen, independently computed values rather
+than against themselves.
+
+``analyze_golden.jsonl``, written beside it, pins the one-game verdicts of
+``analyze_game``: for each of 100 seeded games (20 per region R1..R5, of
+which 2 lie on the equal-ratio ridge and 3 within 1e-4 of it), the
+full-precision ``repr`` of the budget, contest and joint verdicts, so a
+change of any witness bit, route or flag shows.
 
 Usage: python3 scripts/make_golden_fixtures.py [--out tests/data/golden_oracle.json]
 
@@ -13,13 +20,16 @@ holds it, so it runs from a source checkout without installing.
 
 import argparse
 import json
+import math
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.core import GameInstance  # noqa: E402
-from coalitional_lotto.mutual import Mechanism  # noqa: E402
+from coalitional_lotto.mutual import Mechanism, classify_region  # noqa: E402
 from coalitional_lotto.oracle import (  # noqa: E402
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -71,6 +81,62 @@ def oracle_records(golden: dict) -> dict:
     return dict(zip(golden, records))
 
 
+# Budget ranges of each region, redrawn until the pair lands in the region.
+REGION_BUDGETS = {
+    "R1": ((1.0, 20.0), (1.0, 20.0)),
+    "R2": ((1.0, 20.0), (0.02, 1.0)),
+    "R3": ((0.02, 1.0), (1.0, 20.0)),
+    "R4": ((0.02, 1.0), (0.02, 1.0)),
+    "R5": ((0.02, 1.0), (0.02, 1.0)),
+}
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def analyze_games(per_region: int = 20, seed: int = 14) -> list[GameInstance]:
+    """Seeded games, ``per_region`` in each region; valuations over 1e-2..1e2.
+
+    In each region the first two games lie on the equal-ratio ridge and the
+    next three off it by a ratio gap log-uniform over 1e-10..1e-4, on
+    either side.
+    """
+    rng = random.Random(f"analyze-golden:{seed}")
+    games = []
+    for region, ranges in REGION_BUDGETS.items():
+        count = 0
+        while count < per_region:
+            x1, x2 = (_log_uniform(rng, *r) for r in ranges)
+            phi1, phi2 = _log_uniform(rng, 1e-2, 1e2), _log_uniform(rng, 1e-2, 1e2)
+            if count < 2:
+                phi2 = phi1 * x2 / x1
+            elif count < 5:
+                gap = _log_uniform(rng, 1e-10, 1e-4)
+                phi2 = phi1 * x2 / x1 * (1.0 + rng.choice((-gap, gap)))
+            g = GameInstance(phi1, phi2, x1, x2)
+            if classify_region(g).value == region:
+                games.append(g)
+                count += 1
+    return games
+
+
+def analyze_records(games: list[GameInstance]) -> list[dict]:
+    """Each game's parameters and the ``repr`` of its three verdicts."""
+    records = []
+    for g in games:
+        report = analyze_game(g)
+        records.append(
+            {
+                "game": [g.phi1, g.phi2, g.x1, g.x2],
+                "budget": repr(report.mutual_budget),
+                "contest": repr(report.mutual_contest),
+                "joint": repr(report.mutual_joint),
+            }
+        )
+    return records
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="tests/data/golden_oracle.json")
@@ -80,6 +146,10 @@ def main() -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out} ({len(fixtures)} games)")
+    records = analyze_records(analyze_games())
+    out = out.parent / "analyze_golden.jsonl"
+    out.write_text("".join(json.dumps(r) + "\n" for r in records))
+    print(f"wrote {out} ({len(records)} games)")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,13 @@ def golden_oracle() -> dict:
     return json.loads((DATA_DIR / "golden_oracle.json").read_text())
 
 
+@pytest.fixture(scope="session")
+def analyze_golden() -> list[dict]:
+    """The pinned one-game verdicts: the game and the ``repr`` of each verdict."""
+    lines = (DATA_DIR / "analyze_golden.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
 def random_games(count: int, seed: int, lo: float = 0.05, hi: float = 3.0):
     rng = SplitMix64(seed)
     return [

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -870,3 +871,28 @@ class TestWitnessValidity:
                 if verdict.exists:
                     assert verdict.witness is not None
                     assert is_mutually_beneficial(g, verdict.witness)
+
+
+class TestAnalyzeGolden:
+    """The one-game verdicts of ``tests/data/analyze_golden.jsonl``, bit for bit."""
+
+    def test_verdicts_match_fixture(self, analyze_golden):
+        for rec in analyze_golden:
+            g = GameInstance(*rec["game"])
+            report = analyze_game(g)
+            for name, verdict in (
+                ("budget", report.mutual_budget),
+                ("contest", report.mutual_contest),
+                ("joint", report.mutual_joint),
+            ):
+                assert repr(verdict) == rec[name], (g, name)
+
+    def test_fixture_script_gives_the_pinned_games(self, analyze_golden):
+        path = Path(__file__).parent.parent / "scripts" / "make_golden_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_golden_fixtures", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        games = script.analyze_games()
+        assert [[g.phi1, g.phi2, g.x1, g.x2] for g in games] == [r["game"] for r in analyze_golden]
+        regions = [classify_region(g).value for g in games]
+        assert [regions.count(r.value) for r in REGIONS] == [20] * 5
