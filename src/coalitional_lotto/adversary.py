@@ -38,6 +38,7 @@ __all__ = [
     "CaseLabel",
     "AdversaryAllocation",
     "CASE_RTOL",
+    "RATIO_SCALE",
     "case_of",
     "classify_case",
     "best_response",
@@ -50,6 +51,12 @@ __all__ = [
 # one fixed tolerance makes classification total and reproducible.  It is a
 # numeric tie rule, not a parameter of the model.
 CASE_RTOL = 1e-9
+
+# Both ratios ``x_i / phi_i`` overflow to inf only when both valuations are
+# below 1 (subnormal, in practice); ``case_of`` then decides the tie and the
+# orientation on both valuations times this exact power of two, which no
+# valuation below 1 overflows.
+RATIO_SCALE = 2.0**1000
 
 
 class Orientation(Enum):
@@ -103,7 +110,9 @@ def case_of(phi1, phi2, x1, x2):
     through the equal-ratio ridge there).  Boundary membership uses the same
     relative slack; the lower case-2 boundary (expression exactly 0)
     classifies as case 1, where the adversary sends its whole budget to the
-    weak side either way.
+    weak side either way.  When both ratios overflow to inf, the tie and the
+    orientation are decided on the valuations scaled by ``RATIO_SCALE``, so
+    a game and its mirror get mirrored labels there too.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
@@ -113,6 +122,15 @@ def case_of(phi1, phi2, x1, x2):
         return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
+    elif r1 == r2:
+        # Past the tie test, equal ratios are both inf.  Only this branch
+        # pays for the scaled test.
+        r1 = x1 / (phi1 * RATIO_SCALE)
+        r2 = x2 / (phi2 * RATIO_SCALE)
+        if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
+            return (4 if x1 + x2 >= 1.0 else 3), False
+        swapped = not r1 < r2
+        phi_w, phi_s, x_w, x_s = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)

@@ -24,11 +24,12 @@ side of every case edge.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import CASE_RTOL
+from .adversary import CASE_RTOL, RATIO_SCALE
 from .core import EPS_FEAS, GameInstance, Transfer, post_transfer_params
 
 __all__ = [
@@ -100,12 +101,33 @@ def _case_rule(phi1, phi2, x1, x2):
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
-    equal = np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2)
-    swapped = ~np.less(r1, r2)
-    if equal.any():
-        swapped &= ~equal
-    else:
+    gap = np.abs(r1 - r2)
+    lim = CASE_RTOL * np.maximum(r1, r2)
+    off = gap > lim
+    # Off the ridge, >= orients as ``adversary.case_of`` does.  ``off`` is
+    # false on the ridge and where the gap is NaN, so a call with neither
+    # tests nothing more.
+    swapped = np.greater_equal(r1, r2)
+    if off.all():
         equal = None
+    else:
+        equal = gap <= lim
+        if math.isnan(gap.max()):
+            # A NaN input, which the scalar rule leaves swapped, or two
+            # ratios that both overflow to inf, which it decides again on
+            # the valuations scaled by ``RATIO_SCALE``.
+            nan = np.isnan(gap)
+            over = nan & (r1 == r2)
+            swapped |= nan
+            if over.any():
+                r1 = x1 / (np.where(over, phi1, 1.0) * RATIO_SCALE)
+                r2 = x2 / (np.where(over, phi2, 1.0) * RATIO_SCALE)
+                equal |= over & (np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2))
+                swapped = np.where(over, ~np.less(r1, r2), swapped)
+            if not equal.any():
+                equal = None
+        if equal is not None:
+            swapped &= ~equal
     pw = np.where(swapped, phi2, phi1)
     ps = np.where(swapped, phi1, phi2)
     bw = np.where(swapped, x2, x1)

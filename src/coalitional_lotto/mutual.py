@@ -1,17 +1,27 @@
 """Existence of mutually beneficial transfers (budget, contest, joint).
 
 A transfer is mutually beneficial when it strictly raises *both* players'
-payoffs relative to no transfer.  Budget and contest transfers each move
-along a line and are decided exactly by one line engine; joint transfers
-are decided from the collective surplus:
+payoffs relative to no transfer.  Every transfer keeps the total budget
+``X`` and the total valuation ``Phi``, so none lifts the payoff sum above
+``max_collective_payoff``, which all three mechanisms reach; both players
+can gain only when the surplus ``S`` of that maximum over the baseline sum
+exceeds twice the gain floor.  Where that one test
+(``surplus_rules_out``) rules a gain out, all three verdicts are absent
+before any line is built; every game on the ridge is such a game.
+Otherwise budget and contest transfers each move along a line and are
+decided exactly by one line engine, and joint transfers are decided from
+the surplus:
 
 * the line engine (``_line_verdict``).  The equal-ratio ridge, the edges of
   the adversary's case-4 band around it, the edges of the ridge sliver and
   the case edges cut the line's feasible interval into pieces.  Each piece
   is classified at its midpoint by ``case_of``; on it both payoffs are
   closed forms, so the best transfer lies at an end, a stationary point or
-  a crossing of the two payoff deltas, all roots of quadratics.  One
-  scoring pass evaluates them through ``adversary.payoffs_at``.
+  a crossing of the two payoff deltas, all roots of quadratics.  Those
+  candidates depend only on the case, its orientation and the game, so a
+  line computes them once per ``(case, orientation)`` and each piece keeps
+  the ones inside it.  One scoring pass evaluates them through
+  ``adversary.payoffs_at``.
 * budget transfers keep ``X = x1 + x2`` and move the budgets ``b1 = x1 -
   tau``, ``b2 = x2 + tau`` along ``q = sqrt(b1 / b2)``.  With ``k =
   sqrt(phi1 * phi2)``, case 3 gives ``u1 = (X/2)(phi1 q**2 + k q) / (1 +
@@ -26,12 +36,9 @@ are decided from the collective surplus:
   player 2 is weak), and on every piece both payoffs are ``N(w) / (1 +
   w**2)`` with ``N`` quadratic (``contest_candidate_forms``).  The line
   stops ``search.END_RTOL`` of each valuation short of its end.
-* joint transfers -- decided from the collective surplus.  Every transfer
-  keeps ``X`` and ``Phi``, so none lifts the payoff sum above
-  ``max_collective_payoff``, and both players can gain only when the
-  surplus ``S`` of that maximum over the baseline sum exceeds twice the
-  gain floor.  A joint transfer reaches the ridge and splits the maximum in
-  any proportion, so ``S`` above that floor leaves a witness, placed just
+* joint transfers -- decided from the collective surplus.  A joint
+  transfer reaches the ridge and splits the maximum in any proportion, so
+  ``S`` above twice the gain floor leaves a witness, placed just
   outside the ridge sliver, at ratio gap ``2 * RIDGE_RTOL`` on the game's
   own side.  There both payoffs are closed forms in the weak player's
   post-transfer valuation, and the equal-gain split solves a linear
@@ -43,9 +50,9 @@ alone.  Routes name the case of the witness, ``exact:<case label>``; a
 benefit found only within ``2 * RIDGE_RTOL`` of the ridge is the flagged
 ``ridge-knife-edge``, and a positive verdict is flagged when its smaller
 gain is thin (``search.thin_margin``).  ``mutual_arrays`` decides all three
-verdicts over arrays of games from the same forms (``edge_quadratics``,
-``candidate_forms``, ``contest_candidate_forms``, ``moved_valuation``,
-``around_ridge``, ``gap_crossing``, ``gap_quadratic``).  Case edges, the
+verdicts over arrays of games from the same forms (``surplus_rules_out``,
+``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
+``moved_valuation``, ``around_ridge``, ``gap_crossing``, ``gap_quadratic``).  Case edges, the
 contest orientation and the case-4 bands all use the one fixed tie
 tolerance ``adversary.CASE_RTOL``.  The paper's printed contest routes are
 kept as a check in ``paper_routes``, which no verdict calls.
@@ -303,54 +310,79 @@ def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
     return MutualBenefitVerdict(mechanism, False, None, None, False)
 
 
-def _line_verdict(g, mechanism, baseline, cs, sliver, piece, transfer) -> MutualBenefitVerdict:
+def surplus_rules_out(g, baseline) -> bool:
+    """Whether the collective surplus leaves no room for a mutual gain.
+
+    No transfer lifts the payoff sum above ``max_collective_payoff``, which
+    budget, contest and joint transfers all reach, so both players gain
+    only when the surplus over the baseline sum ``b1 + b2`` exceeds twice
+    the gain floor.  ``g`` is a game or a ``GameArrays``, and ``baseline``
+    its ``(b1, b2)``; on arrays the answer is elementwise.
+    """
+    return max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * min_gain(g)
+
+
+def _line_verdict(
+    g, mechanism, baseline, cs, sliver, classify, candidates, transfer
+) -> MutualBenefitVerdict:
     """The verdict of one transfer line, decided piece by piece.
 
     ``cs`` are the sorted breaks of the line in its own coordinate, both
     ends included, and ``sliver`` is the open coordinate interval within
-    ``2 * RIDGE_RTOL`` of the equal-ratio ridge.  ``piece(mid)`` classifies
-    the piece around ``mid`` and returns ``(index, swapped, candidates)``;
-    ``transfer(c)`` is the ``(tau, nu)`` at coordinate ``c``.  The smaller
-    payoff delta is evaluated through ``payoffs_at`` at each piece's ends
-    and at the candidates inside it, among which its maximum lies.  The
-    route names the case of the deciding piece, ``exact:<case label>``, and
-    thin positive margins are flagged (``thin_margin``).  A benefit found
-    only inside the sliver rides on the adversary's indifference tie-break
-    and is reported as the flagged ``ridge-knife-edge``.
+    ``2 * RIDGE_RTOL`` of the equal-ratio ridge.  ``classify(mid)`` gives the
+    ``(index, swapped)`` of the piece around ``mid``, and ``candidates(index,
+    swapped)`` the line's candidate coordinates for that case, computed once
+    per line: they depend only on the case and the game.  ``transfer(c)`` is
+    the ``(tau, nu)`` at coordinate ``c``.  The smaller payoff delta is
+    evaluated through ``payoffs_at`` at each piece's ends and at the
+    candidates inside it, among which its maximum lies.  The route names the
+    case of the deciding piece, ``exact:<case label>``, and thin positive
+    margins are flagged (``thin_margin``).  A benefit found only inside the
+    sliver rides on the adversary's indifference tie-break and is reported
+    as the flagged ``ridge-knife-edge``.
     """
     base1, base2 = baseline
     # Score of a transfer: the smaller payoff delta, ties broken by the sum.
     scores: dict[float, tuple[float, float]] = {}
+    cases: dict[tuple[int, bool], list[float]] = {}
 
     def best_of(pieces):
-        """Best (score, case index), coordinate and ``case_of`` result.
+        """Best score, its coordinate and its ``case_of`` result.
 
-        An end shared by two pieces goes to the higher case index, so
-        mirrored games get mirrored labels.
+        Points are compared by ``(score, sum, case index)``, so an end shared
+        by two pieces goes to the higher case index and mirrored games get
+        mirrored labels.
         """
-        best = (-math.inf, 0.0, 0), None, None
+        best, total, best_index, c_best, case = -math.inf, 0.0, 0, None, None
         for a, b, mid in pieces:
-            index, swapped, inner = piece(mid)
-            for c in [a, b] + [c for c in inner if a < c < b]:
+            pair = classify(mid)
+            inner = cases.get(pair)
+            if inner is None:
+                inner = cases[pair] = candidates(*pair)
+            index = pair[0]
+            for c in (a, b, *[c for c in inner if a < c < b]):
                 score = scores.get(c)
                 if score is None:
                     u1, u2 = payoffs_at(g, *transfer(c))
                     d1, d2 = u1 - base1, u2 - base2
-                    score = scores[c] = (min(d1, d2), d1 + d2)
-                key = (*score, index)
-                if key > best[0]:
-                    best = key, c, (index, swapped)
-        return best
+                    # ``min(d1, d2)``, which keeps d1 on a tie.
+                    score = scores[c] = (d2 if d2 < d1 else d1), d1 + d2
+                value = score[0]
+                if value > best or (
+                    value == best and (score[1], index) > (total, best_index)
+                ):
+                    best, total, best_index, c_best, case = value, score[1], index, c, pair
+        return best, c_best, case
 
     gain = min_gain(g)
     pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(cs, cs[1:])]
-    (value, _, _), c_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
+    value, c_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
     if value > gain:
         witness = Transfer(*transfer(c_best))
         route = f"exact:{CaseLabel.of(*case)}"
         return MutualBenefitVerdict(mechanism, True, witness, route, thin_margin(g, value))
     # The sliver is searched only when no transfer off it benefits both.
-    (value, _, _), _, _ = best_of(p for p in pieces if sliver[0] < p[2] < sliver[1])
+    value, _, _ = best_of(p for p in pieces if sliver[0] < p[2] < sliver[1])
     if value > gain:
         return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
     return _absent(mechanism)
@@ -364,12 +396,15 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     adversary's case-4 band, and the case edges of ``_case_edges`` (in ``z
     = q`` below the ridge, ``z = 1/q`` above it) cut the feasible interval
     into pieces, whose candidates are those of ``_piece_candidates``.  An
-    empty feasible interval leaves no transfer.
+    empty feasible interval, or a collective surplus that rules out a
+    mutual gain (``surplus_rules_out``), leaves no transfer.
     """
     lo, hi = transfer_interval(g, Mechanism.BUDGET)
     if not lo < hi:
         return _absent(Mechanism.BUDGET)
     baseline = payoffs_at(g, 0.0, 0.0)
+    if surplus_rules_out(g, baseline):
+        return _absent(Mechanism.BUDGET)
     big_x = g.total_budget
     q_ridge = math.sqrt(g.phi1 / g.phi2)
     q_lo = math.sqrt((g.x1 - hi) / (g.x2 + hi))
@@ -384,19 +419,22 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge if q_ridge else math.inf))
     qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
 
-    def piece(q_mid: float):
+    def classify(q_mid: float):
         b2 = big_x / (1.0 + q_mid * q_mid)
-        index, swapped = case_of(g.phi1, g.phi2, big_x - b2, b2)
+        return case_of(g.phi1, g.phi2, big_x - b2, b2)
+
+    def candidates(index: int, swapped: bool) -> list[float]:
         if swapped:
             zs = _piece_candidates(index, g.phi2, g.phi1, baseline[1] - baseline[0], big_x)
-            return index, swapped, [1.0 / z for z in zs]
-        zs = _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
-        return index, swapped, zs
+            return [1.0 / z for z in zs]
+        return _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
 
     def transfer(q: float) -> tuple[float, float]:
         return min(max(big_x / (1.0 + q * q) - g.x2, lo), hi), 0.0
 
-    return _line_verdict(g, Mechanism.BUDGET, baseline, qs, sliver, piece, transfer)
+    return _line_verdict(
+        g, Mechanism.BUDGET, baseline, qs, sliver, classify, candidates, transfer
+    )
 
 
 def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
@@ -410,12 +448,16 @@ def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     ``contest_candidate_forms`` in its weak side's ``z``, moved back to
     ``nu`` by ``moved_valuation``.  Every float is computed from the weak
     and strong sides' parameters, so the swapped game gives the negated
-    witness and the mirrored label.  An empty line leaves no transfer.
+    witness and the mirrored label.  An empty line, or a collective surplus
+    that rules out a mutual gain (``surplus_rules_out``), leaves no
+    transfer.
     """
     lo, hi = contest_ends(g)
     if not lo < hi:
         return _absent(Mechanism.CONTEST)
     baseline = payoffs_at(g, 0.0, 0.0)
+    if surplus_rules_out(g, baseline):
+        return _absent(Mechanism.CONTEST)
     # Player 1 is weak below the ridge transfer, player 2 above it.
     below, above = (_side_breaks(*side) for side in contest_sides(g))
     sliver = below[0], above[0]
@@ -431,17 +473,21 @@ def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
         )
     ]
 
-    def piece(nu_mid: float):
-        index, swapped = case_of(g.phi1 - nu_mid, g.phi2 + nu_mid, g.x1, g.x2)
+    def classify(nu_mid: float):
+        return case_of(g.phi1 - nu_mid, g.phi2 + nu_mid, g.x1, g.x2)
+
+    def candidates(index: int, swapped: bool) -> list[float]:
         phi_w, phi_s, x_w, x_s, sign, k, c1, gap = sides[swapped]
         points, quads = contest_candidate_forms(index, x_w, x_s, gap, big_phi, k, c1)
         zs = points + [z for quad in quads for z in _positive_roots(*quad)]
-        return index, swapped, [sign * moved_valuation(z, phi_w, phi_s) for z in zs]
+        return [sign * moved_valuation(z, phi_w, phi_s) for z in zs]
 
     def transfer(nu: float) -> tuple[float, float]:
         return 0.0, nu
 
-    return _line_verdict(g, Mechanism.CONTEST, baseline, nus, sliver, piece, transfer)
+    return _line_verdict(
+        g, Mechanism.CONTEST, baseline, nus, sliver, classify, candidates, transfer
+    )
 
 
 def gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: float):
@@ -516,16 +562,16 @@ def _gap_witness(
 def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial joint transfer, from the collective surplus.
 
-    A surplus at or below twice the gain floor certifies absence (no route,
-    unflagged).  Otherwise the equal-gain split at the sliver's edge
-    (``_gap_witness``) is validated through the payoff map and named
-    ``exact:<case label>``; when it fails, both players gain only inside the
-    ridge sliver, the flagged ``ridge-knife-edge``.
+    A surplus at or below twice the gain floor (``surplus_rules_out``)
+    certifies absence (no route, unflagged).  Otherwise the equal-gain split
+    at the sliver's edge (``_gap_witness``) is validated through the payoff
+    map and named ``exact:<case label>``; when it fails, both players gain
+    only inside the ridge sliver, the flagged ``ridge-knife-edge``.
     """
     baseline = player_payoffs(g)
+    if surplus_rules_out(g, baseline):
+        return _absent(Mechanism.JOINT)
     gain = min_gain(g)
-    if max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * gain:
-        return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, False)
     found = _gap_witness(g, baseline)
     if found is not None:
         witness, label = found

@@ -25,7 +25,6 @@ import numpy as np
 from . import batch
 from .adversary import CASE_RTOL
 from .batch import GameArrays
-from .collective import max_collective_payoff
 from .core import Mechanism
 from .mutual import (
     around_ridge,
@@ -37,6 +36,7 @@ from .mutual import (
     gap_quadratic,
     moved_valuation,
     ridge_transfer,
+    surplus_rules_out,
 )
 from .search import RIDGE_RTOL, contest_ends, min_gain, transfer_interval
 
@@ -242,18 +242,17 @@ def contest_exists(games: GameArrays) -> np.ndarray:
 def joint_exists(games: GameArrays) -> np.ndarray:
     """``joint_mutual_exists(g).exists`` for every game of ``games``, over arrays.
 
-    The surplus test, then ``mutual._gap_witness`` per game: each case's
-    crossing of ``gap_crossing`` is solved elementwise, and the first in the
-    scalar order that lies inside ``(0, Phi)`` and that ``batch.case_of``
-    confirms is the witness.  All witnesses are validated in one payoff
-    call.
+    The surplus test (``mutual.surplus_rules_out``), then
+    ``mutual._gap_witness`` per game: each case's crossing of
+    ``gap_crossing`` is solved elementwise, and the first in the scalar
+    order that lies inside ``(0, Phi)`` and that ``batch.case_of`` confirms
+    is the witness.  All witnesses are validated in one payoff call.
     """
     # Masked lanes (absent roots, cases out of order) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
         gain = min_gain(games)
-        surplus = max_collective_payoff(games) - (base1 + base2)
-        rows = np.flatnonzero(~(surplus <= 2.0 * gain))
+        rows = np.flatnonzero(~surplus_rules_out(games, (base1, base2)))
         phi1, phi2, x1, x2 = games.take(rows)
         swapped = x2 / phi2 < x1 / phi1
         base1, base2 = base1[rows], base2[rows]

@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto import mutual_arrays
-from coalitional_lotto.adversary import player_payoffs
+from coalitional_lotto import batch, mutual, mutual_arrays
+from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.collective import collective_report, max_collective_payoff
@@ -478,6 +480,22 @@ class TestWholeDomain:
             routes = route_verdict(g)
             if routes.exists and not routes.near_boundary:
                 assert is_mutually_beneficial(g, routes.witness)
+        g, m = games
+        assert player_payoffs(m) == player_payoffs(g)[::-1]
+        labels = [str(classify_case(h)) for h in games]
+        # The ratios overflow in the array rule too, and their gap is NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            index, swapped = batch.case_of(*GameArrays.of(games))
+        assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
+        if g.x1 / g.phi1 == g.x2 / g.phi2 == math.inf:
+            # Both ratios overflow; the orientation still follows the weaker
+            # one, so the mirror gets the mirrored label and contest verdict.
+            assert labels[1] == _mirror(labels[0])
+            v, w = contest_mutual_exists(g), contest_mutual_exists(m)
+            assert (w.exists, w.route, w.near_boundary) == (
+                v.exists, v.route and _mirror(v.route), v.near_boundary
+            )
+            assert w.witness == (v.witness and Transfer(0.0, -v.witness.nu))
         for scalar, vector in (
             (budget_mutual_exists, mutual_arrays.budget_exists),
             (contest_mutual_exists, mutual_arrays.contest_exists),
@@ -896,3 +914,97 @@ class TestAnalyzeGolden:
         assert [[g.phi1, g.phi2, g.x1, g.x2] for g in games] == [r["game"] for r in analyze_golden]
         regions = [classify_region(g).value for g in games]
         assert [regions.count(r.value) for r in REGIONS] == [20] * 5
+
+
+def _count_line_work(monkeypatch) -> Counter:
+    """Count the line engine's payoff calls and candidate computations.
+
+    ``payoffs_at`` counts every payoff the budget and contest verdicts score,
+    the baseline included; ``_piece_candidates`` and
+    ``contest_candidate_forms`` count one per ``(case, orientation)`` whose
+    candidates a budget or contest line computes, keyed by their arguments.
+    """
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(mutual, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            counts[(name, *args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mutual, name, wrapper)
+
+    for name in ("payoffs_at", "_piece_candidates", "contest_candidate_forms"):
+        counted(name)
+    return counts
+
+
+class TestLineWork:
+    """The work the budget and contest lines do, counted call by call."""
+
+    @pytest.mark.parametrize(
+        "phi1,x1,x2", [(10.0, 2.0, 2.0), (0.37, 0.08, 1.7), (12.0, 0.4, 0.1), (3.3, 0.35, 0.45)]
+    )
+    def test_ridge_games_stop_at_the_surplus_test(self, monkeypatch, phi1, x1, x2):
+        # Total budget X >= 1 in the first two games, X < 1 in the others.
+        g = GameInstance(phi1, phi1 * x2 / x1, x1, x2)
+        for h in (g, swap_indices(g)):
+            for verdict in (budget_mutual_exists, contest_mutual_exists):
+                counts = _count_line_work(monkeypatch)
+                v = verdict(h)
+                assert (v.exists, v.witness, v.route, v.near_boundary) == (
+                    False, None, None, False
+                )
+                assert counts["payoffs_at"] == 1
+                assert counts["_piece_candidates"] == counts["contest_candidate_forms"] == 0
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (12.0, 10.0, 0.4, 1.6),
+            # Benefits only inside the sliver, for contest and then budget
+            # transfers: the sliver is searched too.
+            (12.0, 10.0, 1.3953846153846154, 2.591371237458194),
+            (2.112853218100396, 0.020730816272816647, 3.0638782857109907, 0.030061992959509894),
+        ],
+    )
+    def test_candidates_once_per_case(self, monkeypatch, params):
+        # DIAMOND's lines cross the ridge sliver.  No candidate computation
+        # repeats its arguments, also where the sliver's pieces share their
+        # neighbours' cases.
+        g = GameInstance(*params)
+        for h in (g, swap_indices(g)):
+            for verdict, name in (
+                (budget_mutual_exists, "_piece_candidates"),
+                (contest_mutual_exists, "contest_candidate_forms"),
+            ):
+                counts = _count_line_work(monkeypatch)
+                v = verdict(h)
+                calls = {k: n for k, n in counts.items() if isinstance(k, tuple) and k[0] == name}
+                assert calls and set(calls.values()) == {1}, (h, v)
+                if v.route == "ridge-knife-edge":
+                    # Both sides of the ridge: both orientations.
+                    assert len({key[1:3] for key in calls}) >= 2
+                monkeypatch.undo()
+
+    def test_work_budget_on_pinned_corpus(self, monkeypatch, analyze_golden):
+        # The totals repeat exactly: a change that adds work to the lines
+        # must update them on purpose.
+        games = [GameInstance(*rec["game"]) for rec in analyze_golden]
+        totals = {}
+        for verdict, name in (
+            (budget_mutual_exists, "_piece_candidates"),
+            (contest_mutual_exists, "contest_candidate_forms"),
+        ):
+            counts = _count_line_work(monkeypatch)
+            for g in games:
+                verdict(g)
+            totals[verdict.__name__] = (counts["payoffs_at"], counts[name])
+            monkeypatch.undo()
+        assert totals == {
+            "budget_mutual_exists": (836, 320),
+            "contest_mutual_exists": (902, 344),
+        }
