@@ -46,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes  # noqa: E402
+from coalitional_lotto import batch, collective, mutual, mutual_arrays, paper_routes  # noqa: E402
 from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
@@ -102,13 +102,13 @@ class RouteCounts:
     def install(self) -> None:
         sc_routes, si_windows = paper_routes._sc_routes, paper_routes._si_windows
 
-        def counted_sc(g, case_index, m):
-            routes = sc_routes(g, case_index, m)
+        def counted_sc(g, case_index):
+            routes = sc_routes(g, case_index)
             self.opened.update(route for route, _ in routes)
             return routes
 
-        def counted_si(g, region, case_index, m):
-            windows = si_windows(g, region, case_index, m)
+        def counted_si(g, region, case_index):
+            windows = si_windows(g, region, case_index)
             for route, (lo, hi) in windows:
                 self.opened[route] += 1
                 nu = lo + 0.5 * (hi - lo)
@@ -154,7 +154,7 @@ def dense_scan(g: GameInstance, around) -> float:
 def disagreement(family: str, g: GameInstance, exact, routes) -> tuple[str, bool]:
     """One listed game where the route and exact verdicts disagree, and whether
     the dense scan settles it in the exact verdict's favour."""
-    around = [0.0, mutual.ridge_transfer(g)]
+    around = [0.0, collective.ridge_transfer(g)]
     around += [v.witness.nu for v in (exact, routes) if v.exists]
     best = dense_scan(g, around)
     settled = (best > min_gain(g) / g.total_valuation) == exact.exists

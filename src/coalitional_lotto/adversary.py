@@ -110,16 +110,20 @@ def case_of(phi1, phi2, x1, x2):
     through the equal-ratio ridge there).  Boundary membership uses the same
     relative slack; the lower case-2 boundary (expression exactly 0)
     classifies as case 1, where the adversary sends its whole budget to the
-    weak side either way.  When both ratios overflow to inf, the tie and the
-    orientation are decided on the valuations scaled by ``RATIO_SCALE``, so
-    a game and its mirror get mirrored labels there too.
+    weak side either way.  One ratio that overflows to inf is no tie: the
+    other player is the weaker.  When both ratios overflow to inf, the tie
+    and the orientation are decided on the valuations scaled by
+    ``RATIO_SCALE``, so a game and its mirror get mirrored labels there too.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
     # Conditional expressions where max() would do: every scalar payoff runs
     # this rule, and a builtin call costs as much as the rest of a test.
     if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
-        return (4 if x1 + x2 >= 1.0 else 3), False
+        # inf <= inf: one ratio that overflows to inf passes this test against
+        # any finite one, but the finite one is then the weaker.
+        if r1 != math.inf != r2:
+            return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
     elif r1 == r2:

@@ -93,7 +93,7 @@ def _case_rule(phi1, phi2, x1, x2):
     """The case rule of ``adversary.case_of`` over arrays, as masks and views.
 
     Returns ``(equal, swapped, case1, case2, pw, ps, bw, bs, s)``: the
-    equal-ratio mask, or None when no element lies on the ridge; the
+    equal-ratio mask, or None when every element is clear of the ridge; the
     orientation; the case-1 and case-2 tests (which count only off the
     ridge); the valuations and budgets of the weak-ratio (``w``) and
     strong-ratio (``s``) sides; and the adversary's case-2 share ``s`` of
@@ -111,7 +111,9 @@ def _case_rule(phi1, phi2, x1, x2):
     if off.all():
         equal = None
     else:
-        equal = gap <= lim
+        # One ratio that overflows to inf is no tie (inf <= inf), as in the
+        # scalar rule; ``>=`` above already orients it.
+        equal = (gap <= lim) & (gap < math.inf)
         if math.isnan(gap.max()):
             # A NaN input, which the scalar rule leaves swapped, or two
             # ratios that both overflow to inf, which it decides again on

@@ -27,6 +27,7 @@ from .search import min_gain
 __all__ = [
     "CollectiveReport",
     "collective_payoff",
+    "ridge_transfer",
     "optimal_contest_transfer",
     "optimal_budget_transfer",
     "max_collective_payoff",
@@ -58,13 +59,17 @@ def collective_payoff(g: GameInstance, t: Transfer = Transfer()) -> float:
     return u1 + u2
 
 
-def optimal_contest_transfer(g: GameInstance) -> Transfer:
-    """The valuation transfer that equalizes budget-to-valuation ratios.
+def ridge_transfer(g):
+    """The contest transfer that equalizes the two ratios, ``(x2 phi1 - x1 phi2) / X``.
 
-    ``nu = (x2*phi1 - x1*phi2) / (x1 + x2)``; always strictly feasible.
+    Always strictly feasible.  A game or a ``GameArrays``.
     """
-    nu = (g.x2 * g.phi1 - g.x1 * g.phi2) / (g.x1 + g.x2)
-    return Transfer(0.0, nu)
+    return (g.x2 * g.phi1 - g.x1 * g.phi2) / (g.x1 + g.x2)
+
+
+def optimal_contest_transfer(g: GameInstance) -> Transfer:
+    """The valuation transfer onto the equal-ratio ridge (``ridge_transfer``)."""
+    return Transfer(0.0, ridge_transfer(g))
 
 
 def optimal_budget_transfer(g: GameInstance) -> Transfer:

@@ -40,9 +40,10 @@ the surplus:
   transfer reaches the ridge and splits the maximum in any proportion, so
   ``S`` above twice the gain floor leaves a witness, placed just
   outside the ridge sliver, at ratio gap ``2 * RIDGE_RTOL`` on the game's
-  own side.  There both payoffs are closed forms in the weak player's
-  post-transfer valuation, and the equal-gain split solves a linear
-  equation (cases 1, 2 and 4) or a quadratic (case 3).
+  own side, as ``case_of`` orients it.  There both payoffs are closed
+  forms in the weak player's post-transfer valuation, and the equal-gain
+  split solves a linear equation (cases 1, 2 and 4) or a quadratic (case
+  3).
 
 Every "exists" verdict carries a concrete witness transfer that is
 re-validated through the actual payoff map; no verdict rests on the algebra
@@ -54,8 +55,10 @@ verdicts over arrays of games from the same forms (``surplus_rules_out``,
 ``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
 ``moved_valuation``, ``around_ridge``, ``gap_crossing``, ``gap_quadratic``).  Case edges, the
 contest orientation and the case-4 bands all use the one fixed tie
-tolerance ``adversary.CASE_RTOL``.  The paper's printed contest routes are
-kept as a check in ``paper_routes``, which no verdict calls.
+tolerance ``adversary.CASE_RTOL``.  The ridge transfer is
+``collective.ridge_transfer``.  The paper's printed contest routes are kept
+in ``paper_routes`` as a plain check, which opens the printed windows and
+tries a point of each; no verdict calls it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
-from .collective import max_collective_payoff
+from .collective import max_collective_payoff, ridge_transfer
 from .core import GameInstance, Mechanism, Transfer, u_player
 from .search import RIDGE_RTOL, contest_ends, min_gain, thin_margin, transfer_interval
 
@@ -286,11 +289,6 @@ def contest_sides(g: GameInstance):
     ``GameInstance`` or of a ``GameArrays``.
     """
     return (g.phi1, g.phi2, g.x1, g.x2, 1.0), (g.phi2, g.phi1, g.x2, g.x1, -1.0)
-
-
-def ridge_transfer(g):
-    """The contest transfer that equalizes the two ratios, ``(x2 phi1 - x1 phi2) / X``."""
-    return (g.x2 * g.phi1 - g.x1 * g.phi2) / (g.x1 + g.x2)
 
 
 def _side_breaks(phi_w, phi_s, x_w, x_s, sign):
@@ -534,12 +532,12 @@ def _gap_witness(
     """The equal-gain split at ratio gap ``2 * RIDGE_RTOL``, with its case label.
 
     The witness keeps the weaker ratio with the same player (the game's own
-    side of the ridge) and moves budgets and valuations onto the gap curve
+    side of the ridge, oriented by ``case_of``) and moves budgets and valuations onto the gap curve
     of ``gap_crossing``.  Along the curve ``u_w`` rises and ``u_s`` falls
     with ``p``, so the crossing ``d_w = d_s`` is the best split there.  It
     is taken from the piece that ``case_of`` confirms at its solution.
     """
-    swapped = g.x2 / g.phi2 < g.x1 / g.phi1
+    swapped = case_of(g.phi1, g.phi2, g.x1, g.x2)[1]
     if swapped:
         phi_w, x_w, lead = g.phi2, g.x2, baseline[1] - baseline[0]
     else:

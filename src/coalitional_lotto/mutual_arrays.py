@@ -10,10 +10,10 @@ candidate or witness in one payoff call.  The budget and contest verdicts
 share one line engine, ``_line_exists``, the array form of
 ``mutual._line_verdict``.  They take their forms from ``mutual``
 (``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
-``moved_valuation``, ``contest_sides``, ``ridge_transfer``,
-``around_ridge``, ``gap_crossing``, ``gap_quadratic``), classify through
-``batch.case_of``, and return ``exists`` only: game by game it equals the
-one-game verdict's (``tests/test_mutual.py`` and
+``moved_valuation``, ``contest_sides``, ``around_ridge``,
+``gap_crossing``, ``gap_quadratic``) and ``collective.ridge_transfer``,
+classify and orient through ``batch.case_of``, and return ``exists`` only:
+game by game it equals the one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
 with the one-game verdicts, which ``analyze_game`` uses.
 """
@@ -25,6 +25,7 @@ import numpy as np
 from . import batch
 from .adversary import CASE_RTOL
 from .batch import GameArrays
+from .collective import ridge_transfer
 from .core import Mechanism
 from .mutual import (
     around_ridge,
@@ -35,7 +36,6 @@ from .mutual import (
     gap_crossing,
     gap_quadratic,
     moved_valuation,
-    ridge_transfer,
     surplus_rules_out,
 )
 from .search import RIDGE_RTOL, contest_ends, min_gain, transfer_interval
@@ -254,7 +254,7 @@ def joint_exists(games: GameArrays) -> np.ndarray:
         gain = min_gain(games)
         rows = np.flatnonzero(~surplus_rules_out(games, (base1, base2)))
         phi1, phi2, x1, x2 = games.take(rows)
-        swapped = x2 / phi2 < x1 / phi1
+        swapped = batch.case_of(phi1, phi2, x1, x2)[1]
         base1, base2 = base1[rows], base2[rows]
         lead = np.where(swapped, base2 - base1, base1 - base2)
         big_phi = (phi1 + phi2)[:, None]

@@ -1,15 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalitional_lotto import batch
 from coalitional_lotto.adversary import (
+    CaseLabel,
     Orientation,
+    adversary_value,
     best_response,
     classify_case,
     player_payoffs,
 )
+from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
     GameInstance,
     Transfer,
@@ -18,6 +23,8 @@ from coalitional_lotto.core import (
     swap_indices,
 )
 from coalitional_lotto.collective import max_collective_payoff, optimal_budget_transfer
+from coalitional_lotto.oracle import grid_best_response
+from coalitional_lotto.sweep import VERIFY_VALUE_TOL
 
 from conftest import random_games
 
@@ -57,6 +64,21 @@ class TestClassify:
         # here sqrt(x1*x2*phi1/phi2) == 1 exactly
         assert classify_case(GameInstance(1, 1, 0.5, 2.0)).index == 1
 
+    def test_one_infinite_ratio_is_no_tie(self):
+        # x1 / phi1 overflows to inf, and inf passes the relative tie test
+        # against any finite ratio; player 2 is the weaker, in case 1.
+        g = GameInstance(5e-324, 1.0, 1.0, 1.0)
+        games = [g, swap_indices(g)]
+        labels = [str(classify_case(h)) for h in games]
+        assert labels == ["C1_1gt2", "C1_1le2"]
+        with np.errstate(over="ignore"):
+            index, swapped = batch.case_of(*GameArrays.of(games))
+        assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
+        for h in games:
+            xa, grid = best_response(h), grid_best_response(h)
+            value = adversary_value(h, xa.xa1, xa.xa2)
+            assert abs(value - adversary_value(h, grid.xa1, grid.xa2)) <= VERIFY_VALUE_TOL
+
     @games()
     @settings(max_examples=400)
     def test_total(self, phi1, phi2, x1, x2):
@@ -93,8 +115,6 @@ class TestBestResponse:
     def test_optimality_against_grid(self):
         # closed-form split beats every point of a dense grid on the
         # adversary objective
-        from coalitional_lotto.adversary import adversary_value
-
         for g in random_games(60, seed=101):
             xa = best_response(g)
             star = adversary_value(g, xa.xa1, xa.xa2)

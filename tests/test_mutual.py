@@ -30,9 +30,15 @@ from coalitional_lotto.mutual import (
     region_index,
 )
 from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
-from coalitional_lotto.paper_routes import quadratic_window, route_verdict, thresholds
+from coalitional_lotto.paper_routes import (
+    _sc_routes,
+    _si_windows,
+    quadratic_window,
+    route_verdict,
+    thresholds,
+)
 from coalitional_lotto.rng import SplitMix64
-from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap
+from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap, thin_margin
 
 from conftest import random_games
 
@@ -261,55 +267,53 @@ class TestThresholds:
 
 class TestStrategicallyConsistent:
     def test_diamond_fires_via_case2(self, diamond):
-        # phi1 > phi2 and (2 - 4*x2)/(phi1 - phi2) = -2.2 < sqrt(x1*x2/(phi1*phi2))
+        # phi1 > phi2 and (2 - 4*x2)/(phi1 - phi2) = -2.2 < sqrt(x1*x2/(phi1*phi2));
+        # consistent routes are tried before the inconsistent route 3.3.
         assert (2 - 4 * 1.6) / 2 == pytest.approx(-2.2)
-        v = route_verdict(diamond, si=False)
+        v = route_verdict(diamond)
         assert v.exists and v.route == "SC:C2"
         assert v.witness.nu > 0
         assert is_mutually_beneficial(diamond, v.witness)
         _assert_exact_contest_mirrors(diamond)
 
     def test_case4_never_fires(self):
-        v = route_verdict(GameInstance(10, 10, 2, 2), si=False)
+        v = route_verdict(GameInstance(10, 10, 2, 2))
         assert not v.exists
 
     def test_smaller_phi1_blocks_case2_route(self):
         # oriented case-2 game with phi1 < phi2: the consistent route needs
         # phi1 > phi2, so it must not fire
         g = GameInstance(10, 12, 0.3, 0.9)
-        from coalitional_lotto.adversary import classify_case
-
         assert str(classify_case(g)) == "C2_1le2"
-        assert not route_verdict(g, si=False).exists
-
-    def test_requires_orientation(self, diamond):
-        with pytest.raises(ValueError):
-            route_verdict(swap_indices(diamond), si=False)
+        assert _sc_routes(g, 2) == []
 
 
 class TestStrategicallyInconsistent:
     def test_diamond_route_3_3(self, diamond):
-        v = route_verdict(diamond, sc=False)
-        assert v.exists
-        assert v.route.startswith("3.3:")
-        assert is_mutually_beneficial(diamond, v.witness)
+        windows = _si_windows(diamond, classify_region(diamond), classify_case(diamond).index)
+        route, (lo, hi) = windows[0]
+        assert route.startswith("3.3:")
+        assert is_mutually_beneficial(diamond, Transfer(0.0, lo + 0.5 * (hi - lo)))
         _assert_exact_contest_mirrors(diamond)
 
     def test_c3_in_r5_limited_routes(self):
         # transfers from case 3 can only exit through route 5.11 (5.12, which
         # 5.11 shadows, is not implemented); the case-3-to-case-3 crossing
         # (5.10) admits no mutually beneficial transfer
+        seen = 0
         for g in random_games(400, seed=41):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
-            from coalitional_lotto.adversary import classify_case
-
             if classify_case(g).index != 3:
                 continue
-            v = route_verdict(g, sc=False)
-            if v.exists:
-                assert v.route.split(":")[0] == "5.11"
-                _assert_exact_contest_mirrors(g)
+            seen += 1
+            region = classify_region(g)
+            assert region is Region.R5
+            for route, (lo, hi) in _si_windows(g, region, 3):
+                assert route.split(":")[0] == "5.11"
+                if is_mutually_beneficial(g, Transfer(0.0, lo + 0.5 * (hi - lo))):
+                    _assert_exact_contest_mirrors(g)
+        assert seen > 0
 
 
 class TestContestMutual:
@@ -348,9 +352,10 @@ class TestContestMutual:
             0.01675391639625724, 21.49790933367522, 0.018025230568032555, 34.03843382378529
         )
         v = route_verdict(g)
-        assert (v.exists, v.route, v.near_boundary) == (True, "3.3:C2_1le2->C1_1gt2", False)
+        assert (v.exists, v.route) == (True, "3.3:C2_1le2->C1_1gt2")
         assert is_mutually_beneficial(g, v.witness)
-        # The exact verdict sees the same thin gains and flags them.
+        # The route and exact verdicts see the same thin gains and flag them.
+        assert v.near_boundary
         assert _assert_exact_contest_mirrors(g).near_boundary
         o = grid_mutual_search(g, Mechanism.CONTEST)
         assert (o.exists, o.near_boundary) == (False, False)
@@ -474,11 +479,10 @@ class TestWholeDomain:
         games = [GameInstance(*params), swap_indices(GameInstance(*params))]
         for g in games:
             analyze_game(g)
-            # The printed routes answer too.  Their swapped witness is
-            # validated on the mirror game, whose payoffs differ from this
-            # game's in the last bits of a subnormal; such a witness is flagged.
+            # The printed routes answer too, and a swapped witness, validated
+            # on the mirror game, benefits this game: payoffs mirror exactly.
             routes = route_verdict(g)
-            if routes.exists and not routes.near_boundary:
+            if routes.exists:
                 assert is_mutually_beneficial(g, routes.witness)
         g, m = games
         assert player_payoffs(m) == player_payoffs(g)[::-1]
@@ -489,13 +493,15 @@ class TestWholeDomain:
         assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
         if g.x1 / g.phi1 == g.x2 / g.phi2 == math.inf:
             # Both ratios overflow; the orientation still follows the weaker
-            # one, so the mirror gets the mirrored label and contest verdict.
+            # one, so the mirror gets the mirrored label, contest verdict and
+            # joint verdict.
             assert labels[1] == _mirror(labels[0])
-            v, w = contest_mutual_exists(g), contest_mutual_exists(m)
-            assert (w.exists, w.route, w.near_boundary) == (
-                v.exists, v.route and _mirror(v.route), v.near_boundary
-            )
-            assert w.witness == (v.witness and Transfer(0.0, -v.witness.nu))
+            for verdict in (contest_mutual_exists, joint_mutual_exists):
+                v, w = verdict(g), verdict(m)
+                assert (w.exists, w.route, w.near_boundary) == (
+                    v.exists, v.route and _mirror(v.route), v.near_boundary
+                )
+                assert w.witness == (v.witness and Transfer(-v.witness.tau, -v.witness.nu))
         for scalar, vector in (
             (budget_mutual_exists, mutual_arrays.budget_exists),
             (contest_mutual_exists, mutual_arrays.contest_exists),
@@ -569,6 +575,17 @@ class TestRouteExemplars:
         assert w.route == f"swap:{route}"
         assert w.witness.nu == -v.witness.nu
         _assert_exact_contest_mirrors(g)
+
+    @pytest.mark.parametrize(
+        "params,route", ROUTE_EXEMPLARS, ids=[r.split(":")[0] for _, r in ROUTE_EXEMPLARS]
+    )
+    def test_flag_is_the_witness_margin(self, params, route):
+        # A positive route verdict is flagged as the exact verdicts are: by
+        # the smaller payoff delta of its witness.
+        for g in (GameInstance(*params), swap_indices(GameInstance(*params))):
+            v = route_verdict(g)
+            d1, d2 = payoff_deltas(g, v.witness, player_payoffs(g))
+            assert v.near_boundary == thin_margin(g, min(d1, d2))
 
 
 class TestRouteCensus:
