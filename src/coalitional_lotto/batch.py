@@ -89,6 +89,10 @@ def one_v_one_vec(phi, x_player, x_adv):
     return phi * np.where(x_player <= x_adv, share, 1.0 - share)
 
 
+# A subnormal valuation overflows its ratio, and the share ``s``, to inf, and
+# two inf ratios leave a NaN gap.  The rule decides these as the scalar rule
+# does, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _case_rule(phi1, phi2, x1, x2):
     """The case rule of ``adversary.case_of`` over arrays, as masks and views.
 

@@ -4,16 +4,18 @@ A sweep decides one predicate at every node of a plane.  The verdicts of
 ``mutual`` are elementwise arithmetic: piece edges, candidates and witness
 crossings are roots of fixed quadratics, and each game has a bounded number
 of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
-therefore decide a whole ``batch.GameArrays`` at once, in a padded
-``(games, columns)`` layout with NaN in the absent lanes, and validate every
+therefore decide a whole ``batch.GameArrays`` at once and validate every
 candidate or witness in one payoff call.  The budget and contest verdicts
 share one line engine, ``_line_exists``, the array form of
-``mutual._line_verdict``.  They take their forms from ``mutual``
+``mutual._line_verdict``.  It sorts each game's breaks into one row, NaN
+past the last, then classifies and solves only the pieces it scores: one
+flat entry per piece off the ridge sliver, and each case's candidates on
+that case's pieces alone.  The verdicts take their forms from ``mutual``
 (``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
-``moved_valuation``, ``contest_sides``, ``around_ridge``,
-``gap_crossing``, ``gap_quadratic``) and ``collective.ridge_transfer``,
-classify and orient through ``batch.case_of``, and return ``exists`` only:
-game by game it equals the one-game verdict's (``tests/test_mutual.py`` and
+``moved_valuation``, ``contest_sides``, ``around_ridge``, ``gap_crossing``,
+``gap_quadratic``) and ``collective.ridge_transfer``, classify and orient
+through ``batch.case_of``, and return ``exists`` only: game by game it
+equals the one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
 with the one-game verdicts, which ``analyze_game`` uses.
 """
@@ -58,21 +60,26 @@ def _case_edge_columns(big_x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.where(z < rho[:, None], z, np.nan)
 
 
-def _form_columns(forms, index, cases) -> np.ndarray:
-    """Candidates of ``forms(case)`` on the pieces of each of ``cases``, NaN elsewhere.
+def _case_candidates(forms, index, cases, args):
+    """Candidates of ``forms(case, *args)`` on the pieces of each of ``cases``.
 
-    ``forms(case)`` returns ``candidate_forms``-style points and quadratics
-    over the pieces; a point that is not positive is dropped, as the scalar
-    verdicts drop it.
+    ``forms`` returns ``candidate_forms``-style points and quadratics; it is
+    evaluated once per case, on that case's pieces only, with each of
+    ``args`` (one value per piece) taken at them.  Returns flat ``(piece,
+    z)`` arrays, one pair per candidate.  A point that is not positive, or
+    a root that is absent, is dropped, as the scalar verdicts drop it.
     """
-    columns = []
+    pieces, zs = [], []
     for case in cases:
-        points, quads = forms(case)
-        zs = [np.broadcast_to(p, index.shape)[..., None] for p in points]
-        zs += [_positive_root_pairs(*quad) for quad in quads]
-        zs = np.concatenate(zs, axis=-1)
-        columns.append(np.where((index == case)[..., None] & (zs > 0.0), zs, np.nan))
-    return np.concatenate(columns, axis=-1)
+        sel = np.flatnonzero(index == case)
+        points, quads = forms(case, *(arg[sel] for arg in args))
+        z = [np.broadcast_to(p, sel.shape)[:, None] for p in points]
+        z += [_positive_root_pairs(*quad) for quad in quads]
+        z = np.concatenate(z, axis=1)
+        at, col = np.nonzero(z > 0.0)
+        pieces.append(sel[at])
+        zs.append(z[at, col])
+    return np.concatenate(pieces), np.concatenate(zs)
 
 
 def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, transfer):
@@ -80,13 +87,15 @@ def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, tr
 
     Row ``i`` holds game ``i``'s ``breaks`` in the line's coordinate; those
     outside ``ends`` are dropped, and sorting each row and dropping
-    zero-width pieces leaves the scalar verdict's pieces.  ``classify(mid)``
-    gives each piece's ``(index, swapped)`` from its midpoint, ``(games,
-    pieces)`` shaped; ``candidates(rows, index, swapped)`` the interior
-    candidates of the pieces of games ``rows``, one row per piece; and
-    ``transfer(rows, c)`` the ``(tau, nu)`` at coordinates ``c`` of games
-    ``rows``.  Every end and candidate of a piece off the ridge ``sliver``
-    is checked by ``batch.require_feasible`` and scored in one payoff call.
+    zero-width pieces leaves the scalar verdict's pieces.  Only the pieces
+    off the ridge ``sliver`` are classified and solved, one entry per
+    piece: ``classify(rows, mid)`` gives the ``(index, swapped)`` of the
+    pieces of games ``rows`` around midpoints ``mid``;
+    ``candidates(rows, index, swapped)`` their interior candidates as flat
+    ``(piece, c)`` pairs; and ``transfer(rows, c)`` the ``(tau, nu)`` at
+    coordinates ``c`` of games ``rows``.  Every end and candidate of those
+    pieces is checked by ``batch.require_feasible`` and scored in one
+    payoff call.
     """
     base1, base2 = baseline
     lo, hi = ends
@@ -94,7 +103,6 @@ def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, tr
     cs = np.sort(np.where(inside, breaks, np.nan), axis=1)
     ca, cb = cs[:, :-1], cs[:, 1:]
     mid = 0.5 * (ca + cb)
-    index, swapped = classify(mid)
     on_ridge = (sliver[0][:, None] < mid) & (mid < sliver[1][:, None])
     off = (ca < cb) & ~on_ridge
     # A break is an end of the pieces on both sides of it.
@@ -102,12 +110,13 @@ def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, tr
     end_ok[:, :-1] |= off
     end_ok[:, 1:] |= off
 
-    # The off-sliver pieces, one per row, and their interior candidates.
+    # The off-sliver pieces, one entry each, and their interior candidates.
     piece_rows = np.nonzero(off)[0]
     ca, cb = ca[off], cb[off]
-    inner = candidates(piece_rows, index[off], swapped[off])
-    inner_ok = (ca[:, None] < inner) & (inner < cb[:, None])
-    rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[np.nonzero(inner_ok)[0]]))
+    index, swapped = classify(piece_rows, mid[off])
+    pieces, inner = candidates(piece_rows, index, swapped)
+    inner_ok = (ca[pieces] < inner) & (inner < cb[pieces])
+    rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[pieces[inner_ok]]))
     c = np.concatenate((cs[end_ok], inner[inner_ok]))
 
     taus, nus = transfer(rows, c)
@@ -130,7 +139,7 @@ def budget_exists(games: GameArrays) -> np.ndarray:
     ridge, the sliver ends, the case-4 band ends and four case edges on
     each side.  An empty interval gives NaN ends and no piece.
     """
-    # Masked lanes (absent roots, pieces past the breaks) hold NaN or inf.
+    # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
         lo, hi = transfer_interval(games, Mechanism.BUDGET)
@@ -152,9 +161,9 @@ def budget_exists(games: GameArrays) -> np.ndarray:
             )
         )
 
-        def classify(q_mid):
-            b2 = big_x[:, None] / (1.0 + q_mid * q_mid)
-            return batch.case_of(phi1[:, None], phi2[:, None], big_x[:, None] - b2, b2)
+        def classify(rows, q_mid):
+            b2 = big_x[rows] / (1.0 + q_mid * q_mid)
+            return batch.case_of(phi1[rows], phi2[rows], big_x[rows] - b2, b2)
 
         def candidates(rows, index, swapped):
             phi_w = np.where(swapped, phi2[rows], phi1[rows])
@@ -162,12 +171,10 @@ def budget_exists(games: GameArrays) -> np.ndarray:
             base1, base2 = baseline[0][rows], baseline[1][rows]
             base_gap = np.where(swapped, base2 - base1, base1 - base2)
             k = np.sqrt(phi_w * phi_s)
-            zs = _form_columns(
-                lambda case: candidate_forms(case, phi_w, phi_s, base_gap, big_x[rows], k),
-                index,
-                (2, 3),
+            pieces, zs = _case_candidates(
+                candidate_forms, index, (2, 3), (phi_w, phi_s, base_gap, big_x[rows], k)
             )
-            return np.where(swapped[:, None], 1.0 / zs, zs)
+            return pieces, np.where(swapped[pieces], 1.0 / zs, zs)
 
         def transfer(rows, q):
             taus = big_x[rows] / (1.0 + q * q) - x2[rows]
@@ -200,7 +207,7 @@ def contest_exists(games: GameArrays) -> np.ndarray:
     end and two case edges.  Each piece's candidates come from
     ``contest_candidate_forms`` on its weak side, moved back to ``nu``.
     """
-    # Masked lanes (absent roots, pieces past the breaks) hold NaN or inf.
+    # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
         lo, hi = contest_ends(games)
@@ -209,9 +216,8 @@ def contest_exists(games: GameArrays) -> np.ndarray:
         breaks = np.column_stack((lo, hi, ridge_transfer(games), below, above))
         sliver = below[:, 0], above[:, 0]
 
-        def classify(nu_mid):
-            p1, p2 = phi1[:, None] - nu_mid, phi2[:, None] + nu_mid
-            return batch.case_of(p1, p2, x1[:, None], x2[:, None])
+        def classify(rows, nu_mid):
+            return batch.case_of(phi1[rows] - nu_mid, phi2[rows] + nu_mid, x1[rows], x2[rows])
 
         def candidates(rows, index, swapped):
             def side(one, two):
@@ -223,13 +229,11 @@ def contest_exists(games: GameArrays) -> np.ndarray:
             big_phi = games.total_valuation[rows]
             k = np.sqrt(x_w * x_s)
             c1 = batch.one_v_one_vec(1.0, x_w, 1.0)
-            zs = _form_columns(
-                lambda case: contest_candidate_forms(case, x_w, x_s, base_gap, big_phi, k, c1),
-                index,
-                (1, 2, 3, 4),
+            pieces, zs = _case_candidates(
+                contest_candidate_forms, index, (1, 2, 3, 4), (x_w, x_s, base_gap, big_phi, k, c1)
             )
-            sign = np.where(swapped, -1.0, 1.0)[:, None]
-            return sign * moved_valuation(zs, phi_w[:, None], phi_s[:, None])
+            sign = np.where(swapped[pieces], -1.0, 1.0)
+            return pieces, sign * moved_valuation(zs, phi_w[pieces], phi_s[pieces])
 
         def transfer(rows, nu):
             return 0.0, nu

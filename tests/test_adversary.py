@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,8 +70,7 @@ class TestClassify:
         games = [g, swap_indices(g)]
         labels = [str(classify_case(h)) for h in games]
         assert labels == ["C1_1gt2", "C1_1le2"]
-        with np.errstate(over="ignore"):
-            index, swapped = batch.case_of(*GameArrays.of(games))
+        index, swapped = batch.case_of(*GameArrays.of(games))
         assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
         for h in games:
             xa, grid = best_response(h), grid_best_response(h)

@@ -303,8 +303,11 @@ class TestSweep:
         )
         monkeypatch.setattr(sweep, "SWEEP_BLOCK", 10**6)
         whole = run_sweep(spec)
-        monkeypatch.setattr(sweep, "SWEEP_BLOCK", 7)
-        assert run_sweep(spec) == whole
+        # One-game blocks leave every case but one, and some lines every
+        # case, without pieces.
+        for block in (7, 1):
+            monkeypatch.setattr(sweep, "SWEEP_BLOCK", block)
+            assert run_sweep(spec) == whole
         assert whole == _scalar_rows(spec)
 
     def test_invalid_node_raises_game_error(self):

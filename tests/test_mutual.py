@@ -201,6 +201,20 @@ class TestArrayVerdicts:
         assert picked.tolist() == [expected[k] for k in rows]
         assert arrays(GameArrays.of([])).shape == (0,)
 
+    def test_budget_or_contest_implies_joint(self):
+        # Every budget or contest transfer is a joint transfer too: a budget
+        # or contest witness implies a joint one, over arrays and game by
+        # game.
+        games = self.corpus()
+        arrays = GameArrays.of(games)
+        single = mutual_arrays.budget_exists(arrays) | mutual_arrays.contest_exists(arrays)
+        joint = mutual_arrays.joint_exists(arrays)
+        assert 0 < single.sum() < joint.sum()
+        assert not (single & ~joint).any()
+        for g in games:
+            if budget_mutual_exists(g).exists or contest_mutual_exists(g).exists:
+                assert joint_mutual_exists(g).exists, g
+
 
 class TestQuadraticWindow:
     def test_simple_window(self):
@@ -488,8 +502,7 @@ class TestWholeDomain:
         assert player_payoffs(m) == player_payoffs(g)[::-1]
         labels = [str(classify_case(h)) for h in games]
         # The ratios overflow in the array rule too, and their gap is NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            index, swapped = batch.case_of(*GameArrays.of(games))
+        index, swapped = batch.case_of(*GameArrays.of(games))
         assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
         if g.x1 / g.phi1 == g.x2 / g.phi2 == math.inf:
             # Both ratios overflow; the orientation still follows the weaker
@@ -1025,3 +1038,30 @@ class TestLineWork:
             "budget_mutual_exists": (836, 320),
             "contest_mutual_exists": (902, 344),
         }
+
+    def test_array_lanes_on_pinned_corpus(self, monkeypatch, analyze_golden):
+        # The array lines classify and solve only the pieces off the ridge
+        # sliver, each case's quadratics on that case's pieces; the budget
+        # line's quadratics include its four case edges per game.  The totals
+        # repeat exactly: a change that pads the lanes must update them on
+        # purpose.
+        games = GameArrays.of([GameInstance(*rec["game"]) for rec in analyze_golden])
+        lanes = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                lanes[name] += np.broadcast(*args).size
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(batch, "case_of")
+        counted(mutual_arrays, "_positive_root_pairs")
+        totals = {}
+        for verdict in (mutual_arrays.budget_exists, mutual_arrays.contest_exists):
+            lanes.clear()
+            verdict(games)
+            totals[verdict.__name__] = (lanes["case_of"], lanes["_positive_root_pairs"])
+        assert totals == {"budget_exists": (330, 730), "contest_exists": (360, 560)}
