@@ -25,7 +25,9 @@ of the full-precision JSON of the three verdicts, and of the whole
 with ``diff``.  Each block's games also go through the array forms that
 sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
 ``mutual_arrays.contest_exists`` and ``batch.case_of``); the last line
-counts the games where they disagree with ``analyze_game``.
+counts the games where they disagree with ``analyze_game``.  The script
+exits 2, the CLI's disagreement code, when an array verdict disagrees or a
+route/exact disagreement stays ``UNSETTLED``, and 0 otherwise.
 
 Usage: python3 scripts/route_census.py [--count 60000] [--block 10000] [--seed 1]
 
@@ -49,6 +51,7 @@ import numpy as np  # noqa: E402
 from coalitional_lotto import batch, collective, mutual, mutual_arrays, paper_routes  # noqa: E402
 from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
+from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_OK  # noqa: E402
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
 from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap  # noqa: E402
 
@@ -245,7 +248,7 @@ def main(argv=None) -> int:
         f"array mismatches over {args.count} games: budget {mismatches['budget']} "
         f"joint {mismatches['joint']} contest {mismatches['contest']} case {mismatches['case']}"
     )
-    return 0
+    return EXIT_DISAGREEMENT if unsettled or sum(mismatches.values()) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -89,10 +89,6 @@ def one_v_one_vec(phi, x_player, x_adv):
     return phi * np.where(x_player <= x_adv, share, 1.0 - share)
 
 
-# A subnormal valuation overflows its ratio, and the share ``s``, to inf, and
-# two inf ratios leave a NaN gap.  The rule decides these as the scalar rule
-# does, without a warning.
-@np.errstate(over="ignore", invalid="ignore")
 def _case_rule(phi1, phi2, x1, x2):
     """The case rule of ``adversary.case_of`` over arrays, as masks and views.
 
@@ -146,6 +142,11 @@ def _case_rule(phi1, phi2, x1, x2):
     return equal, swapped, case1, case2, pw, ps, bw, bs, s
 
 
+# A subnormal valuation overflows its ratio, and the share ``s``, to inf, and
+# two inf ratios leave a NaN gap; budgets or valuations near the top of the
+# float range overflow their sums and products.  The case rule and the
+# payoffs decide these as the scalar pipeline does, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def case_of(phi1, phi2, x1, x2):
     """``adversary.case_of`` over broadcastable arrays: ``(index, swapped)``.
 
@@ -158,6 +159,7 @@ def case_of(phi1, phi2, x1, x2):
     return index, swapped
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     """Player payoffs ``(u1, u2)`` for broadcastable arrays of transfers.
 

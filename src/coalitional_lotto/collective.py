@@ -86,13 +86,21 @@ def max_collective_payoff(g: GameInstance | GameArrays):
 
     A float for one game, an array of them for a ``GameArrays``.
     """
+    if isinstance(g, GameArrays):
+        # Every element computes both forms, and the one it does not take
+        # may overflow: budgets near the float range's top or bottom.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            total_b, rich, poor = _collective_forms(g)
+        return np.where(total_b >= 1.0, rich, poor)
+    total_b, rich, poor = _collective_forms(g)
+    return rich if total_b >= 1.0 else poor
+
+
+def _collective_forms(g):
+    """Total budget and the collective maximum when it is at least 1 and below 1."""
     total_b = g.x1 + g.x2
     total_v = g.phi1 + g.phi2
-    rich = (2.0 * total_b - 1.0) / (2.0 * total_b) * total_v
-    poor = 0.5 * total_v * total_b
-    if isinstance(g, GameArrays):
-        return np.where(total_b >= 1.0, rich, poor)
-    return rich if total_b >= 1.0 else poor
+    return total_b, (2.0 * total_b - 1.0) / (2.0 * total_b) * total_v, 0.5 * total_v * total_b
 
 
 def collectively_beneficial_exists(g: GameInstance) -> bool:

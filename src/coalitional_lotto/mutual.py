@@ -50,12 +50,20 @@ re-validated through the actual payoff map; no verdict rests on the algebra
 alone.  Routes name the case of the witness, ``exact:<case label>``; a
 benefit found only within ``2 * RIDGE_RTOL`` of the ridge is the flagged
 ``ridge-knife-edge``, and a positive verdict is flagged when its smaller
-gain is thin (``search.thin_margin``).  ``mutual_arrays`` decides all three
-verdicts over arrays of games from the same forms (``surplus_rules_out``,
-``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
-``moved_valuation``, ``around_ridge``, ``gap_crossing``, ``gap_quadratic``).  Case edges, the
-contest orientation and the case-4 bands all use the one fixed tie
-tolerance ``adversary.CASE_RTOL``.  The ridge transfer is
+gain is thin (``search.thin_margin``).
+
+Each rule is written once, for a ``GameInstance`` or a ``GameArrays``, with
+NaN marking an absent break, root or witness: the lines' breaks
+(``budget_breaks``, ``contest_breaks``, with ``case_edges`` and
+``side_breaks``), the roots of their quadratics (``positive_roots``), the
+candidate forms, the joint witness (``gap_witness``) and the surplus test.
+The one-game engine drops NaN by the interval test it already makes, and
+``mutual_arrays`` stacks the values into columns to decide all three
+verdicts over arrays of games.  Only the leaves branch on floats against
+arrays (``_ops`` and ``positive_roots``): float division by zero and
+``math.sqrt`` of a negative raise, and one game's joint witness stops at
+the first confirmed case.  Case edges, the contest orientation and the
+case-4 bands all use the one fixed tie tolerance ``adversary.CASE_RTOL``.  The ridge transfer is
 ``collective.ridge_transfer``.  The paper's printed contest routes are kept
 in ``paper_routes`` as a plain check, which opens the printed windows and
 tries a point of each; no verdict calls it.
@@ -67,8 +75,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
 from .collective import max_collective_payoff, ridge_transfer
+from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer, u_player
 from .search import RIDGE_RTOL, contest_ends, min_gain, thin_margin, transfer_interval
 
@@ -104,9 +116,11 @@ def region_index(x1, x2):
 
     Each budget below 1 moves the index past the regions where it is at
     least 1 (R1..R4 by corner), and a combined budget below 1, which only
-    R4's corner allows, moves it on to R5.
+    R4's corner allows, moves it on to R5.  That last test halves both
+    sides, which is exact, so budgets near the top of the float range do
+    not overflow their sum.
     """
-    return 2 * (x1 < 1.0) + (x2 < 1.0) + (x1 + x2 < 1.0)
+    return 2 * (x1 < 1.0) + (x2 < 1.0) + (0.5 * x1 + 0.5 * x2 < 0.5)
 
 
 def classify_region(g: GameInstance) -> Region:
@@ -149,14 +163,39 @@ def is_mutually_beneficial(
     return d1 > gain and d2 > gain
 
 
-def _positive_roots(a: float, b: float, c: float) -> list[float]:
-    """Positive real roots of ``a*z**2 + b*z + c = 0`` (none when ``a == 0``)."""
+def _pick(cond, a, b):
+    """``np.where`` for one game: ``a`` if ``cond`` else ``b``."""
+    return a if cond else b
+
+
+def _ops(x):
+    """``(sqrt, where)`` for values like ``x``: numpy's on arrays.
+
+    Floats get ``math.sqrt`` and ``_pick``: a numpy call on a float costs
+    ten times as much and returns a numpy scalar.
+    """
+    return (np.sqrt, np.where) if isinstance(x, np.ndarray) else (math.sqrt, _pick)
+
+
+def positive_roots(a, b, c):
+    """Both roots of ``a*z**2 + b*z + c = 0``, each NaN unless real and positive.
+
+    Both are NaN when ``a == 0``.  Floats or arrays; float division by zero
+    and ``math.sqrt`` of a negative raise, so floats branch where arrays
+    mask.
+    """
     d = b * b - 4.0 * a * c
+    if isinstance(d, np.ndarray):
+        r = -0.5 * (b + np.copysign(np.sqrt(d), b))
+        real = (a != 0.0) & (d >= 0.0) & (r != 0.0)
+        return tuple(np.where(real & (z > 0.0), z, np.nan) for z in (r / a, c / r))
     if a == 0.0 or d < 0.0:
-        return []
+        return math.nan, math.nan
     r = -0.5 * (b + math.copysign(math.sqrt(d), b))
-    roots = [r / a, c / r] if r != 0.0 else []
-    return [z for z in roots if z > 0.0]
+    if r == 0.0:
+        return math.nan, math.nan
+    near, far = r / a, c / r
+    return (near if near > 0.0 else math.nan), (far if far > 0.0 else math.nan)
 
 
 def edge_quadratics(big_x, rho):
@@ -170,9 +209,14 @@ def edge_quadratics(big_x, rho):
     return (1.0, b, 1.0), (1.0, b, 1.0 - big_x)
 
 
-def _case_edges(big_x: float, rho: float) -> list[float]:
-    """Case edges on the side where player w is weak (``edge_quadratics``)."""
-    return [z for quad in edge_quadratics(big_x, rho) for z in _positive_roots(*quad) if z < rho]
+def case_edges(big_x, rho) -> list:
+    """The four case edges on the side where player w is weak, NaN off the side.
+
+    The roots of ``edge_quadratics`` below ``rho``; floats or arrays.
+    """
+    where = _ops(rho)[1]
+    roots = [z for quad in edge_quadratics(big_x, rho) for z in positive_roots(*quad)]
+    return [where(z < rho, z, math.nan) for z in roots]
 
 
 def around_ridge(q_ridge: float, gap: float) -> tuple[float, float]:
@@ -216,13 +260,14 @@ def _piece_candidates(
 ) -> list[float]:
     """The candidates of ``candidate_forms`` for one piece, as a list of ``z``.
 
-    A point that is not positive is dropped: it lies on no piece, and ``k``
-    underflows to 0 when ``phi_w * phi_s`` does, which puts the case-2 point
-    at 0.
+    A candidate that is not positive is dropped: it lies on no piece, and
+    ``k`` underflows to 0 when ``phi_w * phi_s`` does, which puts the case-2
+    point at 0.  So is an absent root (NaN).
     """
     k = math.sqrt(phi_w * phi_s)
     points, quads = candidate_forms(index, phi_w, phi_s, base_gap, big_x, k)
-    return [z for z in points if z > 0.0] + [z for quad in quads for z in _positive_roots(*quad)]
+    roots = [z for quad in quads for z in positive_roots(*quad)]
+    return [z for z in points + roots if z > 0.0]
 
 
 def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k, c1):
@@ -291,17 +336,55 @@ def contest_sides(g: GameInstance):
     return (g.phi1, g.phi2, g.x1, g.x2, 1.0), (g.phi2, g.phi1, g.x2, g.x1, -1.0)
 
 
-def _side_breaks(phi_w, phi_s, x_w, x_s, sign):
-    """Breaks of one contest side: sliver end, case-4 band end, then its case edges.
+def side_breaks(phi_w, phi_s, x_w, x_s, sign) -> list:
+    """Breaks of one contest side in ``nu``: sliver end, case-4 band end, two case edges.
 
     The edges, ``k z = 1`` and ``1 - k z = x_s``, count where they lie on the
-    side (``z`` above the ridge).
+    side (``z`` above the ridge) and are NaN elsewhere.  Floats or arrays.
     """
-    rho = math.sqrt(x_w / x_s)
-    k = math.sqrt(x_w * x_s)
+    sqrt, where = _ops(x_w)
+    rho = sqrt(x_w / x_s)
+    k = sqrt(x_w * x_s)
     zs = [around_ridge(rho, 2.0 * RIDGE_RTOL)[1], around_ridge(rho, 1.001 * CASE_RTOL)[1]]
-    zs += [z for z in (1.0 / k, (1.0 - x_s) / k) if z > rho]
+    zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - x_s) / k)]
     return [sign * moved_valuation(z, phi_w, phi_s) for z in zs]
+
+
+def budget_breaks(g, lo, hi):
+    """The budget line in ``q = sqrt(b1 / b2)``: ``(ends, sliver, breaks)``.
+
+    ``lo``, ``hi`` bound ``tau``, and ``ends`` are their ``q``, in rising
+    order.  ``sliver`` is the open interval within ``2 * RIDGE_RTOL`` of the
+    ridge ``q = sqrt(phi1 / phi2)``.  ``breaks`` lists the ends, the ridge,
+    the sliver's and the case-4 band's ends, and the case edges of
+    ``case_edges`` (in ``z = q`` below the ridge, ``z = 1/q`` above it), NaN
+    where absent.  A game or a ``GameArrays``.
+    """
+    sqrt, where = _ops(g.phi1)
+    big_x = g.total_budget
+    q_ridge = sqrt(g.phi1 / g.phi2)
+    ends = sqrt((g.x1 - hi) / (g.x2 + hi)), sqrt((g.x1 - lo) / (g.x2 + lo))
+    sliver = around_ridge(q_ridge, 2.0 * RIDGE_RTOL)
+    # The case-4 band |gap| <= CASE_RTOL is a piece of its own: the payoffs
+    # jump there.  A subnormal phi1 puts the ridge at q = 0, and player 2's
+    # case edges off the line.
+    above = case_edges(big_x, 1.0 / where(q_ridge > 0.0, q_ridge, math.nan))
+    breaks = [
+        *ends, q_ridge, *sliver, *around_ridge(q_ridge, 1.001 * CASE_RTOL),
+        *case_edges(big_x, q_ridge), *(1.0 / z for z in above),
+    ]
+    return ends, sliver, breaks
+
+
+def contest_breaks(g, lo, hi):
+    """The contest line in ``nu``, from ``lo`` to ``hi``: ``(ends, sliver, breaks)``.
+
+    ``breaks`` lists the ends, the ridge (``ridge_transfer``) and each weak
+    side's ``side_breaks``; the sliver ends are the sides' first breaks.  A
+    game or a ``GameArrays``.
+    """
+    below, above = (side_breaks(*side) for side in contest_sides(g))
+    return (lo, hi), (below[0], above[0]), [lo, hi, ridge_transfer(g), *below, *above]
 
 
 def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
@@ -321,14 +404,16 @@ def surplus_rules_out(g, baseline) -> bool:
 
 
 def _line_verdict(
-    g, mechanism, baseline, cs, sliver, classify, candidates, transfer
+    g, mechanism, baseline, ends, sliver, breaks, classify, candidates, transfer
 ) -> MutualBenefitVerdict:
     """The verdict of one transfer line, decided piece by piece.
 
-    ``cs`` are the sorted breaks of the line in its own coordinate, both
-    ends included, and ``sliver`` is the open coordinate interval within
-    ``2 * RIDGE_RTOL`` of the equal-ratio ridge.  ``classify(mid)`` gives the
-    ``(index, swapped)`` of the piece around ``mid``, and ``candidates(index,
+    ``ends``, ``sliver`` and ``breaks`` are those of ``budget_breaks`` or
+    ``contest_breaks``: the breaks between the ends (NaN is between none)
+    cut the line into pieces, and ``sliver`` is the open coordinate
+    interval within ``2 * RIDGE_RTOL`` of the equal-ratio ridge.
+    ``classify(mid)`` gives the ``(index, swapped)`` of the piece around
+    ``mid``, and ``candidates(index,
     swapped)`` the line's candidate coordinates for that case, computed once
     per line: they depend only on the case and the game.  ``transfer(c)`` is
     the ``(tau, nu)`` at coordinate ``c``.  The smaller payoff delta is
@@ -373,6 +458,8 @@ def _line_verdict(
         return best, c_best, case
 
     gain = min_gain(g)
+    lo, hi = ends
+    cs = sorted({c for c in breaks if lo <= c <= hi})
     pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(cs, cs[1:])]
     value, c_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
     if value > gain:
@@ -391,11 +478,11 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
 
     The line's coordinate is ``q = sqrt(b1 / b2)``, which falls as ``tau``
     grows.  The ridge ``q = sqrt(phi1 / phi2)``, the edges of the
-    adversary's case-4 band, and the case edges of ``_case_edges`` (in ``z
-    = q`` below the ridge, ``z = 1/q`` above it) cut the feasible interval
-    into pieces, whose candidates are those of ``_piece_candidates``.  An
-    empty feasible interval, or a collective surplus that rules out a
-    mutual gain (``surplus_rules_out``), leaves no transfer.
+    adversary's case-4 band, and the case edges (``budget_breaks``) cut the
+    feasible interval into pieces, whose candidates are those of
+    ``_piece_candidates``.  An empty feasible interval, or a collective
+    surplus that rules out a mutual gain (``surplus_rules_out``), leaves no
+    transfer.
     """
     lo, hi = transfer_interval(g, Mechanism.BUDGET)
     if not lo < hi:
@@ -404,18 +491,7 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     if surplus_rules_out(g, baseline):
         return _absent(Mechanism.BUDGET)
     big_x = g.total_budget
-    q_ridge = math.sqrt(g.phi1 / g.phi2)
-    q_lo = math.sqrt((g.x1 - hi) / (g.x2 + hi))
-    q_hi = math.sqrt((g.x1 - lo) / (g.x2 + lo))
-    sliver = around_ridge(q_ridge, 2.0 * RIDGE_RTOL)
-    # The case-4 band |gap| <= CASE_RTOL is a piece of its own: the payoffs
-    # jump there.
-    breaks = {q_lo, q_hi, q_ridge, *sliver, *around_ridge(q_ridge, 1.001 * CASE_RTOL)}
-    breaks.update(_case_edges(big_x, q_ridge))
-    # A subnormal phi1 puts the ridge at q = 0, and its case edges at 0 and
-    # infinity, off the line, as for an infinite 1 / q_ridge.
-    breaks.update(1.0 / z for z in _case_edges(big_x, 1.0 / q_ridge if q_ridge else math.inf))
-    qs = sorted(q for q in breaks if q_lo <= q <= q_hi)
+    ends, sliver, breaks = budget_breaks(g, lo, hi)
 
     def classify(q_mid: float):
         b2 = big_x / (1.0 + q_mid * q_mid)
@@ -431,7 +507,7 @@ def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
         return min(max(big_x / (1.0 + q * q) - g.x2, lo), hi), 0.0
 
     return _line_verdict(
-        g, Mechanism.BUDGET, baseline, qs, sliver, classify, candidates, transfer
+        g, Mechanism.BUDGET, baseline, ends, sliver, breaks, classify, candidates, transfer
     )
 
 
@@ -441,8 +517,8 @@ def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     The line's coordinate is the transfer ``nu`` itself, between the ends of
     ``search.contest_ends``.  The ridge (``ridge_transfer``) and, on each
     weak side, the sliver end, the case-4 band end and the case edges
-    (``_side_breaks``) cut it into pieces.  Each piece is classified at its
-    midpoint by ``case_of``, and its candidates are the roots of
+    (``contest_breaks``) cut it into pieces.  Each piece is classified at
+    its midpoint by ``case_of``, and its candidates are the roots of
     ``contest_candidate_forms`` in its weak side's ``z``, moved back to
     ``nu`` by ``moved_valuation``.  Every float is computed from the weak
     and strong sides' parameters, so the swapped game gives the negated
@@ -456,11 +532,7 @@ def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     baseline = payoffs_at(g, 0.0, 0.0)
     if surplus_rules_out(g, baseline):
         return _absent(Mechanism.CONTEST)
-    # Player 1 is weak below the ridge transfer, player 2 above it.
-    below, above = (_side_breaks(*side) for side in contest_sides(g))
-    sliver = below[0], above[0]
-    breaks = {lo, hi, ridge_transfer(g), *below, *above}
-    nus = sorted(nu for nu in breaks if lo <= nu <= hi)
+    ends, sliver, breaks = contest_breaks(g, lo, hi)
     big_phi = g.total_valuation
     # Per side: its fields, k, the case-1 weak payoff per unit valuation and
     # the baseline gap base_w - base_s.
@@ -477,18 +549,18 @@ def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     def candidates(index: int, swapped: bool) -> list[float]:
         phi_w, phi_s, x_w, x_s, sign, k, c1, gap = sides[swapped]
         points, quads = contest_candidate_forms(index, x_w, x_s, gap, big_phi, k, c1)
-        zs = points + [z for quad in quads for z in _positive_roots(*quad)]
-        return [sign * moved_valuation(z, phi_w, phi_s) for z in zs]
+        roots = [z for quad in quads for z in positive_roots(*quad) if z > 0.0]
+        return [sign * moved_valuation(z, phi_w, phi_s) for z in points + roots]
 
     def transfer(nu: float) -> tuple[float, float]:
         return 0.0, nu
 
     return _line_verdict(
-        g, Mechanism.CONTEST, baseline, nus, sliver, classify, candidates, transfer
+        g, Mechanism.CONTEST, baseline, ends, sliver, breaks, classify, candidates, transfer
     )
 
 
-def gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: float):
+def gap_crossing(index: int, big_phi, big_x, gap, lead):
     """``p = phi_w'`` with ``u_w - u_s = lead`` on the case-``index`` piece of a gap curve.
 
     The curve holds the post-transfer games whose weak ratio sits ``gap``
@@ -501,13 +573,13 @@ def gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: flo
       off by at most ``p * gap**2 / 8``;
     * case 2: ``u_w = c p / 2``, ``u_s = Phi - p - (D - c X p) / (2 X)``, linear;
     * case 3: ``u_w = c X p (Phi - (1 - c) p) / (2 D)``, ``u_s = X (Phi - p)
-      (Phi - (1 - c) p) / (2 D)``, a quadratic whose smaller root counts;
+      (Phi - (1 - c) p) / (2 D)``, a quadratic whose smaller positive root
+      counts (NaN when it has none);
     * case 4 (when ``gap`` is within ``CASE_RTOL``, which float cancellation
       can make it at extreme valuations): ``u_i = phi_i' (1 - 1 / (2 X))``,
       linear.
 
-    None when the quadratic has no positive root.  Cases 1, 2 and 4 are
-    plain arithmetic, so they take arrays too.
+    Floats or arrays.
     """
     if index == 1:
         half = 0.5 / ((1.0 - gap) * big_x)
@@ -515,7 +587,10 @@ def gap_crossing(index: int, big_phi: float, big_x: float, gap: float, lead: flo
     if index == 2:
         return (lead + big_phi - big_phi / (2.0 * big_x)) / (1.0 - gap / (2.0 * big_x))
     if index == 3:
-        return min(_positive_roots(*gap_quadratic(big_phi, big_x, gap, lead)), default=None)
+        near, far = positive_roots(*gap_quadratic(big_phi, big_x, gap, lead))
+        # The smaller of the two, either of which may be NaN.
+        where = _ops(near)[1]
+        return where(near <= far, near, where(far > 0.0, far, near))
     return 0.5 * (big_phi + lead / (1.0 - 0.5 / big_x))
 
 
@@ -526,35 +601,48 @@ def gap_quadratic(big_phi, big_x, gap, lead):
     return big_x * gap, b, c
 
 
-def _gap_witness(
-    g: GameInstance, baseline: tuple[float, float]
-) -> tuple[Transfer, CaseLabel] | None:
-    """The equal-gain split at ratio gap ``2 * RIDGE_RTOL``, with its case label.
+def gap_witness(g, baseline):
+    """The equal-gain split at ratio gap ``2 * RIDGE_RTOL``: ``(tau, nu, index, swapped)``.
 
     The witness keeps the weaker ratio with the same player (the game's own
-    side of the ridge, oriented by ``case_of``) and moves budgets and valuations onto the gap curve
-    of ``gap_crossing``.  Along the curve ``u_w`` rises and ``u_s`` falls
-    with ``p``, so the crossing ``d_w = d_s`` is the best split there.  It
-    is taken from the piece that ``case_of`` confirms at its solution.
+    side of the ridge, oriented by ``case_of``, which gives ``swapped``) and
+    moves budgets and valuations onto the gap curve of ``gap_crossing``.
+    Along the curve ``u_w`` rises and ``u_s`` falls with ``p``, so the
+    crossing ``d_w = d_s`` is the best split there.  It is taken from the
+    first case, in the order below, whose crossing lies inside ``(0, Phi)``
+    and which ``case_of`` confirms there; ``index`` is that case, or 0 with
+    NaN ``tau`` and ``nu`` when there is none.  A game and its ``(b1, b2)``
+    or a ``GameArrays`` and its arrays; one game stops at the first
+    confirmed case.
     """
-    swapped = case_of(g.phi1, g.phi2, g.x1, g.x2)[1]
-    if swapped:
-        phi_w, x_w, lead = g.phi2, g.x2, baseline[1] - baseline[0]
-    else:
-        phi_w, x_w, lead = g.phi1, g.x1, baseline[0] - baseline[1]
+    arrays = isinstance(g, GameArrays)
+    case_rule = batch.case_of if arrays else case_of
+    where = _ops(g.phi1)[1]
+    swapped = case_rule(g.phi1, g.phi2, g.x1, g.x2)[1]
+    b1, b2 = baseline
+    phi_w, x_w, lead = where(swapped, (g.phi2, g.x2, b2 - b1), (g.phi1, g.x1, b1 - b2))
     big_phi, big_x = g.total_valuation, g.total_budget
     gap = 2.0 * RIDGE_RTOL
-    # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes last, for rich w.
-    for index in (3, 2, 1) if big_x < 1.0 else (2, 1, 4):
-        p = gap_crossing(index, big_phi, big_x, gap, lead)
-        if p is None or not 0.0 < p < big_phi:
+    index, p_hit, xw_hit = 0, math.nan, math.nan
+    # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes after 2, for rich w.
+    for case, allowed in ((3, big_x < 1.0), (2, True), (1, True), (4, big_x >= 1.0)):
+        # One game solves only the cases its budget allows, confirms only
+        # crossings inside the curve, and stops at the first confirmed case.
+        if not (arrays or allowed):
             continue
+        p = gap_crossing(case, big_phi, big_x, gap, lead)
+        inside = allowed & (0.0 < p) & (p < big_phi)
+        if not (arrays or inside):
+            continue
+        p = where(inside, p, math.nan)
         xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)
-        if case_of(p, big_phi - p, xw, big_x - xw)[0] == index:
-            tau, nu = x_w - xw, phi_w - p
-            witness = Transfer(-tau, -nu) if swapped else Transfer(tau, nu)
-            return witness, CaseLabel.of(index, swapped)
-    return None
+        hit = inside & (index == 0) & (case_rule(p, big_phi - p, xw, big_x - xw)[0] == case)
+        index = where(hit, case, index)
+        p_hit, xw_hit = where(hit, p, p_hit), where(hit, xw, xw_hit)
+        if not arrays and hit:
+            break
+    sign = where(swapped, -1.0, 1.0)
+    return sign * (x_w - xw_hit), sign * (phi_w - p_hit), index, swapped
 
 
 def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
@@ -562,7 +650,7 @@ def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
 
     A surplus at or below twice the gain floor (``surplus_rules_out``)
     certifies absence (no route, unflagged).  Otherwise the equal-gain split
-    at the sliver's edge (``_gap_witness``) is validated through the payoff
+    at the sliver's edge (``gap_witness``) is validated through the payoff
     map and named ``exact:<case label>``; when it fails, both players gain
     only inside the ridge sliver, the flagged ``ridge-knife-edge``.
     """
@@ -570,12 +658,13 @@ def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     if surplus_rules_out(g, baseline):
         return _absent(Mechanism.JOINT)
     gain = min_gain(g)
-    found = _gap_witness(g, baseline)
-    if found is not None:
-        witness, label = found
+    tau, nu, index, swapped = gap_witness(g, baseline)
+    if index:
+        witness = Transfer(tau, nu)
         d1, d2 = payoff_deltas(g, witness, baseline)
         if d1 > gain and d2 > gain:
+            route = f"exact:{CaseLabel.of(index, swapped)}"
             return MutualBenefitVerdict(
-                Mechanism.JOINT, True, witness, f"exact:{label}", thin_margin(g, min(d1, d2))
+                Mechanism.JOINT, True, witness, route, thin_margin(g, min(d1, d2))
             )
     return MutualBenefitVerdict(Mechanism.JOINT, False, None, "ridge-knife-edge", True)

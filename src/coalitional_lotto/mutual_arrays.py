@@ -5,17 +5,19 @@ A sweep decides one predicate at every node of a plane.  The verdicts of
 crossings are roots of fixed quadratics, and each game has a bounded number
 of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
 therefore decide a whole ``batch.GameArrays`` at once and validate every
-candidate or witness in one payoff call.  The budget and contest verdicts
-share one line engine, ``_line_exists``, the array form of
-``mutual._line_verdict``.  It sorts each game's breaks into one row, NaN
-past the last, then classifies and solves only the pieces it scores: one
-flat entry per piece off the ridge sliver, and each case's candidates on
-that case's pieces alone.  The verdicts take their forms from ``mutual``
-(``edge_quadratics``, ``candidate_forms``, ``contest_candidate_forms``,
-``moved_valuation``, ``contest_sides``, ``around_ridge``, ``gap_crossing``,
-``gap_quadratic``) and ``collective.ridge_transfer``, classify and orient
-through ``batch.case_of``, and return ``exists`` only: game by game it
-equals the one-game verdict's (``tests/test_mutual.py`` and
+candidate or witness in one payoff call.  Every rule comes from ``mutual``,
+which writes each once for a game or a ``GameArrays`` (``budget_breaks``,
+``contest_breaks``, ``positive_roots``, ``candidate_forms``,
+``contest_candidate_forms``, ``moved_valuation``, ``gap_witness``,
+``surplus_rules_out``); this module keeps only what serves a block of
+games.  The budget and contest verdicts share one line engine,
+``_line_exists``, the array form of ``mutual._line_verdict``.  It stacks
+each game's breaks into one row, sorts it, NaN past the last, then
+classifies and solves only the pieces it scores: one flat entry per piece
+off the ridge sliver, and each case's candidates on that case's pieces
+alone (``_case_candidates``).  The verdicts classify and orient through
+``batch.case_of`` and return ``exists`` only: game by game it equals the
+one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
 with the one-game verdicts, which ``analyze_game`` uses.
 """
@@ -25,39 +27,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import batch
-from .adversary import CASE_RTOL
 from .batch import GameArrays
-from .collective import ridge_transfer
 from .core import Mechanism
 from .mutual import (
-    around_ridge,
+    budget_breaks,
     candidate_forms,
+    contest_breaks,
     contest_candidate_forms,
-    contest_sides,
-    edge_quadratics,
-    gap_crossing,
-    gap_quadratic,
+    gap_witness,
     moved_valuation,
+    positive_roots,
     surplus_rules_out,
 )
-from .search import RIDGE_RTOL, contest_ends, min_gain, transfer_interval
+from .search import contest_ends, min_gain, transfer_interval
 
 __all__ = ["budget_exists", "contest_exists", "joint_exists"]
-
-
-def _positive_root_pairs(a, b, c) -> np.ndarray:
-    """``mutual._positive_roots`` elementwise: both roots on a last axis, NaN where absent."""
-    d = b * b - 4.0 * a * c
-    r = -0.5 * (b + np.copysign(np.sqrt(d), b))
-    roots = np.stack(np.broadcast_arrays(r / a, c / r), axis=-1)
-    real = (a != 0.0) & (d >= 0.0) & (r != 0.0)
-    return np.where(real[..., None] & (roots > 0.0), roots, np.nan)
-
-
-def _case_edge_columns(big_x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``mutual._case_edges`` per game: four columns, NaN where absent."""
-    z = np.concatenate([_positive_root_pairs(*q) for q in edge_quadratics(big_x, rho)], axis=-1)
-    return np.where(z < rho[:, None], z, np.nan)
 
 
 def _case_candidates(forms, index, cases, args):
@@ -73,32 +57,34 @@ def _case_candidates(forms, index, cases, args):
     for case in cases:
         sel = np.flatnonzero(index == case)
         points, quads = forms(case, *(arg[sel] for arg in args))
-        z = [np.broadcast_to(p, sel.shape)[:, None] for p in points]
-        z += [_positive_root_pairs(*quad) for quad in quads]
-        z = np.concatenate(z, axis=1)
+        z = [np.broadcast_to(p, sel.shape) for p in points]
+        z += [root for quad in quads for root in positive_roots(*quad)]
+        z = np.column_stack(z)
         at, col = np.nonzero(z > 0.0)
         pieces.append(sel[at])
         zs.append(z[at, col])
     return np.concatenate(pieces), np.concatenate(zs)
 
 
-def _line_exists(games, baseline, ends, breaks, sliver, classify, candidates, transfer):
+def _line_exists(games, baseline, ends, sliver, breaks, classify, candidates, transfer):
     """``mutual._line_verdict(...).exists`` for every game of ``games``, over arrays.
 
-    Row ``i`` holds game ``i``'s ``breaks`` in the line's coordinate; those
-    outside ``ends`` are dropped, and sorting each row and dropping
-    zero-width pieces leaves the scalar verdict's pieces.  Only the pieces
-    off the ridge ``sliver`` are classified and solved, one entry per
-    piece: ``classify(rows, mid)`` gives the ``(index, swapped)`` of the
-    pieces of games ``rows`` around midpoints ``mid``;
-    ``candidates(rows, index, swapped)`` their interior candidates as flat
-    ``(piece, c)`` pairs; and ``transfer(rows, c)`` the ``(tau, nu)`` at
-    coordinates ``c`` of games ``rows``.  Every end and candidate of those
-    pieces is checked by ``batch.require_feasible`` and scored in one
-    payoff call.
+    ``ends``, ``sliver`` and ``breaks`` are the arrays of ``budget_breaks``
+    or ``contest_breaks``, one element per game.  Row ``i`` holds game
+    ``i``'s breaks in the line's coordinate; those outside ``ends`` are
+    dropped, and sorting each row and dropping zero-width pieces leaves the
+    one-game verdict's pieces.  Only the pieces off the ridge ``sliver`` are
+    classified and solved, one entry per piece: ``classify(rows, mid)``
+    gives the ``(index, swapped)`` of the pieces of games ``rows`` around
+    midpoints ``mid``; ``candidates(rows, index, swapped)`` their interior
+    candidates as flat ``(piece, c)`` pairs; and ``transfer(rows, c)`` the
+    ``(tau, nu)`` at coordinates ``c`` of games ``rows``.  Every end and
+    candidate of those pieces is checked by ``batch.require_feasible`` and
+    scored in one payoff call.
     """
     base1, base2 = baseline
     lo, hi = ends
+    breaks = np.column_stack(breaks)
     inside = (lo[:, None] <= breaks) & (breaks <= hi[:, None])
     cs = np.sort(np.where(inside, breaks, np.nan), axis=1)
     ca, cb = cs[:, :-1], cs[:, 1:]
@@ -143,23 +129,9 @@ def budget_exists(games: GameArrays) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
         lo, hi = transfer_interval(games, Mechanism.BUDGET)
+        ends, sliver, breaks = budget_breaks(games, lo, hi)
         phi1, phi2, x1, x2 = games
         big_x = games.total_budget
-        q_ridge = np.sqrt(phi1 / phi2)
-        q_lo = np.sqrt((x1 - hi) / (x2 + hi))
-        q_hi = np.sqrt((x1 - lo) / (x2 + lo))
-        sliver = around_ridge(q_ridge, 2.0 * RIDGE_RTOL)
-        breaks = np.column_stack(
-            (
-                q_lo,
-                q_hi,
-                q_ridge,
-                *sliver,
-                *around_ridge(q_ridge, 1.001 * CASE_RTOL),
-                _case_edge_columns(big_x, q_ridge),
-                1.0 / _case_edge_columns(big_x, 1.0 / q_ridge),
-            )
-        )
 
         def classify(rows, q_mid):
             b2 = big_x[rows] / (1.0 + q_mid * q_mid)
@@ -181,22 +153,8 @@ def budget_exists(games: GameArrays) -> np.ndarray:
             return np.minimum(np.maximum(taus, lo[rows]), hi[rows]), 0.0
 
         return _line_exists(
-            games, baseline, (q_lo, q_hi), breaks, sliver, classify, candidates, transfer
+            games, baseline, ends, sliver, breaks, classify, candidates, transfer
         )
-
-
-def _contest_side_columns(phi_w, phi_s, x_w, x_s, sign) -> np.ndarray:
-    """``mutual._side_breaks`` per game: four columns, NaN where absent."""
-    rho = np.sqrt(x_w / x_s)
-    k = np.sqrt(x_w * x_s)
-    zs = np.column_stack(
-        (
-            around_ridge(rho, 2.0 * RIDGE_RTOL)[1],
-            around_ridge(rho, 1.001 * CASE_RTOL)[1],
-            *(np.where(z > rho, z, np.nan) for z in (1.0 / k, (1.0 - x_s) / k)),
-        )
-    )
-    return sign * moved_valuation(zs, phi_w[:, None], phi_s[:, None])
 
 
 def contest_exists(games: GameArrays) -> np.ndarray:
@@ -210,11 +168,8 @@ def contest_exists(games: GameArrays) -> np.ndarray:
     # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        lo, hi = contest_ends(games)
+        ends, sliver, breaks = contest_breaks(games, *contest_ends(games))
         phi1, phi2, x1, x2 = games
-        below, above = (_contest_side_columns(*side) for side in contest_sides(games))
-        breaks = np.column_stack((lo, hi, ridge_transfer(games), below, above))
-        sliver = below[:, 0], above[:, 0]
 
         def classify(rows, nu_mid):
             return batch.case_of(phi1[rows] - nu_mid, phi2[rows] + nu_mid, x1[rows], x2[rows])
@@ -239,59 +194,28 @@ def contest_exists(games: GameArrays) -> np.ndarray:
             return 0.0, nu
 
         return _line_exists(
-            games, baseline, (lo, hi), breaks, sliver, classify, candidates, transfer
+            games, baseline, ends, sliver, breaks, classify, candidates, transfer
         )
 
 
 def joint_exists(games: GameArrays) -> np.ndarray:
     """``joint_mutual_exists(g).exists`` for every game of ``games``, over arrays.
 
-    The surplus test (``mutual.surplus_rules_out``), then
-    ``mutual._gap_witness`` per game: each case's crossing of
-    ``gap_crossing`` is solved elementwise, and the first in the scalar
-    order that lies inside ``(0, Phi)`` and that ``batch.case_of`` confirms
-    is the witness.  All witnesses are validated in one payoff call.
+    The surplus test (``mutual.surplus_rules_out``), then ``mutual.gap_witness``
+    over the games it leaves; all witnesses are validated in one payoff
+    call.
     """
-    # Masked lanes (absent roots, cases out of order) hold NaN or inf.
+    # Masked lanes (absent roots, crossings outside the curve) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        gain = min_gain(games)
         rows = np.flatnonzero(~surplus_rules_out(games, (base1, base2)))
-        phi1, phi2, x1, x2 = games.take(rows)
-        swapped = batch.case_of(phi1, phi2, x1, x2)[1]
-        base1, base2 = base1[rows], base2[rows]
-        lead = np.where(swapped, base2 - base1, base1 - base2)
-        big_phi = (phi1 + phi2)[:, None]
-        big_x = (x1 + x2)[:, None]
-        gap = 2.0 * RIDGE_RTOL
-        lead = lead[:, None]
-        # The crossings of cases 1 to 4, one column each.
-        quad = gap_quadratic(big_phi, big_x, gap, lead)
-        crossings = [
-            gap_crossing(1, big_phi, big_x, gap, lead),
-            gap_crossing(2, big_phi, big_x, gap, lead),
-            np.fmin.reduce(_positive_root_pairs(*quad), axis=-1),
-            gap_crossing(4, big_phi, big_x, gap, lead),
-        ]
-        # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes last, for rich w.
-        order = np.where(big_x < 1.0, (3, 2, 1), (2, 1, 4))
-        p = np.take_along_axis(np.concatenate(crossings, axis=1), order - 1, axis=1)
-        xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)
-        index, _ = batch.case_of(p, big_phi - p, xw, big_x - xw)
-        match = (0.0 < p) & (p < big_phi) & (index == order)
-        found = match.any(axis=1)
-        pick = (np.flatnonzero(found), np.argmax(match, axis=1)[found])
-        swapped = swapped[found]
-        taus = np.where(swapped, x2[found], x1[found]) - xw[pick]
-        nus = np.where(swapped, phi2[found], phi1[found]) - p[pick]
-        taus = np.where(swapped, -taus, taus)
-        nus = np.where(swapped, -nus, nus)
-        rows = rows[found]
+        taus, nus, index, _ = gap_witness(games.take(rows), (base1[rows], base2[rows]))
+        found = index > 0
+        rows, taus, nus = rows[found], taus[found], nus[found]
         witnesses = games.take(rows)
         batch.require_feasible(witnesses, taus, nus)
         u1, u2 = batch.payoffs_at_transfers(witnesses, taus, nus)
-    gain = gain[rows]
-    base1, base2 = base1[found], base2[found]
+        gain = min_gain(games)[rows]
     exists = np.zeros(len(games.phi1), dtype=bool)
-    exists[rows[(u1 - base1 > gain) & (u2 - base2 > gain)]] = True
+    exists[rows[(u1 - base1[rows] > gain) & (u2 - base2[rows] > gain)]] = True
     return exists

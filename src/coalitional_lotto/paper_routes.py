@@ -402,22 +402,28 @@ def _validate_small_step(g: GameInstance, baseline: tuple[float, float]) -> floa
     return None
 
 
-def _oriented_contest_verdict(g: GameInstance) -> tuple[float | None, str | None, bool]:
-    """``(nu, route, opened)`` for positive transfers in an oriented game.
+def _oriented_contest_verdict(
+    g: GameInstance, h: GameInstance, scale: int
+) -> tuple[float | None, str | None, bool]:
+    """``(nu, route, opened)`` for positive transfers in an oriented game ``g``.
 
-    ``nu`` and ``route`` are the first validated route's amount and name, or
-    None; ``opened`` says whether any route was handed to validation.
+    The windows are opened on ``h``, which is ``g`` with both valuations
+    multiplied by ``2**-scale``, and moved back to ``g`` by ``2**scale``;
+    every point is validated on ``g``.  ``nu`` and ``route`` are the first
+    validated route's amount and name, or None; ``opened`` says whether any
+    route was handed to validation.
     """
-    label = classify_case(g)
+    label = classify_case(h)
     if label.index == 4:
         return None, None, False
     baseline = player_payoffs(g)
-    routes = _sc_routes(g, label.index) + _si_windows(g, classify_region(g), label.index)
+    routes = _sc_routes(h, label.index) + _si_windows(h, classify_region(h), label.index)
     for route, window in routes:
         if window is None:
             nu = _validate_small_step(g, baseline)
         else:
-            nu = _validate_window(g, window[0], window[1], baseline)
+            lo, hi = (math.ldexp(end, scale) for end in window)
+            nu = _validate_window(g, lo, hi, baseline)
         if nu is not None:
             return nu, route, True
     return None, None, bool(routes)
@@ -429,21 +435,28 @@ def route_verdict(g: GameInstance) -> MutualBenefitVerdict:
     Positive transfers are characterized on the oriented game and the
     mirrored direction on the index-swapped game, whose witnesses carry a
     negated transfer amount and a ``swap:`` route; consistent routes are
-    tried before inconsistent ones.  A positive verdict is flagged when its
+    tried before inconsistent ones.  When the larger valuation is below 1,
+    the windows are opened on both valuations scaled up by the power of two
+    that brings it to ``[0.5, 1)``, which is exact: the printed forms
+    multiply valuations together, and on subnormal valuations those
+    products underflow to 0.  A positive verdict is flagged when its
     witness's smaller payoff delta on ``g`` is thin (``search.thin_margin``),
     as the exact verdicts are; an absent one when some printed window opened
     and no point of it validated.
     """
-    r1 = g.x1 / g.phi1
-    r2 = g.x2 / g.phi2
+    top = max(g.phi1, g.phi2)
+    scale = math.frexp(top)[1] if top < 1.0 else 0
+    h = GameInstance(math.ldexp(g.phi1, -scale), math.ldexp(g.phi2, -scale), g.x1, g.x2)
+    r1 = h.x1 / h.phi1
+    r2 = h.x2 / h.phi2
     attempts = []
     if r1 <= r2 * (1.0 + CASE_RTOL):
-        attempts.append((g, False))
+        attempts.append((g, h, False))
     if r2 <= r1 * (1.0 + CASE_RTOL):
-        attempts.append((swap_indices(g), True))
+        attempts.append((swap_indices(g), swap_indices(h), True))
     opened = False
-    for h, swapped in attempts:
-        nu, route, fired = _oriented_contest_verdict(h)
+    for oriented, scaled, swapped in attempts:
+        nu, route, fired = _oriented_contest_verdict(oriented, scaled, scale)
         if nu is not None:
             witness = Transfer(0.0, -nu) if swapped else Transfer(0.0, nu)
             tag = f"swap:{route}" if swapped else route

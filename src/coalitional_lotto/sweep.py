@@ -141,7 +141,9 @@ def _plane_values(games: GameArrays, predicate: Predicate) -> list:
     if predicate is Predicate.REGION:
         return _REGION_NAMES[region_index(games.x1, games.x2)].tolist()
     u1, u2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
-    return (max_collective_payoff(games) - (u1 + u2)).tolist()
+    # Valuations near the top of the float range overflow the payoff sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (max_collective_payoff(games) - (u1 + u2)).tolist()
 
 
 def run_sweep(spec: SweepSpec):
@@ -155,12 +157,9 @@ def run_sweep(spec: SweepSpec):
     fields[name2] = np.tile(vals2, spec.steps)
     games = _plane_games(fields, count)
     values = []
-    # Masked lanes and the branches not taken hold NaN or inf, as the
-    # one-game verdicts' float arithmetic would without a warning.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for start in range(0, count, SWEEP_BLOCK):
-            block = GameArrays(*(field[start : start + SWEEP_BLOCK] for field in games))
-            values += _plane_values(block, spec.predicate)
+    for start in range(0, count, SWEEP_BLOCK):
+        block = GameArrays(*(field[start : start + SWEEP_BLOCK] for field in games))
+        values += _plane_values(block, spec.predicate)
     return list(zip(fields[name1].tolist(), fields[name2].tolist(), values))
 
 

@@ -11,23 +11,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto import batch, mutual, mutual_arrays
+from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes
 from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
+from coalitional_lotto.cli import EXIT_DISAGREEMENT
 from coalitional_lotto.collective import collective_report, max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
     REGIONS,
     Mechanism,
     Region,
+    budget_breaks,
     budget_mutual_exists,
+    case_edges,
     classify_region,
+    contest_breaks,
     contest_mutual_exists,
+    contest_sides,
+    edge_quadratics,
+    gap_crossing,
+    gap_quadratic,
+    gap_witness,
     is_mutually_beneficial,
     joint_mutual_exists,
     payoff_deltas,
+    positive_roots,
     region_index,
+    side_breaks,
 )
 from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
 from coalitional_lotto.paper_routes import (
@@ -38,7 +49,14 @@ from coalitional_lotto.paper_routes import (
     thresholds,
 )
 from coalitional_lotto.rng import SplitMix64
-from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap, thin_margin
+from coalitional_lotto.search import (
+    RIDGE_RTOL,
+    contest_ends,
+    min_gain,
+    ridge_gap,
+    thin_margin,
+    transfer_interval,
+)
 
 from conftest import random_games
 
@@ -214,6 +232,79 @@ class TestArrayVerdicts:
         for g in games:
             if budget_mutual_exists(g).exists or contest_mutual_exists(g).exists:
                 assert joint_mutual_exists(g).exists, g
+
+
+def _flat(values) -> list:
+    """The leaves of nested tuples and lists, in order."""
+    out = []
+    for v in values:
+        out += _flat(v) if isinstance(v, (tuple, list)) else [v]
+    return out
+
+
+def _game_rules(g, baseline):
+    """The values of each rule shared by the one-game and the array verdicts.
+
+    ``g`` is a game and ``baseline`` its payoffs, or a ``GameArrays`` and
+    theirs; the rules take both alike.
+    """
+    big_x, big_phi = g.total_budget, g.total_valuation
+    lead = baseline[0] - baseline[1]
+    quads = [
+        *edge_quadratics(big_x, g.phi1 / g.phi2),
+        (g.phi1 - g.phi2, g.x1, -g.x2),
+        (g.x1 - 1.0, g.phi1 - g.phi2, g.x2 - 1.0),
+        gap_quadratic(big_phi, big_x, 2.0 * RIDGE_RTOL, lead),
+    ]
+    return {
+        "positive_roots": [positive_roots(*quad) for quad in quads],
+        "case_edges": [case_edges(big_x, g.phi1 / g.phi2), case_edges(big_x, g.x2 / g.x1)],
+        "side_breaks": [side_breaks(*side) for side in contest_sides(g)],
+        "contest_breaks": contest_breaks(g, *contest_ends(g)),
+        "gap_crossing": [
+            gap_crossing(case, big_phi, big_x, 2.0 * RIDGE_RTOL, lead) for case in (1, 2, 3, 4)
+        ],
+        "gap_witness": gap_witness(g, baseline),
+    }
+
+
+class TestSharedRules:
+    """Each shared rule gives a game's floats the bits of its row over arrays."""
+
+    @staticmethod
+    def assert_same_bits(floats, row, what):
+        floats = np.array(floats, dtype=float)
+        nan = np.isnan(floats)
+        assert (nan == np.isnan(row)).all(), what
+        assert (floats[~nan].view(np.int64) == row[~nan].view(np.int64)).all(), what
+
+    def test_floats_match_array_rows(self):
+        games = TestArrayVerdicts.corpus()
+        arrays = GameArrays.of(games)
+        baseline = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
+        lo, hi = transfer_interval(arrays, Mechanism.BUDGET)
+        # Masked lanes hold NaN or inf, as in the array verdicts.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            rules = _game_rules(arrays, baseline)
+            rules["budget_breaks"] = budget_breaks(arrays, lo, hi)
+        rows = {
+            name: np.column_stack([np.broadcast_to(v, len(games)) for v in _flat(values)])
+            for name, values in rules.items()
+        }
+        witnesses = 0
+        for i, g in enumerate(games):
+            found = _game_rules(g, player_payoffs(g))
+            # The one-game verdict builds the budget line only when it is not empty.
+            if lo[i] < hi[i]:
+                found["budget_breaks"] = budget_breaks(g, lo[i], hi[i])
+            for name, values in found.items():
+                self.assert_same_bits(_flat(values), rows[name][i], (name, g))
+            witnesses += found["gap_witness"][2] > 0
+        # Every shape of result turns up: absent and present roots, edges
+        # and witnesses.
+        for name in ("positive_roots", "case_edges", "side_breaks", "budget_breaks"):
+            assert np.isnan(rows[name]).any() and not np.isnan(rows[name]).all(), name
+        assert 0 < witnesses < len(games)
 
 
 class TestQuadraticWindow:
@@ -492,10 +583,13 @@ class TestWholeDomain:
     def test_subnormal_valuations(self, params):
         games = [GameInstance(*params), swap_indices(GameInstance(*params))]
         for g in games:
-            analyze_game(g)
-            # The printed routes answer too, and a swapped witness, validated
-            # on the mirror game, benefits this game: payoffs mirror exactly.
+            report = analyze_game(g)
+            # The printed routes answer too, as the exact verdict does: their
+            # windows open on valuations scaled up by a power of two.  A
+            # swapped witness, validated on the mirror game, benefits this
+            # game: payoffs mirror exactly.
             routes = route_verdict(g)
+            assert routes.exists == report.mutual_contest.exists, g
             if routes.exists:
                 assert is_mutually_beneficial(g, routes.witness)
         g, m = games
@@ -617,11 +711,34 @@ class TestRouteCensus:
         )
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        blocks = [line.split() for line in lines[2:4]]
-        assert [b[:2] for b in blocks] == [["0", "0"], ["1", "12"]]
-        assert all(len(digest) == 64 for b in blocks for digest in b[2:])
+        # Each block's digests of the full-precision verdicts and reports.
+        assert [line.split() for line in lines[2:4]] == [
+            [
+                "0", "0",
+                "6966ca9ebd64a40534589126762799ea8cfa31f79a65b4d27cfe6ade71e3e2f2",
+                "0f38e8b2e2c25aedf8b8a1d6cab68cf0041fbb9f0d4529b5419c7f3d10444fe3",
+            ],
+            [
+                "1", "12",
+                "b7e3aa5a99bf1955bcd83131b5a18908f9735732d9d802002e0f38b47c5e3016",
+                "b15e9af4c26d72fbd062ed68400eeca9db2c642077d305dcfdff510fe3f237fa",
+            ],
+        ]
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
         assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
+
+    def test_array_disagreement_exits_2(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("route_census", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        # The census wraps the route helpers to count them; undo that after.
+        for name in ("_sc_routes", "_si_windows"):
+            monkeypatch.setattr(paper_routes, name, getattr(paper_routes, name))
+        budget_exists = mutual_arrays.budget_exists
+        monkeypatch.setattr(mutual_arrays, "budget_exists", lambda games: ~budget_exists(games))
+        assert script.main(["--count", "6", "--block", "6"]) == EXIT_DISAGREEMENT
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "array mismatches over 6 games: budget 6 joint 0 contest 0 case 0"
 
 
 class TestBudgetMutual:
@@ -1058,10 +1175,12 @@ class TestLineWork:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(batch, "case_of")
-        counted(mutual_arrays, "_positive_root_pairs")
+        # The shared root rule, where the break rules and the candidates call it.
+        counted(mutual, "positive_roots")
+        counted(mutual_arrays, "positive_roots")
         totals = {}
         for verdict in (mutual_arrays.budget_exists, mutual_arrays.contest_exists):
             lanes.clear()
             verdict(games)
-            totals[verdict.__name__] = (lanes["case_of"], lanes["_positive_root_pairs"])
+            totals[verdict.__name__] = (lanes["case_of"], lanes["positive_roots"])
         assert totals == {"budget_exists": (330, 730), "contest_exists": (360, 560)}
