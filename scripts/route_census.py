@@ -27,7 +27,8 @@ sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
 ``mutual_arrays.contest_exists`` and ``batch.case_of``); the last line
 counts the games where they disagree with ``analyze_game``.  The script
 exits 2, the CLI's disagreement code, when an array verdict disagrees or a
-route/exact disagreement stays ``UNSETTLED``, and 0 otherwise.
+route/exact disagreement stays ``UNSETTLED``, 1 on a usage error, as the CLI
+does, and 0 otherwise.
 
 Usage: python3 scripts/route_census.py [--count 60000] [--block 10000] [--seed 1]
 
@@ -35,7 +36,6 @@ It imports the package from the ``src/`` directory of the checkout that
 holds it, so it runs from a source checkout without installing.
 """
 
-import argparse
 import hashlib
 import json
 import math
@@ -51,7 +51,7 @@ import numpy as np  # noqa: E402
 from coalitional_lotto import batch, collective, mutual, mutual_arrays, paper_routes  # noqa: E402
 from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
-from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_OK  # noqa: E402
+from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_OK, _Parser  # noqa: E402
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
 from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap  # noqa: E402
 
@@ -187,7 +187,7 @@ def array_mismatches(games, scalar) -> Counter:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=60000, help="games in the census")
     parser.add_argument("--block", type=int, default=10000, help="games per digest")
     parser.add_argument("--seed", type=int, default=1)

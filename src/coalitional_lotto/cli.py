@@ -29,6 +29,7 @@ from .sweep import (
     run_sweep,
     run_verify,
     write_csv,
+    write_plane,
 )
 
 EXIT_OK = 0
@@ -100,13 +101,16 @@ def _game(args: argparse.Namespace) -> GameInstance:
     return GameInstance(args.phi1, args.phi2, args.x1, args.x2)
 
 
-def _write_out(path: str, comments: list[str], header: list[str], rows) -> None:
-    """Write a commented CSV to ``path``, or to stdout when it is '-'."""
+def _write_out(path: str, write, comments: list[str], header: list[str], table) -> None:
+    """Write a commented CSV to ``path``, or to stdout when it is '-'.
+
+    ``write`` is ``write_csv`` for rows or ``write_plane`` for a sweep plane.
+    """
     if path == "-":
-        write_csv(sys.stdout, comments, header, rows)
+        write(sys.stdout, comments, header, table)
         return
     with open(path, "w", encoding="utf-8") as stream:
-        write_csv(stream, comments, header, rows)
+        write(stream, comments, header, table)
 
 
 def _parse_axis(text: str) -> tuple[str, float, float]:
@@ -139,16 +143,17 @@ def _cmd_sweep(args) -> int:
         if value is not None:
             fixed[name] = value
     spec = SweepSpec(fixed=fixed, axes=axes, steps=args.steps, predicate=Predicate(args.predicate))
-    rows = run_sweep(spec)
+    plane = run_sweep(spec)
     fixed_desc = _params_text(sorted(fixed.items()))
     _write_out(
         args.out,
+        write_plane,
         [
             f"predicate={args.predicate} fixed: {fixed_desc}",
             "units: budgets in adversary-budget units, valuations in contest-value units",
         ],
         [axes[0][0], axes[1][0], args.predicate],
-        rows,
+        plane,
     )
     return EXIT_OK
 
@@ -160,6 +165,7 @@ def _cmd_curve(args) -> int:
     unit = "budget (tau)" if mech is Mechanism.BUDGET else "valuation (nu)"
     _write_out(
         args.out,
+        write_csv,
         [
             f"game: {_params_text(g.as_dict().items())}",
             f"mechanism={mech.value}; transfer units: {unit}; payoffs in valuation units",
@@ -175,6 +181,7 @@ def _cmd_verify(args) -> int:
     header = list(rows[0].keys())
     _write_out(
         args.out,
+        write_csv,
         [
             f"count={args.count} seed={args.seed} box=[{SAMPLE_LO},{SAMPLE_HI}]^4",
             "analytic vs grid-oracle: contest existence, best response, collective maxima",

@@ -296,6 +296,8 @@ def off_ridge_best(
             sides.append(i)
             lo.append(a)
             hi.append(b)
+    if not sides:
+        return found
     sides = np.array(sides, dtype=int)
     side_games = games.take(sides)
     v, val = refine_transfers(

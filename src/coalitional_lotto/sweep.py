@@ -1,16 +1,23 @@
 """Parameter sweeps, payoff curves, and the oracle verification drive.
 
-These functions back the CLI subcommands; they return plain rows so they can
-be tested without touching the filesystem.  Output ordering is row-major over
-the swept axes and floats are formatted to 12 significant digits, so a given
-spec always produces byte-identical CSV.
+These functions back the CLI subcommands; they return plain values so they
+can be tested without touching the filesystem.  Output ordering is row-major
+over the swept axes and floats are formatted to 12 significant digits, so a
+given spec always produces byte-identical CSV.
 
 A sweep builds its whole plane as one ``batch.GameArrays`` and evaluates it
 in blocks of ``SWEEP_BLOCK`` games.  Every predicate runs over each block as
 arrays (``mutual_arrays.budget_exists``, ``mutual_arrays.contest_exists``,
 ``mutual_arrays.joint_exists``, ``batch.case_of``, ``mutual.region_index``,
 ``collective.max_collective_payoff``), with no loop over the nodes; each
-value equals the one-game verdict's.
+value equals the one-game verdict's.  ``run_sweep`` returns the plane as it
+holds it, a ``SweepPlane`` of the two axis value lists and the row-major
+value column, and ``write_plane`` writes it without building rows: each
+axis value is formatted once, the value column goes through the same
+per-distinct-value formatting as ``write_csv``'s columns, and each line
+joins the axis-1 text, the axis-2 text and the value text along the grid.
+The bytes equal those ``write_csv`` writes for the plane's rows.  ``curve``
+and ``verify`` write their tables with ``write_csv``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -43,10 +50,12 @@ from .search import transfer_interval
 __all__ = [
     "Predicate",
     "SweepSpec",
+    "SweepPlane",
     "run_sweep",
     "run_curve",
     "run_verify",
     "write_csv",
+    "write_plane",
     "SAMPLE_LO",
     "SAMPLE_HI",
 ]
@@ -95,6 +104,17 @@ class SweepSpec:
         missing = set(PARAM_NAMES) - set(names) - set(self.fixed)
         if missing:
             raise ValueError(f"parameters not fixed or swept: {sorted(missing)}")
+
+
+class SweepPlane(NamedTuple):
+    """A swept plane: each axis's values, and the value at every node.
+
+    ``values[i * len(axis2) + j]`` is the value at ``(axis1[i], axis2[j])``.
+    """
+
+    axis1: list[float]
+    axis2: list[float]
+    values: list
 
 
 # Games per array evaluation of a sweep plane.  Blocks bound the working
@@ -146,8 +166,8 @@ def _plane_values(games: GameArrays, predicate: Predicate) -> list:
         return (max_collective_payoff(games) - (u1 + u2)).tolist()
 
 
-def run_sweep(spec: SweepSpec):
-    """Rows of (axis1 value, axis2 value, predicate value), row-major."""
+def run_sweep(spec: SweepSpec) -> SweepPlane:
+    """The predicate's plane over the two axes, values row-major."""
     (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
     vals1 = np.linspace(lo1, hi1, spec.steps)
     vals2 = np.linspace(lo2, hi2, spec.steps)
@@ -160,7 +180,7 @@ def run_sweep(spec: SweepSpec):
     for start in range(0, count, SWEEP_BLOCK):
         block = GameArrays(*(field[start : start + SWEEP_BLOCK] for field in games))
         values += _plane_values(block, spec.predicate)
-    return list(zip(fields[name1].tolist(), fields[name2].tolist(), values))
+    return SweepPlane(vals1.tolist(), vals2.tolist(), values)
 
 
 def run_curve(g: GameInstance, mechanism: Mechanism, steps: int):
@@ -281,6 +301,11 @@ def _column_texts(cells: list) -> list[str]:
     return list(map(memo.__getitem__, keys))
 
 
+def _preamble(comments: Iterable[str], header: Iterable[str]) -> str:
+    """The '#' comment lines and the header line of a CSV."""
+    return "".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"])
+
+
 def write_csv(
     stream: TextIO, comments: Iterable[str], header: Iterable[str], rows: Iterable[Iterable]
 ) -> None:
@@ -303,5 +328,28 @@ def write_csv(
         body[step - 1 :: step] = ["\n"] * len(rows)
     else:
         body = ["\n"] * len(rows)
-    stream.write("".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"]))
+    stream.write(_preamble(comments, header))
+    stream.write("".join(body))
+
+
+def write_plane(
+    stream: TextIO, comments: Iterable[str], header: Iterable[str], plane: SweepPlane
+) -> None:
+    """The CSV that ``write_csv`` writes for the plane's rows.
+
+    The rows are (axis-1 value, axis-2 value, value), row-major; none is
+    built.  Each axis value is formatted once, and the value column as
+    ``write_csv`` formats a column.
+    """
+    firsts = _column_texts(plane.axis1)
+    seconds = [f",{text}," for text in _column_texts(plane.axis2)]
+    width = len(seconds)
+    # Four pieces per line: the axis-1 text, ",axis-2 text,", the value
+    # text and the newline.
+    body = ["\n"] * (4 * len(firsts) * width)
+    for i, text in enumerate(firsts):
+        body[4 * width * i : 4 * width * (i + 1) : 4] = [text] * width
+    body[1::4] = seconds * len(firsts)
+    body[2::4] = _column_texts(plane.values)
+    stream.write(_preamble(comments, header))
     stream.write("".join(body))

@@ -208,9 +208,9 @@ def test_criterion_8_figure_scale_sweeps():
     i = int(np.argmin(np.abs(grid - 0.4)))
     j = int(np.argmin(np.abs(grid - 1.6)))
     node = i * 300 + j
-    case_at_node = results[Predicate.CASE][node][2]
+    case_at_node = results[Predicate.CASE].values[node]
     in_all_three = all(
-        results[p][node][2] == 1
+        results[p].values[node] == 1
         for p in (Predicate.MUTUAL_BUDGET, Predicate.MUTUAL_CONTEST, Predicate.MUTUAL_JOINT)
     )
     # the exact example game (not just the nearest node)
@@ -222,10 +222,10 @@ def test_criterion_8_figure_scale_sweeps():
     )
     # qualitative structure: all case families appear; joint covers almost
     # everything; budget and contest regions are proper nonempty subsets
-    labels = {row[2] for row in results[Predicate.CASE]}
-    joint_frac = sum(r[2] for r in results[Predicate.MUTUAL_JOINT]) / 90000
-    budget_frac = sum(r[2] for r in results[Predicate.MUTUAL_BUDGET]) / 90000
-    contest_frac = sum(r[2] for r in results[Predicate.MUTUAL_CONTEST]) / 90000
+    labels = set(results[Predicate.CASE].values)
+    joint_frac = sum(results[Predicate.MUTUAL_JOINT].values) / 90000
+    budget_frac = sum(results[Predicate.MUTUAL_BUDGET].values) / 90000
+    contest_frac = sum(results[Predicate.MUTUAL_CONTEST].values) / 90000
     structure_ok = (
         {"C1_1le2", "C1_1gt2", "C2_1le2", "C2_1gt2", "C3_1le2", "C3_1gt2"} <= labels
         and joint_frac > 0.95

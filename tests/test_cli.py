@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -20,7 +21,15 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
 )
-from coalitional_lotto.sweep import Predicate, SweepSpec, run_curve, run_sweep, write_csv
+from coalitional_lotto.sweep import (
+    Predicate,
+    SweepPlane,
+    SweepSpec,
+    run_curve,
+    run_sweep,
+    write_csv,
+    write_plane,
+)
 
 DIAMOND_ARGS = ["--phi1", "12", "--phi2", "10", "--x1", "0.4", "--x2", "1.6"]
 RIDGE_ARGS = ["--phi1", "10", "--phi2", "10", "--x1", "2", "--x2", "2"]
@@ -174,15 +183,23 @@ def _scalar_value(g: GameInstance, predicate: Predicate):
     return max_collective_payoff(g) - (u1 + u2)
 
 
-def _scalar_rows(spec: SweepSpec):
-    """``run_sweep``'s rows, one ``GameInstance`` and one scalar value per node."""
-    rows = []
+def _scalar_plane(spec: SweepSpec) -> SweepPlane:
+    """``run_sweep``'s plane, one ``GameInstance`` and one scalar value per node."""
     (name1, lo1, hi1), (name2, lo2, hi2) = spec.axes
-    for v1 in np.linspace(lo1, hi1, spec.steps).tolist():
-        for v2 in np.linspace(lo2, hi2, spec.steps).tolist():
-            g = GameInstance(**{**spec.fixed, name1: v1, name2: v2})
-            rows.append((v1, v2, _scalar_value(g, spec.predicate)))
-    return rows
+    axis1 = np.linspace(lo1, hi1, spec.steps).tolist()
+    axis2 = np.linspace(lo2, hi2, spec.steps).tolist()
+    values = [
+        _scalar_value(GameInstance(**{**spec.fixed, name1: v1, name2: v2}), spec.predicate)
+        for v1 in axis1
+        for v2 in axis2
+    ]
+    return SweepPlane(axis1, axis2, values)
+
+
+def _plane_rows(plane: SweepPlane) -> list[tuple]:
+    """The plane's rows (axis-1 value, axis-2 value, value), row-major."""
+    nodes = itertools.product(plane.axis1, plane.axis2)
+    return [(a, b, v) for (a, b), v in zip(nodes, plane.values)]
 
 
 class TestSweep:
@@ -286,12 +303,12 @@ class TestSweep:
     @pytest.mark.parametrize("predicate", list(Predicate))
     def test_extreme_values_match_scalar(self, fixed, axes, predicate):
         spec = SweepSpec(fixed=fixed, axes=axes, steps=12, predicate=predicate)
-        rows = run_sweep(spec)
-        expected = _scalar_rows(spec)
+        plane = run_sweep(spec)
+        expected = _scalar_plane(spec)
         if predicate is Predicate.COLLECTIVE_GAIN:
             # NaN (0/0 of tiny budgets) equals itself only as a string.
-            rows, expected = ([(a, b, repr(v)) for a, b, v in r] for r in (rows, expected))
-        assert rows == expected
+            plane, expected = (p._replace(values=list(map(repr, p.values))) for p in (plane, expected))
+        assert plane == expected
 
     @pytest.mark.parametrize("predicate", list(Predicate))
     def test_blocks_match_one_block(self, monkeypatch, predicate):
@@ -308,7 +325,7 @@ class TestSweep:
         for block in (7, 1):
             monkeypatch.setattr(sweep, "SWEEP_BLOCK", block)
             assert run_sweep(spec) == whole
-        assert whole == _scalar_rows(spec)
+        assert whole == _scalar_plane(spec)
 
     def test_invalid_node_raises_game_error(self):
         spec = SweepSpec(
@@ -396,6 +413,84 @@ class TestWriteCsv:
         assert self.written(comments, iter(["t", "s"]), rows) == (
             "# line 0\n# line 1\nt,s\n0,s0\n0.5,s1\n1,s0\n1.5,s1\n"
         )
+
+
+# Planes for the plane writer: the figure plane off the round grid, and a
+# plane whose axes run from 5e-324 to 1e308, where the collective gain takes
+# 0, inf and NaN.
+WRITE_PLANES = {
+    "figure": ({"phi1": 12.0, "phi2": 10.0}, (("x1", 0.155, 3.135), ("x2", 0.074, 3.054))),
+    "float-range": (
+        {"phi2": 1e308, "x2": 5e-324},
+        (("x1", 5e-324, 1e308), ("phi1", 5e-324, 1e308)),
+    ),
+}
+
+
+class TestWritePlane:
+    """``write_plane`` writes what ``write_csv`` writes for the plane's rows."""
+
+    @staticmethod
+    def by_write_csv(comments, header, plane: SweepPlane) -> str:
+        stream = io.StringIO()
+        write_csv(stream, comments, header, _plane_rows(plane))
+        return stream.getvalue()
+
+    @staticmethod
+    def by_write_plane(comments, header, plane: SweepPlane) -> str:
+        stream = io.StringIO()
+        write_plane(stream, comments, header, plane)
+        return stream.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(WRITE_PLANES))
+    @pytest.mark.parametrize("predicate", list(Predicate))
+    def test_sweep_output_equals_write_csv_of_rows(self, capsys, tmp_path, name, predicate):
+        fixed, axes = WRITE_PLANES[name]
+        argv = ["sweep", "--steps", "9", "--predicate", predicate.value]
+        for param, value in fixed.items():
+            argv += [f"--{param}", repr(value)]
+        for axis, lo, hi in axes:
+            argv += ["--axis", f"{axis}={lo!r}:{hi!r}"]
+        out_file = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
+        written = out_file.read_bytes().decode("utf-8")
+        code, out, _ = run_cli(capsys, *argv, "--out", "-")
+        assert code == 0 and out == written
+
+        # The comment lines are pinned by the committed sweep files.
+        comments = [line[2:] for line in written.splitlines() if line.startswith("# ")]
+        header = [axes[0][0], axes[1][0], predicate.value]
+        plane = run_sweep(SweepSpec(fixed=fixed, axes=axes, steps=9, predicate=predicate))
+        assert written == self.by_write_csv(comments, header, plane)
+        if predicate is Predicate.COLLECTIVE_GAIN and name == "float-range":
+            values = {row.split(",")[2] for row in out.splitlines()[len(comments) + 1 :]}
+            assert {"0", '"Infinity"', "NaN"} <= values
+
+    def test_special_values_and_float_range_axes(self):
+        nan = float("nan")
+        plane = SweepPlane(
+            [5e-324, 1.0, 1e308],
+            [5e-324, 1e308],
+            [-0.0, 0.0, nan, float("nan"), nan, float("-inf")],
+        )
+        text = self.by_write_plane(["c"], ["a", "b", "v"], plane)
+        assert text == self.by_write_csv(["c"], ["a", "b", "v"], plane)
+        assert text == (
+            "# c\na,b,v\n"
+            "4.94065645841e-324,4.94065645841e-324,0\n"
+            "4.94065645841e-324,1e+308,0\n"
+            "1,4.94065645841e-324,NaN\n"
+            "1,1e+308,NaN\n"
+            "1e+308,4.94065645841e-324,NaN\n"
+            '1e+308,1e+308,"-Infinity"\n'
+        )
+
+    def test_mixed_value_column(self):
+        # 1, 1.0 and True are equal keys in a dict but print differently.
+        plane = SweepPlane([0.5, 2.0], [1.0, 3.0], [1, 1.0, True, np.float64(-0.0)])
+        text = self.by_write_plane([], ["p", "q", "v"], plane)
+        assert text == self.by_write_csv([], ["p", "q", "v"], plane)
+        assert text == "p,q,v\n0.5,1,1\n0.5,3,1\n2,1,True\n2,3,0\n"
 
 
 class TestRepeatedMain:

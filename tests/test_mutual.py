@@ -15,7 +15,7 @@ from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes
 from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
-from coalitional_lotto.cli import EXIT_DISAGREEMENT
+from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_USAGE
 from coalitional_lotto.collective import collective_report, max_collective_payoff
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
 from coalitional_lotto.mutual import (
@@ -727,10 +727,22 @@ class TestRouteCensus:
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
         assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
 
-    def test_array_disagreement_exits_2(self, monkeypatch, capsys):
+    def load(self):
         spec = importlib.util.spec_from_file_location("route_census", self.SCRIPT)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    @pytest.mark.parametrize("argv", [["--count", "0"], ["--block", "-1"], ["--count", "many"]])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # Apart from exit 2, which means a disagreement.
+        with pytest.raises(SystemExit) as exc:
+            self.load().main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_array_disagreement_exits_2(self, monkeypatch, capsys):
+        script = self.load()
         # The census wraps the route helpers to count them; undo that after.
         for name in ("_sc_routes", "_si_windows"):
             monkeypatch.setattr(paper_routes, name, getattr(paper_routes, name))
