@@ -97,10 +97,15 @@ def max_collective_payoff(g: GameInstance | GameArrays):
 
 
 def _collective_forms(g):
-    """Total budget and the collective maximum when it is at least 1 and below 1."""
+    """Total budget and the collective maximum when it is at least 1 and below 1.
+
+    The rich form ``(1 - 1 / (2 X)) Phi`` is written ``(X - 1/2) / X * Phi``,
+    which doubles no budget, so it stays finite for every ``X`` up to the
+    top of the float range.
+    """
     total_b = g.x1 + g.x2
     total_v = g.phi1 + g.phi2
-    return total_b, (2.0 * total_b - 1.0) / (2.0 * total_b) * total_v, 0.5 * total_v * total_b
+    return total_b, (total_b - 0.5) / total_b * total_v, 0.5 * total_v * total_b
 
 
 def collectively_beneficial_exists(g: GameInstance) -> bool:

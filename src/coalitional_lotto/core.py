@@ -26,6 +26,7 @@ __all__ = [
     "u_player",
     "one_v_one_payoff",
     "transfer_params",
+    "transfer_feasible",
     "post_transfer_params",
     "post_transfer",
     "swap_indices",
@@ -177,14 +178,26 @@ def transfer_params(g: GameInstance, tau: float, nu: float) -> tuple[float, floa
     x2 = g.x2 + tau
     if phi1 > EPS_FEAS and phi2 > EPS_FEAS and x1 > EPS_FEAS and x2 > EPS_FEAS:
         return phi1, phi2, x1, x2
-    if all(
-        after > EPS_FEAS * min(1.0, before)
-        for after, before in ((phi1, g.phi1), (phi2, g.phi2), (x1, g.x1), (x2, g.x2))
-    ):
+    if transfer_feasible(g, tau, nu):
         return phi1, phi2, x1, x2
     raise InfeasibleTransferError(
         f"transfer (tau={tau}, nu={nu}) infeasible for game {g.as_dict()}"
     )
+
+
+def transfer_feasible(g, tau, nu):
+    """Whether ``transfer_params`` accepts a transfer; elementwise for a ``GameArrays``.
+
+    A component above ``EPS_FEAS * min(1, before)`` is above ``EPS_FEAS`` or
+    above ``EPS_FEAS * before``, which needs no ``min`` over arrays.  NaN
+    fails.
+    """
+    ok = True
+    for before, after in (
+        (g.phi1, g.phi1 - nu), (g.phi2, g.phi2 + nu), (g.x1, g.x1 - tau), (g.x2, g.x2 + tau)
+    ):
+        ok = ok & ((after > EPS_FEAS) | (after > EPS_FEAS * before))
+    return ok
 
 
 def post_transfer_params(g: GameInstance, t: Transfer) -> tuple[float, float, float, float]:

@@ -12,30 +12,38 @@ Otherwise budget and contest transfers each move along a line and are
 decided exactly by one line engine, and joint transfers are decided from
 the surplus:
 
-* the line engine (``_line_verdict``).  The equal-ratio ridge, the edges of
-  the adversary's case-4 band around it, the edges of the ridge sliver and
-  the case edges cut the line's feasible interval into pieces.  Each piece
-  is classified at its midpoint by ``case_of``; on it both payoffs are
-  closed forms, so the best transfer lies at an end, a stationary point or
-  a crossing of the two payoff deltas, all roots of quadratics.  Those
-  candidates depend only on the case, its orientation and the game, so a
-  line computes them once per ``(case, orientation)`` and each piece keeps
-  the ones inside it.  One scoring pass evaluates them through
-  ``adversary.payoffs_at``.
-* budget transfers keep ``X = x1 + x2`` and move the budgets ``b1 = x1 -
-  tau``, ``b2 = x2 + tau`` along ``q = sqrt(b1 / b2)``.  With ``k =
-  sqrt(phi1 * phi2)``, case 3 gives ``u1 = (X/2)(phi1 q**2 + k q) / (1 +
-  q**2)`` and ``u2 = (X/2)(phi2 + k q) / (1 + q**2)``; case 2 with player 1
-  weak gives ``u1 = k q / 2`` and ``u2 = phi2 - phi2 (1 + q**2) / (2 X) + k
-  q / 2``; case 1 with player 1 weak gives ``u2 = phi2`` and ``u1 = phi1 b1
-  / 2`` or ``phi1 (1 - 1 / (2 b1))``, rising with ``q``; player 2 weak swaps
-  the players and uses ``1/q`` (``candidate_forms``).
+* the line engine (``_line_verdict``).  Budget and contest transfers each
+  move one pair of parameters, budgets or valuations, and keep the other,
+  so both lines run in the transfer itself (``tau`` or ``nu``).  On the
+  side where player w is weak the moved pair sits at ``z = sqrt(m_w' /
+  m_s')``, and the transfer is ``sign * (m_w - m_s z**2) / (1 + z**2)``
+  (``moved_amount``); with ``rho = sqrt(kept_w / kept_s)`` the side is
+  ``z < rho`` on a budget line and ``z > rho`` on a contest line
+  (``line_sides``).  The equal-ratio ridge, the edges of the adversary's
+  case-4 band around it, the edges of the ridge sliver and the case edges
+  cut the line's feasible interval into pieces (``line_breaks``).  Each
+  piece is classified at its midpoint by ``case_of``; on it both payoffs
+  are closed forms in ``z``, so the best transfer lies at an end, a
+  stationary point or a crossing of the two payoff deltas, all roots of
+  quadratics.  Those candidates depend only on the case, its orientation
+  and the game, so a line computes them once per ``(case, orientation)``
+  and each piece keeps the ones inside it.  One scoring pass evaluates them
+  through ``adversary.payoffs_at``.
+* budget transfers keep ``Phi`` and the valuations and move the budgets
+  ``b1 = x1 - tau``, ``b2 = x2 + tau``.  With ``X = x1 + x2`` and ``k =
+  sqrt(phi_w * phi_s)``, case 3 gives ``u_w = (X/2)(phi_w z**2 + k z) / (1
+  + z**2)`` and ``u_s = (X/2)(phi_s + k z) / (1 + z**2)``, case 2 gives
+  ``u_w = k z / 2`` and ``u_s = phi_s - phi_s (1 + z**2) / (2 X) + k z /
+  2``, and in case 1 ``u_s = phi_s`` while ``u_w`` rises with ``z``
+  (``budget_candidate_forms``).  The case edges are roots of quadratics in
+  ``z`` (``case_edges``).
 * contest transfers keep the budgets and ``Phi = phi1 + phi2`` and move the
-  valuations along ``w = sqrt(p1 / p2)``, ``p1 = phi1 - nu``.  The ridge is
-  ``w = sqrt(x1 / x2)``, the case edges are linear in ``w`` (or ``1/w`` when
-  player 2 is weak), and on every piece both payoffs are ``N(w) / (1 +
-  w**2)`` with ``N`` quadratic (``contest_candidate_forms``).  The line
-  stops ``search.END_RTOL`` of each valuation short of its end.
+  valuations; the case edges are linear in ``z``, and on every piece both
+  payoffs are ``N(z) / (1 + z**2)`` with ``N`` quadratic
+  (``contest_candidate_forms``).  The contest line stops
+  ``search.END_RTOL`` of each valuation short of its end, and the budget
+  line ``search.transfer_interval``'s inset short of each of its ends
+  (``line_ends``).
 * joint transfers -- decided from the collective surplus.  A joint
   transfer reaches the ridge and splits the maximum in any proportion, so
   ``S`` above twice the gain floor leaves a witness, placed just
@@ -53,20 +61,20 @@ benefit found only within ``2 * RIDGE_RTOL`` of the ridge is the flagged
 gain is thin (``search.thin_margin``).
 
 Each rule is written once, for a ``GameInstance`` or a ``GameArrays``, with
-NaN marking an absent break, root or witness: the lines' breaks
-(``budget_breaks``, ``contest_breaks``, with ``case_edges`` and
-``side_breaks``), the roots of their quadratics (``positive_roots``), the
-candidate forms, the joint witness (``gap_witness``) and the surplus test.
-The one-game engine drops NaN by the interval test it already makes, and
-``mutual_arrays`` stacks the values into columns to decide all three
-verdicts over arrays of games.  Only the leaves branch on floats against
-arrays (``_ops`` and ``positive_roots``): float division by zero and
-``math.sqrt`` of a negative raise, and one game's joint witness stops at
-the first confirmed case.  Case edges, the contest orientation and the
-case-4 bands all use the one fixed tie tolerance ``adversary.CASE_RTOL``.  The ridge transfer is
-``collective.ridge_transfer``.  The paper's printed contest routes are kept
-in ``paper_routes`` as a plain check, which opens the printed windows and
-tries a point of each; no verdict calls it.
+NaN marking an absent break, root or witness: the lines' ends, sides and
+breaks (``line_ends``, ``line_sides``, ``side_breaks``, ``line_breaks``,
+with ``case_edges``), the roots of their quadratics (``positive_roots``),
+the candidate forms, the joint witness (``gap_witness``) and the surplus
+test.  The one-game engine drops NaN by the interval test it already
+makes, and ``mutual_arrays`` stacks the values into columns to decide all
+three verdicts over arrays of games.  Only the leaves branch on floats
+against arrays (``_ops`` and ``positive_roots``): float division by zero
+and ``math.sqrt`` of a negative raise, and one game's joint witness stops
+at the first confirmed case.  Case edges, the contest orientation and the
+case-4 bands all use the one fixed tie tolerance ``adversary.CASE_RTOL``.
+The paper's printed contest routes are kept in ``paper_routes`` as a
+plain check, which opens the printed windows and tries a point of each;
+no verdict calls it.
 """
 
 from __future__ import annotations
@@ -79,10 +87,17 @@ import numpy as np
 
 from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
-from .collective import max_collective_payoff, ridge_transfer
+from .collective import max_collective_payoff
 from .batch import GameArrays
-from .core import GameInstance, Mechanism, Transfer, u_player
-from .search import RIDGE_RTOL, contest_ends, min_gain, thin_margin, transfer_interval
+from .core import GameInstance, Mechanism, Transfer, transfer_feasible
+from .search import (
+    RIDGE_RTOL,
+    along,
+    contest_ends,
+    min_gain,
+    thin_margin,
+    transfer_interval,
+)
 
 __all__ = [
     "Region",
@@ -219,16 +234,22 @@ def case_edges(big_x, rho) -> list:
     return [where(z < rho, z, math.nan) for z in roots]
 
 
-def around_ridge(q_ridge: float, gap: float) -> tuple[float, float]:
-    """The two values of ``q`` whose ratio gap to the ridge ``q_ridge`` is ``gap``."""
+def around_ridge(rho, gap: float):
+    """The two values of ``z`` whose ratio gap to the ridge ``z = rho`` is ``gap``.
+
+    Below ``rho`` the ratio gap is ``1 - (z / rho)**2``, and above it ``1 -
+    (rho / z)**2``.  Floats or arrays.
+    """
     s = math.sqrt(1.0 - gap)
-    return q_ridge * s, q_ridge / s
+    return rho * s, rho / s
 
 
-def candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
-    """Interior maximizer candidates of ``min(d_w, d_s)`` on one piece, in ``z``.
+def budget_candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
+    """Interior maximizer candidates of ``min(d_w, d_s)`` on one budget piece, in ``z``.
 
-    With ``k = sqrt(phi_w * phi_s)``, ``X = big_x`` and ``base_gap = base_w -
+    A budget transfer keeps the valuations and ``X = big_x``; on the side
+    where player w is weak it moves the budgets along ``z = sqrt(b_w /
+    b_s)``.  With ``k = sqrt(phi_w * phi_s)`` and ``base_gap = base_w -
     base_s``, the payoffs on a piece of case ``index`` are
 
     * case 2: ``u_w = k z / 2``, ``u_s = phi_s - phi_s (1 + z**2) / (2 X) + k z / 2``;
@@ -255,22 +276,7 @@ def candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
     return [], []
 
 
-def _piece_candidates(
-    index: int, phi_w: float, phi_s: float, base_gap: float, big_x: float
-) -> list[float]:
-    """The candidates of ``candidate_forms`` for one piece, as a list of ``z``.
-
-    A candidate that is not positive is dropped: it lies on no piece, and
-    ``k`` underflows to 0 when ``phi_w * phi_s`` does, which puts the case-2
-    point at 0.  So is an absent root (NaN).
-    """
-    k = math.sqrt(phi_w * phi_s)
-    points, quads = candidate_forms(index, phi_w, phi_s, base_gap, big_x, k)
-    roots = [z for quad in quads for z in positive_roots(*quad)]
-    return [z for z in points + roots if z > 0.0]
-
-
-def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k, c1):
+def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k):
     """Interior maximizer candidates of ``min(d_w, d_s)`` on one contest piece, in ``z``.
 
     A contest transfer keeps the budgets and ``Phi = big_phi``; on the side
@@ -280,7 +286,7 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k, c1):
     and on a piece of case ``index`` both payoffs are ``N(z) / (1 + z**2)``
     with ``N`` quadratic:
 
-    * case 1: ``u_w = c1 p_w`` with ``c1 = u_player(1, x_w, 1)``, ``u_s = p_s``;
+    * case 1: ``u_w = c_w p_w`` with ``c_w = u_player(1, x_w, 1)``, ``u_s = p_s``;
     * case 2: ``u_w = (Phi/2)(x_w / k) z / (1 + z**2)``,
       ``u_s = Phi (2 x_s - 1 + k z) / (2 x_s (1 + z**2))``;
     * case 3: ``u_w = (Phi/2)(x_w z**2 + k z) / (1 + z**2)``,
@@ -292,8 +298,8 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k, c1):
     for ``N = A z**2 + B z + C``, and with ``base_gap = base_w - base_s`` the
     crossing ``d_w = d_s`` clears to a quadratic too.  Returns the points and
     the quadratics ``(a, b, c)`` whose positive roots are the candidates, as
-    ``candidate_forms`` does; the forms are plain arithmetic, so they take
-    floats or arrays.
+    ``budget_candidate_forms`` does, with the same arguments: the kept pair,
+    the baseline gap, the moved total and ``k``.  Floats or arrays.
     """
     if index == 2:
         stationary_s = (k, 2.0 * (2.0 * x_s - 1.0), -k)
@@ -308,83 +314,86 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k, c1):
         ]
     # Cases 1 and 4: u_w = c_w p_w and u_s = c_s p_s.
     if index == 1:
-        c_w, c_s = c1, 1.0
+        # ``u_player(1, x_w, 1)``, bit for bit.
+        c_w, c_s = _ops(x_w)[1](x_w <= 1.0, 0.5 * x_w, 1.0 - 0.5 / x_w), 1.0
     else:
         c_w = c_s = 1.0 - 0.5 / (x_w + x_s)
     return [], [(c_w * big_phi - base_gap, 0.0, -(c_s * big_phi + base_gap))]
 
 
-def moved_valuation(z, phi_w, phi_s):
-    """Valuation that w hands to s to land at ``z = sqrt(p_w / p_s)``.
+def moved_amount(z, moved_w, moved_s):
+    """Amount of the moved pair that w hands to s to land at ``z = sqrt(m_w' / m_s')``.
 
-    Written as ``(phi_w - phi_s z**2) / (1 + z**2)``, it keeps the
-    precision of the smaller valuation on either side of the line and
-    negates exactly when the players are swapped.  Floats or arrays.
+    Written as ``(m_w - m_s z**2) / (1 + z**2)``, it keeps the precision of
+    the smaller of the pair on either side of the line and negates exactly
+    when the players are swapped.  Floats or arrays.
     """
     zz = z * z
-    return (phi_w - phi_s * zz) / (1.0 + zz)
+    return (moved_w - moved_s * zz) / (1.0 + zz)
 
 
-def contest_sides(g: GameInstance):
-    """Both weak sides of a contest line: ``(phi_w, phi_s, x_w, x_s, sign)``.
+def line_sides(g, mechanism: Mechanism):
+    """Both weak sides of a budget or contest line: ``(moved_w, moved_s, kept_w, kept_s, sign)``.
 
-    ``sign * moved_valuation`` is the transfer ``nu`` from player 1 to player
-    2.  Player 1 is weak above the ridge ``z = sqrt(x_w / x_s)`` of its own
-    side, which holds the transfers below ``ridge_transfer``.  Fields of a
-    ``GameInstance`` or of a ``GameArrays``.
+    A budget line moves the budgets and keeps the valuations; a contest
+    line moves the valuations and keeps the budgets.  Player 1's side comes
+    first, with sign 1, then player 2's, with sign -1: on the side where
+    player w is weak, ``sign * moved_amount(z, moved_w, moved_s)`` is the
+    transfer from player 1 to player 2.  Fields of a ``GameInstance`` or of
+    a ``GameArrays``.
     """
-    return (g.phi1, g.phi2, g.x1, g.x2, 1.0), (g.phi2, g.phi1, g.x2, g.x1, -1.0)
+    if mechanism is Mechanism.BUDGET:
+        m1, m2, k1, k2 = g.x1, g.x2, g.phi1, g.phi2
+    else:
+        m1, m2, k1, k2 = g.phi1, g.phi2, g.x1, g.x2
+    return (m1, m2, k1, k2, 1.0), (m2, m1, k2, k1, -1.0)
 
 
-def side_breaks(phi_w, phi_s, x_w, x_s, sign) -> list:
-    """Breaks of one contest side in ``nu``: sliver end, case-4 band end, two case edges.
+def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign) -> list:
+    """Breaks of one weak side in the transfer: sliver end, case-4 band end, case edges.
 
-    The edges, ``k z = 1`` and ``1 - k z = x_s``, count where they lie on the
-    side (``z`` above the ridge) and are NaN elsewhere.  Floats or arrays.
+    Player w is weak for ``z`` below ``rho = sqrt(kept_w / kept_s)`` on a
+    budget line and above it on a contest line.  The budget edges are the
+    four roots of ``edge_quadratics`` (``case_edges``); the contest edges,
+    ``k z = 1`` and ``1 - k z = kept_s`` with ``k = sqrt(kept_w * kept_s)``,
+    are linear.  An edge counts where it lies on the side and is NaN
+    elsewhere.  Floats or arrays.
     """
-    sqrt, where = _ops(x_w)
-    rho = sqrt(x_w / x_s)
-    k = sqrt(x_w * x_s)
-    zs = [around_ridge(rho, 2.0 * RIDGE_RTOL)[1], around_ridge(rho, 1.001 * CASE_RTOL)[1]]
-    zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - x_s) / k)]
-    return [sign * moved_valuation(z, phi_w, phi_s) for z in zs]
+    sqrt, where = _ops(kept_w)
+    rho = sqrt(kept_w / kept_s)
+    above = mechanism is Mechanism.CONTEST
+    zs = [around_ridge(rho, 2.0 * RIDGE_RTOL)[above], around_ridge(rho, 1.001 * CASE_RTOL)[above]]
+    if above:
+        k = sqrt(kept_w * kept_s)
+        zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - kept_s) / k)]
+    else:
+        zs += case_edges(moved_w + moved_s, rho)
+    return [sign * moved_amount(z, moved_w, moved_s) for z in zs]
 
 
-def budget_breaks(g, lo, hi):
-    """The budget line in ``q = sqrt(b1 / b2)``: ``(ends, sliver, breaks)``.
+def line_breaks(g, mechanism: Mechanism, lo, hi):
+    """The line from ``lo`` to ``hi`` in the transfer: ``(sliver, breaks)``.
 
-    ``lo``, ``hi`` bound ``tau``, and ``ends`` are their ``q``, in rising
-    order.  ``sliver`` is the open interval within ``2 * RIDGE_RTOL`` of the
-    ridge ``q = sqrt(phi1 / phi2)``.  ``breaks`` lists the ends, the ridge,
-    the sliver's and the case-4 band's ends, and the case edges of
-    ``case_edges`` (in ``z = q`` below the ridge, ``z = 1/q`` above it), NaN
-    where absent.  A game or a ``GameArrays``.
+    ``breaks`` lists the ends, the ridge and each weak side's
+    ``side_breaks``, NaN where absent.  ``sliver`` is the open interval
+    within ``2 * RIDGE_RTOL`` of the ridge, between the sides' first
+    breaks; player 1's side lies above the ridge on a budget line and below
+    it on a contest line.  A game or a ``GameArrays``.
     """
-    sqrt, where = _ops(g.phi1)
-    big_x = g.total_budget
-    q_ridge = sqrt(g.phi1 / g.phi2)
-    ends = sqrt((g.x1 - hi) / (g.x2 + hi)), sqrt((g.x1 - lo) / (g.x2 + lo))
-    sliver = around_ridge(q_ridge, 2.0 * RIDGE_RTOL)
-    # The case-4 band |gap| <= CASE_RTOL is a piece of its own: the payoffs
-    # jump there.  A subnormal phi1 puts the ridge at q = 0, and player 2's
-    # case edges off the line.
-    above = case_edges(big_x, 1.0 / where(q_ridge > 0.0, q_ridge, math.nan))
-    breaks = [
-        *ends, q_ridge, *sliver, *around_ridge(q_ridge, 1.001 * CASE_RTOL),
-        *case_edges(big_x, q_ridge), *(1.0 / z for z in above),
-    ]
-    return ends, sliver, breaks
+    sides = line_sides(g, mechanism)
+    one, two = (side_breaks(mechanism, *side) for side in sides)
+    # The ridge, ``moved_amount`` at ``z = rho`` on player 1's side.
+    m_w, m_s, k_w, k_s, _ = sides[0]
+    ridge = (m_w * k_s - m_s * k_w) / (k_w + k_s)
+    sliver = (two[0], one[0]) if mechanism is Mechanism.BUDGET else (one[0], two[0])
+    return sliver, [lo, hi, ridge, *one, *two]
 
 
-def contest_breaks(g, lo, hi):
-    """The contest line in ``nu``, from ``lo`` to ``hi``: ``(ends, sliver, breaks)``.
-
-    ``breaks`` lists the ends, the ridge (``ridge_transfer``) and each weak
-    side's ``side_breaks``; the sliver ends are the sides' first breaks.  A
-    game or a ``GameArrays``.
-    """
-    below, above = (side_breaks(*side) for side in contest_sides(g))
-    return (lo, hi), (below[0], above[0]), [lo, hi, ridge_transfer(g), *below, *above]
+def line_ends(g, mechanism: Mechanism):
+    """Ends of the budget (``transfer_interval``) or contest (``contest_ends``) line."""
+    if mechanism is Mechanism.BUDGET:
+        return transfer_interval(g, mechanism)
+    return contest_ends(g)
 
 
 def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
@@ -403,69 +412,91 @@ def surplus_rules_out(g, baseline) -> bool:
     return max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * min_gain(g)
 
 
-def _line_verdict(
-    g, mechanism, baseline, ends, sliver, breaks, classify, candidates, transfer
-) -> MutualBenefitVerdict:
-    """The verdict of one transfer line, decided piece by piece.
+def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
+    """The verdict of one budget or contest transfer line, decided piece by piece.
 
-    ``ends``, ``sliver`` and ``breaks`` are those of ``budget_breaks`` or
-    ``contest_breaks``: the breaks between the ends (NaN is between none)
-    cut the line into pieces, and ``sliver`` is the open coordinate
-    interval within ``2 * RIDGE_RTOL`` of the equal-ratio ridge.
-    ``classify(mid)`` gives the ``(index, swapped)`` of the piece around
-    ``mid``, and ``candidates(index,
-    swapped)`` the line's candidate coordinates for that case, computed once
-    per line: they depend only on the case and the game.  ``transfer(c)`` is
-    the ``(tau, nu)`` at coordinate ``c``.  The smaller payoff delta is
-    evaluated through ``payoffs_at`` at each piece's ends and at the
-    candidates inside it, among which its maximum lies.  The route names the
-    case of the deciding piece, ``exact:<case label>``, and thin positive
-    margins are flagged (``thin_margin``).  A benefit found only inside the
-    sliver rides on the adversary's indifference tie-break and is reported
-    as the flagged ``ridge-knife-edge``.
+    The breaks of ``line_breaks`` between the line's ends (NaN is between
+    none) cut it into pieces.  Each piece is classified by ``case_of`` on
+    the parameters its midpoint moves to, and its candidates are the
+    positive roots of the mechanism's candidate forms on its weak side,
+    moved back to the transfer by ``moved_amount`` and computed once per
+    ``(case, orientation)``: they depend only on the case and the game.  The
+    smaller payoff delta is evaluated through ``payoffs_at`` at each piece's
+    ends and at the candidates inside it, among which its maximum lies.
+    Every float is computed from the weak and strong sides' parameters, so
+    the swapped game gives the negated witness and the mirrored label.  The
+    route names the case of the deciding piece, ``exact:<case label>``, and
+    thin positive margins are flagged (``thin_margin``).  A benefit found
+    only inside the ridge sliver rides on the adversary's indifference
+    tie-break and is reported as the flagged ``ridge-knife-edge``.  An empty
+    line, or a collective surplus that rules out a mutual gain
+    (``surplus_rules_out``), leaves no transfer.
     """
+    lo, hi = line_ends(g, mechanism)
+    if not lo < hi:
+        return _absent(mechanism)
+    baseline = payoffs_at(g, 0.0, 0.0)
+    if surplus_rules_out(g, baseline):
+        return _absent(mechanism)
     base1, base2 = baseline
+    budget = mechanism is Mechanism.BUDGET
+    forms = budget_candidate_forms if budget else contest_candidate_forms
+    sides = line_sides(g, mechanism)
+    gaps = base1 - base2, base2 - base1
+    phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     # Score of a transfer: the smaller payoff delta, ties broken by the sum.
     scores: dict[float, tuple[float, float]] = {}
     cases: dict[tuple[int, bool], list[float]] = {}
 
     def best_of(pieces):
-        """Best score, its coordinate and its ``case_of`` result.
+        """Best score, its transfer and its ``case_of`` result.
 
         Points are compared by ``(score, sum, case index)``, so an end shared
         by two pieces goes to the higher case index and mirrored games get
         mirrored labels.
         """
-        best, total, best_index, c_best, case = -math.inf, 0.0, 0, None, None
+        best, total, best_index, v_best, case = -math.inf, 0.0, 0, None, None
         for a, b, mid in pieces:
-            pair = classify(mid)
+            if budget:
+                pair = case_of(phi1, phi2, x1 - mid, x2 + mid)
+            else:
+                pair = case_of(phi1 - mid, phi2 + mid, x1, x2)
             inner = cases.get(pair)
             if inner is None:
-                inner = cases[pair] = candidates(*pair)
+                index, swapped = pair
+                m_w, m_s, k_w, k_s, sign = sides[swapped]
+                points, quads = forms(
+                    index, k_w, k_s, gaps[swapped], m_w + m_s, math.sqrt(k_w * k_s)
+                )
+                zs = points + [z for quad in quads for z in positive_roots(*quad)]
+                # A candidate that is not positive lies on no piece, and NaN
+                # is an absent root.
+                inner = cases[pair] = [sign * moved_amount(z, m_w, m_s) for z in zs if z > 0.0]
             index = pair[0]
-            for c in (a, b, *[c for c in inner if a < c < b]):
-                score = scores.get(c)
+            for v in (a, b, *[v for v in inner if a < v < b]):
+                score = scores.get(v)
                 if score is None:
-                    u1, u2 = payoffs_at(g, *transfer(c))
+                    u1, u2 = payoffs_at(g, v, 0.0) if budget else payoffs_at(g, 0.0, v)
                     d1, d2 = u1 - base1, u2 - base2
                     # ``min(d1, d2)``, which keeps d1 on a tie.
-                    score = scores[c] = (d2 if d2 < d1 else d1), d1 + d2
+                    score = scores[v] = (d2 if d2 < d1 else d1), d1 + d2
                 value = score[0]
                 if value > best or (
                     value == best and (score[1], index) > (total, best_index)
                 ):
-                    best, total, best_index, c_best, case = value, score[1], index, c, pair
-        return best, c_best, case
+                    best, total, best_index, v_best, case = value, score[1], index, v, pair
+        return best, v_best, case
 
     gain = min_gain(g)
-    lo, hi = ends
-    cs = sorted({c for c in breaks if lo <= c <= hi})
-    pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(cs, cs[1:])]
-    value, c_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
+    sliver, breaks = line_breaks(g, mechanism, lo, hi)
+    vs = sorted({v for v in breaks if lo <= v <= hi})
+    pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])]
+    value, v_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
     if value > gain:
-        witness = Transfer(*transfer(c_best))
         route = f"exact:{CaseLabel.of(*case)}"
-        return MutualBenefitVerdict(mechanism, True, witness, route, thin_margin(g, value))
+        return MutualBenefitVerdict(
+            mechanism, True, along(mechanism, v_best), route, thin_margin(g, value)
+        )
     # The sliver is searched only when no transfer off it benefits both.
     value, _, _ = best_of(p for p in pieces if sliver[0] < p[2] < sliver[1])
     if value > gain:
@@ -474,90 +505,13 @@ def _line_verdict(
 
 
 def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
-    """Mutually beneficial budget transfer, decided piece by piece (``_line_verdict``).
-
-    The line's coordinate is ``q = sqrt(b1 / b2)``, which falls as ``tau``
-    grows.  The ridge ``q = sqrt(phi1 / phi2)``, the edges of the
-    adversary's case-4 band, and the case edges (``budget_breaks``) cut the
-    feasible interval into pieces, whose candidates are those of
-    ``_piece_candidates``.  An empty feasible interval, or a collective
-    surplus that rules out a mutual gain (``surplus_rules_out``), leaves no
-    transfer.
-    """
-    lo, hi = transfer_interval(g, Mechanism.BUDGET)
-    if not lo < hi:
-        return _absent(Mechanism.BUDGET)
-    baseline = payoffs_at(g, 0.0, 0.0)
-    if surplus_rules_out(g, baseline):
-        return _absent(Mechanism.BUDGET)
-    big_x = g.total_budget
-    ends, sliver, breaks = budget_breaks(g, lo, hi)
-
-    def classify(q_mid: float):
-        b2 = big_x / (1.0 + q_mid * q_mid)
-        return case_of(g.phi1, g.phi2, big_x - b2, b2)
-
-    def candidates(index: int, swapped: bool) -> list[float]:
-        if swapped:
-            zs = _piece_candidates(index, g.phi2, g.phi1, baseline[1] - baseline[0], big_x)
-            return [1.0 / z for z in zs]
-        return _piece_candidates(index, g.phi1, g.phi2, baseline[0] - baseline[1], big_x)
-
-    def transfer(q: float) -> tuple[float, float]:
-        return min(max(big_x / (1.0 + q * q) - g.x2, lo), hi), 0.0
-
-    return _line_verdict(
-        g, Mechanism.BUDGET, baseline, ends, sliver, breaks, classify, candidates, transfer
-    )
+    """Mutually beneficial budget transfer, decided along ``tau`` (``_line_verdict``)."""
+    return _line_verdict(g, Mechanism.BUDGET)
 
 
 def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
-    """Mutually beneficial contest transfer, decided piece by piece (``_line_verdict``).
-
-    The line's coordinate is the transfer ``nu`` itself, between the ends of
-    ``search.contest_ends``.  The ridge (``ridge_transfer``) and, on each
-    weak side, the sliver end, the case-4 band end and the case edges
-    (``contest_breaks``) cut it into pieces.  Each piece is classified at
-    its midpoint by ``case_of``, and its candidates are the roots of
-    ``contest_candidate_forms`` in its weak side's ``z``, moved back to
-    ``nu`` by ``moved_valuation``.  Every float is computed from the weak
-    and strong sides' parameters, so the swapped game gives the negated
-    witness and the mirrored label.  An empty line, or a collective surplus
-    that rules out a mutual gain (``surplus_rules_out``), leaves no
-    transfer.
-    """
-    lo, hi = contest_ends(g)
-    if not lo < hi:
-        return _absent(Mechanism.CONTEST)
-    baseline = payoffs_at(g, 0.0, 0.0)
-    if surplus_rules_out(g, baseline):
-        return _absent(Mechanism.CONTEST)
-    ends, sliver, breaks = contest_breaks(g, lo, hi)
-    big_phi = g.total_valuation
-    # Per side: its fields, k, the case-1 weak payoff per unit valuation and
-    # the baseline gap base_w - base_s.
-    sides = [
-        (phi_w, phi_s, x_w, x_s, sign, math.sqrt(x_w * x_s), u_player(1.0, x_w, 1.0), gap)
-        for (phi_w, phi_s, x_w, x_s, sign), gap in zip(
-            contest_sides(g), (baseline[0] - baseline[1], baseline[1] - baseline[0])
-        )
-    ]
-
-    def classify(nu_mid: float):
-        return case_of(g.phi1 - nu_mid, g.phi2 + nu_mid, g.x1, g.x2)
-
-    def candidates(index: int, swapped: bool) -> list[float]:
-        phi_w, phi_s, x_w, x_s, sign, k, c1, gap = sides[swapped]
-        points, quads = contest_candidate_forms(index, x_w, x_s, gap, big_phi, k, c1)
-        roots = [z for quad in quads for z in positive_roots(*quad) if z > 0.0]
-        return [sign * moved_valuation(z, phi_w, phi_s) for z in points + roots]
-
-    def transfer(nu: float) -> tuple[float, float]:
-        return 0.0, nu
-
-    return _line_verdict(
-        g, Mechanism.CONTEST, baseline, ends, sliver, breaks, classify, candidates, transfer
-    )
+    """Mutually beneficial contest transfer, decided along ``nu`` (``_line_verdict``)."""
+    return _line_verdict(g, Mechanism.CONTEST)
 
 
 def gap_crossing(index: int, big_phi, big_x, gap, lead):
@@ -609,11 +563,12 @@ def gap_witness(g, baseline):
     moves budgets and valuations onto the gap curve of ``gap_crossing``.
     Along the curve ``u_w`` rises and ``u_s`` falls with ``p``, so the
     crossing ``d_w = d_s`` is the best split there.  It is taken from the
-    first case, in the order below, whose crossing lies inside ``(0, Phi)``
-    and which ``case_of`` confirms there; ``index`` is that case, or 0 with
-    NaN ``tau`` and ``nu`` when there is none.  A game and its ``(b1, b2)``
-    or a ``GameArrays`` and its arrays; one game stops at the first
-    confirmed case.
+    first case, in the order below, whose crossing lies inside ``(0, Phi)``,
+    whose transfer ``core.transfer_params`` accepts (``transfer_feasible``)
+    and which ``case_of`` confirms there; ``index`` is that case, or 0 with NaN ``tau`` and
+    ``nu`` when there is none.  A game and its ``(b1, b2)`` or a
+    ``GameArrays`` and its arrays; one game stops at the first confirmed
+    case.
     """
     arrays = isinstance(g, GameArrays)
     case_rule = batch.case_of if arrays else case_of
@@ -621,13 +576,15 @@ def gap_witness(g, baseline):
     swapped = case_rule(g.phi1, g.phi2, g.x1, g.x2)[1]
     b1, b2 = baseline
     phi_w, x_w, lead = where(swapped, (g.phi2, g.x2, b2 - b1), (g.phi1, g.x1, b1 - b2))
+    sign = where(swapped, -1.0, 1.0)
     big_phi, big_x = g.total_valuation, g.total_budget
     gap = 2.0 * RIDGE_RTOL
-    index, p_hit, xw_hit = 0, math.nan, math.nan
+    index, tau_hit, nu_hit = 0, math.nan, math.nan
     # Case 3 needs X < 1 and case 4 X >= 1; case 1 comes after 2, for rich w.
     for case, allowed in ((3, big_x < 1.0), (2, True), (1, True), (4, big_x >= 1.0)):
         # One game solves only the cases its budget allows, confirms only
-        # crossings inside the curve, and stops at the first confirmed case.
+        # feasible crossings inside the curve, and stops at the first
+        # confirmed case.
         if not (arrays or allowed):
             continue
         p = gap_crossing(case, big_phi, big_x, gap, lead)
@@ -636,13 +593,17 @@ def gap_witness(g, baseline):
             continue
         p = where(inside, p, math.nan)
         xw = (1.0 - gap) * big_x * p / (big_phi - gap * p)
+        tau, nu = sign * (x_w - xw), sign * (phi_w - p)
+        # A crossing that leaves a player (almost) nothing is no transfer.
+        inside = inside & transfer_feasible(g, tau, nu)
+        if not (arrays or inside):
+            continue
         hit = inside & (index == 0) & (case_rule(p, big_phi - p, xw, big_x - xw)[0] == case)
         index = where(hit, case, index)
-        p_hit, xw_hit = where(hit, p, p_hit), where(hit, xw, xw_hit)
+        tau_hit, nu_hit = where(hit, tau, tau_hit), where(hit, nu, nu_hit)
         if not arrays and hit:
             break
-    sign = where(swapped, -1.0, 1.0)
-    return sign * (x_w - xw_hit), sign * (phi_w - p_hit), index, swapped
+    return tau_hit, nu_hit, index, swapped
 
 
 def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:

@@ -6,12 +6,12 @@ crossings are roots of fixed quadratics, and each game has a bounded number
 of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
 therefore decide a whole ``batch.GameArrays`` at once and validate every
 candidate or witness in one payoff call.  Every rule comes from ``mutual``,
-which writes each once for a game or a ``GameArrays`` (``budget_breaks``,
-``contest_breaks``, ``positive_roots``, ``candidate_forms``,
-``contest_candidate_forms``, ``moved_valuation``, ``gap_witness``,
-``surplus_rules_out``); this module keeps only what serves a block of
-games.  The budget and contest verdicts share one line engine,
-``_line_exists``, the array form of ``mutual._line_verdict``.  It stacks
+which writes each once for a game or a ``GameArrays`` (``line_ends``,
+``line_sides``, ``line_breaks``, ``positive_roots``, the candidate forms,
+``moved_amount``, ``gap_witness``, ``surplus_rules_out``); this module
+keeps only what serves a block of games.  The budget and contest verdicts
+share one line engine, ``_line_exists``, the array form of
+``mutual._line_verdict``: both lines run in the transfer itself.  It stacks
 each game's breaks into one row, sorts it, NaN past the last, then
 classifies and solves only the pieces it scores: one flat entry per piece
 off the ridge sliver, and each case's candidates on that case's pieces
@@ -30,35 +30,39 @@ from . import batch
 from .batch import GameArrays
 from .core import Mechanism
 from .mutual import (
-    budget_breaks,
-    candidate_forms,
-    contest_breaks,
+    budget_candidate_forms,
     contest_candidate_forms,
     gap_witness,
-    moved_valuation,
+    line_breaks,
+    line_ends,
+    line_sides,
+    moved_amount,
     positive_roots,
     surplus_rules_out,
 )
-from .search import contest_ends, min_gain, transfer_interval
+from .search import min_gain
 
 __all__ = ["budget_exists", "contest_exists", "joint_exists"]
 
 
-def _case_candidates(forms, index, cases, args):
-    """Candidates of ``forms(case, *args)`` on the pieces of each of ``cases``.
+def _case_candidates(forms, index, args):
+    """Candidates of ``forms(case, *args)`` on the pieces of each case.
 
-    ``forms`` returns ``candidate_forms``-style points and quadratics; it is
-    evaluated once per case, on that case's pieces only, with each of
-    ``args`` (one value per piece) taken at them.  Returns flat ``(piece,
-    z)`` arrays, one pair per candidate.  A point that is not positive, or
-    a root that is absent, is dropped, as the scalar verdicts drop it.
+    ``forms`` returns ``budget_candidate_forms``-style points and
+    quadratics; it is evaluated once per case, on that case's pieces only,
+    with each of ``args`` (one value per piece) taken at them, and a case
+    with no forms adds nothing.  Returns flat ``(piece, z)`` arrays, one
+    pair per candidate.  A point that is not positive, or a root that is
+    absent, is dropped, as the scalar verdicts drop it.
     """
     pieces, zs = [], []
-    for case in cases:
+    for case in (1, 2, 3, 4):
         sel = np.flatnonzero(index == case)
         points, quads = forms(case, *(arg[sel] for arg in args))
         z = [np.broadcast_to(p, sel.shape) for p in points]
         z += [root for quad in quads for root in positive_roots(*quad)]
+        if not z:
+            continue
         z = np.column_stack(z)
         at, col = np.nonzero(z > 0.0)
         pieces.append(sel[at])
@@ -66,136 +70,84 @@ def _case_candidates(forms, index, cases, args):
     return np.concatenate(pieces), np.concatenate(zs)
 
 
-def _line_exists(games, baseline, ends, sliver, breaks, classify, candidates, transfer):
-    """``mutual._line_verdict(...).exists`` for every game of ``games``, over arrays.
+def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
+    """``mutual._line_verdict(g, mechanism).exists`` for every game of ``games``.
 
-    ``ends``, ``sliver`` and ``breaks`` are the arrays of ``budget_breaks``
-    or ``contest_breaks``, one element per game.  Row ``i`` holds game
-    ``i``'s breaks in the line's coordinate; those outside ``ends`` are
+    Row ``i`` holds game ``i``'s breaks of ``mutual.line_breaks``, 15 on a
+    budget line and 11 on a contest line: the line's ends, the ridge, and
+    on each weak side the sliver end, the case-4 band end and its four or
+    two case edges.  Those outside the ends are
     dropped, and sorting each row and dropping zero-width pieces leaves the
-    one-game verdict's pieces.  Only the pieces off the ridge ``sliver`` are
-    classified and solved, one entry per piece: ``classify(rows, mid)``
-    gives the ``(index, swapped)`` of the pieces of games ``rows`` around
-    midpoints ``mid``; ``candidates(rows, index, swapped)`` their interior
-    candidates as flat ``(piece, c)`` pairs; and ``transfer(rows, c)`` the
-    ``(tau, nu)`` at coordinates ``c`` of games ``rows``.  Every end and
-    candidate of those pieces is checked by ``batch.require_feasible`` and
-    scored in one payoff call.
+    one-game verdict's pieces.  Only the pieces off the ridge sliver are
+    classified and solved, one entry per piece; every end and candidate of
+    those pieces is checked by ``batch.require_feasible`` and scored in one
+    payoff call.
     """
-    base1, base2 = baseline
-    lo, hi = ends
-    breaks = np.column_stack(breaks)
-    inside = (lo[:, None] <= breaks) & (breaks <= hi[:, None])
-    cs = np.sort(np.where(inside, breaks, np.nan), axis=1)
-    ca, cb = cs[:, :-1], cs[:, 1:]
-    mid = 0.5 * (ca + cb)
-    on_ridge = (sliver[0][:, None] < mid) & (mid < sliver[1][:, None])
-    off = (ca < cb) & ~on_ridge
-    # A break is an end of the pieces on both sides of it.
-    end_ok = np.zeros(cs.shape, dtype=bool)
-    end_ok[:, :-1] |= off
-    end_ok[:, 1:] |= off
+    budget = mechanism is Mechanism.BUDGET
+    # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
+        lo, hi = line_ends(games, mechanism)
+        sliver, breaks = line_breaks(games, mechanism, lo, hi)
+        breaks = np.column_stack(breaks)
+        inside = (lo[:, None] <= breaks) & (breaks <= hi[:, None])
+        vs = np.sort(np.where(inside, breaks, np.nan), axis=1)
+        va, vb = vs[:, :-1], vs[:, 1:]
+        mid = 0.5 * (va + vb)
+        on_ridge = (sliver[0][:, None] < mid) & (mid < sliver[1][:, None])
+        off = (va < vb) & ~on_ridge
+        # A break is an end of the pieces on both sides of it.
+        end_ok = np.zeros(vs.shape, dtype=bool)
+        end_ok[:, :-1] |= off
+        end_ok[:, 1:] |= off
 
-    # The off-sliver pieces, one entry each, and their interior candidates.
-    piece_rows = np.nonzero(off)[0]
-    ca, cb = ca[off], cb[off]
-    index, swapped = classify(piece_rows, mid[off])
-    pieces, inner = candidates(piece_rows, index, swapped)
-    inner_ok = (ca[pieces] < inner) & (inner < cb[pieces])
-    rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[pieces[inner_ok]]))
-    c = np.concatenate((cs[end_ok], inner[inner_ok]))
+        # The off-sliver pieces, one entry each, classified where their
+        # midpoints move the game.
+        piece_rows = np.nonzero(off)[0]
+        va, vb, mid = va[off], vb[off], mid[off]
+        phi1, phi2, x1, x2 = (field[piece_rows] for field in games)
+        if budget:
+            index, swapped = batch.case_of(phi1, phi2, x1 - mid, x2 + mid)
+        else:
+            index, swapped = batch.case_of(phi1 - mid, phi2 + mid, x1, x2)
+        # Each piece's weak side, and the candidates of its case there.
+        one, two = line_sides(games, mechanism)
+        m_w, m_s, k_w, k_s, base_gap = (
+            np.where(swapped, b[piece_rows], a[piece_rows])
+            for a, b in zip((*one[:4], base1 - base2), (*two[:4], base2 - base1))
+        )
+        forms = budget_candidate_forms if budget else contest_candidate_forms
+        pieces, zs = _case_candidates(
+            forms, index, (k_w, k_s, base_gap, m_w + m_s, np.sqrt(k_w * k_s))
+        )
+        sign = np.where(swapped[pieces], -1.0, 1.0)
+        inner = sign * moved_amount(zs, m_w[pieces], m_s[pieces])
+        inner_ok = (va[pieces] < inner) & (inner < vb[pieces])
+        rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[pieces[inner_ok]]))
+        v = np.concatenate((vs[end_ok], inner[inner_ok]))
 
-    taus, nus = transfer(rows, c)
-    scored = games.take(rows)
-    batch.require_feasible(scored, taus, nus)
-    u1, u2 = batch.payoffs_at_transfers(scored, taus, nus)
-    d1 = u1 - base1[rows]
-    d2 = u2 - base2[rows]
-    # ``min(d1, d2)`` as the scalar verdict takes it.
-    score = np.where(d2 < d1, d2, d1)
+        taus, nus = (v, 0.0) if budget else (0.0, v)
+        scored = games.take(rows)
+        batch.require_feasible(scored, taus, nus)
+        u1, u2 = batch.payoffs_at_transfers(scored, taus, nus)
+        d1 = u1 - base1[rows]
+        d2 = u2 - base2[rows]
+        # ``min(d1, d2)`` as the scalar verdict takes it.
+        score = np.where(d2 < d1, d2, d1)
+        gain = min_gain(games)[rows]
     exists = np.zeros(len(games.phi1), dtype=bool)
-    exists[rows[score > min_gain(games)[rows]]] = True
+    exists[rows[score > gain]] = True
     return exists
 
 
 def budget_exists(games: GameArrays) -> np.ndarray:
-    """``budget_mutual_exists(g).exists`` for every game of ``games``, over arrays.
-
-    Row ``i`` holds game ``i``'s 15 breaks in ``q``: the interval ends, the
-    ridge, the sliver ends, the case-4 band ends and four case edges on
-    each side.  An empty interval gives NaN ends and no piece.
-    """
-    # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        lo, hi = transfer_interval(games, Mechanism.BUDGET)
-        ends, sliver, breaks = budget_breaks(games, lo, hi)
-        phi1, phi2, x1, x2 = games
-        big_x = games.total_budget
-
-        def classify(rows, q_mid):
-            b2 = big_x[rows] / (1.0 + q_mid * q_mid)
-            return batch.case_of(phi1[rows], phi2[rows], big_x[rows] - b2, b2)
-
-        def candidates(rows, index, swapped):
-            phi_w = np.where(swapped, phi2[rows], phi1[rows])
-            phi_s = np.where(swapped, phi1[rows], phi2[rows])
-            base1, base2 = baseline[0][rows], baseline[1][rows]
-            base_gap = np.where(swapped, base2 - base1, base1 - base2)
-            k = np.sqrt(phi_w * phi_s)
-            pieces, zs = _case_candidates(
-                candidate_forms, index, (2, 3), (phi_w, phi_s, base_gap, big_x[rows], k)
-            )
-            return pieces, np.where(swapped[pieces], 1.0 / zs, zs)
-
-        def transfer(rows, q):
-            taus = big_x[rows] / (1.0 + q * q) - x2[rows]
-            return np.minimum(np.maximum(taus, lo[rows]), hi[rows]), 0.0
-
-        return _line_exists(
-            games, baseline, ends, sliver, breaks, classify, candidates, transfer
-        )
+    """``budget_mutual_exists(g).exists`` for every game of ``games``, over arrays."""
+    return _line_exists(games, Mechanism.BUDGET)
 
 
 def contest_exists(games: GameArrays) -> np.ndarray:
-    """``contest_mutual_exists(g).exists`` for every game of ``games``, over arrays.
-
-    Row ``i`` holds game ``i``'s 11 breaks in ``nu``: the line's ends, the
-    ridge transfer, and on each weak side the sliver end, the case-4 band
-    end and two case edges.  Each piece's candidates come from
-    ``contest_candidate_forms`` on its weak side, moved back to ``nu``.
-    """
-    # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        baseline = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        ends, sliver, breaks = contest_breaks(games, *contest_ends(games))
-        phi1, phi2, x1, x2 = games
-
-        def classify(rows, nu_mid):
-            return batch.case_of(phi1[rows] - nu_mid, phi2[rows] + nu_mid, x1[rows], x2[rows])
-
-        def candidates(rows, index, swapped):
-            def side(one, two):
-                return np.where(swapped, two[rows], one[rows])
-
-            phi_w, phi_s, x_w, x_s = side(phi1, phi2), side(phi2, phi1), side(x1, x2), side(x2, x1)
-            base1, base2 = baseline[0][rows], baseline[1][rows]
-            base_gap = np.where(swapped, base2 - base1, base1 - base2)
-            big_phi = games.total_valuation[rows]
-            k = np.sqrt(x_w * x_s)
-            c1 = batch.one_v_one_vec(1.0, x_w, 1.0)
-            pieces, zs = _case_candidates(
-                contest_candidate_forms, index, (1, 2, 3, 4), (x_w, x_s, base_gap, big_phi, k, c1)
-            )
-            sign = np.where(swapped[pieces], -1.0, 1.0)
-            return pieces, sign * moved_valuation(zs, phi_w[pieces], phi_s[pieces])
-
-        def transfer(rows, nu):
-            return 0.0, nu
-
-        return _line_exists(
-            games, baseline, ends, sliver, breaks, classify, candidates, transfer
-        )
+    """``contest_mutual_exists(g).exists`` for every game of ``games``, over arrays."""
+    return _line_exists(games, Mechanism.CONTEST)
 
 
 def joint_exists(games: GameArrays) -> np.ndarray:

@@ -417,7 +417,7 @@ class TestWriteCsv:
 
 # Planes for the plane writer: the figure plane off the round grid, and a
 # plane whose axes run from 5e-324 to 1e308, where the collective gain takes
-# 0, inf and NaN.
+# 0 and inf, but never NaN.
 WRITE_PLANES = {
     "figure": ({"phi1": 12.0, "phi2": 10.0}, (("x1", 0.155, 3.135), ("x2", 0.074, 3.054))),
     "float-range": (
@@ -464,7 +464,7 @@ class TestWritePlane:
         assert written == self.by_write_csv(comments, header, plane)
         if predicate is Predicate.COLLECTIVE_GAIN and name == "float-range":
             values = {row.split(",")[2] for row in out.splitlines()[len(comments) + 1 :]}
-            assert {"0", '"Infinity"', "NaN"} <= values
+            assert {"0", '"Infinity"'} <= values and "NaN" not in values
 
     def test_special_values_and_float_range_axes(self):
         nan = float("nan")

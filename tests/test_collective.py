@@ -1,6 +1,7 @@
 import pytest
 
 from coalitional_lotto.adversary import classify_case
+from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.collective import (
     collective_payoff,
     collective_report,
@@ -58,6 +59,16 @@ class TestMaxCollective:
         assert max_collective_payoff(GameInstance(12, 10, 0.2, 0.3)) == pytest.approx(
             5.5, abs=1e-12
         )
+
+    def test_budgets_spanning_the_float_range(self):
+        # Twice the total budget overflows here; the maximum cannot exceed
+        # phi1 + phi2 = 2, and over arrays it is the same float.
+        g = GameInstance(1.0, 1.0, 5e-324, 1e308)
+        assert max_collective_payoff(g) == 2.0
+        report = collective_report(g)
+        assert (report.optimum, report.improvable) == (2.0, True)
+        games = GameArrays.of([g, swap_indices(g)])
+        assert max_collective_payoff(games).tolist() == [2.0, 2.0]
 
     def test_attained_by_both_mechanisms(self, diamond):
         for t in (optimal_contest_transfer(diamond), optimal_budget_transfer(diamond)):

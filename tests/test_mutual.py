@@ -17,24 +17,30 @@ from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_USAGE
 from coalitional_lotto.collective import collective_report, max_collective_payoff
-from coalitional_lotto.core import GameInstance, Mechanism, Transfer, swap_indices
+from coalitional_lotto.core import (
+    GameInstance,
+    Mechanism,
+    Transfer,
+    swap_indices,
+    transfer_feasible,
+)
 from coalitional_lotto.mutual import (
     REGIONS,
     Mechanism,
     Region,
-    budget_breaks,
     budget_mutual_exists,
     case_edges,
     classify_region,
-    contest_breaks,
     contest_mutual_exists,
-    contest_sides,
     edge_quadratics,
     gap_crossing,
     gap_quadratic,
     gap_witness,
     is_mutually_beneficial,
     joint_mutual_exists,
+    line_breaks,
+    line_ends,
+    line_sides,
     payoff_deltas,
     positive_roots,
     region_index,
@@ -55,7 +61,6 @@ from coalitional_lotto.search import (
     min_gain,
     ridge_gap,
     thin_margin,
-    transfer_interval,
 )
 
 from conftest import random_games
@@ -259,8 +264,15 @@ def _game_rules(g, baseline):
     return {
         "positive_roots": [positive_roots(*quad) for quad in quads],
         "case_edges": [case_edges(big_x, g.phi1 / g.phi2), case_edges(big_x, g.x2 / g.x1)],
-        "side_breaks": [side_breaks(*side) for side in contest_sides(g)],
-        "contest_breaks": contest_breaks(g, *contest_ends(g)),
+        "side_breaks": [
+            side_breaks(mechanism, *side)
+            for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)
+            for side in line_sides(g, mechanism)
+        ],
+        "line_breaks": [
+            line_breaks(g, mechanism, *line_ends(g, mechanism))
+            for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)
+        ],
         "gap_crossing": [
             gap_crossing(case, big_phi, big_x, 2.0 * RIDGE_RTOL, lead) for case in (1, 2, 3, 4)
         ],
@@ -282,11 +294,9 @@ class TestSharedRules:
         games = TestArrayVerdicts.corpus()
         arrays = GameArrays.of(games)
         baseline = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
-        lo, hi = transfer_interval(arrays, Mechanism.BUDGET)
         # Masked lanes hold NaN or inf, as in the array verdicts.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             rules = _game_rules(arrays, baseline)
-            rules["budget_breaks"] = budget_breaks(arrays, lo, hi)
         rows = {
             name: np.column_stack([np.broadcast_to(v, len(games)) for v in _flat(values)])
             for name, values in rules.items()
@@ -294,15 +304,12 @@ class TestSharedRules:
         witnesses = 0
         for i, g in enumerate(games):
             found = _game_rules(g, player_payoffs(g))
-            # The one-game verdict builds the budget line only when it is not empty.
-            if lo[i] < hi[i]:
-                found["budget_breaks"] = budget_breaks(g, lo[i], hi[i])
             for name, values in found.items():
                 self.assert_same_bits(_flat(values), rows[name][i], (name, g))
             witnesses += found["gap_witness"][2] > 0
         # Every shape of result turns up: absent and present roots, edges
         # and witnesses.
-        for name in ("positive_roots", "case_edges", "side_breaks", "budget_breaks"):
+        for name in ("positive_roots", "case_edges", "side_breaks", "line_breaks"):
             assert np.isnan(rows[name]).any() and not np.isnan(rows[name]).all(), name
         assert 0 < witnesses < len(games)
 
@@ -715,13 +722,13 @@ class TestRouteCensus:
         assert [line.split() for line in lines[2:4]] == [
             [
                 "0", "0",
-                "6966ca9ebd64a40534589126762799ea8cfa31f79a65b4d27cfe6ade71e3e2f2",
-                "0f38e8b2e2c25aedf8b8a1d6cab68cf0041fbb9f0d4529b5419c7f3d10444fe3",
+                "e52ea6d5539c668f769da70aabd898cd5a10a15f1081608da355ca4bd269fe11",
+                "89469402d80eaa91eac07c1d5713fabc88d39dba42cc84576b141032b901f007",
             ],
             [
                 "1", "12",
-                "b7e3aa5a99bf1955bcd83131b5a18908f9735732d9d802002e0f38b47c5e3016",
-                "b15e9af4c26d72fbd062ed68400eeca9db2c642077d305dcfdff510fe3f237fa",
+                "7941a718f6f44dee6ab95ca48091958d88d89b18db9784eed029e6a3d6e07cde",
+                "c429ad4dcc6112b249df0ba8018589a2bb70d0ef41cc3f8f839034106c0ae5a1",
             ],
         ]
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
@@ -808,6 +815,7 @@ class TestBudgetMutual:
         w = budget_mutual_exists(swap_indices(g))
         assert (w.exists, w.route) == (True, _mirror(route))
         assert is_mutually_beneficial(swap_indices(g), w.witness)
+        assert w.witness.tau == -v.witness.tau
 
     def test_ridge_knife_edge_exemplar(self):
         # The ratios differ by about 1.9e-6: transfers toward the ridge benefit
@@ -839,9 +847,12 @@ class TestBudgetMutual:
         g = GameInstance(phi1, phi1 * x2 / x1 if on_ridge else phi2, x1, x2)
         v = budget_mutual_exists(g)
         w = budget_mutual_exists(swap_indices(g))
-        assert (w.exists, w.near_boundary) == (v.exists, v.near_boundary)
+        mirrored = _mirror(v.route) if v.route else None
+        assert (w.exists, w.route, w.near_boundary) == (v.exists, mirrored, v.near_boundary)
         if v.exists:
-            assert is_mutually_beneficial(swap_indices(g), Transfer(-v.witness.tau, 0.0))
+            # The swapped line is the same line, run from the other side.
+            assert w.witness.tau == -v.witness.tau
+            assert is_mutually_beneficial(swap_indices(g), w.witness)
 
     @given(
         phi1=decades, phi2=decades, x1=decades, x2=decades, on_ridge=st.booleans(),
@@ -944,6 +955,42 @@ class TestJointMutual:
             assert (v.exists, v.witness, v.route, v.near_boundary) == (
                 False, None, "ridge-knife-edge", True
             )
+
+    def test_crossing_that_empties_a_budget_is_not_confirmed(self):
+        # The case-2 crossing of this game moves all of x1 to player 2, which
+        # ``core.transfer_params`` rejects; the case-1 crossing after it is
+        # feasible, confirmed and validated.
+        g = GameInstance(
+            44930.184378130485, 4.66455716573291e20, 8.350422637185131e28, 1.6907821641800072e-19
+        )
+        gap = 2.0 * RIDGE_RTOL
+        lead = player_payoffs(g)[0] - player_payoffs(g)[1]
+        p = gap_crossing(2, g.total_valuation, g.total_budget, gap, lead)
+        xw = (1.0 - gap) * g.total_budget * p / (g.total_valuation - gap * p)
+        assert not transfer_feasible(g, g.x1 - xw, g.phi1 - p)
+        games = [g, swap_indices(g)]
+        verdicts = [analyze_game(h).mutual_joint for h in games]
+        assert [v.route for v in verdicts] == ["exact:C1_1gt2", "exact:C1_1le2"]
+        assert verdicts[1].witness.tau == -verdicts[0].witness.tau
+        assert verdicts[1].witness.nu == -verdicts[0].witness.nu
+        for h, v in zip(games, verdicts):
+            assert is_mutually_beneficial(h, v.witness)
+        assert mutual_arrays.joint_exists(GameArrays.of(games)).tolist() == [True, True]
+
+    @pytest.mark.parametrize("decades,count", [(30.0, 20000), (300.0, 2000)])
+    def test_whole_float_range_raises_nothing_and_arrays_agree(self, decades, count):
+        # Log-uniform games over 1e-30..1e30, where unchecked crossings
+        # raised InfeasibleTransferError, and over 1e-300..1e300, where their
+        # post-transfer budgets overflowed into ``case_of``.
+        params = 10.0 ** np.random.default_rng(5).uniform(-decades, decades, (count, 4))
+        games = [GameInstance(*row) for row in params.tolist()]
+        verdicts = [joint_mutual_exists(g) for g in games]
+        assert mutual_arrays.joint_exists(GameArrays.of(games)).tolist() == [
+            v.exists for v in verdicts
+        ]
+        for g, v in zip(games, verdicts):
+            if v.exists:
+                assert is_mutually_beneficial(g, v.witness), g
 
     def test_ridge_games_are_certified_absent(self):
         games = stratified_games(per_region=8, seed=31)[3::4]
@@ -1079,7 +1126,7 @@ def _count_line_work(monkeypatch) -> Counter:
     """Count the line engine's payoff calls and candidate computations.
 
     ``payoffs_at`` counts every payoff the budget and contest verdicts score,
-    the baseline included; ``_piece_candidates`` and
+    the baseline included; ``budget_candidate_forms`` and
     ``contest_candidate_forms`` count one per ``(case, orientation)`` whose
     candidates a budget or contest line computes, keyed by their arguments.
     """
@@ -1095,7 +1142,7 @@ def _count_line_work(monkeypatch) -> Counter:
 
         monkeypatch.setattr(mutual, name, wrapper)
 
-    for name in ("payoffs_at", "_piece_candidates", "contest_candidate_forms"):
+    for name in ("payoffs_at", "budget_candidate_forms", "contest_candidate_forms"):
         counted(name)
     return counts
 
@@ -1117,7 +1164,7 @@ class TestLineWork:
                     False, None, None, False
                 )
                 assert counts["payoffs_at"] == 1
-                assert counts["_piece_candidates"] == counts["contest_candidate_forms"] == 0
+                assert counts["budget_candidate_forms"] == counts["contest_candidate_forms"] == 0
                 monkeypatch.undo()
 
     @pytest.mark.parametrize(
@@ -1137,7 +1184,7 @@ class TestLineWork:
         g = GameInstance(*params)
         for h in (g, swap_indices(g)):
             for verdict, name in (
-                (budget_mutual_exists, "_piece_candidates"),
+                (budget_mutual_exists, "budget_candidate_forms"),
                 (contest_mutual_exists, "contest_candidate_forms"),
             ):
                 counts = _count_line_work(monkeypatch)
@@ -1155,7 +1202,7 @@ class TestLineWork:
         games = [GameInstance(*rec["game"]) for rec in analyze_golden]
         totals = {}
         for verdict, name in (
-            (budget_mutual_exists, "_piece_candidates"),
+            (budget_mutual_exists, "budget_candidate_forms"),
             (contest_mutual_exists, "contest_candidate_forms"),
         ):
             counts = _count_line_work(monkeypatch)
