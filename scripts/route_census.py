@@ -53,7 +53,7 @@ from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_OK, _Parser  # noqa: E402
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
-from coalitional_lotto.search import RIDGE_RTOL, contest_ends, min_gain, ridge_gap  # noqa: E402
+from coalitional_lotto.search import RIDGE_RTOL, line_ends, min_gain, ridge_gap  # noqa: E402
 
 
 def _log(rng: random.Random, lo: float, hi: float) -> float:
@@ -141,7 +141,7 @@ def dense_scan(g: GameInstance, around) -> float:
     geometric offsets from 1e-15 to 0.1 of ``Phi`` on either side of each
     transfer in ``around``.
     """
-    lo, hi = contest_ends(g)
+    lo, hi = line_ends(g, Mechanism.CONTEST)
     offsets = np.geomspace(1e-15, 0.1, 2000) * g.total_valuation
     nus = np.concatenate(
         [np.linspace(lo, hi, 200001)] + [a + s * offsets for a in around for s in (-1.0, 1.0)]
@@ -157,7 +157,7 @@ def dense_scan(g: GameInstance, around) -> float:
 def disagreement(family: str, g: GameInstance, exact, routes) -> tuple[str, bool]:
     """One listed game where the route and exact verdicts disagree, and whether
     the dense scan settles it in the exact verdict's favour."""
-    around = [0.0, collective.ridge_transfer(g)]
+    around = [0.0, collective.ridge_transfer(g, Mechanism.CONTEST)]
     around += [v.witness.nu for v in (exact, routes) if v.exists]
     best = dense_scan(g, around)
     settled = (best > min_gain(g) / g.total_valuation) == exact.exists

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .adversary import CASE_RTOL, RATIO_SCALE
-from .core import EPS_FEAS, GameInstance, Transfer, post_transfer_params
+from .core import GameInstance, Transfer, post_transfer_params, transfer_feasible
 
 __all__ = [
     "GameArrays",
@@ -206,19 +206,12 @@ def collective_at_transfers(g: GameInstance | GameArrays, taus, nus):
 def require_feasible(g: GameInstance | GameArrays, taus, nus) -> None:
     """Raise ``InfeasibleTransferError`` where ``core.post_transfer_params`` would.
 
-    Transfers that leave every component above ``EPS_FEAS`` pass at once;
-    any other is handed to ``post_transfer_params`` itself, which applies
-    the full rule and raises.
+    Every element is decided by ``core.transfer_feasible``; the first that
+    fails is handed to ``post_transfer_params``, which raises.
     """
-    phi1, phi2, x1, x2, taus, nus = np.broadcast_arrays(
-        g.phi1, g.phi2, g.x1, g.x2, np.atleast_1d(taus), nus
-    )
-    clear = (
-        (phi1 - nus > EPS_FEAS)
-        & (phi2 + nus > EPS_FEAS)
-        & (x1 - taus > EPS_FEAS)
-        & (x2 + taus > EPS_FEAS)
-    )
-    for k in zip(*np.nonzero(~clear)):
-        game = GameInstance(phi1[k], phi2[k], x1[k], x2[k])
-        post_transfer_params(game, Transfer(taus[k], nus[k]))
+    ok = transfer_feasible(g, taus, nus)
+    if not np.all(ok):
+        *fields, ok = np.broadcast_arrays(g.phi1, g.phi2, g.x1, g.x2, taus, nus, ok)
+        k = np.argmin(ok)
+        first = [field.flat[k] for field in fields]
+        post_transfer_params(GameInstance(*first[:4]), Transfer(*first[4:]))

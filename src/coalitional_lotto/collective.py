@@ -15,14 +15,15 @@ same maximum; only the equalizing transfer amount differs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import player_payoffs
 from .batch import GameArrays
-from .core import GameInstance, Transfer
-from .search import min_gain
+from .core import GameInstance, Mechanism, Transfer
+from .search import line_pairs, min_gain
 
 __all__ = [
     "CollectiveReport",
@@ -59,26 +60,47 @@ def collective_payoff(g: GameInstance, t: Transfer = Transfer()) -> float:
     return u1 + u2
 
 
-def ridge_transfer(g):
-    """The contest transfer that equalizes the two ratios, ``(x2 phi1 - x1 phi2) / X``.
+def ridge_transfer(g: GameInstance | GameArrays, mechanism: Mechanism):
+    """The budget or contest transfer that equalizes the two ratios.
 
-    Always strictly feasible.  A game or a ``GameArrays``.
+    With the pair the mechanism moves, ``m``, and the pair it keeps, ``k``
+    (``search.line_pairs``), it is ``(m1 k2 - m2 k1) / (k1 + k2)``; always
+    strictly feasible.  Where that overflows, it is recomputed on each pair
+    scaled below 1 by a power of two, which is exact, and scaled back.  A
+    float for one game, an array of them for a ``GameArrays``.
     """
-    return (g.x2 * g.phi1 - g.x1 * g.phi2) / (g.x1 + g.x2)
+    pairs = line_pairs(g, mechanism)
+    if isinstance(g, GameArrays):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _ridge_form(*pairs)
+        over = ~np.isfinite(v)
+        v[over] = _scaled_ridge(*(p[over] for p in pairs), np.frexp, np.ldexp, np.maximum)
+        return v
+    v = _ridge_form(*pairs)
+    return v if math.isfinite(v) else _scaled_ridge(*pairs, math.frexp, math.ldexp, max)
+
+
+def _ridge_form(m1, m2, k1, k2):
+    """``(m1 k2 - m2 k1) / (k1 + k2)``, NaN where ``k1 + k2`` overflows."""
+    kept = k1 + k2
+    # ``kept / kept`` is 1 exactly, or NaN when ``kept`` is inf.
+    return (m1 * k2 - m2 * k1) / kept * (kept / kept)
+
+
+def _scaled_ridge(m1, m2, k1, k2, frexp, ldexp, top):
+    """``_ridge_form`` on each pair scaled below 1 by a power of two, scaled back."""
+    a, b = frexp(top(m1, m2))[1], frexp(top(k1, k2))[1]
+    return ldexp(_ridge_form(ldexp(m1, -a), ldexp(m2, -a), ldexp(k1, -b), ldexp(k2, -b)), a)
 
 
 def optimal_contest_transfer(g: GameInstance) -> Transfer:
     """The valuation transfer onto the equal-ratio ridge (``ridge_transfer``)."""
-    return Transfer(0.0, ridge_transfer(g))
+    return Transfer(0.0, ridge_transfer(g, Mechanism.CONTEST))
 
 
 def optimal_budget_transfer(g: GameInstance) -> Transfer:
-    """The budget transfer that equalizes budget-to-valuation ratios.
-
-    ``tau = (x1*phi2 - x2*phi1) / (phi1 + phi2)``; always strictly feasible.
-    """
-    tau = (g.x1 * g.phi2 - g.x2 * g.phi1) / (g.phi1 + g.phi2)
-    return Transfer(tau, 0.0)
+    """The budget transfer onto the equal-ratio ridge (``ridge_transfer``)."""
+    return Transfer(ridge_transfer(g, Mechanism.BUDGET), 0.0)
 
 
 def max_collective_payoff(g: GameInstance | GameArrays):

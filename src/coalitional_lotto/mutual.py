@@ -40,10 +40,9 @@ the surplus:
 * contest transfers keep the budgets and ``Phi = phi1 + phi2`` and move the
   valuations; the case edges are linear in ``z``, and on every piece both
   payoffs are ``N(z) / (1 + z**2)`` with ``N`` quadratic
-  (``contest_candidate_forms``).  The contest line stops
-  ``search.END_RTOL`` of each valuation short of its end, and the budget
-  line ``search.transfer_interval``'s inset short of each of its ends
-  (``line_ends``).
+  (``contest_candidate_forms``).  Both lines stop where the donor keeps
+  ``search.END_RTOL`` of its own budget or valuation
+  (``search.line_ends``).
 * joint transfers -- decided from the collective surplus.  A joint
   transfer reaches the ridge and splits the maximum in any proportion, so
   ``S`` above twice the gain floor leaves a witness, placed just
@@ -61,13 +60,14 @@ benefit found only within ``2 * RIDGE_RTOL`` of the ridge is the flagged
 gain is thin (``search.thin_margin``).
 
 Each rule is written once, for a ``GameInstance`` or a ``GameArrays``, with
-NaN marking an absent break, root or witness: the lines' ends, sides and
-breaks (``line_ends``, ``line_sides``, ``side_breaks``, ``line_breaks``,
-with ``case_edges``), the roots of their quadratics (``positive_roots``),
-the candidate forms, the joint witness (``gap_witness``) and the surplus
-test.  The one-game engine drops NaN by the interval test it already
-makes, and ``mutual_arrays`` stacks the values into columns to decide all
-three verdicts over arrays of games.  Only the leaves branch on floats
+NaN marking an absent break, root or witness: the lines' sides and breaks
+(``line_sides``, ``side_breaks``, ``line_breaks``, with ``case_edges``; the
+ends are ``search.line_ends`` and the ridge ``collective.ridge_transfer``),
+the roots of their quadratics (``positive_roots``), the candidate forms,
+the joint witness (``gap_witness``) and the surplus test.  The one-game
+engine drops NaN by the interval test it already makes, and
+``mutual_arrays`` stacks the values into columns to decide all three
+verdicts over arrays of games.  Only the leaves branch on floats
 against arrays (``_ops`` and ``positive_roots``): float division by zero
 and ``math.sqrt`` of a negative raise, and one game's joint witness stops
 at the first confirmed case.  Case edges, the contest orientation and the
@@ -87,17 +87,10 @@ import numpy as np
 
 from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
-from .collective import max_collective_payoff
+from .collective import max_collective_payoff, ridge_transfer
 from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer, transfer_feasible
-from .search import (
-    RIDGE_RTOL,
-    along,
-    contest_ends,
-    min_gain,
-    thin_margin,
-    transfer_interval,
-)
+from .search import RIDGE_RTOL, along, line_ends, line_pairs, min_gain, thin_margin
 
 __all__ = [
     "Region",
@@ -335,17 +328,13 @@ def moved_amount(z, moved_w, moved_s):
 def line_sides(g, mechanism: Mechanism):
     """Both weak sides of a budget or contest line: ``(moved_w, moved_s, kept_w, kept_s, sign)``.
 
-    A budget line moves the budgets and keeps the valuations; a contest
-    line moves the valuations and keeps the budgets.  Player 1's side comes
-    first, with sign 1, then player 2's, with sign -1: on the side where
-    player w is weak, ``sign * moved_amount(z, moved_w, moved_s)`` is the
-    transfer from player 1 to player 2.  Fields of a ``GameInstance`` or of
-    a ``GameArrays``.
+    The moved and kept pairs are ``search.line_pairs``.  Player 1's side
+    comes first, with sign 1, then player 2's, with sign -1: on the side
+    where player w is weak, ``sign * moved_amount(z, moved_w, moved_s)`` is
+    the transfer from player 1 to player 2.  Fields of a ``GameInstance`` or
+    of a ``GameArrays``.
     """
-    if mechanism is Mechanism.BUDGET:
-        m1, m2, k1, k2 = g.x1, g.x2, g.phi1, g.phi2
-    else:
-        m1, m2, k1, k2 = g.phi1, g.phi2, g.x1, g.x2
+    m1, m2, k1, k2 = line_pairs(g, mechanism)
     return (m1, m2, k1, k2, 1.0), (m2, m1, k2, k1, -1.0)
 
 
@@ -380,20 +369,9 @@ def line_breaks(g, mechanism: Mechanism, lo, hi):
     breaks; player 1's side lies above the ridge on a budget line and below
     it on a contest line.  A game or a ``GameArrays``.
     """
-    sides = line_sides(g, mechanism)
-    one, two = (side_breaks(mechanism, *side) for side in sides)
-    # The ridge, ``moved_amount`` at ``z = rho`` on player 1's side.
-    m_w, m_s, k_w, k_s, _ = sides[0]
-    ridge = (m_w * k_s - m_s * k_w) / (k_w + k_s)
+    one, two = (side_breaks(mechanism, *side) for side in line_sides(g, mechanism))
     sliver = (two[0], one[0]) if mechanism is Mechanism.BUDGET else (one[0], two[0])
-    return sliver, [lo, hi, ridge, *one, *two]
-
-
-def line_ends(g, mechanism: Mechanism):
-    """Ends of the budget (``transfer_interval``) or contest (``contest_ends``) line."""
-    if mechanism is Mechanism.BUDGET:
-        return transfer_interval(g, mechanism)
-    return contest_ends(g)
+    return sliver, [lo, hi, ridge_transfer(g, mechanism), *one, *two]
 
 
 def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
@@ -432,9 +410,6 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
     line, or a collective surplus that rules out a mutual gain
     (``surplus_rules_out``), leaves no transfer.
     """
-    lo, hi = line_ends(g, mechanism)
-    if not lo < hi:
-        return _absent(mechanism)
     baseline = payoffs_at(g, 0.0, 0.0)
     if surplus_rules_out(g, baseline):
         return _absent(mechanism)
@@ -488,6 +463,7 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
         return best, v_best, case
 
     gain = min_gain(g)
+    lo, hi = line_ends(g, mechanism)
     sliver, breaks = line_breaks(g, mechanism, lo, hi)
     vs = sorted({v for v in breaks if lo <= v <= hi})
     pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])]

@@ -5,15 +5,16 @@ A sweep decides one predicate at every node of a plane.  The verdicts of
 crossings are roots of fixed quadratics, and each game has a bounded number
 of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
 therefore decide a whole ``batch.GameArrays`` at once and validate every
-candidate or witness in one payoff call.  Every rule comes from ``mutual``,
-which writes each once for a game or a ``GameArrays`` (``line_ends``,
-``line_sides``, ``line_breaks``, ``positive_roots``, the candidate forms,
-``moved_amount``, ``gap_witness``, ``surplus_rules_out``); this module
-keeps only what serves a block of games.  The budget and contest verdicts
-share one line engine, ``_line_exists``, the array form of
-``mutual._line_verdict``: both lines run in the transfer itself.  It stacks
-each game's breaks into one row, sorts it, NaN past the last, then
-classifies and solves only the pieces it scores: one flat entry per piece
+candidate or witness in one payoff call.  Every rule comes from ``mutual``
+and ``search``, which write each once for a game or a ``GameArrays``
+(``search.line_ends``, ``line_sides``, ``line_breaks``, ``positive_roots``,
+the candidate forms, ``moved_amount``, ``gap_witness``,
+``surplus_rules_out``); this module keeps only what serves a block of
+games.  The budget and contest verdicts share one line engine,
+``_line_exists``, the array form of ``mutual._line_verdict``: both lines
+run in the transfer itself.  It stacks each game's breaks into one row,
+sorts it, NaN past the last, then classifies and solves only the pieces it
+scores: one flat entry per piece
 off the ridge sliver, and each case's candidates on that case's pieces
 alone (``_case_candidates``).  The verdicts classify and orient through
 ``batch.case_of`` and return ``exists`` only: game by game it equals the
@@ -34,13 +35,12 @@ from .mutual import (
     contest_candidate_forms,
     gap_witness,
     line_breaks,
-    line_ends,
     line_sides,
     moved_amount,
     positive_roots,
     surplus_rules_out,
 )
-from .search import min_gain
+from .search import line_ends, min_gain
 
 __all__ = ["budget_exists", "contest_exists", "joint_exists"]
 

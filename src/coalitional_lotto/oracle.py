@@ -40,11 +40,11 @@ from .search import (
     RidgeScan,
     along,
     golden_max,
+    line_ends,
     min_gain,
     off_ridge_best,
     refine_transfers,
     thin_margin,
-    transfer_interval,
 )
 
 __all__ = [
@@ -64,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid density; scans keep the shared inset from open-interval endpoints."""
+    """Grid density; scans run between the shared line ends (``search.line_ends``)."""
 
     resolution: int = 4001
 
@@ -151,7 +151,7 @@ def _cut_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec, baseline, m
     the collective maximum (when ``collective``): the best scan value and
     the bracket around it.  The scan itself is dropped on return.
     """
-    vs = np.linspace(*transfer_interval(g, mechanism), spec.resolution)
+    vs = np.linspace(*line_ends(g, mechanism), spec.resolution)
     if mechanism is Mechanism.BUDGET:
         u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
     else:
@@ -274,10 +274,8 @@ def grid_line_oracle(
 
 def _grid_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:
     """The best point of the 2-D transfer grid, unrefined."""
-    t_lo, t_hi = transfer_interval(g, Mechanism.BUDGET)
-    n_lo, n_hi = transfer_interval(g, Mechanism.CONTEST)
-    taus = np.linspace(t_lo, t_hi, spec.resolution)[:, None]
-    nus = np.linspace(n_lo, n_hi, spec.resolution)[None, :]
+    taus = np.linspace(*line_ends(g, Mechanism.BUDGET), spec.resolution)[:, None]
+    nus = np.linspace(*line_ends(g, Mechanism.CONTEST), spec.resolution)[None, :]
     u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
@@ -319,8 +317,8 @@ def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[fl
     golden refinement, one coordinate of every game per pass."""
     brackets = []
     for g in games:
-        taus = np.linspace(*transfer_interval(g, Mechanism.BUDGET), spec.resolution)
-        nus = np.linspace(*transfer_interval(g, Mechanism.CONTEST), spec.resolution)
+        taus = np.linspace(*line_ends(g, Mechanism.BUDGET), spec.resolution)
+        nus = np.linspace(*line_ends(g, Mechanism.CONTEST), spec.resolution)
         total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
         i, j = divmod(int(np.argmax(total)), spec.resolution)
         brackets.append((*_bracket(taus, i), *_bracket(nus, j), nus[j], total[i, j]))

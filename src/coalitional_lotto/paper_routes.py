@@ -39,7 +39,7 @@ from .mutual import (
     is_mutually_beneficial,
     payoff_deltas,
 )
-from .search import min_gain, thin_margin
+from .search import line_ends, min_gain, thin_margin
 
 __all__ = [
     "QuadraticWindow",
@@ -102,7 +102,7 @@ class Thresholds:
 def thresholds(g: GameInstance) -> Thresholds:
     f, s0, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     return Thresholds(
-        alpha1=ridge_transfer(g),
+        alpha1=ridge_transfer(g, Mechanism.CONTEST),
         alpha2=(f - x1 * x2 * s0) / (x1 * x2 + 1.0),
         alpha3=(x1 * x2 * f - s0) / (x1 * x2 + 1.0),
         alpha4=(x1 * x2 * f - (1.0 - x2) ** 2 * s0) / ((1.0 - x2) ** 2 + x1 * x2),
@@ -166,9 +166,10 @@ def _si_windows(g: GameInstance, region: Region, case_index: int):
     """All strategically inconsistent routes applicable to an oriented game.
 
     Returns (route, (lo, hi)) candidate windows in printed order, clipped to
-    positive feasible transfers.  Conditions follow the printed
-    characterization with its misprints corrected: route 2.1's constant ends
-    in ``- phi1*phi2``, not ``- 4*phi1*phi2``; route 5.11's constant squares
+    positive transfers short of the contest line's end (``search.line_ends``).
+    Conditions follow the printed characterization with its misprints
+    corrected: route 2.1's constant ends in ``- phi1*phi2``, not
+    ``- 4*phi1*phi2``; route 5.11's constant squares
     ``x2*phi2 + sqrt(x1*x2*phi1*phi2)``; and ``_p2a`` has phi1*phi2 under its
     root.
     """
@@ -282,7 +283,7 @@ def _si_windows(g: GameInstance, region: Region, case_index: int):
     for route, window in routes:
         if window is not None:
             lo = max(window[0], 0.0)
-            hi = min(window[1], f * (1.0 - 1e-12))
+            hi = min(window[1], line_ends(g, Mechanism.CONTEST)[1])
             if lo < hi:
                 out.append((route, (lo, hi)))
     return out

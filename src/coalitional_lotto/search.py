@@ -1,14 +1,12 @@
 """Rules shared by the numeric transfer searches and the grid oracle.
 
 The mutual verdicts in ``mutual`` and the brute-force searches in ``oracle``
-judge candidates by the same definitions, and the budget verdict and the
-oracle search the same feasible intervals:
+judge candidates by the same definitions and search the same lines:
 
-* feasible intervals are open, so searches stay ``max(width *
-  INTERVAL_MARGIN, 10 * EPS_FEAS)`` inside each endpoint
-  (``transfer_interval``); the contest verdict insets each end of its line
-  by ``END_RTOL`` of that end's own size instead (``contest_ends``), so a
-  side far shorter than the line keeps all but that share of itself;
+* a budget or contest line moves one pair of parameters and keeps the
+  other (``line_pairs``); feasible intervals are open, so every line stops
+  where its donor keeps ``END_RTOL`` of its own share (``line_ends``), and
+  a side far shorter than the line keeps all but that share of itself;
 * a transfer is mutually beneficial when both payoff deltas exceed
   ``GAIN_RTOL`` of the total valuation;
 * a positive verdict is near a boundary when its best smaller delta stays
@@ -42,12 +40,11 @@ __all__ = [
     "GAIN_RTOL",
     "NEAR_RTOL",
     "RIDGE_RTOL",
-    "INTERVAL_MARGIN",
     "END_RTOL",
     "min_gain",
     "thin_margin",
-    "transfer_interval",
-    "contest_ends",
+    "line_pairs",
+    "line_ends",
     "along",
     "ridge_gap",
     "golden_max",
@@ -59,7 +56,6 @@ __all__ = [
 GAIN_RTOL = 1e-12
 NEAR_RTOL = 1e-3
 RIDGE_RTOL = 1e-6
-INTERVAL_MARGIN = 1e-6
 END_RTOL = 10.0 * EPS_FEAS
 
 
@@ -77,33 +73,34 @@ def thin_margin(g: GameInstance, best: float) -> bool:
     return min_gain(g) < best < NEAR_RTOL * g.total_valuation
 
 
-def transfer_interval(g: GameInstance | GameArrays, mechanism: Mechanism):
-    """Inset endpoints of the open interval of budget or contest transfers.
+def line_pairs(g: GameInstance | GameArrays, mechanism: Mechanism):
+    """``(moved1, moved2, kept1, kept2)``: the pair a budget or contest line moves, then the other.
 
-    Floats for one game, arrays of them for a ``GameArrays``.
+    A budget line moves the budgets and keeps the valuations; a contest
+    line moves the valuations and keeps the budgets.  Fields of a
+    ``GameInstance`` or of a ``GameArrays``.
     """
     if mechanism is Mechanism.BUDGET:
-        lo, hi = -g.x2, g.x1
-    else:
-        lo, hi = -g.phi2, g.phi1
-    widest = np.maximum if isinstance(g, GameArrays) else max
-    inset = widest((hi - lo) * INTERVAL_MARGIN, 10.0 * EPS_FEAS)
-    return lo + inset, hi - inset
+        return g.x1, g.x2, g.phi1, g.phi2
+    return g.phi1, g.phi2, g.x1, g.x2
 
 
-def contest_ends(g: GameInstance | GameArrays):
-    """Ends of the contest line, ``-phi2`` and ``phi1`` each inset by ``END_RTOL`` of itself.
+def line_ends(g: GameInstance | GameArrays, mechanism: Mechanism):
+    """Ends of the budget or contest line, each donor keeping ``END_RTOL`` of its own share.
 
-    Each end leaves its donor at least ten times what
-    ``core.transfer_params`` requires, so both ends are feasible on every
-    valid game, however far apart the valuations are.  A subnormal
-    valuation too small to lose that share keeps the smallest float
-    instead.  Floats for one game, arrays of them for a ``GameArrays``.
+    The line runs from ``-x2`` to ``x1`` (budget) or from ``-phi2`` to
+    ``phi1`` (contest), each end inset by ``END_RTOL`` of itself.  Each end
+    leaves its donor at least ten times what ``core.transfer_params``
+    requires, so both ends are feasible on every valid game, however far
+    apart the two shares are.  A subnormal share too small to lose that
+    part keeps the smallest float instead.  Floats for one game, arrays of
+    them for a ``GameArrays``.
     """
+    give1, give2 = line_pairs(g, mechanism)[:2]
     least = np.minimum if isinstance(g, GameArrays) else min
     keep = 1.0 - END_RTOL
     tiny = math.ulp(0.0)
-    return -least(g.phi2 * keep, g.phi2 - tiny), least(g.phi1 * keep, g.phi1 - tiny)
+    return -least(give2 * keep, give2 - tiny), least(give1 * keep, give1 - tiny)
 
 
 def along(mechanism: Mechanism, v: float) -> Transfer:

@@ -45,7 +45,7 @@ from .mutual import (
 )
 from .oracle import grid_best_responses, grid_line_oracle
 from .rng import SplitMix64
-from .search import transfer_interval
+from .search import line_ends
 
 __all__ = [
     "Predicate",
@@ -184,12 +184,12 @@ def run_sweep(spec: SweepSpec) -> SweepPlane:
 
 
 def run_curve(g: GameInstance, mechanism: Mechanism, steps: int):
-    """Payoffs along one mechanism's feasible interval: (t, u1, u2, u1+u2)."""
+    """Payoffs along one mechanism's line (``search.line_ends``): (t, u1, u2, u1+u2)."""
     if mechanism is Mechanism.JOINT:
         raise ValueError("curve supports budget or contest transfers only")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    vs = np.linspace(*transfer_interval(g, mechanism), steps)
+    vs = np.linspace(*line_ends(g, mechanism), steps)
     taus = vs if mechanism is Mechanism.BUDGET else np.zeros(1)
     nus = vs if mechanism is Mechanism.CONTEST else np.zeros(1)
     u1, u2 = batch.payoffs_at_transfers(g, taus, nus)

@@ -29,6 +29,17 @@ class TestAnalyzeGame:
         assert not rep.collective.improvable
         assert rep.case4_tiebreak_dependent
 
+    def test_games_at_the_top_of_the_float_range(self):
+        # x_i * phi_j overflows here: the optimal transfers are recomputed
+        # on scaled parameters instead of coming out NaN.
+        g = GameInstance(1e300, 1e300, 1e300, 1e300)
+        data = json.loads(to_json(analyze_game(g).as_dict()))
+        assert data["collective"]["optimal_budget"] == {"tau": 0, "nu": 0}
+        assert data["collective"]["optimal_contest"] == {"tau": 0, "nu": 0}
+        params = 10.0 ** np.random.default_rng(3).uniform(-300.0, 308.0, (300, 4))
+        for row in params.tolist():
+            json.loads(to_json(analyze_game(GameInstance(*row)).as_dict()))
+
     def test_report_dict_parses_as_json(self, diamond):
         data = json.loads(to_json(analyze_game(diamond).as_dict()))
         assert data["case"] == "C2_1le2"

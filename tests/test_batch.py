@@ -20,6 +20,7 @@ from coalitional_lotto.core import (
     swap_indices,
     u_player,
 )
+from coalitional_lotto.sweep import Predicate, SweepSpec, run_sweep
 
 from conftest import random_games
 
@@ -150,6 +151,37 @@ def test_require_feasible_follows_the_scalar_rule():
         else:
             with pytest.raises(InfeasibleTransferError):
                 batch.require_feasible(arrays, taus, nus)
+
+
+def test_require_feasible_raises_on_the_first_infeasible_element():
+    g = GameInstance(1.0, 2.0, 0.5, 0.25)
+    arrays = batch.GameArrays.of([g, g, g])
+    # The second and third transfers each empty a budget; the second is named.
+    taus = np.array([0.0, 0.5, -0.25])
+    with pytest.raises(InfeasibleTransferError, match="tau=0.5,"):
+        batch.require_feasible(arrays, taus, 0.0)
+    with pytest.raises(InfeasibleTransferError, match="tau=-0.25,"):
+        batch.require_feasible(arrays, taus[::-1], 0.0)
+    with pytest.raises(InfeasibleTransferError, match="nu=1.0\\)"):
+        batch.require_feasible(g, 0.0, 1.0)
+
+
+def test_require_feasible_makes_no_fallback_call_on_the_figure_plane(monkeypatch):
+    # Every line end leaves its donor 1e-11 of its share, less than
+    # ``EPS_FEAS`` on the plane's budgets below 0.1; each element is still
+    # decided by ``transfer_feasible`` alone, without ``post_transfer_params``.
+    calls = []
+
+    def counted(g, t):
+        calls.append((g, t))
+        return post_transfer_params(g, t)
+
+    monkeypatch.setattr(batch, "post_transfer_params", counted)
+    axes = (("x1", 0.02, 3.0), ("x2", 0.02, 3.0))
+    for predicate in (Predicate.MUTUAL_BUDGET, Predicate.MUTUAL_CONTEST, Predicate.MUTUAL_JOINT):
+        plane = run_sweep(SweepSpec({"phi1": 12.0, "phi2": 10.0}, axes, 30, predicate))
+        assert any(plane.values)
+    assert calls == []
 
 
 def test_collective_matches_sum():

@@ -13,7 +13,14 @@ from coalitional_lotto import sweep
 from coalitional_lotto.adversary import classify_case, player_payoffs
 from coalitional_lotto.cli import build_parser, main
 from coalitional_lotto.collective import max_collective_payoff
-from coalitional_lotto.core import EPS_FEAS, GameInstance, GameValidationError, Mechanism, Transfer
+from coalitional_lotto.core import (
+    EPS_FEAS,
+    GameInstance,
+    GameValidationError,
+    Mechanism,
+    Transfer,
+    transfer_feasible,
+)
 from coalitional_lotto.mutual import (
     budget_mutual_exists,
     classify_region,
@@ -21,6 +28,7 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
 )
+from coalitional_lotto.search import line_ends
 from coalitional_lotto.sweep import (
     Predicate,
     SweepPlane,
@@ -149,12 +157,14 @@ class TestCurve:
         assert abs(float(best[0])) < 0.05
 
     def test_tiny_budgets_keep_the_feasibility_floor(self):
-        # Budgets this small make the relative inset smaller than the floor
-        # the budget verdict's scan keeps from each open endpoint.
+        # However small the budgets, the curve runs between the ends every
+        # budget line uses: each donor keeps 1e-11 of its own budget, ten
+        # times the feasibility floor.
         g = GameInstance(1, 1, 1e-7, 1e-7)
         rows = run_curve(g, Mechanism.BUDGET, 5)
-        assert rows[0][0] == -g.x2 + 10 * EPS_FEAS
-        assert rows[-1][0] == g.x1 - 10 * EPS_FEAS
+        assert (rows[0][0], rows[-1][0]) == line_ends(g, Mechanism.BUDGET)
+        assert rows[-1][0] == g.x1 * (1 - 10 * EPS_FEAS)
+        assert transfer_feasible(g, rows[0][0], 0.0) and transfer_feasible(g, rows[-1][0], 0.0)
 
 
 # The committed planes of ``tests/data/sweep_<plane>_<predicate>.csv``: a

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from coalitional_lotto.adversary import classify_case
@@ -9,6 +11,7 @@ from coalitional_lotto.collective import (
     max_collective_payoff,
     optimal_budget_transfer,
     optimal_contest_transfer,
+    ridge_transfer,
 )
 from coalitional_lotto.core import GameInstance, Transfer, post_transfer, swap_indices
 from coalitional_lotto.mutual import Mechanism, joint_mutual_exists
@@ -49,6 +52,41 @@ class TestOptimalTransfers:
         for g in random_games(200, seed=53):
             if g.x1 / g.phi1 <= g.x2 / g.phi2:
                 assert optimal_contest_transfer(g).nu >= 0
+
+
+class TestRidgeTransfer:
+    def test_equals_the_closed_forms_bit_for_bit(self):
+        games = random_games(200, seed=21)
+        arrays = GameArrays.of(games)
+        budget = ridge_transfer(arrays, Mechanism.BUDGET).tolist()
+        contest = ridge_transfer(arrays, Mechanism.CONTEST).tolist()
+        for g, tau, nu in zip(games, budget, contest):
+            assert tau == (g.x1 * g.phi2 - g.x2 * g.phi1) / (g.phi1 + g.phi2)
+            assert nu == (g.x2 * g.phi1 - g.x1 * g.phi2) / (g.x1 + g.x2)
+            assert (optimal_budget_transfer(g).tau, optimal_contest_transfer(g).nu) == (tau, nu)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (1e300, 1e300, 1e300, 1e300),
+            (3e300, 1e300, 2e300, 5e300),
+            (1e308, 1.5e308, 0.5, 0.25),
+            (0.5, 0.25, 1e308, 1.5e308),
+            (1e-300, 2e-300, 1e300, 3e300),
+        ],
+    )
+    def test_overflow_is_recomputed_on_scaled_parameters(self, params):
+        g = GameInstance(*params)
+        arrays = GameArrays.of([g, swap_indices(g)])
+        phi1, phi2, x1, x2 = map(Fraction, params)
+        exact = {
+            Mechanism.BUDGET: (x1 * phi2 - x2 * phi1) / (phi1 + phi2),
+            Mechanism.CONTEST: (x2 * phi1 - x1 * phi2) / (x1 + x2),
+        }
+        for mechanism, value in exact.items():
+            v = ridge_transfer(g, mechanism)
+            assert v == pytest.approx(float(value), rel=1e-15, abs=0.0)
+            assert ridge_transfer(arrays, mechanism).tolist() == [v, -v]
 
 
 class TestMaxCollective:

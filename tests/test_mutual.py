@@ -39,7 +39,6 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
     line_breaks,
-    line_ends,
     line_sides,
     payoff_deltas,
     positive_roots,
@@ -57,7 +56,8 @@ from coalitional_lotto.paper_routes import (
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import (
     RIDGE_RTOL,
-    contest_ends,
+    along,
+    line_ends,
     min_gain,
     ridge_gap,
     thin_margin,
@@ -489,15 +489,20 @@ def _assert_contest_invariant(g: GameInstance, c: float) -> None:
 
 class TestExactContest:
     def test_line_ends_are_inset_by_their_own_size(self):
-        # One valuation twelve decades below the other: an inset by the
-        # line's width would cut off the small side; each end keeps all but
-        # a 1e-11 share of its own valuation.
-        g = GameInstance(1e6, 1e-6, 1.0, 1.0)
-        lo, hi = contest_ends(g)
-        assert lo == pytest.approx(-1e-6 * (1 - 1e-11), rel=1e-15)
-        assert hi == pytest.approx(1e6 * (1 - 1e-11), rel=1e-15)
-        for nu in (lo, hi):
-            player_payoffs(g, Transfer(0.0, nu))
+        # One share twelve decades below the other: an inset by the line's
+        # width would cut off the small side; each end keeps all but a
+        # 1e-11 share of its donor's own budget or valuation.
+        for mechanism, g in (
+            (Mechanism.BUDGET, GameInstance(1.0, 1.0, 1e6, 1e-6)),
+            (Mechanism.CONTEST, GameInstance(1e6, 1e-6, 1.0, 1.0)),
+        ):
+            lo, hi = line_ends(g, mechanism)
+            assert lo == pytest.approx(-1e-6 * (1 - 1e-11), rel=1e-15)
+            assert hi == pytest.approx(1e6 * (1 - 1e-11), rel=1e-15)
+            for v in (lo, hi):
+                player_payoffs(g, along(mechanism, v))
+            arrays = GameArrays.of([g, swap_indices(g)])
+            assert [e.tolist() for e in line_ends(arrays, mechanism)] == [[lo, -hi], [hi, -lo]]
 
     def test_ridge_knife_edge_exemplar(self):
         # The printed route 1.1 validates a transfer whose ratio gap is about
@@ -550,7 +555,8 @@ class TestWholeDomain:
     @pytest.mark.parametrize(
         "params",
         [
-            # x1 + x2 below 1e-11: the inset budget interval is empty.
+            # x1 + x2 below 1e-11, where an inset by the line's width left
+            # no budget line; the collective surplus rules out a gain.
             (1.0, 2.0, 1e-12, 2e-12),
             # phi1 * phi2 underflows, and with it the case-2 point candidate.
             (1e-300, 1e-300, 1e-300, 1.0),
@@ -816,6 +822,25 @@ class TestBudgetMutual:
         assert (w.exists, w.route) == (True, _mirror(route))
         assert is_mutually_beneficial(swap_indices(g), w.witness)
         assert w.witness.tau == -v.witness.tau
+
+    def test_witness_near_the_small_budgets_end(self):
+        # Budgets seven decades apart: the line from -x2 to x1, inset by a
+        # share of its width, started past the zero transfer and hid this
+        # witness from the verdict and the oracle alike.
+        g = GameInstance(
+            10981.702012174444, 0.004496608858811195, 12171.908003499348, 0.0036145060277491393
+        )
+        games = [g, swap_indices(g)]
+        verdicts = [budget_mutual_exists(h) for h in games]
+        assert [(v.exists, v.route, v.near_boundary) for v in verdicts] == [
+            (True, "exact:C2_1gt2", True),
+            (True, "exact:C2_1le2", True),
+        ]
+        assert verdicts[1].witness.tau == -verdicts[0].witness.tau
+        for h, v in zip(games, verdicts):
+            assert is_mutually_beneficial(h, v.witness)
+            assert grid_mutual_search(h, Mechanism.BUDGET).exists
+        assert mutual_arrays.budget_exists(GameArrays.of(games)).tolist() == [True, True]
 
     def test_ridge_knife_edge_exemplar(self):
         # The ratios differ by about 1.9e-6: transfers toward the ridge benefit

@@ -34,9 +34,9 @@ from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import (
     RIDGE_RTOL,
     golden_max,
+    line_ends,
     refine_transfers,
     ridge_gap,
-    transfer_interval,
 )
 from coalitional_lotto.sweep import run_verify
 
@@ -192,7 +192,7 @@ class TestSequenceForms:
         # The witness lies beyond the sliver, nearer the ridge than one scan
         # step: only the side refinement can find it.
         v = grid_mutual_searches(batching_corpus(), Mechanism.BUDGET)[-1]
-        scan = np.linspace(*transfer_interval(OFF_RIDGE_GAME, Mechanism.BUDGET), 4001)
+        scan = np.linspace(*line_ends(OFF_RIDGE_GAME, Mechanism.BUDGET), 4001)
         assert v.exists and v.witness.tau not in scan
         assert ridge_gap(OFF_RIDGE_GAME, Mechanism.BUDGET, v.witness.tau) > 2 * RIDGE_RTOL
 
