@@ -19,10 +19,13 @@ Per family it counts the games where the route verdict and the exact
 contest verdict of ``analyze_game`` disagree on ``exists``, and lists each
 such game with both verdicts and a dense scan of its contest line
 (``dense_scan``): ``settled`` when the scan's best transfer off the ridge
-sliver agrees with the exact verdict.  For each block it prints the sha256
-of the full-precision JSON of the three verdicts, and of the whole
-``analyze_game`` report, so two checkouts can be compared block by block
-with ``diff``.  Each block's games also go through the array forms that
+sliver agrees with the exact verdict.  Per family it also counts the budget
+verdicts that the capped-player rule decides (``mutual.capped_rules_out``
+on a game the surplus test leaves): a player already wins its whole
+valuation, so the budget line is never built.  For each block it prints
+the sha256 of the full-precision JSON of the three verdicts, and of the
+whole ``analyze_game`` report, so two checkouts can be compared block by
+block with ``diff``.  Each block's games also go through the array forms that
 sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
 ``mutual_arrays.contest_exists`` and ``batch.case_of``); the last line
 counts the games where they disagree with ``analyze_game``.  The script
@@ -203,6 +206,8 @@ def main(argv=None) -> int:
     print("block first verdicts_sha256 analyze_sha256")
     mismatches = Counter()
     disagreements = Counter()
+    capped = Counter()
+    drawn = Counter()
     listed = []
     unsettled = 0
     for first in range(0, args.count, args.block):
@@ -213,6 +218,10 @@ def main(argv=None) -> int:
             g = GameInstance(*FAMILIES[family](rng))
             games.append(g)
             report = analyze_game(g)
+            baseline = (report.u1, report.u2)
+            drawn[family] += 1
+            if not mutual.surplus_rules_out(g, baseline):
+                capped[family] += mutual.capped_rules_out(g, baseline)
             routes = paper_routes.route_verdict(g)
             if routes.route is not None and routes.exists:
                 counts.decided[routes.route.removeprefix("swap:")] += 1
@@ -244,6 +253,9 @@ def main(argv=None) -> int:
         f"route/exact contest disagreements over {args.count} games: {per_family}; "
         f"unsettled {unsettled}"
     )
+    for name in names:
+        decided = f"{capped[name]} of {drawn[name]}"
+        print(f"budget verdicts decided by the capped rule, {name}: {decided}")
     print(
         f"array mismatches over {args.count} games: budget {mismatches['budget']} "
         f"joint {mismatches['joint']} contest {mismatches['contest']} case {mismatches['case']}"

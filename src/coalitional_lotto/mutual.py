@@ -7,7 +7,12 @@ payoffs relative to no transfer.  Every transfer keeps the total budget
 can gain only when the surplus ``S`` of that maximum over the baseline sum
 exceeds twice the gain floor.  Where that one test
 (``surplus_rules_out``) rules a gain out, all three verdicts are absent
-before any line is built; every game on the ridge is such a game.
+before any line is built; every game on the ridge is such a game.  A
+budget transfer keeps both valuations, and no payoff exceeds its
+valuation, so a player whose baseline payoff already is its valuation
+rules out the budget line too (``capped_rules_out``, exact in floats).
+The adversary leaves the strong player of every case-1 game unopposed, so
+that player is capped, and every R1 game off the case-4 band is in case 1.
 Otherwise budget and contest transfers each move along a line and are
 decided exactly by one line engine, and joint transfers are decided from
 the surplus:
@@ -64,7 +69,7 @@ NaN marking an absent break, root or witness: the lines' sides and breaks
 (``line_sides``, ``side_breaks``, ``line_breaks``, with ``case_edges``; the
 ends are ``search.line_ends`` and the ridge ``collective.ridge_transfer``),
 the roots of their quadratics (``positive_roots``), the candidate forms,
-the joint witness (``gap_witness``) and the surplus test.  The one-game
+the joint witness (``gap_witness``) and the two rule-out tests.  The one-game
 engine drops NaN by the interval test it already makes, and
 ``mutual_arrays`` stacks the values into columns to decide all three
 verdicts over arrays of games.  Only the leaves branch on floats
@@ -80,6 +85,7 @@ no verdict calls it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,6 +110,10 @@ __all__ = [
     "joint_mutual_exists",
     "is_mutually_beneficial",
 ]
+
+
+# The smallest normal float: a product below it has lost precision.
+_TINY = sys.float_info.min
 
 
 class Region(Enum):
@@ -183,6 +193,23 @@ def _ops(x):
     ten times as much and returns a numpy scalar.
     """
     return (np.sqrt, np.where) if isinstance(x, np.ndarray) else (math.sqrt, _pick)
+
+
+def root_product(a, b):
+    """``sqrt(a * b)``, from the roots of the factors where the product underflows.
+
+    Where ``a * b`` is at least the smallest normal float the product's
+    root is taken, so every such value is ``sqrt(a * b)`` bit for bit; below
+    it, where the product is subnormal or zero, ``sqrt(a) * sqrt(b)`` keeps
+    the value and its precision.  Floats or arrays.
+    """
+    ab = a * b
+    if isinstance(ab, np.ndarray):
+        under = ab < _TINY
+        if under.any():
+            return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
+        return np.sqrt(ab)
+    return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)
 
 
 def positive_roots(a, b, c):
@@ -353,7 +380,7 @@ def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign) ->
     above = mechanism is Mechanism.CONTEST
     zs = [around_ridge(rho, 2.0 * RIDGE_RTOL)[above], around_ridge(rho, 1.001 * CASE_RTOL)[above]]
     if above:
-        k = sqrt(kept_w * kept_s)
+        k = root_product(kept_w, kept_s)
         zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - kept_s) / k)]
     else:
         zs += case_edges(moved_w + moved_s, rho)
@@ -390,6 +417,25 @@ def surplus_rules_out(g, baseline) -> bool:
     return max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * min_gain(g)
 
 
+def capped_rules_out(g, baseline) -> bool:
+    """Whether a player already wins its whole valuation, so no budget transfer helps both.
+
+    A budget transfer keeps both valuations, and no payoff exceeds its
+    valuation, so a player whose baseline payoff ``b_i`` reaches ``phi_i``
+    cannot gain.  The rule is exact in floats: ``core.transfer_params``
+    leaves each ``phi_i`` untouched when ``nu = 0``, and ``core.u_player``
+    returns ``phi * t`` with ``t <= 1`` on every branch, so ``d_i = u_i -
+    b_i <= 0 <= min_gain`` at every point of the line, the ridge sliver
+    included.  The strong player of a case-1 game is such a player: the
+    adversary leaves it unopposed, and ``phi_s * (1.0 - 0.0 / (2 x_s))`` is
+    ``phi_s``.  Every R1 game off the case-4 band is in case 1: with ``x_w,
+    x_s >= 1`` and ``x_w / phi_w < x_s / phi_s``, ``s**2 = x_w x_s phi_w /
+    phi_s > x_w**2 >= 1``.  ``g`` is a game or a ``GameArrays``, and
+    ``baseline`` its ``(b1, b2)``; on arrays the answer is elementwise.
+    """
+    return (baseline[0] >= g.phi1) | (baseline[1] >= g.phi2)
+
+
 def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
     """The verdict of one budget or contest transfer line, decided piece by piece.
 
@@ -408,13 +454,14 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
     only inside the ridge sliver rides on the adversary's indifference
     tie-break and is reported as the flagged ``ridge-knife-edge``.  An empty
     line, or a collective surplus that rules out a mutual gain
-    (``surplus_rules_out``), leaves no transfer.
+    (``surplus_rules_out``), leaves no transfer, and so does a budget line
+    where a player already wins its whole valuation (``capped_rules_out``).
     """
     baseline = payoffs_at(g, 0.0, 0.0)
-    if surplus_rules_out(g, baseline):
+    budget = mechanism is Mechanism.BUDGET
+    if surplus_rules_out(g, baseline) or (budget and capped_rules_out(g, baseline)):
         return _absent(mechanism)
     base1, base2 = baseline
-    budget = mechanism is Mechanism.BUDGET
     forms = budget_candidate_forms if budget else contest_candidate_forms
     sides = line_sides(g, mechanism)
     gaps = base1 - base2, base2 - base1
@@ -441,7 +488,7 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
                 index, swapped = pair
                 m_w, m_s, k_w, k_s, sign = sides[swapped]
                 points, quads = forms(
-                    index, k_w, k_s, gaps[swapped], m_w + m_s, math.sqrt(k_w * k_s)
+                    index, k_w, k_s, gaps[swapped], m_w + m_s, root_product(k_w, k_s)
                 )
                 zs = points + [z for quad in quads for z in positive_roots(*quad)]
                 # A candidate that is not positive lies on no piece, and NaN

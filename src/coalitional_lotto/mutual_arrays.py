@@ -9,14 +9,15 @@ candidate or witness in one payoff call.  Every rule comes from ``mutual``
 and ``search``, which write each once for a game or a ``GameArrays``
 (``search.line_ends``, ``line_sides``, ``line_breaks``, ``positive_roots``,
 the candidate forms, ``moved_amount``, ``gap_witness``,
-``surplus_rules_out``); this module keeps only what serves a block of
-games.  The budget and contest verdicts share one line engine,
-``_line_exists``, the array form of ``mutual._line_verdict``: both lines
-run in the transfer itself.  It stacks each game's breaks into one row,
-sorts it, NaN past the last, then classifies and solves only the pieces it
-scores: one flat entry per piece
-off the ridge sliver, and each case's candidates on that case's pieces
-alone (``_case_candidates``).  The verdicts classify and orient through
+``surplus_rules_out``, ``capped_rules_out``); this module keeps only what
+serves a block of games.  The budget and contest verdicts share one line
+engine, ``_line_exists``, the array form of ``mutual._line_verdict``: both
+lines run in the transfer itself.  It builds lines only for the games that
+the one-game verdict's rule-out tests leave, stacks each such game's
+breaks into one row, sorts it, NaN past the last, then classifies and
+solves only the pieces it scores: one flat entry per piece off the ridge
+sliver, and each case's candidates on that case's pieces alone
+(``_case_candidates``).  The verdicts classify and orient through
 ``batch.case_of`` and return ``exists`` only: game by game it equals the
 one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
@@ -32,12 +33,14 @@ from .batch import GameArrays
 from .core import Mechanism
 from .mutual import (
     budget_candidate_forms,
+    capped_rules_out,
     contest_candidate_forms,
     gap_witness,
     line_breaks,
     line_sides,
     moved_amount,
     positive_roots,
+    root_product,
     surplus_rules_out,
 )
 from .search import line_ends, min_gain
@@ -73,20 +76,28 @@ def _case_candidates(forms, index, args):
 def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
     """``mutual._line_verdict(g, mechanism).exists`` for every game of ``games``.
 
-    Row ``i`` holds game ``i``'s breaks of ``mutual.line_breaks``, 15 on a
-    budget line and 11 on a contest line: the line's ends, the ridge, and
-    on each weak side the sliver end, the case-4 band end and its four or
-    two case edges.  Those outside the ends are
-    dropped, and sorting each row and dropping zero-width pieces leaves the
-    one-game verdict's pieces.  Only the pieces off the ridge sliver are
+    A game that ``mutual.surplus_rules_out`` rules out, or on a budget line
+    ``mutual.capped_rules_out``, is absent; lines are built for the others
+    only.  Each such game's row holds its breaks of ``mutual.line_breaks``,
+    15 on a budget line and 11 on a contest line: the line's ends, the
+    ridge, and on each weak side the sliver end, the case-4 band end and its
+    four or two case edges.  Those outside the ends are dropped, and sorting
+    each row and dropping zero-width pieces leaves the one-game verdict's
+    pieces.  Only the pieces off the ridge sliver are
     classified and solved, one entry per piece; every end and candidate of
     those pieces is checked by ``batch.require_feasible`` and scored in one
     payoff call.
     """
     budget = mechanism is Mechanism.BUDGET
+    exists = np.zeros(len(games.phi1), dtype=bool)
     # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
+        ruled_out = surplus_rules_out(games, (base1, base2))
+        if budget:
+            ruled_out |= capped_rules_out(games, (base1, base2))
+        left = np.flatnonzero(~ruled_out)
+        games, base1, base2 = games.take(left), base1[left], base2[left]
         lo, hi = line_ends(games, mechanism)
         sliver, breaks = line_breaks(games, mechanism, lo, hi)
         breaks = np.column_stack(breaks)
@@ -118,7 +129,7 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
         )
         forms = budget_candidate_forms if budget else contest_candidate_forms
         pieces, zs = _case_candidates(
-            forms, index, (k_w, k_s, base_gap, m_w + m_s, np.sqrt(k_w * k_s))
+            forms, index, (k_w, k_s, base_gap, m_w + m_s, root_product(k_w, k_s))
         )
         sign = np.where(swapped[pieces], -1.0, 1.0)
         inner = sign * moved_amount(zs, m_w[pieces], m_s[pieces])
@@ -135,8 +146,7 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
         # ``min(d1, d2)`` as the scalar verdict takes it.
         score = np.where(d2 < d1, d2, d1)
         gain = min_gain(games)[rows]
-    exists = np.zeros(len(games.phi1), dtype=bool)
-    exists[rows[score > gain]] = True
+    exists[left[rows[score > gain]]] = True
     return exists
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from coalitional_lotto import mutual_arrays
 from coalitional_lotto.analysis import analyze_game, format_float, to_json
+from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import GameInstance
 
 
@@ -39,6 +41,21 @@ class TestAnalyzeGame:
         params = 10.0 ** np.random.default_rng(3).uniform(-300.0, 308.0, (300, 4))
         for row in params.tolist():
             json.loads(to_json(analyze_game(GameInstance(*row)).as_dict()))
+
+    def test_games_at_the_bottom_of_the_float_range(self):
+        # The budgets' product underflows to 0 here, and the contest line's
+        # ``k = sqrt(x1 * x2)`` is taken from the roots of the budgets.
+        analyze_game(GameInstance(1.0, 1.0, 5e-324, 0.3))
+        params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 3.0, (4000, 4))
+        games = [GameInstance(*row) for row in params.tolist()]
+        reports = [analyze_game(g) for g in games]
+        arrays = GameArrays.of(games)
+        for exists, verdicts in (
+            (mutual_arrays.budget_exists, [r.mutual_budget for r in reports]),
+            (mutual_arrays.contest_exists, [r.mutual_contest for r in reports]),
+            (mutual_arrays.joint_exists, [r.mutual_joint for r in reports]),
+        ):
+            assert exists(arrays).tolist() == [v.exists for v in verdicts]
 
     def test_report_dict_parses_as_json(self, diamond):
         data = json.loads(to_json(analyze_game(diamond).as_dict()))

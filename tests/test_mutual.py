@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes
@@ -29,6 +29,7 @@ from coalitional_lotto.mutual import (
     Mechanism,
     Region,
     budget_mutual_exists,
+    capped_rules_out,
     case_edges,
     classify_region,
     contest_mutual_exists,
@@ -43,7 +44,9 @@ from coalitional_lotto.mutual import (
     payoff_deltas,
     positive_roots,
     region_index,
+    root_product,
     side_breaks,
+    surplus_rules_out,
 )
 from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
 from coalitional_lotto.paper_routes import (
@@ -74,6 +77,28 @@ wide_budgets = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 # over 18.
 domain_valuations = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
 domain_budgets = st.floats(-9.0, 9.0).map(lambda e: 10.0**e)
+
+
+def _family(valuations, budgets):
+    return st.builds(GameInstance, valuations, valuations, budgets, budgets)
+
+
+def _exp10(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# The census's box, log and wide families, and the same with both budgets at
+# least 1 (region R1).
+census_families = st.one_of(
+    _family(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+    _family(_exp10(-3.0, 3.0), _exp10(-3.0, 2.0)),
+    _family(_exp10(-6.0, 6.0), _exp10(-4.0, 4.0)),
+)
+r1_families = st.one_of(
+    _family(st.floats(0.05, 3.0), st.floats(1.0, 3.0)),
+    _family(_exp10(-3.0, 3.0), _exp10(0.0, 2.0)),
+    _family(_exp10(-6.0, 6.0), _exp10(0.0, 4.0)),
+)
 
 
 def _mirror(route: str) -> str:
@@ -277,6 +302,9 @@ def _game_rules(g, baseline):
             gap_crossing(case, big_phi, big_x, 2.0 * RIDGE_RTOL, lead) for case in (1, 2, 3, 4)
         ],
         "gap_witness": gap_witness(g, baseline),
+        "rules_out": [surplus_rules_out(g, baseline), capped_rules_out(g, baseline)],
+        # The second product underflows, to a subnormal or to 0.
+        "root_product": [root_product(g.x1, g.x2), root_product(1e-300 * g.x1, 1e-20 * g.x2)],
     }
 
 
@@ -298,7 +326,9 @@ class TestSharedRules:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             rules = _game_rules(arrays, baseline)
         rows = {
-            name: np.column_stack([np.broadcast_to(v, len(games)) for v in _flat(values)])
+            name: np.column_stack(
+                [np.broadcast_to(v, len(games)) for v in _flat(values)]
+            ).astype(float)
             for name, values in rules.items()
         }
         witnesses = 0
@@ -738,6 +768,13 @@ class TestRouteCensus:
             ],
         ]
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
+        # Per family, the budget verdicts the capped-player rule decided.
+        assert lines[-7:-1] == [
+            f"budget verdicts decided by the capped rule, {name}: {capped} of 4"
+            for name, capped in (
+                ("box", 3), ("log", 2), ("r5", 1), ("ridge", 3), ("wide", 3), ("extreme", 4)
+            )
+        ]
         assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
 
     def load(self):
@@ -764,6 +801,48 @@ class TestRouteCensus:
         assert script.main(["--count", "6", "--block", "6"]) == EXIT_DISAGREEMENT
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "array mismatches over 6 games: budget 6 joint 0 contest 0 case 0"
+
+
+class TestCappedBudgetRule:
+    """A player whose baseline payoff is its whole valuation gains from no budget transfer."""
+
+    @staticmethod
+    def capped(g: GameInstance) -> list[bool]:
+        return [u >= phi for u, phi in zip(player_payoffs(g), (g.phi1, g.phi2))]
+
+    @given(g=census_families)
+    @settings(max_examples=300, deadline=None)
+    def test_capped_player_stays_at_its_valuation_along_the_line(self, g):
+        capped = self.capped(g)
+        assume(any(capped))
+        taus = np.linspace(*line_ends(g, Mechanism.BUDGET), 2001)
+        payoffs = batch.payoffs_at_transfers(g, taus, 0.0)
+        for u, phi, cap in zip(payoffs, (g.phi1, g.phi2), capped):
+            if cap:
+                assert (u <= phi).all(), g
+
+    @given(g=r1_families)
+    @settings(max_examples=300, deadline=None)
+    def test_r1_off_the_case_4_band_caps_the_strong_player(self, g):
+        label = classify_case(g)
+        assume(label.index != 4)
+        assert label.index == 1
+        # Player 1 is strong when player 2 has the weaker ratio.
+        assert self.capped(g)[1 - label.swapped], g
+
+    @given(games=st.lists(census_families, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_one_game_and_array_verdicts_agree(self, games):
+        assume(any(any(self.capped(g)) for g in games))
+        verdicts = [budget_mutual_exists(g) for g in games]
+        assert mutual_arrays.budget_exists(GameArrays.of(games)).tolist() == [
+            v.exists for v in verdicts
+        ]
+        for g, v in zip(games, verdicts):
+            if any(self.capped(g)):
+                assert (v.exists, v.witness, v.route, v.near_boundary) == (
+                    False, None, None, False
+                )
 
 
 class TestBudgetMutual:
@@ -1192,26 +1271,33 @@ class TestLineWork:
                 assert counts["budget_candidate_forms"] == counts["contest_candidate_forms"] == 0
                 monkeypatch.undo()
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            (12.0, 10.0, 0.4, 1.6),
-            # Benefits only inside the sliver, for contest and then budget
-            # transfers: the sliver is searched too.
-            (12.0, 10.0, 1.3953846153846154, 2.591371237458194),
-            (2.112853218100396, 0.020730816272816647, 3.0638782857109907, 0.030061992959509894),
-        ],
+    LINES = (
+        (budget_mutual_exists, "budget_candidate_forms"),
+        (contest_mutual_exists, "contest_candidate_forms"),
     )
-    def test_candidates_once_per_case(self, monkeypatch, params):
+
+    @pytest.mark.parametrize(
+        "params,lines",
+        [
+            ((12.0, 10.0, 0.4, 1.6), LINES),
+            # Benefits only inside the sliver, for contest and then budget
+            # transfers: the sliver is searched too.  The first game's budget
+            # line is ruled out (``test_capped_budget_line_scores_only_the_baseline``).
+            ((12.0, 10.0, 1.3953846153846154, 2.591371237458194), LINES[1:]),
+            (
+                (2.112853218100396, 0.020730816272816647, 3.0638782857109907, 0.030061992959509894),
+                LINES,
+            ),
+        ],
+        ids=["params0", "params1", "params2"],
+    )
+    def test_candidates_once_per_case(self, monkeypatch, params, lines):
         # DIAMOND's lines cross the ridge sliver.  No candidate computation
         # repeats its arguments, also where the sliver's pieces share their
         # neighbours' cases.
         g = GameInstance(*params)
         for h in (g, swap_indices(g)):
-            for verdict, name in (
-                (budget_mutual_exists, "budget_candidate_forms"),
-                (contest_mutual_exists, "contest_candidate_forms"),
-            ):
+            for verdict, name in lines:
                 counts = _count_line_work(monkeypatch)
                 v = verdict(h)
                 calls = {k: n for k, n in counts.items() if isinstance(k, tuple) and k[0] == name}
@@ -1220,6 +1306,24 @@ class TestLineWork:
                     # Both sides of the ridge: both orientations.
                     assert len({key[1:3] for key in calls}) >= 2
                 monkeypatch.undo()
+
+    def test_capped_budget_line_scores_only_the_baseline(self, monkeypatch):
+        # Case 1 leaves player 2 unopposed, so it wins its whole valuation and
+        # no budget transfer can raise its payoff: the budget verdict scores
+        # the baseline and computes no candidate.  Its contest line benefits
+        # only inside the sliver, which it still searches.
+        g = GameInstance(12.0, 10.0, 1.3953846153846154, 2.591371237458194)
+        assert classify_case(g) == CaseLabel.of(1, False)
+        assert player_payoffs(g)[1] == g.phi2
+        for h in (g, swap_indices(g)):
+            counts = _count_line_work(monkeypatch)
+            v = budget_mutual_exists(h)
+            assert (v.exists, v.witness, v.route, v.near_boundary) == (False, None, None, False)
+            assert counts["payoffs_at"] == 1
+            assert counts["budget_candidate_forms"] == counts["contest_candidate_forms"] == 0
+            monkeypatch.undo()
+            v = contest_mutual_exists(h)
+            assert (v.exists, v.route, v.near_boundary) == (False, "ridge-knife-edge", True)
 
     def test_work_budget_on_pinned_corpus(self, monkeypatch, analyze_golden):
         # The totals repeat exactly: a change that adds work to the lines
@@ -1236,14 +1340,16 @@ class TestLineWork:
             totals[verdict.__name__] = (counts["payoffs_at"], counts[name])
             monkeypatch.undo()
         assert totals == {
-            "budget_mutual_exists": (836, 320),
+            "budget_mutual_exists": (353, 90),
             "contest_mutual_exists": (902, 344),
         }
 
     def test_array_lanes_on_pinned_corpus(self, monkeypatch, analyze_golden):
-        # The array lines classify and solve only the pieces off the ridge
-        # sliver, each case's quadratics on that case's pieces; the budget
-        # line's quadratics include its four case edges per game.  The totals
+        # The array lines build no line for a game the surplus test rules out,
+        # nor a budget line where a player wins its whole valuation, and
+        # classify and solve only the pieces off the ridge sliver, each
+        # case's quadratics on that case's pieces; the budget line's
+        # quadratics include its four case edges per game.  The totals
         # repeat exactly: a change that pads the lanes must update them on
         # purpose.
         games = GameArrays.of([GameInstance(*rec["game"]) for rec in analyze_golden])
@@ -1267,4 +1373,4 @@ class TestLineWork:
             lanes.clear()
             verdict(games)
             totals[verdict.__name__] = (lanes["case_of"], lanes["positive_roots"])
-        assert totals == {"budget_exists": (330, 730), "contest_exists": (360, 560)}
+        assert totals == {"budget_exists": (93, 242), "contest_exists": (298, 458)}
