@@ -22,7 +22,11 @@ such game with both verdicts and a dense scan of its contest line
 sliver agrees with the exact verdict.  Per family it also counts the budget
 verdicts that the capped-player rule decides (``mutual.capped_rules_out``
 on a game the surplus test leaves): a player already wins its whole
-valuation, so the budget line is never built.  For each block it prints
+valuation, so the budget line is never built.  On the same games it
+counts the contest line's pieces and those that the valuation-room rule
+drops (``mutual.valuation_room`` of a piece's ends): there a player's
+post-transfer valuation leaves it no room to gain, so they are never
+classified or scored.  For each block it prints
 the sha256 of the full-precision JSON of the three verdicts, and of the
 whole ``analyze_game`` report, so two checkouts can be compared block by
 block with ``diff``.  Each block's games also go through the array forms that
@@ -207,6 +211,8 @@ def main(argv=None) -> int:
     mismatches = Counter()
     disagreements = Counter()
     capped = Counter()
+    dropped = Counter()
+    pieces = Counter()
     drawn = Counter()
     listed = []
     unsettled = 0
@@ -222,6 +228,11 @@ def main(argv=None) -> int:
             drawn[family] += 1
             if not mutual.surplus_rules_out(g, baseline):
                 capped[family] += mutual.capped_rules_out(g, baseline)
+                line = mutual.line_pieces(g, Mechanism.CONTEST)[1]
+                pieces[family] += len(line)
+                dropped[family] += sum(
+                    not mutual.valuation_room(g, baseline, a, b) for a, b, _ in line
+                )
             routes = paper_routes.route_verdict(g)
             if routes.route is not None and routes.exists:
                 counts.decided[routes.route.removeprefix("swap:")] += 1
@@ -256,6 +267,9 @@ def main(argv=None) -> int:
     for name in names:
         decided = f"{capped[name]} of {drawn[name]}"
         print(f"budget verdicts decided by the capped rule, {name}: {decided}")
+    for name in names:
+        room = f"{dropped[name]} of {pieces[name]}"
+        print(f"contest pieces dropped by the valuation room, {name}: {room}")
     print(
         f"array mismatches over {args.count} games: budget {mismatches['budget']} "
         f"joint {mismatches['joint']} contest {mismatches['contest']} case {mismatches['case']}"

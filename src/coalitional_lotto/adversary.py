@@ -29,6 +29,7 @@ from .core import (
     PayoffPair,
     Transfer,
     one_v_one_payoff,
+    root_product,
     transfer_params,
     u_player,
 )
@@ -159,13 +160,10 @@ def _split_oriented(index, phi_w, phi_s, x_w, x_s):
     if index == 2:
         return math.sqrt(x_w * x_s * phi_w / phi_s)
     if index == 3:
-        a = math.sqrt(x_w * phi_w)
-        b = math.sqrt(x_s * phi_s)
-        if a + b == 0.0:
-            # Both products underflow on subnormal valuations; the roots of
-            # the factors keep their ratio.
-            a = math.sqrt(x_w) * math.sqrt(phi_w)
-            b = math.sqrt(x_s) * math.sqrt(phi_s)
+        # A product below the smallest normal float is taken from the roots
+        # of its factors, so neither share collapses to 0.
+        a = root_product(x_w, phi_w)
+        b = root_product(x_s, phi_s)
         return a / (a + b)
     # Case 4: any split with xa_i <= x_i is optimal.  Canonical choice is the
     # proportional split, which is always feasible (x_w + x_s >= 1) and agrees

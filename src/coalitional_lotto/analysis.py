@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from .adversary import best_response, classify_case, player_payoffs
 from .collective import CollectiveReport, collective_report
 from .core import GameInstance
-from .mutual import (
-    MutualBenefitVerdict,
-    budget_mutual_exists,
-    classify_region,
-    contest_mutual_exists,
-    joint_mutual_exists,
-)
+from .mutual import MutualBenefitVerdict, classify_region, mutual_verdicts
 
 __all__ = ["AnalysisReport", "analyze_game", "to_json"]
 
@@ -58,6 +52,7 @@ def analyze_game(g: GameInstance) -> AnalysisReport:
     label = classify_case(g)
     xa = best_response(g)
     u1, u2 = player_payoffs(g)
+    budget, contest, joint = mutual_verdicts(g, (u1, u2))
     # Case-4 games: the adversary is indifferent among splits, so individual
     # payoffs (and with them the mutual verdicts) depend on the canonical
     # proportional tie-break; reports carry a flag.
@@ -68,9 +63,9 @@ def analyze_game(g: GameInstance) -> AnalysisReport:
         xa=(xa.xa1, xa.xa2),
         u1=u1,
         u2=u2,
-        mutual_budget=budget_mutual_exists(g),
-        mutual_contest=contest_mutual_exists(g),
-        mutual_joint=joint_mutual_exists(g),
+        mutual_budget=budget,
+        mutual_contest=contest,
+        mutual_joint=joint,
         collective=collective_report(g),
         case4_tiebreak_dependent=label.index == 4,
     )
@@ -92,26 +87,10 @@ def _json_str(s: str) -> str:
     return f'"{escaped}"'
 
 
-def _json_dict(d: dict, indent: int) -> str:
-    if not d:
-        return "{}"
-    inner = " " * (indent + 2)
-    items = [f'{inner}"{k}": {to_json(v, indent + 2)}' for k, v in d.items()]
-    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-
-
-def _json_list(seq, indent: int) -> str:
-    if not seq:
-        return "[]"
-    inner = " " * (indent + 2)
-    items = [f"{inner}{to_json(v, indent + 2)}" for v in seq]
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
-
-
-# Writers by exact type: a scalar's takes the value, a container's the value
-# and its indent.  Any other type takes the writer of the first type here,
-# scalars first, that it is an instance of, so ``numpy.float64`` is written
-# as a float and a ``str`` enum as a string.
+# Writers of the JSON scalars by exact type.  A value of any other type is
+# written as the first JSON kind in ``_JSON_KINDS``, scalars first, that it
+# is an instance of, so ``numpy.float64`` is written as a float and a
+# ``str`` enum as a string.
 _JSON_SCALARS = {
     type(None): lambda obj: "null",
     bool: lambda obj: "true" if obj else "false",
@@ -119,7 +98,55 @@ _JSON_SCALARS = {
     int: str,
     float: format_float,
 }
-_JSON_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
+_JSON_KINDS = (*_JSON_SCALARS, dict, list, tuple)
+
+
+def _write_json(out: list, obj, indent: int) -> None:
+    """Append the JSON of ``obj`` to ``out``.
+
+    A container writes the scalars it holds in its own loop, a dict's
+    floats without a call, and recurses only into the containers it holds.
+    """
+    kind = type(obj)
+    write = _JSON_SCALARS.get(kind)
+    if write is None and kind is not dict and kind is not list and kind is not tuple:
+        kind = next((base for base in _JSON_KINDS if isinstance(obj, base)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        write = _JSON_SCALARS.get(kind)
+    if write is not None:
+        out.append(write(obj))
+        return
+    if not obj:
+        out.append("{}" if kind is dict else "[]")
+        return
+    pad = "\n" + " " * (indent + 2)
+    sep = pad
+    if kind is dict:
+        out.append("{")
+        for key, value in obj.items():
+            leaf = type(value)
+            if leaf is float:
+                text = f"{value:.12g}"
+                out.append(f'{sep}"{key}": {_SPECIAL_FLOATS.get(text, text)}')
+            elif leaf in _JSON_SCALARS:
+                out.append(f'{sep}"{key}": {_JSON_SCALARS[leaf](value)}')
+            else:
+                out.append(f'{sep}"{key}": ')
+                _write_json(out, value, indent + 2)
+            sep = "," + pad
+        out.append("\n" + " " * indent + "}")
+        return
+    out.append("[")
+    for value in obj:
+        leaf = type(value)
+        if leaf in _JSON_SCALARS:
+            out.append(sep + _JSON_SCALARS[leaf](value))
+        else:
+            out.append(sep)
+            _write_json(out, value, indent + 2)
+        sep = "," + pad
+    out.append("\n" + " " * indent + "]")
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -128,19 +155,9 @@ def to_json(obj, indent: int = 0) -> str:
     The standard encoder prints shortest-roundtrip floats, which leaks
     platform-independent but noisy digits into reports; this writer keeps
     output byte-stable under refactoring of internal arithmetic order only
-    when values agree to 12 digits, which is the published precision.
+    when values agree to 12 digits, which is the published precision.  The
+    whole document is appended to one list and joined once.
     """
-    kind = type(obj)
-    write = _JSON_SCALARS.get(kind)
-    if write is not None:
-        return write(obj)
-    nest = _JSON_CONTAINERS.get(kind)
-    if nest is not None:
-        return nest(obj, indent)
-    for base, write in _JSON_SCALARS.items():
-        if isinstance(obj, base):
-            return write(obj)
-    for base, nest in _JSON_CONTAINERS.items():
-        if isinstance(obj, base):
-            return nest(obj, indent)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    out: list[str] = []
+    _write_json(out, obj, indent)
+    return "".join(out)

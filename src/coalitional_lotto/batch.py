@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .adversary import CASE_RTOL, RATIO_SCALE
-from .core import GameInstance, Transfer, post_transfer_params, transfer_feasible
+from .core import GameInstance, Transfer, post_transfer_params, root_product, transfer_feasible
 
 __all__ = [
     "GameArrays",
@@ -175,15 +175,9 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
         g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus
     )
     # The case-3 share, exact on the equal-ratio ridge with total budget < 1
-    # too.  Both products underflow only on subnormal valuations; the roots
-    # are then taken factor by factor, as in ``adversary``.
-    root_w = np.sqrt(bw * pw)
-    roots = root_w + np.sqrt(bs * ps)
-    if not roots.all():
-        under = roots == 0.0
-        root_w = np.where(under, np.sqrt(bw) * np.sqrt(pw), root_w)
-        roots = np.where(under, root_w + np.sqrt(bs) * np.sqrt(ps), roots)
-    case3 = root_w / roots
+    # too.  Each root is ``core.root_product``, as in ``adversary``.
+    root_w = root_product(bw, pw)
+    case3 = root_w / (root_w + root_product(bs, ps))
     # The adversary's share of the weak front, filled case by case.
     xa_w = np.where(case2, s, case3)
     np.copyto(xa_w, 1.0, where=case1)

@@ -12,8 +12,11 @@ floats and wrapped with validation by ``one_v_one_payoff``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "GameValidationError",
@@ -30,11 +33,15 @@ __all__ = [
     "post_transfer_params",
     "post_transfer",
     "swap_indices",
+    "root_product",
 ]
 
 # Transfers that would numerically zero out a budget or valuation are
 # rejected; feasibility intervals are open.
 EPS_FEAS = 1e-12
+
+# The smallest normal float: a product below it has lost precision.
+_TINY = sys.float_info.min
 
 
 class GameValidationError(ValueError):
@@ -217,3 +224,20 @@ def post_transfer(g: GameInstance, t: Transfer) -> GameInstance:
 def swap_indices(g: GameInstance) -> GameInstance:
     """Relabel the players: ``(phi2, phi1, x2, x1)``.  Involutive."""
     return GameInstance(g.phi2, g.phi1, g.x2, g.x1)
+
+
+def root_product(a, b):
+    """``sqrt(a * b)``, from the roots of the factors where the product underflows.
+
+    Where ``a * b`` is at least the smallest normal float the product's
+    root is taken, so every such value is ``sqrt(a * b)`` bit for bit; below
+    it, where the product is subnormal or zero, ``sqrt(a) * sqrt(b)`` keeps
+    the value and its precision.  Floats or arrays.
+    """
+    ab = a * b
+    if isinstance(ab, np.ndarray):
+        under = ab < _TINY
+        if under.any():
+            return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
+        return np.sqrt(ab)
+    return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)

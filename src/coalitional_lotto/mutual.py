@@ -13,6 +13,11 @@ valuation, so a player whose baseline payoff already is its valuation
 rules out the budget line too (``capped_rules_out``, exact in floats).
 The adversary leaves the strong player of every case-1 game unopposed, so
 that player is capped, and every R1 game off the case-4 band is in case 1.
+A contest transfer moves valuation, and a player gains only while its
+post-transfer valuation exceeds its baseline payoff by the gain floor; the
+contest line scores only where both players have that room
+(``valuation_room``, exact in floats).  ``mutual_verdicts`` decides all
+three verdicts of a game from its one baseline and one surplus test.
 Otherwise budget and contest transfers each move along a line and are
 decided exactly by one line engine, and joint transfers are decided from
 the surplus:
@@ -33,7 +38,9 @@ the surplus:
   quadratics.  Those candidates depend only on the case, its orientation
   and the game, so a line computes them once per ``(case, orientation)``
   and each piece keeps the ones inside it.  One scoring pass evaluates them
-  through ``adversary.payoffs_at``.
+  through ``adversary.payoffs_at``.  A contest piece whose ends leave a
+  player no valuation room is dropped before it is classified, and a
+  contest point without room is not scored.
 * budget transfers keep ``Phi`` and the valuations and move the budgets
   ``b1 = x1 - tau``, ``b2 = x2 + tau``.  With ``X = x1 + x2`` and ``k =
   sqrt(phi_w * phi_s)``, case 3 gives ``u_w = (X/2)(phi_w z**2 + k z) / (1
@@ -69,23 +76,22 @@ NaN marking an absent break, root or witness: the lines' sides and breaks
 (``line_sides``, ``side_breaks``, ``line_breaks``, with ``case_edges``; the
 ends are ``search.line_ends`` and the ridge ``collective.ridge_transfer``),
 the roots of their quadratics (``positive_roots``), the candidate forms,
-the joint witness (``gap_witness``) and the two rule-out tests.  The one-game
-engine drops NaN by the interval test it already makes, and
-``mutual_arrays`` stacks the values into columns to decide all three
-verdicts over arrays of games.  Only the leaves branch on floats
-against arrays (``_ops`` and ``positive_roots``): float division by zero
-and ``math.sqrt`` of a negative raise, and one game's joint witness stops
-at the first confirmed case.  Case edges, the contest orientation and the
-case-4 bands all use the one fixed tie tolerance ``adversary.CASE_RTOL``.
-The paper's printed contest routes are kept in ``paper_routes`` as a
-plain check, which opens the printed windows and tries a point of each;
-no verdict calls it.
+the joint witness (``gap_witness``), the two rule-out tests and the
+valuation room.  The one-game engine drops NaN by the interval test it
+already makes, and ``mutual_arrays`` stacks the values into columns to
+decide all three verdicts over arrays of games.  Only the leaves branch on
+floats against arrays (``_ops`` and ``positive_roots``): float division by
+zero and ``math.sqrt`` of a negative raise, and one game's joint witness
+stops at the first confirmed case.  Case edges, the contest orientation and
+the case-4 bands all use the one fixed tie tolerance
+``adversary.CASE_RTOL``.  The paper's printed contest routes are kept in
+``paper_routes`` as a plain check, which opens the printed windows and
+tries a point of each; no verdict calls it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,7 +101,7 @@ from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
 from .collective import max_collective_payoff, ridge_transfer
 from .batch import GameArrays
-from .core import GameInstance, Mechanism, Transfer, transfer_feasible
+from .core import GameInstance, Mechanism, Transfer, root_product, transfer_feasible
 from .search import RIDGE_RTOL, along, line_ends, line_pairs, min_gain, thin_margin
 
 __all__ = [
@@ -108,12 +114,9 @@ __all__ = [
     "contest_mutual_exists",
     "budget_mutual_exists",
     "joint_mutual_exists",
+    "mutual_verdicts",
     "is_mutually_beneficial",
 ]
-
-
-# The smallest normal float: a product below it has lost precision.
-_TINY = sys.float_info.min
 
 
 class Region(Enum):
@@ -193,23 +196,6 @@ def _ops(x):
     ten times as much and returns a numpy scalar.
     """
     return (np.sqrt, np.where) if isinstance(x, np.ndarray) else (math.sqrt, _pick)
-
-
-def root_product(a, b):
-    """``sqrt(a * b)``, from the roots of the factors where the product underflows.
-
-    Where ``a * b`` is at least the smallest normal float the product's
-    root is taken, so every such value is ``sqrt(a * b)`` bit for bit; below
-    it, where the product is subnormal or zero, ``sqrt(a) * sqrt(b)`` keeps
-    the value and its precision.  Floats or arrays.
-    """
-    ab = a * b
-    if isinstance(ab, np.ndarray):
-        under = ab < _TINY
-        if under.any():
-            return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
-        return np.sqrt(ab)
-    return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)
 
 
 def positive_roots(a, b, c):
@@ -401,6 +387,19 @@ def line_breaks(g, mechanism: Mechanism, lo, hi):
     return sliver, [lo, hi, ridge_transfer(g, mechanism), *one, *two]
 
 
+def line_pieces(g: GameInstance, mechanism: Mechanism):
+    """One game's line cut at its breaks: ``(sliver, pieces)``.
+
+    ``sliver`` is ``line_breaks``'s, and each piece is ``(a, b, mid)``, its
+    ends and midpoint, between neighbouring distinct breaks inside
+    ``search.line_ends`` (NaN is inside none).
+    """
+    lo, hi = line_ends(g, mechanism)
+    sliver, breaks = line_breaks(g, mechanism, lo, hi)
+    vs = sorted({v for v in breaks if lo <= v <= hi})
+    return sliver, [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])]
+
+
 def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
     return MutualBenefitVerdict(mechanism, False, None, None, False)
 
@@ -436,7 +435,30 @@ def capped_rules_out(g, baseline) -> bool:
     return (baseline[0] >= g.phi1) | (baseline[1] >= g.phi2)
 
 
-def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
+def valuation_room(g, baseline, a, b):
+    """Whether both players may gain on the contest stretch from ``a`` to ``b``.
+
+    A contest transfer moves valuation, and no payoff exceeds its player's
+    post-transfer valuation, so player 1 can gain at ``nu`` only while
+    ``(phi1 - nu) - b1`` exceeds the gain floor, and player 2 only while
+    ``(phi2 + nu) - b2`` does.  Player 1's room falls as ``nu`` grows and
+    player 2's as it falls, so the test takes player 1's at ``a`` and player
+    2's at ``b``; a single point is ``a == b``.  Where it fails, no point of
+    the stretch benefits both.  The rule is exact in floats:
+    ``core.transfer_params`` forms ``phi1 - nu`` and ``phi2 + nu`` with these
+    same operations, ``core.u_player`` returns ``phi' * t`` with ``t <= 1``
+    or ``phi'`` on every branch, so ``u_i <= phi_i'``, and rounding is
+    monotone, so ``d_i = u_i - b_i <= phi_i' - b_i``.  ``g`` is a game or a
+    ``GameArrays``, ``baseline`` its ``(b1, b2)``, and ``a`` and ``b``
+    broadcast against them.
+    """
+    gain = min_gain(g)
+    return ((g.phi1 - a) - baseline[0] > gain) & ((g.phi2 + b) - baseline[1] > gain)
+
+
+def _line_verdict(
+    g: GameInstance, mechanism: Mechanism, baseline: tuple[float, float]
+) -> MutualBenefitVerdict:
     """The verdict of one budget or contest transfer line, decided piece by piece.
 
     The breaks of ``line_breaks`` between the line's ends (NaN is between
@@ -452,14 +474,19 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
     route names the case of the deciding piece, ``exact:<case label>``, and
     thin positive margins are flagged (``thin_margin``).  A benefit found
     only inside the ridge sliver rides on the adversary's indifference
-    tie-break and is reported as the flagged ``ridge-knife-edge``.  An empty
-    line, or a collective surplus that rules out a mutual gain
-    (``surplus_rules_out``), leaves no transfer, and so does a budget line
-    where a player already wins its whole valuation (``capped_rules_out``).
+    tie-break and is reported as the flagged ``ridge-knife-edge``.  The
+    caller has taken the surplus test (``surplus_rules_out``) on
+    ``baseline``, the game's ``(b1, b2)``.  An empty line leaves no
+    transfer, and so does a budget line where a player already wins its
+    whole valuation (``capped_rules_out``).  On a contest line, a piece
+    where the players lack valuation room (``valuation_room`` of its ends)
+    is dropped before it is classified, and a point that lacks it is not
+    scored: neither can hold a transfer that benefits both, and only such
+    transfers decide the verdict, so both passes keep their result bit for
+    bit.
     """
-    baseline = payoffs_at(g, 0.0, 0.0)
     budget = mechanism is Mechanism.BUDGET
-    if surplus_rules_out(g, baseline) or (budget and capped_rules_out(g, baseline)):
+    if budget and capped_rules_out(g, baseline):
         return _absent(mechanism)
     base1, base2 = baseline
     forms = budget_candidate_forms if budget else contest_candidate_forms
@@ -498,6 +525,8 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
             for v in (a, b, *[v for v in inner if a < v < b]):
                 score = scores.get(v)
                 if score is None:
+                    if not (budget or valuation_room(g, baseline, v, v)):
+                        continue
                     u1, u2 = payoffs_at(g, v, 0.0) if budget else payoffs_at(g, 0.0, v)
                     d1, d2 = u1 - base1, u2 - base2
                     # ``min(d1, d2)``, which keeps d1 on a tie.
@@ -510,10 +539,9 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
         return best, v_best, case
 
     gain = min_gain(g)
-    lo, hi = line_ends(g, mechanism)
-    sliver, breaks = line_breaks(g, mechanism, lo, hi)
-    vs = sorted({v for v in breaks if lo <= v <= hi})
-    pieces = [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])]
+    sliver, pieces = line_pieces(g, mechanism)
+    if not budget:
+        pieces = [p for p in pieces if valuation_room(g, baseline, p[0], p[1])]
     value, v_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
     if value > gain:
         route = f"exact:{CaseLabel.of(*case)}"
@@ -527,14 +555,44 @@ def _line_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict
     return _absent(mechanism)
 
 
+def _verdict(g: GameInstance, mechanism: Mechanism, baseline) -> MutualBenefitVerdict:
+    """One verdict, after the surplus test on ``baseline`` has been passed."""
+    if mechanism is Mechanism.JOINT:
+        return _joint_verdict(g, baseline)
+    return _line_verdict(g, mechanism, baseline)
+
+
+def _single_verdict(g: GameInstance, mechanism: Mechanism, baseline) -> MutualBenefitVerdict:
+    """One verdict: the surplus test on ``baseline``, then the verdict's body."""
+    if surplus_rules_out(g, baseline):
+        return _absent(mechanism)
+    return _verdict(g, mechanism, baseline)
+
+
+def mutual_verdicts(
+    g: GameInstance, baseline: tuple[float, float]
+) -> tuple[MutualBenefitVerdict, MutualBenefitVerdict, MutualBenefitVerdict]:
+    """The budget, contest and joint verdicts of a game, from one baseline.
+
+    ``baseline`` is the game's ``player_payoffs(g)``; one surplus test
+    (``surplus_rules_out``) serves all three verdicts, each of which equals
+    ``budget_mutual_exists``, ``contest_mutual_exists`` and
+    ``joint_mutual_exists``, witness floats included.
+    """
+    mechanisms = (Mechanism.BUDGET, Mechanism.CONTEST, Mechanism.JOINT)
+    if surplus_rules_out(g, baseline):
+        return tuple(_absent(mechanism) for mechanism in mechanisms)
+    return tuple(_verdict(g, mechanism, baseline) for mechanism in mechanisms)
+
+
 def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial budget transfer, decided along ``tau`` (``_line_verdict``)."""
-    return _line_verdict(g, Mechanism.BUDGET)
+    return _single_verdict(g, Mechanism.BUDGET, payoffs_at(g, 0.0, 0.0))
 
 
 def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial contest transfer, decided along ``nu`` (``_line_verdict``)."""
-    return _line_verdict(g, Mechanism.CONTEST)
+    return _single_verdict(g, Mechanism.CONTEST, payoffs_at(g, 0.0, 0.0))
 
 
 def gap_crossing(index: int, big_phi, big_x, gap, lead):
@@ -638,9 +696,11 @@ def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     map and named ``exact:<case label>``; when it fails, both players gain
     only inside the ridge sliver, the flagged ``ridge-knife-edge``.
     """
-    baseline = player_payoffs(g)
-    if surplus_rules_out(g, baseline):
-        return _absent(Mechanism.JOINT)
+    return _single_verdict(g, Mechanism.JOINT, player_payoffs(g))
+
+
+def _joint_verdict(g: GameInstance, baseline) -> MutualBenefitVerdict:
+    """``joint_mutual_exists`` after the surplus test on ``baseline``."""
     gain = min_gain(g)
     tau, nu, index, swapped = gap_witness(g, baseline)
     if index:

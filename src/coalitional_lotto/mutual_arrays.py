@@ -9,17 +9,17 @@ candidate or witness in one payoff call.  Every rule comes from ``mutual``
 and ``search``, which write each once for a game or a ``GameArrays``
 (``search.line_ends``, ``line_sides``, ``line_breaks``, ``positive_roots``,
 the candidate forms, ``moved_amount``, ``gap_witness``,
-``surplus_rules_out``, ``capped_rules_out``); this module keeps only what
-serves a block of games.  The budget and contest verdicts share one line
-engine, ``_line_exists``, the array form of ``mutual._line_verdict``: both
-lines run in the transfer itself.  It builds lines only for the games that
-the one-game verdict's rule-out tests leave, stacks each such game's
-breaks into one row, sorts it, NaN past the last, then classifies and
-solves only the pieces it scores: one flat entry per piece off the ridge
-sliver, and each case's candidates on that case's pieces alone
-(``_case_candidates``).  The verdicts classify and orient through
-``batch.case_of`` and return ``exists`` only: game by game it equals the
-one-game verdict's (``tests/test_mutual.py`` and
+``surplus_rules_out``, ``capped_rules_out``, ``valuation_room``); this
+module keeps only what serves a block of games.  The budget and contest
+verdicts share one line engine, ``_line_exists``, the array form of
+``mutual._line_verdict``: both lines run in the transfer itself.  It builds
+lines only for the games that the one-game verdict's rule-out tests leave,
+stacks each such game's breaks into one row, sorts it, NaN past the last,
+then classifies and solves only the pieces it scores: one flat entry per
+piece off the ridge sliver, and each case's candidates on that case's
+pieces alone (``_case_candidates``).  The verdicts classify and orient
+through ``batch.case_of`` and return ``exists`` only: game by game it
+equals the one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
 with the one-game verdicts, which ``analyze_game`` uses.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import batch
 from .batch import GameArrays
-from .core import Mechanism
+from .core import Mechanism, root_product
 from .mutual import (
     budget_candidate_forms,
     capped_rules_out,
@@ -40,8 +40,8 @@ from .mutual import (
     line_sides,
     moved_amount,
     positive_roots,
-    root_product,
     surplus_rules_out,
+    valuation_room,
 )
 from .search import line_ends, min_gain
 
@@ -74,7 +74,7 @@ def _case_candidates(forms, index, args):
 
 
 def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
-    """``mutual._line_verdict(g, mechanism).exists`` for every game of ``games``.
+    """The one-game budget or contest verdict's ``exists`` for every game of ``games``.
 
     A game that ``mutual.surplus_rules_out`` rules out, or on a budget line
     ``mutual.capped_rules_out``, is absent; lines are built for the others
@@ -83,10 +83,12 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
     ridge, and on each weak side the sliver end, the case-4 band end and its
     four or two case edges.  Those outside the ends are dropped, and sorting
     each row and dropping zero-width pieces leaves the one-game verdict's
-    pieces.  Only the pieces off the ridge sliver are
-    classified and solved, one entry per piece; every end and candidate of
-    those pieces is checked by ``batch.require_feasible`` and scored in one
-    payoff call.
+    pieces.  Only the pieces off the ridge sliver are classified and
+    solved, one entry per piece, and on a contest line only those whose
+    ends leave both players valuation room (``mutual.valuation_room``,
+    taken row-wise): no point of another holds a mutual gain.  Every end
+    and candidate of those pieces is checked by ``batch.require_feasible``
+    and scored in one payoff call.
     """
     budget = mechanism is Mechanism.BUDGET
     exists = np.zeros(len(games.phi1), dtype=bool)
@@ -107,6 +109,9 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
         mid = 0.5 * (va + vb)
         on_ridge = (sliver[0][:, None] < mid) & (mid < sliver[1][:, None])
         off = (va < vb) & ~on_ridge
+        if not budget:
+            columns = GameArrays(*(field[:, None] for field in games))
+            off &= valuation_room(columns, (base1[:, None], base2[:, None]), va, vb)
         # A break is an end of the pieces on both sides of it.
         end_ok = np.zeros(vs.shape, dtype=bool)
         end_ok[:, :-1] |= off

@@ -1,3 +1,4 @@
+import enum
 import json
 
 import numpy as np
@@ -152,6 +153,51 @@ class TestOutputGolden:
             "}"
         )
         assert to_json([1], indent=2) == "[\n    1\n  ]"
+
+    def test_to_json_special_floats_and_kinds_in_structures(self):
+        class Kind(str, enum.Enum):
+            BUDGET = 'bud"get'
+
+        obj = {
+            "floats": [float("nan"), float("inf"), float("-inf"), -0.0, np.float64(-0.0)],
+            "numpy": {"x": np.float64(1.0 / 3.0), "inf": np.float64("inf")},
+            "kind": Kind.BUDGET,
+            "empty": [{}, [], ()],
+            "pair": (0.5, {"deep": [[{}]]}),
+        }
+        assert to_json(obj) == (
+            "{\n"
+            '  "floats": [\n'
+            "    NaN,\n"
+            '    "Infinity",\n'
+            '    "-Infinity",\n'
+            "    0,\n"
+            "    0\n"
+            "  ],\n"
+            '  "numpy": {\n'
+            '    "x": 0.333333333333,\n'
+            '    "inf": "Infinity"\n'
+            "  },\n"
+            '  "kind": "bud\\"get",\n'
+            '  "empty": [\n'
+            "    {},\n"
+            "    [],\n"
+            "    []\n"
+            "  ],\n"
+            '  "pair": [\n'
+            "    0.5,\n"
+            "    {\n"
+            '      "deep": [\n'
+            "        [\n"
+            "          {}\n"
+            "        ]\n"
+            "      ]\n"
+            "    }\n"
+            "  ]\n"
+            "}"
+        )
+        assert to_json(Kind.BUDGET) == '"bud\\"get"'
+        assert to_json({"a": {}}, indent=4) == '{\n      "a": {}\n    }'
 
     def test_to_json_subclasses(self):
         class Text(str):

@@ -11,6 +11,7 @@ from coalitional_lotto.adversary import (
     classify_case,
     player_payoffs,
 )
+from coalitional_lotto.collective import max_collective_payoff
 from coalitional_lotto.core import (
     GameInstance,
     InfeasibleTransferError,
@@ -252,6 +253,25 @@ def test_subnormal_products_take_the_roots_factor_by_factor():
     games = [g, swap_indices(g)] + random_games(3, seed=6)
     u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
     assert [(a, b) for a, b in zip(u1, u2)] == [player_payoffs(h) for h in games]
+
+
+def test_one_underflowing_product_takes_its_roots_factor_by_factor():
+    # Only the strong front's product underflows (to 0): its share is the
+    # product of the factors' roots, not 0, so player 2 does not win its
+    # whole valuation, and the payoffs stay within the collective maximum.
+    g = GameInstance(
+        1.731858917690901e-65, 1.731851193718024e-76, 2.1074172117856863e-12, 7.120337245812922e-256
+    )
+    assert str(classify_case(g)) == "C3_1gt2"
+    assert 7.120337245812922e-256 * 1.731851193718024e-76 == 0.0
+    xa = best_response(g)
+    assert xa.xa2 > 0.0
+    u1, u2 = player_payoffs(g)
+    assert u1 + u2 <= max_collective_payoff(g)
+    games = [g, swap_indices(g)]
+    b1, b2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
+    assert [(a, b) for a, b in zip(b1, b2)] == [player_payoffs(h) for h in games]
+    assert (b1[0], b2[0]) == (u1, u2) == (b2[1], b1[1])
 
 
 def test_case1_leaves_the_strong_front_unopposed():

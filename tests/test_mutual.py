@@ -21,6 +21,7 @@ from coalitional_lotto.core import (
     GameInstance,
     Mechanism,
     Transfer,
+    root_product,
     swap_indices,
     transfer_feasible,
 )
@@ -40,13 +41,15 @@ from coalitional_lotto.mutual import (
     is_mutually_beneficial,
     joint_mutual_exists,
     line_breaks,
+    line_pieces,
     line_sides,
+    mutual_verdicts,
     payoff_deltas,
     positive_roots,
     region_index,
-    root_product,
     side_breaks,
     surplus_rules_out,
+    valuation_room,
 )
 from coalitional_lotto.oracle import GridSpec, grid_mutual_search, grid_mutual_searches
 from coalitional_lotto.paper_routes import (
@@ -303,6 +306,13 @@ def _game_rules(g, baseline):
         ],
         "gap_witness": gap_witness(g, baseline),
         "rules_out": [surplus_rules_out(g, baseline), capped_rules_out(g, baseline)],
+        # The contest line's ends as a stretch, and each end and the zero
+        # transfer as a point.
+        "valuation_room": [
+            valuation_room(g, baseline, a, b)
+            for lo, hi in [line_ends(g, Mechanism.CONTEST)]
+            for a, b in ((lo, hi), (lo, lo), (hi, hi), (0.0, 0.0))
+        ],
         # The second product underflows, to a subnormal or to 0.
         "root_product": [root_product(g.x1, g.x2), root_product(1e-300 * g.x1, 1e-20 * g.x2)],
     }
@@ -769,10 +779,18 @@ class TestRouteCensus:
         ]
         assert lines[4].split() == ["route", "opened", "midpoint", "decided"]
         # Per family, the budget verdicts the capped-player rule decided.
-        assert lines[-7:-1] == [
+        assert lines[-13:-7] == [
             f"budget verdicts decided by the capped rule, {name}: {capped} of 4"
             for name, capped in (
                 ("box", 3), ("log", 2), ("r5", 1), ("ridge", 3), ("wide", 3), ("extreme", 4)
+            )
+        ]
+        # Per family, the contest pieces the valuation-room rule dropped.
+        assert lines[-7:-1] == [
+            f"contest pieces dropped by the valuation room, {name}: {dropped} of {pieces}"
+            for name, dropped, pieces in (
+                ("box", 13, 29), ("log", 12, 33), ("r5", 14, 40),
+                ("ridge", 3, 25), ("wide", 19, 33), ("extreme", 9, 33),
             )
         ]
         assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
@@ -843,6 +861,60 @@ class TestCappedBudgetRule:
                 assert (v.exists, v.witness, v.route, v.near_boundary) == (
                     False, None, None, False
                 )
+
+
+class TestValuationRoom:
+    """No payoff exceeds its post-transfer valuation, so a contest stretch
+    without valuation room for both players holds no mutual gain."""
+
+    @given(g=census_families)
+    @settings(max_examples=300, deadline=None)
+    def test_no_gain_where_the_room_test_fails(self, g):
+        baseline = player_payoffs(g)
+        nus = np.linspace(*line_ends(g, Mechanism.CONTEST), 2001)
+        u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus)
+        assert (u1 <= g.phi1 - nus).all() and (u2 <= g.phi2 + nus).all(), g
+        score = np.minimum(u1 - baseline[0], u2 - baseline[1])
+        gain = min_gain(g)
+        assert (score[~valuation_room(g, baseline, nus, nus)] <= gain).all(), g
+        # A piece that fails at its ends holds no scanned point with a gain.
+        for a, b, _ in line_pieces(g, Mechanism.CONTEST)[1]:
+            if not valuation_room(g, baseline, a, b):
+                assert (score[(a <= nus) & (nus <= b)] <= gain).all(), (g, a, b)
+
+    @given(games=st.lists(census_families, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_one_game_and_array_verdicts_agree(self, games):
+        assume(any(any(TestCappedBudgetRule.capped(g)) for g in games))
+        expected = [contest_mutual_exists(g).exists for g in games]
+        assert mutual_arrays.contest_exists(GameArrays.of(games)).tolist() == expected
+
+
+class TestMutualVerdicts:
+    """``mutual_verdicts`` on one baseline gives the three single verdicts bit for bit."""
+
+    @staticmethod
+    def assert_same(g):
+        single = (budget_mutual_exists(g), contest_mutual_exists(g), joint_mutual_exists(g))
+        shared = mutual_verdicts(g, player_payoffs(g))
+        # ``repr`` tells -0.0 from 0.0 in the witnesses.
+        assert [repr(v) for v in shared] == [repr(v) for v in single], g
+        return shared
+
+    @given(g=census_families)
+    @settings(max_examples=200, deadline=None)
+    def test_box_log_and_wide_games(self, g):
+        self.assert_same(g)
+
+    def test_r5_and_ridge_games(self):
+        # Every fourth stratified game is on the ridge, where the surplus
+        # test decides all three verdicts.
+        games = stratified_games(12, seed=17) + near_ridge_games(40, seed=18)
+        found = Counter()
+        for g in games + [swap_indices(g) for g in games]:
+            for v in self.assert_same(g):
+                found[v.mechanism, v.route is not None] += 1
+        assert all(found[m, True] and found[m, False] for m in Mechanism), found
 
 
 class TestBudgetMutual:
@@ -1311,7 +1383,8 @@ class TestLineWork:
         # Case 1 leaves player 2 unopposed, so it wins its whole valuation and
         # no budget transfer can raise its payoff: the budget verdict scores
         # the baseline and computes no candidate.  Its contest line benefits
-        # only inside the sliver, which it still searches.
+        # only inside the sliver, which it still searches, on player 1's
+        # giving side alone.
         g = GameInstance(12.0, 10.0, 1.3953846153846154, 2.591371237458194)
         assert classify_case(g) == CaseLabel.of(1, False)
         assert player_payoffs(g)[1] == g.phi2
@@ -1322,8 +1395,15 @@ class TestLineWork:
             assert counts["payoffs_at"] == 1
             assert counts["budget_candidate_forms"] == counts["contest_candidate_forms"] == 0
             monkeypatch.undo()
+            # The capped player has no valuation room to give: no contest
+            # point on its giving side is scored, the baseline aside.
+            counts = _count_line_work(monkeypatch)
             v = contest_mutual_exists(h)
             assert (v.exists, v.route, v.near_boundary) == (False, "ridge-knife-edge", True)
+            giving = -1.0 if h is g else 1.0
+            nus = [key[3] for key in counts if isinstance(key, tuple) and key[0] == "payoffs_at"]
+            assert len(nus) > 1 and all(giving * nu <= 0.0 for nu in nus), nus
+            monkeypatch.undo()
 
     def test_work_budget_on_pinned_corpus(self, monkeypatch, analyze_golden):
         # The totals repeat exactly: a change that adds work to the lines
@@ -1341,14 +1421,15 @@ class TestLineWork:
             monkeypatch.undo()
         assert totals == {
             "budget_mutual_exists": (353, 90),
-            "contest_mutual_exists": (902, 344),
+            "contest_mutual_exists": (405, 203),
         }
 
     def test_array_lanes_on_pinned_corpus(self, monkeypatch, analyze_golden):
         # The array lines build no line for a game the surplus test rules out,
         # nor a budget line where a player wins its whole valuation, and
-        # classify and solve only the pieces off the ridge sliver, each
-        # case's quadratics on that case's pieces; the budget line's
+        # classify and solve only the pieces off the ridge sliver (on a
+        # contest line, only those with valuation room), each case's
+        # quadratics on that case's pieces; the budget line's
         # quadratics include its four case edges per game.  The totals
         # repeat exactly: a change that pads the lanes must update them on
         # purpose.
@@ -1373,4 +1454,4 @@ class TestLineWork:
             lanes.clear()
             verdict(games)
             totals[verdict.__name__] = (lanes["case_of"], lanes["positive_roots"])
-        assert totals == {"budget_exists": (93, 242), "contest_exists": (298, 458)}
+        assert totals == {"budget_exists": (93, 242), "contest_exists": (186, 327)}
