@@ -226,13 +226,12 @@ def main(argv=None) -> int:
             report = analyze_game(g)
             baseline = (report.u1, report.u2)
             drawn[family] += 1
-            if not mutual.surplus_rules_out(g, baseline):
+            if not mutual.surplus_rules_out(g, baseline, report.collective.optimum):
                 capped[family] += mutual.capped_rules_out(g, baseline)
                 line = mutual.line_pieces(g, Mechanism.CONTEST)[1]
                 pieces[family] += len(line)
-                dropped[family] += sum(
-                    not mutual.valuation_room(g, baseline, a, b) for a, b, _ in line
-                )
+                room = mutual.valuation_room(g, baseline)
+                dropped[family] += sum(not room(a, b) for a, b, _ in line)
             routes = paper_routes.route_verdict(g)
             if routes.route is not None and routes.exists:
                 counts.decided[routes.route.removeprefix("swap:")] += 1

@@ -43,6 +43,7 @@ __all__ = [
     "case_of",
     "classify_case",
     "best_response",
+    "respond",
     "payoffs_at",
     "player_payoffs",
 ]
@@ -56,7 +57,11 @@ CASE_RTOL = 1e-9
 # Both ratios ``x_i / phi_i`` overflow to inf only when both valuations are
 # below 1 (subnormal, in practice); ``case_of`` then decides the tie and the
 # orientation on both valuations times this exact power of two, which no
-# valuation below 1 overflows.
+# valuation below 1 overflows.  Both ratios underflow to 0 only when both
+# budgets are below 2**-51 and both valuations at least 2; ``case_of`` then
+# decides on the budgets times it over the valuations divided by it, which
+# is exact and puts the ratio, ``2**2000`` times the true one, between
+# 2**-98 and 2**925.
 RATIO_SCALE = 2.0**1000
 
 
@@ -112,9 +117,10 @@ def case_of(phi1, phi2, x1, x2):
     relative slack; the lower case-2 boundary (expression exactly 0)
     classifies as case 1, where the adversary sends its whole budget to the
     weak side either way.  One ratio that overflows to inf is no tie: the
-    other player is the weaker.  When both ratios overflow to inf, the tie
-    and the orientation are decided on the valuations scaled by
-    ``RATIO_SCALE``, so a game and its mirror get mirrored labels there too.
+    other player is the weaker.  When both ratios overflow to inf, or both
+    underflow to 0, the tie and the orientation are decided on parameters
+    scaled by ``RATIO_SCALE``, so a game and its mirror get mirrored labels
+    there too.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
@@ -124,7 +130,14 @@ def case_of(phi1, phi2, x1, x2):
         # inf <= inf: one ratio that overflows to inf passes this test against
         # any finite one, but the finite one is then the weaker.
         if r1 != math.inf != r2:
-            return (4 if x1 + x2 >= 1.0 else 3), False
+            if r1 != 0.0:
+                return (4 if x1 + x2 >= 1.0 else 3), False
+            # Both ratios underflow to 0 (the test leaves r2 <= 1e-9 * r2).
+            # Only this branch pays for the scaled test.
+            r1 = x1 * RATIO_SCALE / (phi1 / RATIO_SCALE)
+            r2 = x2 * RATIO_SCALE / (phi2 / RATIO_SCALE)
+            if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
+                return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
     elif r1 == r2:
@@ -171,13 +184,13 @@ def _split_oriented(index, phi_w, phi_s, x_w, x_s):
     return x_w / (x_w + x_s)
 
 
-def _split(phi1, phi2, x1, x2):
-    """Optimal adversary split ``(xa1, xa2)`` of a game, on floats.
+def _split(index, swapped, phi1, phi2, x1, x2):
+    """Optimal adversary split ``(xa1, xa2)`` of a game of case ``(index, swapped)``, on floats.
 
-    The weak-ratio side's share comes from the closed form and the other
-    side gets the rest, so the two always sum to 1.
+    ``(index, swapped)`` is ``case_of`` of the same floats.  The weak-ratio
+    side's share comes from the closed form and the other side gets the
+    rest, so the two always sum to 1.
     """
-    index, swapped = case_of(phi1, phi2, x1, x2)
     if swapped:
         xa2 = _split_oriented(index, phi2, phi1, x2, x1)
         return 1.0 - xa2, xa2
@@ -187,7 +200,22 @@ def _split(phi1, phi2, x1, x2):
 
 def best_response(g: GameInstance) -> AdversaryAllocation:
     """Closed-form optimal adversary split for a game (see ``_split``)."""
-    return AdversaryAllocation(*_split(g.phi1, g.phi2, g.x1, g.x2))
+    phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
+    return AdversaryAllocation(*_split(*case_of(phi1, phi2, x1, x2), phi1, phi2, x1, x2))
+
+
+def respond(g: GameInstance) -> tuple[CaseLabel, tuple[float, float], tuple[float, float]]:
+    """``classify_case``, ``best_response`` and ``player_payoffs`` of a game, from one ``case_of``.
+
+    Returns the label, the split ``(xa1, xa2)`` and the payoffs ``(u1, u2)``;
+    each equals the call it stands for bit for bit, since the zero transfer
+    leaves every parameter as it is.
+    """
+    phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
+    index, swapped = case_of(phi1, phi2, x1, x2)
+    xa1, xa2 = _split(index, swapped, phi1, phi2, x1, x2)
+    payoffs = u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
+    return CaseLabel.of(index, swapped), (xa1, xa2), payoffs
 
 
 def payoffs_at(g: GameInstance, tau: float, nu: float) -> tuple[float, float]:
@@ -198,7 +226,7 @@ def payoffs_at(g: GameInstance, tau: float, nu: float) -> tuple[float, float]:
     floats.  Raises ``InfeasibleTransferError`` like ``core.transfer_params``.
     """
     phi1, phi2, x1, x2 = transfer_params(g, tau, nu)
-    xa1, xa2 = _split(phi1, phi2, x1, x2)
+    xa1, xa2 = _split(*case_of(phi1, phi2, x1, x2), phi1, phi2, x1, x2)
     return u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import best_response, classify_case, player_payoffs
-from .collective import CollectiveReport, collective_report
+from .adversary import respond
+from .collective import CollectiveReport, max_collective_payoff
 from .core import GameInstance
 from .mutual import MutualBenefitVerdict, classify_region, mutual_verdicts
 
@@ -48,11 +48,16 @@ class AnalysisReport:
 
 
 def analyze_game(g: GameInstance) -> AnalysisReport:
-    """Classify a game and evaluate every transfer-benefit question."""
-    label = classify_case(g)
-    xa = best_response(g)
-    u1, u2 = player_payoffs(g)
-    budget, contest, joint = mutual_verdicts(g, (u1, u2))
+    """Classify a game and evaluate every transfer-benefit question.
+
+    The game is classified once (``adversary.respond``), for its case, the
+    adversary's split and the baseline payoffs; the collective optimum is
+    computed once, for the verdicts' surplus test and the collective report.
+    """
+    label, xa, baseline = respond(g)
+    optimum = max_collective_payoff(g)
+    budget, contest, joint = mutual_verdicts(g, baseline, optimum)
+    u1, u2 = baseline
     # Case-4 games: the adversary is indifferent among splits, so individual
     # payoffs (and with them the mutual verdicts) depend on the canonical
     # proportional tie-break; reports carry a flag.
@@ -60,13 +65,13 @@ def analyze_game(g: GameInstance) -> AnalysisReport:
         game=g,
         case=str(label),
         region=classify_region(g).value,
-        xa=(xa.xa1, xa.xa2),
+        xa=xa,
         u1=u1,
         u2=u2,
         mutual_budget=budget,
         mutual_contest=contest,
         mutual_joint=joint,
-        collective=collective_report(g),
+        collective=CollectiveReport.of(g, u1 + u2, optimum),
         case4_tiebreak_dependent=label.index == 4,
     )
 
@@ -82,9 +87,24 @@ def format_float(x: float) -> str:
     return _SPECIAL_FLOATS.get(s, s)
 
 
+# Spellings made once and kept, each table up to ``_CACHE_MAX`` entries:
+# reports repeat a few dozen keys and strings.  Only ``str`` itself is kept,
+# since keys and values of other types may be equal and spelled apart
+# (``1``, ``1.0``, ``True``, or a ``str`` enum and its value).
+_CACHE_MAX = 1024
+_STRINGS: dict[str, str] = {}
+# The head ``,\n<pad>"<key>": `` of a dict entry, by indent and key.
+_HEADS: dict[int, dict[str, str]] = {}
+
+
 def _json_str(s: str) -> str:
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    text = _STRINGS.get(s) if type(s) is str else None
+    if text is None:
+        escaped = s.replace("\\", "\\\\").replace('"', '\\"')
+        text = f'"{escaped}"'
+        if type(s) is str and len(_STRINGS) < _CACHE_MAX:
+            _STRINGS[s] = text
+    return text
 
 
 # Writers of the JSON scalars by exact type.  A value of any other type is
@@ -116,37 +136,57 @@ def _write_json(out: list, obj, indent: int) -> None:
         write = _JSON_SCALARS.get(kind)
     if write is not None:
         out.append(write(obj))
-        return
-    if not obj:
-        out.append("{}" if kind is dict else "[]")
-        return
-    pad = "\n" + " " * (indent + 2)
-    sep = pad
-    if kind is dict:
-        out.append("{")
-        for key, value in obj.items():
+    elif kind is dict:
+        _write_dict(out, obj, indent)
+    elif not obj:
+        out.append("[]")
+    else:
+        pad = "\n" + " " * (indent + 2)
+        sep = "[" + pad
+        for value in obj:
             leaf = type(value)
-            if leaf is float:
-                text = f"{value:.12g}"
-                out.append(f'{sep}"{key}": {_SPECIAL_FLOATS.get(text, text)}')
-            elif leaf in _JSON_SCALARS:
-                out.append(f'{sep}"{key}": {_JSON_SCALARS[leaf](value)}')
+            if leaf in _JSON_SCALARS:
+                out.append(sep + _JSON_SCALARS[leaf](value))
             else:
-                out.append(f'{sep}"{key}": ')
+                out.append(sep)
                 _write_json(out, value, indent + 2)
             sep = "," + pad
-        out.append("\n" + " " * indent + "}")
+        out.append("\n" + " " * indent + "]")
+
+
+def _write_dict(out: list, obj: dict, indent: int) -> None:
+    """Append the JSON of a dict to ``out``: each entry after its cached head.
+
+    Every entry's head starts with a comma; the first one's is dropped
+    once, at the end.
+    """
+    if not obj:
+        out.append("{}")
         return
-    out.append("[")
-    for value in obj:
+    heads = _HEADS.get(indent)
+    if heads is None:
+        heads = _HEADS[indent] = {}
+    first = len(out)
+    for key, value in obj.items():
+        head = heads.get(key) if type(key) is str else None
+        if head is None:
+            head = f',\n{" " * (indent + 2)}"{key}": '
+            if type(key) is str and len(heads) < _CACHE_MAX:
+                heads[key] = head
         leaf = type(value)
-        if leaf in _JSON_SCALARS:
-            out.append(sep + _JSON_SCALARS[leaf](value))
+        if leaf is float:
+            text = f"{value:.12g}"
+            out.append(head + _SPECIAL_FLOATS.get(text, text))
+        elif leaf in _JSON_SCALARS:
+            out.append(head + _JSON_SCALARS[leaf](value))
+        elif leaf is dict:
+            out.append(head)
+            _write_dict(out, value, indent + 2)
         else:
-            out.append(sep)
+            out.append(head)
             _write_json(out, value, indent + 2)
-        sep = "," + pad
-    out.append("\n" + " " * indent + "]")
+    out[first] = "{" + out[first][1:]
+    out.append("\n" + " " * indent + "}")
 
 
 def to_json(obj, indent: int = 0) -> str:

@@ -114,6 +114,17 @@ def _case_rule(phi1, phi2, x1, x2):
         # One ratio that overflows to inf is no tie (inf <= inf), as in the
         # scalar rule; ``>=`` above already orients it.
         equal = (gap <= lim) & (gap < math.inf)
+        if not lim.all():
+            # Two ratios that both underflow to 0, the only zero ``lim``,
+            # which the scalar rule decides again on the budgets times
+            # ``RATIO_SCALE`` over the valuations divided by it.
+            under = lim == 0.0
+            s1, s2 = (
+                np.where(under, x, 1.0) * RATIO_SCALE / (np.where(under, phi, 1.0) / RATIO_SCALE)
+                for x, phi in ((x1, phi1), (x2, phi2))
+            )
+            equal &= ~under | (np.abs(s1 - s2) <= CASE_RTOL * np.maximum(s1, s2))
+            swapped = np.where(under, ~np.less(s1, s2), swapped)
         if math.isnan(gap.max()):
             # A NaN input, which the scalar rule leaves swapped, or two
             # ratios that both overflow to inf, which it decides again on

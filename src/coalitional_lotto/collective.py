@@ -53,6 +53,22 @@ class CollectiveReport:
             "improvable": self.improvable,
         }
 
+    @classmethod
+    def of(cls, g: GameInstance, baseline: float, optimum: float) -> "CollectiveReport":
+        """The report of ``g`` from its baseline payoff sum and ``max_collective_payoff(g)``.
+
+        The optimum improves on the baseline when the surplus exceeds the
+        mutual verdicts' gain floor, ``search.min_gain``, so a transfer that
+        benefits both players always counts as a collective improvement too.
+        """
+        return cls(
+            baseline=baseline,
+            optimum=optimum,
+            optimal_budget=optimal_budget_transfer(g),
+            optimal_contest=optimal_contest_transfer(g),
+            improvable=optimum - baseline > min_gain(g),
+        )
+
 
 def collective_payoff(g: GameInstance, t: Transfer = Transfer()) -> float:
     """Sum of both players' payoffs after a transfer."""
@@ -142,16 +158,7 @@ def collectively_beneficial_exists(g: GameInstance) -> bool:
 def collective_report(g: GameInstance) -> CollectiveReport:
     """Baseline, optimum, optimal transfers and whether the optimum improves.
 
-    The optimum improves on the baseline when the surplus exceeds the mutual
-    verdicts' gain floor, ``search.min_gain``, so a transfer that benefits
-    both players always counts as a collective improvement too.
+    ``CollectiveReport.of`` the game's ``collective_payoff`` and
+    ``max_collective_payoff``.
     """
-    baseline = collective_payoff(g)
-    optimum = max_collective_payoff(g)
-    return CollectiveReport(
-        baseline=baseline,
-        optimum=optimum,
-        optimal_budget=optimal_budget_transfer(g),
-        optimal_contest=optimal_contest_transfer(g),
-        improvable=optimum - baseline > min_gain(g),
-    )
+    return CollectiveReport.of(g, collective_payoff(g), max_collective_payoff(g))

@@ -115,11 +115,14 @@ class Transfer:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("tau", "nu"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise GameValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        tau = float(self.tau)
+        if not math.isfinite(tau):
+            raise GameValidationError(f"tau must be finite, got {tau!r}")
+        nu = float(self.nu)
+        if not math.isfinite(nu):
+            raise GameValidationError(f"nu must be finite, got {nu!r}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "nu", nu)
 
     def as_dict(self) -> dict:
         return {"tau": self.tau, "nu": self.nu}
@@ -177,15 +180,20 @@ def transfer_params(g: GameInstance, tau: float, nu: float) -> tuple[float, floa
     The feasibility rule: every component must stay above ``EPS_FEAS``, or
     above ``EPS_FEAS`` times its own pre-transfer value when that is below 1,
     so the zero transfer is feasible on every valid game.  Otherwise
-    ``InfeasibleTransferError`` is raised.
+    ``InfeasibleTransferError`` is raised.  Each component takes the two
+    tests of ``transfer_feasible`` in turn, so one above ``EPS_FEAS`` costs
+    one comparison.
     """
     phi1 = g.phi1 - nu
     phi2 = g.phi2 + nu
     x1 = g.x1 - tau
     x2 = g.x2 + tau
-    if phi1 > EPS_FEAS and phi2 > EPS_FEAS and x1 > EPS_FEAS and x2 > EPS_FEAS:
-        return phi1, phi2, x1, x2
-    if transfer_feasible(g, tau, nu):
+    if (
+        (phi1 > EPS_FEAS or phi1 > EPS_FEAS * g.phi1)
+        and (phi2 > EPS_FEAS or phi2 > EPS_FEAS * g.phi2)
+        and (x1 > EPS_FEAS or x1 > EPS_FEAS * g.x1)
+        and (x2 > EPS_FEAS or x2 > EPS_FEAS * g.x2)
+    ):
         return phi1, phi2, x1, x2
     raise InfeasibleTransferError(
         f"transfer (tau={tau}, nu={nu}) infeasible for game {g.as_dict()}"

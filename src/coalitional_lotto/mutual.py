@@ -240,14 +240,12 @@ def case_edges(big_x, rho) -> list:
     return [where(z < rho, z, math.nan) for z in roots]
 
 
-def around_ridge(rho, gap: float):
-    """The two values of ``z`` whose ratio gap to the ridge ``z = rho`` is ``gap``.
-
-    Below ``rho`` the ratio gap is ``1 - (z / rho)**2``, and above it ``1 -
-    (rho / z)**2``.  Floats or arrays.
-    """
-    s = math.sqrt(1.0 - gap)
-    return rho * s, rho / s
+# Below the ridge ``z = rho`` the ratio gap is ``1 - (z / rho)**2``, and above
+# it ``1 - (rho / z)**2``, so a gap ``gap`` lies at ``rho * sqrt(1 - gap)`` and
+# at ``rho / sqrt(1 - gap)``.  The roots ``sqrt(1 - gap)`` of the ridge
+# sliver's gap and of the case-4 band's, just past ``CASE_RTOL``:
+_SLIVER_ROOT = math.sqrt(1.0 - 2.0 * RIDGE_RTOL)
+_BAND_ROOT = math.sqrt(1.0 - 1.001 * CASE_RTOL)
 
 
 def budget_candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
@@ -363,57 +361,61 @@ def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign) ->
     """
     sqrt, where = _ops(kept_w)
     rho = sqrt(kept_w / kept_s)
-    above = mechanism is Mechanism.CONTEST
-    zs = [around_ridge(rho, 2.0 * RIDGE_RTOL)[above], around_ridge(rho, 1.001 * CASE_RTOL)[above]]
-    if above:
+    if mechanism is Mechanism.CONTEST:
         k = root_product(kept_w, kept_s)
+        zs = [rho / _SLIVER_ROOT, rho / _BAND_ROOT]
         zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - kept_s) / k)]
     else:
-        zs += case_edges(moved_w + moved_s, rho)
+        zs = [rho * _SLIVER_ROOT, rho * _BAND_ROOT, *case_edges(moved_w + moved_s, rho)]
     return [sign * moved_amount(z, moved_w, moved_s) for z in zs]
 
 
-def line_breaks(g, mechanism: Mechanism, lo, hi):
+def line_breaks(g, mechanism: Mechanism, sides, lo, hi):
     """The line from ``lo`` to ``hi`` in the transfer: ``(sliver, breaks)``.
 
-    ``breaks`` lists the ends, the ridge and each weak side's
-    ``side_breaks``, NaN where absent.  ``sliver`` is the open interval
-    within ``2 * RIDGE_RTOL`` of the ridge, between the sides' first
-    breaks; player 1's side lies above the ridge on a budget line and below
-    it on a contest line.  A game or a ``GameArrays``.
+    ``sides`` is the line's ``line_sides``.  ``breaks`` lists the ends, the
+    ridge and each weak side's ``side_breaks``, NaN where absent.
+    ``sliver`` is the open interval within ``2 * RIDGE_RTOL`` of the ridge,
+    between the sides' first breaks; player 1's side lies above the ridge
+    on a budget line and below it on a contest line.  A game or a
+    ``GameArrays``.
     """
-    one, two = (side_breaks(mechanism, *side) for side in line_sides(g, mechanism))
+    one, two = (side_breaks(mechanism, *side) for side in sides)
     sliver = (two[0], one[0]) if mechanism is Mechanism.BUDGET else (one[0], two[0])
     return sliver, [lo, hi, ridge_transfer(g, mechanism), *one, *two]
 
 
 def line_pieces(g: GameInstance, mechanism: Mechanism):
-    """One game's line cut at its breaks: ``(sliver, pieces)``.
+    """One game's line cut at its breaks: ``(sliver, pieces, sides)``.
 
     ``sliver`` is ``line_breaks``'s, and each piece is ``(a, b, mid)``, its
     ends and midpoint, between neighbouring distinct breaks inside
-    ``search.line_ends`` (NaN is inside none).
+    ``search.line_ends`` (NaN is inside none).  ``sides`` is the line's
+    ``line_sides``, which the breaks were cut from.
     """
     lo, hi = line_ends(g, mechanism)
-    sliver, breaks = line_breaks(g, mechanism, lo, hi)
+    sides = line_sides(g, mechanism)
+    sliver, breaks = line_breaks(g, mechanism, sides, lo, hi)
     vs = sorted({v for v in breaks if lo <= v <= hi})
-    return sliver, [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])]
+    return sliver, [(a, b, 0.5 * (a + b)) for a, b in zip(vs, vs[1:])], sides
 
 
-def _absent(mechanism: Mechanism) -> MutualBenefitVerdict:
-    return MutualBenefitVerdict(mechanism, False, None, None, False)
+# The verdicts decided before any line is built, one frozen value each.
+_ABSENT = {m: MutualBenefitVerdict(m, False, None, None, False) for m in Mechanism}
+_ALL_ABSENT = tuple(_ABSENT.values())
 
 
-def surplus_rules_out(g, baseline) -> bool:
+def surplus_rules_out(g, baseline, optimum) -> bool:
     """Whether the collective surplus leaves no room for a mutual gain.
 
-    No transfer lifts the payoff sum above ``max_collective_payoff``, which
-    budget, contest and joint transfers all reach, so both players gain
-    only when the surplus over the baseline sum ``b1 + b2`` exceeds twice
-    the gain floor.  ``g`` is a game or a ``GameArrays``, and ``baseline``
-    its ``(b1, b2)``; on arrays the answer is elementwise.
+    No transfer lifts the payoff sum above ``optimum``, the game's
+    ``max_collective_payoff``, which budget, contest and joint transfers all
+    reach, so both players gain only when the surplus over the baseline sum
+    ``b1 + b2`` exceeds twice the gain floor.  ``g`` is a game or a
+    ``GameArrays``, and ``baseline`` its ``(b1, b2)``; on arrays the answer
+    is elementwise.
     """
-    return max_collective_payoff(g) - (baseline[0] + baseline[1]) <= 2.0 * min_gain(g)
+    return optimum - (baseline[0] + baseline[1]) <= 2.0 * min_gain(g)
 
 
 def capped_rules_out(g, baseline) -> bool:
@@ -435,10 +437,13 @@ def capped_rules_out(g, baseline) -> bool:
     return (baseline[0] >= g.phi1) | (baseline[1] >= g.phi2)
 
 
-def valuation_room(g, baseline, a, b):
-    """Whether both players may gain on the contest stretch from ``a`` to ``b``.
+def valuation_room(g, baseline):
+    """The room test of a contest line: whether both players may gain on a stretch.
 
-    A contest transfer moves valuation, and no payoff exceeds its player's
+    Returns ``room(a, b)``, which tells whether both players may gain on
+    the contest stretch from ``a`` to ``b``; the game's valuations, its
+    baseline and the gain floor are read once, when the test is built.  A
+    contest transfer moves valuation, and no payoff exceeds its player's
     post-transfer valuation, so player 1 can gain at ``nu`` only while
     ``(phi1 - nu) - b1`` exceeds the gain floor, and player 2 only while
     ``(phi2 + nu) - b2`` does.  Player 1's room falls as ``nu`` grows and
@@ -452,8 +457,13 @@ def valuation_room(g, baseline, a, b):
     ``GameArrays``, ``baseline`` its ``(b1, b2)``, and ``a`` and ``b``
     broadcast against them.
     """
-    gain = min_gain(g)
-    return ((g.phi1 - a) - baseline[0] > gain) & ((g.phi2 + b) - baseline[1] > gain)
+    phi1, phi2, gain = g.phi1, g.phi2, min_gain(g)
+    base1, base2 = baseline
+
+    def room(a, b):
+        return ((phi1 - a) - base1 > gain) & ((phi2 + b) - base2 > gain)
+
+    return room
 
 
 def _line_verdict(
@@ -479,18 +489,20 @@ def _line_verdict(
     ``baseline``, the game's ``(b1, b2)``.  An empty line leaves no
     transfer, and so does a budget line where a player already wins its
     whole valuation (``capped_rules_out``).  On a contest line, a piece
-    where the players lack valuation room (``valuation_room`` of its ends)
-    is dropped before it is classified, and a point that lacks it is not
-    scored: neither can hold a transfer that benefits both, and only such
-    transfers decide the verdict, so both passes keep their result bit for
-    bit.
+    where the players lack valuation room (the line's ``valuation_room``
+    test of its ends) is dropped before it is classified, and a point that
+    lacks it is not scored: neither can hold a transfer that benefits both,
+    and only such transfers decide the verdict, so both passes keep their
+    result bit for bit.  The line's constants are computed once: the gain
+    floor, the room test, and the weak sides, which cut the line and give
+    the candidates.
     """
     budget = mechanism is Mechanism.BUDGET
     if budget and capped_rules_out(g, baseline):
-        return _absent(mechanism)
+        return _ABSENT[mechanism]
     base1, base2 = baseline
     forms = budget_candidate_forms if budget else contest_candidate_forms
-    sides = line_sides(g, mechanism)
+    room = None if budget else valuation_room(g, baseline)
     gaps = base1 - base2, base2 - base1
     phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
     # Score of a transfer: the smaller payoff delta, ties broken by the sum.
@@ -525,7 +537,7 @@ def _line_verdict(
             for v in (a, b, *[v for v in inner if a < v < b]):
                 score = scores.get(v)
                 if score is None:
-                    if not (budget or valuation_room(g, baseline, v, v)):
+                    if room is not None and not room(v, v):
                         continue
                     u1, u2 = payoffs_at(g, v, 0.0) if budget else payoffs_at(g, 0.0, v)
                     d1, d2 = u1 - base1, u2 - base2
@@ -539,9 +551,9 @@ def _line_verdict(
         return best, v_best, case
 
     gain = min_gain(g)
-    sliver, pieces = line_pieces(g, mechanism)
-    if not budget:
-        pieces = [p for p in pieces if valuation_room(g, baseline, p[0], p[1])]
+    sliver, pieces, sides = line_pieces(g, mechanism)
+    if room is not None:
+        pieces = [p for p in pieces if room(p[0], p[1])]
     value, v_best, case = best_of(p for p in pieces if not sliver[0] < p[2] < sliver[1])
     if value > gain:
         route = f"exact:{CaseLabel.of(*case)}"
@@ -552,47 +564,47 @@ def _line_verdict(
     value, _, _ = best_of(p for p in pieces if sliver[0] < p[2] < sliver[1])
     if value > gain:
         return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
-    return _absent(mechanism)
+    return _ABSENT[mechanism]
 
 
-def _verdict(g: GameInstance, mechanism: Mechanism, baseline) -> MutualBenefitVerdict:
-    """One verdict, after the surplus test on ``baseline`` has been passed."""
+def _single_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
+    """One verdict: the game's baseline and surplus test, then the verdict's body."""
+    baseline = payoffs_at(g, 0.0, 0.0)
+    if surplus_rules_out(g, baseline, max_collective_payoff(g)):
+        return _ABSENT[mechanism]
     if mechanism is Mechanism.JOINT:
         return _joint_verdict(g, baseline)
     return _line_verdict(g, mechanism, baseline)
 
 
-def _single_verdict(g: GameInstance, mechanism: Mechanism, baseline) -> MutualBenefitVerdict:
-    """One verdict: the surplus test on ``baseline``, then the verdict's body."""
-    if surplus_rules_out(g, baseline):
-        return _absent(mechanism)
-    return _verdict(g, mechanism, baseline)
-
-
 def mutual_verdicts(
-    g: GameInstance, baseline: tuple[float, float]
+    g: GameInstance, baseline: tuple[float, float], optimum: float
 ) -> tuple[MutualBenefitVerdict, MutualBenefitVerdict, MutualBenefitVerdict]:
     """The budget, contest and joint verdicts of a game, from one baseline.
 
-    ``baseline`` is the game's ``player_payoffs(g)``; one surplus test
-    (``surplus_rules_out``) serves all three verdicts, each of which equals
-    ``budget_mutual_exists``, ``contest_mutual_exists`` and
-    ``joint_mutual_exists``, witness floats included.
+    ``baseline`` is the game's ``player_payoffs(g)`` and ``optimum`` its
+    ``max_collective_payoff(g)``; one surplus test (``surplus_rules_out``)
+    serves all three verdicts, each of which equals ``budget_mutual_exists``,
+    ``contest_mutual_exists`` and ``joint_mutual_exists``, witness floats
+    included.
     """
-    mechanisms = (Mechanism.BUDGET, Mechanism.CONTEST, Mechanism.JOINT)
-    if surplus_rules_out(g, baseline):
-        return tuple(_absent(mechanism) for mechanism in mechanisms)
-    return tuple(_verdict(g, mechanism, baseline) for mechanism in mechanisms)
+    if surplus_rules_out(g, baseline, optimum):
+        return _ALL_ABSENT
+    return (
+        _line_verdict(g, Mechanism.BUDGET, baseline),
+        _line_verdict(g, Mechanism.CONTEST, baseline),
+        _joint_verdict(g, baseline),
+    )
 
 
 def budget_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial budget transfer, decided along ``tau`` (``_line_verdict``)."""
-    return _single_verdict(g, Mechanism.BUDGET, payoffs_at(g, 0.0, 0.0))
+    return _single_verdict(g, Mechanism.BUDGET)
 
 
 def contest_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     """Mutually beneficial contest transfer, decided along ``nu`` (``_line_verdict``)."""
-    return _single_verdict(g, Mechanism.CONTEST, payoffs_at(g, 0.0, 0.0))
+    return _single_verdict(g, Mechanism.CONTEST)
 
 
 def gap_crossing(index: int, big_phi, big_x, gap, lead):
@@ -696,7 +708,7 @@ def joint_mutual_exists(g: GameInstance) -> MutualBenefitVerdict:
     map and named ``exact:<case label>``; when it fails, both players gain
     only inside the ridge sliver, the flagged ``ridge-knife-edge``.
     """
-    return _single_verdict(g, Mechanism.JOINT, player_payoffs(g))
+    return _single_verdict(g, Mechanism.JOINT)
 
 
 def _joint_verdict(g: GameInstance, baseline) -> MutualBenefitVerdict:

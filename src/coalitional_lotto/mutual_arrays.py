@@ -30,6 +30,7 @@ import numpy as np
 
 from . import batch
 from .batch import GameArrays
+from .collective import max_collective_payoff
 from .core import Mechanism, root_product
 from .mutual import (
     budget_candidate_forms,
@@ -95,13 +96,14 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
     # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        ruled_out = surplus_rules_out(games, (base1, base2))
+        ruled_out = surplus_rules_out(games, (base1, base2), max_collective_payoff(games))
         if budget:
             ruled_out |= capped_rules_out(games, (base1, base2))
         left = np.flatnonzero(~ruled_out)
         games, base1, base2 = games.take(left), base1[left], base2[left]
         lo, hi = line_ends(games, mechanism)
-        sliver, breaks = line_breaks(games, mechanism, lo, hi)
+        one, two = sides = line_sides(games, mechanism)
+        sliver, breaks = line_breaks(games, mechanism, sides, lo, hi)
         breaks = np.column_stack(breaks)
         inside = (lo[:, None] <= breaks) & (breaks <= hi[:, None])
         vs = np.sort(np.where(inside, breaks, np.nan), axis=1)
@@ -111,7 +113,7 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
         off = (va < vb) & ~on_ridge
         if not budget:
             columns = GameArrays(*(field[:, None] for field in games))
-            off &= valuation_room(columns, (base1[:, None], base2[:, None]), va, vb)
+            off &= valuation_room(columns, (base1[:, None], base2[:, None]))(va, vb)
         # A break is an end of the pieces on both sides of it.
         end_ok = np.zeros(vs.shape, dtype=bool)
         end_ok[:, :-1] |= off
@@ -127,7 +129,6 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
         else:
             index, swapped = batch.case_of(phi1 - mid, phi2 + mid, x1, x2)
         # Each piece's weak side, and the candidates of its case there.
-        one, two = line_sides(games, mechanism)
         m_w, m_s, k_w, k_s, base_gap = (
             np.where(swapped, b[piece_rows], a[piece_rows])
             for a, b in zip((*one[:4], base1 - base2), (*two[:4], base2 - base1))
@@ -175,7 +176,8 @@ def joint_exists(games: GameArrays) -> np.ndarray:
     # Masked lanes (absent roots, crossings outside the curve) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base1, base2 = batch.payoffs_at_transfers(games, 0.0, 0.0)
-        rows = np.flatnonzero(~surplus_rules_out(games, (base1, base2)))
+        optimum = max_collective_payoff(games)
+        rows = np.flatnonzero(~surplus_rules_out(games, (base1, base2), optimum))
         taus, nus, index, _ = gap_witness(games.take(rows), (base1[rows], base2[rows]))
         found = index > 0
         rows, taus, nus = rows[found], taus[found], nus[found]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,36 @@ class TestClassify:
             xa, grid = best_response(h), grid_best_response(h)
             value = adversary_value(h, xa.xa1, xa.xa2)
             assert abs(value - adversary_value(h, grid.xa1, grid.xa2)) <= VERIFY_VALUE_TOL
+
+    def test_two_underflowing_ratios_are_decided_on_scaled_parameters(self):
+        # Both ratios x_i / phi_i underflow to 0 here; they are no tie.  On
+        # the budgets times RATIO_SCALE over the valuations divided by it,
+        # player 2 is the weaker, in case 3, and the mirror gets the mirror.
+        g = GameInstance(
+            5.898856659919297e248, 1.0835451002296022e117, 1.2922213985991233e-109, 4.4619297314e-313
+        )
+        m = swap_indices(g)
+        assert g.x1 / g.phi1 == 0.0 == g.x2 / g.phi2
+        labels = [str(classify_case(h)) for h in (g, m)]
+        assert labels == ["C3_1gt2", "C3_1le2"]
+        assert player_payoffs(m) == player_payoffs(g)[::-1]
+        xa, xm = best_response(g), best_response(m)
+        assert (xm.xa1, xm.xa2) == (xa.xa2, xa.xa1)
+        index, swapped = batch.case_of(*GameArrays.of([g, m]))
+        assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
+        # Equal scaled ratios stay a tie, in the native orientation.
+        tie = GameInstance(1e300, 2e300, 1e-30, 2e-30)
+        assert tie.x1 / tie.phi1 == 0.0 == tie.x2 / tie.phi2
+        assert [str(classify_case(h)) for h in (tie, swap_indices(tie))] == ["C3_1le2"] * 2
+
+    def test_payoffs_mirror_over_the_whole_float_range(self):
+        # 53 of these games have both ratios underflowing to 0.
+        params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, (4000, 4))
+        games = [GameInstance(*row) for row in params.tolist()]
+        under = [g for g in games if g.x1 / g.phi1 == 0.0 == g.x2 / g.phi2]
+        assert len(under) == 53
+        mismatched = [g for g in games if player_payoffs(swap_indices(g)) != player_payoffs(g)[::-1]]
+        assert mismatched == []
 
     @games()
     @settings(max_examples=400)

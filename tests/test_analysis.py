@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from coalitional_lotto import mutual_arrays
+from coalitional_lotto import adversary, analysis, mutual_arrays
+from coalitional_lotto.adversary import best_response, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game, format_float, to_json
 from coalitional_lotto.batch import GameArrays
-from coalitional_lotto.core import GameInstance
+from coalitional_lotto.collective import collective_report
+from coalitional_lotto.core import GameInstance, swap_indices
 
 
 class TestAnalyzeGame:
@@ -71,6 +73,56 @@ class TestAnalyzeGame:
         assert a == b
 
 
+class TestSharedBaseline:
+    """``analyze_game`` classifies a game once and shares its baseline and optimum."""
+
+    @staticmethod
+    def assert_same(g):
+        rep = analyze_game(g)
+        xa = best_response(g)
+        # ``repr`` tells -0.0 from 0.0 and NaN from NaN.
+        assert repr((rep.case, rep.xa, rep.u1, rep.u2, rep.collective)) == repr(
+            (str(classify_case(g)), (xa.xa1, xa.xa2), *player_payoffs(g), collective_report(g))
+        ), g
+
+    def test_golden_games_and_their_mirrors(self, analyze_golden):
+        games = [GameInstance(*rec["game"]) for rec in analyze_golden]
+        for g in games + [swap_indices(g) for g in games]:
+            self.assert_same(g)
+
+    def test_games_over_the_whole_float_range(self):
+        params = 10.0 ** np.random.default_rng(23).uniform(-323.0, 308.0, (1000, 4))
+        for row in params.tolist():
+            self.assert_same(GameInstance(*row))
+
+    def test_one_case_of_call_outside_the_verdicts(self, monkeypatch, analyze_golden):
+        # Every ``case_of`` call outside the three verdicts (the line
+        # engines, the joint witness and its validation) is counted.
+        calls = []
+        inside = []
+        case_of, verdicts = adversary.case_of, analysis.mutual_verdicts
+
+        def counted_case_of(*args):
+            if not inside:
+                calls.append(args)
+            return case_of(*args)
+
+        def marked_verdicts(*args):
+            inside.append(True)
+            try:
+                return verdicts(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(adversary, "case_of", counted_case_of)
+        monkeypatch.setattr(analysis, "mutual_verdicts", marked_verdicts)
+        for rec in analyze_golden:
+            g = GameInstance(*rec["game"])
+            calls.clear()
+            analyze_game(g)
+            assert calls == [(g.phi1, g.phi2, g.x1, g.x2)], g
+
+
 class TestJsonWriter:
     def test_twelve_significant_digits(self):
         assert format_float(0.1 + 0.2) == "0.3"
@@ -85,6 +137,25 @@ class TestJsonWriter:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             to_json({"bad": object()})
+
+    def test_cached_spellings_keep_equal_keys_of_other_types_apart(self):
+        # A ``str`` enum equals its value but is spelled by its name, and
+        # equal numbers are spelled apart; each is written as at first use,
+        # whatever was written before it.
+        class Kind(str, enum.Enum):
+            A = "a"
+
+        texts = [to_json(obj) for obj in ({"a": "a"}, {Kind.A: Kind.A}, {1: 1}, {1.0: 1.0})]
+        assert texts == [
+            '{\n  "a": "a"\n}',
+            '{\n  "Kind.A": "a"\n}',
+            '{\n  "1": 1\n}',
+            '{\n  "1.0": 1\n}',
+        ]
+        assert [to_json(obj) for obj in ({Kind.A: 1}, {"a": 1})] == [
+            '{\n  "Kind.A": 1\n}',
+            '{\n  "a": 1\n}',
+        ]
 
 
 class TestOutputGolden:

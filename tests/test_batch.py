@@ -116,6 +116,22 @@ def test_case_of_matches_scalar_on_log_uniform_games():
     assert {index for index, _ in labels} == {1, 2, 3, 4}
 
 
+def test_case_of_and_payoffs_match_scalar_over_the_whole_float_range():
+    # Every parameter over the float range: 53 of these games have both
+    # ratios underflowing to 0, and the named one is among them; their
+    # mirrors follow.
+    params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, size=(4000, 4))
+    games = [GameInstance(*row) for row in params] + [UNDERFLOW_RATIOS_GAME]
+    games += [swap_indices(g) for g in games]
+    under = [g for g in games if g.x1 / g.phi1 == 0.0 == g.x2 / g.phi2]
+    assert len(under) == 2 * 54
+    assert _vector_cases(games) == _scalar_cases(games)
+    assert _vector_cases(under) == _scalar_cases(under)
+    assert {swapped for _, swapped in _scalar_cases(under)} == {False, True}
+    u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
+    assert list(zip(u1.tolist(), u2.tolist())) == [player_payoffs(g) for g in games]
+
+
 def test_game_arrays_take_and_total_valuation():
     games = random_games(4, seed=2)
     arrays = batch.GameArrays.of(games).take(np.array([3, 0, 3]))
@@ -222,6 +238,13 @@ def _transfers(games, seed: int):
 # factor by factor.
 UNDERFLOW_GAME = GameInstance(1e-170, 1e-170, 1e-160, 2e-160)
 
+# Both ratios x_i / phi_i underflow to 0: the case rule decides on the
+# budgets times ``RATIO_SCALE`` over the valuations divided by it, which
+# makes player 2 the weaker.
+UNDERFLOW_RATIOS_GAME = GameInstance(
+    5.898856659919297e248, 1.0835451002296022e117, 1.2922213985991233e-109, 4.4619297314e-313
+)
+
 # A game of each case and ridge, each path of the kernel's split.
 PATH_GAMES = [
     GameInstance(1.0, 1.0, 0.8, 2.0),  # case 1
@@ -230,6 +253,7 @@ PATH_GAMES = [
     GameInstance(1.0, 1.0, 0.7, 0.7),  # ridge, total budget >= 1: case 4
     GameInstance(1.0, 1.0, 0.2, 0.2),  # ridge, total budget < 1: case 3
     UNDERFLOW_GAME,
+    UNDERFLOW_RATIOS_GAME,
 ]
 
 

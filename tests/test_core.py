@@ -4,16 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalitional_lotto import core
 from coalitional_lotto.adversary import player_payoffs
 from coalitional_lotto.core import (
     GameInstance,
     GameValidationError,
     InfeasibleTransferError,
+    Mechanism,
     Transfer,
     one_v_one_payoff,
     post_transfer,
     swap_indices,
+    transfer_feasible,
+    transfer_params,
 )
+from coalitional_lotto.search import along, line_ends
 
 positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 budgets = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
@@ -134,6 +139,32 @@ class TestPostTransfer:
             post_transfer(diamond, t)
         with pytest.raises(InfeasibleTransferError):
             player_payoffs(diamond, t)
+
+    def test_own_size_ends_take_the_fast_path(self, monkeypatch):
+        # Each line end leaves its donor 1e-11 of its own share, below
+        # ``EPS_FEAS`` on budgets and valuations below 0.1; ``transfer_params``
+        # accepts such an end by the rule of ``transfer_feasible`` itself,
+        # without calling it, and rejects what that rule rejects: 1.5 times
+        # an end, and a budget left with 0.8 times ``EPS_FEAS * x1``, or none.
+        games = [GameInstance(12.0, 10.0, 0.05, 0.02), GameInstance(0.03, 0.001, 3.0, 1e-7)]
+        ends = [
+            (g, *along(mechanism, end).as_dict().values())
+            for g in games
+            for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)
+            for end in line_ends(g, mechanism)
+        ]
+        beyond = [(g, 1.5 * tau, 1.5 * nu) for g, tau, nu in ends]
+        beyond += [(games[0], 0.05 - 4e-14, 0.0), (games[0], 0.05, 0.0)]
+        assert all(transfer_feasible(*point) for point in ends)
+        assert not any(transfer_feasible(*point) for point in beyond)
+        calls = []
+        monkeypatch.setattr(core, "transfer_feasible", lambda *args: calls.append(args))
+        for g, tau, nu in ends:
+            assert transfer_params(g, tau, nu) == (g.phi1 - nu, g.phi2 + nu, g.x1 - tau, g.x2 + tau)
+        for point in beyond:
+            with pytest.raises(InfeasibleTransferError):
+                transfer_params(*point)
+        assert calls == []
 
 
 class TestSwap:

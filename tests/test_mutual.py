@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -28,6 +29,7 @@ from coalitional_lotto.core import (
 from coalitional_lotto.mutual import (
     REGIONS,
     Mechanism,
+    MutualBenefitVerdict,
     Region,
     budget_mutual_exists,
     capped_rules_out,
@@ -298,18 +300,21 @@ def _game_rules(g, baseline):
             for side in line_sides(g, mechanism)
         ],
         "line_breaks": [
-            line_breaks(g, mechanism, *line_ends(g, mechanism))
+            line_breaks(g, mechanism, line_sides(g, mechanism), *line_ends(g, mechanism))
             for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)
         ],
         "gap_crossing": [
             gap_crossing(case, big_phi, big_x, 2.0 * RIDGE_RTOL, lead) for case in (1, 2, 3, 4)
         ],
         "gap_witness": gap_witness(g, baseline),
-        "rules_out": [surplus_rules_out(g, baseline), capped_rules_out(g, baseline)],
+        "rules_out": [
+            surplus_rules_out(g, baseline, max_collective_payoff(g)),
+            capped_rules_out(g, baseline),
+        ],
         # The contest line's ends as a stretch, and each end and the zero
         # transfer as a point.
         "valuation_room": [
-            valuation_room(g, baseline, a, b)
+            valuation_room(g, baseline)(a, b)
             for lo, hi in [line_ends(g, Mechanism.CONTEST)]
             for a, b in ((lo, hi), (lo, lo), (hi, hi), (0.0, 0.0))
         ],
@@ -876,10 +881,11 @@ class TestValuationRoom:
         assert (u1 <= g.phi1 - nus).all() and (u2 <= g.phi2 + nus).all(), g
         score = np.minimum(u1 - baseline[0], u2 - baseline[1])
         gain = min_gain(g)
-        assert (score[~valuation_room(g, baseline, nus, nus)] <= gain).all(), g
+        room = valuation_room(g, baseline)
+        assert (score[~room(nus, nus)] <= gain).all(), g
         # A piece that fails at its ends holds no scanned point with a gain.
         for a, b, _ in line_pieces(g, Mechanism.CONTEST)[1]:
-            if not valuation_room(g, baseline, a, b):
+            if not room(a, b):
                 assert (score[(a <= nus) & (nus <= b)] <= gain).all(), (g, a, b)
 
     @given(games=st.lists(census_families, min_size=1, max_size=12))
@@ -896,7 +902,7 @@ class TestMutualVerdicts:
     @staticmethod
     def assert_same(g):
         single = (budget_mutual_exists(g), contest_mutual_exists(g), joint_mutual_exists(g))
-        shared = mutual_verdicts(g, player_payoffs(g))
+        shared = mutual_verdicts(g, player_payoffs(g), max_collective_payoff(g))
         # ``repr`` tells -0.0 from 0.0 in the witnesses.
         assert [repr(v) for v in shared] == [repr(v) for v in single], g
         return shared
@@ -915,6 +921,30 @@ class TestMutualVerdicts:
             for v in self.assert_same(g):
                 found[v.mechanism, v.route is not None] += 1
         assert all(found[m, True] and found[m, False] for m in Mechanism), found
+
+
+class TestAbsentVerdicts:
+    """Verdicts ruled out before any line is built are prebuilt frozen values."""
+
+    def test_prebuilt_verdicts_equal_fresh_ones(self):
+        ridge = GameInstance(10.0, 10.0, 2.0, 2.0)
+        capped = GameInstance(12.0, 10.0, 1.3953846153846154, 2.591371237458194)
+        found = [
+            *mutual_verdicts(ridge, player_payoffs(ridge), max_collective_payoff(ridge)),
+            budget_mutual_exists(ridge),
+            contest_mutual_exists(ridge),
+            joint_mutual_exists(ridge),
+            budget_mutual_exists(capped),
+        ]
+        fresh = [
+            MutualBenefitVerdict(m, False, None, None, False)
+            for m in (*Mechanism, *Mechanism, Mechanism.BUDGET)
+        ]
+        assert found == fresh
+        assert [repr(v) for v in found] == [repr(v) for v in fresh]
+        assert [v.as_dict() for v in found] == [v.as_dict() for v in fresh]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            found[0].exists = True
 
 
 class TestBudgetMutual:
@@ -1423,6 +1453,29 @@ class TestLineWork:
             "budget_mutual_exists": (353, 90),
             "contest_mutual_exists": (405, 203),
         }
+
+    def test_contest_points_share_the_line_constants(self, monkeypatch, analyze_golden):
+        # A contest line builds its room test and its gain floor once; no
+        # piece or scored point makes its own ``valuation_room`` or
+        # ``min_gain`` call, however many points the line scores.
+        counts = _count_line_work(monkeypatch)
+        for name in ("valuation_room", "min_gain"):
+            fn = getattr(mutual, name)
+            monkeypatch.setattr(
+                mutual, name, lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args)
+            )
+        lines = points = 0
+        for rec in analyze_golden:
+            g = GameInstance(*rec["game"])
+            counts.clear()
+            contest_mutual_exists(g)
+            # The surplus test's gain floor, then the line's and its room test's.
+            built = counts["valuation_room"]
+            assert built in (0, 1)
+            assert counts["min_gain"] == 1 + 2 * built, g
+            lines += built
+            points += built * counts["payoffs_at"]
+        assert 0 < lines and points > 3 * lines
 
     def test_array_lanes_on_pinned_corpus(self, monkeypatch, analyze_golden):
         # The array lines build no line for a game the surplus test rules out,
