@@ -15,7 +15,9 @@ budget-to-valuation ratio,
 
 The mirrored orientation swaps indices.  Case 4 carries no orientation.
 Ratio ties and case edges are decided with one fixed relative tolerance,
-``CASE_RTOL``, which ``batch`` reads too.
+``CASE_RTOL``, which ``batch`` reads too.  Two ratios that both underflow to
+0 or both overflow to inf are compared on ``exact_ratios``, in both case
+rules, so a game and its mirror get mirrored labels across the float range.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     PayoffPair,
     Transfer,
     one_v_one_payoff,
+    ops_for,
     root_product,
     transfer_params,
     u_player,
@@ -39,7 +42,7 @@ __all__ = [
     "CaseLabel",
     "AdversaryAllocation",
     "CASE_RTOL",
-    "RATIO_SCALE",
+    "exact_ratios",
     "case_of",
     "classify_case",
     "best_response",
@@ -53,17 +56,6 @@ __all__ = [
 # one fixed tolerance makes classification total and reproducible.  It is a
 # numeric tie rule, not a parameter of the model.
 CASE_RTOL = 1e-9
-
-# Both ratios ``x_i / phi_i`` overflow to inf only when both valuations are
-# below 1 (subnormal, in practice); ``case_of`` then decides the tie and the
-# orientation on both valuations times this exact power of two, which no
-# valuation below 1 overflows.  Both ratios underflow to 0 only when both
-# budgets are below 2**-51 and both valuations at least 2; ``case_of`` then
-# decides on the budgets times it over the valuations divided by it, which
-# is exact and puts the ratio, ``2**2000`` times the true one, between
-# 2**-98 and 2**925.
-RATIO_SCALE = 2.0**1000
-
 
 class Orientation(Enum):
     ONE_LE_TWO = "1le2"
@@ -106,6 +98,23 @@ class AdversaryAllocation:
     xa2: float
 
 
+def exact_ratios(phi1, phi2, x1, x2):
+    """The ratios ``x1 / phi1`` and ``x2 / phi2``, both times one power of two.
+
+    Ratio ``i`` is the quotient of the ``frexp`` mantissas of ``x_i`` and
+    ``phi_i`` times two to the difference of their exponents, less the
+    larger of the two differences, so the larger ratio lands in
+    ``[0.5, 2)``.  Where the plain quotients both underflow to 0 or both
+    overflow to inf, these keep the exact ratios' tie and order: a ratio
+    shifted below the smallest normal float is far from the other, and only
+    its order counts.  Positive finite floats, or arrays of them.
+    """
+    frexp, ldexp, top = ops_for(phi1)[2:]
+    (p1, e1), (p2, e2), (b1, f1), (b2, f2) = frexp(phi1), frexp(phi2), frexp(x1), frexp(x2)
+    d = top(f1 - e1, f2 - e2)
+    return ldexp(b1 / p1, f1 - e1 - d), ldexp(b2 / p2, f2 - e2 - d)
+
+
 def case_of(phi1, phi2, x1, x2):
     """Case index and orientation ``(index, swapped)`` of a game, on floats.
 
@@ -118,37 +127,23 @@ def case_of(phi1, phi2, x1, x2):
     classifies as case 1, where the adversary sends its whole budget to the
     weak side either way.  One ratio that overflows to inf is no tie: the
     other player is the weaker.  When both ratios overflow to inf, or both
-    underflow to 0, the tie and the orientation are decided on parameters
-    scaled by ``RATIO_SCALE``, so a game and its mirror get mirrored labels
-    there too.
+    underflow to 0, the tie and the orientation are decided on
+    ``exact_ratios``, so a game and its mirror get mirrored labels there too.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
+    # Two ratios that both underflow to 0 or both overflow to inf are decided
+    # on ``exact_ratios``; only equal ratios pay for the second test.
+    if r1 == r2 and (r1 == 0.0 or r1 == math.inf):
+        r1, r2 = exact_ratios(phi1, phi2, x1, x2)
     # Conditional expressions where max() would do: every scalar payoff runs
     # this rule, and a builtin call costs as much as the rest of a test.
-    if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
-        # inf <= inf: one ratio that overflows to inf passes this test against
-        # any finite one, but the finite one is then the weaker.
-        if r1 != math.inf != r2:
-            if r1 != 0.0:
-                return (4 if x1 + x2 >= 1.0 else 3), False
-            # Both ratios underflow to 0 (the test leaves r2 <= 1e-9 * r2).
-            # Only this branch pays for the scaled test.
-            r1 = x1 * RATIO_SCALE / (phi1 / RATIO_SCALE)
-            r2 = x2 * RATIO_SCALE / (phi2 / RATIO_SCALE)
-            if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
-                return (4 if x1 + x2 >= 1.0 else 3), False
+    # inf <= inf: one ratio that overflows to inf passes the tie test against
+    # any finite one, but the finite one is then the weaker.
+    if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1) and r1 != math.inf != r2:
+        return (4 if x1 + x2 >= 1.0 else 3), False
     if r1 < r2:
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
-    elif r1 == r2:
-        # Past the tie test, equal ratios are both inf.  Only this branch
-        # pays for the scaled test.
-        r1 = x1 / (phi1 * RATIO_SCALE)
-        r2 = x2 / (phi2 * RATIO_SCALE)
-        if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1):
-            return (4 if x1 + x2 >= 1.0 else 3), False
-        swapped = not r1 < r2
-        phi_w, phi_s, x_w, x_s = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
     s = math.sqrt(x_w * x_s * phi_w / phi_s)
@@ -189,13 +184,16 @@ def _split(index, swapped, phi1, phi2, x1, x2):
 
     ``(index, swapped)`` is ``case_of`` of the same floats.  The weak-ratio
     side's share comes from the closed form and the other side gets the
-    rest, so the two always sum to 1.
+    rest, so the two always sum to 1.  In case 3 a rest that rounds to 0
+    (a strong side's share below ``2**-53``) is the strong side's own closed
+    form instead, so that side stays opposed; the sum still rounds to 1.
     """
-    if swapped:
-        xa2 = _split_oriented(index, phi2, phi1, x2, x1)
-        return 1.0 - xa2, xa2
-    xa1 = _split_oriented(index, phi1, phi2, x1, x2)
-    return xa1, 1.0 - xa1
+    phi_w, phi_s, x_w, x_s = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
+    xa_w = _split_oriented(index, phi_w, phi_s, x_w, x_s)
+    xa_s = 1.0 - xa_w
+    if xa_s == 0.0 and index == 3:
+        xa_s = _split_oriented(3, phi_s, phi_w, x_s, x_w)
+    return (xa_s, xa_w) if swapped else (xa_w, xa_s)
 
 
 def best_response(g: GameInstance) -> AdversaryAllocation:

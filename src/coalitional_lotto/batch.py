@@ -16,10 +16,14 @@ payoff takes one division (``one_v_one_vec``).
 
 ``case_of`` is the one vector case rule: the payoffs and the sweeps' array
 verdicts classify through it.  It reads the same tolerance, ``CASE_RTOL``,
-and must stay in lockstep with ``adversary.case_of``.  ``tests/test_batch.py``
-holds the case rule and the payoffs to the scalar pipeline bit for bit: on
-random inputs, on games over twelve and twenty-four decades, and on each
-side of every case edge.
+decides the lanes whose two ratios both underflow to 0 or both overflow to
+inf on the same ``adversary.exact_ratios``, and must stay in lockstep with
+``adversary.case_of``.  Where the rest of a case-3 split rounds to 0, the
+strong front gets its own closed form, as in ``adversary._split``.
+``tests/test_batch.py`` holds the case rule and the payoffs to the scalar
+pipeline bit for bit: on random inputs, on games over twelve and
+twenty-four decades, over the whole float range, and on each side of every
+case edge.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import CASE_RTOL, RATIO_SCALE
+from .adversary import CASE_RTOL, exact_ratios
 from .core import GameInstance, Transfer, post_transfer_params, root_product, transfer_feasible
 
 __all__ = [
@@ -111,36 +115,24 @@ def _case_rule(phi1, phi2, x1, x2):
     if off.all():
         equal = None
     else:
+        if not lim.all() or math.isnan(gap.max()):
+            # Two ratios that both underflow to 0 (a zero ``lim``) or both
+            # overflow to inf (a NaN gap) are decided again on
+            # ``exact_ratios``, as in the scalar rule.  A NaN gap left after
+            # that comes from a NaN input, which the scalar rule leaves swapped.
+            edge = np.equal(r1, r2) & ((r1 == 0.0) | (r1 == math.inf))
+            if edge.any():
+                e1, e2 = exact_ratios(*np.broadcast_arrays(phi1, phi2, x1, x2))
+                r1 = np.where(edge, e1, r1)
+                r2 = np.where(edge, e2, r2)
+                gap = np.abs(r1 - r2)
+                lim = CASE_RTOL * np.maximum(r1, r2)
+                swapped = np.greater_equal(r1, r2)
+            swapped |= np.isnan(gap)
         # One ratio that overflows to inf is no tie (inf <= inf), as in the
         # scalar rule; ``>=`` above already orients it.
         equal = (gap <= lim) & (gap < math.inf)
-        if not lim.all():
-            # Two ratios that both underflow to 0, the only zero ``lim``,
-            # which the scalar rule decides again on the budgets times
-            # ``RATIO_SCALE`` over the valuations divided by it.
-            under = lim == 0.0
-            s1, s2 = (
-                np.where(under, x, 1.0) * RATIO_SCALE / (np.where(under, phi, 1.0) / RATIO_SCALE)
-                for x, phi in ((x1, phi1), (x2, phi2))
-            )
-            equal &= ~under | (np.abs(s1 - s2) <= CASE_RTOL * np.maximum(s1, s2))
-            swapped = np.where(under, ~np.less(s1, s2), swapped)
-        if math.isnan(gap.max()):
-            # A NaN input, which the scalar rule leaves swapped, or two
-            # ratios that both overflow to inf, which it decides again on
-            # the valuations scaled by ``RATIO_SCALE``.
-            nan = np.isnan(gap)
-            over = nan & (r1 == r2)
-            swapped |= nan
-            if over.any():
-                r1 = x1 / (np.where(over, phi1, 1.0) * RATIO_SCALE)
-                r2 = x2 / (np.where(over, phi2, 1.0) * RATIO_SCALE)
-                equal |= over & (np.abs(r1 - r2) <= CASE_RTOL * np.maximum(r1, r2))
-                swapped = np.where(over, ~np.less(r1, r2), swapped)
-            if not equal.any():
-                equal = None
-        if equal is not None:
-            swapped &= ~equal
+        swapped &= ~equal
     pw = np.where(swapped, phi2, phi1)
     ps = np.where(swapped, phi1, phi2)
     bw = np.where(swapped, x2, x1)
@@ -188,17 +180,28 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     # The case-3 share, exact on the equal-ratio ridge with total budget < 1
     # too.  Each root is ``core.root_product``, as in ``adversary``.
     root_w = root_product(bw, pw)
-    case3 = root_w / (root_w + root_product(bs, ps))
+    root_s = root_product(bs, ps)
+    case3 = root_w / (root_w + root_s)
     # The adversary's share of the weak front, filled case by case.
     xa_w = np.where(case2, s, case3)
     np.copyto(xa_w, 1.0, where=case1)
     if equal is not None:
         total_b = bw + bs
+        rich = equal & (total_b >= 1.0)
         np.copyto(xa_w, case3, where=equal)
-        np.divide(bw, total_b, out=xa_w, where=equal & (total_b >= 1.0))
+        np.divide(bw, total_b, out=xa_w, where=rich)
+    xa_s = 1.0 - xa_w
+    lost = np.equal(case3, 1.0)
+    if lost.any():
+        # Where a case-3 share that rounds to 1 is taken, the strong front
+        # gets its own closed form, as in ``adversary._split``.
+        taken = ~(case1 | case2)
+        if equal is not None:
+            taken = np.where(equal, ~rich, taken)
+        xa_s = np.where(lost & taken, root_s / (root_w + root_s), xa_s)
 
     uw = one_v_one_vec(pw, bw, xa_w)
-    us = one_v_one_vec(ps, bs, 1.0 - xa_w)
+    us = one_v_one_vec(ps, bs, xa_s)
     return np.where(swap, us, uw), np.where(swap, uw, us)
 
 

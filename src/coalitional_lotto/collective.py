@@ -22,7 +22,7 @@ import numpy as np
 
 from .adversary import player_payoffs
 from .batch import GameArrays
-from .core import GameInstance, Mechanism, Transfer
+from .core import GameInstance, Mechanism, Transfer, ops_for
 from .search import line_pairs, min_gain
 
 __all__ = [
@@ -90,10 +90,10 @@ def ridge_transfer(g: GameInstance | GameArrays, mechanism: Mechanism):
         with np.errstate(over="ignore", invalid="ignore"):
             v = _ridge_form(*pairs)
         over = ~np.isfinite(v)
-        v[over] = _scaled_ridge(*(p[over] for p in pairs), np.frexp, np.ldexp, np.maximum)
+        v[over] = _scaled_ridge(*(p[over] for p in pairs))
         return v
     v = _ridge_form(*pairs)
-    return v if math.isfinite(v) else _scaled_ridge(*pairs, math.frexp, math.ldexp, max)
+    return v if math.isfinite(v) else _scaled_ridge(*pairs)
 
 
 def _ridge_form(m1, m2, k1, k2):
@@ -103,8 +103,9 @@ def _ridge_form(m1, m2, k1, k2):
     return (m1 * k2 - m2 * k1) / kept * (kept / kept)
 
 
-def _scaled_ridge(m1, m2, k1, k2, frexp, ldexp, top):
+def _scaled_ridge(m1, m2, k1, k2):
     """``_ridge_form`` on each pair scaled below 1 by a power of two, scaled back."""
+    frexp, ldexp, top = ops_for(m1)[2:]
     a, b = frexp(top(m1, m2))[1], frexp(top(k1, k2))[1]
     return ldexp(_ridge_form(ldexp(m1, -a), ldexp(m2, -a), ldexp(k1, -b), ldexp(k2, -b)), a)
 

@@ -34,6 +34,7 @@ __all__ = [
     "post_transfer",
     "swap_indices",
     "root_product",
+    "ops_for",
 ]
 
 # Transfers that would numerically zero out a budget or valuation are
@@ -249,3 +250,23 @@ def root_product(a, b):
             return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
         return np.sqrt(ab)
     return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)
+
+
+def _pick(cond, a, b):
+    """``np.where`` for one game: ``a`` if ``cond`` else ``b``."""
+    return a if cond else b
+
+
+_FLOAT_OPS = (math.sqrt, _pick, math.frexp, math.ldexp, max)
+_ARRAY_OPS = (np.sqrt, np.where, np.frexp, np.ldexp, np.maximum)
+
+
+def ops_for(x):
+    """``(sqrt, where, frexp, ldexp, max)`` for values like ``x``: numpy's on arrays.
+
+    The one place where a rule written once for a game and for arrays picks
+    its functions.  Floats get ``math``'s, ``_pick`` and the builtin ``max``:
+    a numpy call on a float costs ten times as much and returns a numpy
+    scalar.
+    """
+    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS

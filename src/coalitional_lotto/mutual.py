@@ -80,9 +80,9 @@ the joint witness (``gap_witness``), the two rule-out tests and the
 valuation room.  The one-game engine drops NaN by the interval test it
 already makes, and ``mutual_arrays`` stacks the values into columns to
 decide all three verdicts over arrays of games.  Only the leaves branch on
-floats against arrays (``_ops`` and ``positive_roots``): float division by
-zero and ``math.sqrt`` of a negative raise, and one game's joint witness
-stops at the first confirmed case.  Case edges, the contest orientation and
+floats against arrays (``core.ops_for`` and ``positive_roots``): float
+division by zero and ``math.sqrt`` of a negative raise, and one game's
+joint witness stops at the first confirmed case.  Case edges, the contest orientation and
 the case-4 bands all use the one fixed tie tolerance
 ``adversary.CASE_RTOL``.  The paper's printed contest routes are kept in
 ``paper_routes`` as a plain check, which opens the printed windows and
@@ -101,7 +101,7 @@ from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
 from .collective import max_collective_payoff, ridge_transfer
 from .batch import GameArrays
-from .core import GameInstance, Mechanism, Transfer, root_product, transfer_feasible
+from .core import GameInstance, Mechanism, Transfer, ops_for, root_product, transfer_feasible
 from .search import RIDGE_RTOL, along, line_ends, line_pairs, min_gain, thin_margin
 
 __all__ = [
@@ -184,20 +184,6 @@ def is_mutually_beneficial(
     return d1 > gain and d2 > gain
 
 
-def _pick(cond, a, b):
-    """``np.where`` for one game: ``a`` if ``cond`` else ``b``."""
-    return a if cond else b
-
-
-def _ops(x):
-    """``(sqrt, where)`` for values like ``x``: numpy's on arrays.
-
-    Floats get ``math.sqrt`` and ``_pick``: a numpy call on a float costs
-    ten times as much and returns a numpy scalar.
-    """
-    return (np.sqrt, np.where) if isinstance(x, np.ndarray) else (math.sqrt, _pick)
-
-
 def positive_roots(a, b, c):
     """Both roots of ``a*z**2 + b*z + c = 0``, each NaN unless real and positive.
 
@@ -235,7 +221,7 @@ def case_edges(big_x, rho) -> list:
 
     The roots of ``edge_quadratics`` below ``rho``; floats or arrays.
     """
-    where = _ops(rho)[1]
+    where = ops_for(rho)[1]
     roots = [z for quad in edge_quadratics(big_x, rho) for z in positive_roots(*quad)]
     return [where(z < rho, z, math.nan) for z in roots]
 
@@ -319,7 +305,7 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k):
     # Cases 1 and 4: u_w = c_w p_w and u_s = c_s p_s.
     if index == 1:
         # ``u_player(1, x_w, 1)``, bit for bit.
-        c_w, c_s = _ops(x_w)[1](x_w <= 1.0, 0.5 * x_w, 1.0 - 0.5 / x_w), 1.0
+        c_w, c_s = ops_for(x_w)[1](x_w <= 1.0, 0.5 * x_w, 1.0 - 0.5 / x_w), 1.0
     else:
         c_w = c_s = 1.0 - 0.5 / (x_w + x_s)
     return [], [(c_w * big_phi - base_gap, 0.0, -(c_s * big_phi + base_gap))]
@@ -359,7 +345,7 @@ def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign) ->
     are linear.  An edge counts where it lies on the side and is NaN
     elsewhere.  Floats or arrays.
     """
-    sqrt, where = _ops(kept_w)
+    sqrt, where = ops_for(kept_w)[:2]
     rho = sqrt(kept_w / kept_s)
     if mechanism is Mechanism.CONTEST:
         k = root_product(kept_w, kept_s)
@@ -636,7 +622,7 @@ def gap_crossing(index: int, big_phi, big_x, gap, lead):
     if index == 3:
         near, far = positive_roots(*gap_quadratic(big_phi, big_x, gap, lead))
         # The smaller of the two, either of which may be NaN.
-        where = _ops(near)[1]
+        where = ops_for(near)[1]
         return where(near <= far, near, where(far > 0.0, far, near))
     return 0.5 * (big_phi + lead / (1.0 - 0.5 / big_x))
 
@@ -665,7 +651,7 @@ def gap_witness(g, baseline):
     """
     arrays = isinstance(g, GameArrays)
     case_rule = batch.case_of if arrays else case_of
-    where = _ops(g.phi1)[1]
+    where = ops_for(g.phi1)[1]
     swapped = case_rule(g.phi1, g.phi2, g.x1, g.x2)[1]
     b1, b2 = baseline
     phi_w, x_w, lead = where(swapped, (g.phi2, g.x2, b2 - b1), (g.phi1, g.x1, b1 - b2))

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -34,6 +35,17 @@ def analyze_golden() -> list[dict]:
     """The pinned one-game verdicts: the game and the ``repr`` of each verdict."""
     lines = (DATA_DIR / "analyze_golden.jsonl").read_text().splitlines()
     return [json.loads(line) for line in lines]
+
+
+@pytest.fixture(scope="session")
+def float_range_games() -> list[GameInstance]:
+    """4,000 games with every parameter ``10 ** uniform(-323, 308)``, from ``default_rng(11)``.
+
+    The whole float range: 53 of them have both ratios ``x_i / phi_i``
+    underflowing to 0.
+    """
+    params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, (4000, 4))
+    return [GameInstance(*row) for row in params.tolist()]
 
 
 def random_games(count: int, seed: int, lo: float = 0.05, hi: float = 3.0):

@@ -1,17 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coalitional_lotto import batch
 from coalitional_lotto.adversary import (
+    CASE_RTOL,
     CaseLabel,
     Orientation,
     adversary_value,
     best_response,
+    case_of,
     classify_case,
+    exact_ratios,
     player_payoffs,
 )
 from coalitional_lotto.batch import GameArrays
@@ -20,6 +24,7 @@ from coalitional_lotto.core import (
     Transfer,
     one_v_one_payoff,
     post_transfer,
+    root_product,
     swap_indices,
 )
 from coalitional_lotto.collective import max_collective_payoff, optimal_budget_transfer
@@ -29,10 +34,36 @@ from coalitional_lotto.sweep import VERIFY_VALUE_TOL
 from conftest import random_games
 
 positive = st.floats(0.05, 5.0, allow_nan=False, allow_infinity=False)
+# Positive floats over the whole range, subnormals included, with extra
+# weight on each end, where both ratios of a game can underflow or overflow.
+whole_range = st.builds(
+    math.ldexp,
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.one_of(st.integers(-1074, 1023), st.integers(-1074, -1000), st.integers(1000, 1023)),
+)
 
 
 def games():
     return given(phi1=positive, phi2=positive, x1=positive, x2=positive)
+
+
+def _tie(r1, r2, rtol):
+    return abs(r1 - r2) <= rtol * max(r1, r2)
+
+
+def _mirror(case):
+    """The ``case_of`` result of a game's mirror, unless the game is a case-3 ratio tie."""
+    index, swapped = case
+    return (4, False) if index == 4 else (index, not swapped)
+
+
+def _scalar_cases(games):
+    return [case_of(g.phi1, g.phi2, g.x1, g.x2) for g in games]
+
+
+def _vector_cases(games):
+    index, swapped = batch.case_of(*GameArrays.of(games))
+    return list(zip(index.tolist(), swapped.tolist()))
 
 
 class TestClassify:
@@ -80,8 +111,8 @@ class TestClassify:
 
     def test_two_underflowing_ratios_are_decided_on_scaled_parameters(self):
         # Both ratios x_i / phi_i underflow to 0 here; they are no tie.  On
-        # the budgets times RATIO_SCALE over the valuations divided by it,
-        # player 2 is the weaker, in case 3, and the mirror gets the mirror.
+        # ``exact_ratios`` player 2 is the weaker, in case 3, and the mirror
+        # gets the mirror.
         g = GameInstance(
             5.898856659919297e248, 1.0835451002296022e117, 1.2922213985991233e-109, 4.4619297314e-313
         )
@@ -99,14 +130,55 @@ class TestClassify:
         assert tie.x1 / tie.phi1 == 0.0 == tie.x2 / tie.phi2
         assert [str(classify_case(h)) for h in (tie, swap_indices(tie))] == ["C3_1le2"] * 2
 
-    def test_payoffs_mirror_over_the_whole_float_range(self):
+    def test_two_overflowing_ratios_are_decided_on_exact_ratios(self, float_range_games):
+        # Both ratios x_i / phi_i overflow to inf here, and would still on
+        # valuations scaled up by 2**1000.  Player 1's valuation is the
+        # smaller, so its exact ratio is the larger: player 2 is the weaker.
+        g = GameInstance(5e-324, 1e-323, 1e308, 1e308)
+        m = swap_indices(g)
+        assert g.x1 / g.phi1 == math.inf == g.x2 / g.phi2
+        labels = [str(classify_case(h)) for h in (g, m)]
+        assert labels == ["C1_1gt2", "C1_1le2"]
+        index, swapped = batch.case_of(*GameArrays.of([g, m]))
+        assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
+        # Every game of the float range and its mirror get mirrored labels,
+        # in both engines; 66 of the 4,000 and the named game have both
+        # ratios overflowing to inf.
+        games = float_range_games + [g]
+        over = [h for h in games if h.x1 / h.phi1 == math.inf == h.x2 / h.phi2]
+        assert len(over) == 67
+        mirrors = [swap_indices(h) for h in games]
+        for engine in (_scalar_cases, _vector_cases):
+            labels, mirrored = engine(games), engine(mirrors)
+            assert [_mirror(case) for case in labels] == mirrored
+
+    def test_payoffs_mirror_over_the_whole_float_range(self, float_range_games):
         # 53 of these games have both ratios underflowing to 0.
-        params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, (4000, 4))
-        games = [GameInstance(*row) for row in params.tolist()]
+        games = float_range_games
         under = [g for g in games if g.x1 / g.phi1 == 0.0 == g.x2 / g.phi2]
         assert len(under) == 53
         mismatched = [g for g in games if player_payoffs(swap_indices(g)) != player_payoffs(g)[::-1]]
         assert mismatched == []
+
+    @given(
+        phi1=whole_range, phi2=whole_range, x1=whole_range, x2=whole_range,
+        near=st.sampled_from([None, 0.0, 1e-12, -4e-10, 6e-10, 2e-9, -3e-9]),
+    )
+    @settings(max_examples=600)
+    def test_exact_ratios_decide_as_exact_fractions(self, phi1, phi2, x1, x2, near):
+        # Parameters over the whole float range; ``near`` puts x2 at that
+        # relative offset from a ratio tie, or leaves it free (None).
+        if near is not None:
+            tied = Fraction(x1) / Fraction(phi1) * Fraction(phi2) * (1 + Fraction(near))
+            assume(Fraction(5e-324) <= tied < Fraction(1.7e308))
+            x2 = float(tied)
+        exact = Fraction(x1) / Fraction(phi1), Fraction(x2) / Fraction(phi2)
+        for r1, r2 in (exact_ratios(phi1, phi2, x1, x2), exact_ratios(*np.array([[phi1, phi2, x1, x2]]).T)):
+            assert 0.5 <= max(r1, r2) < 2.0
+            tie = _tie(r1, r2, CASE_RTOL)
+            assert tie == _tie(*exact, Fraction(CASE_RTOL))
+            # Off a tie, the order; a tie carries none.
+            assert tie or (r1 < r2) == (exact[0] < exact[1])
 
     @games()
     @settings(max_examples=400)
@@ -133,6 +205,41 @@ class TestBestResponse:
     def test_case4_proportional(self):
         xa = best_response(GameInstance(10, 10, 2, 2))
         assert xa.xa1 == pytest.approx(0.5)
+
+    def test_case3_strong_share_below_an_ulp_of_1_keeps_its_closed_form(self, float_range_games):
+        # The weak side's case-3 share rounds to 1.0 here, and the rest,
+        # 1.0 - 1.0, would leave player 2 unopposed with its whole valuation;
+        # its own closed form, 5.3e-43, outguns its budget of 2.7e-197.
+        g = GameInstance(
+            1.6125467650588606e-172, 1.226833813294227e-242, 7.497722291364901e-183, 2.730579090009633e-197
+        )
+        m = swap_indices(g)
+        assert str(classify_case(g)) == "C3_1le2"
+        assert (best_response(g).xa1, best_response(g).xa2) == (1.0, 5.263800418717343e-43)
+        assert (best_response(m).xa1, best_response(m).xa2) == (5.263800418717343e-43, 1.0)
+        assert player_payoffs(g) == (0.0, 0.0) == player_payoffs(m)
+        # The same on the equal-ratio ridge, total budget below 1, in the
+        # normal range: the strong front's share is 2e-20, not 0.
+        ridge = GameInstance(1.0, 2e-20, 0.5, 1e-20)
+        assert str(classify_case(ridge)) == "C3_1le2"
+        assert best_response(ridge).xa2 == 2e-20
+        assert player_payoffs(ridge) == (0.25, 5e-21)
+        # Over the float range a case-3 share is 0 only where its own closed
+        # form underflows.  The payoff sums exceed the collective maximum on
+        # 3 games (116 with the rest taken as the strong share), all in case
+        # 2, whose weak share ``sqrt(x_w * x_s * phi_w / phi_s)`` underflows.
+        lost, over = [], []
+        for h in float_range_games:
+            index, _ = case_of(h.phi1, h.phi2, h.x1, h.x2)
+            xa = best_response(h)
+            a, b = root_product(h.x1, h.phi1), root_product(h.x2, h.phi2)
+            if index == 3 and min(xa.xa1, xa.xa2) == 0.0 < min(a, b) / (a + b):
+                lost.append(h)
+            top = max_collective_payoff(h)
+            if sum(player_payoffs(h)) - top > 1e-9 * top:
+                over.append(index)
+        assert lost == []
+        assert over == [2, 2, 2]
 
     @games()
     @settings(max_examples=300)

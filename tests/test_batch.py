@@ -75,6 +75,13 @@ def _case_edge_games() -> dict[str, list[GameInstance]]:
         x_s = 0.6  # 1 - s == x_s * (1 + tol): case 2 or case 3
         s = 1.0 - x_s * (1.0 + tol)
         edges.setdefault("case 2/3", []).append(GameInstance(1.0, 1.0, s * s / x_s, x_s))
+    # Both ratios underflow to 0 or both overflow to inf, off and on a tie.
+    edges["ratios 0 or inf"] = [
+        UNDERFLOW_RATIOS_GAME,
+        OVERFLOW_RATIOS_GAME,
+        GameInstance(1e300, 2e300, 1e-30, 2e-30),
+        GameInstance(5e-324, 1e-323, 1e300, 2e300),
+    ]
     return {edge: games + [swap_indices(g) for g in games] for edge, games in edges.items()}
 
 
@@ -101,6 +108,7 @@ def test_case_of_matches_scalar_at_every_edge():
     assert sides["ridge, X < 1"] == {(3, False), (3, True)}
     assert sides["s == 1"] == {(1, False), (2, False), (1, True), (2, True)}
     assert sides["case 2/3"] == {(2, False), (3, False), (2, True), (3, True)}
+    assert sides["ratios 0 or inf"] == {(1, False), (1, True), (3, False), (3, True), (4, False)}
 
 
 def test_case_of_matches_scalar_on_log_uniform_games():
@@ -116,12 +124,11 @@ def test_case_of_matches_scalar_on_log_uniform_games():
     assert {index for index, _ in labels} == {1, 2, 3, 4}
 
 
-def test_case_of_and_payoffs_match_scalar_over_the_whole_float_range():
+def test_case_of_and_payoffs_match_scalar_over_the_whole_float_range(float_range_games):
     # Every parameter over the float range: 53 of these games have both
     # ratios underflowing to 0, and the named one is among them; their
     # mirrors follow.
-    params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, size=(4000, 4))
-    games = [GameInstance(*row) for row in params] + [UNDERFLOW_RATIOS_GAME]
+    games = float_range_games + [UNDERFLOW_RATIOS_GAME]
     games += [swap_indices(g) for g in games]
     under = [g for g in games if g.x1 / g.phi1 == 0.0 == g.x2 / g.phi2]
     assert len(under) == 2 * 54
@@ -238,12 +245,25 @@ def _transfers(games, seed: int):
 # factor by factor.
 UNDERFLOW_GAME = GameInstance(1e-170, 1e-170, 1e-160, 2e-160)
 
-# Both ratios x_i / phi_i underflow to 0: the case rule decides on the
-# budgets times ``RATIO_SCALE`` over the valuations divided by it, which
-# makes player 2 the weaker.
+# Both ratios x_i / phi_i underflow to 0: the case rule decides on
+# ``adversary.exact_ratios``, which makes player 2 the weaker.
 UNDERFLOW_RATIOS_GAME = GameInstance(
     5.898856659919297e248, 1.0835451002296022e117, 1.2922213985991233e-109, 4.4619297314e-313
 )
+
+# Both ratios overflow to inf, as they would on valuations scaled up by
+# 2**1000: on ``exact_ratios`` player 2 is the weaker, and in the mirror
+# player 1.
+OVERFLOW_RATIOS_GAME = GameInstance(5e-324, 1e-323, 1e308, 1e308)
+
+# The weak side's case-3 share rounds to 1.0, so the strong side takes its
+# own closed form, off the ridge and on it.
+LOST_SHARE_GAMES = [
+    GameInstance(
+        1.6125467650588606e-172, 1.226833813294227e-242, 7.497722291364901e-183, 2.730579090009633e-197
+    ),
+    GameInstance(1.0, 2e-20, 0.5, 1e-20),
+]
 
 # A game of each case and ridge, each path of the kernel's split.
 PATH_GAMES = [
@@ -254,6 +274,7 @@ PATH_GAMES = [
     GameInstance(1.0, 1.0, 0.2, 0.2),  # ridge, total budget < 1: case 3
     UNDERFLOW_GAME,
     UNDERFLOW_RATIOS_GAME,
+    *LOST_SHARE_GAMES,
 ]
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,27 @@ class TestCurve:
         assert float(best[3]) == pytest.approx(16.5, abs=0.01)
         assert float(best[0]) == pytest.approx(7.6, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "mechanism, steps, message",
+        [
+            (Mechanism.JOINT, 10, "curve supports budget or contest transfers only"),
+            (Mechanism.BUDGET, 1, "steps must be >= 2"),
+            (Mechanism.CONTEST, 0, "steps must be >= 2"),
+        ],
+    )
+    def test_run_curve_checks(self, diamond, mechanism, steps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_curve(diamond, mechanism, steps)
+
+    def test_out_in_a_missing_directory_exits_1(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_cli(
+            capsys, "curve", *DIAMOND_ARGS, "--mechanism", "contest", "--out", str(out_file)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not out_file.parent.exists()
+
     def test_budget_curve_peak(self, capsys, tmp_path):
         out_file = tmp_path / "curve.csv"
         code, _, _ = run_cli(
@@ -243,6 +265,48 @@ class TestSweep:
             "--predicate", "case",
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("axis", ["x1", "x1:0.1:2", "x1=0.1", "x1=0.1-2", "x1=a:2"])
+    def test_malformed_axis_exits_1(self, capsys, axis):
+        code, out, err = run_cli(
+            capsys, "sweep", "--phi1", "12", "--phi2", "10",
+            "--axis", axis, "--axis", "x2=0.1:2", "--steps", "4", "--predicate", "case",
+        )
+        assert code == 1 and out == ""
+        assert f"error: bad --axis {axis!r}; expected NAME=LO:HI" in err
+
+    def test_out_in_a_missing_directory_exits_1(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--phi1", "12", "--phi2", "10",
+            "--axis", "x1=0.1:2", "--axis", "x2=0.1:2", "--steps", "4",
+            "--predicate", "case", "--out", str(out_file),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not out_file.parent.exists()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"steps": 1}, "steps must be >= 2"),
+            ({"axes": (("x1", 0.1, 2.0), ("x1", 0.2, 3.0))}, "exactly two distinct swept axes required"),
+            ({"axes": (("x1", 2.0, 2.0), ("x2", 0.1, 2.0))}, "axis x1: need 0 < lo < hi, got 2.0..2.0"),
+            ({"axes": (("x1", 0.1, 2.0), ("x2", 3.0, 2.0))}, "axis x2: need 0 < lo < hi, got 3.0..2.0"),
+            ({"axes": (("x1", 0.0, 2.0), ("x2", 0.1, 2.0))}, "axis x1: need 0 < lo < hi, got 0.0..2.0"),
+            ({"fixed": {"phi1": 12.0}}, "parameters not fixed or swept: ['phi2']"),
+        ],
+    )
+    def test_spec_checks(self, changes, message):
+        spec = {
+            "fixed": {"phi1": 12.0, "phi2": 10.0},
+            "axes": (("x1", 0.1, 2.0), ("x2", 0.1, 2.0)),
+            "steps": 3,
+            "predicate": Predicate.CASE,
+        }
+        SweepSpec(**spec)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(**{**spec, **changes})
 
     def test_bad_predicate_is_usage_error(self, capsys):
         code, _, err = run_cli(

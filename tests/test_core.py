@@ -103,6 +103,14 @@ class TestGameInstance:
             GameInstance.from_dict({"phi1": 1, "phi2": 1, "x1": 1})
 
 
+class TestTransfer:
+    @pytest.mark.parametrize("field", ["tau", "nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(GameValidationError, match=f"{field} must be finite, got {bad!r}"):
+            Transfer(**{field: bad})
+
+
 class TestPostTransfer:
     def test_identity(self, diamond):
         assert post_transfer(diamond, Transfer(0, 0)) == diamond
