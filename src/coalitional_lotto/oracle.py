@@ -15,10 +15,16 @@ sequence of games: ``grid_best_responses``, ``grid_mutual_searches`` and
 contest lines of both searches at once.  Every game's line is scanned
 once, on its own, and cut down at once to its refinement brackets and to
 the few numbers the knife-edge fallback reads (``search.RidgeScan``), so no
-(games x grid) array is kept and no line is scanned twice; the brackets of
-the whole sample are then refined in one lockstep golden-section pass
-(``search.golden_max``).  Each game's results equal those of a one-game
-call bit for bit, whatever games share the sequence.
+(games x grid) array is kept and no line is scanned twice.
+
+Each oracle is a scan and a finish.  The scan hands over its refinement
+rows (objective, brackets, step counts) and a finisher that turns their
+refined maxima into the oracle's results.  One lockstep golden-section
+pass (``search.golden_max``) refines the rows of several oracles at once,
+each objective evaluated on its own slice of rows: ``grid_oracles`` serves
+the line oracle and the best responses of a sample from one pass.  Each
+game's results equal those of a one-game call bit for bit, whatever games
+and oracles share the pass.
 
 The test suite pins oracle outputs for a golden set of games as fixtures and
 requires the closed forms to reproduce them.
@@ -27,7 +33,7 @@ requires the closed forms to reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +51,7 @@ from .search import (
     off_ridge_best,
     refine_transfers,
     thin_margin,
+    transfer_objective,
 )
 
 __all__ = [
@@ -59,6 +66,7 @@ __all__ = [
     "grid_max_collective",
     "grid_max_collectives",
     "grid_line_oracle",
+    "grid_oracles",
 ]
 
 
@@ -97,6 +105,57 @@ def _bracket(grid: np.ndarray, k) -> tuple:
     return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, len(grid) - 1)]
 
 
+class _Scan(NamedTuple):
+    """An oracle's refinement rows, and how to finish them.
+
+    Row ``i`` maximizes ``objective`` on ``[lo[i], hi[i]]`` in ``iters[i]``
+    golden-section steps; ``objective`` takes this scan's rows only, as
+    ``search.golden_max`` passes them.  ``finish(argmax, max)`` turns the
+    refined rows into the oracle's result.
+    """
+
+    objective: Callable
+    lo: np.ndarray
+    hi: np.ndarray
+    iters: np.ndarray
+    finish: Callable
+
+
+def _refine(*scans: _Scan) -> list:
+    """Each scan's finished result, all their rows refined in one ``golden_max`` pass."""
+    ends = np.cumsum([0] + [len(scan.lo) for scan in scans]).tolist()
+    parts = [slice(i, j) for i, j in zip(ends, ends[1:])]
+
+    def f(v):
+        return np.concatenate(
+            [scan.objective(v[..., part]) for scan, part in zip(scans, parts)], axis=-1
+        )
+
+    rows = zip(*((scan.lo, scan.hi, scan.iters) for scan in scans))
+    lo, hi, iters = (np.concatenate(column) for column in rows)
+    arg, best = golden_max(f, lo, hi, iters)
+    return [scan.finish(arg[part], best[part]) for scan, part in zip(scans, parts)]
+
+
+def _best_response_scan(games: Sequence[GameInstance], spec: GridSpec) -> _Scan:
+    """Each game's best grid split, bracketed for refinement."""
+    xs = np.linspace(0.0, 1.0, spec.resolution)
+    top = np.empty(len(games), dtype=int)
+    top_value = np.empty(len(games))
+    for i, g in enumerate(games):
+        values = _adv_value_vec(g, xs)
+        top[i] = np.argmax(values)
+        top_value[i] = values[top[i]]
+    arrays = GameArrays.of(games)
+
+    def finish(x_best, v_best):
+        x_best = np.where(top_value > v_best, xs[top], x_best)
+        return [AdversaryAllocation(x, 1.0 - x) for x in x_best.tolist()]
+
+    iters = np.full(len(games), BEST_RESPONSE_ITERS)
+    return _Scan(lambda x: _adv_value_vec(arrays, x), *_bracket(xs, top), iters, finish)
+
+
 def grid_best_responses(
     games: Sequence[GameInstance], spec: GridSpec = DEFAULT_GRID_1D
 ) -> list[AdversaryAllocation]:
@@ -106,19 +165,7 @@ def grid_best_responses(
     optima to well below the per-game comparison tolerances.  On indifference
     plateaus any argmax is acceptable (the objective value is what matters).
     """
-    xs = np.linspace(0.0, 1.0, spec.resolution)
-    top = np.empty(len(games), dtype=int)
-    top_value = np.empty(len(games))
-    for i, g in enumerate(games):
-        values = _adv_value_vec(g, xs)
-        top[i] = np.argmax(values)
-        top_value[i] = values[top[i]]
-    arrays = GameArrays.of(games)
-    x_best, v_best = golden_max(
-        lambda x: _adv_value_vec(arrays, x), *_bracket(xs, top), BEST_RESPONSE_ITERS
-    )
-    x_best = np.where(top_value > v_best, xs[top], x_best)
-    return [AdversaryAllocation(x, 1.0 - x) for x in x_best.tolist()]
+    return _refine(_best_response_scan(games, spec))[0]
 
 
 def grid_best_response(
@@ -176,22 +223,14 @@ class LineOracle(NamedTuple):
     maxima: dict[Mechanism, list[float]]
 
 
-def grid_line_oracle(
+def _line_scan(
     games: Sequence[GameInstance],
-    mutual: Mechanism | None = None,
-    collective: Sequence[Mechanism] = (),
-    spec: GridSpec = DEFAULT_GRID_1D,
-) -> LineOracle:
-    """Mutual search along ``mutual`` and collective maxima along each of
-    ``collective`` (budget or contest lines), for every game.
-
-    Each game's line is scanned once for both uses.  The mutual search
-    refines the smaller payoff delta around the best few local maxima of
-    the scan and moves a maximum that landed on the equal-ratio ridge off it
-    (``search.off_ridge_best``); the collective maximum refines around the
-    best scan point.  All brackets share one lockstep pass.  ``verdicts`` is
-    empty without ``mutual``.
-    """
+    mutual: Mechanism | None,
+    collective: Sequence[Mechanism],
+    spec: GridSpec,
+) -> _Scan:
+    """Each game's lines cut into refinement brackets (``_cut_line``); the
+    finisher decides the ``LineOracle``."""
     arrays = GameArrays.of(games)
     base1, base2 = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
     # One row per refinement bracket: game, budget line, mutual objective,
@@ -223,53 +262,91 @@ def grid_line_oracle(
 
     table = np.array(rows, dtype=float).reshape(-1, 6)
     game = table[:, 0].astype(int)
-    v, val = refine_transfers(
+    lo, hi = table[:, 3], table[:, 4]
+    objective = transfer_objective(
         arrays.take(game),
         table[:, 1] > 0,
-        table[:, 3],
-        table[:, 4],
-        table[:, 5].astype(int),
+        lo,
+        hi,
         mutual=table[:, 2] > 0,
         baseline=(base1[game], base2[game]),
     )
-    v, val = v.tolist(), val.tolist()
 
-    maxima = {
-        mech: [
-            val[r] if val[r] > grid else grid
-            for grid, r in zip(collective_grid[mech], collective_rows[mech])
-        ]
-        for mech in collective
-    }
-    if mutual is None:
-        return LineOracle([], maxima)
+    def finish(v, val):
+        v, val = v.tolist(), val.tolist()
+        maxima = {
+            mech: [
+                val[r] if val[r] > grid else grid
+                for grid, r in zip(collective_grid[mech], collective_rows[mech])
+            ]
+            for mech in collective
+        }
+        if mutual is None:
+            return LineOracle([], maxima)
 
-    best = []
-    for grid, refined in zip(mutual_grid, mutual_rows):
-        for r in refined:
-            if val[r] > grid[1]:
-                grid = (v[r], val[r])
-        best.append(grid)
-    best_v, best_val = np.array(best, dtype=float).reshape(-1, 2).T
-    found = off_ridge_best(
-        arrays, mutual, (base1, base2), best_v, best_val, ridge_scans, MUTUAL_ITERS
+        best = []
+        for grid, refined in zip(mutual_grid, mutual_rows):
+            for r in refined:
+                if val[r] > grid[1]:
+                    grid = (v[r], val[r])
+            best.append(grid)
+        best_v, best_val = np.array(best, dtype=float).reshape(-1, 2).T
+        found = off_ridge_best(
+            arrays, mutual, (base1, base2), best_v, best_val, ridge_scans, MUTUAL_ITERS
+        )
+        verdicts = []
+        for g, (_, score), found_i in zip(games, best, found):
+            if found_i is None:
+                # Refinement can converge onto the single transfer that lands
+                # the game on the equal-ratio ridge, where a benefit exists
+                # only under the adversary's indifference tie-break; such a
+                # point witnesses no robust opportunity.
+                verdicts.append(
+                    MutualBenefitVerdict(mutual, False, None, "ridge-knife-edge", True)
+                )
+                continue
+            near = thin_margin(g, score)
+            if found_i[1] > min_gain(g):
+                witness = along(mutual, found_i[0])
+                verdicts.append(MutualBenefitVerdict(mutual, True, witness, "oracle-grid", near))
+            else:
+                verdicts.append(MutualBenefitVerdict(mutual, False, None, None, near))
+        return LineOracle(verdicts, maxima)
+
+    return _Scan(objective, lo, hi, table[:, 5].astype(int), finish)
+
+
+def grid_line_oracle(
+    games: Sequence[GameInstance],
+    mutual: Mechanism | None = None,
+    collective: Sequence[Mechanism] = (),
+    spec: GridSpec = DEFAULT_GRID_1D,
+) -> LineOracle:
+    """Mutual search along ``mutual`` and collective maxima along each of
+    ``collective`` (budget or contest lines), for every game.
+
+    Each game's line is scanned once for both uses.  The mutual search
+    refines the smaller payoff delta around the best few local maxima of
+    the scan and moves a maximum that landed on the equal-ratio ridge off it
+    (``search.off_ridge_best``); the collective maximum refines around the
+    best scan point.  All brackets share one lockstep pass.  ``verdicts`` is
+    empty without ``mutual``.
+    """
+    return _refine(_line_scan(games, mutual, collective, spec))[0]
+
+
+def grid_oracles(
+    games: Sequence[GameInstance],
+    mutual: Mechanism | None = None,
+    collective: Sequence[Mechanism] = (),
+    spec: GridSpec = DEFAULT_GRID_1D,
+) -> tuple[LineOracle, list[AdversaryAllocation]]:
+    """``grid_line_oracle`` and ``grid_best_responses`` of the same games,
+    both refined in one lockstep pass; each result equals its own call's."""
+    lines, responses = _refine(
+        _line_scan(games, mutual, collective, spec), _best_response_scan(games, spec)
     )
-    verdicts = []
-    for g, (_, score), found_i in zip(games, best, found):
-        if found_i is None:
-            # Refinement can converge onto the single transfer that lands the
-            # game on the equal-ratio ridge, where a benefit exists only under
-            # the adversary's indifference tie-break; such a point witnesses
-            # no robust opportunity.
-            verdicts.append(MutualBenefitVerdict(mutual, False, None, "ridge-knife-edge", True))
-            continue
-        near = thin_margin(g, score)
-        if found_i[1] > min_gain(g):
-            witness = along(mutual, found_i[0])
-            verdicts.append(MutualBenefitVerdict(mutual, True, witness, "oracle-grid", near))
-        else:
-            verdicts.append(MutualBenefitVerdict(mutual, False, None, None, near))
-    return LineOracle(verdicts, maxima)
+    return lines, responses
 
 
 def _grid_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:

@@ -17,12 +17,15 @@ judge candidates by the same definitions and search the same lines:
 
 Each search keeps its own resolution and refinement budget; only the rules
 live here, with the one golden-section search.  ``golden_max`` refines an
-array of brackets in lockstep, one objective call per step, so a whole
-sample of games costs about as many numpy calls as one game.
-``refine_transfers`` runs it along transfer lines through
+array of brackets in lockstep, two steps per objective call: the objective
+sees shape ``(2, n)`` once, ``(3, n)`` per two steps and ``(n,)`` for a
+last odd step, so it must be elementwise with a leading stack axis, and a
+whole sample of games costs about as many numpy calls as one game.
+``transfer_objective`` scores points of transfer lines through
 ``batch.payoffs_at_transfers``, after checking each bracket's ends like
-``core.post_transfer_params``; ``off_ridge_best`` is the oracle's knife-edge
-fallback, fed by the ``RidgeScan`` each line scan leaves behind.
+``core.post_transfer_params``, and ``refine_transfers`` runs ``golden_max``
+on it; ``off_ridge_best`` is the oracle's knife-edge fallback, fed by the
+``RidgeScan`` each line scan leaves behind.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "along",
     "ridge_gap",
     "golden_max",
+    "transfer_objective",
     "refine_transfers",
     "RidgeScan",
     "off_ridge_best",
@@ -126,13 +130,14 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def golden_max(f, a, b, iters):
     """Golden-section maxima of ``f`` on brackets ``[a[i], b[i]]``: (argmax, max).
 
-    ``f`` maps an array of points to their values elementwise, row ``i`` of
-    its argument belonging to bracket ``i``; it is called on shape ``(2,
-    n)`` once and on shape ``(n,)`` once per step.  Row ``i`` takes
-    ``iters[i]`` steps (``iters`` broadcasts), so each row is the scalar
-    golden-section search bit for bit.  A row that has taken its steps
-    keeps shrinking inside its bracket with the others; its result was
-    read off when it finished.
+    ``f`` maps an array of points to their values elementwise, the last
+    axis of its argument running over the brackets and any leading axis
+    stacking points of the same brackets.  It is called on shape ``(2, n)``
+    once, on shape ``(3, n)`` once per two steps, and on shape ``(n,)`` for
+    a last odd step.  Row ``i`` takes ``iters[i]`` steps (``iters``
+    broadcasts), so each row is the scalar golden-section search bit for
+    bit.  A row that has taken its steps keeps shrinking inside its bracket
+    with the others; its result was read off when it finished.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -145,45 +150,63 @@ def golden_max(f, a, b, iters):
     # Not np.unique: its first call imports numpy.ma, which costs more than a
     # one-game search.
     finish = sorted(set(iters.ravel().tolist()))
-    for step in range(finish[-1] + 1 if finish else 0):
+    last = finish[-1] if finish else -1
+    # The next step's two possible new points and their values, when the
+    # previous call evaluated them.
+    ahead = None
+    step = 0
+    while True:
         left = fc >= fd
         if step in finish:
             done = iters == step
             arg[done] = np.where(left, c, d)[done]
             best[done] = np.where(left, fc, fd)[done]
-            if step == finish[-1]:
-                break
+        if step >= last:
+            return arg, best
         # Keep [a, d] (left) or [c, b]; the kept interior point is reused
         # and one new point is placed.
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-        span = INVPHI * (b - a)
-        x = np.where(left, b - span, a + span)
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
+        if ahead is None:
+            span = INVPHI * (b - a)
+            x = np.where(left, b - span, a + span)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            if step + 1 < last:
+                # Also evaluate both points the next step can place, as that
+                # step computes them: it keeps [a, d] or [c, b].
+                x_left = d - INVPHI * (d - a)
+                x_right = c + INVPHI * (b - c)
+                fx, f_left, f_right = f(np.stack((x, x_left, x_right)))
+                ahead = x_left, x_right, f_left, f_right
+            else:
+                fx = f(x)
+        else:
+            x_left, x_right, f_left, f_right = ahead
+            x, fx = np.where(left, x_left, x_right), np.where(left, f_left, f_right)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            ahead = None
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return arg, best
+        step += 1
 
 
-def refine_transfers(
+def transfer_objective(
     games: GameInstance | GameArrays,
     budget,
     a,
     b,
-    iters,
     fixed=0.0,
     mutual=False,
     baseline=(0.0, 0.0),
 ):
-    """``golden_max`` along transfer lines, one bracket per row of ``games``.
+    """The objective ``refine_transfers`` maximizes, for ``golden_max``.
 
     Row ``i`` moves budget (where ``budget`` holds) or valuation by ``v`` in
-    ``[a[i], b[i]]``, holding the other component at ``fixed``.  It
-    maximizes the smaller payoff delta against ``baseline`` where
-    ``mutual`` holds and the collective payoff elsewhere.  Both ends of
-    every bracket must pass ``core.post_transfer_params``'s rule, or
-    ``InfeasibleTransferError`` is raised: the feasible set is an interval,
-    so every point the search evaluates is then feasible.
+    ``[a[i], b[i]]``, holding the other component at ``fixed``.  It scores
+    the smaller payoff delta against ``baseline`` where ``mutual`` holds and
+    the collective payoff elsewhere.  Both ends of every bracket must pass
+    ``core.post_transfer_params``'s rule, or ``InfeasibleTransferError`` is
+    raised: the feasible set is an interval, so every point inside the
+    brackets, and so every point ``golden_max`` evaluates, is then feasible.
     """
 
     def transfers(v):
@@ -196,7 +219,16 @@ def refine_transfers(
         u1, u2 = batch.payoffs_at_transfers(games, *transfers(v))
         return np.where(mutual, np.minimum(u1 - baseline[0], u2 - baseline[1]), u1 + u2)
 
-    return golden_max(f, a, b, iters)
+    return f
+
+
+def refine_transfers(games: GameInstance | GameArrays, budget, a, b, iters, **options):
+    """``golden_max`` of ``transfer_objective`` on brackets ``[a[i], b[i]]``.
+
+    ``options`` are ``transfer_objective``'s ``fixed``, ``mutual`` and
+    ``baseline``.
+    """
+    return golden_max(transfer_objective(games, budget, a, b, **options), a, b, iters)
 
 
 class RidgeScan(NamedTuple):

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 
 from . import batch, mutual_arrays
-from .adversary import CaseLabel, adversary_value, best_response, classify_case
+from .adversary import CaseLabel, adversary_value, respond
 from .analysis import format_float
 from .batch import GameArrays
 from .collective import max_collective_payoff
@@ -43,7 +43,7 @@ from .mutual import (
     contest_mutual_exists,
     region_index,
 )
-from .oracle import grid_best_responses, grid_line_oracle
+from .oracle import grid_oracles
 from .rng import SplitMix64
 from .search import line_ends
 
@@ -226,24 +226,24 @@ def run_verify(count: int, seed: int):
         raise ValueError("count must be >= 1")
     games = sample_games(count, seed)
     # The contest line serves both the mutual search and the contest
-    # collective maximum.
-    lines = grid_line_oracle(games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST))
-    responses = grid_best_responses(games)
+    # collective maximum; the lines and the best responses share one
+    # refinement pass.
+    lines, responses = grid_oracles(
+        games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST)
+    )
     rows = []
     ok = True
     for i, g in enumerate(games):
-        label = classify_case(g)
+        label, (xa1, xa2), _ = respond(g)
         analytic = contest_mutual_exists(g)
         oracle_v = lines.verdicts[i]
         agree = analytic.exists == oracle_v.exists
         near = analytic.near_boundary or oracle_v.near_boundary
 
-        xa_closed = best_response(g)
         xa_grid = responses[i]
-        alloc_err = abs(xa_closed.xa1 - xa_grid.xa1)
+        alloc_err = abs(xa1 - xa_grid.xa1)
         value_err = abs(
-            adversary_value(g, xa_closed.xa1, xa_closed.xa2)
-            - adversary_value(g, xa_grid.xa1, xa_grid.xa2)
+            adversary_value(g, xa1, xa2) - adversary_value(g, xa_grid.xa1, xa_grid.xa2)
         )
         br_ok = alloc_err <= VERIFY_ALLOC_TOL or value_err <= VERIFY_VALUE_TOL
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coalitional_lotto import sweep
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
@@ -29,6 +30,7 @@ from coalitional_lotto.oracle import (
     grid_max_collectives,
     grid_mutual_search,
     grid_mutual_searches,
+    grid_oracles,
 )
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import (
@@ -188,6 +190,31 @@ class TestSequenceForms:
         for mech in (Mechanism.BUDGET, Mechanism.CONTEST):
             assert repr(lines.maxima[mech]) == repr(grid_max_collectives(games, mech))
 
+    def test_one_pass_gives_each_oracle_its_own_result(self, monkeypatch):
+        lines = (Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST))
+
+        def both(games):
+            return repr(grid_oracles(games, *lines))
+
+        def alone(games):
+            return repr((grid_line_oracle(games, *lines), grid_best_responses(games)))
+
+        games = batching_corpus()
+        others = random_games(3, seed=5)
+        for sample in (games, games[::-1], others[:2] + games[3:9] + others[2:], []):
+            assert both(sample) == alone(sample)
+        # What run_verify gets from its one pass.
+        got = []
+
+        def record(*args):
+            got.append(grid_oracles(*args))
+            return got[-1]
+
+        monkeypatch.setattr(sweep, "grid_oracles", record)
+        run_verify(5, 7)
+        assert len(got) == 1
+        assert repr(got[0]) == alone(sweep.sample_games(5, 7))
+
     def test_off_ridge_game_takes_the_side_search(self):
         # The witness lies beyond the sliver, nearer the ridge than one scan
         # step: only the side refinement can find it.
@@ -217,18 +244,26 @@ class TestLockstepGolden:
         b = a + rng.uniform(1e-9, 3.0, n)
         t = rng.uniform(-2.0, 4.0, n)
         s = rng.uniform(-2.0, 4.0, n)
-        iters = rng.choice([0, 1, 2, 7, 60, 80], n)
+        iters = rng.choice([0, 1, 2, 3, 7, 60, 61, 80], n)
 
         def row(i):
             # Not unimodal: each row may keep either side of its bracket.
             return lambda x: 0.5 * x - abs((x - t[i]) * (x - s[i]))
 
-        x, fx = golden_max(lambda v: 0.5 * v - np.abs((v - t) * (v - s)), a, b, iters)
-        for i in range(n):
-            want = textbook_golden_max(row(i), float(a[i]), float(b[i]), int(iters[i]))
-            assert (x[i], fx[i]) == want, i
+        # All rows (an even last step), then those below 80 steps (an odd
+        # last step, taken alone).
+        for rows in (np.arange(n), np.flatnonzero(iters < 80)):
+            ts, ss = t[rows], s[rows]
+            x, fx = golden_max(
+                lambda v: 0.5 * v - np.abs((v - ts) * (v - ss)), a[rows], b[rows], iters[rows]
+            )
+            for j, i in enumerate(rows):
+                want = textbook_golden_max(row(i), float(a[i]), float(b[i]), int(iters[i]))
+                assert (x[j], fx[j]) == want, i
 
     def test_one_call_per_step(self):
+        # Two steps per call: each call after the first also evaluates both
+        # points the next step can place; a last odd step takes one point.
         calls = []
 
         def f(v):
@@ -236,7 +271,24 @@ class TestLockstepGolden:
             return -v * v
 
         golden_max(f, np.zeros(3), np.ones(3), np.array([5, 2, 0]))
-        assert calls == [(2, 3)] + [(3,)] * 5
+        assert calls == [(2, 3), (3, 3), (3, 3), (3,)]
+
+    def test_every_point_lies_in_its_bracket(self):
+        rng = np.random.default_rng(8)
+        n = 30
+        a = rng.uniform(-3.0, 3.0, n)
+        b = a + 10.0 ** rng.uniform(-12.0, 1.0, n)
+        t = rng.uniform(-3.0, 4.0, n)
+        iters = rng.choice([0, 1, 4, 61], n)
+        seen = []
+
+        def f(v):
+            seen.append(np.array(v))
+            return -np.abs(v - t)
+
+        golden_max(f, a, b, iters)
+        for v in seen:
+            assert ((a <= v) & (v <= b)).all()
 
 
 class TestBracketFeasibility:
