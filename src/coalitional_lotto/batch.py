@@ -8,11 +8,15 @@ scan or a whole sample of games.  ``GameArrays`` holds the parameters of
 many games under the attribute names of ``GameInstance``;
 ``payoffs_at_transfers`` broadcasts them against the transfers.
 
-A call's cost is about fifty array passes plus numpy's fixed cost per
-call, so the kernel keeps both down: it broadcasts by arithmetic alone,
-fills the adversary's share in one array case by case, and does the
-equal-ratio ridge's work only when some element lies on it.  Each front's
-payoff takes one division (``one_v_one_vec``).
+A call's cost is its array passes plus numpy's fixed cost per call, so the
+kernel keeps both down: it broadcasts by arithmetic alone and fills the
+adversary's share in one array case by case.  Two pieces of work are done
+only when some element needs them: the equal-ratio ridge's, when some
+element lies on it, and case 3's (two roots per front and the lost-share
+fallback), when some element takes it.  Each front's payoff takes one
+division, built in place (``one_v_one_vec``).  Counted over verify's line
+scans of 4001 points, which mostly hold cases 1 and 2 only, a call makes
+about 45 array passes; one that takes case 3 makes about 13 more.
 
 ``case_of`` is the one vector case rule: the payoffs and the sweeps' array
 verdicts classify through it.  It reads the same tolerance, ``CASE_RTOL``,
@@ -82,15 +86,25 @@ def one_v_one_vec(phi, x_player, x_adv):
 
     Each branch divides the smaller budget by twice the larger, so one
     division serves both; where both budgets are 0 the quotient is left at
-    1, and the player keeps ``phi``.
+    1, and the player keeps ``phi``.  Each element is decided on its own,
+    so a NaN budget gives NaN, as in ``u_player``.  The quotient is built
+    in place in the fresh array of ``np.minimum`` and the divisor in that
+    of ``np.maximum``, so no caller's array is written; 0-d budgets, for
+    which numpy returns scalars, take the same steps on scalars.
     """
-    lo = np.minimum(x_player, x_adv)
-    twice = 2.0 * np.maximum(x_player, x_adv)
+    share = np.minimum(x_player, x_adv)
+    twice = np.maximum(x_player, x_adv)
+    if share.ndim == 0:
+        twice = 2.0 * twice
+        share = share / twice if twice != 0.0 else np.float64(1.0)
+        return phi * (share if x_player <= x_adv else 1.0 - share)
+    twice *= 2.0
     if twice.all():
-        share = lo / twice
+        np.divide(share, twice, out=share)
     else:
-        share = np.divide(lo, twice, out=np.ones(np.shape(twice)), where=twice > 0.0)
-    return phi * np.where(x_player <= x_adv, share, 1.0 - share)
+        share = np.divide(share, twice, out=np.ones(share.shape), where=twice != 0.0)
+    np.subtract(1.0, share, out=share, where=x_player > x_adv)
+    return phi * share
 
 
 def _case_rule(phi1, phi2, x1, x2):
@@ -177,29 +191,31 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
     equal, swap, case1, case2, pw, ps, bw, bs, s = _case_rule(
         g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus
     )
-    # The case-3 share, exact on the equal-ratio ridge with total budget < 1
-    # too.  Each root is ``core.root_product``, as in ``adversary``.
-    root_w = root_product(bw, pw)
-    root_s = root_product(bs, ps)
-    case3 = root_w / (root_w + root_s)
-    # The adversary's share of the weak front, filled case by case.
-    xa_w = np.where(case2, s, case3)
-    np.copyto(xa_w, 1.0, where=case1)
+    # The adversary's share of the weak front, filled case by case; case 3
+    # is taken off the ridge where neither case 1 nor case 2 holds, and on
+    # it where the total budget is below 1.
+    xa_w = np.where(case1, 1.0, s)
+    settled = case1 | case2
     if equal is not None:
         total_b = bw + bs
         rich = equal & (total_b >= 1.0)
-        np.copyto(xa_w, case3, where=equal)
         np.divide(bw, total_b, out=xa_w, where=rich)
-    xa_s = 1.0 - xa_w
-    lost = np.equal(case3, 1.0)
-    if lost.any():
-        # Where a case-3 share that rounds to 1 is taken, the strong front
-        # gets its own closed form, as in ``adversary._split``.
-        taken = ~(case1 | case2)
-        if equal is not None:
-            taken = np.where(equal, ~rich, taken)
-        xa_s = np.where(lost & taken, root_s / (root_w + root_s), xa_s)
-
+        settled = np.where(equal, rich, settled)
+    if settled.all():
+        xa_s = 1.0 - xa_w
+    else:
+        # The case-3 share, exact on the ridge too.  Each root is
+        # ``core.root_product``, as in ``adversary``.
+        root_w = root_product(bw, pw)
+        root_s = root_product(bs, ps)
+        case3 = root_w / (root_w + root_s)
+        xa_w = np.where(settled, xa_w, case3)
+        xa_s = 1.0 - xa_w
+        lost = np.equal(case3, 1.0)
+        if lost.any():
+            # Where a case-3 share that rounds to 1 is taken, the strong
+            # front gets its own closed form, as in ``adversary._split``.
+            xa_s = np.where(lost & ~settled, root_s / (root_w + root_s), xa_s)
     uw = one_v_one_vec(pw, bw, xa_w)
     us = one_v_one_vec(ps, bs, xa_s)
     return np.where(swap, us, uw), np.where(swap, uw, us)

@@ -176,13 +176,15 @@ def grid_best_response(
 
 
 def _local_maxima(score: np.ndarray, top: int) -> list[int]:
-    left = np.empty_like(score)
-    right = np.empty_like(score)
-    left[0] = -np.inf
-    left[1:] = score[:-1]
-    right[-1] = -np.inf
-    right[:-1] = score[1:]
-    idx = np.flatnonzero((score >= left) & (score >= right))
+    """The ``top`` highest points that are at least both neighbours, highest first.
+
+    Each end counts as having ``-inf`` outside it; a NaN point is no
+    maximum.  Where no point qualifies, the argmax alone.
+    """
+    peak = score >= -np.inf
+    peak[1:] &= score[1:] >= score[:-1]
+    peak[:-1] &= score[:-1] >= score[1:]
+    idx = np.flatnonzero(peak)
     if idx.size == 0:
         return [int(np.argmax(score))]
     order = idx[np.argsort(score[idx])[::-1]]

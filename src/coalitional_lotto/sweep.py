@@ -40,7 +40,7 @@ from .mutual import (
     REGIONS,
     Mechanism,
     classify_region,
-    contest_mutual_exists,
+    mutual_verdict,
     region_index,
 )
 from .oracle import grid_oracles
@@ -234,8 +234,9 @@ def run_verify(count: int, seed: int):
     rows = []
     ok = True
     for i, g in enumerate(games):
-        label, (xa1, xa2), _ = respond(g)
-        analytic = contest_mutual_exists(g)
+        label, (xa1, xa2), baseline = respond(g)
+        closed = max_collective_payoff(g)
+        analytic = mutual_verdict(g, Mechanism.CONTEST, baseline, closed)
         oracle_v = lines.verdicts[i]
         agree = analytic.exists == oracle_v.exists
         near = analytic.near_boundary or oracle_v.near_boundary
@@ -247,7 +248,6 @@ def run_verify(count: int, seed: int):
         )
         br_ok = alloc_err <= VERIFY_ALLOC_TOL or value_err <= VERIFY_VALUE_TOL
 
-        closed = max_collective_payoff(g)
         col_err = max(
             abs(lines.maxima[Mechanism.BUDGET][i] - closed),
             abs(lines.maxima[Mechanism.CONTEST][i] - closed),

@@ -18,9 +18,12 @@ from coalitional_lotto.core import (
     Transfer,
     post_transfer,
     post_transfer_params,
+    root_product,
     swap_indices,
     u_player,
 )
+from coalitional_lotto.mutual import Mechanism
+from coalitional_lotto.search import line_ends
 from coalitional_lotto.sweep import Predicate, SweepSpec, run_sweep
 
 from conftest import random_games
@@ -394,3 +397,92 @@ def test_one_v_one_vec_zero_budget_conventions():
     for (i, j, k), value in np.ndenumerate(u):
         want = u_player(float(phi[i, 0, 0]), float(x_player[0, j, 0]), float(x_adv[0, 0, k]))
         assert value == want, (i, j, k)
+
+
+def _count_roots(monkeypatch) -> list:
+    """Record every ``root_product`` the kernel takes."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return root_product(a, b)
+
+    monkeypatch.setattr(batch, "root_product", counted)
+    return calls
+
+
+def test_lines_of_cases_1_and_2_take_no_root(monkeypatch):
+    # Both lines of this game hold case-1 and case-2 lanes, in both
+    # orientations; the budget line crosses the ridge at a total budget
+    # above 1 (case 4).  No lane takes case 3, so no root is taken.
+    roots = _count_roots(monkeypatch)
+    g = GameInstance(1.0, 1.0, 0.8, 2.0)
+    for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
+        vs = np.linspace(*line_ends(g, mechanism), 4001)
+        scan = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
+        u1, u2 = batch.payoffs_at_transfers(g, *scan)
+        taus, nus = np.broadcast_arrays(*scan)
+        index, swapped = batch.case_of(g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus)
+        assert {1, 2} <= set(index.tolist()) <= {1, 2, 4}
+        assert swapped.any() and not swapped.all()
+        for k, (tau, nu) in enumerate(zip(taus.tolist(), nus.tolist())):
+            assert (u1[k], u2[k]) == player_payoffs(g, Transfer(tau, nu)), (mechanism, k)
+    assert roots == []
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [GameInstance(1.0, 1.0, 0.2, 0.2), GameInstance(1.0, 1.0, 0.5, 0.5 - 1e-11), *LOST_SHARE_GAMES],
+    ids=["ridge-poor", "ridge-poor-case2-test", "lost-share", "ridge-poor-lost-share"],
+)
+def test_one_case3_lane_takes_the_roots(monkeypatch, odd):
+    # The only case-3 lane of the call is an equal-ratio lane with total
+    # budget below 1, or a lane whose weak share rounds to 1, or both;
+    # every other lane is of case 1, 2 or 4.  The second ridge lane passes
+    # the off-ridge case-2 test, which does not count on the ridge.
+    roots = _count_roots(monkeypatch)
+    settled = [
+        GameInstance(1.0, 1.0, 0.8, 2.0),
+        GameInstance(1.0, 1.0, 0.8, 0.1),
+        GameInstance(1.0, 1.0, 0.7, 0.7),
+    ]
+    games = settled + [odd] + [swap_indices(g) for g in settled + [odd]]
+    assert [classify_case(g).index == 3 for g in games] == [False] * 3 + [True] + [False] * 3 + [True]
+    u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
+    assert roots == [(len(games),)] * 2
+    assert [(a, b) for a, b in zip(u1, u2)] == [player_payoffs(g) for g in games]
+    # The strong front stays opposed.
+    for k in (3, 7):
+        xa = best_response(games[k])
+        assert 0.0 < min(xa.xa1, xa.xa2)
+
+
+def test_one_v_one_vec_writes_no_input_and_keeps_its_types():
+    phi = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    # Every fast-path lane, then the same with a lane of two zero budgets.
+    for x_player, x_adv in (
+        (np.array([0.5, 2.0, 1.0, 0.0, 1e-300]), np.array([1.0, 1.0, 1.0, 0.3, 2.0])),
+        (np.array([0.5, 2.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.3, 0.0])),
+    ):
+        before = [a.copy() for a in (phi, x_player, x_adv)]
+        u = batch.one_v_one_vec(phi, x_player, x_adv)
+        for a, b in zip((phi, x_player, x_adv), before):
+            assert np.array_equal(a, b)
+        assert type(u) is np.ndarray
+        assert u.tolist() == [u_player(*args) for args in zip(phi.tolist(), x_player.tolist(), x_adv.tolist())]
+    # A ``phi`` that broadcasts wider than the budgets.
+    u = batch.one_v_one_vec(phi[:, None], x_player[:2], x_adv[:2])
+    assert u.shape == (5, 2)
+    assert u.tolist() == [[u_player(p, 0.5, 1.0), u_player(p, 2.0, 1.0)] for p in phi.tolist()]
+    u = batch.one_v_one_vec(phi, 0.3, 0.4)
+    assert type(u) is np.ndarray and u.tolist() == [u_player(p, 0.3, 0.4) for p in phi.tolist()]
+    # 0-d budgets give numpy scalars, zero budgets included.
+    for wrap in (float, np.float64, np.array):
+        for x_player, x_adv in ((0.0, 0.0), (0.3, 0.4), (0.5, 0.4)):
+            u = batch.one_v_one_vec(wrap(5.0), wrap(x_player), wrap(x_adv))
+            assert type(u) is np.float64 and u == u_player(5.0, x_player, x_adv)
+    # Each lane is decided on its own: a NaN budget gives NaN, as in
+    # ``u_player``, whether or not another lane has two zero budgets.
+    for x_adv in (np.array([np.nan, 1.0]), np.array([np.nan, 0.0])):
+        u = batch.one_v_one_vec(3.0, np.array([0.5, 0.0]), x_adv)
+        assert np.isnan(u[0]) and np.isnan(u_player(3.0, 0.5, np.nan))

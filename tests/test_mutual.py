@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes
-from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs
+from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs, respond
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_USAGE
@@ -45,6 +45,7 @@ from coalitional_lotto.mutual import (
     line_breaks,
     line_pieces,
     line_sides,
+    mutual_verdict,
     mutual_verdicts,
     payoff_deltas,
     positive_roots,
@@ -897,14 +898,18 @@ class TestValuationRoom:
 
 
 class TestMutualVerdicts:
-    """``mutual_verdicts`` on one baseline gives the three single verdicts bit for bit."""
+    """``mutual_verdicts`` on one baseline, and ``mutual_verdict`` on the
+    baseline of ``respond``, give the three single verdicts bit for bit."""
 
     @staticmethod
     def assert_same(g):
         single = (budget_mutual_exists(g), contest_mutual_exists(g), joint_mutual_exists(g))
-        shared = mutual_verdicts(g, player_payoffs(g), max_collective_payoff(g))
+        optimum = max_collective_payoff(g)
+        shared = mutual_verdicts(g, player_payoffs(g), optimum)
+        each = [mutual_verdict(g, m, respond(g)[2], optimum) for m in Mechanism]
         # ``repr`` tells -0.0 from 0.0 in the witnesses.
         assert [repr(v) for v in shared] == [repr(v) for v in single], g
+        assert [repr(v) for v in each] == [repr(v) for v in single], g
         return shared
 
     @given(g=census_families)

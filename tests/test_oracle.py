@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coalitional_lotto import sweep
+from coalitional_lotto import oracle, sweep
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
@@ -146,6 +146,32 @@ class TestGridMutualSearch:
         assert v.exists
         assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > 2 * RIDGE_RTOL
         assert is_mutually_beneficial(g, v.witness)
+
+    def test_local_maxima_follow_the_padded_rule(self):
+        def padded(score, top):
+            # Each point against copies of its neighbours, -inf past the ends.
+            left = np.concatenate([[-np.inf], score[:-1]])
+            right = np.concatenate([score[1:], [-np.inf]])
+            idx = np.flatnonzero((score >= left) & (score >= right))
+            if idx.size == 0:
+                return [int(np.argmax(score))]
+            return [int(i) for i in idx[np.argsort(score[idx])[::-1]][:top]]
+
+        rng = np.random.default_rng(8)
+        scores = [
+            np.array([1.0, 1.0, 1.0, 1.0]),  # one plateau: every point
+            np.array([3.0, 1.0, 2.0, 2.0, 0.5, 4.0]),  # both ends and an inner plateau
+            np.array([0.0, 1.0, 2.0, 3.0]),  # rising to the last point
+            np.array([-1.0, np.nan, -1.0, -2.0, np.nan]),  # NaN points and neighbours
+            np.array([np.nan, np.nan, np.nan]),  # no maximum: the argmax
+            np.array([np.nan]),
+            np.array([5.0]),
+        ]
+        scores += [rng.normal(size=n) for n in (2, 3, 50, 4001)]
+        scores += [np.round(rng.normal(size=200), 1) for _ in range(5)]  # many ties
+        for score in scores:
+            for top in (1, 5, 1000):
+                assert oracle._local_maxima(score, top) == padded(score, top), (score, top)
 
 
 class TestSequenceForms:
