@@ -15,14 +15,17 @@ budget-to-valuation ratio,
 
 The mirrored orientation swaps indices.  Case 4 carries no orientation.
 Ratio ties and case edges are decided with one fixed relative tolerance,
-``CASE_RTOL``, which ``batch`` reads too.  Two ratios that both underflow to
-0 or both overflow to inf are compared on ``exact_ratios``, in both case
-rules, so a game and its mirror get mirrored labels across the float range.
+``CASE_RTOL``, which ``batch`` reads too.  Two equal ratios below the
+smallest normal float, where the quotients have lost precision or
+underflowed to 0, or both overflowed to inf, are compared on
+``exact_ratios``, in both case rules, so a game and its mirror get mirrored
+labels across the float range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,10 +107,11 @@ def exact_ratios(phi1, phi2, x1, x2):
     Ratio ``i`` is the quotient of the ``frexp`` mantissas of ``x_i`` and
     ``phi_i`` times two to the difference of their exponents, less the
     larger of the two differences, so the larger ratio lands in
-    ``[0.5, 2)``.  Where the plain quotients both underflow to 0 or both
-    overflow to inf, these keep the exact ratios' tie and order: a ratio
-    shifted below the smallest normal float is far from the other, and only
-    its order counts.  Positive finite floats, or arrays of them.
+    ``[0.5, 2)``.  Where the plain quotients are equal below the smallest
+    normal float (subnormal or 0) or both overflow to inf, these keep the
+    exact ratios' tie and order: a ratio shifted below the smallest normal
+    float is far from the other, and only its order counts.  Positive
+    finite floats, or arrays of them.
     """
     frexp, ldexp, top = ops_for(phi1)[2:]
     (p1, e1), (p2, e2), (b1, f1), (b2, f2) = frexp(phi1), frexp(phi2), frexp(x1), frexp(x2)
@@ -126,15 +130,16 @@ def case_of(phi1, phi2, x1, x2):
     relative slack; the lower case-2 boundary (expression exactly 0)
     classifies as case 1, where the adversary sends its whole budget to the
     weak side either way.  One ratio that overflows to inf is no tie: the
-    other player is the weaker.  When both ratios overflow to inf, or both
-    underflow to 0, the tie and the orientation are decided on
-    ``exact_ratios``, so a game and its mirror get mirrored labels there too.
+    other player is the weaker.  When both ratios overflow to inf, or are
+    equal below the smallest normal float, the tie and the orientation are
+    decided on ``exact_ratios``, so a game and its mirror get mirrored labels
+    there too.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
-    # Two ratios that both underflow to 0 or both overflow to inf are decided
-    # on ``exact_ratios``; only equal ratios pay for the second test.
-    if r1 == r2 and (r1 == 0.0 or r1 == math.inf):
+    # Two equal ratios that are subnormal or 0, or both inf, are decided on
+    # ``exact_ratios``; only equal ratios pay for the second test.
+    if r1 == r2 and (r1 < sys.float_info.min or r1 == math.inf):
         r1, r2 = exact_ratios(phi1, phi2, x1, x2)
     # Conditional expressions where max() would do: every scalar payoff runs
     # this rule, and a builtin call costs as much as the rest of a test.

@@ -20,10 +20,11 @@ about 45 array passes; one that takes case 3 makes about 13 more.
 
 ``case_of`` is the one vector case rule: the payoffs and the sweeps' array
 verdicts classify through it.  It reads the same tolerance, ``CASE_RTOL``,
-decides the lanes whose two ratios both underflow to 0 or both overflow to
-inf on the same ``adversary.exact_ratios``, and must stay in lockstep with
-``adversary.case_of``.  Where the rest of a case-3 split rounds to 0, the
-strong front gets its own closed form, as in ``adversary._split``.
+decides the lanes whose two ratios are equal below the smallest normal
+float or both overflow to inf on the same ``adversary.exact_ratios``, and
+must stay in lockstep with ``adversary.case_of``.  Where the rest of a
+case-3 split rounds to 0, the strong front gets its own closed form, as in
+``adversary._split``.
 ``tests/test_batch.py`` holds the case rule and the payoffs to the scalar
 pipeline bit for bit: on random inputs, on games over twelve and
 twenty-four decades, over the whole float range, and on each side of every
@@ -33,6 +34,7 @@ case edge.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -129,12 +131,13 @@ def _case_rule(phi1, phi2, x1, x2):
     if off.all():
         equal = None
     else:
-        if not lim.all() or math.isnan(gap.max()):
-            # Two ratios that both underflow to 0 (a zero ``lim``) or both
-            # overflow to inf (a NaN gap) are decided again on
-            # ``exact_ratios``, as in the scalar rule.  A NaN gap left after
-            # that comes from a NaN input, which the scalar rule leaves swapped.
-            edge = np.equal(r1, r2) & ((r1 == 0.0) | (r1 == math.inf))
+        if np.min(r1) < sys.float_info.min or math.isnan(gap.max()):
+            # Two equal ratios that are subnormal or 0 (which ``lim`` cannot
+            # tell, as ``CASE_RTOL * r`` rounds subnormals together) or both
+            # inf (a NaN gap) are decided again on ``exact_ratios``, as in
+            # the scalar rule.  A NaN gap left after that comes from a NaN
+            # input, which the scalar rule leaves swapped.
+            edge = np.equal(r1, r2) & ((r1 < sys.float_info.min) | (r1 == math.inf))
             if edge.any():
                 e1, e2 = exact_ratios(*np.broadcast_arrays(phi1, phi2, x1, x2))
                 r1 = np.where(edge, e1, r1)

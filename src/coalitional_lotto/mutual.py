@@ -29,20 +29,21 @@ the surplus:
   so both lines run in the transfer itself (``tau`` or ``nu``).  On the
   side where player w is weak the moved pair sits at ``z = sqrt(m_w' /
   m_s')``, and the transfer is ``sign * (m_w - m_s z**2) / (1 + z**2)``
-  (``moved_amount``); with ``rho = sqrt(kept_w / kept_s)`` the side is
-  ``z < rho`` on a budget line and ``z > rho`` on a contest line
-  (``line_sides``).  The equal-ratio ridge, the edges of the adversary's
-  case-4 band around it, the edges of the ridge sliver and the case edges
-  cut the line's feasible interval into pieces (``line_breaks``).  Each
-  piece is classified at its midpoint by ``case_of``; on it both payoffs
-  are closed forms in ``z``, so the best transfer lies at an end, a
-  stationary point or a crossing of the two payoff deltas, all roots of
-  quadratics.  Those candidates depend only on the case, its orientation
-  and the game, so a line computes them once per ``(case, orientation)``
-  and each piece keeps the ones inside it.  One scoring pass evaluates them
-  through ``adversary.payoffs_at``.  A contest piece whose ends leave a
-  player no valuation room is dropped before it is classified, and a
-  contest point without room is not scored.
+  (``search.moved_amount``); with ``rho = sqrt(kept_w / kept_s)`` the side
+  is ``z < rho`` on a budget line and ``z > rho`` on a contest line
+  (``search.line_sides``).  The equal-ratio ridge, the edges of the
+  adversary's case-4 band around it, the ends of the ridge sliver
+  (``search.sliver``, the oracle's too) and the case edges cut the line's
+  feasible interval into pieces (``line_breaks``).  Each piece is
+  classified at its midpoint by ``case_of``; on it both payoffs are closed
+  forms in ``z``, so the best transfer lies at an end, a stationary point
+  or a crossing of the two payoff deltas, all roots of quadratics.  Those
+  candidates depend only on the case, its orientation and the game, so a
+  line computes them once per ``(case, orientation)`` and each piece keeps
+  the ones inside it.  One scoring pass evaluates them through
+  ``adversary.payoffs_at``.  A contest piece whose ends leave a player no
+  valuation room is dropped before it is classified, and a contest point
+  without room is not scored.
 * budget transfers keep ``Phi`` and the valuations and move the budgets
   ``b1 = x1 - tau``, ``b2 = x2 + tau``.  With ``X = x1 + x2`` and ``k =
   sqrt(phi_w * phi_s)``, case 3 gives ``u_w = (X/2)(phi_w z**2 + k z) / (1
@@ -74,9 +75,9 @@ benefit found only within ``2 * RIDGE_RTOL`` of the ridge is the flagged
 gain is thin (``search.thin_margin``).
 
 Each rule is written once, for a ``GameInstance`` or a ``GameArrays``, with
-NaN marking an absent break, root or witness: the lines' sides and breaks
-(``line_sides``, ``side_breaks``, ``line_breaks``, with ``case_edges``; the
-ends are ``search.line_ends`` and the ridge ``collective.ridge_transfer``),
+NaN marking an absent break, root or witness: the lines' breaks
+(``side_breaks``, ``line_breaks``, with ``case_edges``; the sides, the ends
+and the sliver are ``search``'s and the ridge ``collective.ridge_transfer``),
 the roots of their quadratics (``positive_roots``), the candidate forms,
 the joint witness (``gap_witness``), the two rule-out tests and the
 valuation room.  The one-game engine drops NaN by the interval test it
@@ -104,7 +105,16 @@ from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
 from .collective import max_collective_payoff, ridge_transfer
 from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer, ops_for, root_product, transfer_feasible
-from .search import RIDGE_RTOL, along, line_ends, line_pairs, min_gain, thin_margin
+from .search import (
+    RIDGE_RTOL,
+    along,
+    line_ends,
+    line_sides,
+    min_gain,
+    moved_amount,
+    sliver,
+    thin_margin,
+)
 
 __all__ = [
     "Region",
@@ -231,10 +241,25 @@ def case_edges(big_x, rho) -> list:
 
 # Below the ridge ``z = rho`` the ratio gap is ``1 - (z / rho)**2``, and above
 # it ``1 - (rho / z)**2``, so a gap ``gap`` lies at ``rho * sqrt(1 - gap)`` and
-# at ``rho / sqrt(1 - gap)``.  The roots ``sqrt(1 - gap)`` of the ridge
-# sliver's gap and of the case-4 band's, just past ``CASE_RTOL``:
-_SLIVER_ROOT = math.sqrt(1.0 - 2.0 * RIDGE_RTOL)
+# at ``rho / sqrt(1 - gap)``.  The root ``sqrt(1 - gap)`` of the case-4 band's
+# gap, just past ``CASE_RTOL`` (the ridge sliver's is ``search.sliver``'s):
 _BAND_ROOT = math.sqrt(1.0 - 1.001 * CASE_RTOL)
+
+
+def case3_forms(kept_w, kept_s, base_gap, moved_total, k):
+    """Case 3's candidate forms, one for both lines: no points, three quadratics.
+
+    On a case-3 piece of either line, with ``M = moved_total``, ``u_w =
+    (M/2)(kept_w z**2 + k z) / (1 + z**2)`` and ``u_s = (M/2)(kept_s + k z)
+    / (1 + z**2)``: the stationary points of each, and the crossing ``d_w =
+    d_s`` with ``base_gap = base_w - base_s``.  Floats or arrays.
+    """
+    half = 0.5 * moved_total
+    return [], [
+        (k, -2.0 * kept_w, -k),
+        (k, 2.0 * kept_s, -k),
+        (half * kept_w - base_gap, 0.0, -(half * kept_s + base_gap)),
+    ]
 
 
 def budget_candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
@@ -247,7 +272,7 @@ def budget_candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
 
     * case 2: ``u_w = k z / 2``, ``u_s = phi_s - phi_s (1 + z**2) / (2 X) + k z / 2``;
     * case 3: ``u_w = (X/2)(phi_w z**2 + k z) / (1 + z**2)``,
-      ``u_s = (X/2)(phi_s + k z) / (1 + z**2)``.
+      ``u_s = (X/2)(phi_s + k z) / (1 + z**2)`` (``case3_forms``).
 
     The candidates are the stationary points of ``u_w`` and ``u_s`` and the
     crossings ``d_w = d_s``: a list of points, and a list of quadratics
@@ -260,12 +285,7 @@ def budget_candidate_forms(index: int, phi_w, phi_s, base_gap, big_x, k):
         crossing = 1.0 - 2.0 * big_x * (phi_s + base_gap) / phi_s
         return [0.5 * k * big_x / phi_s], [(1.0, 0.0, crossing)]
     if index == 3:
-        half_x = 0.5 * big_x
-        return [], [
-            (k, -2.0 * phi_w, -k),
-            (k, 2.0 * phi_s, -k),
-            (half_x * phi_w - base_gap, 0.0, -(half_x * phi_s + base_gap)),
-        ]
+        return case3_forms(phi_w, phi_s, base_gap, big_x, k)
     return [], []
 
 
@@ -284,7 +304,7 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k):
       ``u_s = Phi (2 x_s - 1 + k z) / (2 x_s (1 + z**2))``;
     * case 3: ``u_w = (Phi/2)(x_w z**2 + k z) / (1 + z**2)``,
       ``u_s = (Phi/2)(x_s + k z) / (1 + z**2)``, the budget verdict's case 3
-      with valuations and budgets exchanged;
+      with valuations and budgets exchanged (``case3_forms``);
     * case 4: ``u_i = (1 - 1 / (2 X)) p_i``.
 
     ``N / (1 + z**2)`` is stationary where ``B z**2 - 2 (A - C) z - B = 0``
@@ -299,12 +319,7 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k):
         crossing = (base_gap, 0.0, big_phi * (1.0 - 0.5 / x_s) + base_gap)
         return [1.0], [stationary_s, crossing]
     if index == 3:
-        half_phi = 0.5 * big_phi
-        return [], [
-            (k, -2.0 * x_w, -k),
-            (k, 2.0 * x_s, -k),
-            (half_phi * x_w - base_gap, 0.0, -(half_phi * x_s + base_gap)),
-        ]
+        return case3_forms(x_w, x_s, base_gap, big_phi, k)
     # Cases 1 and 4: u_w = c_w p_w and u_s = c_s p_s.
     if index == 1:
         # ``u_player(1, x_w, 1)``, bit for bit.
@@ -314,64 +329,38 @@ def contest_candidate_forms(index: int, x_w, x_s, base_gap, big_phi, k):
     return [], [(c_w * big_phi - base_gap, 0.0, -(c_s * big_phi + base_gap))]
 
 
-def moved_amount(z, moved_w, moved_s):
-    """Amount of the moved pair that w hands to s to land at ``z = sqrt(m_w' / m_s')``.
+def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign, rho) -> list:
+    """Breaks of one weak side in the transfer: case-4 band end, case edges.
 
-    Written as ``(m_w - m_s z**2) / (1 + z**2)``, it keeps the precision of
-    the smaller of the pair on either side of the line and negates exactly
-    when the players are swapped.  Floats or arrays.
+    The side is one of ``search.line_sides``: player w is weak for ``z``
+    below ``rho = sqrt(kept_w / kept_s)`` on a budget line and above it on
+    a contest line.  The budget edges are the four roots of
+    ``edge_quadratics`` (``case_edges``); the contest edges, ``k z = 1`` and
+    ``1 - k z = kept_s`` with ``k = sqrt(kept_w * kept_s)``, are linear.  An
+    edge counts where it lies on the side and is NaN elsewhere.  Floats or
+    arrays.
     """
-    zz = z * z
-    return (moved_w - moved_s * zz) / (1.0 + zz)
-
-
-def line_sides(g, mechanism: Mechanism):
-    """Both weak sides of a budget or contest line: ``(moved_w, moved_s, kept_w, kept_s, sign)``.
-
-    The moved and kept pairs are ``search.line_pairs``.  Player 1's side
-    comes first, with sign 1, then player 2's, with sign -1: on the side
-    where player w is weak, ``sign * moved_amount(z, moved_w, moved_s)`` is
-    the transfer from player 1 to player 2.  Fields of a ``GameInstance`` or
-    of a ``GameArrays``.
-    """
-    m1, m2, k1, k2 = line_pairs(g, mechanism)
-    return (m1, m2, k1, k2, 1.0), (m2, m1, k2, k1, -1.0)
-
-
-def side_breaks(mechanism: Mechanism, moved_w, moved_s, kept_w, kept_s, sign) -> list:
-    """Breaks of one weak side in the transfer: sliver end, case-4 band end, case edges.
-
-    Player w is weak for ``z`` below ``rho = sqrt(kept_w / kept_s)`` on a
-    budget line and above it on a contest line.  The budget edges are the
-    four roots of ``edge_quadratics`` (``case_edges``); the contest edges,
-    ``k z = 1`` and ``1 - k z = kept_s`` with ``k = sqrt(kept_w * kept_s)``,
-    are linear.  An edge counts where it lies on the side and is NaN
-    elsewhere.  Floats or arrays.
-    """
-    sqrt, where = ops_for(kept_w)[:2]
-    rho = sqrt(kept_w / kept_s)
     if mechanism is Mechanism.CONTEST:
+        where = ops_for(kept_w)[1]
         k = root_product(kept_w, kept_s)
-        zs = [rho / _SLIVER_ROOT, rho / _BAND_ROOT]
+        zs = [rho / _BAND_ROOT]
         zs += [where(z > rho, z, math.nan) for z in (1.0 / k, (1.0 - kept_s) / k)]
     else:
-        zs = [rho * _SLIVER_ROOT, rho * _BAND_ROOT, *case_edges(moved_w + moved_s, rho)]
+        zs = [rho * _BAND_ROOT, *case_edges(moved_w + moved_s, rho)]
     return [sign * moved_amount(z, moved_w, moved_s) for z in zs]
 
 
 def line_breaks(g, mechanism: Mechanism, sides, lo, hi):
     """The line from ``lo`` to ``hi`` in the transfer: ``(sliver, breaks)``.
 
-    ``sides`` is the line's ``line_sides``.  ``breaks`` lists the ends, the
-    ridge and each weak side's ``side_breaks``, NaN where absent.
-    ``sliver`` is the open interval within ``2 * RIDGE_RTOL`` of the ridge,
-    between the sides' first breaks; player 1's side lies above the ridge
-    on a budget line and below it on a contest line.  A game or a
-    ``GameArrays``.
+    ``sides`` is the line's ``search.line_sides``, and ``sliver`` the
+    ridge sliver they cut (``search.sliver``).  ``breaks`` lists the ends,
+    the ridge, the sliver's ends and each weak side's ``side_breaks``, NaN
+    where absent.  A game or a ``GameArrays``.
     """
+    ends = sliver(g, mechanism, sides)
     one, two = (side_breaks(mechanism, *side) for side in sides)
-    sliver = (two[0], one[0]) if mechanism is Mechanism.BUDGET else (one[0], two[0])
-    return sliver, [lo, hi, ridge_transfer(g, mechanism), *one, *two]
+    return ends, [lo, hi, ridge_transfer(g, mechanism), *ends, *one, *two]
 
 
 def line_pieces(g: GameInstance, mechanism: Mechanism):
@@ -392,6 +381,9 @@ def line_pieces(g: GameInstance, mechanism: Mechanism):
 # The verdicts decided before any line is built, one frozen value each.
 _ABSENT = {m: MutualBenefitVerdict(m, False, None, None, False) for m in Mechanism}
 _ALL_ABSENT = tuple(_ABSENT.values())
+# The flagged verdict of a benefit found only inside the ridge sliver, one
+# frozen value per mechanism; the grid oracle returns it too.
+KNIFE_EDGE = {m: MutualBenefitVerdict(m, False, None, "ridge-knife-edge", True) for m in Mechanism}
 
 
 def surplus_rules_out(g, baseline, optimum) -> bool:
@@ -514,7 +506,7 @@ def _line_verdict(
             inner = cases.get(pair)
             if inner is None:
                 index, swapped = pair
-                m_w, m_s, k_w, k_s, sign = sides[swapped]
+                m_w, m_s, k_w, k_s, sign, _ = sides[swapped]
                 points, quads = forms(
                     index, k_w, k_s, gaps[swapped], m_w + m_s, root_product(k_w, k_s)
                 )
@@ -552,7 +544,7 @@ def _line_verdict(
     # The sliver is searched only when no transfer off it benefits both.
     value, _, _ = best_of(p for p in pieces if sliver[0] < p[2] < sliver[1])
     if value > gain:
-        return MutualBenefitVerdict(mechanism, False, None, "ridge-knife-edge", True)
+        return KNIFE_EDGE[mechanism]
     return _ABSENT[mechanism]
 
 
@@ -723,4 +715,4 @@ def _joint_verdict(g: GameInstance, baseline) -> MutualBenefitVerdict:
             return MutualBenefitVerdict(
                 Mechanism.JOINT, True, witness, route, thin_margin(g, min(d1, d2))
             )
-    return MutualBenefitVerdict(Mechanism.JOINT, False, None, "ridge-knife-edge", True)
+    return KNIFE_EDGE[Mechanism.JOINT]

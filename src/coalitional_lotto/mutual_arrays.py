@@ -7,21 +7,22 @@ of them.  ``budget_exists``, ``contest_exists`` and ``joint_exists``
 therefore decide a whole ``batch.GameArrays`` at once and validate every
 candidate or witness in one payoff call.  Every rule comes from ``mutual``
 and ``search``, which write each once for a game or a ``GameArrays``
-(``search.line_ends``, ``line_sides``, ``line_breaks``, ``positive_roots``,
-the candidate forms, ``moved_amount``, ``gap_witness``,
-``surplus_rules_out``, ``capped_rules_out``, ``valuation_room``); this
-module keeps only what serves a block of games.  The budget and contest
-verdicts share one line engine, ``_line_exists``, the array form of
-``mutual._line_verdict``: both lines run in the transfer itself.  It builds
-lines only for the games that the one-game verdict's rule-out tests leave,
-stacks each such game's breaks into one row, sorts it, NaN past the last,
-then classifies and solves only the pieces it scores: one flat entry per
-piece off the ridge sliver, and each case's candidates on that case's
-pieces alone (``_case_candidates``).  The verdicts classify and orient
-through ``batch.case_of`` and return ``exists`` only: game by game it
-equals the one-game verdict's (``tests/test_mutual.py`` and
-``scripts/route_census.py`` check that).  Witnesses, routes and flags stay
-with the one-game verdicts, which ``analyze_game`` uses.
+(``search.line_ends``, ``search.line_sides``, ``line_breaks``,
+``positive_roots``, the candidate forms, ``search.moved_amount``,
+``gap_witness``, ``surplus_rules_out``, ``capped_rules_out``,
+``valuation_room``); this module keeps only what serves a block of games.
+The budget and contest verdicts share one line engine, ``_line_exists``,
+the array form of ``mutual._line_verdict``: both lines run in the transfer
+itself.  It builds lines only for the games that the one-game verdict's
+rule-out tests leave, stacks each such game's breaks into one row, sorts
+it, NaN past the last, then classifies and solves only the pieces it
+scores: one flat entry per piece off the ridge sliver, and each case's
+candidates on that case's pieces alone (``_case_candidates``).  The
+verdicts classify and orient through ``batch.case_of`` and return
+``exists`` only: game by game it equals the one-game verdict's
+(``tests/test_mutual.py`` and ``scripts/route_census.py`` check that).
+Witnesses, routes and flags stay with the one-game verdicts, which
+``analyze_game`` uses.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ from .mutual import (
     contest_candidate_forms,
     gap_witness,
     line_breaks,
-    line_sides,
-    moved_amount,
     positive_roots,
     surplus_rules_out,
     valuation_room,
 )
-from .search import line_ends, min_gain
+from .search import line_ends, line_sides, min_gain, moved_amount
 
 __all__ = ["budget_exists", "contest_exists", "joint_exists"]
 

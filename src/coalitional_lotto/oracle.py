@@ -41,7 +41,7 @@ from . import batch
 from .adversary import AdversaryAllocation
 from .batch import GameArrays
 from .core import GameInstance, Mechanism, Transfer
-from .mutual import MutualBenefitVerdict
+from .mutual import KNIFE_EDGE, MutualBenefitVerdict
 from .search import (
     RidgeScan,
     along,
@@ -299,13 +299,10 @@ def _line_scan(
         verdicts = []
         for g, (_, score), found_i in zip(games, best, found):
             if found_i is None:
-                # Refinement can converge onto the single transfer that lands
-                # the game on the equal-ratio ridge, where a benefit exists
-                # only under the adversary's indifference tie-break; such a
-                # point witnesses no robust opportunity.
-                verdicts.append(
-                    MutualBenefitVerdict(mutual, False, None, "ridge-knife-edge", True)
-                )
+                # Refinement can converge into the ridge sliver, where a
+                # benefit exists only under the adversary's indifference
+                # tie-break; such a point witnesses no robust opportunity.
+                verdicts.append(KNIFE_EDGE[mutual])
                 continue
             near = thin_margin(g, score)
             if found_i[1] > min_gain(g):

@@ -11,21 +11,27 @@ judge candidates by the same definitions and search the same lines:
   ``GAIN_RTOL`` of the total valuation;
 * a positive verdict is near a boundary when its best smaller delta stays
   below ``NEAR_RTOL`` of the total valuation;
-* a transfer within relative ``RIDGE_RTOL`` of the equal-ratio ridge rides
-  on the adversary's indifference tie-break, so a benefit found only there
-  is a knife-edge, not evidence of a robust transfer.
+* a transfer inside the ridge sliver, within ratio gap ``2 * RIDGE_RTOL``
+  of the equal-ratio ridge (``sliver``), rides on the adversary's
+  indifference tie-break, so a benefit found only there is a knife-edge,
+  not evidence of a robust transfer.  The verdicts and the oracle read
+  the sliver's ends from this one rule; ``ridge_gap`` is the independent
+  definition that checks it.
 
 Each search keeps its own resolution and refinement budget; only the rules
-live here, with the one golden-section search.  ``golden_max`` refines an
-array of brackets in lockstep, two steps per objective call: the objective
-sees shape ``(2, n)`` once, ``(3, n)`` per two steps and ``(n,)`` for a
-last odd step, so it must be elementwise with a leading stack axis, and a
-whole sample of games costs about as many numpy calls as one game.
+live here, with the weak sides of a line that the sliver is cut from
+(``line_sides``, ``moved_amount``) and the one golden-section search.
+``golden_max`` refines an array of brackets in lockstep, two steps per
+objective call: the objective sees shape ``(2, n)`` once, ``(3, n)`` per
+two steps and ``(n,)`` for a last odd step, so it must be elementwise with
+a leading stack axis, and a whole sample of games costs about as many numpy
+calls as one game.
 ``transfer_objective`` scores points of transfer lines through
 ``batch.payoffs_at_transfers``, after checking each bracket's ends like
 ``core.post_transfer_params``, and ``refine_transfers`` runs ``golden_max``
 on it; ``off_ridge_best`` is the oracle's knife-edge fallback, fed by the
-``RidgeScan`` each line scan leaves behind.
+``RidgeScan`` each line scan leaves behind, and refines only outside the
+sliver.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from . import batch
 from .batch import GameArrays
-from .core import EPS_FEAS, GameInstance, Mechanism, Transfer
+from .core import EPS_FEAS, GameInstance, Mechanism, Transfer, ops_for
 
 __all__ = [
     "GAIN_RTOL",
@@ -49,6 +55,9 @@ __all__ = [
     "line_pairs",
     "line_ends",
     "along",
+    "moved_amount",
+    "line_sides",
+    "sliver",
     "ridge_gap",
     "golden_max",
     "transfer_objective",
@@ -110,6 +119,60 @@ def line_ends(g: GameInstance | GameArrays, mechanism: Mechanism):
 def along(mechanism: Mechanism, v: float) -> Transfer:
     """The transfer of amount ``v`` through a budget or contest mechanism."""
     return Transfer(v, 0.0) if mechanism is Mechanism.BUDGET else Transfer(0.0, v)
+
+
+def moved_amount(z, moved_w, moved_s):
+    """Amount of the moved pair that w hands to s to land at ``z = sqrt(m_w' / m_s')``.
+
+    Written as ``(m_w - m_s z**2) / (1 + z**2)``, it keeps the precision of
+    the smaller of the pair on either side of the line and negates exactly
+    when the players are swapped.  Floats or arrays.
+    """
+    zz = z * z
+    return (moved_w - moved_s * zz) / (1.0 + zz)
+
+
+def line_sides(g: GameInstance | GameArrays, mechanism: Mechanism):
+    """Both weak sides of a line: ``(moved_w, moved_s, kept_w, kept_s, sign, rho)`` each.
+
+    The moved and kept pairs are ``line_pairs``, and ``rho = sqrt(kept_w /
+    kept_s)`` is the ridge in ``z = sqrt(m_w' / m_s')``: player w is weak
+    for ``z`` below ``rho`` on a budget line and above it on a contest line.
+    Player 1's side comes first, with sign 1, then player 2's, with sign -1:
+    on the side where player w is weak, ``sign * moved_amount(z, moved_w,
+    moved_s)`` is the transfer from player 1 to player 2.  Fields of a
+    ``GameInstance`` or of a ``GameArrays``.
+    """
+    m1, m2, k1, k2 = line_pairs(g, mechanism)
+    sqrt = ops_for(k1)[0]
+    return (m1, m2, k1, k2, 1.0, sqrt(k1 / k2)), (m2, m1, k2, k1, -1.0, sqrt(k2 / k1))
+
+
+# Below the ridge ``z = rho`` the ratio gap is ``1 - (z / rho)**2``, and above
+# it ``1 - (rho / z)**2``, so the sliver's gap lies at ``rho * _SLIVER_ROOT``
+# and at ``rho / _SLIVER_ROOT``.
+_SLIVER_ROOT = math.sqrt(1.0 - 2.0 * RIDGE_RTOL)
+
+
+def sliver(g: GameInstance | GameArrays, mechanism: Mechanism, sides=None):
+    """The ridge sliver ``(lo, hi)``: transfers within ratio gap ``2 * RIDGE_RTOL`` of the ridge.
+
+    The sliver is the open interval between the two weak sides' ends, each
+    where the side's ``z`` sits at that gap from ``rho``: below it on a
+    budget line and above it on a contest line, so player 1's side lies
+    above the ridge on a budget line and below it on a contest line.
+    ``sides`` are the line's ``line_sides`` when the caller holds them.
+    Floats for one game, arrays of them for a ``GameArrays``.  Where the
+    sliver is narrower than the floats' spacing its ends may meet or cross,
+    and an end whose ``z**2`` overflows is NaN; no transfer is inside such
+    a sliver.
+    """
+    budget = mechanism is Mechanism.BUDGET
+    one, two = (
+        sign * moved_amount(rho * _SLIVER_ROOT if budget else rho / _SLIVER_ROOT, m_w, m_s)
+        for m_w, m_s, _, _, sign, rho in sides or line_sides(g, mechanism)
+    )
+    return (two, one) if budget else (one, two)
 
 
 def ridge_gap(g: GameInstance | GameArrays, mechanism: Mechanism, v):
@@ -234,7 +297,7 @@ def refine_transfers(games: GameInstance | GameArrays, budget, a, b, iters, **op
 class RidgeScan(NamedTuple):
     """What ``off_ridge_best`` needs of one game's scan of the smaller delta.
 
-    ``best`` is the best beneficial scan point off the equal-ratio ridge,
+    ``best`` is the best beneficial scan point outside the ridge sliver,
     ``(v, value)``, or None; ``lo`` and ``hi`` are the scan's ends and
     ``step`` its spacing.  Build it with ``of`` while the scan is at hand,
     so the scan can be dropped.
@@ -247,49 +310,15 @@ class RidgeScan(NamedTuple):
 
     @classmethod
     def of(cls, g: GameInstance, mechanism: Mechanism, vs, score) -> "RidgeScan":
+        lo, hi = sliver(g, mechanism)
         beneficial = np.flatnonzero(score > min_gain(g))
-        off = beneficial[ridge_gap(g, mechanism, vs[beneficial]) > RIDGE_RTOL]
+        v = vs[beneficial]
+        off = beneficial[~((lo < v) & (v < hi))]
         best = None
         if off.size:
             k = off[np.argmax(score[off])]
             best = (float(vs[k]), float(score[k]))
         return cls(best, float(vs[0]), float(vs[-1]), float(vs[1] - vs[0]))
-
-
-def _off_ridge_scan(g, mechanism: Mechanism, scan: RidgeScan, v_ridge: float):
-    """A beneficial maximum at ``v_ridge`` on the ridge, seen from the scan.
-
-    Returns the best beneficial scan point off the ridge, ``((v, value),
-    [])``, or failing that ``(None, sides)``: the brackets between the edge
-    of the tie-break sliver and one scan step out, on either side.
-    """
-    if scan.best is not None:
-        return scan.best, []
-    step = scan.step
-
-    def in_sliver(v: float) -> bool:
-        return ridge_gap(g, mechanism, v) <= 2.0 * RIDGE_RTOL
-
-    sides = []
-    for sign in (1.0, -1.0):
-        # Start at the smallest offset whose ridge gap exceeds the tie-break
-        # sliver: bracket it by factors of 4, then bisect the bracket.
-        short, delta = 0.0, step * 1e-9
-        while delta < step and in_sliver(v_ridge + sign * delta):
-            short, delta = delta, 4.0 * delta
-        for _ in range(40):
-            mid = 0.5 * (short + delta)
-            if in_sliver(v_ridge + sign * mid):
-                short = mid
-            else:
-                delta = mid
-        a = v_ridge + sign * delta
-        b = v_ridge + sign * step
-        a, b = min(a, b), max(a, b)
-        a, b = max(a, scan.lo), min(b, scan.hi)
-        if a < b:
-            sides.append((a, b))
-    return None, sides
 
 
 def off_ridge_best(
@@ -301,36 +330,42 @@ def off_ridge_best(
     scans: Sequence[RidgeScan],
     iters: int,
 ) -> list[tuple[float, float] | None]:
-    """The best beneficial transfer away from the equal-ratio ridge, per game.
+    """The best beneficial transfer outside the ridge sliver, per game.
 
     ``(v_best, best)`` are arrays of each game's refined maximum of the
     smaller payoff delta against ``baseline``, and ``scans[i]`` is game
-    ``i``'s ``RidgeScan`` of that delta.  A maximum off the ridge, or one
-    that is not beneficial, is returned unchanged.  A beneficial maximum on
-    the ridge is replaced by the best off-ridge scan point; failing that,
-    the two side intervals one scan step out from the ridge point are
-    refined, all games' sides in one lockstep pass, where thin windows can
-    open right at the ridge crossing.  None means the only benefit is the
-    knife-edge.  No line is scanned again.
+    ``i``'s ``RidgeScan`` of that delta.  A maximum outside the sliver, or
+    one that is not beneficial, is returned unchanged.  A beneficial
+    maximum inside it is replaced by the best scan point outside it;
+    failing that, the two side intervals from the sliver's ends to one scan
+    step out from the maximum are refined, all games' sides in one
+    lockstep pass, where thin windows can open right at the ridge
+    crossing.  Every point refined there lies outside the open sliver.
+    None means the only benefit is the knife-edge.  No line is scanned
+    again.
     """
     gain = min_gain(games)
     found: list = list(zip(v_best.tolist(), best.tolist()))
-    on_ridge = (best > gain) & (ridge_gap(games, mechanism, v_best) <= RIDGE_RTOL)
+    edge_lo, edge_hi = sliver(games, mechanism)
+    on_ridge = (best > gain) & (edge_lo < v_best) & (v_best < edge_hi)
     sides, lo, hi = [], [], []
-    for i in np.flatnonzero(on_ridge):
-        found[i], brackets = _off_ridge_scan(
-            games.take(i), mechanism, scans[i], float(v_best[i])
-        )
-        for a, b in brackets:
-            sides.append(i)
-            lo.append(a)
-            hi.append(b)
+    for i in np.flatnonzero(on_ridge).tolist():
+        scan = scans[i]
+        found[i] = scan.best
+        if scan.best is not None:
+            continue
+        v = float(v_best[i])
+        for a, b in ((float(edge_hi[i]), v + scan.step), (v - scan.step, float(edge_lo[i]))):
+            a, b = max(a, scan.lo), min(b, scan.hi)
+            if a < b:
+                sides.append(i)
+                lo.append(a)
+                hi.append(b)
     if not sides:
         return found
     sides = np.array(sides, dtype=int)
-    side_games = games.take(sides)
     v, val = refine_transfers(
-        side_games,
+        games.take(sides),
         mechanism is Mechanism.BUDGET,
         lo,
         hi,
@@ -338,12 +373,7 @@ def off_ridge_best(
         mutual=True,
         baseline=(baseline[0][sides], baseline[1][sides]),
     )
-    off = ridge_gap(side_games, mechanism, v) > RIDGE_RTOL
-    side_best: dict[int, tuple[float, float]] = {}
-    for i, v_i, val_i, off_i in zip(sides.tolist(), v.tolist(), val.tolist(), off.tolist()):
-        if off_i and val_i > side_best.get(i, (None, -math.inf))[1]:
-            side_best[i] = (v_i, val_i)
-    for i, (v_i, val_i) in side_best.items():
-        if val_i > gain[i]:
+    for i, v_i, val_i in zip(sides.tolist(), v.tolist(), val.tolist()):
+        if val_i > gain[i] and (found[i] is None or val_i > found[i][1]):
             found[i] = (v_i, val_i)
     return found

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,30 @@ class TestClassify:
         tie = GameInstance(1e300, 2e300, 1e-30, 2e-30)
         assert tie.x1 / tie.phi1 == 0.0 == tie.x2 / tie.phi2
         assert [str(classify_case(h)) for h in (tie, swap_indices(tie))] == ["C3_1le2"] * 2
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # Both ratios x_i / phi_i are 1e-320, deep among the subnormals,
+            # while the exact ratios differ by 1e-4.
+            GameInstance(1e10, 1e10, 1e-310, 1.0001e-310),
+            # Both are 2.6e-315, where ``CASE_RTOL`` times the ratio is still
+            # the smallest subnormal, not 0; the exact ratios differ by just
+            # over ``CASE_RTOL`` of the larger.
+            GameInstance(1e10, 1e10, 2.6e-305, 2.6000000026000003e-305),
+        ],
+    )
+    def test_equal_subnormal_ratios_are_decided_on_exact_ratios(self, g):
+        # Equal subnormal quotients have lost the precision that tells the
+        # ratios apart: on ``exact_ratios`` player 1 is the weaker, in case
+        # 3, and the mirror gets the mirror, in both engines.
+        m = swap_indices(g)
+        assert 0.0 < g.x1 / g.phi1 == g.x2 / g.phi2 < sys.float_info.min
+        labels = [str(classify_case(h)) for h in (g, m)]
+        assert labels == ["C3_1le2", "C3_1gt2"]
+        index, swapped = batch.case_of(*GameArrays.of([g, m]))
+        assert [str(CaseLabel.of(*case)) for case in zip(index, swapped)] == labels
+        assert player_payoffs(m) == player_payoffs(g)[::-1]
 
     def test_two_overflowing_ratios_are_decided_on_exact_ratios(self, float_range_games):
         # Both ratios x_i / phi_i overflow to inf here, and would still on

@@ -69,6 +69,7 @@ from coalitional_lotto.search import (
     line_ends,
     min_gain,
     ridge_gap,
+    sliver,
     thin_margin,
 )
 
@@ -304,6 +305,7 @@ def _game_rules(g, baseline):
             line_breaks(g, mechanism, line_sides(g, mechanism), *line_ends(g, mechanism))
             for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)
         ],
+        "sliver": [sliver(g, mechanism) for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST)],
         "gap_crossing": [
             gap_crossing(case, big_phi, big_x, 2.0 * RIDGE_RTOL, lead) for case in (1, 2, 3, 4)
         ],
@@ -358,6 +360,34 @@ class TestSharedRules:
         for name in ("positive_roots", "case_edges", "side_breaks", "line_breaks"):
             assert np.isnan(rows[name]).any() and not np.isnan(rows[name]).all(), name
         assert 0 < witnesses < len(games)
+
+    def test_sliver_ends_sit_at_twice_the_ridge_tolerance(self):
+        # Each end of the sliver on the line sits at ratio gap 2 * RIDGE_RTOL
+        # (``ridge_gap``, the independent definition): to within 1e-6 of it,
+        # or, where one float step of the transfer moves the gap by more
+        # than that, to within two such steps.  There the end lies next to a
+        # line end, where the donor keeps a sliver of its share.
+        games = TestArrayVerdicts.corpus()
+        arrays = GameArrays.of(games)
+        target = 2.0 * RIDGE_RTOL
+        for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
+            lo, hi = sliver(arrays, mechanism)
+            first, last = line_ends(arrays, mechanism)
+            for end in (lo, hi):
+                on_line = (first <= end) & (end <= last)
+                rows = arrays.take(on_line)
+                end = end[on_line]
+                gap = ridge_gap(rows, mechanism, end)
+                below, above = (
+                    ridge_gap(rows, mechanism, np.nextafter(end, to)) for to in (-np.inf, np.inf)
+                )
+                step = np.maximum(np.abs(below - gap), np.abs(above - gap))
+                err = np.abs(gap - target)
+                assert ((err <= 1e-6 * target) | (err <= 2.0 * step)).all(), mechanism
+                assert (err <= 1e-6 * target).mean() > 0.9
+            # The swapped game gives the negated ends, swapped.
+            for g, a, b in zip(games, lo.tolist(), hi.tolist()):
+                assert sliver(swap_indices(g), mechanism) == (-b, -a)
 
 
 class TestQuadraticWindow:
@@ -972,19 +1002,27 @@ class TestBudgetMutual:
         "params",
         [
             # The best benefit lies beside the ridge: the verdict's witness is
-            # at the edge of the ridge sliver; the oracle refines onto the
-            # ridge point and its fallback moves off it.
+            # at the edge of the ridge sliver; the oracle refines into the
+            # sliver and its fallback moves out of it.
             (48.88733723364115, 0.044168801810295144, 72.18745201076266, 0.05870941428526402),
-            # The same, but the oracle's refinement does not land on the ridge.
+            # The same, but the oracle's refinement does not land in the sliver.
             (0.06556647764031946, 8.917807076820045, 0.09600343357462351, 13.416855614120065),
             (0.028627368975401614, 74.14857519575018, 0.006706543572010456, 47.77922864571314),
+            # The oracle refines to ratio gap 1.3e-6, inside the sliver but
+            # off the ridge; its witness is the best scan point outside.
+            (2.239345554556534, 1.4574673689141384, 0.16102934432392774, 1.9974738449164926),
         ],
     )
     def test_off_ridge_fallback_finds_robust_witness(self, params):
         g = GameInstance(*params)
+        lo, hi = sliver(g, Mechanism.BUDGET)
         for v in (budget_mutual_exists(g), grid_mutual_search(g, Mechanism.BUDGET)):
             assert v.exists
-            assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > RIDGE_RTOL
+            # Outside the sliver, at ratio gap 2 * RIDGE_RTOL or more: the
+            # verdict's witness is the sliver's end, where the gap reads
+            # 2 * RIDGE_RTOL up to rounding.
+            assert not lo < v.witness.tau < hi
+            assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > 2 * RIDGE_RTOL * (1 - 1e-9)
             assert is_mutually_beneficial(g, v.witness)
 
     @pytest.mark.parametrize(
