@@ -31,8 +31,10 @@ the sha256 of the full-precision JSON of the three verdicts, and of the
 whole ``analyze_game`` report, so two checkouts can be compared block by
 block with ``diff``.  Each block's games also go through the array forms that
 sweeps use (``mutual_arrays.budget_exists``, ``mutual_arrays.joint_exists``,
-``mutual_arrays.contest_exists`` and ``batch.case_of``); the last line
-counts the games where they disagree with ``analyze_game``.  The script
+``mutual_arrays.contest_exists`` and ``batch.case_of``) and the budget and
+contest ``near_boundary`` flags of ``mutual_arrays.line_flags``, which
+``verify`` uses; the last line counts the games where each disagrees with
+``analyze_game``.  The script
 exits 2, the CLI's disagreement code, when an array verdict disagrees or a
 route/exact disagreement stays ``UNSETTLED``, 1 on a usage error, as the CLI
 does, and 0 otherwise.
@@ -176,8 +178,17 @@ def disagreement(family: str, g: GameInstance, exact, routes) -> tuple[str, bool
     return line, settled
 
 
+# The array values that ``array_mismatches`` compares, in the order of its rows.
+ARRAY_VALUES = ("budget", "joint", "contest", "case", "budget-near", "contest-near")
+
+
 def array_mismatches(games, scalar) -> Counter:
-    """Games where the array verdicts differ from ``(budget, joint, contest, case)`` in ``scalar``."""
+    """Games where the array values differ from those in ``scalar``, by name.
+
+    Each row of ``scalar`` holds one game's ``ARRAY_VALUES``: the budget,
+    joint and contest ``exists``, the case label, and the budget and contest
+    ``near_boundary``.
+    """
     arrays = batch.GameArrays.of(games)
     index, swapped = batch.case_of(*arrays)
     found = zip(
@@ -185,10 +196,12 @@ def array_mismatches(games, scalar) -> Counter:
         mutual_arrays.joint_exists(arrays).tolist(),
         mutual_arrays.contest_exists(arrays).tolist(),
         (str(CaseLabel.of(i, s)) for i, s in zip(index.tolist(), swapped.tolist())),
+        mutual_arrays.line_flags(arrays, Mechanism.BUDGET)[1].tolist(),
+        mutual_arrays.line_flags(arrays, Mechanism.CONTEST)[1].tolist(),
     )
     out = Counter()
     for row, expected in zip(found, scalar):
-        for name, a, b in zip(("budget", "joint", "contest", "case"), row, expected):
+        for name, a, b in zip(ARRAY_VALUES, row, expected):
             out[name] += a != b
     return out
 
@@ -250,6 +263,8 @@ def main(argv=None) -> int:
                     verdict["joint"]["exists"],
                     verdict["contest"]["exists"],
                     report["case"],
+                    verdict["budget"]["near_boundary"],
+                    verdict["contest"]["near_boundary"],
                 )
             )
         print(f"{first // args.block} {first} {verdicts.hexdigest()} {reports.hexdigest()}")
@@ -269,10 +284,8 @@ def main(argv=None) -> int:
     for name in names:
         room = f"{dropped[name]} of {pieces[name]}"
         print(f"contest pieces dropped by the valuation room, {name}: {room}")
-    print(
-        f"array mismatches over {args.count} games: budget {mismatches['budget']} "
-        f"joint {mismatches['joint']} contest {mismatches['contest']} case {mismatches['case']}"
-    )
+    counts = " ".join(f"{name} {mismatches[name]}" for name in ARRAY_VALUES)
+    print(f"array mismatches over {args.count} games: {counts}")
     return EXIT_DISAGREEMENT if unsettled or sum(mismatches.values()) else EXIT_OK
 
 

@@ -6,7 +6,11 @@ pipeline in ``adversary`` (classification, closed-form split, equilibrium
 payoff) with numpy array operations, so that one call can serve a whole
 scan or a whole sample of games.  ``GameArrays`` holds the parameters of
 many games under the attribute names of ``GameInstance``;
-``payoffs_at_transfers`` broadcasts them against the transfers.
+``payoffs_at_transfers`` broadcasts them against the transfers.  Its front
+stage, ``_front_payoffs``, scores the weak-ratio and strong-ratio fronts;
+``payoffs_at_transfers`` then hands each player its own, and
+``collective_at_transfers`` sums the two fronts as they stand, which float
+addition makes the same sum bit for bit.
 
 A call's cost is its array passes plus numpy's fixed cost per call, so the
 kernel keeps both down: it broadcasts by arithmetic alone and fills the
@@ -180,14 +184,11 @@ def case_of(phi1, phi2, x1, x2):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
-    """Player payoffs ``(u1, u2)`` for broadcastable arrays of transfers.
+def _front_payoffs(g: GameInstance | GameArrays, taus, nus):
+    """The payoffs by front, ``(swapped, u_w, u_s)``, of ``payoffs_at_transfers``.
 
-    ``g`` is one game, or a ``GameArrays`` whose fields broadcast against
-    the transfers, one game per element.  Each payoff equals
-    ``adversary.player_payoffs`` bit for bit.  The caller must keep
-    transfers strictly feasible (see ``require_feasible``); no validation is
-    performed here.
+    ``u_w`` is the payoff of the player with the weak ratio and ``u_s`` that
+    of the other; player 1 is the weak one where ``swapped`` is false.
     """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
@@ -219,15 +220,31 @@ def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
             # Where a case-3 share that rounds to 1 is taken, the strong
             # front gets its own closed form, as in ``adversary._split``.
             xa_s = np.where(lost & ~settled, root_s / (root_w + root_s), xa_s)
-    uw = one_v_one_vec(pw, bw, xa_w)
-    us = one_v_one_vec(ps, bs, xa_s)
+    return swap, one_v_one_vec(pw, bw, xa_w), one_v_one_vec(ps, bs, xa_s)
+
+
+def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):
+    """Player payoffs ``(u1, u2)`` for broadcastable arrays of transfers.
+
+    ``g`` is one game, or a ``GameArrays`` whose fields broadcast against
+    the transfers, one game per element.  Each payoff equals
+    ``adversary.player_payoffs`` bit for bit.  The caller must keep
+    transfers strictly feasible (see ``require_feasible``); no validation is
+    performed here.
+    """
+    swap, uw, us = _front_payoffs(g, taus, nus)
     return np.where(swap, us, uw), np.where(swap, uw, us)
 
 
 def collective_at_transfers(g: GameInstance | GameArrays, taus, nus):
-    """Sum of both players' payoffs over arrays of transfers."""
-    u1, u2 = payoffs_at_transfers(g, taus, nus)
-    return u1 + u2
+    """Sum of both players' payoffs over arrays of transfers.
+
+    The sum ``u_w + u_s`` of the two fronts needs no unswapping; float
+    addition commutes, so it equals ``u1 + u2`` of ``payoffs_at_transfers``
+    bit for bit.
+    """
+    _, uw, us = _front_payoffs(g, taus, nus)
+    return uw + us
 
 
 def require_feasible(g: GameInstance | GameArrays, taus, nus) -> None:

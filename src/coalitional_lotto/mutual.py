@@ -16,10 +16,8 @@ that player is capped, and every R1 game off the case-4 band is in case 1.
 A contest transfer moves valuation, and a player gains only while its
 post-transfer valuation exceeds its baseline payoff by the gain floor; the
 contest line scores only where both players have that room
-(``valuation_room``, exact in floats).  ``mutual_verdict`` decides one
-verdict of a game from a baseline and a collective maximum its caller
-already holds, and ``mutual_verdicts`` all three from one baseline and one
-surplus test.
+(``valuation_room``, exact in floats).  ``mutual_verdicts`` decides all
+three verdicts of a game from one baseline and one surplus test.
 Otherwise budget and contest transfers each move along a line and are
 decided exactly by one line engine, and joint transfers are decided from
 the surplus:
@@ -126,7 +124,6 @@ __all__ = [
     "contest_mutual_exists",
     "budget_mutual_exists",
     "joint_mutual_exists",
-    "mutual_verdict",
     "mutual_verdicts",
     "is_mutually_beneficial",
 ]
@@ -548,25 +545,14 @@ def _line_verdict(
     return _ABSENT[mechanism]
 
 
-def mutual_verdict(
-    g: GameInstance, mechanism: Mechanism, baseline: tuple[float, float], optimum: float
-) -> MutualBenefitVerdict:
-    """One verdict of a game, from its baseline and its collective maximum.
-
-    ``baseline`` is the game's ``player_payoffs(g)`` and ``optimum`` its
-    ``max_collective_payoff(g)``, so a caller that holds both pays for
-    neither again: the surplus test, then the verdict's body.
-    """
-    if surplus_rules_out(g, baseline, optimum):
+def _single_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
+    """One verdict of a game: the surplus test on its own baseline, then the verdict's body."""
+    baseline = payoffs_at(g, 0.0, 0.0)
+    if surplus_rules_out(g, baseline, max_collective_payoff(g)):
         return _ABSENT[mechanism]
     if mechanism is Mechanism.JOINT:
         return _joint_verdict(g, baseline)
     return _line_verdict(g, mechanism, baseline)
-
-
-def _single_verdict(g: GameInstance, mechanism: Mechanism) -> MutualBenefitVerdict:
-    """``mutual_verdict`` on the game's own baseline and collective maximum."""
-    return mutual_verdict(g, mechanism, payoffs_at(g, 0.0, 0.0), max_collective_payoff(g))
 
 
 def mutual_verdicts(

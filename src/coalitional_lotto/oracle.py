@@ -15,7 +15,11 @@ sequence of games: ``grid_best_responses``, ``grid_mutual_searches`` and
 contest lines of both searches at once.  Every game's line is scanned
 once, on its own, and cut down at once to its refinement brackets and to
 the few numbers the knife-edge fallback reads (``search.RidgeScan``), so no
-(games x grid) array is kept and no line is scanned twice.
+(games x grid) array is kept and no line is scanned twice.  Each scan
+builds its grid as ``np.linspace`` does, bit for bit, from a ramp made
+once per call (``_grid``), and a line scanned only for its collective
+maximum is scored by ``batch.collective_at_transfers``, the payoff sum
+without the players' unswapping.
 
 Each oracle is a scan and a finish.  The scan hands over its refinement
 rows (objective, brackets, step counts) and a finisher that turns their
@@ -91,18 +95,37 @@ BEST_RESPONSE_ITERS = 80
 JOINT_ITERS = 60
 
 
-def _adv_value_vec(g: GameInstance | GameArrays, xa1):
-    """Adversary payoff over an array of splits (xa2 = 1 - xa1)."""
-    xa1 = np.asarray(xa1, dtype=float)
-    xa2 = 1.0 - xa1
+def _adv_value_vec(g: GameInstance | GameArrays, xa1, xa2):
+    """Adversary payoff over arrays of splits, ``xa2 = 1 - xa1``."""
     u1 = batch.one_v_one_vec(g.phi1, g.x1, xa1)
     u2 = batch.one_v_one_vec(g.phi2, g.x2, xa2)
     return (g.phi1 - u1) + (g.phi2 - u2)
 
 
-def _bracket(grid: np.ndarray, k) -> tuple:
+def _grid(lo: float, hi: float, ramp: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, len(ramp))`` bit for bit, from ``ramp = np.arange(len(ramp))``.
+
+    It takes numpy's steps: the ramp times the step, or, where the step
+    rounds to 0, the ramp over the intervals times the span; then ``lo`` is
+    added and the last point set to ``hi``.  A scan builds its ramp once
+    and skips ``linspace``'s fixed cost per line.
+    """
+    intervals = len(ramp) - 1
+    span = hi - lo
+    step = span / intervals
+    if step == 0.0:
+        grid = ramp / intervals
+        grid *= span
+    else:
+        grid = ramp * step
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
+def _bracket(grid: np.ndarray, k: int) -> tuple:
     """The grid points on either side of index ``k``, clipped to the grid."""
-    return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, len(grid) - 1)]
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
 
 
 class _Scan(NamedTuple):
@@ -139,13 +162,16 @@ def _refine(*scans: _Scan) -> list:
 
 def _best_response_scan(games: Sequence[GameInstance], spec: GridSpec) -> _Scan:
     """Each game's best grid split, bracketed for refinement."""
-    xs = np.linspace(0.0, 1.0, spec.resolution)
+    xs = _grid(0.0, 1.0, np.arange(spec.resolution, dtype=float))
+    rest = 1.0 - xs
     top = np.empty(len(games), dtype=int)
     top_value = np.empty(len(games))
+    brackets = np.empty((2, len(games)))
     for i, g in enumerate(games):
-        values = _adv_value_vec(g, xs)
-        top[i] = np.argmax(values)
-        top_value[i] = values[top[i]]
+        values = _adv_value_vec(g, xs, rest)
+        k = int(np.argmax(values))
+        top[i], top_value[i] = k, values[k]
+        brackets[:, i] = _bracket(xs, k)
     arrays = GameArrays.of(games)
 
     def finish(x_best, v_best):
@@ -153,7 +179,7 @@ def _best_response_scan(games: Sequence[GameInstance], spec: GridSpec) -> _Scan:
         return [AdversaryAllocation(x, 1.0 - x) for x in x_best.tolist()]
 
     iters = np.full(len(games), BEST_RESPONSE_ITERS)
-    return _Scan(lambda x: _adv_value_vec(arrays, x), *_bracket(xs, top), iters, finish)
+    return _Scan(lambda x: _adv_value_vec(arrays, x, 1.0 - x), *brackets, iters, finish)
 
 
 def grid_best_responses(
@@ -191,28 +217,29 @@ def _local_maxima(score: np.ndarray, top: int) -> list[int]:
     return [int(i) for i in order[:top]]
 
 
-def _cut_line(g: GameInstance, mechanism: Mechanism, spec: GridSpec, baseline, mutual, collective):
+def _cut_line(g: GameInstance, mechanism: Mechanism, ramp, baseline, mutual, collective):
     """Scan one game's line and keep only what refinement needs.
 
-    For the mutual search (when ``mutual``): the best scan point ``(v,
-    smaller delta)``, the brackets around the best few local maxima of the
-    smaller delta, and the scan's ``RidgeScan`` for ``off_ridge_best``.  For
-    the collective maximum (when ``collective``): the best scan value and
-    the bracket around it.  The scan itself is dropped on return.
+    The scan's grid is ``_grid`` of the line's ends on ``ramp``.  For the
+    mutual search (when ``mutual``): the best scan point ``(v, smaller
+    delta)``, the brackets around the best few local maxima of the smaller
+    delta, and the scan's ``RidgeScan`` for ``off_ridge_best``.  For the
+    collective maximum (when ``collective``): the best scan value and the
+    bracket around it; a line scanned for that alone is scored by
+    ``batch.collective_at_transfers``.  The scan itself is dropped on
+    return.
     """
-    vs = np.linspace(*line_ends(g, mechanism), spec.resolution)
-    if mechanism is Mechanism.BUDGET:
-        u1, u2 = batch.payoffs_at_transfers(g, vs, 0.0)
-    else:
-        u1, u2 = batch.payoffs_at_transfers(g, 0.0, vs)
+    vs = _grid(*line_ends(g, mechanism), ramp)
+    taus, nus = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
     mutual_cut = collective_cut = None
     if mutual:
+        u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
         score = np.minimum(u1 - baseline[0], u2 - baseline[1])
         k = int(np.argmax(score))
         peaks = [_bracket(vs, p) for p in _local_maxima(score, top=5)]
         mutual_cut = (float(vs[k]), float(score[k])), peaks, RidgeScan.of(g, mechanism, vs, score)
     if collective:
-        total = u1 + u2
+        total = u1 + u2 if mutual else batch.collective_at_transfers(g, taus, nus)
         k = int(np.argmax(total))
         collective_cut = float(total[k]), _bracket(vs, k)
     return mutual_cut, collective_cut
@@ -235,6 +262,7 @@ def _line_scan(
     finisher decides the ``LineOracle``."""
     arrays = GameArrays.of(games)
     base1, base2 = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
+    ramp = np.arange(spec.resolution, dtype=float)
     # One row per refinement bracket: game, budget line, mutual objective,
     # bracket ends, steps.
     rows: list[tuple] = []
@@ -248,7 +276,7 @@ def _line_scan(
         for mech in lines:
             budget = mech is Mechanism.BUDGET
             mutual_cut, collective_cut = _cut_line(
-                g, mech, spec, (base1[i], base2[i]), mech is mutual, mech in collective_rows
+                g, mech, ramp, (base1[i], base2[i]), mech is mutual, mech in collective_rows
             )
             if mutual_cut is not None:
                 grid, peaks, ridge_scan = mutual_cut
@@ -350,8 +378,9 @@ def grid_oracles(
 
 def _grid_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:
     """The best point of the 2-D transfer grid, unrefined."""
-    taus = np.linspace(*line_ends(g, Mechanism.BUDGET), spec.resolution)[:, None]
-    nus = np.linspace(*line_ends(g, Mechanism.CONTEST), spec.resolution)[None, :]
+    ramp = np.arange(spec.resolution, dtype=float)
+    taus = _grid(*line_ends(g, Mechanism.BUDGET), ramp)[:, None]
+    nus = _grid(*line_ends(g, Mechanism.CONTEST), ramp)[None, :]
     u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
     score = np.minimum(u1 - baseline[0], u2 - baseline[1])
     k = int(np.argmax(score))
@@ -392,9 +421,10 @@ def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[fl
     """Best point of each game's 2-D grid, then two rounds of coordinate-wise
     golden refinement, one coordinate of every game per pass."""
     brackets = []
+    ramp = np.arange(spec.resolution, dtype=float)
     for g in games:
-        taus = np.linspace(*line_ends(g, Mechanism.BUDGET), spec.resolution)
-        nus = np.linspace(*line_ends(g, Mechanism.CONTEST), spec.resolution)
+        taus = _grid(*line_ends(g, Mechanism.BUDGET), ramp)
+        nus = _grid(*line_ends(g, Mechanism.CONTEST), ramp)
         total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
         i, j = divmod(int(np.argmax(total)), spec.resolution)
         brackets.append((*_bracket(taus, i), *_bracket(nus, j), nus[j], total[i, j]))

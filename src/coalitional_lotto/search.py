@@ -77,13 +77,14 @@ def min_gain(g: GameInstance | GameArrays):
     return GAIN_RTOL * g.total_valuation
 
 
-def thin_margin(g: GameInstance, best: float) -> bool:
+def thin_margin(g: GameInstance | GameArrays, best):
     """Whether a beneficial transfer's smaller delta is thinly positive.
 
     Negative verdicts always have best scores near zero (the no-transfer
-    point), so only thin-positive margins are flagged.
+    point), so only thin-positive margins are flagged.  Elementwise for a
+    ``GameArrays`` and an array of best scores.
     """
-    return min_gain(g) < best < NEAR_RTOL * g.total_valuation
+    return (min_gain(g) < best) & (best < NEAR_RTOL * g.total_valuation)
 
 
 def line_pairs(g: GameInstance | GameArrays, mechanism: Mechanism):
@@ -310,14 +311,39 @@ class RidgeScan(NamedTuple):
 
     @classmethod
     def of(cls, g: GameInstance, mechanism: Mechanism, vs, score) -> "RidgeScan":
+        """The scan's ``RidgeScan``; ``vs`` ascends, and ``score`` is the delta there.
+
+        The points outside the open sliver are a run on each side of it
+        (the whole scan when the sliver holds no float).  Each run's best
+        point is its first maximum; a NaN score is no benefit.  The left
+        run keeps a tie, so ``best`` is the first beneficial maximum in
+        scan order.
+        """
         lo, hi = sliver(g, mechanism)
-        beneficial = np.flatnonzero(score > min_gain(g))
-        v = vs[beneficial]
-        off = beneficial[~((lo < v) & (v < hi))]
+        gain = min_gain(g)
+        n = len(vs)
+        # False on NaN or crossed ends, where no transfer is inside.
+        if lo < hi:
+            left = int(np.searchsorted(vs, lo, "right"))
+            right = int(np.searchsorted(vs, hi, "left"))
+            runs = ((0, left), (right, n))
+        else:
+            runs = ((0, n),)
         best = None
-        if off.size:
-            k = off[np.argmax(score[off])]
-            best = (float(vs[k]), float(score[k]))
+        for a, b in runs:
+            run = score[a:b]
+            if not run.size:
+                continue
+            k = int(np.argmax(run))
+            if math.isnan(run[k]):
+                # ``argmax`` stops at the first NaN: take the beneficial points.
+                beneficial = np.flatnonzero(run > gain)
+                if not beneficial.size:
+                    continue
+                k = int(beneficial[np.argmax(run[beneficial])])
+            value = float(run[k])
+            if value > gain and (best is None or value > best[1]):
+                best = (float(vs[a + k]), value)
         return cls(best, float(vs[0]), float(vs[-1]), float(vs[1] - vs[0]))
 
 

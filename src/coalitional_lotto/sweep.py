@@ -36,13 +36,7 @@ from .analysis import format_float
 from .batch import GameArrays
 from .collective import max_collective_payoff
 from .core import GameInstance
-from .mutual import (
-    REGIONS,
-    Mechanism,
-    classify_region,
-    mutual_verdict,
-    region_index,
-)
+from .mutual import REGIONS, Mechanism, classify_region, region_index
 from .oracle import grid_oracles
 from .rng import SplitMix64
 from .search import line_ends
@@ -220,7 +214,11 @@ def run_verify(count: int, seed: int):
 
     Returns (rows, ok): one row per sampled game; ok is False when any game
     disagrees on contest-transfer existence away from a condition boundary,
-    or a closed-form optimum misses its oracle value beyond tolerance.
+    or a closed-form optimum misses its oracle value beyond tolerance.  The
+    analytic contest flags of every game, ``exists`` and ``near_boundary``
+    as the one-game verdict gives them, come from one array call
+    (``mutual_arrays.line_flags``); the oracles of every game share one
+    refinement pass (``oracle.grid_oracles``).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -231,15 +229,16 @@ def run_verify(count: int, seed: int):
     lines, responses = grid_oracles(
         games, Mechanism.CONTEST, (Mechanism.BUDGET, Mechanism.CONTEST)
     )
+    flags = mutual_arrays.line_flags(GameArrays.of(games), Mechanism.CONTEST)
+    analytic_exists, analytic_near = (flag.tolist() for flag in flags)
     rows = []
     ok = True
     for i, g in enumerate(games):
-        label, (xa1, xa2), baseline = respond(g)
+        label, (xa1, xa2), _ = respond(g)
         closed = max_collective_payoff(g)
-        analytic = mutual_verdict(g, Mechanism.CONTEST, baseline, closed)
         oracle_v = lines.verdicts[i]
-        agree = analytic.exists == oracle_v.exists
-        near = analytic.near_boundary or oracle_v.near_boundary
+        agree = analytic_exists[i] == oracle_v.exists
+        near = analytic_near[i] or oracle_v.near_boundary
 
         xa_grid = responses[i]
         alloc_err = abs(xa1 - xa_grid.xa1)
@@ -265,7 +264,7 @@ def run_verify(count: int, seed: int):
                 "x2": g.x2,
                 "case": str(label),
                 "region": classify_region(g).value,
-                "contest_analytic": int(analytic.exists),
+                "contest_analytic": int(analytic_exists[i]),
                 "contest_oracle": int(oracle_v.exists),
                 "contest_agree": int(agree),
                 "near_boundary": int(near),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import settings
 
 from coalitional_lotto.core import GameInstance
-from coalitional_lotto.rng import SplitMix64
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -47,9 +46,3 @@ def float_range_games() -> list[GameInstance]:
     params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, (4000, 4))
     return [GameInstance(*row) for row in params.tolist()]
 
-
-def random_games(count: int, seed: int, lo: float = 0.05, hi: float = 3.0):
-    rng = SplitMix64(seed)
-    return [
-        GameInstance(*(rng.uniform(lo, hi) for _ in range(4))) for _ in range(count)
-    ]

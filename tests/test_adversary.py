@@ -30,9 +30,7 @@ from coalitional_lotto.core import (
 )
 from coalitional_lotto.collective import max_collective_payoff, optimal_budget_transfer
 from coalitional_lotto.oracle import grid_best_response
-from coalitional_lotto.sweep import VERIFY_VALUE_TOL
-
-from conftest import random_games
+from coalitional_lotto.sweep import VERIFY_VALUE_TOL, sample_games
 
 positive = st.floats(0.05, 5.0, allow_nan=False, allow_infinity=False)
 # Positive floats over the whole range, subnormals included, with extra
@@ -276,7 +274,7 @@ class TestBestResponse:
     def test_optimality_against_grid(self):
         # closed-form split beats every point of a dense grid on the
         # adversary objective
-        for g in random_games(60, seed=101):
+        for g in sample_games(60, seed=101):
             xa = best_response(g)
             star = adversary_value(g, xa.xa1, xa.xa2)
             for k in range(0, 101):
@@ -305,7 +303,7 @@ class TestPlayerPayoffs:
         assert u1 + u2 == pytest.approx(max_collective_payoff(g), rel=1e-15)
 
     def test_orientation_symmetry(self):
-        for g in random_games(120, seed=7):
+        for g in sample_games(120, seed=7):
             t = Transfer(0.2 * g.x1 - 0.1 * g.x2, 0.15 * g.phi1 - 0.1 * g.phi2)
             u1, u2 = player_payoffs(g, t)
             s1, s2 = player_payoffs(swap_indices(g), Transfer(-t.tau, -t.nu))
@@ -326,7 +324,7 @@ class TestPlayerPayoffs:
         # u1+u2 is continuous in nu even where the case label flips
         from coalitional_lotto.paper_routes import thresholds
 
-        for g in random_games(40, seed=31):
+        for g in sample_games(40, seed=31):
             th = thresholds(g)
             for nu0 in (th.alpha1, th.alpha2, th.alpha3, th.alpha4, th.alpha5):
                 if not (-g.phi2 * 0.99 < nu0 < g.phi1 * 0.99):

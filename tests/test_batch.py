@@ -24,14 +24,12 @@ from coalitional_lotto.core import (
 )
 from coalitional_lotto.mutual import Mechanism
 from coalitional_lotto.search import line_ends
-from coalitional_lotto.sweep import Predicate, SweepSpec, run_sweep
-
-from conftest import random_games
+from coalitional_lotto.sweep import Predicate, SweepSpec, run_sweep, sample_games
 
 
 def test_matches_scalar_on_random_transfers():
     rng = np.random.default_rng(5)
-    games = random_games(50, seed=23)
+    games = sample_games(50, seed=23)
     taus = np.array([rng.uniform(-0.9 * g.x2, 0.9 * g.x1, size=40) for g in games])
     nus = np.array([rng.uniform(-0.9 * g.phi2, 0.9 * g.phi1, size=40) for g in games])
     # One game at a time, then every game in one call: a column of games
@@ -143,7 +141,7 @@ def test_case_of_and_payoffs_match_scalar_over_the_whole_float_range(float_range
 
 
 def test_game_arrays_take_and_total_valuation():
-    games = random_games(4, seed=2)
+    games = sample_games(4, seed=2)
     arrays = batch.GameArrays.of(games).take(np.array([3, 0, 3]))
     assert arrays.phi1.tolist() == [games[3].phi1, games[0].phi1, games[3].phi1]
     assert arrays.total_valuation.tolist() == [games[k].total_valuation for k in (3, 0, 3)]
@@ -161,7 +159,7 @@ def _scalar_feasible(g, tau, nu) -> bool:
 def test_require_feasible_follows_the_scalar_rule():
     rng = np.random.default_rng(8)
     cases = []
-    for g in random_games(20, seed=4):
+    for g in sample_games(20, seed=4):
         taus = rng.uniform(-1.2 * g.x2, 1.2 * g.x1, 30)
         nus = rng.uniform(-1.2 * g.phi2, 1.2 * g.phi1, 30)
         cases += [(g, tau, nu) for tau, nu in zip(taus, nus)]
@@ -211,12 +209,23 @@ def test_require_feasible_makes_no_fallback_call_on_the_figure_plane(monkeypatch
     assert calls == []
 
 
-def test_collective_matches_sum():
-    g = random_games(1, seed=11)[0]
-    nus = np.linspace(-0.9 * g.phi2, 0.9 * g.phi1, 33)
-    u1, u2 = batch.payoffs_at_transfers(g, 0.0, nus)
-    total = batch.collective_at_transfers(g, 0.0, nus)
-    assert np.allclose(total, u1 + u2, rtol=0, atol=0)
+def test_collective_matches_sum(float_range_games):
+    # Box games and each kernel path (ridge and case 3 among them) along
+    # both lines, games over twenty-four decades, and the whole float range.
+    calls = []
+    for g in sample_games(10, seed=11) + PATH_GAMES:
+        for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
+            vs = np.linspace(*line_ends(g, mechanism), 401)
+            calls.append((g, vs, 0.0) if mechanism is Mechanism.BUDGET else (g, 0.0, vs))
+    wide = _wide_games(3000, seed=41)
+    calls.append((batch.GameArrays.of(wide), *_transfers(wide, seed=42)))
+    calls.append((batch.GameArrays.of(float_range_games), 0.0, 0.0))
+    for g, taus, nus in calls:
+        u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
+        total = batch.collective_at_transfers(g, taus, nus)
+        assert total.tobytes() == (u1 + u2).tobytes()
+    cases = {classify_case(g).index for g in PATH_GAMES}
+    assert cases == {1, 2, 3, 4}
 
 
 def _wide_games(count: int, seed: int) -> list[GameInstance]:
@@ -298,7 +307,7 @@ def test_subnormal_products_take_the_roots_factor_by_factor():
     assert str(classify_case(g)) == "C3_1le2"
     root_w = np.sqrt(1e-160) * np.sqrt(1e-170)
     assert best_response(g).xa1 == root_w / (root_w + np.sqrt(2e-160) * np.sqrt(1e-170))
-    games = [g, swap_indices(g)] + random_games(3, seed=6)
+    games = [g, swap_indices(g)] + sample_games(3, seed=6)
     u1, u2 = batch.payoffs_at_transfers(batch.GameArrays.of(games), 0.0, 0.0)
     assert [(a, b) for a, b in zip(u1, u2)] == [player_payoffs(h) for h in games]
 
@@ -357,7 +366,7 @@ def test_zero_dimensional_inputs(wrap):
 
 
 def test_broadcasting_grid():
-    games = random_games(12, seed=19) + PATH_GAMES[:5]
+    games = sample_games(12, seed=19) + PATH_GAMES[:5]
     arrays = batch.GameArrays.of(games)
     column = batch.GameArrays(*(field[:, None] for field in arrays))
     # Inside every game's budgets and valuations (all at least 0.05).
@@ -486,3 +495,4 @@ def test_one_v_one_vec_writes_no_input_and_keeps_its_types():
     for x_adv in (np.array([np.nan, 1.0]), np.array([np.nan, 0.0])):
         u = batch.one_v_one_vec(3.0, np.array([0.5, 0.0]), x_adv)
         assert np.isnan(u[0]) and np.isnan(u_player(3.0, 0.5, np.nan))
+

@@ -16,8 +16,7 @@ from coalitional_lotto.collective import (
 from coalitional_lotto.core import GameInstance, Transfer, post_transfer, swap_indices
 from coalitional_lotto.mutual import Mechanism, joint_mutual_exists
 from coalitional_lotto.oracle import grid_max_collectives
-
-from conftest import random_games
+from coalitional_lotto.sweep import sample_games
 
 
 class TestOptimalTransfers:
@@ -42,21 +41,21 @@ class TestOptimalTransfers:
         assert optimal_budget_transfer(g).tau == pytest.approx(0.0, abs=1e-15)
 
     def test_ratio_equalization(self):
-        for g in random_games(200, seed=47):
+        for g in sample_games(200, seed=47):
             for t in (optimal_contest_transfer(g), optimal_budget_transfer(g)):
                 gb = post_transfer(g, t)
                 assert gb.x1 / gb.phi1 == pytest.approx(gb.x2 / gb.phi2, rel=1e-10)
 
     def test_direction_for_oriented_games(self):
         # the equalizing contest transfer flows from the budget-weak player
-        for g in random_games(200, seed=53):
+        for g in sample_games(200, seed=53):
             if g.x1 / g.phi1 <= g.x2 / g.phi2:
                 assert optimal_contest_transfer(g).nu >= 0
 
 
 class TestRidgeTransfer:
     def test_equals_the_closed_forms_bit_for_bit(self):
-        games = random_games(200, seed=21)
+        games = sample_games(200, seed=21)
         arrays = GameArrays.of(games)
         budget = ridge_transfer(arrays, Mechanism.BUDGET).tolist()
         contest = ridge_transfer(arrays, Mechanism.CONTEST).tolist()
@@ -167,7 +166,7 @@ class TestBeneficialExists:
 class TestEquivalenceProperty:
     def test_triple_equality_sampled(self):
         # budget-only, contest-only, and joint maxima all match the closed form
-        games = random_games(25, seed=61)
+        games = sample_games(25, seed=61)
         for mech in Mechanism:
             for g, grid in zip(games, grid_max_collectives(games, mech)):
                 closed = max_collective_payoff(g)
@@ -179,7 +178,7 @@ class TestEquivalenceProperty:
         from coalitional_lotto import batch
 
         count = 0
-        for g in random_games(300, seed=67):
+        for g in sample_games(300, seed=67):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
             if classify_case(g).index != 2:
@@ -200,7 +199,7 @@ class TestEquivalenceProperty:
         # the collective payoff strictly improves with a small transfer from
         # every case-2 game (checked numerically across the sample)
         h = 1e-7
-        for g in random_games(400, seed=73):
+        for g in sample_games(400, seed=73):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
             if classify_case(g).index != 2:

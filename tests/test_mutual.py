@@ -45,7 +45,6 @@ from coalitional_lotto.mutual import (
     line_breaks,
     line_pieces,
     line_sides,
-    mutual_verdict,
     mutual_verdicts,
     payoff_deltas,
     positive_roots,
@@ -72,8 +71,7 @@ from coalitional_lotto.search import (
     sliver,
     thin_margin,
 )
-
-from conftest import random_games
+from coalitional_lotto.sweep import sample_games
 
 # Values over four decades, uniform in the exponent.
 decades = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
@@ -195,7 +193,7 @@ class TestRegion:
 
     def test_partition(self):
         edges = [GameInstance(1.0, 1.0, x1, x2) for x1 in (0.5, 1.0, 2.0) for x2 in (0.5, 1.0)]
-        games = random_games(300, seed=17) + edges + [GameInstance(1.0, 1.0, 0.25, 0.75)]
+        games = sample_games(300, seed=17) + edges + [GameInstance(1.0, 1.0, 0.25, 0.75)]
         arrays = GameArrays.of(games)
         by_index = [REGIONS[i] for i in region_index(arrays.x1, arrays.x2).tolist()]
         assert by_index == [classify_region(g) for g in games]
@@ -255,6 +253,30 @@ class TestArrayVerdicts:
         picked = arrays(GameArrays.of([games[k] for k in rows]))
         assert picked.tolist() == [expected[k] for k in rows]
         assert arrays(GameArrays.of([])).shape == (0,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scalar,mechanism",
+        [(budget_mutual_exists, Mechanism.BUDGET), (contest_mutual_exists, Mechanism.CONTEST)],
+    )
+    def test_line_flags_match_scalar_game_by_game(self, scalar, mechanism, float_range_games):
+        corpus = self.corpus()
+        for games in (float_range_games, corpus):
+            verdicts = [scalar(g) for g in games]
+            exists, near = mutual_arrays.line_flags(GameArrays.of(games), mechanism)
+            assert exists.tolist() == [v.exists for v in verdicts]
+            assert near.tolist() == [v.near_boundary for v in verdicts]
+            # The knife-edges are the games flagged without a benefit.
+            knife = [v.route == "ridge-knife-edge" for v in verdicts]
+            assert (near & ~exists).tolist() == knife
+        # The corpus holds knife-edges and thin positives.
+        assert any(knife) and (near & exists).any()
+        # Any subset, in any order, gives the same flags.
+        rows = [7, 3, 3, 0]
+        picked = mutual_arrays.line_flags(GameArrays.of([corpus[k] for k in rows]), mechanism)
+        assert [f.tolist() for f in picked] == [exists[rows].tolist(), near[rows].tolist()]
+        empty = mutual_arrays.line_flags(GameArrays.of([]), mechanism)
+        assert [f.shape for f in empty] == [(0,), (0,)]
 
     def test_budget_or_contest_implies_joint(self):
         # Every budget or contest transfer is a joint transfer too: a budget
@@ -446,7 +468,7 @@ class TestThresholds:
         assert th.beta2 == pytest.approx(math.sqrt(x1 * f * s / x2**3) - (1 - x2) ** 2 / x2**2 * s)
 
     def test_alpha1_crosses_ridge(self):
-        for g in random_games(50, seed=3):
+        for g in sample_games(50, seed=3):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
             nu = thresholds(g).alpha1
@@ -489,7 +511,7 @@ class TestStrategicallyInconsistent:
         # 5.11 shadows, is not implemented); the case-3-to-case-3 crossing
         # (5.10) admits no mutually beneficial transfer
         seen = 0
-        for g in random_games(400, seed=41):
+        for g in sample_games(400, seed=41):
             if g.x1 / g.phi1 > g.x2 / g.phi2:
                 g = swap_indices(g)
             if classify_case(g).index != 3:
@@ -524,7 +546,7 @@ class TestContestMutual:
 
     def test_agrees_with_oracle(self):
         mismatches = 0
-        games = random_games(150, seed=71)
+        games = sample_games(150, seed=71)
         for g, o in zip(games, grid_mutual_searches(games, Mechanism.CONTEST)):
             a = contest_mutual_exists(g)
             if a.exists != o.exists and not (a.near_boundary or o.near_boundary):
@@ -606,7 +628,7 @@ class TestExactContest:
     def test_scale_and_swap_invariance_on_seeded_corpus(self):
         rng = SplitMix64(2027)
         games = (
-            random_games(1500, seed=64)
+            sample_games(1500, seed=64)
             + log_uniform_games(1500, seed=65)
             + near_ridge_games(1500, seed=66)
         )
@@ -829,7 +851,10 @@ class TestRouteCensus:
                 ("ridge", 3, 25), ("wide", 19, 33), ("extreme", 9, 33),
             )
         ]
-        assert lines[-1] == "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0"
+        assert lines[-1] == (
+            "array mismatches over 24 games: budget 0 joint 0 contest 0 case 0 "
+            "budget-near 0 contest-near 0"
+        )
 
     def load(self):
         spec = importlib.util.spec_from_file_location("route_census", self.SCRIPT)
@@ -845,16 +870,40 @@ class TestRouteCensus:
         assert exc.value.code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
-    def test_array_disagreement_exits_2(self, monkeypatch, capsys):
+    def census_with(self, monkeypatch, capsys, name, replacement) -> tuple[int, str]:
+        """The census's exit code and last line with ``mutual_arrays.<name>`` replaced."""
         script = self.load()
         # The census wraps the route helpers to count them; undo that after.
-        for name in ("_sc_routes", "_si_windows"):
-            monkeypatch.setattr(paper_routes, name, getattr(paper_routes, name))
+        for helper in ("_sc_routes", "_si_windows"):
+            monkeypatch.setattr(paper_routes, helper, getattr(paper_routes, helper))
+        monkeypatch.setattr(mutual_arrays, name, replacement)
+        code = script.main(["--count", "6", "--block", "6"])
+        return code, capsys.readouterr().out.splitlines()[-1]
+
+    def test_array_disagreement_exits_2(self, monkeypatch, capsys):
         budget_exists = mutual_arrays.budget_exists
-        monkeypatch.setattr(mutual_arrays, "budget_exists", lambda games: ~budget_exists(games))
-        assert script.main(["--count", "6", "--block", "6"]) == EXIT_DISAGREEMENT
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last == "array mismatches over 6 games: budget 6 joint 0 contest 0 case 0"
+        code, last = self.census_with(
+            monkeypatch, capsys, "budget_exists", lambda games: ~budget_exists(games)
+        )
+        assert code == EXIT_DISAGREEMENT
+        assert last == (
+            "array mismatches over 6 games: budget 6 joint 0 contest 0 case 0 "
+            "budget-near 0 contest-near 0"
+        )
+
+    def test_near_flag_disagreement_exits_2(self, monkeypatch, capsys):
+        line_flags = mutual_arrays.line_flags
+
+        def flipped(games, mechanism):
+            exists, near = line_flags(games, mechanism)
+            return exists, ~near
+
+        code, last = self.census_with(monkeypatch, capsys, "line_flags", flipped)
+        assert code == EXIT_DISAGREEMENT
+        assert last == (
+            "array mismatches over 6 games: budget 0 joint 0 contest 0 case 0 "
+            "budget-near 6 contest-near 6"
+        )
 
 
 class TestCappedBudgetRule:
@@ -928,18 +977,17 @@ class TestValuationRoom:
 
 
 class TestMutualVerdicts:
-    """``mutual_verdicts`` on one baseline, and ``mutual_verdict`` on the
-    baseline of ``respond``, give the three single verdicts bit for bit."""
+    """``mutual_verdicts`` on one baseline gives the three single verdicts bit for bit."""
 
     @staticmethod
     def assert_same(g):
         single = (budget_mutual_exists(g), contest_mutual_exists(g), joint_mutual_exists(g))
         optimum = max_collective_payoff(g)
         shared = mutual_verdicts(g, player_payoffs(g), optimum)
-        each = [mutual_verdict(g, m, respond(g)[2], optimum) for m in Mechanism]
+        # ``analyze_game`` passes the baseline of ``respond``.
+        assert respond(g)[2] == player_payoffs(g), g
         # ``repr`` tells -0.0 from 0.0 in the witnesses.
         assert [repr(v) for v in shared] == [repr(v) for v in single], g
-        assert [repr(v) for v in each] == [repr(v) for v in single], g
         return shared
 
     @given(g=census_families)
@@ -1266,7 +1314,7 @@ class TestJointMutual:
     def test_scale_and_swap_invariance_on_seeded_corpus(self):
         rng = SplitMix64(2026)
         games = (
-            random_games(7000, seed=61)
+            sample_games(7000, seed=61)
             + log_uniform_games(7000, seed=62)
             + near_ridge_games(7000, seed=63)
         )
@@ -1285,11 +1333,11 @@ class TestJointMutual:
         _assert_joint_invariant(GameInstance(phi1, phi2, x1, x2), c)
 
     def test_generic_games_almost_always_exist(self):
-        hits = sum(joint_mutual_exists(g).exists for g in random_games(200, seed=13))
+        hits = sum(joint_mutual_exists(g).exists for g in sample_games(200, seed=13))
         assert hits == 200
 
     def test_supersedes_single_mechanisms(self):
-        for g in random_games(150, seed=29):
+        for g in sample_games(150, seed=29):
             c = contest_mutual_exists(g)
             b = budget_mutual_exists(g)
             j = joint_mutual_exists(g)
@@ -1335,7 +1383,7 @@ class TestCollectiveBound:
 
 class TestWitnessValidity:
     def test_every_witness_revalidates(self):
-        for g in random_games(120, seed=83):
+        for g in sample_games(120, seed=83):
             for verdict in (
                 contest_mutual_exists(g),
                 budget_mutual_exists(g),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coalitional_lotto import oracle, sweep
+from coalitional_lotto import batch, oracle, search, sweep
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
@@ -35,16 +35,20 @@ from coalitional_lotto.oracle import (
 from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import (
     RIDGE_RTOL,
+    RidgeScan,
     golden_max,
     line_ends,
+    min_gain,
     refine_transfers,
     ridge_gap,
+    sliver,
 )
-from coalitional_lotto.sweep import run_verify
+from coalitional_lotto.sweep import run_verify, sample_games
 
-from conftest import DATA_DIR, random_games
+from conftest import DATA_DIR
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "make_golden_fixtures.py"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 # The budget search of this game refines onto the ridge and has to search the
 # side intervals next to the ridge sliver (``search.off_ridge_best``).
@@ -56,7 +60,7 @@ OFF_RIDGE_GAME = GameInstance(
 def batching_corpus(seed: int = 31) -> list[GameInstance]:
     """Uniform-box, log-uniform and near-ridge games, then ``OFF_RIDGE_GAME``."""
     rng = SplitMix64(seed)
-    games = list(random_games(6, seed=seed))
+    games = list(sample_games(6, seed=seed))
     for _ in range(6):
         games.append(
             GameInstance(*(math.exp(rng.uniform(math.log(1e-2), math.log(1e2))) for _ in range(4)))
@@ -115,7 +119,7 @@ class TestGridBestResponse:
         assert abs(v_grid - v_closed) < 1e-9
 
     def test_matches_closed_form_sampled(self):
-        for g in random_games(40, seed=19):
+        for g in sample_games(40, seed=19):
             closed = best_response(g)
             grid = grid_best_response(g)
             alloc_err = abs(closed.xa1 - grid.xa1)
@@ -186,7 +190,7 @@ class TestSequenceForms:
         assert [repr(r) for r in form(games)] == singles
         assert [repr(r) for r in form(games[::-1])] == singles[::-1]
         # Mixed into another sample, at another position.
-        others = random_games(3, seed=5)
+        others = sample_games(3, seed=5)
         mixed = form(others[:2] + games[3:9] + others[2:])
         assert [repr(r) for r in mixed[2:-1]] == singles[3:9]
 
@@ -226,7 +230,7 @@ class TestSequenceForms:
             return repr((grid_line_oracle(games, *lines), grid_best_responses(games)))
 
         games = batching_corpus()
-        others = random_games(3, seed=5)
+        others = sample_games(3, seed=5)
         for sample in (games, games[::-1], others[:2] + games[3:9] + others[2:], []):
             assert both(sample) == alone(sample)
         # What run_verify gets from its one pass.
@@ -315,6 +319,121 @@ class TestLockstepGolden:
         golden_max(f, a, b, iters)
         for v in seen:
             assert ((a <= v) & (v <= b)).all()
+
+
+def _masked_best(g, mechanism, vs, score):
+    """The best beneficial scan point outside the sliver, by boolean masks."""
+    lo, hi = sliver(g, mechanism)
+    beneficial = np.flatnonzero(score > min_gain(g))
+    v = vs[beneficial]
+    off = beneficial[~((lo < v) & (v < hi))]
+    if not off.size:
+        return None
+    k = off[np.argmax(score[off])]
+    return float(vs[k]), float(score[k])
+
+
+class TestScanGrid:
+    """Each scan's grid is ``np.linspace``'s, bit for bit."""
+
+    @staticmethod
+    def verify_games(monkeypatch) -> list[GameInstance]:
+        """The games of perfbench's verify commands at seeds 1 to 5."""
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while it loads.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        games = []
+        for seed in range(1, 6):
+            verify = workloads.Verify(seed, Path("."))
+            for command in verify.corpus():
+                games += sample_games(verify.count, command)
+        return games
+
+    def test_line_grids_match_linspace(self, monkeypatch):
+        games = self.verify_games(monkeypatch)
+        assert len(games) == 750
+        ramp = np.arange(4001.0)
+        for g in games:
+            for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
+                lo, hi = line_ends(g, mechanism)
+                grid = oracle._grid(lo, hi, ramp)
+                assert grid.tobytes() == np.linspace(lo, hi, 4001).tobytes(), (g, mechanism)
+
+    def test_best_response_and_joint_grids_match_linspace(self):
+        for n in (4001, 401, 3):
+            want = np.linspace(0.0, 1.0, n)
+            assert oracle._grid(0.0, 1.0, np.arange(float(n))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.0, 5e-324), (-1e-321, 1e-321), (2.0, 2.0), (0.0, 1e-310), (-3e-308, 1e-310)],
+    )
+    def test_zero_and_subnormal_steps_match_linspace(self, lo, hi):
+        # The first three spans are below 4000 times the smallest float, so
+        # the step rounds to 0 and numpy takes its other branch.
+        ramp = np.arange(4001.0)
+        assert (((hi - lo) / 4000) == 0.0) == (hi - lo < 1e-320)
+        assert oracle._grid(lo, hi, ramp).tobytes() == np.linspace(lo, hi, 4001).tobytes()
+
+
+class TestRidgeScan:
+    """``RidgeScan.of`` finds the best point off the sliver as boolean masks do."""
+
+    @staticmethod
+    def around_sliver(g, mechanism):
+        """101 points from one sliver width below the sliver to one above."""
+        lo, hi = sliver(g, mechanism)
+        return np.linspace(lo - (hi - lo), hi + (hi - lo), 101)
+
+    def scores(self, vs, g, mechanism):
+        """Scores with ties, with NaN, beneficial only inside the sliver, and none."""
+        lo, hi = sliver(g, mechanism)
+        inside = (lo < vs) & (vs < hi)
+        gain = min_gain(g)
+        rng = np.random.default_rng(4)
+        noisy = rng.choice([-1.0, 0.5, 2.0, 2.0, np.nan], len(vs)) * gain
+        yield noisy
+        yield np.where(inside, 3.0 * gain, noisy)
+        yield np.where(inside, 3.0 * gain, -gain)
+        yield np.full(len(vs), 2.0 * gain)
+        yield np.full(len(vs), np.nan)
+        yield np.where(rng.random(len(vs)) < 0.5, np.nan, 2.0 * gain)
+
+    @pytest.mark.parametrize("mechanism", [Mechanism.BUDGET, Mechanism.CONTEST])
+    def test_matches_masks(self, mechanism):
+        checked = 0
+        for g in batching_corpus():
+            vs = self.around_sliver(g, mechanism)
+            lo, hi = sliver(g, mechanism)
+            if not lo < hi:
+                continue
+            for score in self.scores(vs, g, mechanism):
+                assert RidgeScan.of(g, mechanism, vs, score).best == _masked_best(
+                    g, mechanism, vs, score
+                )
+                checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("ends", [(math.nan, 1.0), (0.0, math.nan), (0.5, -0.5)])
+    def test_sliver_without_a_float_leaves_the_whole_scan(self, monkeypatch, ends):
+        monkeypatch.setattr(search, "sliver", lambda g, mechanism: ends)
+        g = OFF_RIDGE_GAME
+        vs = np.linspace(-1.0, 1.0, 11)
+        score = np.arange(11.0)
+        assert RidgeScan.of(g, Mechanism.BUDGET, vs, score).best == (1.0, 10.0)
+
+    def test_line_scan_matches_masks(self):
+        for g in batching_corpus():
+            for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
+                vs = np.linspace(*line_ends(g, mechanism), 4001)
+                taus, nus = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
+                base1, base2 = batch.payoffs_at_transfers(g, 0.0, 0.0)
+                u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
+                score = np.minimum(u1 - base1, u2 - base2)
+                want = _masked_best(g, mechanism, vs, score)
+                assert RidgeScan.of(g, mechanism, vs, score).best == want
 
 
 class TestBracketFeasibility:
