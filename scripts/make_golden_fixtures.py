@@ -12,6 +12,10 @@ which 2 lie on the equal-ratio ridge and 3 within 1e-4 of it), the
 full-precision ``repr`` of the budget, contest and joint verdicts, so a
 change of any witness bit, route or flag shows.
 
+``verify_seed7_count100.csv``, written beside them, is the output of
+``coalitional-lotto verify --count 100 --seed 7``, run through ``cli.main``,
+which pins the verify command, oracle included, byte for byte.
+
 Usage: python3 scripts/make_golden_fixtures.py [--out tests/data/golden_oracle.json]
 
 It imports the package from the ``src/`` directory of the checkout that
@@ -27,6 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from coalitional_lotto import cli  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.core import GameInstance  # noqa: E402
 from coalitional_lotto.mutual import Mechanism, classify_region  # noqa: E402
@@ -137,6 +142,14 @@ def analyze_records(games: list[GameInstance]) -> list[dict]:
     return records
 
 
+VERIFY_ARGS = ["verify", "--count", "100", "--seed", "7"]
+
+
+def write_verify_csv(out: Path) -> int:
+    """Write the pinned verify command's CSV to ``out``; its exit code."""
+    return cli.main(VERIFY_ARGS + ["--out", str(out)])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="tests/data/golden_oracle.json")
@@ -150,6 +163,9 @@ def main() -> None:
     out = out.parent / "analyze_golden.jsonl"
     out.write_text("".join(json.dumps(r) + "\n" for r in records))
     print(f"wrote {out} ({len(records)} games)")
+    out = out.parent / "verify_seed7_count100.csv"
+    code = write_verify_csv(out)
+    print(f"wrote {out} (verify exit code {code})")
 
 
 if __name__ == "__main__":

@@ -22,13 +22,14 @@ maximum is scored by ``batch.collective_at_transfers``, the payoff sum
 without the players' unswapping.
 
 Each oracle is a scan and a finish.  The scan hands over its refinement
-rows (objective, brackets, step counts) and a finisher that turns their
-refined maxima into the oracle's results.  One lockstep golden-section
-pass (``search.golden_max``) refines the rows of several oracles at once,
-each objective evaluated on its own slice of rows: ``grid_oracles`` serves
-the line oracle and the best responses of a sample from one pass.  Each
-game's results equal those of a one-game call bit for bit, whatever games
-and oracles share the pass.
+rows (objective, brackets) and a finisher that turns their refined maxima
+into the oracle's results.  One lockstep bracket zoom (``search.zoom_max``)
+refines the rows of several oracles at once, each objective evaluated on
+its own slice of rows, in as many rounds as the grid's resolution asks
+(``search.zoom_rounds``: 21 after a 4001-point scan, 23 after the 401-point
+joint grid).  ``grid_oracles`` serves the line oracle and the best
+responses of a sample from one pass.  Each game's results equal those of
+a one-game call bit for bit, whatever games and oracles share the pass.
 
 The test suite pins oracle outputs for a golden set of games as fixtures and
 requires the closed forms to reproduce them.
@@ -49,13 +50,14 @@ from .mutual import KNIFE_EDGE, MutualBenefitVerdict
 from .search import (
     RidgeScan,
     along,
-    golden_max,
     line_ends,
     min_gain,
     off_ridge_best,
     refine_transfers,
     thin_margin,
     transfer_objective,
+    zoom_max,
+    zoom_rounds,
 )
 
 __all__ = [
@@ -87,12 +89,6 @@ class GridSpec:
 
 DEFAULT_GRID_1D = GridSpec(4001)
 DEFAULT_GRID_2D = GridSpec(401)
-
-# Golden-section steps per refinement bracket.
-MUTUAL_ITERS = 60
-COLLECTIVE_ITERS = 80
-BEST_RESPONSE_ITERS = 80
-JOINT_ITERS = 60
 
 
 def _adv_value_vec(g: GameInstance | GameArrays, xa1, xa2):
@@ -131,21 +127,22 @@ def _bracket(grid: np.ndarray, k: int) -> tuple:
 class _Scan(NamedTuple):
     """An oracle's refinement rows, and how to finish them.
 
-    Row ``i`` maximizes ``objective`` on ``[lo[i], hi[i]]`` in ``iters[i]``
-    golden-section steps; ``objective`` takes this scan's rows only, as
-    ``search.golden_max`` passes them.  ``finish(argmax, max)`` turns the
-    refined rows into the oracle's result.
+    Row ``i`` maximizes ``objective`` on ``[lo[i], hi[i]]``; ``objective``
+    takes this scan's rows only, as ``search.zoom_max`` passes them.
+    ``finish(argmax, max)`` turns the refined rows into the oracle's result.
     """
 
     objective: Callable
     lo: np.ndarray
     hi: np.ndarray
-    iters: np.ndarray
     finish: Callable
 
 
-def _refine(*scans: _Scan) -> list:
-    """Each scan's finished result, all their rows refined in one ``golden_max`` pass."""
+def _refine(spec: GridSpec, *scans: _Scan) -> list:
+    """Each scan's finished result, all their rows refined in one ``zoom_max`` pass.
+
+    Every scan ran on ``spec``'s grid, which sets the pass's rounds.
+    """
     ends = np.cumsum([0] + [len(scan.lo) for scan in scans]).tolist()
     parts = [slice(i, j) for i, j in zip(ends, ends[1:])]
 
@@ -154,9 +151,9 @@ def _refine(*scans: _Scan) -> list:
             [scan.objective(v[..., part]) for scan, part in zip(scans, parts)], axis=-1
         )
 
-    rows = zip(*((scan.lo, scan.hi, scan.iters) for scan in scans))
-    lo, hi, iters = (np.concatenate(column) for column in rows)
-    arg, best = golden_max(f, lo, hi, iters)
+    lo = np.concatenate([scan.lo for scan in scans])
+    hi = np.concatenate([scan.hi for scan in scans])
+    arg, best = zoom_max(f, lo, hi, zoom_rounds(spec.resolution))
     return [scan.finish(arg[part], best[part]) for scan, part in zip(scans, parts)]
 
 
@@ -178,8 +175,7 @@ def _best_response_scan(games: Sequence[GameInstance], spec: GridSpec) -> _Scan:
         x_best = np.where(top_value > v_best, xs[top], x_best)
         return [AdversaryAllocation(x, 1.0 - x) for x in x_best.tolist()]
 
-    iters = np.full(len(games), BEST_RESPONSE_ITERS)
-    return _Scan(lambda x: _adv_value_vec(arrays, x, 1.0 - x), *brackets, iters, finish)
+    return _Scan(lambda x: _adv_value_vec(arrays, x, 1.0 - x), *brackets, finish)
 
 
 def grid_best_responses(
@@ -187,11 +183,12 @@ def grid_best_responses(
 ) -> list[AdversaryAllocation]:
     """Argmax of the adversary objective over its budget split, by grid search.
 
-    Golden-section refinement around the best grid point resolves interior
-    optima to well below the per-game comparison tolerances.  On indifference
-    plateaus any argmax is acceptable (the objective value is what matters).
+    A bracket zoom around the best grid point (``search.zoom_max``) narrows
+    it to the floats' spacing, resolving interior optima far below the
+    per-game comparison tolerances.  On indifference plateaus any argmax is
+    acceptable (the objective value is what matters).
     """
-    return _refine(_best_response_scan(games, spec))[0]
+    return _refine(spec, _best_response_scan(games, spec))[0]
 
 
 def grid_best_response(
@@ -264,7 +261,7 @@ def _line_scan(
     base1, base2 = batch.payoffs_at_transfers(arrays, 0.0, 0.0)
     ramp = np.arange(spec.resolution, dtype=float)
     # One row per refinement bracket: game, budget line, mutual objective,
-    # bracket ends, steps.
+    # bracket ends.
     rows: list[tuple] = []
     mutual_grid: list[tuple[float, float]] = []
     mutual_rows: list[range] = []
@@ -283,14 +280,14 @@ def _line_scan(
                 mutual_grid.append(grid)
                 ridge_scans.append(ridge_scan)
                 mutual_rows.append(range(len(rows), len(rows) + len(peaks)))
-                rows += [(i, budget, True, lo, hi, MUTUAL_ITERS) for lo, hi in peaks]
+                rows += [(i, budget, True, lo, hi) for lo, hi in peaks]
             if collective_cut is not None:
                 grid, (lo, hi) = collective_cut
                 collective_grid[mech].append(grid)
                 collective_rows[mech].append(len(rows))
-                rows.append((i, budget, False, lo, hi, COLLECTIVE_ITERS))
+                rows.append((i, budget, False, lo, hi))
 
-    table = np.array(rows, dtype=float).reshape(-1, 6)
+    table = np.array(rows, dtype=float).reshape(-1, 5)
     game = table[:, 0].astype(int)
     lo, hi = table[:, 3], table[:, 4]
     objective = transfer_objective(
@@ -321,8 +318,9 @@ def _line_scan(
                     grid = (v[r], val[r])
             best.append(grid)
         best_v, best_val = np.array(best, dtype=float).reshape(-1, 2).T
+        rounds = zoom_rounds(spec.resolution)
         found = off_ridge_best(
-            arrays, mutual, (base1, base2), best_v, best_val, ridge_scans, MUTUAL_ITERS
+            arrays, mutual, (base1, base2), best_v, best_val, ridge_scans, rounds
         )
         verdicts = []
         for g, (_, score), found_i in zip(games, best, found):
@@ -340,7 +338,7 @@ def _line_scan(
                 verdicts.append(MutualBenefitVerdict(mutual, False, None, None, near))
         return LineOracle(verdicts, maxima)
 
-    return _Scan(objective, lo, hi, table[:, 5].astype(int), finish)
+    return _Scan(objective, lo, hi, finish)
 
 
 def grid_line_oracle(
@@ -359,7 +357,7 @@ def grid_line_oracle(
     best scan point.  All brackets share one lockstep pass.  ``verdicts`` is
     empty without ``mutual``.
     """
-    return _refine(_line_scan(games, mutual, collective, spec))[0]
+    return _refine(spec, _line_scan(games, mutual, collective, spec))[0]
 
 
 def grid_oracles(
@@ -371,7 +369,7 @@ def grid_oracles(
     """``grid_line_oracle`` and ``grid_best_responses`` of the same games,
     both refined in one lockstep pass; each result equals its own call's."""
     lines, responses = _refine(
-        _line_scan(games, mutual, collective, spec), _best_response_scan(games, spec)
+        spec, _line_scan(games, mutual, collective, spec), _best_response_scan(games, spec)
     )
     return lines, responses
 
@@ -419,7 +417,7 @@ def grid_mutual_search(
 
 def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[float]:
     """Best point of each game's 2-D grid, then two rounds of coordinate-wise
-    golden refinement, one coordinate of every game per pass."""
+    zoom refinement, one coordinate of every game per pass."""
     brackets = []
     ramp = np.arange(spec.resolution, dtype=float)
     for g in games:
@@ -430,9 +428,10 @@ def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[fl
         brackets.append((*_bracket(taus, i), *_bracket(nus, j), nus[j], total[i, j]))
     tau_lo, tau_hi, nu_lo, nu_hi, nu, best = np.array(brackets, dtype=float).reshape(-1, 6).T
     arrays = GameArrays.of(games)
+    rounds = zoom_rounds(spec.resolution)
     for _ in range(2):
-        tau = refine_transfers(arrays, True, tau_lo, tau_hi, JOINT_ITERS, fixed=nu)[0]
-        nu, val = refine_transfers(arrays, False, nu_lo, nu_hi, JOINT_ITERS, fixed=tau)
+        tau = refine_transfers(arrays, True, tau_lo, tau_hi, rounds, fixed=nu)[0]
+        nu, val = refine_transfers(arrays, False, nu_lo, nu_hi, rounds, fixed=tau)
         best = np.where(val > best, val, best)
     return best.tolist()
 

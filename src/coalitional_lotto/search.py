@@ -16,19 +16,22 @@ judge candidates by the same definitions and search the same lines:
   indifference tie-break, so a benefit found only there is a knife-edge,
   not evidence of a robust transfer.  The verdicts and the oracle read
   the sliver's ends from this one rule; ``ridge_gap`` is the independent
-  definition that checks it.
+  definition that checks it, and that the oracle's witnesses next to the
+  sliver must pass.
 
-Each search keeps its own resolution and refinement budget; only the rules
-live here, with the weak sides of a line that the sliver is cut from
-(``line_sides``, ``moved_amount``) and the one golden-section search.
-``golden_max`` refines an array of brackets in lockstep, two steps per
-objective call: the objective sees shape ``(2, n)`` once, ``(3, n)`` per
-two steps and ``(n,)`` for a last odd step, so it must be elementwise with
-a leading stack axis, and a whole sample of games costs about as many numpy
-calls as one game.
+Each search keeps its own resolution, which sets its refinement rounds;
+only the rules live here, with the weak sides of a line that the sliver
+is cut from (``line_sides``, ``moved_amount``) and the one refinement, a
+bracket zoom.  ``zoom_max`` refines an array of brackets in lockstep, one
+objective call of shape ``(7, n)`` per round, each round cutting every
+bracket to a quarter; the objective must be elementwise with a leading
+stack axis, and a whole sample of games costs as many numpy calls as one
+game.  A scan of ``resolution`` points takes ``zoom_rounds(resolution)``
+rounds, which bring a bracket of two scan steps down to the floats'
+spacing at the line's span.
 ``transfer_objective`` scores points of transfer lines through
 ``batch.payoffs_at_transfers``, after checking each bracket's ends like
-``core.post_transfer_params``, and ``refine_transfers`` runs ``golden_max``
+``core.post_transfer_params``, and ``refine_transfers`` runs ``zoom_max``
 on it; ``off_ridge_best`` is the oracle's knife-edge fallback, fed by the
 ``RidgeScan`` each line scan leaves behind, and refines only outside the
 sliver.
@@ -59,7 +62,8 @@ __all__ = [
     "line_sides",
     "sliver",
     "ridge_gap",
-    "golden_max",
+    "zoom_rounds",
+    "zoom_max",
     "transfer_objective",
     "refine_transfers",
     "RidgeScan",
@@ -187,70 +191,54 @@ def ridge_gap(g: GameInstance | GameArrays, mechanism: Mechanism, v):
     return np.abs(r1 - r2) / np.maximum(r1, r2)
 
 
-# Golden ratio conjugate: each step keeps this share of the bracket.
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The 7 interior points of a bracket cut into eighths, as shares of its width.
+_EIGHTHS = np.arange(1.0, 8.0)[:, None] / 8.0
 
 
-def golden_max(f, a, b, iters):
-    """Golden-section maxima of ``f`` on brackets ``[a[i], b[i]]``: (argmax, max).
+def zoom_rounds(resolution: int) -> int:
+    """Rounds of ``zoom_max`` after a scan of ``resolution`` points.
+
+    The smallest ``r`` with ``4**r >= 2**52 * 2 / (resolution - 1)``: a
+    bracket of two scan steps shrinks to about the floats' spacing at the
+    line's span.
+    """
+    rounds = 0
+    while 4**rounds * (resolution - 1) < 2**53:
+        rounds += 1
+    return rounds
+
+
+def zoom_max(f, a, b, rounds: int):
+    """Maxima of ``f`` on brackets ``[a[i], b[i]]`` by zooming in: (argmax, max).
 
     ``f`` maps an array of points to their values elementwise, the last
-    axis of its argument running over the brackets and any leading axis
-    stacking points of the same brackets.  It is called on shape ``(2, n)``
-    once, on shape ``(3, n)`` once per two steps, and on shape ``(n,)`` for
-    a last odd step.  Row ``i`` takes ``iters[i]`` steps (``iters``
-    broadcasts), so each row is the scalar golden-section search bit for
-    bit.  A row that has taken its steps keeps shrinking inside its bracket
-    with the others; its result was read off when it finished.
+    axis of its argument running over the brackets.  Each round is one call
+    on shape ``(7, n)``: the points ``a + (b - a) * j / 8``, ``j = 1..7``,
+    of every bracket.  A round's best point is its first maximum, and each
+    bracket narrows to that point's two neighbours, its own end standing
+    next to the first and last point, so it shrinks 4x a round.  The result
+    is the first maximum of all rounds: NaN is never a maximum, and the
+    running best changes only on a strictly greater value, so a row with
+    no value above ``-inf`` returns ``(a, -inf)``.  Rows do not mix, so each
+    is its own one-row search bit for bit.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    iters = np.broadcast_to(iters, a.shape)
-    arg = np.empty_like(a)
-    best = np.empty_like(a)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(np.stack((c, d)))
-    # Not np.unique: its first call imports numpy.ma, which costs more than a
-    # one-game search.
-    finish = sorted(set(iters.ravel().tolist()))
-    last = finish[-1] if finish else -1
-    # The next step's two possible new points and their values, when the
-    # previous call evaluated them.
-    ahead = None
-    step = 0
-    while True:
-        left = fc >= fd
-        if step in finish:
-            done = iters == step
-            arg[done] = np.where(left, c, d)[done]
-            best[done] = np.where(left, fc, fd)[done]
-        if step >= last:
-            return arg, best
-        # Keep [a, d] (left) or [c, b]; the kept interior point is reused
-        # and one new point is placed.
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        if ahead is None:
-            span = INVPHI * (b - a)
-            x = np.where(left, b - span, a + span)
-            c, d = np.where(left, x, d), np.where(left, c, x)
-            if step + 1 < last:
-                # Also evaluate both points the next step can place, as that
-                # step computes them: it keeps [a, d] or [c, b].
-                x_left = d - INVPHI * (d - a)
-                x_right = c + INVPHI * (b - c)
-                fx, f_left, f_right = f(np.stack((x, x_left, x_right)))
-                ahead = x_left, x_right, f_left, f_right
-            else:
-                fx = f(x)
-        else:
-            x_left, x_right, f_left, f_right = ahead
-            x, fx = np.where(left, x_left, x_right), np.where(left, f_left, f_right)
-            c, d = np.where(left, x, d), np.where(left, c, x)
-            ahead = None
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        step += 1
+    arg = a
+    best = np.full_like(a, -np.inf)
+    rows = np.arange(a.size)
+    for _ in range(rounds):
+        cuts = np.empty((9, a.size))
+        cuts[0], cuts[8] = a, b
+        cuts[1:8] = a + (b - a) * _EIGHTHS
+        values = f(cuts[1:8])
+        k = np.argmax(np.where(values > -np.inf, values, -np.inf), axis=0)
+        top = values[k, rows]
+        better = top > best
+        best = np.where(better, top, best)
+        arg = np.where(better, cuts[k + 1, rows], arg)
+        a, b = cuts[k, rows], cuts[k + 2, rows]
+    return arg, best
 
 
 def transfer_objective(
@@ -262,7 +250,7 @@ def transfer_objective(
     mutual=False,
     baseline=(0.0, 0.0),
 ):
-    """The objective ``refine_transfers`` maximizes, for ``golden_max``.
+    """The objective ``refine_transfers`` maximizes, for ``zoom_max``.
 
     Row ``i`` moves budget (where ``budget`` holds) or valuation by ``v`` in
     ``[a[i], b[i]]``, holding the other component at ``fixed``.  It scores
@@ -270,7 +258,7 @@ def transfer_objective(
     the collective payoff elsewhere.  Both ends of every bracket must pass
     ``core.post_transfer_params``'s rule, or ``InfeasibleTransferError`` is
     raised: the feasible set is an interval, so every point inside the
-    brackets, and so every point ``golden_max`` evaluates, is then feasible.
+    brackets, and so every point ``zoom_max`` evaluates, is then feasible.
     """
 
     def transfers(v):
@@ -286,13 +274,13 @@ def transfer_objective(
     return f
 
 
-def refine_transfers(games: GameInstance | GameArrays, budget, a, b, iters, **options):
-    """``golden_max`` of ``transfer_objective`` on brackets ``[a[i], b[i]]``.
+def refine_transfers(games: GameInstance | GameArrays, budget, a, b, rounds, **options):
+    """``zoom_max`` of ``transfer_objective`` on brackets ``[a[i], b[i]]``.
 
     ``options`` are ``transfer_objective``'s ``fixed``, ``mutual`` and
     ``baseline``.
     """
-    return golden_max(transfer_objective(games, budget, a, b, **options), a, b, iters)
+    return zoom_max(transfer_objective(games, budget, a, b, **options), a, b, rounds)
 
 
 class RidgeScan(NamedTuple):
@@ -354,7 +342,7 @@ def off_ridge_best(
     v_best,
     best,
     scans: Sequence[RidgeScan],
-    iters: int,
+    rounds: int,
 ) -> list[tuple[float, float] | None]:
     """The best beneficial transfer outside the ridge sliver, per game.
 
@@ -366,7 +354,8 @@ def off_ridge_best(
     failing that, the two side intervals from the sliver's ends to one scan
     step out from the maximum are refined, all games' sides in one
     lockstep pass, where thin windows can open right at the ridge
-    crossing.  Every point refined there lies outside the open sliver.
+    crossing.  Every point refined there lies outside the open sliver,
+    and a point that ``ridge_gap`` puts inside it is never the best.
     None means the only benefit is the knife-edge.  No line is scanned
     again.
     """
@@ -390,15 +379,24 @@ def off_ridge_best(
     if not sides:
         return found
     sides = np.array(sides, dtype=int)
-    v, val = refine_transfers(
-        games.take(sides),
+    on_sides = games.take(sides)
+    benefit = transfer_objective(
+        on_sides,
         mechanism is Mechanism.BUDGET,
         lo,
         hi,
-        iters,
         mutual=True,
         baseline=(baseline[0][sides], baseline[1][sides]),
     )
+
+    def outside(v):
+        # The sides' maxima lie at the sliver's ends, which the refinement
+        # reaches to within the float spacing of the line, where ``sliver``
+        # and ``ridge_gap`` round apart: a point the gap puts in the sliver
+        # is no witness.
+        return np.where(ridge_gap(on_sides, mechanism, v) > 2 * RIDGE_RTOL, benefit(v), np.nan)
+
+    v, val = zoom_max(outside, lo, hi, rounds)
     for i, v_i, val_i in zip(sides.tolist(), v.tolist(), val.tolist()):
         if val_i > gain[i] and (found[i] is None or val_i > found[i][1]):
             found[i] = (v_i, val_i)

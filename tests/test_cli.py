@@ -424,7 +424,9 @@ class TestVerify:
 
     def test_reproduces_committed_csv(self, capsys, tmp_path):
         # The committed file pins verify's output, oracle included, byte for
-        # byte; it must never be regenerated to make this pass.
+        # byte; it must never be regenerated to make this pass.  Only a
+        # deliberate oracle change rewrites it, through
+        # scripts/make_golden_fixtures.py, with every moved cell listed.
         out_file = tmp_path / "verify.csv"
         code, _, _ = run_cli(
             capsys, "verify", "--count", "100", "--seed", "7", "--out", str(out_file)

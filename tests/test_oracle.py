@@ -36,12 +36,13 @@ from coalitional_lotto.rng import SplitMix64
 from coalitional_lotto.search import (
     RIDGE_RTOL,
     RidgeScan,
-    golden_max,
     line_ends,
     min_gain,
     refine_transfers,
     ridge_gap,
     sliver,
+    zoom_max,
+    zoom_rounds,
 )
 from coalitional_lotto.sweep import run_verify, sample_games
 
@@ -73,23 +74,20 @@ def batching_corpus(seed: int = 31) -> list[GameInstance]:
     return games
 
 
-def textbook_golden_max(f, a: float, b: float, iters: int) -> tuple[float, float]:
-    """Scalar golden-section maximum of ``f`` on ``[a, b]``: (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def plain_zoom_max(f, a: float, b: float, rounds: int) -> tuple[float, float]:
+    """One bracket's zoom, a point at a time: (argmax, max)."""
+    arg, best = a, -math.inf
+    for _ in range(rounds):
+        cuts = [a] + [a + (b - a) * (j / 8) for j in range(1, 8)] + [b]
+        k, top = 1, -math.inf
+        for j in range(1, 8):
+            value = f(cuts[j])
+            if value > top:
+                k, top = j, value
+            if value > best:
+                arg, best = cuts[j], value
+        a, b = cuts[k - 1], cuts[k + 1]
+    return arg, best
 
 
 class TestGridSpec:
@@ -150,6 +148,27 @@ class TestGridMutualSearch:
         assert v.exists
         assert ridge_gap(g, Mechanism.BUDGET, v.witness.tau) > 2 * RIDGE_RTOL
         assert is_mutually_beneficial(g, v.witness)
+
+    def test_witnesses_lie_outside_the_sliver(self):
+        # The near-ridge games of the batching corpus, then seeded games
+        # whose own ratio gap is 2.05e-6 to 5e-6, just outside the sliver,
+        # on both sides: every witness keeps outside it and benefits both.
+        games = batching_corpus()[12:]
+        rng = SplitMix64(29)
+        for i in range(100):
+            gap = rng.uniform(2.05e-6, 5e-6) * (1 if i % 2 else -1)
+            phi1, x1, x2 = (rng.uniform(0.05, 3.0) for _ in range(3))
+            games.append(GameInstance(phi1, phi1 * x2 / x1 * (1.0 + gap), x1, x2))
+        witnesses = 0
+        for mech in (Mechanism.BUDGET, Mechanism.CONTEST):
+            for g, v in zip(games, grid_mutual_searches(games, mech)):
+                if v.witness is None:
+                    continue
+                witnesses += 1
+                amount = v.witness.tau if mech is Mechanism.BUDGET else v.witness.nu
+                assert ridge_gap(g, mech, amount) > 2 * RIDGE_RTOL, (g, mech)
+                assert is_mutually_beneficial(g, v.witness), (g, mech)
+        assert witnesses >= 10
 
     def test_local_maxima_follow_the_padded_rule(self):
         def padded(score, top):
@@ -245,6 +264,22 @@ class TestSequenceForms:
         assert len(got) == 1
         assert repr(got[0]) == alone(sweep.sample_games(5, 7))
 
+    def test_verify_command_calls_the_objective_once_per_round(self, monkeypatch):
+        calls = []
+
+        def counted(f, *args):
+            def wrapped(v):
+                calls.append(np.shape(v))
+                return f(v)
+
+            return zoom_max(wrapped, *args)
+
+        monkeypatch.setattr(oracle, "zoom_max", counted)
+        monkeypatch.setattr(search, "zoom_max", counted)
+        run_verify(25, 7)
+        assert len(calls) == zoom_rounds(DEFAULT_GRID_1D.resolution) == 21
+        assert {shape[0] for shape in calls} == {7}
+
     def test_off_ridge_game_takes_the_side_search(self):
         # The witness lies beyond the sliver, nearer the ridge than one scan
         # step: only the side refinement can find it.
@@ -266,59 +301,123 @@ class TestSequenceForms:
             run_verify(0, 7)
 
 
-class TestLockstepGolden:
-    def test_matches_textbook_search_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        n = 40
+class TestZoomMax:
+    @staticmethod
+    def brackets(seed: int, n: int):
+        """Brackets with widths log-uniform from 1e-12 to 3."""
+        rng = np.random.default_rng(seed)
         a = rng.uniform(-2.0, 1.0, n)
-        b = a + rng.uniform(1e-9, 3.0, n)
-        t = rng.uniform(-2.0, 4.0, n)
-        s = rng.uniform(-2.0, 4.0, n)
-        iters = rng.choice([0, 1, 2, 3, 7, 60, 61, 80], n)
+        return rng, a, a + 10.0 ** rng.uniform(-12.0, math.log10(3.0), n)
+
+    def test_matches_plain_zoom_bit_for_bit(self):
+        rng, a, b = self.brackets(3, 40)
+        # Two roots per row inside or near its bracket, so rows are not
+        # unimodal and each may keep either side.
+        t = a + (b - a) * rng.uniform(-0.2, 1.2, 40)
+        s = a + (b - a) * rng.uniform(-0.2, 1.2, 40)
 
         def row(i):
-            # Not unimodal: each row may keep either side of its bracket.
-            return lambda x: 0.5 * x - abs((x - t[i]) * (x - s[i]))
+            return lambda x: 0.5 * (b[i] - a[i]) * x - abs((x - t[i]) * (x - s[i]))
 
-        # All rows (an even last step), then those below 80 steps (an odd
-        # last step, taken alone).
-        for rows in (np.arange(n), np.flatnonzero(iters < 80)):
-            ts, ss = t[rows], s[rows]
-            x, fx = golden_max(
-                lambda v: 0.5 * v - np.abs((v - ts) * (v - ss)), a[rows], b[rows], iters[rows]
-            )
-            for j, i in enumerate(rows):
-                want = textbook_golden_max(row(i), float(a[i]), float(b[i]), int(iters[i]))
-                assert (x[j], fx[j]) == want, i
+        for rounds in (0, 1, 2, 21, 23):
+            x, fx = zoom_max(lambda v: 0.5 * (b - a) * v - np.abs((v - t) * (v - s)), a, b, rounds)
+            for i in range(40):
+                want = plain_zoom_max(row(i), float(a[i]), float(b[i]), rounds)
+                assert (x[i], fx[i]) == want, (i, rounds)
 
-    def test_one_call_per_step(self):
-        # Two steps per call: each call after the first also evaluates both
-        # points the next step can place; a last odd step takes one point.
-        calls = []
+    def test_one_call_of_seven_points_per_round(self):
+        for rounds in (0, 1, 21):
+            calls = []
 
-        def f(v):
-            calls.append(np.shape(v))
-            return -v * v
+            def f(v):
+                calls.append(np.shape(v))
+                return -v * v
 
-        golden_max(f, np.zeros(3), np.ones(3), np.array([5, 2, 0]))
-        assert calls == [(2, 3), (3, 3), (3, 3), (3,)]
+            zoom_max(f, np.zeros(3), np.ones(3), rounds)
+            assert calls == [(7, 3)] * rounds
+
+    def test_rounds_follow_the_resolution(self):
+        assert [zoom_rounds(n) for n in (4001, 8001, 401, 801, 3)] == [21, 21, 23, 22, 26]
+        for n in (3, 401, 4001, 8001):
+            r = zoom_rounds(n)
+            assert 4**r >= 2**52 * 2 / (n - 1) > 4 ** (r - 1)
 
     def test_every_point_lies_in_its_bracket(self):
-        rng = np.random.default_rng(8)
-        n = 30
-        a = rng.uniform(-3.0, 3.0, n)
-        b = a + 10.0 ** rng.uniform(-12.0, 1.0, n)
-        t = rng.uniform(-3.0, 4.0, n)
-        iters = rng.choice([0, 1, 4, 61], n)
+        rng, a, b = self.brackets(8, 30)
+        t = a + (b - a) * rng.uniform(-0.5, 1.5, 30)
+        # Brackets a few floats wide, where the eighths round onto each other.
+        a = np.append(a, [1.0, -1e-300, 0.0])
+        b = np.append(b, [np.nextafter(1.0, 2.0), np.nextafter(-1e-300, 0.0), 5e-324])
+        t = np.append(t, [2.0, 0.0, 1.0])
         seen = []
 
         def f(v):
             seen.append(np.array(v))
             return -np.abs(v - t)
 
-        golden_max(f, a, b, iters)
+        x, _ = zoom_max(f, a, b, 21)
+        lo, hi = a, b
         for v in seen:
-            assert ((a <= v) & (v <= b)).all()
+            assert ((lo <= v) & (v <= hi)).all()
+            # The next bracket: the best point's neighbours, or the ends.
+            k = np.argmax(-np.abs(v - t), axis=0)
+            cuts = np.vstack((lo, v, hi))
+            lo, hi = cuts[k, np.arange(len(a))], cuts[k + 2, np.arange(len(a))]
+        assert ((a <= x) & (x <= b)).all()
+
+    def test_nan_is_never_a_maximum(self):
+        # Row 0 is NaN everywhere; row 1 is NaN left of 0.6 and falls from
+        # there; row 2 is NaN at every other point of a rising line.
+        def row(i):
+            def f(x):
+                if i == 0 or (i == 1 and x < 0.6):
+                    return math.nan
+                if i == 2 and round(x * 8) % 2 == 0:
+                    return math.nan
+                return -x if i == 1 else x
+
+            return f
+
+        def f(v):
+            return np.stack([np.vectorize(row(i))(v[..., i]) for i in range(3)], axis=-1)
+
+        for rounds in (3, 1):
+            x, fx = zoom_max(f, np.zeros(3), np.ones(3), rounds)
+            for i in range(3):
+                assert (x[i], fx[i]) == plain_zoom_max(row(i), 0.0, 1.0, rounds)
+        # After one round: no value, then the best points that are not NaN.
+        assert (x[0], fx[0]) == (0.0, -np.inf)
+        assert (x[1], fx[1]) == (0.625, -0.625)
+        assert (x[2], fx[2]) == (0.875, 0.875)
+
+    def test_finishers_keep_the_scan_point_when_every_point_is_nan(self):
+        games = batching_corpus()[:4]
+        spec = DEFAULT_GRID_1D
+
+        def nan(v):
+            return np.full(np.shape(v), np.nan)
+
+        scan = oracle._best_response_scan(games, spec)
+        responses = oracle._refine(spec, scan._replace(objective=nan))[0]
+        xs = np.linspace(0.0, 1.0, spec.resolution)
+        for g, response in zip(games, responses):
+            values = oracle._adv_value_vec(g, xs, 1.0 - xs)
+            assert response.xa1 == xs[np.argmax(values)]
+        scan = oracle._line_scan(games, None, (Mechanism.CONTEST,), spec)
+        maxima = oracle._refine(spec, scan._replace(objective=nan))[0].maxima[Mechanism.CONTEST]
+        for g, best in zip(games, maxima):
+            vs = np.linspace(*line_ends(g, Mechanism.CONTEST), spec.resolution)
+            assert best == batch.collective_at_transfers(g, 0.0, vs).max()
+
+    def test_ties_go_to_the_first_point(self):
+        # A constant row: the first point of the first round.  A plateau
+        # from 0.3: its first point of the first round that reaches it.
+        def f(v):
+            return np.stack([np.full(v.shape[:-1], 2.0), np.minimum(v[..., 1], 0.3)], axis=-1)
+
+        x, fx = zoom_max(f, np.zeros(2), np.ones(2), 21)
+        assert (x[0], fx[0]) == (0.125, 2.0)
+        assert (x[1], fx[1]) == (0.375, 0.3)
 
 
 def _masked_best(g, mechanism, vs, score):
@@ -515,12 +614,24 @@ class TestFixtures:
         )
         assert done.returncode == 0, done.stderr
 
-    def test_fixture_script_reproduces_committed_file(self):
-        # Rebuilding every record with the fixture script gives the committed
-        # file byte for byte, which pins the oracle bit for bit.
+    @staticmethod
+    def fixture_script():
         spec = importlib.util.spec_from_file_location("make_golden_fixtures", SCRIPT)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_fixture_script_reproduces_committed_file(self):
+        # Rebuilding every record with the fixture script gives the committed
+        # file byte for byte, which pins the oracle bit for bit.
+        script = self.fixture_script()
         fixtures = script.oracle_records(script.GOLDEN_GAMES)
         text = json.dumps(fixtures, indent=2, sort_keys=True) + "\n"
         assert text == (DATA_DIR / "golden_oracle.json").read_text()
+
+    def test_fixture_script_reproduces_committed_verify_csv(self, tmp_path):
+        # The script writes verify's pinned CSV through the CLI, as
+        # ``TestVerify.test_reproduces_committed_csv`` runs it.
+        out = tmp_path / "verify.csv"
+        assert self.fixture_script().write_verify_csv(out) == 0
+        assert out.read_bytes() == (DATA_DIR / "verify_seed7_count100.csv").read_bytes()
