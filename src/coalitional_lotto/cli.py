@@ -45,6 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer in ``[0, 2**64)``, the states of ``SplitMix64``.
+
+    The generator keeps a seed modulo ``2**64``, so a seed outside that
+    range would draw another seed's games under its own header.
+    """
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 2**64)")
+    return seed
+
+
 def _add_game_args(p: argparse.ArgumentParser, required: bool) -> None:
     for name in ("phi1", "phi2", "x1", "x2"):
         p.add_argument(f"--{name}", type=float, required=required)
@@ -91,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="analytic vs grid-oracle calibration (CSV)")
     p.add_argument("--count", type=int, required=True, help="number of sampled games")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="integer in [0, 2**64)")
     p.add_argument("--out", default="-")
 
     return parser

@@ -18,12 +18,13 @@ rule-out tests leave, stacks each such game's breaks into one row, sorts
 it, NaN past the last, and marks the pieces; ``_scores`` classifies and
 solves only the pieces it is given, one flat entry per piece, with each
 case's candidates on that case's pieces alone (``_case_candidates``), and
-scores them in one payoff call.  ``_line_exists``, behind
+scores them in one payoff call, each point tagged with the pieces it
+lies on: off the ridge sliver, on it, or both.  ``_line_exists``, behind
 ``budget_exists`` and ``contest_exists``, scores the pieces off the ridge
 sliver and returns ``exists`` only.  ``line_flags`` returns ``exists`` and
-``near_boundary`` for ``verify``: the thin margin of each game's best score
-off the sliver and, in a second pass over the absent games alone, the
-knife-edge of a benefit found only on the sliver.  The verdicts classify
+``near_boundary`` for ``verify`` from one call over the pieces on and off
+the sliver: the thin margin of each game's best score off the sliver, and
+the knife-edge of a benefit found only on it.  The verdicts classify
 and orient through ``batch.case_of``; game by game each flag equals the
 one-game verdict's (``tests/test_mutual.py`` and
 ``scripts/route_census.py`` check that).  Witnesses and routes stay with
@@ -146,17 +147,27 @@ def _scores(lines: _Lines, mechanism: Mechanism, pieces: np.ndarray):
     solved, one entry per piece, classified where their midpoints move the
     game; every end and candidate inside them is checked by
     ``batch.require_feasible`` and scored in one payoff call.  Returns
-    ``(rows, score)``: each point's row in ``lines`` and its score.
+    ``(rows, score, (off, on))``: each point's row in ``lines``, its score,
+    and whether it lies on a piece off the ridge sliver and on a piece on
+    it; a sliver end between two such pieces is both.
     """
     budget = mechanism is Mechanism.BUDGET
     games, (base1, base2), (one, two), vs = lines.games, lines.baseline, lines.sides, lines.vs
-    # A break is an end of the pieces on both sides of it.
-    end_ok = np.zeros(vs.shape, dtype=bool)
-    end_ok[:, :-1] |= pieces
-    end_ok[:, 1:] |= pieces
-
-    piece_rows = np.nonzero(pieces)[0]
-    va, vb, mid = vs[:, :-1][pieces], vs[:, 1:][pieces], lines.mid[pieces]
+    # The pieces on the sliver and off it.  A break is an end of the pieces
+    # on both sides of it.
+    on = pieces & lines.on_ridge
+    on_end, off_end = np.zeros((2, *vs.shape), dtype=bool)
+    for end, mask in ((on_end, on), (off_end, pieces ^ on)):
+        end[:, :-1] |= mask
+        end[:, 1:] |= mask
+    # Flat indices: break ``j`` of row ``i`` is ``i * width + j``, and piece
+    # ``j``, between breaks ``j`` and ``j + 1``, is ``i * (width - 1) + j``.
+    width = vs.shape[1]
+    end_at = np.flatnonzero(on_end | off_end)
+    piece_at = np.flatnonzero(pieces)
+    piece_rows = piece_at // (width - 1)
+    va_at = piece_at + piece_rows
+    va, vb, mid = vs.take(va_at), vs.take(va_at + 1), lines.mid.take(piece_at)
     phi1, phi2, x1, x2 = (field[piece_rows] for field in games)
     if budget:
         index, swapped = batch.case_of(phi1, phi2, x1 - mid, x2 + mid)
@@ -174,8 +185,8 @@ def _scores(lines: _Lines, mechanism: Mechanism, pieces: np.ndarray):
     sign = np.where(swapped[at], -1.0, 1.0)
     inner = sign * moved_amount(zs, m_w[at], m_s[at])
     inner_ok = (va[at] < inner) & (inner < vb[at])
-    rows = np.concatenate((np.nonzero(end_ok)[0], piece_rows[at[inner_ok]]))
-    v = np.concatenate((vs[end_ok], inner[inner_ok]))
+    rows = np.concatenate((end_at // width, piece_rows[at[inner_ok]]))
+    v = np.concatenate((vs.take(end_at), inner[inner_ok]))
 
     taus, nus = (v, 0.0) if budget else (0.0, v)
     scored = games.take(rows)
@@ -183,8 +194,11 @@ def _scores(lines: _Lines, mechanism: Mechanism, pieces: np.ndarray):
     u1, u2 = batch.payoffs_at_transfers(scored, taus, nus)
     d1 = u1 - base1[rows]
     d2 = u2 - base2[rows]
+    inner_on = on.take(piece_at[at[inner_ok]])
+    off = np.concatenate((off_end.take(end_at), ~inner_on))
+    on = np.concatenate((on_end.take(end_at), inner_on))
     # ``min(d1, d2)`` as the scalar verdict takes it.
-    return rows, np.where(d2 < d1, d2, d1)
+    return rows, np.where(d2 < d1, d2, d1), (off, on)
 
 
 def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
@@ -198,7 +212,7 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
     # Masked lanes (absent roots, lanes past a row's last break) hold NaN or inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lines = _cut_lines(games, mechanism)
-        rows, score = _scores(lines, mechanism, lines.usable & ~lines.on_ridge)
+        rows, score, _ = _scores(lines, mechanism, lines.usable & ~lines.on_ridge)
         gain = min_gain(lines.games)[rows]
     exists[lines.left[rows[score > gain]]] = True
     return exists
@@ -207,29 +221,28 @@ def _line_exists(games: GameArrays, mechanism: Mechanism) -> np.ndarray:
 def line_flags(games: GameArrays, mechanism: Mechanism) -> tuple[np.ndarray, np.ndarray]:
     """The one-game budget or contest verdict's ``(exists, near_boundary)``, per game.
 
-    The pieces off the ridge sliver are scored as in ``_line_exists``, and
-    each game's best score is taken.  Where it beats the gain floor the
-    verdict exists, and ``near_boundary`` is ``search.thin_margin`` of that
-    score.  Otherwise the sliver's usable pieces are scored in a second
-    pass, for those games only: a game that a point there benefits is the
-    flagged ``ridge-knife-edge``, absent and near a boundary.
+    Every usable piece, off the ridge sliver and on it, is scored in one
+    ``_scores`` call.  Each game's best score off the sliver decides: where
+    it beats the gain floor the verdict exists, and ``near_boundary`` is
+    ``search.thin_margin`` of that score.  A game that no point off the
+    sliver benefits but a point on it does is the flagged
+    ``ridge-knife-edge``, absent and near a boundary.
     """
     exists = np.zeros(len(games.phi1), dtype=bool)
     near = np.zeros(len(games.phi1), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lines = _cut_lines(games, mechanism)
-        rows, score = _scores(lines, mechanism, lines.usable & ~lines.on_ridge)
-        # ``fmax`` passes over NaN scores, as the scalar comparisons do.
+        rows, score, (off, on) = _scores(lines, mechanism, lines.usable)
+        # The best score off the sliver; ``fmax`` passes over NaN scores, as
+        # the scalar comparisons do.
         best = np.full(len(lines.left), -np.inf)
-        np.fmax.at(best, rows, score)
+        np.fmax.at(best, rows, np.where(off, score, -np.inf))
         gain = min_gain(lines.games)
         found = best > gain
         flagged = thin_margin(lines.games, best)
-        # The sliver is searched only when no transfer off it benefits both.
-        sliver = lines.usable & lines.on_ridge & ~found[:, None]
-        if sliver.any():
-            rows, score = _scores(lines, mechanism, sliver)
-            flagged[rows[score > gain[rows]]] = True
+        # A benefit on the sliver, in a game with none off it.
+        knife = on & (score > gain[rows])
+        flagged[rows[knife & ~found[rows]]] = True
     exists[lines.left] = found
     near[lines.left] = flagged
     return exists, near

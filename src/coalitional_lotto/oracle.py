@@ -201,11 +201,14 @@ def grid_best_response(
 def _local_maxima(score: np.ndarray, top: int) -> list[int]:
     """The ``top`` highest points that are at least both neighbours, highest first.
 
-    Each end counts as having ``-inf`` outside it; a NaN point is no
-    maximum.  Where no point qualifies, the argmax alone.
+    Each end counts as having ``-inf`` outside it.  A NaN point is no
+    maximum: a scan has at least three points, so each point has a
+    neighbour, and every comparison with NaN is false.  Where no point
+    qualifies, the argmax alone.
     """
-    peak = score >= -np.inf
-    peak[1:] &= score[1:] >= score[:-1]
+    peak = np.empty(len(score), dtype=bool)
+    peak[0] = True
+    np.greater_equal(score[1:], score[:-1], out=peak[1:])
     peak[:-1] &= score[:-1] >= score[1:]
     idx = np.flatnonzero(peak)
     if idx.size == 0:
@@ -220,21 +223,23 @@ def _cut_line(g: GameInstance, mechanism: Mechanism, ramp, baseline, mutual, col
     The scan's grid is ``_grid`` of the line's ends on ``ramp``.  For the
     mutual search (when ``mutual``): the best scan point ``(v, smaller
     delta)``, the brackets around the best few local maxima of the smaller
-    delta, and the scan's ``RidgeScan`` for ``off_ridge_best``.  For the
-    collective maximum (when ``collective``): the best scan value and the
-    bracket around it; a line scanned for that alone is scored by
-    ``batch.collective_at_transfers``.  The scan itself is dropped on
-    return.
+    delta, and the scan's ``RidgeScan`` for ``off_ridge_best``, which starts
+    from that best point.  For the collective maximum (when
+    ``collective``): the best scan value and the bracket around it; a line
+    scanned for that alone is scored by ``batch.collective_at_transfers``.
+    The scan itself is dropped on return.
     """
     vs = _grid(*line_ends(g, mechanism), ramp)
     taus, nus = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
     mutual_cut = collective_cut = None
     if mutual:
         u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
-        score = np.minimum(u1 - baseline[0], u2 - baseline[1])
+        score = u1 - baseline[0]
+        np.minimum(score, u2 - baseline[1], out=score)
         k = int(np.argmax(score))
         peaks = [_bracket(vs, p) for p in _local_maxima(score, top=5)]
-        mutual_cut = (float(vs[k]), float(score[k])), peaks, RidgeScan.of(g, mechanism, vs, score)
+        ridge_scan = RidgeScan.of(g, mechanism, vs, score, first=k)
+        mutual_cut = (float(vs[k]), float(score[k])), peaks, ridge_scan
     if collective:
         total = u1 + u2 if mutual else batch.collective_at_transfers(g, taus, nus)
         k = int(np.argmax(total))

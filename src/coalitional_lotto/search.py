@@ -220,24 +220,33 @@ def zoom_max(f, a, b, rounds: int):
     is the first maximum of all rounds: NaN is never a maximum, and the
     running best changes only on a strictly greater value, so a row with
     no value above ``-inf`` returns ``(a, -inf)``.  Rows do not mix, so each
-    is its own one-row search bit for bit.
+    is its own one-row search bit for bit.  The rounds share one ``(9, n)``
+    buffer of cuts, ends included, and each row's best value and next
+    bracket are gathered from it by flat index; ``f`` must not keep the
+    array it is given.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
+    n = a.size
     arg = a
     best = np.full_like(a, -np.inf)
-    rows = np.arange(a.size)
+    rows = np.arange(n)
+    # Row ``i``'s cut ``j`` sits at flat index ``j * n + i`` of the buffer.
+    cuts = np.empty((9, n))
+    flat = cuts.reshape(-1)
     for _ in range(rounds):
-        cuts = np.empty((9, a.size))
         cuts[0], cuts[8] = a, b
-        cuts[1:8] = a + (b - a) * _EIGHTHS
+        np.multiply(b - a, _EIGHTHS, out=cuts[1:8])
+        cuts[1:8] += a
         values = f(cuts[1:8])
-        k = np.argmax(np.where(values > -np.inf, values, -np.inf), axis=0)
-        top = values[k, rows]
+        # ``fmax`` turns NaN into ``-inf``, so NaN is never the first maximum.
+        k = np.argmax(np.fmax(values, -np.inf), axis=0)
+        at = k * n + rows
+        top = values.reshape(-1)[at]
         better = top > best
         best = np.where(better, top, best)
-        arg = np.where(better, cuts[k + 1, rows], arg)
-        a, b = cuts[k, rows], cuts[k + 2, rows]
+        arg = np.where(better, flat[at + n], arg)
+        a, b = flat[at], flat[at + 2 * n]
     return arg, best
 
 
@@ -298,17 +307,27 @@ class RidgeScan(NamedTuple):
     step: float
 
     @classmethod
-    def of(cls, g: GameInstance, mechanism: Mechanism, vs, score) -> "RidgeScan":
+    def of(cls, g: GameInstance, mechanism: Mechanism, vs, score, first=None) -> "RidgeScan":
         """The scan's ``RidgeScan``; ``vs`` ascends, and ``score`` is the delta there.
 
-        The points outside the open sliver are a run on each side of it
-        (the whole scan when the sliver holds no float).  Each run's best
-        point is its first maximum; a NaN score is no benefit.  The left
-        run keeps a tie, so ``best`` is the first beneficial maximum in
-        scan order.
+        ``best`` is the first beneficial maximum in scan order among the
+        points outside the open sliver; a NaN score is no benefit.
+        ``first``, when given, is ``np.argmax(score)``, the scan's first
+        maximum.  Where that is not NaN, the scan holds no NaN, and where it
+        lies outside the sliver it is the first maximum there too: ``best``
+        is that point if it is beneficial, and no point is otherwise.  Else
+        the points outside the sliver are a run on each side of it (the
+        whole scan when the sliver holds no float), and each run's best
+        point is its first maximum.  The left run keeps a tie.
         """
         lo, hi = sliver(g, mechanism)
         gain = min_gain(g)
+        ends = float(vs[0]), float(vs[-1]), float(vs[1] - vs[0])
+        if first is not None:
+            v, value = float(vs[first]), float(score[first])
+            # Nothing lies inside NaN or crossed ends.
+            if not math.isnan(value) and not lo < v < hi:
+                return cls((v, value) if value > gain else None, *ends)
         n = len(vs)
         # False on NaN or crossed ends, where no transfer is inside.
         if lo < hi:
@@ -332,7 +351,7 @@ class RidgeScan(NamedTuple):
             value = float(run[k])
             if value > gain and (best is None or value > best[1]):
                 best = (float(vs[a + k]), value)
-        return cls(best, float(vs[0]), float(vs[-1]), float(vs[1] - vs[0]))
+        return cls(best, *ends)
 
 
 def off_ridge_best(

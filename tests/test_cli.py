@@ -439,6 +439,26 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--count", "0")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_generator_states_is_usage_error(self, capsys, tmp_path, seed):
+        # SplitMix64 keeps a seed modulo 2**64: -1 would draw the games of
+        # 2**64 - 1 under another header.
+        out_file = tmp_path / "verify.csv"
+        code, _, err = run_cli(
+            capsys, "verify", "--count", "2", "--seed", seed, "--out", str(out_file)
+        )
+        assert code == 1 and "usage:" in err and "--seed" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_generator_ends_is_accepted(self, capsys, tmp_path, seed):
+        out_file = tmp_path / "verify.csv"
+        code, _, _ = run_cli(
+            capsys, "verify", "--count", "2", "--seed", str(seed), "--out", str(out_file)
+        )
+        assert code == 0
+        assert out_file.read_text().startswith(f"# count=2 seed={seed} ")
+
     def test_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "verify", "--count", "2", "--seed", "9", "--out", str(f1))

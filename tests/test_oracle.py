@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coalitional_lotto import batch, oracle, search, sweep
+from coalitional_lotto import batch, mutual_arrays, oracle, search, sweep
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
@@ -186,6 +186,10 @@ class TestGridMutualSearch:
             np.array([3.0, 1.0, 2.0, 2.0, 0.5, 4.0]),  # both ends and an inner plateau
             np.array([0.0, 1.0, 2.0, 3.0]),  # rising to the last point
             np.array([-1.0, np.nan, -1.0, -2.0, np.nan]),  # NaN points and neighbours
+            np.array([np.nan, 1.0, 2.0, 1.0]),  # NaN at the first point
+            np.array([1.0, 2.0, 1.0, np.nan]),  # NaN at the last point
+            np.array([np.nan, 3.0, np.nan, 2.0, 2.0, np.nan]),  # NaN at both ends and inside
+            np.array([np.nan, 1.0, np.nan]),
             np.array([np.nan, np.nan, np.nan]),  # no maximum: the argmax
             np.array([np.nan]),
             np.array([5.0]),
@@ -279,6 +283,20 @@ class TestSequenceForms:
         run_verify(25, 7)
         assert len(calls) == zoom_rounds(DEFAULT_GRID_1D.resolution) == 21
         assert {shape[0] for shape in calls} == {7}
+
+    def test_verify_command_scores_its_analytic_flags_once(self, monkeypatch):
+        # ``line_flags`` scores the pieces on and off the ridge sliver in one
+        # call, for every game of the command.
+        calls = []
+
+        def counted(lines, *args):
+            calls.append(len(lines.left))
+            return scores(lines, *args)
+
+        scores = mutual_arrays._scores
+        monkeypatch.setattr(mutual_arrays, "_scores", counted)
+        run_verify(25, 7)
+        assert len(calls) == 1 and calls[0] > 0
 
     def test_off_ridge_game_takes_the_side_search(self):
         # The witness lies beyond the sliver, nearer the ridge than one scan
@@ -477,8 +495,17 @@ class TestScanGrid:
         assert oracle._grid(lo, hi, ramp).tobytes() == np.linspace(lo, hi, 4001).tobytes()
 
 
+def _ridge_best(g, mechanism, vs, score):
+    """``RidgeScan.of(...).best``, the same with and without the scan's first maximum."""
+    runs = RidgeScan.of(g, mechanism, vs, score)
+    first = RidgeScan.of(g, mechanism, vs, score, first=int(np.argmax(score)))
+    assert first == runs, (first, runs)
+    return runs.best
+
+
 class TestRidgeScan:
-    """``RidgeScan.of`` finds the best point off the sliver as boolean masks do."""
+    """``RidgeScan.of`` finds the best point off the sliver as boolean masks do,
+    whether it takes the scan's first maximum or searches run by run."""
 
     @staticmethod
     def around_sliver(g, mechanism):
@@ -499,6 +526,9 @@ class TestRidgeScan:
         yield np.full(len(vs), 2.0 * gain)
         yield np.full(len(vs), np.nan)
         yield np.where(rng.random(len(vs)) < 0.5, np.nan, 2.0 * gain)
+        # Ties across the sliver, the first inside it, and the first outside it.
+        yield np.where(inside | (vs > hi), 2.0 * gain, gain)
+        yield np.where(inside | (vs < lo), 2.0 * gain, -gain)
 
     @pytest.mark.parametrize("mechanism", [Mechanism.BUDGET, Mechanism.CONTEST])
     def test_matches_masks(self, mechanism):
@@ -509,7 +539,7 @@ class TestRidgeScan:
             if not lo < hi:
                 continue
             for score in self.scores(vs, g, mechanism):
-                assert RidgeScan.of(g, mechanism, vs, score).best == _masked_best(
+                assert _ridge_best(g, mechanism, vs, score) == _masked_best(
                     g, mechanism, vs, score
                 )
                 checked += 1
@@ -521,7 +551,11 @@ class TestRidgeScan:
         g = OFF_RIDGE_GAME
         vs = np.linspace(-1.0, 1.0, 11)
         score = np.arange(11.0)
-        assert RidgeScan.of(g, Mechanism.BUDGET, vs, score).best == (1.0, 10.0)
+        assert _ridge_best(g, Mechanism.BUDGET, vs, score) == (1.0, 10.0)
+        score[[2, 9]] = np.nan
+        assert _ridge_best(g, Mechanism.BUDGET, vs, score) == (1.0, 10.0)
+        assert _ridge_best(g, Mechanism.BUDGET, vs, np.full(11, np.nan)) is None
+        assert _ridge_best(g, Mechanism.BUDGET, vs, -score) is None
 
     def test_line_scan_matches_masks(self):
         for g in batching_corpus():
@@ -532,7 +566,7 @@ class TestRidgeScan:
                 u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
                 score = np.minimum(u1 - base1, u2 - base2)
                 want = _masked_best(g, mechanism, vs, score)
-                assert RidgeScan.of(g, mechanism, vs, score).best == want
+                assert _ridge_best(g, mechanism, vs, score) == want
 
 
 class TestBracketFeasibility:
