@@ -24,7 +24,6 @@ holds it, so it runs from a source checkout without installing.
 
 import argparse
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -34,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from coalitional_lotto import cli  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.core import GameInstance  # noqa: E402
+from coalitional_lotto.families import log_uniform  # noqa: E402
 from coalitional_lotto.mutual import Mechanism, classify_region  # noqa: E402
 from coalitional_lotto.oracle import (  # noqa: E402
     DEFAULT_GRID_1D,
@@ -96,10 +96,6 @@ REGION_BUDGETS = {
 }
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def analyze_games(per_region: int = 20, seed: int = 14) -> list[GameInstance]:
     """Seeded games, ``per_region`` in each region; valuations over 1e-2..1e2.
 
@@ -112,12 +108,12 @@ def analyze_games(per_region: int = 20, seed: int = 14) -> list[GameInstance]:
     for region, ranges in REGION_BUDGETS.items():
         count = 0
         while count < per_region:
-            x1, x2 = (_log_uniform(rng, *r) for r in ranges)
-            phi1, phi2 = _log_uniform(rng, 1e-2, 1e2), _log_uniform(rng, 1e-2, 1e2)
+            x1, x2 = (log_uniform(rng, *r) for r in ranges)
+            phi1, phi2 = log_uniform(rng, 1e-2, 1e2), log_uniform(rng, 1e-2, 1e2)
             if count < 2:
                 phi2 = phi1 * x2 / x1
             elif count < 5:
-                gap = _log_uniform(rng, 1e-10, 1e-4)
+                gap = log_uniform(rng, 1e-10, 1e-4)
                 phi2 = phi1 * x2 / x1 * (1.0 + rng.choice((-gap, gap)))
             g = GameInstance(phi1, phi2, x1, x2)
             if classify_region(g).value == region:

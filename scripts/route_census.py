@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Seeded census of the mutual-benefit verdicts, block by block.
 
-Draws games in turn from six families and runs ``analyze_game`` on each:
+Draws games in turn from six families of ``coalitional_lotto.families``,
+one ``random.Random`` for all, and runs ``analyze_game`` on each:
 
 * ``box``     -- uniform over [0.05, 3]^4, the ``verify`` sampling box;
 * ``log``     -- valuations log-uniform over 1e-3..1e3, budgets over 1e-3..1e2;
@@ -47,7 +48,6 @@ holds it, so it runs from a source checkout without installing.
 
 import hashlib
 import json
-import math
 import random
 import sys
 from collections import Counter
@@ -57,50 +57,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from coalitional_lotto import batch, collective, mutual, mutual_arrays, paper_routes  # noqa: E402
+from coalitional_lotto import batch, collective, families, mutual  # noqa: E402
+from coalitional_lotto import mutual_arrays, paper_routes  # noqa: E402
 from coalitional_lotto.adversary import CaseLabel  # noqa: E402
 from coalitional_lotto.analysis import analyze_game  # noqa: E402
 from coalitional_lotto.cli import EXIT_DISAGREEMENT, EXIT_OK, _Parser  # noqa: E402
 from coalitional_lotto.core import GameInstance, Mechanism, Transfer  # noqa: E402
 from coalitional_lotto.search import RIDGE_RTOL, line_ends, min_gain, ridge_gap  # noqa: E402
 
-
-def _log(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def _box(rng):
-    return [rng.uniform(0.05, 3.0) for _ in range(4)]
-
-
-def _wide(lo_phi, hi_phi, lo_x, hi_x):
-    def draw(rng):
-        phi = [_log(rng, lo_phi, hi_phi) for _ in range(2)]
-        return phi + [_log(rng, lo_x, hi_x) for _ in range(2)]
-
-    return draw
-
-
-def _r5(rng):
-    x1 = _log(rng, 1e-4, 1.0)
-    x2 = (1.0 - x1) * rng.uniform(1e-4, 1.0)
-    return [_log(rng, 1e-3, 1e3), _log(rng, 1e-3, 1e3), x1, x2]
-
-
-def _ridge(rng):
-    phi1, _, x1, x2 = _box(rng)
-    gap = _log(rng, 1e-9, 1e-3) * rng.choice((-1.0, 1.0))
-    return [phi1, phi1 * x2 / x1 * (1.0 + gap), x1, x2]
-
-
-FAMILIES = {
-    "box": _box,
-    "log": _wide(1e-3, 1e3, 1e-3, 1e2),
-    "r5": _r5,
-    "ridge": _ridge,
-    "wide": _wide(1e-6, 1e6, 1e-4, 1e4),
-    "extreme": _wide(1e-12, 1e12, 1e-9, 1e9),
-}
+# The catalogue's families, in the order the census draws them.
+FAMILIES = ("box", "log", "r5", "ridge", "wide", "extreme")
 
 
 class RouteCounts:
@@ -216,10 +182,9 @@ def main(argv=None) -> int:
         parser.error("--count and --block must be >= 1")
 
     rng = random.Random(args.seed)
-    names = list(FAMILIES)
     counts = RouteCounts()
     counts.install()
-    print(f"# seed={args.seed} count={args.count} block={args.block} families={','.join(names)}")
+    print(f"# seed={args.seed} count={args.count} block={args.block} families={','.join(FAMILIES)}")
     print("block first verdicts_sha256 analyze_sha256")
     mismatches = Counter()
     disagreements = Counter()
@@ -233,8 +198,8 @@ def main(argv=None) -> int:
         verdicts, reports = hashlib.sha256(), hashlib.sha256()
         games, scalar = [], []
         for i in range(first, min(first + args.block, args.count)):
-            family = names[i % len(names)]
-            g = GameInstance(*FAMILIES[family](rng))
+            family = FAMILIES[i % len(FAMILIES)]
+            g = getattr(families, family)(rng)
             games.append(g)
             report = analyze_game(g)
             baseline = (report.u1, report.u2)
@@ -273,15 +238,15 @@ def main(argv=None) -> int:
         print(line)
     for line in listed:
         print(line)
-    per_family = " ".join(f"{name} {disagreements[name]}" for name in names)
+    per_family = " ".join(f"{name} {disagreements[name]}" for name in FAMILIES)
     print(
         f"route/exact contest disagreements over {args.count} games: {per_family}; "
         f"unsettled {unsettled}"
     )
-    for name in names:
+    for name in FAMILIES:
         decided = f"{capped[name]} of {drawn[name]}"
         print(f"budget verdicts decided by the capped rule, {name}: {decided}")
-    for name in names:
+    for name in FAMILIES:
         room = f"{dropped[name]} of {pieces[name]}"
         print(f"contest pieces dropped by the valuation room, {name}: {room}")
     counts = " ".join(f"{name} {mismatches[name]}" for name in ARRAY_VALUES)

@@ -44,7 +44,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .adversary import CASE_RTOL, exact_ratios
-from .core import GameInstance, Transfer, post_transfer_params, root_product, transfer_feasible
+from .core import (
+    GameInstance, Transfer, case2_share, post_transfer_params, root_product, transfer_feasible
+)
 
 __all__ = [
     "GameArrays",
@@ -158,9 +160,7 @@ def _case_rule(phi1, phi2, x1, x2):
     ps = np.where(swapped, phi1, phi2)
     bw = np.where(swapped, x2, x1)
     bs = np.where(swapped, x1, x2)
-    # x1 * x2 is bw * bs in either orientation: a product does not depend on
-    # the order of its factors.
-    s = np.sqrt(x1 * x2 * pw / ps)
+    s = case2_share(bw, bs, pw, ps)
     case1 = s >= 1.0 - CASE_RTOL  # as in ``adversary.case_of``
     case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
     return equal, swapped, case1, case2, pw, ps, bw, bs, s

@@ -19,10 +19,9 @@ import sys
 
 from .analysis import analyze_game, format_float, to_json
 from .core import GameInstance, GameValidationError
+from .families import BOX
 from .mutual import Mechanism
 from .sweep import (
-    SAMPLE_HI,
-    SAMPLE_LO,
     Predicate,
     SweepSpec,
     run_curve,
@@ -198,7 +197,7 @@ def _cmd_verify(args) -> int:
         args.out,
         write_csv,
         [
-            f"count={args.count} seed={args.seed} box=[{SAMPLE_LO},{SAMPLE_HI}]^4",
+            f"count={args.count} seed={args.seed} box=[{BOX[0]},{BOX[1]}]^4",
             "analytic vs grid-oracle: contest existence, best response, collective maxima",
         ],
         header,

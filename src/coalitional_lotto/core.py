@@ -34,6 +34,7 @@ __all__ = [
     "post_transfer",
     "swap_indices",
     "root_product",
+    "case2_share",
     "ops_for",
 ]
 
@@ -250,6 +251,33 @@ def root_product(a, b):
             return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
         return np.sqrt(ab)
     return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)
+
+
+def case2_share(x_w, x_s, phi_w, phi_s):
+    """The adversary's case-2 share of the weak front, ``sqrt(x_w * x_s * phi_w / phi_s)``.
+
+    Where the product ``x_w * x_s * phi_w`` is at least the smallest normal
+    float the share is that expression bit for bit.  Below it, where the
+    product has lost precision or underflowed to 0 though the share need
+    not, the share is taken from the ``frexp`` mantissas and exponents of
+    the four factors, as ``adversary.exact_ratios`` takes ratios.  Floats
+    or arrays.
+    """
+    p = x_w * x_s * phi_w
+    if not isinstance(p, np.ndarray):
+        return math.sqrt(p / phi_s) if p >= _TINY else _share_of_mantissas(x_w, x_s, phi_w, phi_s)
+    under, share = p < _TINY, np.sqrt(p / phi_s)
+    return np.where(under, _share_of_mantissas(x_w, x_s, phi_w, phi_s), share) if under.any() else share
+
+
+def _share_of_mantissas(x_w, x_s, phi_w, phi_s):
+    """``case2_share`` from ``frexp`` parts: the mantissas' quotient lies in
+    ``[1/8, 2)``, and the root of the power of two halves its even exponent."""
+    sqrt, _, frexp, ldexp, _ = ops_for(x_w)
+    (a, i), (b, j), (c, k), (d, m) = frexp(x_w), frexp(x_s), frexp(phi_w), frexp(phi_s)
+    e = i + j + k - m
+    odd = e & 1
+    return ldexp(sqrt(ldexp(a * b * c / d, odd)), (e - odd) // 2)
 
 
 def _pick(cond, a, b):

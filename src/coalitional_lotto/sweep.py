@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from . import batch, mutual_arrays
+from . import batch, families, mutual_arrays
 from .adversary import CaseLabel, adversary_value, respond
 from .analysis import format_float
 from .batch import GameArrays
@@ -50,13 +50,7 @@ __all__ = [
     "run_verify",
     "write_csv",
     "write_plane",
-    "SAMPLE_LO",
-    "SAMPLE_HI",
 ]
-
-# Verification samples games uniformly from this box.
-SAMPLE_LO = 0.05
-SAMPLE_HI = 3.0
 
 PARAM_NAMES = ("phi1", "phi2", "x1", "x2")
 
@@ -201,12 +195,9 @@ VERIFY_COLLECTIVE_RTOL = 1e-6
 
 
 def sample_games(count: int, seed: int) -> list[GameInstance]:
+    """``count`` games of the box family (``families.box``) from ``SplitMix64(seed)``."""
     rng = SplitMix64(seed)
-    games = []
-    for _ in range(count):
-        params = [rng.uniform(SAMPLE_LO, SAMPLE_HI) for _ in range(4)]
-        games.append(GameInstance(*params))
-    return games
+    return [families.box(rng) for _ in range(count)]
 
 
 def run_verify(count: int, seed: int):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from coalitional_lotto import families
 from coalitional_lotto.core import GameInstance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -38,11 +39,10 @@ def analyze_golden() -> list[dict]:
 
 @pytest.fixture(scope="session")
 def float_range_games() -> list[GameInstance]:
-    """4,000 games with every parameter ``10 ** uniform(-323, 308)``, from ``default_rng(11)``.
+    """4,000 games of the float-range family, from ``default_rng(11)``.
 
     The whole float range: 53 of them have both ratios ``x_i / phi_i``
     underflowing to 0.
     """
-    params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 308.0, (4000, 4))
-    return [GameInstance(*row) for row in params.tolist()]
+    return families.games(families.float_range(np.random.default_rng(11), 4000))
 

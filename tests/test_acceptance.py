@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coalitional_lotto import families
 from coalitional_lotto.adversary import adversary_value, best_response, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.collective import max_collective_payoff
@@ -176,7 +177,7 @@ def test_criterion_7_conservation_and_swap_symmetry():
         worst_cons = max(worst_cons, abs(pair.u_player + pair.u_adversary - phi) / phi)
     worst_swap = 0.0
     for _ in range(10_000):
-        g = GameInstance(*(rng.uniform(0.05, 3.0) for _ in range(4)))
+        g = families.box(rng)
         t = Transfer(
             rng.uniform(-0.9 * g.x2, 0.9 * g.x1), rng.uniform(-0.9 * g.phi2, 0.9 * g.phi1)
         )

@@ -248,9 +248,10 @@ class TestBestResponse:
         assert best_response(ridge).xa2 == 2e-20
         assert player_payoffs(ridge) == (0.25, 5e-21)
         # Over the float range a case-3 share is 0 only where its own closed
-        # form underflows.  The payoff sums exceed the collective maximum on
-        # 3 games (116 with the rest taken as the strong share), all in case
-        # 2, whose weak share ``sqrt(x_w * x_s * phi_w / phi_s)`` underflows.
+        # form underflows, and no payoff sum exceeds the collective maximum
+        # (116 did with the rest taken as the strong share, and 3 in case 2
+        # before ``core.case2_share`` kept the share of an underflowing
+        # product).
         lost, over = [], []
         for h in float_range_games:
             index, _ = case_of(h.phi1, h.phi2, h.x1, h.x2)
@@ -262,7 +263,42 @@ class TestBestResponse:
             if sum(player_payoffs(h)) - top > 1e-9 * top:
                 over.append(index)
         assert lost == []
-        assert over == [2, 2, 2]
+        assert over == []
+
+    def test_case2_share_of_an_underflowing_product(self, float_range_games):
+        # Left to right, ``x1 * x2 * phi1`` underflows to 0 here, which left
+        # player 1 unopposed; the true share ``sqrt(x1 * x2 * phi1 / phi2)``
+        # is 7.93347341194586e-111.
+        g = GameInstance(
+            2.412798439968407e-177, 1.0671465055341108e-270, 6.33302974e-316, 43.95600526890296
+        )
+        assert str(classify_case(g)) == "C2_1le2"
+        assert best_response(g).xa1 == pytest.approx(7.93347341194586e-111, rel=1e-12, abs=0.0)
+        # Off the ridge, 776 of these games have a product below the
+        # smallest normal float (59 case-1 games among them were labelled
+        # case 3).  Both engines give each the label of its exact share, and
+        # a case-2 share lies within 1e-12 of it; the engines' payoffs agree
+        # over the float range (``test_batch``).
+        rtol, tol = Fraction(CASE_RTOL), Fraction(1e-12)
+        under, labels = [], []
+        for h in float_range_games:
+            r1, r2 = exact_ratios(h.phi1, h.phi2, h.x1, h.x2)
+            swapped = r1 > r2
+            pw, ps, bw, bs = (h.phi2, h.phi1, h.x2, h.x1) if swapped else (h.phi1, h.phi2, h.x1, h.x2)
+            if _tie(r1, r2, CASE_RTOL) or bw * bs * pw >= sys.float_info.min:
+                continue
+            # The square of the exact share, and the case that it gives.
+            s2 = Fraction(bw) * Fraction(bs) * Fraction(pw) / Fraction(ps)
+            edge = 1 - Fraction(bs) * (1 + rtol)
+            index = 1 if s2 >= (1 - rtol) ** 2 else 2 if edge <= 0 or s2 >= edge**2 else 3
+            under.append(h)
+            labels.append((index, swapped))
+            if index == 2:
+                xa = best_response(h)
+                share = Fraction(xa.xa2 if swapped else xa.xa1)
+                assert (1 - tol) ** 2 * s2 <= share**2 <= (1 + tol) ** 2 * s2, h
+        assert len(under) == 776
+        assert _scalar_cases(under) == labels == _vector_cases(under)
 
     @games()
     @settings(max_examples=300)

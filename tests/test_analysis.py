@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from coalitional_lotto import adversary, analysis, mutual_arrays
+from coalitional_lotto import adversary, analysis, families, mutual_arrays
 from coalitional_lotto.adversary import best_response, classify_case, player_payoffs
 from coalitional_lotto.analysis import analyze_game, format_float, to_json
 from coalitional_lotto.batch import GameArrays
@@ -41,16 +41,14 @@ class TestAnalyzeGame:
         data = json.loads(to_json(analyze_game(g).as_dict()))
         assert data["collective"]["optimal_budget"] == {"tau": 0, "nu": 0}
         assert data["collective"]["optimal_contest"] == {"tau": 0, "nu": 0}
-        params = 10.0 ** np.random.default_rng(3).uniform(-300.0, 308.0, (300, 4))
-        for row in params.tolist():
-            json.loads(to_json(analyze_game(GameInstance(*row)).as_dict()))
+        for g in families.games(families.decades(np.random.default_rng(3), -300.0, 308.0, 300)):
+            json.loads(to_json(analyze_game(g).as_dict()))
 
     def test_games_at_the_bottom_of_the_float_range(self):
         # The budgets' product underflows to 0 here, and the contest line's
         # ``k = sqrt(x1 * x2)`` is taken from the roots of the budgets.
         analyze_game(GameInstance(1.0, 1.0, 5e-324, 0.3))
-        params = 10.0 ** np.random.default_rng(11).uniform(-323.0, 3.0, (4000, 4))
-        games = [GameInstance(*row) for row in params.tolist()]
+        games = families.games(families.decades(np.random.default_rng(11), -323.0, 3.0, 4000))
         reports = [analyze_game(g) for g in games]
         arrays = GameArrays.of(games)
         for exists, verdicts in (
@@ -91,9 +89,8 @@ class TestSharedBaseline:
             self.assert_same(g)
 
     def test_games_over_the_whole_float_range(self):
-        params = 10.0 ** np.random.default_rng(23).uniform(-323.0, 308.0, (1000, 4))
-        for row in params.tolist():
-            self.assert_same(GameInstance(*row))
+        for g in families.games(families.float_range(np.random.default_rng(23), 1000)):
+            self.assert_same(g)
 
     def test_one_case_of_call_outside_the_verdicts(self, monkeypatch, analyze_golden):
         # Every ``case_of`` call outside the three verdicts (the line

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coalitional_lotto import batch
+from coalitional_lotto import batch, families
 from coalitional_lotto.adversary import (
     CASE_RTOL,
     best_response,
@@ -114,11 +114,11 @@ def test_case_of_matches_scalar_at_every_edge():
 
 def test_case_of_matches_scalar_on_log_uniform_games():
     rng = np.random.default_rng(31)
-    params = 10.0 ** rng.uniform(-6.0, 6.0, size=(4000, 4))
+    params = families.decades(rng, -6.0, 6.0, 4000)
     # Every fifth game on the ridge, every seventh with x1 + x2 < 1.
     params[::5, 1] = params[::5, 0] * params[::5, 3] / params[::5, 2]
     params[::7, 2:] = rng.uniform(0.01, 0.49, size=(len(params[::7]), 2))
-    games = [GameInstance(*row) for row in params]
+    games = families.games(params)
     games += [swap_indices(g) for g in games]
     labels = _scalar_cases(games)
     assert _vector_cases(games) == labels
@@ -235,10 +235,10 @@ def _wide_games(count: int, seed: int) -> list[GameInstance]:
     total budget below 1, so both ridge cases come up.
     """
     rng = np.random.default_rng(seed)
-    params = 10.0 ** rng.uniform(-12.0, 12.0, size=(count, 4))
+    params = families.decades(rng, -12.0, 12.0, count)
     params[::7, 2:] = rng.uniform(0.01, 0.49, size=(len(params[::7]), 2))
     params[::5, 1] = params[::5, 0] * params[::5, 3] / params[::5, 2]
-    return [GameInstance(*row) for row in params]
+    return families.games(params)
 
 
 def _transfers(games, seed: int):

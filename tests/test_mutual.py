@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto import batch, mutual, mutual_arrays, paper_routes
+from coalitional_lotto import batch, families, mutual, mutual_arrays, paper_routes
 from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs, respond
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
@@ -73,37 +73,39 @@ from coalitional_lotto.search import (
 )
 from coalitional_lotto.sweep import sample_games
 
+def _exp10(lo: float, hi: float):
+    """Values log-uniform over ``lo..hi``: 10 to a uniform exponent."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
 # Values over four decades, uniform in the exponent.
 decades = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
-# Valuations over eight decades and budgets over six.
-wide_valuations = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
-wide_budgets = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
-# The whole domain the census covers: valuations over 24 decades, budgets
-# over 18.
-domain_valuations = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
-domain_budgets = st.floats(-9.0, 9.0).map(lambda e: 10.0**e)
+# Valuations over eight decades and budgets over six, as drawn by
+# ``log_uniform_games``.
+LOG_UNIFORM = ((1e-4, 1e4), (1e-3, 1e3))
+wide_valuations, wide_budgets = (_exp10(*r) for r in LOG_UNIFORM)
+# The whole domain the census covers, the extreme family's: valuations over
+# 24 decades, budgets over 18.
+domain_valuations, domain_budgets = (_exp10(*r) for r in families.EXTREME)
 
 
 def _family(valuations, budgets):
     return st.builds(GameInstance, valuations, valuations, budgets, budgets)
 
 
-def _exp10(lo: float, hi: float):
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
+def _census_families(at_least: float):
+    """The census's box, log and wide families, both budgets at least ``at_least``."""
+    lo, hi = families.BOX
+    found = [_family(st.floats(lo, hi), st.floats(max(lo, at_least), hi))]
+    for valuations, (lo, hi) in (families.LOG, families.WIDE):
+        found.append(_family(_exp10(*valuations), _exp10(max(lo, at_least), hi)))
+    return st.one_of(*found)
 
 
 # The census's box, log and wide families, and the same with both budgets at
 # least 1 (region R1).
-census_families = st.one_of(
-    _family(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
-    _family(_exp10(-3.0, 3.0), _exp10(-3.0, 2.0)),
-    _family(_exp10(-6.0, 6.0), _exp10(-4.0, 4.0)),
-)
-r1_families = st.one_of(
-    _family(st.floats(0.05, 3.0), st.floats(1.0, 3.0)),
-    _family(_exp10(-3.0, 3.0), _exp10(0.0, 2.0)),
-    _family(_exp10(-6.0, 6.0), _exp10(0.0, 4.0)),
-)
+census_families = _census_families(0.0)
+r1_families = _census_families(1.0)
 
 
 def _mirror(route: str) -> str:
@@ -122,58 +124,29 @@ def _assert_exact_contest_mirrors(g: GameInstance):
 
 
 def stratified_games(per_region: int, seed: int) -> list[GameInstance]:
-    """Games with budgets in each region R1..R5; every fourth on the ridge."""
+    """Stratified games in each region R1..R5; every fourth on the ridge."""
     rng = SplitMix64(seed)
-    ranges = {
-        "R1": ((1.0, 4.0), (1.0, 4.0)),
-        "R2": ((1.0, 4.0), (0.02, 1.0)),
-        "R3": ((0.02, 1.0), (1.0, 4.0)),
-        "R4": ((0.02, 1.0), (0.02, 1.0)),
-        "R5": ((0.02, 1.0), (0.02, 1.0)),
-    }
-    games = []
-    for region, (r1, r2) in ranges.items():
-        count = 0
-        while count < per_region:
-            x1, x2 = rng.uniform(*r1), rng.uniform(*r2)
-            phi1 = 10.0 ** rng.uniform(-1.0, 1.0)
-            phi2 = 10.0 ** rng.uniform(-1.0, 1.0)
-            if count % 4 == 3:
-                phi2 = phi1 * x2 / x1
-            g = GameInstance(phi1, phi2, x1, x2)
-            if classify_region(g).value == region:
-                games.append(g)
-                count += 1
-    return games
-
-
-def _log_uniform(rng: SplitMix64, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    return [
+        families.stratified(rng, region, i % 4 == 3)
+        for region in REGIONS
+        for i in range(per_region)
+    ]
 
 
 def log_uniform_games(count: int, seed: int) -> list[GameInstance]:
-    """Valuations over 1e-4..1e4, budgets over 1e-3..1e3; every tenth on the ridge."""
+    """``LOG_UNIFORM`` games; every tenth moved onto the ridge."""
     rng = SplitMix64(seed)
-    games = []
-    for i in range(count):
-        phi1, phi2 = _log_uniform(rng, 1e-4, 1e4), _log_uniform(rng, 1e-4, 1e4)
-        x1, x2 = _log_uniform(rng, 1e-3, 1e3), _log_uniform(rng, 1e-3, 1e3)
-        if i % 10 == 9:
-            phi2 = phi1 * x2 / x1
-        games.append(GameInstance(phi1, phi2, x1, x2))
-    return games
+    games = [families.log_box(rng, LOG_UNIFORM) for _ in range(count)]
+    return [
+        dataclasses.replace(g, phi2=g.phi1 * g.x2 / g.x1) if i % 10 == 9 else g
+        for i, g in enumerate(games)
+    ]
 
 
 def near_ridge_games(count: int, seed: int) -> list[GameInstance]:
-    """Games whose ratio gap is log-uniform over 1e-11..1e-3, on either side."""
+    """Near-ridge games: the ratio gap log-uniform over 1e-11..1e-3."""
     rng = SplitMix64(seed)
-    games = []
-    for _ in range(count):
-        phi1, x1, x2 = (_log_uniform(rng, 1e-2, 1e2) for _ in range(3))
-        gap = _log_uniform(rng, 1e-11, 1e-3)
-        r2 = x1 / phi1 * (1.0 / (1.0 - gap) if rng.uniform(0.0, 1.0) < 0.5 else 1.0 - gap)
-        games.append(GameInstance(phi1, x2 / r2, x1, x2))
-    return games
+    return [families.near_ridge(rng) for _ in range(count)]
 
 
 class TestRegion:
@@ -217,15 +190,7 @@ class TestArrayVerdicts:
     @staticmethod
     def corpus() -> list[GameInstance]:
         rng = SplitMix64(41)
-        extreme = [
-            GameInstance(
-                _log_uniform(rng, 1e-12, 1e12),
-                _log_uniform(rng, 1e-12, 1e12),
-                _log_uniform(rng, 1e-9, 1e9),
-                _log_uniform(rng, 1e-9, 1e9),
-            )
-            for _ in range(300)
-        ]
+        extreme = [families.extreme(rng) for _ in range(300)]
         games = (
             log_uniform_games(600, seed=43)
             + stratified_games(60, seed=44)
@@ -650,22 +615,26 @@ class TestExactContest:
 class TestWholeDomain:
     """No verdict raises anywhere in the valid domain, and the arrays agree."""
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            # x1 + x2 below 1e-11, where an inset by the line's width left
-            # no budget line; the collective surplus rules out a gain.
-            (1.0, 2.0, 1e-12, 2e-12),
-            # phi1 * phi2 underflows, and with it the case-2 point candidate.
-            (1e-300, 1e-300, 1e-300, 1.0),
-        ],
-    )
+    # Each game's budget verdict ``(exists, route)``.
+    FORMER_CRASHES = {
+        # x1 + x2 below 1e-11, where an inset by the line's width left no
+        # budget line; the collective surplus rules out a gain.
+        (1.0, 2.0, 1e-12, 2e-12): (False, None),
+        # phi1 * phi2 underflows, and with it the case-2 point candidate.
+        # The adversary's share of front 1, 1e-150, outguns player 1's
+        # budget, so a budget transfer to player 1 benefits both.
+        (1e-300, 1e-300, 1e-300, 1.0): (True, "exact:C2_1le2"),
+    }
+
+    @pytest.mark.parametrize("params", list(FORMER_CRASHES))
     def test_former_crashes(self, params):
         g = GameInstance(*params)
         report = analyze_game(g)
-        assert report.mutual_budget == budget_mutual_exists(g)
-        assert (report.mutual_budget.exists, report.mutual_budget.route) == (False, None)
-        assert not report.mutual_budget.near_boundary
+        v = report.mutual_budget
+        assert v == budget_mutual_exists(g)
+        assert (v.exists, v.route) == self.FORMER_CRASHES[params]
+        assert not v.near_boundary
+        assert v.witness is None or is_mutually_beneficial(g, v.witness)
         arrays = GameArrays.of([g, swap_indices(g)])
         for scalar, vector in (
             (budget_mutual_exists, mutual_arrays.budget_exists),
@@ -1279,8 +1248,7 @@ class TestJointMutual:
         # Log-uniform games over 1e-30..1e30, where unchecked crossings
         # raised InfeasibleTransferError, and over 1e-300..1e300, where their
         # post-transfer budgets overflowed into ``case_of``.
-        params = 10.0 ** np.random.default_rng(5).uniform(-decades, decades, (count, 4))
-        games = [GameInstance(*row) for row in params.tolist()]
+        games = families.games(families.decades(np.random.default_rng(5), -decades, decades, count))
         verdicts = [joint_mutual_exists(g) for g in games]
         assert mutual_arrays.joint_exists(GameArrays.of(games)).tolist() == [
             v.exists for v in verdicts

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coalitional_lotto import batch, mutual_arrays, oracle, search, sweep
+from coalitional_lotto import batch, families, mutual_arrays, oracle, search, sweep
 from coalitional_lotto.adversary import adversary_value, best_response
 from coalitional_lotto.batch import GameArrays
 from coalitional_lotto.core import (
@@ -58,20 +58,18 @@ OFF_RIDGE_GAME = GameInstance(
 )
 
 
-def batching_corpus(seed: int = 31) -> list[GameInstance]:
-    """Uniform-box, log-uniform and near-ridge games, then ``OFF_RIDGE_GAME``."""
-    rng = SplitMix64(seed)
-    games = list(sample_games(6, seed=seed))
-    for _ in range(6):
-        games.append(
-            GameInstance(*(math.exp(rng.uniform(math.log(1e-2), math.log(1e2))) for _ in range(4)))
-        )
+def batching_corpus() -> list[GameInstance]:
+    """Box, log-uniform and near-ridge games, then ``OFF_RIDGE_GAME``.
+
+    The box games are ``sample_games(6, 31)``; the rest come from a second
+    ``SplitMix64(31)``.
+    """
+    rng = SplitMix64(31)
+    games = sample_games(6, seed=31)
+    games += [families.log_box(rng, ((1e-2, 1e2), (1e-2, 1e2))) for _ in range(6)]
     # Relative ratio gaps on and around the 1e-6 ridge tolerance.
-    for gap in (0.0, 1e-6, -2.5e-6, 1e-5, -1e-3, 3e-6):
-        phi1, x1, x2 = (rng.uniform(0.05, 3.0) for _ in range(3))
-        games.append(GameInstance(phi1, phi1 * x2 / x1 * (1.0 + gap), x1, x2))
-    games.append(OFF_RIDGE_GAME)
-    return games
+    games += [families.at_gap(rng, gap) for gap in (0.0, 1e-6, -2.5e-6, 1e-5, -1e-3, 3e-6)]
+    return games + [OFF_RIDGE_GAME]
 
 
 def plain_zoom_max(f, a: float, b: float, rounds: int) -> tuple[float, float]:
@@ -157,8 +155,7 @@ class TestGridMutualSearch:
         rng = SplitMix64(29)
         for i in range(100):
             gap = rng.uniform(2.05e-6, 5e-6) * (1 if i % 2 else -1)
-            phi1, x1, x2 = (rng.uniform(0.05, 3.0) for _ in range(3))
-            games.append(GameInstance(phi1, phi1 * x2 / x1 * (1.0 + gap), x1, x2))
+            games.append(families.at_gap(rng, gap))
         witnesses = 0
         for mech in (Mechanism.BUDGET, Mechanism.CONTEST):
             for g, v in zip(games, grid_mutual_searches(games, mech)):
