@@ -61,10 +61,6 @@ __all__ = [
 # numeric tie rule, not a parameter of the model.
 CASE_RTOL = 1e-9
 
-# The smallest normal float.
-_TINY = sys.float_info.min
-
-
 class Orientation(Enum):
     ONE_LE_TWO = "1le2"
     ONE_GT_TWO = "1gt2"
@@ -144,7 +140,7 @@ def case_of(phi1, phi2, x1, x2):
     r2 = x2 / phi2
     # Two equal ratios that are subnormal or 0, or both inf, are decided on
     # ``exact_ratios``; only equal ratios pay for the second test.
-    if r1 == r2 and (r1 < _TINY or r1 == math.inf):
+    if r1 == r2 and (r1 < sys.float_info.min or r1 == math.inf):
         r1, r2 = exact_ratios(phi1, phi2, x1, x2)
     # Conditional expressions where max() would do: every scalar payoff runs
     # this rule, and a builtin call costs as much as the rest of a test.
@@ -156,10 +152,7 @@ def case_of(phi1, phi2, x1, x2):
         phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
     else:
         phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
-    # ``core.case2_share``, its float path inline: every scalar payoff runs
-    # this rule, and the call would cost twice the expression.
-    p = x_w * x_s * phi_w
-    s = math.sqrt(p / phi_s) if p >= _TINY else case2_share(x_w, x_s, phi_w, phi_s)
+    s = case2_share(x_w, x_s, phi_w, phi_s)
     # The slack of the case-1 edge is relative to max(1, s); any s above 1 is
     # in case 1 whatever the slack, so only its value at 1 counts.
     if s >= 1.0 - CASE_RTOL:

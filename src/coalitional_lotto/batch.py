@@ -160,7 +160,9 @@ def _case_rule(phi1, phi2, x1, x2):
     ps = np.where(swapped, phi1, phi2)
     bw = np.where(swapped, x2, x1)
     bs = np.where(swapped, x1, x2)
-    s = case2_share(bw, bs, pw, ps)
+    # x1 * x2 is bw * bs in either orientation: a product does not depend on
+    # the order of its factors.
+    s = case2_share(x1, x2, pw, ps)
     case1 = s >= 1.0 - CASE_RTOL  # as in ``adversary.case_of``
     case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
     return equal, swapped, case1, case2, pw, ps, bw, bs, s

@@ -260,20 +260,24 @@ def case2_share(x_w, x_s, phi_w, phi_s):
     float the share is that expression bit for bit.  Below it, where the
     product has lost precision or underflowed to 0 though the share need
     not, the share is taken from the ``frexp`` mantissas and exponents of
-    the four factors, as ``adversary.exact_ratios`` takes ratios.  Floats
-    or arrays.
+    the four factors, as ``adversary.exact_ratios`` takes ratios.  Floats,
+    or arrays with ``phi_w`` an array.
     """
     p = x_w * x_s * phi_w
     if not isinstance(p, np.ndarray):
         return math.sqrt(p / phi_s) if p >= _TINY else _share_of_mantissas(x_w, x_s, phi_w, phi_s)
-    under, share = p < _TINY, np.sqrt(p / phi_s)
-    return np.where(under, _share_of_mantissas(x_w, x_s, phi_w, phi_s), share) if under.any() else share
+    share = np.sqrt(p / phi_s)
+    # One pass, with no mask, tells whether any product underflows; fmin
+    # passes over NaN.
+    if np.fmin.reduce(p, axis=None, initial=math.inf) < _TINY:
+        return np.where(p < _TINY, _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
+    return share
 
 
 def _share_of_mantissas(x_w, x_s, phi_w, phi_s):
     """``case2_share`` from ``frexp`` parts: the mantissas' quotient lies in
     ``[1/8, 2)``, and the root of the power of two halves its even exponent."""
-    sqrt, _, frexp, ldexp, _ = ops_for(x_w)
+    sqrt, _, frexp, ldexp, _ = ops_for(phi_w)
     (a, i), (b, j), (c, k), (d, m) = frexp(x_w), frexp(x_s), frexp(phi_w), frexp(phi_s)
     e = i + j + k - m
     odd = e & 1

@@ -1,4 +1,4 @@
-"""Named families of games: every seeded corpus is drawn from here.
+"""Named families of games, through which the seeded corpora are drawn.
 
 The paper's claims are shares of games, so a measurement names a family
 and a seed.  Each family is a function of the generator it draws from, and

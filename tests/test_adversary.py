@@ -249,9 +249,7 @@ class TestBestResponse:
         assert player_payoffs(ridge) == (0.25, 5e-21)
         # Over the float range a case-3 share is 0 only where its own closed
         # form underflows, and no payoff sum exceeds the collective maximum
-        # (116 did with the rest taken as the strong share, and 3 in case 2
-        # before ``core.case2_share`` kept the share of an underflowing
-        # product).
+        # (116 would with the rest taken as the strong share).
         lost, over = [], []
         for h in float_range_games:
             index, _ = case_of(h.phi1, h.phi2, h.x1, h.x2)
@@ -266,25 +264,25 @@ class TestBestResponse:
         assert over == []
 
     def test_case2_share_of_an_underflowing_product(self, float_range_games):
-        # Left to right, ``x1 * x2 * phi1`` underflows to 0 here, which left
-        # player 1 unopposed; the true share ``sqrt(x1 * x2 * phi1 / phi2)``
-        # is 7.93347341194586e-111.
+        # Left to right, ``x1 * x2 * phi1`` underflows to 0 here, though the
+        # share ``sqrt(x1 * x2 * phi1 / phi2)`` is 7.93347341194586e-111.
         g = GameInstance(
             2.412798439968407e-177, 1.0671465055341108e-270, 6.33302974e-316, 43.95600526890296
         )
         assert str(classify_case(g)) == "C2_1le2"
         assert best_response(g).xa1 == pytest.approx(7.93347341194586e-111, rel=1e-12, abs=0.0)
         # Off the ridge, 776 of these games have a product below the
-        # smallest normal float (59 case-1 games among them were labelled
-        # case 3).  Both engines give each the label of its exact share, and
-        # a case-2 share lies within 1e-12 of it; the engines' payoffs agree
-        # over the float range (``test_batch``).
+        # smallest normal float, 59 of them in case 1.  Both engines give
+        # each the label of its exact share, and a case-2 share lies within
+        # 1e-12 of it; the engines' payoffs agree over the float range
+        # (``test_batch``).
         rtol, tol = Fraction(CASE_RTOL), Fraction(1e-12)
         under, labels = [], []
         for h in float_range_games:
             r1, r2 = exact_ratios(h.phi1, h.phi2, h.x1, h.x2)
             swapped = r1 > r2
-            pw, ps, bw, bs = (h.phi2, h.phi1, h.x2, h.x1) if swapped else (h.phi1, h.phi2, h.x1, h.x2)
+            w = swap_indices(h) if swapped else h
+            pw, ps, bw, bs = w.phi1, w.phi2, w.x1, w.x2
             if _tie(r1, r2, CASE_RTOL) or bw * bs * pw >= sys.float_info.min:
                 continue
             # The square of the exact share, and the case that it gives.
@@ -297,7 +295,7 @@ class TestBestResponse:
                 xa = best_response(h)
                 share = Fraction(xa.xa2 if swapped else xa.xa1)
                 assert (1 - tol) ** 2 * s2 <= share**2 <= (1 + tol) ** 2 * s2, h
-        assert len(under) == 776
+        assert len(under) == 776 and sum(index == 1 for index, _ in labels) == 59
         assert _scalar_cases(under) == labels == _vector_cases(under)
 
     @games()

@@ -73,6 +73,7 @@ from coalitional_lotto.search import (
 )
 from coalitional_lotto.sweep import sample_games
 
+
 def _exp10(lo: float, hi: float):
     """Values log-uniform over ``lo..hi``: 10 to a uniform exponent."""
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
