@@ -14,20 +14,27 @@ budget-to-valuation ratio,
   indifferent among all splits with ``xa_i <= x_i``.
 
 The mirrored orientation swaps indices.  Case 4 carries no orientation.
-Ratio ties and case edges are decided with one fixed relative tolerance,
-``CASE_RTOL``, which ``batch`` reads too.  Two equal ratios below the
-smallest normal float, where the quotients have lost precision or
-underflowed to 0, or both overflowed to inf, are compared on
-``exact_ratios``, in both case rules, so a game and its mirror get mirrored
-labels across the float range.
+``case_rule`` is the one case rule and ``front_shares`` the one split, each
+written once for a game's floats and for arrays of games (``core.ops_for``
+picks the functions): ``case_of``, ``respond`` and the payoffs read them on
+floats, and ``batch`` and the array verdicts on arrays.  Ratio ties and case
+edges are decided with one fixed relative tolerance, ``CASE_RTOL``.  Two
+equal ratios below the smallest normal float, where the quotients have
+lost precision or underflowed to 0, or both overflowed to inf, are compared
+on ``exact_ratios``, so a game and its mirror get mirrored labels across
+the float range.  The float path calls no numpy function, so it needs no
+``np.errstate``; array callers silence numpy's overflow warnings at their
+own boundary.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .core import (
     GameInstance,
@@ -44,11 +51,15 @@ from .core import (
 __all__ = [
     "Orientation",
     "CaseLabel",
+    "CASE_LABELS",
     "AdversaryAllocation",
     "CASE_RTOL",
     "exact_ratios",
+    "case_rule",
+    "case_index",
     "case_of",
     "classify_case",
+    "front_shares",
     "best_response",
     "respond",
     "payoffs_at",
@@ -72,15 +83,19 @@ class CaseLabel:
 
     ``index`` is 1..4; ``orientation`` says which player has the weaker
     budget-to-valuation ratio, and is None for case 4 (equal ratios).
+    ``text`` is the label as printed, such as ``C2_1le2`` or ``C4``.
     """
 
     index: int
     orientation: Orientation | None
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        text = "C4" if self.index == 4 else f"C{self.index}_{self.orientation.value}"
+        object.__setattr__(self, "text", text)
 
     def __str__(self) -> str:
-        if self.index == 4:
-            return "C4"
-        return f"C{self.index}_{self.orientation.value}"
+        return self.text
 
     @property
     def swapped(self) -> bool:
@@ -88,10 +103,18 @@ class CaseLabel:
 
     @classmethod
     def of(cls, index: int, swapped: bool) -> "CaseLabel":
-        """The label of a ``case_of`` result."""
-        if index == 4:
-            return cls(4, None)
-        return cls(index, Orientation.ONE_GT_TWO if swapped else Orientation.ONE_LE_TWO)
+        """The label of a ``case_of`` result, from ``CASE_LABELS``."""
+        return CASE_LABELS[2 * index + swapped - 2]
+
+
+# The label of ``case_of`` result ``(index, swapped)`` at ``2 * (index - 1) +
+# swapped``; both entries of case 4 are the same label.  Each label is made
+# once, with its text.
+CASE_LABELS = tuple(
+    CaseLabel(i, None if i == 4 else Orientation.ONE_GT_TWO if s else Orientation.ONE_LE_TWO)
+    for i in (1, 2, 3, 4)
+    for s in (False, True)
+)
 
 
 @dataclass(frozen=True)
@@ -120,46 +143,94 @@ def exact_ratios(phi1, phi2, x1, x2):
     return ldexp(b1 / p1, f1 - e1 - d), ldexp(b2 / p2, f2 - e2 - d)
 
 
-def case_of(phi1, phi2, x1, x2):
-    """Case index and orientation ``(index, swapped)`` of a game, on floats.
+def case_rule(phi1, phi2, x1, x2):
+    """The case rule on floats or arrays, as tests and the two sides of each game.
 
-    ``swapped`` is true when player 2 has the weaker budget-to-valuation
-    ratio.  Equal ratios (within relative ``CASE_RTOL``) give case 4 when the
-    players' combined budget covers the adversary's (>= 1) and case 3 in the
-    native orientation otherwise (the case-3 split formula is continuous
-    through the equal-ratio ridge there).  Boundary membership uses the same
-    relative slack; the lower case-2 boundary (expression exactly 0)
-    classifies as case 1, where the adversary sends its whole budget to the
-    weak side either way.  One ratio that overflows to inf is no tie: the
-    other player is the weaker.  When both ratios overflow to inf, or are
-    equal below the smallest normal float, the tie and the orientation are
-    decided on ``exact_ratios``, so a game and its mirror get mirrored labels
-    there too.
+    Returns ``(equal, swapped, case1, case2, pw, ps, bw, bs, s)``: the
+    equal-ratio test, None where no element ties; the orientation,
+    ``swapped`` where player 2 has the weaker budget-to-valuation ratio; the
+    case-1 and case-2 tests, which count only off the tie; the valuations
+    and budgets of the weak-ratio (``w``) and strong-ratio (``s``) sides;
+    and the adversary's case-2 share ``s`` of the weak front
+    (``core.case2_share``).  Floats give a bool per test, arrays a mask.
+
+    Equal ratios (within relative ``CASE_RTOL``) orient natively.  One
+    ratio that overflows to inf is no tie: the other player is the weaker.
+    When both ratios overflow to inf, or are equal below the smallest
+    normal float, the tie and the orientation are decided on
+    ``exact_ratios``, so a game and its mirror get mirrored labels there
+    too.  The tie work, and ``exact_ratios`` within it, is done only when
+    some element needs it.
     """
     r1 = x1 / phi1
     r2 = x2 / phi2
-    # Two equal ratios that are subnormal or 0, or both inf, are decided on
-    # ``exact_ratios``; only equal ratios pay for the second test.
-    if r1 == r2 and (r1 < sys.float_info.min or r1 == math.inf):
-        r1, r2 = exact_ratios(phi1, phi2, x1, x2)
-    # Conditional expressions where max() would do: every scalar payoff runs
-    # this rule, and a builtin call costs as much as the rest of a test.
-    # inf <= inf: one ratio that overflows to inf passes the tie test against
-    # any finite one, but the finite one is then the weaker.
-    if abs(r1 - r2) <= CASE_RTOL * (r2 if r2 > r1 else r1) and r1 != math.inf != r2:
-        return (4 if x1 + x2 >= 1.0 else 3), False
-    if r1 < r2:
-        phi_w, phi_s, x_w, x_s, swapped = phi1, phi2, x1, x2, False
+    gap = abs(r1 - r2)
+    # Where floats and arrays differ, an expression on a game's Python
+    # floats, where a call would cost as much as the test itself, and
+    # numpy's call on anything else.
+    arrays = type(gap) is not float
+    lim = CASE_RTOL * (np.maximum(r1, r2) if arrays else r2 if r2 > r1 else r1)
+    off = gap > lim
+    swapped = r1 >= r2
+    equal = None
+    if not (off.all() if arrays else off):
+        _, where, _, _, top = ops_for(gap)
+        # Two equal ratios that are subnormal or 0 (which ``lim`` cannot
+        # tell, as ``CASE_RTOL * r`` rounds subnormals together) or both inf
+        # (a NaN gap) are decided again on ``exact_ratios``.
+        same = r1 == r2
+        if same.any() if arrays else same:
+            edge = same & ((r1 < sys.float_info.min) | (r1 == math.inf))
+            if edge.any() if arrays else edge:
+                e1, e2 = exact_ratios(*(where(edge, v, 1.0) for v in (phi1, phi2, x1, x2)))
+                r1, r2 = where(edge, e1, r1), where(edge, e2, r2)
+                gap = abs(r1 - r2)
+                lim = CASE_RTOL * top(r1, r2)
+                swapped = r1 >= r2
+        # One ratio that overflows to inf passes ``gap <= lim`` (inf <= inf)
+        # but is no tie.
+        equal = (gap <= lim) & (gap < math.inf)
+        swapped = where(equal, False, swapped)
+    if arrays:
+        pairs = ((phi2, phi1), (phi1, phi2), (x2, x1), (x1, x2))
+        pw, ps, bw, bs = (np.where(swapped, a, b) for a, b in pairs)
     else:
-        phi_w, phi_s, x_w, x_s, swapped = phi2, phi1, x2, x1, True
-    s = case2_share(x_w, x_s, phi_w, phi_s)
+        pw, ps, bw, bs = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
+    s = case2_share(bw, bs, pw, ps)
     # The slack of the case-1 edge is relative to max(1, s); any s above 1 is
-    # in case 1 whatever the slack, so only its value at 1 counts.
-    if s >= 1.0 - CASE_RTOL:
-        return 1, swapped
-    if 1.0 - s <= x_s * (1.0 + CASE_RTOL):
-        return 2, swapped
-    return 3, swapped
+    # in case 1 whatever the slack, so only its value at 1 counts.  The lower
+    # case-2 edge (``s`` exactly 0) classifies as case 1, where the adversary
+    # sends its whole budget to the weak side either way.
+    case1 = s >= 1.0 - CASE_RTOL
+    case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
+    return equal, swapped, case1, case2, pw, ps, bw, bs, s
+
+
+def case_index(rule):
+    """Case index, 1..4, of each game of a ``case_rule`` result.
+
+    Equal ratios give case 4 when the players' combined budget covers the
+    adversary's (>= 1) and case 3 otherwise: the case-3 split is
+    continuous through the equal-ratio ridge there.
+    """
+    equal, _, case1, case2, _, _, bw, bs, _ = rule
+    # 1 in case 1, else 2 in case 2, else 3: sums of truth values, which
+    # cost no call on floats.
+    index = 3 - case1 - (case1 | case2)
+    if equal is None:
+        return index
+    where = ops_for(bw)[1]
+    return where(equal, where(bw + bs >= 1.0, 4, 3), index)
+
+
+def case_of(phi1, phi2, x1, x2):
+    """Case index and orientation ``(index, swapped)`` of a game, on floats or arrays.
+
+    See ``case_rule`` and ``case_index``.  Array callers silence numpy's
+    overflow warnings themselves (as ``batch.case_of`` does).
+    """
+    rule = case_rule(phi1, phi2, x1, x2)
+    return case_index(rule), rule[1]
 
 
 def classify_case(g: GameInstance) -> CaseLabel:
@@ -167,59 +238,79 @@ def classify_case(g: GameInstance) -> CaseLabel:
     return CaseLabel.of(*case_of(g.phi1, g.phi2, g.x1, g.x2))
 
 
-def _split_oriented(index, phi_w, phi_s, x_w, x_s):
-    """Adversary allocation to the weak-ratio game, by case index."""
-    if index == 1:
-        return 1.0
-    if index == 2:
-        return case2_share(x_w, x_s, phi_w, phi_s)
-    if index == 3:
-        # A product below the smallest normal float is taken from the roots
-        # of its factors, so neither share collapses to 0.
-        a = root_product(x_w, phi_w)
-        b = root_product(x_s, phi_s)
-        return a / (a + b)
-    # Case 4: any split with xa_i <= x_i is optimal.  Canonical choice is the
-    # proportional split, which is always feasible (x_w + x_s >= 1) and agrees
-    # with the case-3 formula on the equal-ratio ridge.
-    return x_w / (x_w + x_s)
+def _case3_shares(pw, ps, bw, bs):
+    """The case-3 shares ``(xa_w, xa_s)``, in proportion to ``sqrt(x_i * phi_i)``.
 
-
-def _split(index, swapped, phi1, phi2, x1, x2):
-    """Optimal adversary split ``(xa1, xa2)`` of a game of case ``(index, swapped)``, on floats.
-
-    ``(index, swapped)`` is ``case_of`` of the same floats.  The weak-ratio
-    side's share comes from the closed form and the other side gets the
-    rest, so the two always sum to 1.  In case 3 a rest that rounds to 0
-    (a strong side's share below ``2**-53``) is the strong side's own closed
-    form instead, so that side stays opposed; the sum still rounds to 1.
+    Each root is ``core.root_product``, so a product below the smallest
+    normal float keeps its share.  The weak side's share comes from its
+    closed form and the strong side gets the rest, unless the rest rounds
+    to 0 (a strong side's share below ``2**-53``): then the strong side
+    takes its own closed form, so it stays opposed, and the sum still
+    rounds to 1.
     """
-    phi_w, phi_s, x_w, x_s = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
-    xa_w = _split_oriented(index, phi_w, phi_s, x_w, x_s)
-    xa_s = 1.0 - xa_w
-    if xa_s == 0.0 and index == 3:
-        xa_s = _split_oriented(3, phi_s, phi_w, x_s, x_w)
-    return (xa_s, xa_w) if swapped else (xa_w, xa_s)
+    root_w = root_product(bw, pw)
+    root_s = root_product(bs, ps)
+    total = root_w + root_s
+    xa_w = root_w / total
+    return xa_w, ops_for(xa_w)[1](xa_w == 1.0, root_s / total, 1.0 - xa_w)
+
+
+def front_shares(rule):
+    """The adversary's shares ``(xa_w, xa_s)`` of the weak and strong fronts.
+
+    ``rule`` is a ``case_rule`` result.  Case 1 sends the whole budget to
+    the weak front and case 2 its share ``s``, and the strong front gets
+    the rest; case 3 splits as ``_case3_shares`` does.  In case 4 any split
+    with ``xa_i <= x_i`` is optimal; the canonical one is proportional to
+    the budgets, which is always feasible (``x_w + x_s >= 1``) and agrees
+    with the case-3 split on the equal-ratio ridge.  The two shares always
+    sum to 1, and the roots are taken only when some element is in case 3.
+    """
+    equal, _, case1, case2, pw, ps, bw, bs, s = rule
+    # A game's floats off the ridge return at once; a mask is never ``True``
+    # or ``False``.
+    if equal is None and case1 is True:
+        return 1.0, 0.0
+    if equal is None and case2 is True:
+        return s, 1.0 - s
+    if equal is None and case2 is False:
+        return _case3_shares(pw, ps, bw, bs)
+    where = ops_for(s)[1]
+    xa_w = where(case1, 1.0, s)
+    settled = case1 | case2
+    if equal is not None:
+        total = bw + bs
+        rich = equal & (total >= 1.0)
+        xa_w = where(rich, bw / total, xa_w)
+        settled = where(equal, rich, settled)
+    if settled.all() if isinstance(settled, np.ndarray) else settled:
+        return xa_w, 1.0 - xa_w
+    case3_w, case3_s = _case3_shares(pw, ps, bw, bs)
+    return where(settled, xa_w, case3_w), where(settled, 1.0 - xa_w, case3_s)
 
 
 def best_response(g: GameInstance) -> AdversaryAllocation:
-    """Closed-form optimal adversary split for a game (see ``_split``)."""
-    phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    return AdversaryAllocation(*_split(*case_of(phi1, phi2, x1, x2), phi1, phi2, x1, x2))
+    """Closed-form optimal adversary split for a game (see ``front_shares``)."""
+    rule = case_rule(g.phi1, g.phi2, g.x1, g.x2)
+    xa_w, xa_s = front_shares(rule)
+    return AdversaryAllocation(*((xa_s, xa_w) if rule[1] else (xa_w, xa_s)))
 
 
 def respond(g: GameInstance) -> tuple[CaseLabel, tuple[float, float], tuple[float, float]]:
-    """``classify_case``, ``best_response`` and ``player_payoffs`` of a game, from one ``case_of``.
+    """``classify_case``, ``best_response`` and ``player_payoffs`` of a game, from one ``case_rule``.
 
     Returns the label, the split ``(xa1, xa2)`` and the payoffs ``(u1, u2)``;
     each equals the call it stands for bit for bit, since the zero transfer
     leaves every parameter as it is.
     """
-    phi1, phi2, x1, x2 = g.phi1, g.phi2, g.x1, g.x2
-    index, swapped = case_of(phi1, phi2, x1, x2)
-    xa1, xa2 = _split(index, swapped, phi1, phi2, x1, x2)
-    payoffs = u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
-    return CaseLabel.of(index, swapped), (xa1, xa2), payoffs
+    rule = case_rule(g.phi1, g.phi2, g.x1, g.x2)
+    xa_w, xa_s = front_shares(rule)
+    _, swapped, _, _, pw, ps, bw, bs, _ = rule
+    u_w, u_s = u_player(pw, bw, xa_w), u_player(ps, bs, xa_s)
+    label = CaseLabel.of(case_index(rule), swapped)
+    if swapped:
+        return label, (xa_s, xa_w), (u_s, u_w)
+    return label, (xa_w, xa_s), (u_w, u_s)
 
 
 def payoffs_at(g: GameInstance, tau: float, nu: float) -> tuple[float, float]:
@@ -229,9 +320,11 @@ def payoffs_at(g: GameInstance, tau: float, nu: float) -> tuple[float, float]:
     parameters, and evaluates each front's equilibrium payoff, all on plain
     floats.  Raises ``InfeasibleTransferError`` like ``core.transfer_params``.
     """
-    phi1, phi2, x1, x2 = transfer_params(g, tau, nu)
-    xa1, xa2 = _split(*case_of(phi1, phi2, x1, x2), phi1, phi2, x1, x2)
-    return u_player(phi1, x1, xa1), u_player(phi2, x2, xa2)
+    rule = case_rule(*transfer_params(g, tau, nu))
+    xa_w, xa_s = front_shares(rule)
+    _, swapped, _, _, pw, ps, bw, bs, _ = rule
+    u_w, u_s = u_player(pw, bw, xa_w), u_player(ps, bs, xa_s)
+    return (u_s, u_w) if swapped else (u_w, u_s)
 
 
 def player_payoffs(g: GameInstance, t: Transfer = Transfer()) -> tuple[float, float]:

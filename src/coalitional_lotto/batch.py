@@ -1,11 +1,12 @@
 """Vectorized payoff evaluation over arrays of transfers and of games.
 
 Grid oracles and parameter sweeps evaluate the two players' payoffs at many
-transfers, against one game or against many.  This module mirrors the scalar
-pipeline in ``adversary`` (classification, closed-form split, equilibrium
-payoff) with numpy array operations, so that one call can serve a whole
-scan or a whole sample of games.  ``GameArrays`` holds the parameters of
-many games under the attribute names of ``GameInstance``;
+transfers, against one game or against many.  This module runs the scalar
+pipeline of ``adversary`` (its one case rule, ``case_rule``, and its one
+split, ``front_shares``, both written for floats and arrays) over numpy
+arrays, and scores each front's equilibrium payoff, so that one call can
+serve a whole scan or a whole sample of games.  ``GameArrays`` holds the
+parameters of many games under the attribute names of ``GameInstance``;
 ``payoffs_at_transfers`` broadcasts them against the transfers.  Its front
 stage, ``_front_payoffs``, scores the weak-ratio and strong-ratio fronts;
 ``payoffs_at_transfers`` then hands each player its own, and
@@ -13,40 +14,27 @@ stage, ``_front_payoffs``, scores the weak-ratio and strong-ratio fronts;
 addition makes the same sum bit for bit.
 
 A call's cost is its array passes plus numpy's fixed cost per call, so the
-kernel keeps both down: it broadcasts by arithmetic alone and fills the
-adversary's share in one array case by case.  Two pieces of work are done
-only when some element needs them: the equal-ratio ridge's, when some
-element lies on it, and case 3's (two roots per front and the lost-share
-fallback), when some element takes it.  Each front's payoff takes one
-division, built in place (``one_v_one_vec``).  Counted over verify's line
-scans of 4001 points, which mostly hold cases 1 and 2 only, a call makes
-about 45 array passes; one that takes case 3 makes about 13 more.
-
-``case_of`` is the one vector case rule: the payoffs and the sweeps' array
-verdicts classify through it.  It reads the same tolerance, ``CASE_RTOL``,
-decides the lanes whose two ratios are equal below the smallest normal
-float or both overflow to inf on the same ``adversary.exact_ratios``, and
-must stay in lockstep with ``adversary.case_of``.  Where the rest of a
-case-3 split rounds to 0, the strong front gets its own closed form, as in
-``adversary._split``.
-``tests/test_batch.py`` holds the case rule and the payoffs to the scalar
-pipeline bit for bit: on random inputs, on games over twelve and
-twenty-four decades, over the whole float range, and on each side of every
-case edge.
+kernel keeps both down: it broadcasts by arithmetic alone, and the rule
+and the split do two pieces of work only when some element needs them:
+the equal-ratio ridge's, when some element lies on it, and case 3's (two
+roots per front), when some element takes it.  Each front's payoff takes
+one division, built in place (``one_v_one_vec``).  ``case_of`` and the
+kernel are where arrays meet the rule, so they silence numpy's overflow
+warnings there: the float path of ``adversary`` calls no numpy function and
+needs no ``np.errstate``.  ``tests/test_batch.py`` holds the array path to
+the float path of the same body bit for bit: on random inputs, on games
+over twelve and twenty-four decades, over the whole float range, and on
+each side of every case edge.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import CASE_RTOL, exact_ratios
-from .core import (
-    GameInstance, Transfer, case2_share, post_transfer_params, root_product, transfer_feasible
-)
+from . import adversary
+from .core import GameInstance, Transfer, post_transfer_params, transfer_feasible
 
 __all__ = [
     "GameArrays",
@@ -115,74 +103,14 @@ def one_v_one_vec(phi, x_player, x_adv):
     return phi * share
 
 
-def _case_rule(phi1, phi2, x1, x2):
-    """The case rule of ``adversary.case_of`` over arrays, as masks and views.
-
-    Returns ``(equal, swapped, case1, case2, pw, ps, bw, bs, s)``: the
-    equal-ratio mask, or None when every element is clear of the ridge; the
-    orientation; the case-1 and case-2 tests (which count only off the
-    ridge); the valuations and budgets of the weak-ratio (``w``) and
-    strong-ratio (``s``) sides; and the adversary's case-2 share ``s`` of
-    the weak front.
-    """
-    r1 = x1 / phi1
-    r2 = x2 / phi2
-    gap = np.abs(r1 - r2)
-    lim = CASE_RTOL * np.maximum(r1, r2)
-    off = gap > lim
-    # Off the ridge, >= orients as ``adversary.case_of`` does.  ``off`` is
-    # false on the ridge and where the gap is NaN, so a call with neither
-    # tests nothing more.
-    swapped = np.greater_equal(r1, r2)
-    if off.all():
-        equal = None
-    else:
-        if np.min(r1) < sys.float_info.min or math.isnan(gap.max()):
-            # Two equal ratios that are subnormal or 0 (which ``lim`` cannot
-            # tell, as ``CASE_RTOL * r`` rounds subnormals together) or both
-            # inf (a NaN gap) are decided again on ``exact_ratios``, as in
-            # the scalar rule.  A NaN gap left after that comes from a NaN
-            # input, which the scalar rule leaves swapped.
-            edge = np.equal(r1, r2) & ((r1 < sys.float_info.min) | (r1 == math.inf))
-            if edge.any():
-                e1, e2 = exact_ratios(*np.broadcast_arrays(phi1, phi2, x1, x2))
-                r1 = np.where(edge, e1, r1)
-                r2 = np.where(edge, e2, r2)
-                gap = np.abs(r1 - r2)
-                lim = CASE_RTOL * np.maximum(r1, r2)
-                swapped = np.greater_equal(r1, r2)
-            swapped |= np.isnan(gap)
-        # One ratio that overflows to inf is no tie (inf <= inf), as in the
-        # scalar rule; ``>=`` above already orients it.
-        equal = (gap <= lim) & (gap < math.inf)
-        swapped &= ~equal
-    pw = np.where(swapped, phi2, phi1)
-    ps = np.where(swapped, phi1, phi2)
-    bw = np.where(swapped, x2, x1)
-    bs = np.where(swapped, x1, x2)
-    # x1 * x2 is bw * bs in either orientation: a product does not depend on
-    # the order of its factors.
-    s = case2_share(x1, x2, pw, ps)
-    case1 = s >= 1.0 - CASE_RTOL  # as in ``adversary.case_of``
-    case2 = 1.0 - s <= bs * (1.0 + CASE_RTOL)
-    return equal, swapped, case1, case2, pw, ps, bw, bs, s
-
-
 # A subnormal valuation overflows its ratio, and the share ``s``, to inf, and
 # two inf ratios leave a NaN gap; budgets or valuations near the top of the
 # float range overflow their sums and products.  The case rule and the
-# payoffs decide these as the scalar pipeline does, without a warning.
+# payoffs decide these as on floats, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def case_of(phi1, phi2, x1, x2):
-    """``adversary.case_of`` over broadcastable arrays: ``(index, swapped)``.
-
-    Each element equals the scalar rule's result on the same floats.
-    """
-    equal, swapped, case1, case2, *_ = _case_rule(phi1, phi2, x1, x2)
-    index = np.where(case1, 1, np.where(case2, 2, 3))
-    if equal is not None:
-        index = np.where(equal, np.where(x1 + x2 >= 1.0, 4, 3), index)
-    return index, swapped
+    """``adversary.case_of`` over broadcastable arrays: ``(index, swapped)``."""
+    return adversary.case_of(phi1, phi2, x1, x2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -194,35 +122,10 @@ def _front_payoffs(g: GameInstance | GameArrays, taus, nus):
     """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
-    equal, swap, case1, case2, pw, ps, bw, bs, s = _case_rule(
-        g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus
-    )
-    # The adversary's share of the weak front, filled case by case; case 3
-    # is taken off the ridge where neither case 1 nor case 2 holds, and on
-    # it where the total budget is below 1.
-    xa_w = np.where(case1, 1.0, s)
-    settled = case1 | case2
-    if equal is not None:
-        total_b = bw + bs
-        rich = equal & (total_b >= 1.0)
-        np.divide(bw, total_b, out=xa_w, where=rich)
-        settled = np.where(equal, rich, settled)
-    if settled.all():
-        xa_s = 1.0 - xa_w
-    else:
-        # The case-3 share, exact on the ridge too.  Each root is
-        # ``core.root_product``, as in ``adversary``.
-        root_w = root_product(bw, pw)
-        root_s = root_product(bs, ps)
-        case3 = root_w / (root_w + root_s)
-        xa_w = np.where(settled, xa_w, case3)
-        xa_s = 1.0 - xa_w
-        lost = np.equal(case3, 1.0)
-        if lost.any():
-            # Where a case-3 share that rounds to 1 is taken, the strong
-            # front gets its own closed form, as in ``adversary._split``.
-            xa_s = np.where(lost & ~settled, root_s / (root_w + root_s), xa_s)
-    return swap, one_v_one_vec(pw, bw, xa_w), one_v_one_vec(ps, bs, xa_s)
+    rule = adversary.case_rule(g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus)
+    _, swapped, _, _, pw, ps, bw, bs, _ = rule
+    xa_w, xa_s = adversary.front_shares(rule)
+    return swapped, one_v_one_vec(pw, bw, xa_w), one_v_one_vec(ps, bs, xa_s)
 
 
 def payoffs_at_transfers(g: GameInstance | GameArrays, taus, nus):

@@ -98,7 +98,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import batch
 from .adversary import CASE_RTOL, CaseLabel, case_of, payoffs_at, player_payoffs
 from .collective import max_collective_payoff, ridge_transfer
 from .batch import GameArrays
@@ -642,9 +641,8 @@ def gap_witness(g, baseline):
     case.
     """
     arrays = isinstance(g, GameArrays)
-    case_rule = batch.case_of if arrays else case_of
     where = ops_for(g.phi1)[1]
-    swapped = case_rule(g.phi1, g.phi2, g.x1, g.x2)[1]
+    swapped = case_of(g.phi1, g.phi2, g.x1, g.x2)[1]
     b1, b2 = baseline
     phi_w, x_w, lead = where(swapped, (g.phi2, g.x2, b2 - b1), (g.phi1, g.x1, b1 - b2))
     sign = where(swapped, -1.0, 1.0)
@@ -669,7 +667,7 @@ def gap_witness(g, baseline):
         inside = inside & transfer_feasible(g, tau, nu)
         if not (arrays or inside):
             continue
-        hit = inside & (index == 0) & (case_rule(p, big_phi - p, xw, big_x - xw)[0] == case)
+        hit = inside & (index == 0) & (case_of(p, big_phi - p, xw, big_x - xw)[0] == case)
         index = where(hit, case, index)
         tau_hit, nu_hit = where(hit, tau, tau_hit), where(hit, nu, nu_hit)
         if not arrays and hit:

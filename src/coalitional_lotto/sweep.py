@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 
 from . import batch, families, mutual_arrays
-from .adversary import CaseLabel, adversary_value, respond
+from .adversary import CASE_LABELS, adversary_value, respond
 from .analysis import format_float
 from .batch import GameArrays
 from .collective import max_collective_payoff
@@ -115,7 +115,7 @@ SWEEP_BLOCK = 4096
 
 # Case labels by ``2 * (index - 1) + swapped``, and region names by
 # ``region_index``.
-_CASE_NAMES = np.array([str(CaseLabel.of(i, s)) for i in (1, 2, 3, 4) for s in (False, True)])
+_CASE_NAMES = np.array([label.text for label in CASE_LABELS])
 _REGION_NAMES = np.array([region.value for region in REGIONS])
 
 

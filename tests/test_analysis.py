@@ -93,16 +93,17 @@ class TestSharedBaseline:
             self.assert_same(g)
 
     def test_one_case_of_call_outside_the_verdicts(self, monkeypatch, analyze_golden):
-        # Every ``case_of`` call outside the three verdicts (the line
-        # engines, the joint witness and its validation) is counted.
+        # Every call of the one case rule outside the three verdicts (the
+        # line engines, the joint witness and its validation) is counted:
+        # ``case_of``, ``respond`` and the payoffs all go through it.
         calls = []
         inside = []
-        case_of, verdicts = adversary.case_of, analysis.mutual_verdicts
+        case_rule, verdicts = adversary.case_rule, analysis.mutual_verdicts
 
-        def counted_case_of(*args):
+        def counted_case_rule(*args):
             if not inside:
                 calls.append(args)
-            return case_of(*args)
+            return case_rule(*args)
 
         def marked_verdicts(*args):
             inside.append(True)
@@ -111,7 +112,7 @@ class TestSharedBaseline:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(adversary, "case_of", counted_case_of)
+        monkeypatch.setattr(adversary, "case_rule", counted_case_rule)
         monkeypatch.setattr(analysis, "mutual_verdicts", marked_verdicts)
         for rec in analyze_golden:
             g = GameInstance(*rec["game"])

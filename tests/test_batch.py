@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coalitional_lotto import batch, families
+from coalitional_lotto import adversary, batch, families
 from coalitional_lotto.adversary import (
     CASE_RTOL,
     best_response,
@@ -409,28 +409,36 @@ def test_one_v_one_vec_zero_budget_conventions():
 
 
 def _count_roots(monkeypatch) -> list:
-    """Record every ``root_product`` the kernel takes."""
+    """Record every ``root_product`` the one split takes."""
     calls = []
 
     def counted(a, b):
         calls.append(np.shape(a))
         return root_product(a, b)
 
-    monkeypatch.setattr(batch, "root_product", counted)
+    monkeypatch.setattr(adversary, "root_product", counted)
     return calls
 
 
+def _line_payoffs(g, mechanism):
+    """The kernel's payoffs on a 4001-point line, with its transfers."""
+    vs = np.linspace(*line_ends(g, mechanism), 4001)
+    scan = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
+    return batch.payoffs_at_transfers(g, *scan), np.broadcast_arrays(*scan)
+
+
 def test_lines_of_cases_1_and_2_take_no_root(monkeypatch):
+    # The counter sees the roots of a line with case-3 lanes.
+    roots = _count_roots(monkeypatch)
+    _line_payoffs(GameInstance(12.0, 10.0, 0.2, 0.3), Mechanism.BUDGET)
+    assert roots == [(4001,)] * 2
+    roots.clear()
     # Both lines of this game hold case-1 and case-2 lanes, in both
     # orientations; the budget line crosses the ridge at a total budget
     # above 1 (case 4).  No lane takes case 3, so no root is taken.
-    roots = _count_roots(monkeypatch)
     g = GameInstance(1.0, 1.0, 0.8, 2.0)
     for mechanism in (Mechanism.BUDGET, Mechanism.CONTEST):
-        vs = np.linspace(*line_ends(g, mechanism), 4001)
-        scan = (vs, 0.0) if mechanism is Mechanism.BUDGET else (0.0, vs)
-        u1, u2 = batch.payoffs_at_transfers(g, *scan)
-        taus, nus = np.broadcast_arrays(*scan)
+        (u1, u2), (taus, nus) = _line_payoffs(g, mechanism)
         index, swapped = batch.case_of(g.phi1 - nus, g.phi2 + nus, g.x1 - taus, g.x2 + taus)
         assert {1, 2} <= set(index.tolist()) <= {1, 2, 4}
         assert swapped.any() and not swapped.all()

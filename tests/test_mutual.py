@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto import batch, families, mutual, mutual_arrays, paper_routes
+from coalitional_lotto import adversary, batch, families, mutual, mutual_arrays, paper_routes
 from coalitional_lotto.adversary import CaseLabel, classify_case, player_payoffs, respond
 from coalitional_lotto.analysis import analyze_game
 from coalitional_lotto.batch import GameArrays
@@ -1558,7 +1558,9 @@ class TestLineWork:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(batch, "case_of")
+        # The one case rule's ``case_of``, where the array lines classify
+        # their pieces; the payoffs go through ``case_rule`` alone.
+        counted(adversary, "case_of")
         # The shared root rule, where the break rules and the candidates call it.
         counted(mutual, "positive_roots")
         counted(mutual_arrays, "positive_roots")
