@@ -256,21 +256,25 @@ def root_product(a, b):
 def case2_share(x_w, x_s, phi_w, phi_s):
     """The adversary's case-2 share of the weak front, ``sqrt(x_w * x_s * phi_w / phi_s)``.
 
-    Where the product ``x_w * x_s * phi_w`` is at least the smallest normal
-    float the share is that expression bit for bit.  Below it, where the
-    product has lost precision or underflowed to 0 though the share need
-    not, the share is taken from the ``frexp`` mantissas and exponents of
-    the four factors, as ``adversary.exact_ratios`` takes ratios.  Floats,
-    or arrays with ``phi_w`` an array.
+    Where the product ``p = x_w * x_s * phi_w`` and the quotient ``p /
+    phi_s`` are both at least the smallest normal float the share is that
+    expression bit for bit.  Below it, where the product or the quotient
+    has lost precision or underflowed to 0 though the share need not, the
+    share is taken from the ``frexp`` mantissas and exponents of the four
+    factors, as ``adversary.exact_ratios`` takes ratios.  Floats, or arrays
+    with ``phi_w`` an array.
     """
     p = x_w * x_s * phi_w
+    q = p / phi_s
     if not isinstance(p, np.ndarray):
-        return math.sqrt(p / phi_s) if p >= _TINY else _share_of_mantissas(x_w, x_s, phi_w, phi_s)
-    share = np.sqrt(p / phi_s)
-    # One pass, with no mask, tells whether any product underflows; fmin
-    # passes over NaN.
-    if np.fmin.reduce(p, axis=None, initial=math.inf) < _TINY:
-        return np.where(p < _TINY, _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
+        if p >= _TINY and q >= _TINY:
+            return math.sqrt(q)
+        return _share_of_mantissas(x_w, x_s, phi_w, phi_s)
+    share = np.sqrt(q)
+    # One pass each, with no mask, tells whether any product or quotient
+    # underflows; fmin passes over NaN.
+    if any(np.fmin.reduce(v, axis=None, initial=math.inf) < _TINY for v in (p, q)):
+        return np.where((p < _TINY) | (q < _TINY), _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
     return share
 
 

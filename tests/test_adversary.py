@@ -298,6 +298,38 @@ class TestBestResponse:
         assert len(under) == 776 and sum(index == 1 for index, _ in labels) == 59
         assert _scalar_cases(under) == labels == _vector_cases(under)
 
+    def test_case2_share_of_an_underflowing_quotient(self, float_range_games):
+        # The product ``x1 * x2 * phi2`` is normal here, but its quotient by
+        # ``phi1`` falls below the smallest normal float: taken as it is, the
+        # share rounds to 0 and player 2 wins its whole valuation.
+        g = GameInstance(
+            1.086828028176588e171, 4.056141666658792e-41, 1.0361166638385802e34, 3.004323463969224e-284
+        )
+        assert str(classify_case(g)) == "C2_1gt2"
+        xa = best_response(g)
+        assert xa.xa1 == 1.0
+        assert xa.xa2 == pytest.approx(3.4084255848705947e-231, rel=1e-12, abs=0.0)
+        assert player_payoffs(g)[1] < 1e-93
+        # Every case-2 share of the float range lies within 1e-12 of the
+        # exact share, whatever its size, on floats and on arrays.
+        tol = Fraction(1e-12)
+        case2, off = [], []
+        for h in float_range_games:
+            index, swapped = case_of(h.phi1, h.phi2, h.x1, h.x2)
+            if index != 2:
+                continue
+            w = swap_indices(h) if swapped else h
+            s2 = Fraction(w.x1) * Fraction(w.x2) * Fraction(w.phi1) / Fraction(w.phi2)
+            xa = best_response(h)
+            share = Fraction(xa.xa2 if swapped else xa.xa1)
+            case2.append(h)
+            if not (1 - tol) ** 2 * s2 <= share**2 <= (1 + tol) ** 2 * s2:
+                off.append(h)
+        assert len(case2) == 708
+        assert off == []
+        u1, u2 = batch.payoffs_at_transfers(GameArrays.of(case2), 0.0, 0.0)
+        assert list(zip(u1.tolist(), u2.tolist())) == [player_payoffs(h) for h in case2]
+
     @games()
     @settings(max_examples=300)
     def test_split_uses_full_budget(self, phi1, phi2, x1, x2):
