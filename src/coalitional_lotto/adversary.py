@@ -242,17 +242,17 @@ def _case3_shares(pw, ps, bw, bs):
     """The case-3 shares ``(xa_w, xa_s)``, in proportion to ``sqrt(x_i * phi_i)``.
 
     Each root is ``core.root_product``, so a product below the smallest
-    normal float keeps its share.  The weak side's share comes from its
-    closed form and the strong side gets the rest, unless the rest rounds
-    to 0 (a strong side's share below ``2**-53``): then the strong side
-    takes its own closed form, so it stays opposed, and the sum still
-    rounds to 1.
+    normal float keeps its share.  The smaller share comes from its closed
+    form and the larger is its rest: the two sum to 1, and neither loses
+    its digits, as a small share taken as the rest of one near 1 would.
     """
     root_w = root_product(bw, pw)
     root_s = root_product(bs, ps)
-    total = root_w + root_s
-    xa_w = root_w / total
-    return xa_w, ops_for(xa_w)[1](xa_w == 1.0, root_s / total, 1.0 - xa_w)
+    where = ops_for(root_w)[1]
+    weak_small = root_w <= root_s
+    small = where(weak_small, root_w, root_s) / (root_w + root_s)
+    rest = 1.0 - small
+    return where(weak_small, small, rest), where(weak_small, rest, small)
 
 
 def front_shares(rule):

@@ -1,5 +1,7 @@
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coalitional_lotto import batch
+from coalitional_lotto import batch, families
 from coalitional_lotto.adversary import (
     CASE_RTOL,
     CaseLabel,
@@ -54,6 +56,23 @@ def _mirror(case):
     """The ``case_of`` result of a game's mirror, unless the game is a case-3 ratio tie."""
     index, swapped = case
     return (4, False) if index == 4 else (index, not swapped)
+
+
+def _exact_case3_payoffs(g):
+    """Both players' payoffs under the exact case-3 split, in 80-digit decimal.
+
+    The adversary's shares are ``sqrt(x_i * phi_i)`` over their sum, on
+    either side of the ridge; each payoff is ``u_player``'s closed form.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        phis, budgets = [Decimal(g.phi1), Decimal(g.phi2)], [Decimal(g.x1), Decimal(g.x2)]
+        roots = [(x * phi).sqrt() for x, phi in zip(budgets, phis)]
+        payoffs = []
+        for phi, x, root in zip(phis, budgets, roots):
+            xa = root / (roots[0] + roots[1])
+            payoffs.append(phi * x / (2 * xa) if x <= xa else phi * (1 - xa / (2 * x)))
+        return payoffs
 
 
 def _scalar_cases(games):
@@ -349,6 +368,35 @@ class TestBestResponse:
 
 
 class TestPlayerPayoffs:
+    def test_case3_payoff_of_a_share_near_1(self):
+        # Player 2's case-3 share is 1 - 3.1e-6 here, and player 1's share
+        # taken as its rest would keep only ten digits of its own.
+        g = GameInstance(
+            4.433431987109127e-08, 28107538.683739323, 7.050756989877856e-12, 0.0001293089981267458
+        )
+        assert str(classify_case(g)) == "C3_1gt2"
+        u1, _ = player_payoffs(g)
+        assert u1 == pytest.approx(1.6853250840513044e-08, rel=1e-12, abs=0.0)
+        xa = best_response(g)
+        assert xa.xa1 + xa.xa2 == 1.0
+
+    def test_case3_payoffs_over_twenty_four_decades_match_the_exact_split(self):
+        # Every case-3 payoff lies within 1e-12 of its valuation of the
+        # exact payoff, on floats and on arrays.
+        games = families.games(families.decades(np.random.default_rng(11), -12, 12, 4000))
+        case3 = [g for g in games if case_of(g.phi1, g.phi2, g.x1, g.x2)[0] == 3]
+        assert len(case3) == 763
+        tol = Decimal(1e-12)
+        off = []
+        for g in case3:
+            exact = _exact_case3_payoffs(g)
+            for u, want, phi in zip(player_payoffs(g), exact, (g.phi1, g.phi2)):
+                if abs(Decimal(u) - want) > tol * Decimal(phi):
+                    off.append(g)
+        assert off == []
+        u1, u2 = batch.payoffs_at_transfers(GameArrays.of(case3), 0.0, 0.0)
+        assert list(zip(u1.tolist(), u2.tolist())) == [player_payoffs(g) for g in case3]
+
     def test_diamond_baseline(self, diamond):
         u1, u2 = player_payoffs(diamond)
         assert u1 == pytest.approx(0.5 * math.sqrt(30), rel=1e-12)

@@ -797,7 +797,7 @@ class TestRouteCensus:
             [
                 "0", "0",
                 "e52ea6d5539c668f769da70aabd898cd5a10a15f1081608da355ca4bd269fe11",
-                "89469402d80eaa91eac07c1d5713fabc88d39dba42cc84576b141032b901f007",
+                "3048ed93cba704dd71a6f57eff9cf2b650fddca1bf97ac27ee6316ec111e0906",
             ],
             [
                 "1", "12",
