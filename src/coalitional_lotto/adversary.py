@@ -192,11 +192,13 @@ def case_rule(phi1, phi2, x1, x2):
         equal = (gap <= lim) & (gap < math.inf)
         swapped = where(equal, False, swapped)
     if arrays:
-        pairs = ((phi2, phi1), (phi1, phi2), (x2, x1), (x1, x2))
-        pw, ps, bw, bs = (np.where(swapped, a, b) for a, b in pairs)
+        pw, ps = np.where(swapped, phi2, phi1), np.where(swapped, phi1, phi2)
+        bw, bs = np.where(swapped, x2, x1), np.where(swapped, x1, x2)
     else:
         pw, ps, bw, bs = (phi2, phi1, x2, x1) if swapped else (phi1, phi2, x1, x2)
-    s = case2_share(bw, bs, pw, ps)
+    # x1 * x2 is bw * bs in either orientation, and one factor fewer of the
+    # share is an array where a line moves only valuations.
+    s = case2_share(x1, x2, pw, ps)
     # The slack of the case-1 edge is relative to max(1, s); any s above 1 is
     # in case 1 whatever the slack, so only its value at 1 counts.  The lower
     # case-2 edge (``s`` exactly 0) classifies as case 1, where the adversary
@@ -238,55 +240,47 @@ def classify_case(g: GameInstance) -> CaseLabel:
     return CaseLabel.of(*case_of(g.phi1, g.phi2, g.x1, g.x2))
 
 
-def _case3_shares(pw, ps, bw, bs):
-    """The case-3 shares ``(xa_w, xa_s)``, in proportion to ``sqrt(x_i * phi_i)``.
-
-    Each root is ``core.root_product``, so a product below the smallest
-    normal float keeps its share.  The smaller share comes from its closed
-    form and the larger is its rest: the two sum to 1, and neither loses
-    its digits, as a small share taken as the rest of one near 1 would.
-    """
-    root_w = root_product(bw, pw)
-    root_s = root_product(bs, ps)
-    where = ops_for(root_w)[1]
-    weak_small = root_w <= root_s
-    small = where(weak_small, root_w, root_s) / (root_w + root_s)
-    rest = 1.0 - small
-    return where(weak_small, small, rest), where(weak_small, rest, small)
-
-
 def front_shares(rule):
     """The adversary's shares ``(xa_w, xa_s)`` of the weak and strong fronts.
 
     ``rule`` is a ``case_rule`` result.  Case 1 sends the whole budget to
-    the weak front and case 2 its share ``s``, and the strong front gets
-    the rest; case 3 splits as ``_case3_shares`` does.  In case 4 any split
+    the weak front and case 2 its share ``s``.  Case 3 splits in proportion
+    to ``sqrt(x_i * phi_i)``, each root ``core.root_product``, so a product
+    below the smallest normal float keeps its share.  In case 4 any split
     with ``xa_i <= x_i`` is optimal; the canonical one is proportional to
     the budgets, which is always feasible (``x_w + x_s >= 1``) and agrees
-    with the case-3 split on the equal-ratio ridge.  The two shares always
-    sum to 1, and the roots are taken only when some element is in case 3.
+    with the case-3 split on the equal-ratio ridge.  One share comes from
+    its closed form and the other is its rest, so the two always sum to 1:
+    the weak side's in cases 1, 2 and 4, and in case 3 the smaller one, so
+    that neither loses its digits, as a small share taken as the rest of
+    one near 1 would.  The roots are taken only when some element is in
+    case 3.
     """
     equal, _, case1, case2, pw, ps, bw, bs, s = rule
-    # A game's floats off the ridge return at once; a mask is never ``True``
-    # or ``False``.
+    # A game's floats off the ridge in case 1 or 2 return at once; a mask
+    # is never ``True``.
     if equal is None and case1 is True:
         return 1.0, 0.0
     if equal is None and case2 is True:
         return s, 1.0 - s
-    if equal is None and case2 is False:
-        return _case3_shares(pw, ps, bw, bs)
     where = ops_for(s)[1]
-    xa_w = where(case1, 1.0, s)
+    closed = where(case1, 1.0, s)
     settled = case1 | case2
     if equal is not None:
         total = bw + bs
         rich = equal & (total >= 1.0)
-        xa_w = where(rich, bw / total, xa_w)
+        closed = where(rich, bw / total, closed)
         settled = where(equal, rich, settled)
     if settled.all() if isinstance(settled, np.ndarray) else settled:
-        return xa_w, 1.0 - xa_w
-    case3_w, case3_s = _case3_shares(pw, ps, bw, bs)
-    return where(settled, xa_w, case3_w), where(settled, 1.0 - xa_w, case3_s)
+        return closed, 1.0 - closed
+    root_w = root_product(bw, pw)
+    root_s = root_product(bs, ps)
+    weak_small = root_w <= root_s
+    closed = where(settled, closed, where(weak_small, root_w, root_s) / (root_w + root_s))
+    # The side whose share is ``closed``.
+    weak_closed = settled | weak_small
+    rest = 1.0 - closed
+    return where(weak_closed, closed, rest), where(weak_closed, rest, closed)
 
 
 def best_response(g: GameInstance) -> AdversaryAllocation:

@@ -246,9 +246,9 @@ def root_product(a, b):
     """
     ab = a * b
     if isinstance(ab, np.ndarray):
-        under = ab < _TINY
-        if under.any():
-            return np.where(under, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
+        # One pass, with no mask, tells whether any product underflows.
+        if np.fmin.reduce(ab, axis=None, initial=math.inf) < _TINY:
+            return np.where(ab < _TINY, np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
         return np.sqrt(ab)
     return math.sqrt(ab) if ab >= _TINY else math.sqrt(a) * math.sqrt(b)
 
@@ -273,7 +273,10 @@ def case2_share(x_w, x_s, phi_w, phi_s):
     share = np.sqrt(q)
     # One pass each, with no mask, tells whether any product or quotient
     # underflows; fmin passes over NaN.
-    if any(np.fmin.reduce(v, axis=None, initial=math.inf) < _TINY for v in (p, q)):
+    if (
+        np.fmin.reduce(p, axis=None, initial=math.inf) < _TINY
+        or np.fmin.reduce(q, axis=None, initial=math.inf) < _TINY
+    ):
         return np.where((p < _TINY) | (q < _TINY), _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
     return share
 
