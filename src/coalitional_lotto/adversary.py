@@ -15,9 +15,10 @@ budget-to-valuation ratio,
 
 The mirrored orientation swaps indices.  Case 4 carries no orientation.
 ``case_rule`` is the one case rule and ``front_shares`` the one split, each
-written once for a game's floats and for arrays of games (``core.ops_for``
-picks the functions): ``case_of``, ``respond`` and the payoffs read them on
-floats, and ``batch`` and the array verdicts on arrays.  Ratio ties and case
+written once for a game's floats and for arrays of games, with numpy's call
+or a plain expression picked per expression (``core.ops_for``): ``case_of``,
+``respond`` and the payoffs read them on floats, and ``batch`` and the array
+verdicts on arrays.  Ratio ties and case
 edges are decided with one fixed relative tolerance, ``CASE_RTOL``.  Two
 equal ratios below the smallest normal float, where the quotients have
 lost precision or underflowed to 0, or both overflowed to inf, are compared
