@@ -277,7 +277,8 @@ def case2_share(x_w, x_s, phi_w, phi_s):
         np.fmin.reduce(p, axis=None, initial=math.inf) < _TINY
         or np.fmin.reduce(q, axis=None, initial=math.inf) < _TINY
     ):
-        return np.where((p < _TINY) | (q < _TINY), _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
+        under = (p < _TINY) | (q < _TINY)
+        return np.where(under, _share_of_mantissas(x_w, x_s, phi_w, phi_s), share)
     return share
 
 
