@@ -21,6 +21,16 @@ once per call (``_grid``), and a line scanned only for its collective
 maximum is scored by ``batch.collective_at_transfers``, the payoff sum
 without the players' unswapping.
 
+The joint oracles scan each game's 2-D transfer grid once, through one
+generator (``_joint_maxima``) that keeps the first maximum of the
+objective its caller asks for: the smaller payoff delta for the mutual
+search, the payoff sum for the collective maximum.  It scores the grid a
+block of whole rows per kernel call, at most ``SCAN_BLOCK`` lanes: a
+whole-grid call allocates and frees arrays large enough that the
+allocator hands their memory back to the system after every call, and the
+next call faults it in again, so a 401-point grid costs less in 41 blocks
+than in one call.
+
 Each oracle is a scan and a finish.  The scan hands over its refinement
 rows (objective, brackets) and a finisher that turns their refined maxima
 into the oracle's results.  One lockstep bracket zoom (``search.zoom_max``)
@@ -379,21 +389,46 @@ def grid_oracles(
     return lines, responses
 
 
-def _grid_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:
-    """The best point of the 2-D transfer grid, unrefined."""
+# Most lanes a joint scan passes to one kernel call, in whole grid rows.  A
+# call above about 6,000 lanes frees enough memory at the heap top that
+# glibc returns it to the system, and the next call faults it back in: on
+# one contest line (2-vCPU VM), 6,001 lanes took 168 µs and no page fault
+# per call, 7,001 lanes 266 µs and 50 faults.
+SCAN_BLOCK = 4096
+
+
+def _joint_maxima(games: Sequence[GameInstance], spec: GridSpec, baseline=None):
+    """Each game's joint grid and the first maximum of an objective on it.
+
+    Yields ``(taus, nus, i, j, best)`` per game: the budget and contest
+    axes, built by ``_grid`` from one ramp, and ``best``, the objective at
+    ``(taus[i], nus[j])``, where ``np.argmax`` over the whole grid would
+    pick it (the first NaN, else the first largest value).  The objective
+    is the payoff sum ``u_w + u_s`` of ``batch.collective_at_transfers``;
+    given the games' untransferred payoffs ``baseline = (u1s, u2s)``, it is
+    the smaller payoff delta, unswapped as ``batch.payoffs_at_transfers``
+    does.  The grid is scored in blocks of whole rows, each of at most
+    ``SCAN_BLOCK`` lanes (one row where a row is longer), so no grid-sized
+    array is made.
+    """
     ramp = np.arange(spec.resolution, dtype=float)
-    taus = _grid(*line_ends(g, Mechanism.BUDGET), ramp)[:, None]
-    nus = _grid(*line_ends(g, Mechanism.CONTEST), ramp)[None, :]
-    u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
-    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
-    k = int(np.argmax(score))
-    i, j = divmod(k, spec.resolution)
-    best = float(score[i, j])
-    near = thin_margin(g, best)
-    if best > min_gain(g):
-        witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
-        return MutualBenefitVerdict(Mechanism.JOINT, True, witness, "oracle-grid", near)
-    return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, near)
+    rows = max(SCAN_BLOCK // spec.resolution, 1)
+    for n, g in enumerate(games):
+        taus = _grid(*line_ends(g, Mechanism.BUDGET), ramp)
+        nus = _grid(*line_ends(g, Mechanism.CONTEST), ramp)
+        k = best = None
+        for start in range(0, spec.resolution, rows):
+            swap, uw, us = batch._front_payoffs(g, taus[start : start + rows, None], nus)
+            if baseline is None:
+                score = uw + us
+            else:
+                u1, u2 = np.where(swap, us, uw), np.where(swap, uw, us)
+                score = np.minimum(u1 - baseline[0][n], u2 - baseline[1][n])
+            top = int(np.argmax(score))
+            value = score.flat[top]
+            if best is None or value > best or (value != value and best == best):
+                k, best = start * spec.resolution + top, value
+        yield taus, nus, *divmod(k, spec.resolution), float(best)
 
 
 def grid_mutual_searches(
@@ -401,16 +436,22 @@ def grid_mutual_searches(
 ) -> list[MutualBenefitVerdict]:
     """Exhaustive search for a strictly mutually beneficial transfer, per game.
 
-    1-D scan for budget/contest (see ``grid_line_oracle``), 2-D for joint.
+    1-D scan for budget/contest (see ``grid_line_oracle``).  For joint, the
+    best point of the 2-D transfer grid (``_joint_maxima``), unrefined.
     """
     if mechanism is not Mechanism.JOINT:
         return grid_line_oracle(games, mechanism, (), spec or DEFAULT_GRID_1D).verdicts
-    spec = spec or DEFAULT_GRID_2D
-    baseline = batch.payoffs_at_transfers(GameArrays.of(games), 0.0, 0.0)
-    return [
-        _grid_joint_search(g, (u1, u2), spec)
-        for g, u1, u2 in zip(games, baseline[0].tolist(), baseline[1].tolist())
-    ]
+    baseline = [u.tolist() for u in batch.payoffs_at_transfers(GameArrays.of(games), 0.0, 0.0)]
+    verdicts = []
+    maxima = _joint_maxima(games, spec or DEFAULT_GRID_2D, baseline)
+    for g, (taus, nus, i, j, best) in zip(games, maxima):
+        near = thin_margin(g, best)
+        if best > min_gain(g):
+            witness = Transfer(float(taus[i]), float(nus[j]))
+            verdicts.append(MutualBenefitVerdict(Mechanism.JOINT, True, witness, "oracle-grid", near))
+        else:
+            verdicts.append(MutualBenefitVerdict(Mechanism.JOINT, False, None, None, near))
+    return verdicts
 
 
 def grid_mutual_search(
@@ -421,16 +462,13 @@ def grid_mutual_search(
 
 
 def _joint_collectives(games: Sequence[GameInstance], spec: GridSpec) -> list[float]:
-    """Best point of each game's 2-D grid, then two rounds of coordinate-wise
-    zoom refinement, one coordinate of every game per pass."""
-    brackets = []
-    ramp = np.arange(spec.resolution, dtype=float)
-    for g in games:
-        taus = _grid(*line_ends(g, Mechanism.BUDGET), ramp)
-        nus = _grid(*line_ends(g, Mechanism.CONTEST), ramp)
-        total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
-        i, j = divmod(int(np.argmax(total)), spec.resolution)
-        brackets.append((*_bracket(taus, i), *_bracket(nus, j), nus[j], total[i, j]))
+    """Best point of each game's 2-D grid (``_joint_maxima``), then two
+    rounds of coordinate-wise zoom refinement, one coordinate of every game
+    per pass."""
+    brackets = [
+        (*_bracket(taus, i), *_bracket(nus, j), nus[j], best)
+        for taus, nus, i, j, best in _joint_maxima(games, spec)
+    ]
     tau_lo, tau_hi, nu_lo, nu_hi, nu, best = np.array(brackets, dtype=float).reshape(-1, 6).T
     arrays = GameArrays.of(games)
     rounds = zoom_rounds(spec.resolution)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import batch, families, mutual_arrays
 from .adversary import CASE_LABELS, adversary_value, respond
-from .analysis import format_float
+from .analysis import _SPECIAL_FLOATS, format_float
 from .batch import GameArrays
 from .collective import max_collective_payoff
 from .core import GameInstance
@@ -274,13 +274,18 @@ def _formatter(kind: type):
 
 
 def _column_texts(cells: list) -> list[str]:
-    """Each cell's text, with each distinct cell formatted once.
+    """Each cell's text, as ``format_float`` or ``str`` spells it.
 
-    A column of one type is keyed by value; a mixed column by ``(type,
-    value)``, so that ``1``, ``1.0`` and ``True`` stay apart.  Equal cells of
-    one type print alike (``0.0`` and ``-0.0`` both print as ``0``).
+    A column of floats alone is spelled in one ``%.12g`` pass, whose
+    special spellings are then replaced as ``format_float`` replaces them.
+    Any other column formats each distinct cell once: a column of one type
+    is keyed by value; a mixed column by ``(type, value)``, so that ``1``,
+    ``1.0`` and ``True`` stay apart.
     """
     kinds = set(map(type, cells))
+    if kinds == {float}:
+        texts = ("%.12g," * len(cells) % tuple(cells)).split(",")[:-1]
+        return list(map(_SPECIAL_FLOATS.get, texts, texts))
     keys = cells if len(kinds) == 1 else list(zip(map(type, cells), cells))
     distinct = list(dict.fromkeys(keys))
     if len(kinds) == 1:

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from coalitional_lotto import sweep
 from coalitional_lotto.adversary import classify_case, player_payoffs
+from coalitional_lotto.analysis import format_float
 from coalitional_lotto.cli import build_parser, main
 from coalitional_lotto.collective import max_collective_payoff
 from coalitional_lotto.core import (
@@ -580,6 +582,14 @@ class TestWritePlane:
             "1e+308,4.94065645841e-324,NaN\n"
             '1e+308,1e+308,"-Infinity"\n'
         )
+
+    def test_float_column_spells_each_cell_as_format_float(self):
+        cells = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+            1e300, -1e300, 1e-300, 1e308, 1 / 3, 16.5, 1e16, 123456789012.5, math.nan, -0.0,
+        ]
+        assert sweep._column_texts(cells) == [format_float(x) for x in cells]
+        assert sweep._column_texts([]) == []
 
     def test_mixed_value_column(self):
         # 1, 1.0 and True are equal keys in a dict but print differently.

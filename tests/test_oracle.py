@@ -18,7 +18,7 @@ from coalitional_lotto.core import (
     Transfer,
     post_transfer_params,
 )
-from coalitional_lotto.mutual import Mechanism, is_mutually_beneficial
+from coalitional_lotto.mutual import Mechanism, MutualBenefitVerdict, is_mutually_beneficial
 from coalitional_lotto.oracle import (
     DEFAULT_GRID_1D,
     GridSpec,
@@ -41,6 +41,7 @@ from coalitional_lotto.search import (
     refine_transfers,
     ridge_gap,
     sliver,
+    thin_margin,
     zoom_max,
     zoom_rounds,
 )
@@ -591,6 +592,135 @@ class TestGridMaxCollective:
     def test_poor_players_joint(self):
         g = GameInstance(12, 10, 0.2, 0.3)
         assert grid_max_collective(g, Mechanism.JOINT) == pytest.approx(5.5, abs=1e-6)
+
+
+def one_call_joint_search(g: GameInstance, baseline, spec: GridSpec) -> MutualBenefitVerdict:
+    """The joint mutual search scored in one kernel call over the whole grid."""
+    ramp = np.arange(spec.resolution, dtype=float)
+    taus = oracle._grid(*line_ends(g, Mechanism.BUDGET), ramp)[:, None]
+    nus = oracle._grid(*line_ends(g, Mechanism.CONTEST), ramp)[None, :]
+    u1, u2 = batch.payoffs_at_transfers(g, taus, nus)
+    score = np.minimum(u1 - baseline[0], u2 - baseline[1])
+    i, j = divmod(int(np.argmax(score)), spec.resolution)
+    best = float(score[i, j])
+    near = thin_margin(g, best)
+    if best > min_gain(g):
+        witness = Transfer(float(taus[i, 0]), float(nus[0, j]))
+        return MutualBenefitVerdict(Mechanism.JOINT, True, witness, "oracle-grid", near)
+    return MutualBenefitVerdict(Mechanism.JOINT, False, None, None, near)
+
+
+def one_call_joint_collectives(games: list[GameInstance], spec: GridSpec) -> list[float]:
+    """The joint collective maxima, each grid scored in one kernel call."""
+    brackets = []
+    ramp = np.arange(spec.resolution, dtype=float)
+    for g in games:
+        taus = oracle._grid(*line_ends(g, Mechanism.BUDGET), ramp)
+        nus = oracle._grid(*line_ends(g, Mechanism.CONTEST), ramp)
+        total = batch.collective_at_transfers(g, taus[:, None], nus[None, :])
+        i, j = divmod(int(np.argmax(total)), spec.resolution)
+        brackets.append((*oracle._bracket(taus, i), *oracle._bracket(nus, j), nus[j], total[i, j]))
+    tau_lo, tau_hi, nu_lo, nu_hi, nu, best = np.array(brackets, dtype=float).reshape(-1, 6).T
+    arrays = GameArrays.of(games)
+    rounds = zoom_rounds(spec.resolution)
+    for _ in range(2):
+        tau = refine_transfers(arrays, True, tau_lo, tau_hi, rounds, fixed=nu)[0]
+        nu, val = refine_transfers(arrays, False, nu_lo, nu_hi, rounds, fixed=tau)
+        best = np.where(val > best, val, best)
+    return best.tolist()
+
+
+def joint_games() -> list[GameInstance]:
+    """Three box games, three over 24 decades and three over the float range."""
+    return (
+        sample_games(3, 7)
+        + families.games(families.decades(np.random.default_rng(11), -12, 12, 3))
+        + families.games(families.float_range(np.random.default_rng(11), 3))
+    )
+
+
+class TestJointScan:
+    """Both joint oracles scan each grid once, in blocks of whole rows
+    (``oracle._joint_maxima``), and equal a one-call scan bit for bit."""
+
+    @staticmethod
+    def assert_one_call_results(games, spec):
+        baseline = batch.payoffs_at_transfers(GameArrays.of(games), 0.0, 0.0)
+        want = [
+            one_call_joint_search(g, (u1, u2), spec)
+            for g, u1, u2 in zip(games, baseline[0].tolist(), baseline[1].tolist())
+        ]
+        # repr spells each float exactly, NaN and -0.0 included.
+        assert repr(grid_mutual_searches(games, Mechanism.JOINT, spec)) == repr(want)
+        got = grid_max_collectives(games, Mechanism.JOINT, spec)
+        assert repr(got) == repr(one_call_joint_collectives(games, spec))
+
+    @pytest.mark.parametrize("resolution", [41, 201, 401, 801])
+    def test_blocks_equal_one_call_scans(self, resolution):
+        self.assert_one_call_results(joint_games(), GridSpec(resolution))
+
+    def test_one_row_blocks_equal_one_call_scans(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SCAN_BLOCK", 1)
+        self.assert_one_call_results(joint_games(), GridSpec(41))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # A tie across blocks goes to the first.
+            {(1, 3): 7.0, (3, 0): 7.0},
+            {(0, 4): 0.0, (1, 0): -0.0, (2, 2): 0.0},
+            # The first NaN wins, wherever the largest value lies.
+            {(0, 2): 9.0, (2, 1): math.nan, (4, 4): 10.0},
+            {(3, 4): math.nan, (4, 0): math.nan, (4, 2): 5.0},
+            {(0, 0): math.nan, (0, 1): 3.0, (1, 1): 3.0},
+            {(4, 4): 1.0},
+            {},
+        ],
+    )
+    @pytest.mark.parametrize("mutual", [False, True])
+    def test_blocks_keep_argmax_rule(self, monkeypatch, cells, mutual):
+        n = 5
+        table = np.full((n, n), -math.inf if cells else 2.5)
+        for at, value in cells.items():
+            table[at] = value
+        g = sample_games(1, 3)[0]
+        taus = oracle._grid(*line_ends(g, Mechanism.BUDGET), np.arange(float(n)))
+        row_of = {tau: i for i, tau in enumerate(taus.tolist())}
+
+        # The kernel scores each row of the grid from ``table``: the weak
+        # front's payoff is the table, the strong front's adds nothing to
+        # the sum and never is the smaller delta.
+        def front_payoffs(game, block_taus, nus):
+            assert block_taus.shape == (1, 1) and nus.shape == (n,)
+            uw = table[row_of[float(block_taus[0, 0])]][None, :].copy()
+            us = np.full((1, n), math.inf if mutual else 0.0)
+            return np.zeros((1, n), dtype=bool), uw, us
+
+        monkeypatch.setattr(oracle, "SCAN_BLOCK", 1)
+        monkeypatch.setattr(batch, "_front_payoffs", front_payoffs)
+        baseline = ([0.0], [0.0]) if mutual else None
+        [(got_taus, _, i, j, best)] = oracle._joint_maxima([g], GridSpec(n), baseline)
+        whole = table if mutual else table + 0.0
+        k = int(np.argmax(whole))
+        assert got_taus.tobytes() == taus.tobytes()
+        assert (i, j) == divmod(k, n)
+        assert np.float64(best).tobytes() == whole.flat[k].tobytes()
+
+    @pytest.mark.parametrize("oracle_call", [grid_mutual_searches, grid_max_collectives])
+    def test_41_blocks_per_game_and_no_whole_grid_call(self, monkeypatch, oracle_call):
+        kernel = batch._front_payoffs
+        shapes = []
+
+        def counted(g, taus, nus):
+            shapes.append(np.broadcast(taus, nus).shape)
+            return kernel(g, taus, nus)
+
+        monkeypatch.setattr(batch, "_front_payoffs", counted)
+        games = sample_games(3, 7)
+        oracle_call(games, Mechanism.JOINT)
+        blocks = [shape for shape in shapes if shape[-1:] == (401,)]
+        assert blocks == ([(10, 401)] * 40 + [(1, 401)]) * len(games)
+        assert max(math.prod(shape) for shape in shapes) <= oracle.SCAN_BLOCK
 
 
 class TestFixtures:
