@@ -12,13 +12,17 @@ Prints each pair, both medians, the base's interquartile range and how
 many pairs the working tree won, where winning means a lower value of the
 metric; every end-to-end metric of ``BENCHMARK.json`` is better lower.  A
 gain is clear when the working tree wins at least nine in ten pairs and
-its median is lower by more than the base's interquartile range.  The
-temporary copy is deleted on exit.  Nothing under ``perfbench/`` is
+its median is lower by more than the base's interquartile range.
+``--metric all`` reads every end-to-end metric of the working tree's
+``BENCHMARK.json`` from each run and prints one summary per metric, so
+one set of pairs checks a claimed gain and every other metric's bound.
+The temporary copy is deleted on exit.  Nothing under ``perfbench/`` is
 changed.
 
 Usage, from anywhere in a checkout:
 
     python3 scripts/bench_pairs.py --base HEAD --workload verify --seed 3 --seconds 8 --pairs 10
+    python3 scripts/bench_pairs.py --base HEAD --workload figure-sweep --seed 3 --seconds 6 --metric all
 
 Exits 1 when a run fails or reports ``correct`` false.
 """
@@ -71,6 +75,26 @@ def summarize(base: list[float], change: list[float]) -> dict:
     }
 
 
+def summarize_all(base: list[dict], change: list[dict], metrics: list[str]) -> dict:
+    """``summarize`` of each metric in ``metrics``, from one dict of values per run."""
+    return {m: summarize([b[m] for b in base], [c[m] for c in change]) for m in metrics}
+
+
+def summary_line(metric: str, s: dict) -> str:
+    """One line of ``summarize``'s figures for ``metric``."""
+    return (
+        f"{metric}: base median {s['base_median']:.6g} (IQR {s['base_iqr']:.3g}), "
+        f"change median {s['change_median']:.6g} ({s['relative']:+.1%}); "
+        f"change wins {s['wins']} of {s['pairs']}; clear gain: {'yes' if s['clear'] else 'no'}"
+    )
+
+
+def end_to_end_metrics() -> list[str]:
+    """The names of the end-to-end metrics ``BENCHMARK.json`` declares."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [m["name"] for m in spec["end_to_end"]]
+
+
 def unpack(revision: str, into: Path) -> None:
     """Write the committed files of ``revision`` under ``into``."""
     archive = subprocess.run(
@@ -82,8 +106,8 @@ def unpack(revision: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, metric: str) -> float:
-    """One perfbench run in ``checkout``: the value of ``metric``."""
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``checkout``: the value of each end-to-end metric."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -96,7 +120,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, metric: str) -
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"run in {checkout} reported {result}")
-    return result["metrics"][metric]["value"]
+    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,10 +130,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metric", default="wall_s", help="an end-to-end metric")
+    names = end_to_end_metrics()
+    parser.add_argument(
+        "--metric", default="wall_s", choices=names + ["all"], help="'all' for every one"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
+    metrics = names if args.metric == "all" else [args.metric]
 
     base, change = [], []
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -119,28 +147,25 @@ def main(argv: list[str] | None = None) -> int:
             sides = {"base": tmp, "change": ROOT}
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             got = {
-                side: run(sides[side], args.workload, args.seed, args.seconds, args.metric)
-                for side in order
+                side: run(sides[side], args.workload, args.seed, args.seconds) for side in order
             }
             base.append(got["base"])
             change.append(got["change"])
-            print(
-                f"pair {i + 1}: base {got['base']:.6g} change {got['change']:.6g} "
-                f"({got['change'] / got['base'] - 1.0:+.1%}, {order[0]} first)",
-                flush=True,
-            )
+            for m in metrics:
+                b, c = got["base"][m], got["change"][m]
+                print(
+                    f"pair {i + 1}: {m} base {b:.6g} change {c:.6g} "
+                    f"({c / b - 1.0:+.1%}, {order[0]} first)",
+                    flush=True,
+                )
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    s = summarize(base, change)
-    print(
-        f"{args.metric}: base median {s['base_median']:.6g} (IQR {s['base_iqr']:.3g}), "
-        f"change median {s['change_median']:.6g} ({s['relative']:+.1%}); "
-        f"change wins {s['wins']} of {s['pairs']}; clear gain: {'yes' if s['clear'] else 'no'}"
-    )
+    for m, s in summarize_all(base, change, metrics).items():
+        print(summary_line(m, s))
     return 0
 
 

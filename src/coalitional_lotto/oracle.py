@@ -25,11 +25,13 @@ The joint oracles scan each game's 2-D transfer grid once, through one
 generator (``_joint_maxima``) that keeps the first maximum of the
 objective its caller asks for: the smaller payoff delta for the mutual
 search, the payoff sum for the collective maximum.  It scores the grid a
-block of whole rows per kernel call, at most ``SCAN_BLOCK`` lanes: a
-whole-grid call allocates and frees arrays large enough that the
-allocator hands their memory back to the system after every call, and the
-next call faults it in again, so a 401-point grid costs less in 41 blocks
-than in one call.
+block of whole rows per kernel call, at most ``SCAN_BLOCK`` lanes: under
+glibc's default allocator thresholds, a whole-grid call allocates and
+frees arrays large enough that their memory goes back to the system after
+every call, and the next call faults it in again, so a 401-point grid
+costs less in 41 blocks than in one call.  The command line raises those
+thresholds for its process (``cli``), so this cliff now hits library
+callers only.
 
 Each oracle is a scan and a finish.  The scan hands over its refinement
 rows (objective, brackets) and a finisher that turns their refined maxima
@@ -389,11 +391,13 @@ def grid_oracles(
     return lines, responses
 
 
-# Most lanes a joint scan passes to one kernel call, in whole grid rows.  A
-# call above about 6,000 lanes frees enough memory at the heap top that
-# glibc returns it to the system, and the next call faults it back in: on
-# one contest line (2-vCPU VM), 6,001 lanes took 168 µs and no page fault
-# per call, 7,001 lanes 266 µs and 50 faults.
+# Most lanes a joint scan passes to one kernel call, in whole grid rows.
+# Under glibc's default thresholds, a call above about 6,000 lanes frees
+# enough memory at the heap top that glibc returns it to the system, and
+# the next call faults it back in: on one contest line (2-vCPU VM), 6,001
+# lanes took 168 µs and no page fault per call, 7,001 lanes 266 µs and 50
+# faults.  The command line keeps freed memory on the heap, so only
+# library callers meet this cliff; the blocks serve them.
 SCAN_BLOCK = 4096
 
 

@@ -108,9 +108,13 @@ class SweepPlane(NamedTuple):
 # Games per array evaluation of a sweep plane.  Blocks bound the working
 # memory of the array verdicts, which hold a few dozen breaks and candidates
 # per game, while each verdict call pays a fixed cost of about 0.4 ms.  On
-# the criterion-8 plane (phi1=12, phi2=10, x1 and x2 over [0.02, 3]), 4096
-# was the fastest of 1024 to 16384 at 300 x 300 nodes; from 1024 up, a
-# 30 x 30 plane is one block.
+# the criterion-8 plane (phi1=12, phi2=10, x1 and x2 over [0.02, 3]) at
+# 300 x 300 nodes, under the command line's allocator settings, the six
+# predicates took 253-260 ms at 8192, 273-278 ms at 4096 and 259-270 ms at
+# 16384 (process time, medians of five and nine rounds, 2-vCPU VM), against
+# 311 ms at 2048 and 421-447 ms in one block of 90000: no size clearly
+# beats 4096.  Under glibc's defaults 4096 and 8192 took 306 and 307 ms.
+# From 1024 up, a 30 x 30 plane is one block.
 SWEEP_BLOCK = 4096
 
 # Case labels by ``2 * (index - 1) + swapped``, and region names by

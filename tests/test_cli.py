@@ -1,3 +1,4 @@
+import ctypes
 import io
 import itertools
 import json
@@ -7,11 +8,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from coalitional_lotto import sweep
+from coalitional_lotto import cli, sweep
 from coalitional_lotto.adversary import classify_case, player_payoffs
 from coalitional_lotto.analysis import format_float
 from coalitional_lotto.cli import build_parser, main
@@ -625,3 +627,77 @@ class TestRepeatedMain:
         for _ in range(2):
             args = build_parser().parse_args(self.SWEEP)
             assert args.axis == ["x1=0.1:2", "x2=0.1:2"]
+
+
+def _libc_mallopt():
+    try:
+        return ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return None
+
+
+# Runs the 30x30 criterion-8 plane twice through ``cli.main`` in one process
+# and prints the minor page faults of the second run.
+SECOND_PLANE_FAULTS = """
+import resource, sys
+from coalitional_lotto import cli
+argv = ["sweep", "--phi1", "12", "--phi2", "10", "--axis", "x1=0.02:3", "--axis", "x2=0.02:3",
+        "--steps", "30", "--predicate", "mutual-contest", "--out", sys.argv[1]]
+assert cli.main(argv) == cli.EXIT_OK
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(argv) == cli.EXIT_OK
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestKeepFreedHeap:
+    """``main`` keeps freed arrays on the heap; a libc without ``mallopt`` is left alone."""
+
+    @pytest.fixture
+    def fresh(self):
+        cli._keep_freed_heap.cache_clear()
+        yield cli._keep_freed_heap
+        cli._keep_freed_heap.cache_clear()
+
+    @pytest.mark.skipif(_libc_mallopt() is None, reason="libc has no mallopt")
+    def test_a_second_plane_does_not_fault_its_arrays_back_in(self, tmp_path):
+        # In a fresh process, so that no earlier test has tuned the allocator.
+        # With glibc's default thresholds the second plane takes about 190
+        # faults: each kernel call above about 6,000 lanes hands its freed
+        # memory back to the system, and the next call faults it in again.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", SECOND_PLANE_FAULTS, str(tmp_path / "plane.csv")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 50
+
+    def test_sets_both_thresholds_once(self, fresh, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert fresh() is True
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert fresh() is True and len(calls) == 2
+
+    @pytest.mark.parametrize("refusal", ["no libc", "no mallopt", "refused"])
+    def test_a_libc_without_mallopt_is_left_alone(self, fresh, monkeypatch, capsys, refusal):
+        def cdll(name):
+            if refusal == "no libc":
+                raise OSError(f"{name}: cannot open shared object file")
+            if refusal == "no mallopt":
+                return SimpleNamespace()
+            return SimpleNamespace(mallopt=lambda param, value: 0)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert fresh() is False
+        code, out, _ = run_cli(capsys, "analyze", *DIAMOND_ARGS)
+        assert code == 0 and json.loads(out)["case"] == "C2_1le2"
+        code, _, err = run_cli(capsys, "analyze", "--phi1", "-1", *DIAMOND_ARGS[2:])
+        assert code == 1 and "error:" in err
